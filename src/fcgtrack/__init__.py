@@ -5,7 +5,7 @@ inside temporal windows, then the tracklets are fused across lifted frames
 with spatio-temporal weighting until one set of tracks remains.
 """
 
-from .appearance import cosine_distance, tracklet_distance
+from .appearance import cosine_distance, cosine_matrix, feature_matrix, tracklet_distance
 from .clustering import (
     CANNOT_LINK,
     CondensedMatrix,
@@ -13,8 +13,10 @@ from .clustering import (
     Dendrogram,
     Merge,
     cluster,
+    cluster_matrix,
     cut,
     linkage,
+    linkage_matrix,
 )
 from .core import (
     BBox,
@@ -49,7 +51,14 @@ from .io_mot import (
 from .metrics import id_switches, idf1
 from .pipeline import fuse_lifted_frames, generate_tracklets, run
 from .synthdata import SynthConfig, generate
-from .weighting import PairContext, pair_context, spatial_weights, temporal_weight, weighted_distance
+from .weighting import (
+    PairContext,
+    pair_context,
+    spatial_weights,
+    temporal_weight,
+    weighted_distance,
+    weighted_matrix,
+)
 
 __version__ = "0.1.0"
 
@@ -78,9 +87,12 @@ __all__ = [
     "Tracklet",
     "box_displacement",
     "cluster",
+    "cluster_matrix",
     "cosine_distance",
+    "cosine_matrix",
     "cut",
     "extrapolate",
+    "feature_matrix",
     "fuse_lifted_frames",
     "generate",
     "generate_tracklets",
@@ -88,6 +100,7 @@ __all__ = [
     "idf1",
     "iou_distance",
     "linkage",
+    "linkage_matrix",
     "pair_context",
     "parse_detections",
     "parse_ground_truth",
@@ -100,6 +113,7 @@ __all__ = [
     "tracklet_distance",
     "tracklet_new",
     "weighted_distance",
+    "weighted_matrix",
     "write_detections",
     "write_features",
     "write_ground_truth",

@@ -9,13 +9,30 @@ size-weighted update
 Cannot-link constraints are enforced two ways at once: constrained pair
 distances are pinned to a large finite sentinel, and a merged cluster inherits
 the cannot-link partners of both inputs, so dilution of the sentinel through
-averaging can never co-cluster a forbidden pair.
+averaging can never co-cluster a forbidden pair. An unconstrained pair whose
+distance merely equals the sentinel is diluted like any other distance.
+
+The core, `linkage_matrix`, works on a dense square matrix and a boolean
+cannot-link mask. Every step merges the global minimum pair among the active
+clusters, in the spirit of Muellner's generic algorithm (arXiv:1109.2378): a
+per-row cache holds each row's nearest later-created neighbour, or a lower
+bound on it once that neighbour was merged away, and a row is rescanned only
+when its bound is the smallest. Ties on the minimum go to the
+lexicographically smallest pair of creation indices (a, b), a < b: leaves are
+0..n-1 and the k-th merge creates n+k. The merged cluster reuses the slot of
+`a`, and slots are compared through their creation indices, so slot reuse
+never moves a tie. The merged row is computed as (|K| * D[K] + |L| * D[L]) /
+(|K| + |L|), elementwise and in that order, and entries between surviving
+clusters are never recomputed, so every height is bit-identical to the same
+update done one pair at a time. Nearest-neighbour chains would reorder the
+updates and so move heights by ulps, which can flip ties.
+
+`linkage` (condensed matrix plus constraint set) and `cluster` (items plus a
+pairwise metric) are adapters onto the same core.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
@@ -83,6 +100,15 @@ class ConstraintSet:
     def forbids(self, i: int, j: int) -> bool:
         return ((i, j) if i < j else (j, i)) in self.cannot_link
 
+    def mask(self, n: int) -> np.ndarray:
+        """Symmetric (n, n) boolean matrix, True at every forbidden pair."""
+        mask = np.zeros((n, n), dtype=bool)
+        for a, b in self.cannot_link:
+            if not (0 <= a < n and 0 <= b < n):
+                raise IndexError(f"constraint ({a}, {b}) outside item range 0..{n - 1}")
+            mask[a, b] = mask[b, a] = True
+        return mask
+
 
 EMPTY_CONSTRAINTS = ConstraintSet.of()
 
@@ -106,70 +132,118 @@ class Dendrogram:
     merges: tuple[Merge, ...]
 
 
+def linkage_matrix(
+    dist: np.ndarray,
+    cannot_link: np.ndarray | None = None,
+    *,
+    trace: TextIO | None = None,
+) -> Dendrogram:
+    """Run constrained average-linkage clustering over a square distance matrix.
+
+    Only the strict upper triangles of `dist` and of the boolean mask
+    `cannot_link` are read. Each step merges the minimum-distance pair of
+    active clusters, ties toward the smallest creation-index pair, and the
+    run stops when that minimum reaches the sentinel. When `trace` is given,
+    one "merge <a> <b> <height> <size>" line per merge is written to it.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0] if dist.ndim == 2 else -1
+    if dist.shape != (n, n):
+        raise ValueError(f"expected a square distance matrix, got shape {dist.shape}")
+    upper = np.triu(dist, 1)
+    if not np.all(upper >= 0.0):
+        raise ValueError("distances must be nonnegative, not NaN")
+    if cannot_link is None:
+        mask = np.zeros((n, n), dtype=bool)
+    else:
+        mask = np.triu(np.asarray(cannot_link, dtype=bool), 1)
+        if mask.shape != (n, n):
+            raise ValueError(f"cannot-link mask shape {mask.shape} does not match n={n}")
+    mask |= mask.T
+    d = upper + upper.T
+    d[mask] = CANNOT_LINK
+    # The diagonal and the columns of merged-away clusters hold +inf, so
+    # averaged rows stay +inf there and never look like a closer neighbour.
+    np.fill_diagonal(d, np.inf)
+    if n < 2:
+        return Dendrogram(n=n, merges=())
+
+    # Slot s holds the cluster with creation index cid[s], -1 once retired;
+    # slot_of inverts it for live clusters.
+    cid = np.arange(n)
+    slot_of = np.full(2 * n - 1, -1)
+    slot_of[:n] = cid
+    size = [1] * n
+    # Row cache: the nearest later-created neighbour of each row, by creation
+    # index, and its distance. Once that neighbour is merged away the distance
+    # is only a lower bound, and the row is rescanned when it is the minimum.
+    later = np.where(np.tri(n, dtype=bool), np.inf, d)
+    nn = later.argmin(axis=1)  # first of equal minima: smallest creation index
+    near = later[cid, nn]
+    del later
+
+    merges: list[Merge] = []
+    while True:
+        i = int(near.argmin())
+        low = near[i]
+        if not low < CANNOT_LINK:
+            break
+        ties = np.flatnonzero(near == low)
+        if len(ties) > 1:
+            i = int(ties[cid[ties].argmin()])
+        j = int(slot_of[nn[i]])
+        if j < 0:
+            cand = np.where(cid > cid[i], d[i], np.inf)
+            near[i] = best = cand.min()
+            ties = np.flatnonzero(cand == best)
+            nn[i] = cid[ties[cid[ties].argmin()]]
+            continue
+
+        a, b = int(cid[i]), int(cid[j])
+        size_a, size_b = size[i], size[j]
+        size_new = size_a + size_b
+        new = n + len(merges)
+        merges.append(Merge(a, b, float(low), size_new))
+        if trace is not None:
+            trace.write(f"merge {a} {b} {float(low)!r} {size_new}\n")
+
+        row = (size_a * d[i] + size_b * d[j]) / size_new
+        linked = mask[i] | mask[j]
+        row[linked] = CANNOT_LINK
+        # The new cluster takes slot i; slot j retires.
+        d[i] = row
+        d[:, i] = row
+        d[:, j] = np.inf
+        mask[i] = linked
+        mask[:, i] = linked
+        mask[:, j] = False
+        cid[i], cid[j] = new, -1
+        slot_of[a] = slot_of[b] = -1
+        slot_of[new] = i
+        size[i] = size_new
+        near[i] = near[j] = np.inf  # the newest cluster has no later neighbour
+
+        # The new cluster is every live row's latest candidate. As the largest
+        # creation index it replaces a cached neighbour only when strictly
+        # closer; a row whose bound it undercuts has it as exact minimum.
+        closer = row < near
+        nn[closer] = new
+        near[closer] = row[closer]
+
+    return Dendrogram(n=n, merges=tuple(merges))
+
+
 def linkage(
     matrix: CondensedMatrix,
     constraints: ConstraintSet = EMPTY_CONSTRAINTS,
     *,
     trace: TextIO | None = None,
 ) -> Dendrogram:
-    """Run constrained average-linkage clustering over a distance matrix.
-
-    Ties on the minimum distance break toward the lexicographically smallest
-    cluster-index pair. Stops when only forbidden (sentinel) pairs remain.
-    When `trace` is given, one "merge <a> <b> <height> <size>" line per merge
-    is written to it.
-    """
+    """`linkage_matrix` over a condensed matrix and a set of cannot-link pairs."""
     n = matrix.n
-    size = {i: 1 for i in range(n)}
-    partners: dict[int, set[int]] = defaultdict(set)
-    for a, b in constraints.cannot_link:
-        if not (0 <= a < n and 0 <= b < n):
-            raise IndexError(f"constraint ({a}, {b}) outside item range 0..{n - 1}")
-        partners[a].add(b)
-        partners[b].add(a)
-
-    dist: dict[tuple[int, int], float] = {}
-    heap: list[tuple[float, int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = CANNOT_LINK if j in partners[i] else matrix.get(i, j)
-            dist[(i, j)] = d
-            heap.append((d, i, j))
-    heapq.heapify(heap)
-
-    active = set(range(n))
-    merges: list[Merge] = []
-    while heap:
-        d, a, b = heapq.heappop(heap)
-        if a not in active or b not in active:
-            continue
-        if d >= CANNOT_LINK:
-            break
-        new = n + len(merges)
-        active.discard(a)
-        active.discard(b)
-        size[new] = size[a] + size[b]
-        merges.append(Merge(a, b, d, size[new]))
-        if trace is not None:
-            trace.write(f"merge {a} {b} {d!r} {size[new]}\n")
-
-        inherited = partners[a] | partners[b]
-        partners[new] = inherited
-        for p in inherited:
-            partners[p].add(new)
-
-        for m in active:
-            if m in inherited:
-                dm = CANNOT_LINK
-            else:
-                key_a = (m, a) if m < a else (a, m)
-                key_b = (m, b) if m < b else (b, m)
-                dm = (size[a] * dist[key_a] + size[b] * dist[key_b]) / size[new]
-            dist[(m, new)] = dm
-            heapq.heappush(heap, (dm, m, new))
-        active.add(new)
-
-    return Dendrogram(n=n, merges=tuple(merges))
+    square = np.zeros((n, n), dtype=np.float64)
+    square[np.triu_indices(n, 1)] = matrix.values
+    return linkage_matrix(square, constraints.mask(n), trace=trace)
 
 
 def cut(dendrogram: Dendrogram, threshold: float) -> list[list[int]]:
@@ -190,6 +264,13 @@ def cut(dendrogram: Dendrogram, threshold: float) -> list[list[int]]:
     return sorted((sorted(c) for c in members.values()), key=lambda c: c[0])
 
 
+def cluster_matrix(
+    dist: np.ndarray, cannot_link: np.ndarray | None = None, *, threshold: float
+) -> list[list[int]]:
+    """Cluster n items given their square distance matrix; returns item-index clusters."""
+    return cut(linkage_matrix(dist, cannot_link), threshold)
+
+
 def cluster(
     items: Sequence,
     metric: Callable,
@@ -201,11 +282,6 @@ def cluster(
     n = len(items)
     if n == 0:
         return []
-    values = np.empty(condensed_size(n), dtype=np.float64)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[k] = metric(items[i], items[j])
-            k += 1
-    matrix = CondensedMatrix(n=n, values=values)
+    values = [metric(items[i], items[j]) for i in range(n) for j in range(i + 1, n)]
+    matrix = CondensedMatrix(n=n, values=np.array(values, dtype=np.float64))
     return cut(linkage(matrix, constraints), threshold)

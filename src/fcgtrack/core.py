@@ -6,6 +6,7 @@ worker threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,7 +34,7 @@ class DimensionMismatchError(FcgError):
 
 
 class DegenerateFeatureError(FcgError):
-    """A feature vector has zero norm; cosine distance is undefined."""
+    """A feature vector is zero or non-finite; cosine distance is undefined."""
 
 
 class ParseError(FcgError):
@@ -60,6 +61,15 @@ class BBox:
     def __post_init__(self):
         for name in ("x", "y", "w", "h"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        if not (
+            math.isfinite(self.x)
+            and math.isfinite(self.y)
+            and math.isfinite(self.w)
+            and math.isfinite(self.h)
+        ):
+            raise ValueError(
+                f"box must be finite, got x={self.x}, y={self.y}, w={self.w}, h={self.h}"
+            )
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box size must be positive, got w={self.w}, h={self.h}")
 
@@ -115,7 +125,14 @@ class Detection:
             raise DimensionMismatchError(
                 f"feature must be a nonempty 1-d vector (source row {self.source_row})"
             )
-        if not np.linalg.norm(feat) > 0.0:
+        norm = float(np.linalg.norm(feat))
+        # Any inf or NaN component makes the norm non-finite, as does a norm
+        # too large for cosine distance to square.
+        if not math.isfinite(norm):
+            raise DegenerateFeatureError(
+                f"non-finite feature vector or norm (source row {self.source_row})"
+            )
+        if not norm > 0.0:
             raise DegenerateFeatureError(
                 f"zero-norm feature vector (source row {self.source_row})"
             )

@@ -2,25 +2,49 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import groupby
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import BBox, TrackSet
-from .geometry import iou_distance
+from .core import TrackSet
+from .geometry import box_array, iou_distance_array
+
+# GT entries per array call in `_matches`; bounds the pair arrays in crowds.
+_GT_BLOCK = 1024
 
 
-def _boxes_by_frame(tracks: TrackSet) -> dict[int, list[tuple[int, BBox]]]:
-    frames: dict[int, list[tuple[int, BBox]]] = defaultdict(list)
-    for tid in sorted(tracks.tracks):
-        for entry in tracks.tracks[tid]:
-            frames[entry.frame].append((tid, entry.bbox))
-    return frames
+def _by_frame(tracks: TrackSet):
+    """Frames, track IDs and an (n, 4) box array of all entries, by (frame, ID)."""
+    rows = sorted(
+        (e.frame, tid, e.bbox) for tid, entries in tracks.tracks.items() for e in entries
+    )
+    frames = np.array([r[0] for r in rows], dtype=np.int64)
+    ids = np.array([r[1] for r in rows], dtype=np.int64)
+    return frames, ids, box_array(r[2] for r in rows)
 
 
-def _iou(a: BBox, b: BBox) -> float:
-    return 1.0 - iou_distance(a, b)
+def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):
+    """Same-frame box pairs with IoU >= iou_threshold, ascending by frame.
+
+    Returns parallel arrays: frame, GT ID, predicted ID and IoU. The IoUs
+    are computed by array calls over blocks of GT entries, each paired with
+    every prediction in its frame.
+    """
+    gt_frame, gt_id, gt_box = _by_frame(gt)
+    pred_frame, pred_id, pred_box = _by_frame(pred)
+    lo = np.searchsorted(pred_frame, gt_frame, side="left")
+    count = np.searchsorted(pred_frame, gt_frame, side="right") - lo
+    blocks = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    for start in range(0, len(gt_frame), _GT_BLOCK):
+        n = count[start : start + _GT_BLOCK]
+        g = np.repeat(np.arange(start, start + len(n)), n)
+        p = lo[g] + np.arange(len(g)) - np.repeat(np.cumsum(n) - n, n)
+        iou = 1.0 - iou_distance_array(gt_box[g], pred_box[p])
+        keep = iou >= iou_threshold
+        blocks.append((g[keep], p[keep], iou[keep]))
+    g, p, iou = (np.concatenate(parts) for parts in zip(*blocks))
+    return gt_frame[g], gt_id[g], pred_id[p], iou
 
 
 def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
@@ -39,27 +63,13 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
     if total_gt == 0 or total_pred == 0:
         return 0.0
 
-    gt_frames = _boxes_by_frame(gt)
-    pred_frames = _boxes_by_frame(pred)
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    for frame, gt_boxes in gt_frames.items():
-        pred_boxes = pred_frames.get(frame)
-        if not pred_boxes:
-            continue
-        for gid, gbox in gt_boxes:
-            for pid, pbox in pred_boxes:
-                if _iou(gbox, pbox) >= iou_threshold:
-                    counts[(gid, pid)] += 1
-
-    if not counts:
+    _, gids, pids, _ = _matches(gt, pred, iou_threshold)
+    if not len(gids):
         return 0.0
-    gt_ids = sorted(gt.tracks)
-    pred_ids = sorted(pred.tracks)
-    gt_pos = {g: i for i, g in enumerate(gt_ids)}
-    pred_pos = {p: i for i, p in enumerate(pred_ids)}
+    gt_ids = np.array(sorted(gt.tracks))
+    pred_ids = np.array(sorted(pred.tracks))
     matrix = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
-    for (gid, pid), c in counts.items():
-        matrix[gt_pos[gid], pred_pos[pid]] = c
+    np.add.at(matrix, (np.searchsorted(gt_ids, gids), np.searchsorted(pred_ids, pids)), 1)
     rows, cols = linear_sum_assignment(matrix, maximize=True)
     idtp = int(matrix[rows, cols].sum())
     return 2.0 * idtp / (total_gt + total_pred)
@@ -75,22 +85,11 @@ def id_switches(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> int
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    gt_frames = _boxes_by_frame(gt)
-    pred_frames = _boxes_by_frame(pred)
-
     last_match: dict[int, int] = {}
     switches = 0
-    for frame in sorted(gt_frames):
-        pred_boxes = pred_frames.get(frame)
-        if not pred_boxes:
-            continue
-        candidates = []
-        for gid, gbox in gt_frames[frame]:
-            for pid, pbox in pred_boxes:
-                iou = _iou(gbox, pbox)
-                if iou >= iou_threshold:
-                    candidates.append((-iou, pid, gid))
-        candidates.sort()
+    frames, gids, pids, ious = (a.tolist() for a in _matches(gt, pred, iou_threshold))
+    for _, pairs in groupby(zip(frames, gids, pids, ious), key=lambda m: m[0]):
+        candidates = sorted((-iou, pid, gid) for _, gid, pid, iou in pairs)
         used_gt: set[int] = set()
         used_pred: set[int] = set()
         for _, pid, gid in candidates:

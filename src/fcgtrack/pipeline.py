@@ -11,15 +11,15 @@ and may run on several workers without changing the result.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from itertools import combinations
 
-from .appearance import cosine_distance
-from .clustering import ConstraintSet, cluster
+import numpy as np
+
+from .appearance import cosine_matrix, feature_matrix
+from .clustering import cluster_matrix
 from .core import Detection, FcgConfig, LiftedFrame, TrackEntry, TrackSet, Tracklet, tracklet_new
-from .weighting import weighted_distance
+from .weighting import weighted_matrix
 
 
 def _map_ordered(fn, items, workers: int) -> list:
@@ -29,27 +29,28 @@ def _map_ordered(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _frame_overlap_constraints(tracklets) -> ConstraintSet:
-    pairs = [
-        (i, j)
-        for i, j in combinations(range(len(tracklets)), 2)
-        if tracklets[i].frame_set & tracklets[j].frame_set
-    ]
-    return ConstraintSet.of(pairs)
+def _frame_overlap_mask(tracklets) -> np.ndarray:
+    """(n, n) boolean matrix, True where two tracklets share a frame index.
+
+    Built from a tracklet-by-frame incidence over the distinct frames present,
+    so its size follows the detections, not the largest frame index.
+    """
+    frames = [np.fromiter(t.frame_set, dtype=np.int64, count=len(t.frame_set)) for t in tracklets]
+    if not frames:
+        return np.zeros((0, 0), dtype=bool)
+    present, column = np.unique(np.concatenate(frames), return_inverse=True)
+    row = np.repeat(np.arange(len(frames)), [len(f) for f in frames])
+    incidence = np.zeros((len(frames), len(present)), dtype=np.float32)
+    incidence[row, column] = 1.0
+    return incidence @ incidence.T > 0.0
 
 
 def _cluster_window(index_and_bucket, cfg: FcgConfig) -> LiftedFrame:
     n, bucket = index_and_bucket
-    by_frame = defaultdict(list)
-    for idx, det in enumerate(bucket):
-        by_frame[det.frame].append(idx)
-    same_frame = [
-        pair for idxs in by_frame.values() for pair in combinations(idxs, 2)
-    ]
-    partition = cluster(
-        bucket,
-        metric=lambda a, b: cosine_distance(a.feature, b.feature),
-        constraints=ConstraintSet.of(same_frame),
+    frames = np.array([det.frame for det in bucket], dtype=np.int64)
+    partition = cluster_matrix(
+        cosine_matrix(feature_matrix([det.feature for det in bucket])),
+        frames[:, None] == frames[None, :],
         threshold=cfg.tracklet_threshold,
     )
     tracklets = tuple(tracklet_new([bucket[i] for i in members]) for members in partition)
@@ -76,12 +77,21 @@ def generate_tracklets(
     )
 
 
-def _merge_partition(tracklets, partition) -> tuple[Tracklet, ...]:
+def _fuse_tracklets(union: list[Tracklet], cfg: FcgConfig) -> tuple[Tracklet, ...]:
+    """Cluster tracklets under the weighted distance; one tracklet per cluster.
+
+    Tracklets covering a common frame index can never fuse.
+    """
+    partition = cluster_matrix(
+        weighted_matrix(union, cfg),
+        _frame_overlap_mask(union),
+        threshold=cfg.track_threshold,
+    )
     merged = []
     for members in partition:
         dets: list[Detection] = []
         for i in members:
-            dets.extend(tracklets[i].detections)
+            dets.extend(union[i].detections)
         merged.append(tracklet_new(dets))
     return tuple(merged)
 
@@ -98,18 +108,11 @@ def fuse_lifted_frames(a: LiftedFrame, b: LiftedFrame, cfg: FcgConfig) -> Lifted
             f"consecutive fusion requires adjacent spans, got "
             f"[{a.span_start}, {a.span_end}] then [{b.span_start}, {b.span_end}]"
         )
-    union = list(a.tracklets) + list(b.tracklets)
-    partition = cluster(
-        union,
-        metric=lambda t1, t2: weighted_distance(t1, t2, cfg),
-        constraints=_frame_overlap_constraints(union),
-        threshold=cfg.track_threshold,
-    )
     return LiftedFrame(
         level=max(a.level, b.level) + 1,
         span_start=a.span_start,
         span_end=b.span_end,
-        tracklets=_merge_partition(union, partition),
+        tracklets=_fuse_tracklets(list(a.tracklets) + list(b.tracklets), cfg),
     )
 
 
@@ -133,18 +136,11 @@ def _fuse_global(frames: list[LiftedFrame], cfg: FcgConfig) -> LiftedFrame:
     # Non-consecutive ablation: one clustering over every tracklet, with the
     # spatio-temporal weights off (they presuppose ordered, adjacent spans).
     plain = replace(cfg, use_temporal=False, use_spatial=False, use_motion=False)
-    union = [t for frame in frames for t in frame.tracklets]
-    partition = cluster(
-        union,
-        metric=lambda t1, t2: weighted_distance(t1, t2, plain),
-        constraints=_frame_overlap_constraints(union),
-        threshold=cfg.track_threshold,
-    )
     return LiftedFrame(
         level=2,
         span_start=frames[0].span_start,
         span_end=frames[-1].span_end,
-        tracklets=_merge_partition(union, partition),
+        tracklets=_fuse_tracklets([t for frame in frames for t in frame.tracklets], plain),
     )
 
 

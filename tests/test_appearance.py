@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fcgtrack.appearance import cosine_distance, tracklet_distance
+from fcgtrack.appearance import cosine_distance, cosine_matrix, feature_matrix, tracklet_distance
 from fcgtrack.core import (
     BBox,
     DegenerateFeatureError,
@@ -11,6 +11,7 @@ from fcgtrack.core import (
     DimensionMismatchError,
     tracklet_new,
 )
+from oracles import scalar_cosine
 
 
 def tracklet(frames, features):
@@ -101,3 +102,32 @@ class TestTrackletDistance:
         t1 = tracklet([1, 2], [[1.0, 0.0], [1.0, 1.0]])
         t2 = tracklet([3, 4], [[1.0, 1.0], [1.0, 0.0]])
         assert tracklet_distance(t1, t2) == 0.0
+
+
+class TestCosineMatrix:
+    @pytest.mark.parametrize("n,dim", [(2, 3), (30, 8), (180, 64), (40, 2048)])
+    def test_matches_per_pair_reference(self, n, dim):
+        rng = np.random.default_rng(n)
+        features = rng.normal(size=(n, dim))
+        features[1] = features[0]
+        got = cosine_matrix(features)
+        assert np.array_equal(got, got.T)
+        assert got[0, 1] == 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert abs(got[i, j] - scalar_cosine(features[i], features[j])) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_degenerate_row_rejected(self):
+        with pytest.raises(DegenerateFeatureError):
+            cosine_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DegenerateFeatureError):
+            cosine_matrix(np.array([[1e200, 0.0], [0.0, 1.0]]))
+
+    def test_single_row_needs_no_norm(self):
+        assert cosine_matrix(np.zeros((1, 3))).shape == (1, 1)
+
+    def test_feature_matrix_rejects_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            feature_matrix([np.ones(3), np.ones(4)])
+        assert feature_matrix([]).shape[0] == 0

@@ -8,12 +8,14 @@ from fcgtrack.clustering import (
     CondensedMatrix,
     ConstraintSet,
     cluster,
+    cluster_matrix,
     condensed_index,
     condensed_size,
     cut,
     linkage,
+    linkage_matrix,
 )
-from oracles import brute_force_partition
+from oracles import brute_force_partition, heap_linkage
 
 
 def matrix_from_square(square):
@@ -67,6 +69,18 @@ class TestConstraintSet:
     def test_rejects_reflexive(self):
         with pytest.raises(ValueError):
             ConstraintSet.of([(2, 2)])
+
+    def test_mask(self):
+        mask = ConstraintSet.of([(0, 2)]).mask(3)
+        assert mask.tolist() == [
+            [False, False, True],
+            [False, False, False],
+            [True, False, False],
+        ]
+
+    def test_mask_rejects_out_of_range(self):
+        with pytest.raises(IndexError):
+            ConstraintSet.of([(0, 3)]).mask(3)
 
 
 class TestLinkage:
@@ -248,3 +262,98 @@ class TestAgainstBruteForce:
                 sorted(int(perm[i]) for i in members) for members in permuted
             )
             assert mapped == sorted(sorted(c) for c in base)
+
+
+class TestLinkageMatrix:
+    def test_reads_upper_triangle_only(self):
+        square = np.array([[0.0, 0.1, 0.9], [7.0, 0.0, 0.8], [7.0, 7.0, 0.0]])
+        assert linkage_matrix(square) == linkage(THREE)
+
+    def test_mask_pins_pair(self):
+        square = np.array([[0.0, 0.1, 0.9], [0.1, 0.0, 0.8], [0.9, 0.8, 0.0]])
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[0, 1] = True
+        assert linkage_matrix(square, mask) == linkage(THREE, ConstraintSet.of([(0, 1)]))
+
+    def test_empty_and_single(self):
+        assert linkage_matrix(np.zeros((0, 0))).merges == ()
+        assert linkage_matrix(np.zeros((1, 1))).merges == ()
+        assert cluster_matrix(np.zeros((0, 0)), threshold=0.5) == []
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            linkage_matrix(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            linkage_matrix(np.array([[0.0, -0.1], [-0.1, 0.0]]))
+        with pytest.raises(ValueError):
+            linkage_matrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        with pytest.raises(ValueError):
+            linkage_matrix(np.zeros((2, 2)), np.zeros((3, 3), dtype=bool))
+
+    def test_tie_goes_to_creation_order_not_slot_order(self):
+        # Merging 0 and 1 puts cluster 4 into slot 0. Afterwards (2, 3),
+        # (2, 4) and (3, 4) tie at 0.5; the creation-index pair (2, 3) wins
+        # although cluster 4 sits in the lowest slot.
+        square = np.array(
+            [
+                [0.0, 0.1, 0.5, 0.5],
+                [0.1, 0.0, 0.5, 0.5],
+                [0.5, 0.5, 0.0, 0.5],
+                [0.5, 0.5, 0.5, 0.0],
+            ]
+        )
+        merges = linkage_matrix(square).merges
+        assert [(m.a, m.b) for m in merges] == [(0, 1), (2, 3), (4, 5)]
+        assert [(m.a, m.b) for m in merges] == [m[:2] for m in heap_linkage(square)]
+
+    def test_cluster_matrix_matches_cluster(self):
+        rng = np.random.default_rng(46)
+        for _ in range(50):
+            n, square, cannot, threshold = random_instance(rng)
+            mask = ConstraintSet.of(cannot).mask(n)
+            expected = cluster(
+                list(range(n)),
+                lambda i, j: square[i, j],
+                ConstraintSet.of(cannot),
+                threshold=threshold,
+            )
+            assert cluster_matrix(square, mask, threshold=threshold) == expected
+
+
+def _tied_instance(rng):
+    n, square, cannot, _ = random_instance(rng)
+    square = np.round(square * 10.0) / 10.0
+    return square, cannot
+
+
+def _diluted_sentinel_instance(rng):
+    # Stage-2 interleaved pairs: the sentinel as a plain value, no constraint.
+    n, square, cannot, _ = random_instance(rng)
+    interleaved = np.triu(rng.random((n, n)) < rng.uniform(0, 0.5), 1)
+    square[interleaved | interleaved.T] = CANNOT_LINK
+    return square, cannot[: len(cannot) // 2]
+
+
+class TestAgainstHeapLinkage:
+    """The array core reproduces the dict-and-heap linkage merge for merge."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: random_instance(rng)[1:3],
+            _tied_instance,
+            _diluted_sentinel_instance,
+        ],
+        ids=["continuous", "quantised", "diluted_sentinel"],
+    )
+    def test_same_merges(self, make):
+        rng = np.random.default_rng(47)
+        for _ in range(1000):
+            square, cannot = make(rng)
+            n = square.shape[0]
+            got = linkage_matrix(square, ConstraintSet.of(cannot).mask(n)).merges
+            expected = heap_linkage(square, cannot)
+            assert len(got) == len(expected)
+            for merge, (a, b, height, size) in zip(got, expected):
+                assert (merge.a, merge.b, merge.size) == (a, b, size)
+                assert merge.height == height

@@ -38,6 +38,14 @@ class TestBBox:
         b = BBox(np.float64(1.5), np.float64(2.5), np.float64(3.0), np.float64(4.0))
         assert type(b.x) is float and type(b.w) is float
 
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        fields = dict(x=1.0, y=2.0, w=3.0, h=4.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            BBox(**fields)
+
 
 class TestDetection:
     def test_rejects_zero_norm_feature(self):
@@ -47,6 +55,16 @@ class TestDetection:
     def test_zero_norm_message_names_source_row(self):
         with pytest.raises(DegenerateFeatureError, match="17"):
             det(1, [0.0, 0.0], row=17)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_feature(self, bad):
+        with pytest.raises(DegenerateFeatureError, match="non-finite.*17"):
+            det(1, [1.0, bad, 0.5], row=17)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_rejects_feature_whose_norm_overflows(self):
+        with pytest.raises(DegenerateFeatureError):
+            det(1, [1e200, 1e200])
 
     def test_rejects_bad_frame_and_score(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,28 @@ class TestParseDetections:
                 CFG,
             )
 
+    def test_nan_coordinate_names_line(self):
+        with pytest.raises(ParseError, match="line 2: box must be finite"):
+            parse_detections(
+                detfile(
+                    "1,-1,1,1,5,5,0.9,-1,-1,-1",
+                    "2,-1,nan,1,5,5,0.9,-1,-1,-1",
+                ),
+                feats([[1, 0, 0], [1, 0, 0]]),
+                CFG,
+            )
+
+    def test_inf_feature_names_line(self):
+        with pytest.raises(ParseError, match="line 2: non-finite feature"):
+            parse_detections(
+                detfile(
+                    "1,-1,1,1,5,5,0.9,-1,-1,-1",
+                    "2,-1,1,1,5,5,0.9,-1,-1,-1",
+                ),
+                feats([[1, 0, 0], [1, np.inf, 0]]),
+                CFG,
+            )
+
     def test_zero_norm_feature_names_line(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_detections(

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fcgtrack.core import BBox, TrackEntry, TrackSet
+from fcgtrack import metrics
 from fcgtrack.metrics import id_switches, idf1
-from oracles import brute_force_idf1
+from oracles import brute_force_idf1, per_pair_id_switches
 
 
 def track(frame_boxes, score=1.0):
@@ -163,3 +164,37 @@ class TestIdSwitches:
             }
         )
         assert id_switches(gt, pred) == 0
+
+
+def crowded_tracks(rng, num_ids, frames=8):
+    # coarse positions so boxes of different IDs collide and tie
+    return TrackSet(
+        tracks={
+            tid: track(
+                [
+                    (f, (float(rng.integers(0, 4)) * 6.0, float(rng.integers(0, 2)) * 3.0, 10.0, 10.0))
+                    for f in sorted(rng.choice(range(1, frames + 1), size=4, replace=False).tolist())
+                ]
+            )
+            for tid in range(1, num_ids + 1)
+        }
+    )
+
+
+class TestArrayMatching:
+    def test_id_switches_match_per_pair_reference(self):
+        rng = np.random.default_rng(64)
+        for _ in range(60):
+            gt = crowded_tracks(rng, int(rng.integers(1, 6)))
+            pred = crowded_tracks(rng, int(rng.integers(1, 6)))
+            assert id_switches(gt, pred) == per_pair_id_switches(gt, pred)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_does_not_matter(self, block, monkeypatch):
+        rng = np.random.default_rng(65)
+        cases = [
+            (crowded_tracks(rng, 5), crowded_tracks(rng, 4)) for _ in range(20)
+        ]
+        expected = [(idf1(gt, pred), id_switches(gt, pred)) for gt, pred in cases]
+        monkeypatch.setattr(metrics, "_GT_BLOCK", block)
+        assert [(idf1(gt, pred), id_switches(gt, pred)) for gt, pred in cases] == expected

@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from fcgtrack.core import BBox, Detection, FcgConfig, LiftedFrame, tracklet_new
+from fcgtrack.core import (
+    BBox,
+    Detection,
+    DimensionMismatchError,
+    FcgConfig,
+    LiftedFrame,
+    tracklet_new,
+)
 from fcgtrack.io_mot import write_tracks
 from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import (
+    _frame_overlap_mask,
     _reduce_consecutive,
     fuse_lifted_frames,
     generate_tracklets,
@@ -126,6 +134,22 @@ class TestFuseLiftedFrames:
         )
         assert len(fused.tracklets) == 2
 
+    def test_frame_overlap_mask_matches_frame_sets(self):
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            tracklets = [
+                tracklet_new(
+                    det(int(f), basis(0))
+                    for f in set(rng.integers(1, 10**9 if k % 3 else 30, size=4))
+                )
+                for k in range(int(rng.integers(1, 12)))
+            ]
+            mask = _frame_overlap_mask(tracklets)
+            for i, ti in enumerate(tracklets):
+                for j, tj in enumerate(tracklets):
+                    assert mask[i, j] == bool(ti.frame_set & tj.frame_set)
+        assert _frame_overlap_mask([]).shape == (0, 0)
+
     def test_adjacency_required_when_consecutive(self):
         a = LiftedFrame(1, 1, 2, (tracklet_new([det(7, basis(0))]),))
         b = LiftedFrame(1, 0, 1, (tracklet_new([det(1, basis(0))]),))
@@ -238,6 +262,13 @@ class TestRun:
         ts = run(list(seq.detections), cfg)
         assert len(ts.tracks) == 3
         assert idf1(gt, ts) == 1.0
+
+    @pytest.mark.parametrize("second_frame", [2, 20])
+    def test_mixed_feature_dimensions_raise_package_error(self, second_frame):
+        # same window (stage 1) and different windows (stage 2)
+        dets = [det(1, basis(0, dim=8)), det(second_frame, basis(0, dim=4), row=1)]
+        with pytest.raises(DimensionMismatchError):
+            run(dets, CFG)
 
     def test_hierarchy_depth_and_final_span(self):
         for num_frames in (6, 12, 30, 36, 59):

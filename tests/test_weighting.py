@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from fcgtrack.weighting import (
     spatial_weights,
     temporal_weight,
     weighted_distance,
+    weighted_matrix,
 )
+from oracles import scalar_weighted_distance
 
 CFG = FcgConfig()
 
@@ -165,3 +168,63 @@ class TestWeightedDistance:
         t1 = tracklet([(1, (0, 0, 10, 10)), (2, (1, 0, 10, 10))], [1.0, 0.2])
         t2 = tracklet([(9, (30, 0, 10, 10))], [1.0, 0.4])
         assert weighted_distance(t1, t2, CFG) == weighted_distance(t2, t1, CFG)
+
+
+def random_tracklets(rng, count, dim=6):
+    """Tracklets with gaps short and long, interleaved and frame-sharing spans."""
+    tracklets = []
+    for _ in range(count):
+        start = int(rng.integers(1, 120))
+        frames = sorted(set(start + rng.integers(0, 12, size=int(rng.integers(1, 5)))))
+        base = rng.normal(size=dim)
+        x, y = rng.uniform(0, 200, 2)
+        vx, vy, vw = rng.normal(0, 4, 3)
+        dets = [
+            Detection(
+                frame=int(f),
+                bbox=BBox(x + vx * k, y + vy * k, max(5.0 + vw * k, 1.0), 20.0),
+                score=1.0,
+                feature=base + rng.normal(0, 0.05, dim),
+            )
+            for k, f in enumerate(frames)
+        ]
+        tracklets.append(tracklet_new(dets))
+    return tracklets
+
+
+class TestWeightedMatrix:
+    @pytest.mark.parametrize(
+        "temporal,spatial,motion", list(itertools.product([False, True], repeat=3))
+    )
+    def test_matches_per_pair_reference(self, temporal, spatial, motion):
+        cfg = FcgConfig(use_temporal=temporal, use_spatial=spatial, use_motion=motion, kt=10)
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(20):
+            tracklets = random_tracklets(rng, int(rng.integers(2, 14)))
+            got = weighted_matrix(tracklets, cfg)
+            assert np.array_equal(got, got.T)
+            for i, j in itertools.combinations(range(len(tracklets)), 2):
+                expected = scalar_weighted_distance(tracklets[i], tracklets[j], cfg)
+                if expected == CANNOT_LINK:
+                    assert got[i, j] == CANNOT_LINK
+                    shared = tracklets[i].frame_set & tracklets[j].frame_set
+                    kinds.add("frame-sharing" if shared else "interleaved")
+                else:
+                    assert abs(got[i, j] - expected) <= 1e-12
+                    kinds.add("ordered")
+        assert kinds == {"ordered", "interleaved", "frame-sharing"}
+
+    def test_empty_and_single(self):
+        assert weighted_matrix([], CFG).shape == (0, 0)
+        t = tracklet([(1, (0, 0, 10, 10))], [1.0, 0.0])
+        assert weighted_matrix([t], CFG).shape == (1, 1)
+
+    def test_scalar_is_matrix_entry(self):
+        rng = np.random.default_rng(12)
+        tracklets = random_tracklets(rng, 8)
+        matrix = weighted_matrix(tracklets, CFG)
+        for i, j in itertools.combinations(range(8), 2):
+            pair = weighted_matrix([tracklets[i], tracklets[j]], CFG)[0, 1]
+            assert weighted_distance(tracklets[i], tracklets[j], CFG) == pair
+            assert abs(pair - matrix[i, j]) <= 1e-12
