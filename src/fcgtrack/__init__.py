@@ -22,6 +22,8 @@ from .core import (
     BBox,
     DegenerateFeatureError,
     Detection,
+    DetectionColumns,
+    DetectionView,
     DimensionMismatchError,
     EmptyInputError,
     FcgConfig,
@@ -30,6 +32,7 @@ from .core import (
     InvalidConfigError,
     LiftedFrame,
     ParseError,
+    TrackColumns,
     TrackEntry,
     TrackSet,
     Tracklet,
@@ -70,6 +73,8 @@ __all__ = [
     "DegenerateFeatureError",
     "Dendrogram",
     "Detection",
+    "DetectionColumns",
+    "DetectionView",
     "DimensionMismatchError",
     "EmptyInputError",
     "FcgConfig",
@@ -82,6 +87,7 @@ __all__ = [
     "ParseError",
     "SequenceInput",
     "SynthConfig",
+    "TrackColumns",
     "TrackEntry",
     "TrackSet",
     "Tracklet",

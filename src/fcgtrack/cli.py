@@ -101,6 +101,10 @@ def _config(args: argparse.Namespace) -> FcgConfig:
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
+    if args.ratio < 1:
+        raise ValueError(f"ratio must be >= 1, got {args.ratio}")
+    if args.threads < 0:
+        raise ValueError(f"threads must be >= 0, got {args.threads}")
     cfg = _config(args)
     seq = parse_detections(
         Path(args.det).read_bytes(),
@@ -111,7 +115,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     if args.ratio > 1:
         seq = subsample(seq, args.ratio)
     workers = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    tracks = run(list(seq.detections), cfg, workers=workers)
+    tracks = run(seq.columns, cfg, workers=workers)
     Path(args.out).write_bytes(write_tracks(tracks))
     return 0
 

@@ -7,7 +7,9 @@ worker threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -140,15 +142,145 @@ class Detection:
 
 
 @dataclass(frozen=True, eq=False)
-class Tracklet:
-    """A frame-disjoint run of detections with a cached element-wise median feature.
+class DetectionColumns:
+    """Detections as parallel columns, one entry per detection in each.
 
-    Construct through :func:`tracklet_new`; the constructor is not validated.
+    `frame` (N,) int64, `box` (N, 4) float64 rows of (x, y, w, h), `score`
+    (N,) float64, `row` (N,) int64 source rows and `feature` (N, D): float32
+    as read from a feature sidecar, float64 from `Detection` objects; every
+    computation on features is done in float64. The arrays are made
+    read-only; the constructor checks nothing else, so callers hand it
+    validated values (`parse_detections`, `from_detections`).
     """
 
-    detections: tuple[Detection, ...]
+    frame: np.ndarray
+    box: np.ndarray
+    score: np.ndarray
+    row: np.ndarray
+    feature: np.ndarray
+
+    def __post_init__(self):
+        for name in ("frame", "box", "score", "row", "feature"):
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def from_detections(cls, detections) -> "DetectionColumns":
+        """Columns of `Detection` objects, in the given order."""
+        dets = list(detections)
+        dims = sorted({d.feature.shape[0] for d in dets})
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"feature dimensions differ: {dims}")
+        return cls(
+            frame=np.array([d.frame for d in dets], dtype=np.int64),
+            box=np.array(
+                [(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets], dtype=np.float64
+            ).reshape(-1, 4),
+            score=np.array([d.score for d in dets], dtype=np.float64),
+            row=np.array([d.source_row for d in dets], dtype=np.int64),
+            feature=np.stack([d.feature for d in dets]) if dets else np.zeros((0, 0)),
+        )
+
+    @classmethod
+    def concat(cls, tables) -> "DetectionColumns":
+        """The rows of several tables, one after the other."""
+        tables = list(tables)
+        dims = sorted({t.feature.shape[1] for t in tables})
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"feature dimensions differ: {dims}")
+        return cls(
+            *(
+                np.concatenate([getattr(t, name) for t in tables])
+                for name in ("frame", "box", "score", "row", "feature")
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def take(self, index) -> "DetectionColumns":
+        """The rows selected by an index array or a boolean mask."""
+        return DetectionColumns(
+            self.frame[index], self.box[index], self.score[index], self.row[index],
+            self.feature[index],
+        )
+
+    def detection(self, i) -> Detection:
+        """Row `i` as a `Detection`."""
+        return Detection(
+            frame=int(self.frame[i]),
+            bbox=BBox(*self.box[i].tolist()),
+            score=float(self.score[i]),
+            feature=self.feature[i],
+            source_row=int(self.row[i]),
+        )
+
+
+class DetectionView(Sequence):
+    """Rows of a `DetectionColumns` as `Detection` objects, built on access.
+
+    Compares equal to any sequence of equal detections, tuples included.
+    """
+
+    __slots__ = ("_columns", "_rows")
+
+    def __init__(self, columns: DetectionColumns, rows=None):
+        self._columns = columns
+        self._rows = range(len(columns)) if rows is None else rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._columns.detection(r) for r in self._rows[i])
+        return self._columns.detection(self._rows[i])
+
+    def __eq__(self, other):
+        if isinstance(other, (str, bytes)) or not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"DetectionView({tuple(self)!r})"
+
+
+def _median(values: np.ndarray) -> np.ndarray:
+    """Element-wise float64 median over the rows of a finite (k, D) array.
+
+    The same values as `np.median(values.astype(np.float64), axis=0)`: the
+    middle row of the column-sorted array, or the mean (a + b) / 2 of the two
+    middle rows, taken in float64.
+    """
+    ordered = np.sort(values, axis=0)
+    half = len(ordered) // 2
+    middle = ordered[half].astype(np.float64)
+    if len(ordered) % 2:
+        return middle
+    return (ordered[half - 1].astype(np.float64) + middle) / 2
+
+
+@dataclass(frozen=True, eq=False)
+class Tracklet:
+    """Detections of one object: rows of a detection table, ascending in frame.
+
+    The element-wise median of their features is cached (even counts use the
+    mean of the two middle values). Tracklets of one sequence share its
+    table. Construct through :func:`tracklet_new` or :meth:`from_rows`.
+    """
+
+    columns: DetectionColumns
+    rows: np.ndarray
     median_feature: np.ndarray
-    frame_set: frozenset[int]
+
+    @classmethod
+    def from_rows(cls, columns: DetectionColumns, rows: np.ndarray) -> "Tracklet":
+        """Tracklet of table rows already in ascending frame order; not validated."""
+        median = _median(columns.feature[rows])
+        median.setflags(write=False)
+        rows.setflags(write=False)
+        return cls(columns=columns, rows=rows, median_feature=median)
 
     def __eq__(self, other):
         if not isinstance(other, Tracklet):
@@ -158,35 +290,42 @@ class Tracklet:
         )
 
     def __hash__(self):
-        return hash((self.detections, self.median_feature.tobytes()))
+        return hash((tuple(self.detections), self.median_feature.tobytes()))
+
+    @property
+    def detections(self) -> DetectionView:
+        return DetectionView(self.columns, self.rows)
+
+    @property
+    def frame_set(self) -> frozenset[int]:
+        return frozenset(self.columns.frame[self.rows].tolist())
 
     @property
     def first(self) -> Detection:
-        return self.detections[0]
+        return self.columns.detection(self.rows[0])
 
     @property
     def last(self) -> Detection:
-        return self.detections[-1]
+        return self.columns.detection(self.rows[-1])
 
     @property
     def first_frame(self) -> int:
-        return self.detections[0].frame
+        return int(self.columns.frame[self.rows[0]])
 
     @property
     def last_frame(self) -> int:
-        return self.detections[-1].frame
+        return int(self.columns.frame[self.rows[-1]])
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.rows)
 
 
 def tracklet_new(detections) -> Tracklet:
     """Build a tracklet from detections of one object.
 
     Detections are sorted by frame and the element-wise median of their
-    features is cached (even counts use the mean of the two middle values).
-    Raises on an empty list, duplicate frame indices, or mixed feature
-    dimensions.
+    features is cached. Raises on an empty list, duplicate frame indices, or
+    mixed feature dimensions.
     """
     dets = list(detections)
     if not dets:
@@ -199,12 +338,25 @@ def tracklet_new(detections) -> Tracklet:
         dup = sorted(f for f in set(frames) if frames.count(f) > 1)
         raise FrameConflictError(f"duplicate frame indices in tracklet: {dup}")
     dets.sort(key=lambda d: d.frame)
-    median = np.median(np.stack([d.feature for d in dets]), axis=0)
-    return Tracklet(
-        detections=tuple(dets),
-        median_feature=_frozen_array(median),
-        frame_set=frozenset(frames),
-    )
+    return Tracklet.from_rows(DetectionColumns.from_detections(dets), np.arange(len(dets)))
+
+
+def common_columns(tracklets) -> tuple[DetectionColumns | None, list[np.ndarray]]:
+    """One table holding the detections of all `tracklets`, and each one's rows in it.
+
+    Tracklets of one sequence share its table, which comes back as it is;
+    tracklets built apart (through :func:`tracklet_new`) are stacked into a
+    new table. The table is None when there are no tracklets.
+    """
+    tables = {id(t.columns): t.columns for t in tracklets}
+    if len(tables) <= 1:
+        return next(iter(tables.values()), None), [t.rows for t in tracklets]
+    offset, start = {}, 0
+    for key, table in tables.items():
+        offset[key] = start
+        start += len(table)
+    stacked = DetectionColumns.concat(tables.values())
+    return stacked, [t.rows + offset[id(t.columns)] for t in tracklets]
 
 
 @dataclass(frozen=True)
@@ -278,20 +430,51 @@ class TrackEntry(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class TrackColumns:
+    """Labeled boxes as parallel columns, sorted by (track ID, frame).
+
+    `track_id` and `frame` (N,) int64, `box` (N, 4) float64 rows of
+    (x, y, w, h), `score` (N,) float64. The arrays are made read-only.
+    """
+
+    track_id: np.ndarray
+    frame: np.ndarray
+    box: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self):
+        for name in ("track_id", "frame", "box", "score"):
+            getattr(self, name).setflags(write=False)
+
+
 class TrackSet:
     """Final labeled tracks: track ID to its (frame, box, score) rows.
 
     Within a track frames are strictly increasing (one box per frame per ID).
     Pipeline output additionally numbers IDs 1..K in order of first
     appearance; parsed ground truth keeps the IDs found in the file.
+
+    Built from entries (`TrackSet(tracks=...)`) or from columns
+    (`TrackSet(columns=...)`); `tracks` and `columns` are each derived from
+    the other on first use. Immutable.
     """
 
-    tracks: dict[int, tuple[TrackEntry, ...]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tracks", dict(self.tracks))
-        for tid, entries in self.tracks.items():
+    def __init__(self, tracks=None, *, columns: TrackColumns | None = None):
+        if (tracks is None) == (columns is None):
+            raise TypeError("TrackSet takes either tracks or columns")
+        if columns is not None:
+            ids, frames = columns.track_id, columns.frame
+            if np.any(ids < 1):
+                raise ValueError(f"track IDs must be positive, got {int(ids.min())}")
+            if np.any(ids[1:] < ids[:-1]):
+                raise ValueError("track columns must be sorted by track ID")
+            if np.any((ids[1:] == ids[:-1]) & (frames[1:] <= frames[:-1])):
+                raise FrameConflictError("a track has non-increasing frames")
+            self.__dict__["columns"] = columns
+            return
+        tracks = dict(tracks)
+        for tid, entries in tracks.items():
             if tid < 1:
                 raise ValueError(f"track IDs must be positive, got {tid}")
             frames = [e.frame for e in entries]
@@ -299,10 +482,50 @@ class TrackSet:
                 raise FrameConflictError(
                     f"track {tid} has non-increasing frames: {frames}"
                 )
+        self.__dict__["tracks"] = tracks
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: TrackSet is immutable")
+
+    @cached_property
+    def tracks(self) -> dict[int, tuple[TrackEntry, ...]]:
+        cols = self.columns
+        tracks: dict[int, list[TrackEntry]] = {}
+        for tid, frame, box, score in zip(
+            cols.track_id.tolist(), cols.frame.tolist(), cols.box.tolist(), cols.score.tolist()
+        ):
+            tracks.setdefault(tid, []).append(TrackEntry(frame, BBox(*box), score))
+        return {tid: tuple(entries) for tid, entries in tracks.items()}
+
+    @cached_property
+    def columns(self) -> TrackColumns:
+        rows = [(tid, e) for tid in sorted(self.tracks) for e in self.tracks[tid]]
+        return TrackColumns(
+            track_id=np.array([tid for tid, _ in rows], dtype=np.int64),
+            frame=np.array([e.frame for _, e in rows], dtype=np.int64),
+            box=np.array(
+                [(e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h) for _, e in rows], dtype=np.float64
+            ).reshape(-1, 4),
+            score=np.array([e.score for _, e in rows], dtype=np.float64),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, TrackSet):
+            return NotImplemented
+        return self.tracks == other.tracks
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"TrackSet(tracks={self.tracks!r})"
 
     @property
     def num_boxes(self) -> int:
+        if "tracks" not in self.__dict__:
+            return len(self.columns.frame)
         return sum(len(entries) for entries in self.tracks.values())
 
     def __len__(self) -> int:
+        if "tracks" not in self.__dict__:
+            return len(np.unique(self.columns.track_id))
         return len(self.tracks)

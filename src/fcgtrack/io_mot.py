@@ -10,12 +10,15 @@ from __future__ import annotations
 import struct
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 import numpy as np
 
 from .core import (
     BBox,
     Detection,
+    DetectionColumns,
+    DetectionView,
     FcgConfig,
     FcgError,
     ParseError,
@@ -28,13 +31,42 @@ FEATURE_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
-@dataclass(frozen=True)
-class SequenceInput:
-    """Score-filtered detections of one sequence, sorted by (frame, source_row)."""
+# Frame indices are held as int64.
+_MAX_FRAME = np.iinfo(np.int64).max
+# CSV lines converted per block by `parse_detections`.
+_BLOCK_LINES = 4096
 
-    detections: tuple[Detection, ...]
-    name: str = "sequence"
-    fps_ratio_applied: int = 1
+
+@dataclass(frozen=True, init=False, eq=False)
+class SequenceInput:
+    """Score-filtered detections of one sequence, held as columns.
+
+    `parse_detections` sorts them by (frame, source row). The constructor
+    also takes `Detection` objects (`SequenceInput(detections=...)`, kept in
+    the given order), and `detections` reads them back, built on access.
+    """
+
+    columns: DetectionColumns
+    name: str
+    fps_ratio_applied: int
+
+    def __init__(
+        self,
+        detections=(),
+        name: str = "sequence",
+        fps_ratio_applied: int = 1,
+        *,
+        columns: DetectionColumns | None = None,
+    ):
+        if columns is None:
+            columns = DetectionColumns.from_detections(detections)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fps_ratio_applied", fps_ratio_applied)
+
+    @property
+    def detections(self) -> DetectionView:
+        return DetectionView(self.columns)
 
 
 def write_features(features: np.ndarray) -> bytes:
@@ -48,7 +80,11 @@ def write_features(features: np.ndarray) -> bytes:
 
 
 def read_features(blob: bytes) -> np.ndarray:
-    """Parse the binary feature sidecar into an (R, D) float matrix."""
+    """Parse the binary feature sidecar into an (R, D) float32 matrix.
+
+    The matrix is a read-only view of `blob`, the values exactly as stored;
+    compute with them in float64.
+    """
     if len(blob) < _HEADER.size:
         raise ParseError("feature blob shorter than its header")
     magic, version, rows, dim = _HEADER.unpack_from(blob, 0)
@@ -65,7 +101,7 @@ def read_features(blob: bytes) -> np.ndarray:
             f"({rows} rows x {dim} dims needs {expected})"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
-    return data.reshape(rows, dim).astype(np.float64)
+    return data.reshape(rows, dim)
 
 
 def _data_lines(data: bytes):
@@ -75,30 +111,35 @@ def _data_lines(data: bytes):
             yield lineno, line
 
 
-def parse_detections(
-    det_data: bytes, feature_data: bytes, cfg: FcgConfig, name: str = "det"
-) -> SequenceInput:
-    """Parse a detection CSV plus its feature sidecar into a SequenceInput.
+def _fields(lines: list[str]):
+    """The frame column and a (5, N) array of x, y, w, h and confidence.
 
-    Rows with confidence below cfg.score_threshold are dropped (their feature
-    rows are skipped with them); invalid boxes or malformed lines raise with
-    the offending line number. The sidecar must carry exactly one feature row
-    per CSV data line, at the configured dimension.
+    None when a line has fewer than 7 fields or a field does not convert.
+    Lines are split in blocks, so only one block of field strings is alive
+    at a time.
     """
-    features = read_features(feature_data)
-    if features.shape[1] != cfg.feature_dim:
-        raise ParseError(
-            f"{name}: feature dimension {features.shape[1]} does not match "
-            f"configured {cfg.feature_dim}"
-        )
-    rows = list(_data_lines(det_data))
-    if len(rows) != features.shape[0]:
-        raise ParseError(
-            f"{name}: {len(rows)} detection rows but {features.shape[0]} feature rows"
-        )
+    frame = np.empty(len(lines), dtype=np.int64)
+    values = np.empty((5, len(lines)), dtype=np.float64)
+    for start in range(0, len(lines), _BLOCK_LINES):
+        fields = [line.split(",", 7) for line in lines[start : start + _BLOCK_LINES]]
+        if min(map(len, fields)) < 7:
+            return None
+        columns = list(zip(*fields))
+        stop = start + len(fields)
+        try:
+            frame[start:stop] = list(map(int, columns[0]))
+            for k in range(5):
+                values[k, start:stop] = list(map(float, columns[2 + k]))
+        except (ValueError, OverflowError):
+            return None
+    return frame, values
 
-    detections = []
-    for row_idx, (lineno, line) in enumerate(rows):
+
+def _raise_first_error(
+    det_data: bytes, features: np.ndarray, cfg: FcgConfig, name: str
+) -> NoReturn:
+    """Check the rows one by one and raise for the first bad one."""
+    for row_idx, (lineno, line) in enumerate(_data_lines(det_data)):
         fields = line.split(",")
         if len(fields) < 7:
             raise ParseError(
@@ -112,12 +153,14 @@ def parse_detections(
             raise ParseError(f"{name} line {lineno}: {exc}") from exc
         if frame < 1:
             raise ParseError(f"{name} line {lineno}: frame index {frame} < 1")
+        if frame > _MAX_FRAME:
+            raise ParseError(f"{name} line {lineno}: frame index {frame} > {_MAX_FRAME}")
         if w <= 0 or h <= 0:
             raise ParseError(f"{name} line {lineno}: nonpositive box size {w}x{h}")
         if conf < cfg.score_threshold:
             continue
         try:
-            det = Detection(
+            Detection(
                 frame=frame,
                 bbox=BBox(x, y, w, h),
                 score=conf,
@@ -126,17 +169,69 @@ def parse_detections(
             )
         except (FcgError, ValueError) as exc:
             raise ParseError(f"{name} line {lineno}: {exc}") from exc
-        detections.append(det)
+    # Only reached if the array checks flagged a row these checks accept.
+    raise ParseError(f"{name}: invalid detection rows")
 
-    detections.sort(key=lambda d: (d.frame, d.source_row))
-    return SequenceInput(detections=tuple(detections), name=name, fps_ratio_applied=1)
+
+def parse_detections(
+    det_data: bytes, feature_data: bytes, cfg: FcgConfig, name: str = "det"
+) -> SequenceInput:
+    """Parse a detection CSV plus its feature sidecar into a SequenceInput.
+
+    Rows with confidence below cfg.score_threshold are dropped (their feature
+    rows are skipped with them); invalid boxes or malformed lines raise with
+    the offending line number, the first one in the file. The sidecar must
+    carry exactly one feature row per CSV data line, at the configured
+    dimension.
+
+    The rows are converted column by column and checked as arrays; only
+    when a check fails are they walked one by one to name the first bad line.
+    A dropped row must still be well formed, with a positive box size; its
+    box finiteness, score range and feature are not checked.
+    """
+    features = read_features(feature_data)
+    if features.shape[1] != cfg.feature_dim:
+        raise ParseError(
+            f"{name}: feature dimension {features.shape[1]} does not match "
+            f"configured {cfg.feature_dim}"
+        )
+    lines = [line for _, line in _data_lines(det_data)]
+    if len(lines) != features.shape[0]:
+        raise ParseError(
+            f"{name}: {len(lines)} detection rows but {features.shape[0]} feature rows"
+        )
+
+    parsed = _fields(lines)
+    if parsed is None:
+        _raise_first_error(det_data, features, cfg, name)
+    frame, (x, y, w, h, conf) = parsed
+    box = np.stack([x, y, w, h], axis=1)
+    kept = ~(conf < cfg.score_threshold)
+    squared = np.einsum("ij,ij->i", features, features, dtype=np.float64)
+    valid = np.isfinite(box).all(axis=1) & (conf >= 0.0) & (conf <= 1.0)
+    valid &= np.isfinite(squared) & (squared > 0.0)
+    if np.any((frame < 1) | (w <= 0) | (h <= 0) | (kept & ~valid)):
+        _raise_first_error(det_data, features, cfg, name)
+
+    rows = np.flatnonzero(kept)
+    rows = rows[np.argsort(frame[rows], kind="stable")]
+    if len(rows) == len(lines) and np.all(rows[1:] > rows[:-1]):
+        # Every row kept and already in frame order: the features stay a view
+        # of the sidecar.
+        columns = DetectionColumns(frame, box, conf, rows, features)
+    else:
+        columns = DetectionColumns(frame[rows], box[rows], conf[rows], rows, features[rows])
+    return SequenceInput(name=name, columns=columns)
 
 
 def write_detections(seq: SequenceInput) -> bytes:
     """Serialize detections to CSV with full-precision coordinates, id column -1."""
+    cols = seq.columns
     lines = [
-        f"{d.frame},-1,{d.bbox.x!r},{d.bbox.y!r},{d.bbox.w!r},{d.bbox.h!r},{d.score!r},-1,-1,-1"
-        for d in seq.detections
+        f"{frame},-1,{x!r},{y!r},{w!r},{h!r},{score!r},-1,-1,-1"
+        for frame, (x, y, w, h), score in zip(
+            cols.frame.tolist(), cols.box.tolist(), cols.score.tolist()
+        )
     ]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
@@ -146,9 +241,9 @@ def detection_features(seq: SequenceInput, feature_dim: int | None = None) -> np
 
     `feature_dim` fixes the column count when the sequence is empty.
     """
-    if not seq.detections:
+    if not len(seq.columns):
         return np.zeros((0, feature_dim if feature_dim else 1), dtype=np.float64)
-    return np.stack([d.feature for d in seq.detections])
+    return seq.columns.feature
 
 
 def write_tracks(tracks: TrackSet) -> bytes:
@@ -157,14 +252,16 @@ def write_tracks(tracks: TrackSet) -> bytes:
     Coordinates carry 2 decimals, scores 4; the stream is newline-terminated
     with no trailing blank line.
     """
-    rows = []
-    for tid, entries in tracks.tracks.items():
-        for e in entries:
-            rows.append((e.frame, tid, e.bbox, e.score))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    cols = tracks.columns
+    order = np.lexsort((cols.track_id, cols.frame))
     lines = [
-        f"{frame},{tid},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},{score:.4f},-1,-1,-1"
-        for frame, tid, b, score in rows
+        f"{frame},{tid},{x:.2f},{y:.2f},{w:.2f},{h:.2f},{score:.4f},-1,-1,-1"
+        for frame, tid, (x, y, w, h), score in zip(
+            cols.frame[order].tolist(),
+            cols.track_id[order].tolist(),
+            cols.box[order].tolist(),
+            cols.score[order].tolist(),
+        )
     ]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
@@ -234,15 +331,12 @@ def subsample(seq: SequenceInput, ratio: int) -> SequenceInput:
         raise ValueError(f"ratio must be >= 1, got {ratio}")
     if ratio == 1:
         return seq
-    kept = tuple(
-        replace(d, frame=(d.frame - 1) // ratio + 1)
-        for d in seq.detections
-        if (d.frame - 1) % ratio == 0
-    )
+    offset = seq.columns.frame - 1
+    kept = seq.columns.take(np.flatnonzero(offset % ratio == 0))
     return SequenceInput(
-        detections=kept,
         name=seq.name,
         fps_ratio_applied=seq.fps_ratio_applied * ratio,
+        columns=replace(kept, frame=(kept.frame - 1) // ratio + 1),
     )
 
 

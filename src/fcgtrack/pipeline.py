@@ -16,9 +16,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from .appearance import cosine_matrix, feature_matrix
+from .appearance import cosine_matrix
 from .clustering import cluster_matrix
-from .core import Detection, FcgConfig, LiftedFrame, TrackEntry, TrackSet, Tracklet, tracklet_new
+from .core import (
+    Detection,
+    DetectionColumns,
+    FcgConfig,
+    LiftedFrame,
+    TrackColumns,
+    TrackSet,
+    Tracklet,
+    common_columns,
+)
 from .weighting import weighted_matrix
 
 
@@ -35,64 +44,81 @@ def _frame_overlap_mask(tracklets) -> np.ndarray:
     Built from a tracklet-by-frame incidence over the distinct frames present,
     so its size follows the detections, not the largest frame index.
     """
-    frames = [np.fromiter(t.frame_set, dtype=np.int64, count=len(t.frame_set)) for t in tracklets]
-    if not frames:
+    if not tracklets:
         return np.zeros((0, 0), dtype=bool)
-    present, column = np.unique(np.concatenate(frames), return_inverse=True)
-    row = np.repeat(np.arange(len(frames)), [len(f) for f in frames])
-    incidence = np.zeros((len(frames), len(present)), dtype=np.float32)
+    table, rows = common_columns(tracklets)
+    present, column = np.unique(table.frame[np.concatenate(rows)], return_inverse=True)
+    row = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    incidence = np.zeros((len(rows), len(present)), dtype=np.float32)
     incidence[row, column] = 1.0
     return incidence @ incidence.T > 0.0
 
 
-def _cluster_window(index_and_bucket, cfg: FcgConfig) -> LiftedFrame:
-    n, bucket = index_and_bucket
-    frames = np.array([det.frame for det in bucket], dtype=np.int64)
+def _sorted_columns(detections) -> DetectionColumns:
+    """`detections` (columns or `Detection` objects) as columns in (frame, row) order."""
+    if not isinstance(detections, DetectionColumns):
+        detections = DetectionColumns.from_detections(detections)
+    order = np.lexsort((detections.row, detections.frame))
+    if np.all(order[1:] > order[:-1]):
+        return detections
+    return detections.take(order)
+
+
+def _cluster_window(window, table: DetectionColumns, cfg: FcgConfig) -> LiftedFrame:
+    n, lo, hi = window
+    frames = table.frame[lo:hi]
     partition = cluster_matrix(
-        cosine_matrix(feature_matrix([det.feature for det in bucket])),
+        cosine_matrix(table.feature[lo:hi].astype(np.float64)),
         frames[:, None] == frames[None, :],
         threshold=cfg.tracklet_threshold,
     )
-    tracklets = tuple(tracklet_new([bucket[i] for i in members]) for members in partition)
+    # Same-frame pairs never share a cluster, so members ascend in frame.
+    tracklets = tuple(
+        Tracklet.from_rows(table, lo + np.array(members)) for members in partition
+    )
     return LiftedFrame(level=1, span_start=n, span_end=n + 1, tracklets=tracklets)
 
 
 def generate_tracklets(
-    detections: list[Detection], cfg: FcgConfig, *, workers: int = 1
+    detections: DetectionColumns | list[Detection], cfg: FcgConfig, *, workers: int = 1
 ) -> list[LiftedFrame]:
     """Stage 1: one lifted frame of appearance tracklets per temporal window.
 
     Window n covers frames [n*window + 1, (n+1)*window]; the last window may
-    be shorter. Windows without detections yield empty lifted frames.
+    be shorter. Windows without detections yield empty lifted frames. Each
+    window is a contiguous slice of the frame-sorted columns.
     """
-    dets = sorted(detections, key=lambda d: (d.frame, d.source_row))
-    if not dets:
+    table = _sorted_columns(detections)
+    if not len(table):
         return []
-    num_windows = math.ceil(dets[-1].frame / cfg.window)
-    buckets: list[list[Detection]] = [[] for _ in range(num_windows)]
-    for det in dets:
-        buckets[(det.frame - 1) // cfg.window].append(det)
-    return _map_ordered(
-        lambda nb: _cluster_window(nb, cfg), list(enumerate(buckets)), workers
-    )
+    num_windows = math.ceil(int(table.frame[-1]) / cfg.window)
+    bounds = np.searchsorted(
+        table.frame, np.arange(num_windows + 1) * cfg.window, side="right"
+    ).tolist()
+    windows = [(n, bounds[n], bounds[n + 1]) for n in range(num_windows)]
+    return _map_ordered(lambda w: _cluster_window(w, table, cfg), windows, workers)
 
 
 def _fuse_tracklets(union: list[Tracklet], cfg: FcgConfig) -> tuple[Tracklet, ...]:
     """Cluster tracklets under the weighted distance; one tracklet per cluster.
 
-    Tracklets covering a common frame index can never fuse.
+    Tracklets covering a common frame index can never fuse. A cluster of one
+    is the input tracklet itself; only merged clusters get a new median.
     """
     partition = cluster_matrix(
         weighted_matrix(union, cfg),
         _frame_overlap_mask(union),
         threshold=cfg.track_threshold,
     )
+    table, rows = common_columns(union)
     merged = []
     for members in partition:
-        dets: list[Detection] = []
-        for i in members:
-            dets.extend(union[i].detections)
-        merged.append(tracklet_new(dets))
+        if len(members) == 1:
+            merged.append(union[members[0]])
+            continue
+        joined = np.concatenate([rows[i] for i in members])
+        joined = joined[np.argsort(table.frame[joined], kind="stable")]
+        merged.append(Tracklet.from_rows(table, joined))
     return tuple(merged)
 
 
@@ -100,8 +126,8 @@ def fuse_lifted_frames(a: LiftedFrame, b: LiftedFrame, cfg: FcgConfig) -> Lifted
     """Cluster the union of two lifted frames' tracklets into one lifted frame.
 
     Tracklets covering a common frame index can never fuse; each output
-    cluster becomes a single tracklet with its median recomputed over all
-    member features.
+    cluster becomes a single tracklet whose median is taken over all member
+    detections' features (a cluster of one is carried over as it is).
     """
     if cfg.consecutive and a.span_end > b.span_start:
         raise ValueError(
@@ -145,20 +171,26 @@ def _fuse_global(frames: list[LiftedFrame], cfg: FcgConfig) -> LiftedFrame:
 
 
 def _assign_ids(tracklets) -> TrackSet:
-    ordered = sorted(tracklets, key=lambda t: (t.first_frame, t.first.source_row))
-    tracks = {
-        tid: tuple(TrackEntry(d.frame, d.bbox, d.score) for d in t.detections)
-        for tid, t in enumerate(ordered, start=1)
-    }
-    return TrackSet(tracks=tracks)
+    table, rows = common_columns(tracklets)
+    first = np.array([r[0] for r in rows])
+    # lexsort is stable: ties keep the final lifted frame's order.
+    ordered = [rows[k] for k in np.lexsort((table.row[first], table.frame[first]))]
+    index = np.concatenate(ordered)
+    track_id = np.repeat(np.arange(1, len(ordered) + 1), [len(r) for r in ordered])
+    return TrackSet(
+        columns=TrackColumns(track_id, table.frame[index], table.box[index], table.score[index])
+    )
 
 
-def run(detections: list[Detection], cfg: FcgConfig, *, workers: int = 1) -> TrackSet:
+def run(
+    detections: DetectionColumns | list[Detection], cfg: FcgConfig, *, workers: int = 1
+) -> TrackSet:
     """Track a full sequence: tracklet generation, hierarchical fusion, IDs.
 
-    IDs are 1..K in order of each track's first frame (ties by the first
-    detection's source row). The output is deterministic for fixed inputs,
-    independent of the worker count.
+    `detections` are the columns of a sequence (`SequenceInput.columns`) or
+    `Detection` objects. IDs are 1..K in order of each track's first frame
+    (ties by the first detection's source row). The output is deterministic
+    for fixed inputs, independent of the worker count.
     """
     frames = generate_tracklets(detections, cfg, workers=workers)
     if not frames:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .appearance import cosine_matrix, feature_matrix
 from .clustering import CANNOT_LINK
-from .core import BBox, FcgConfig, Tracklet
+from .core import BBox, FcgConfig, Tracklet, common_columns
 from .geometry import box_array, box_displacement_array, extrapolate_array, iou_distance_array
 
 
@@ -70,19 +70,22 @@ def _endpoints(tracklets: Sequence[Tracklet], cfg: FcgConfig):
     first_frame[j] - last_frame[i], i's last box (extrapolated over
     min(gap, window) frames when motion is on) and j's first box; the box
     arrays broadcast to (n, n, 4). Entries where i is not before j are
-    meaningless.
+    meaningless. Endpoints are gathered from the tracklets' table by row.
     """
-    first = np.array([t.first_frame for t in tracklets], dtype=np.int64)
-    last = np.array([t.last_frame for t in tracklets], dtype=np.int64)
-    before = last[:, None] < first[None, :]
-    gap = first[None, :] - last[:, None]
-    last_box = box_array(t.last.bbox for t in tracklets)[:, None, :]
+    table, rows = common_columns(tracklets)
+    first = np.array([r[0] for r in rows], dtype=np.intp)
+    last = np.array([r[-1] for r in rows], dtype=np.intp)
+    first_frame = table.frame[first]
+    last_frame = table.frame[last]
+    before = last_frame[:, None] < first_frame[None, :]
+    gap = first_frame[None, :] - last_frame[:, None]
+    last_box = table.box[last][:, None, :]
     if cfg.use_motion:
-        prev_box = box_array(
-            t.detections[-2].bbox if len(t) >= 2 else t.last.bbox for t in tracklets
-        )[:, None, :]
-        last_box = extrapolate_array(prev_box, last_box, np.minimum(gap, cfg.window))
-    first_box = box_array(t.first.bbox for t in tracklets)[None, :, :]
+        prev = np.array([r[-2] if len(r) >= 2 else r[-1] for r in rows], dtype=np.intp)
+        last_box = extrapolate_array(
+            table.box[prev][:, None, :], last_box, np.minimum(gap, cfg.window)
+        )
+    first_box = table.box[first][None, :, :]
     return before, gap, last_box, first_box
 
 
@@ -113,6 +116,8 @@ def weighted_matrix(tracklets: Sequence[Tracklet], cfg: FcgConfig) -> np.ndarray
     are enabled. Temporally interleaved pairs, the diagonal among them, hold
     the cannot-link sentinel as a value.
     """
+    if not tracklets:
+        return np.zeros((0, 0))
     dist = cosine_matrix(feature_matrix([t.median_feature for t in tracklets]))
     before, gap, last_box, first_box = _endpoints(tracklets, cfg)
 

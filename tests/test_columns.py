@@ -1,0 +1,214 @@
+"""The columnar data path: detection and track columns, index-array tracklets.
+
+The CLI tracks a sequence as columns from parse to output; `run` also takes
+`Detection` objects. Both paths must write the same bytes.
+"""
+
+import numpy as np
+import pytest
+
+import fcgtrack.core as core
+from fcgtrack.cli import main
+from fcgtrack.core import (
+    BBox,
+    Detection,
+    DetectionColumns,
+    DimensionMismatchError,
+    FcgConfig,
+    FrameConflictError,
+    LiftedFrame,
+    TrackColumns,
+    TrackEntry,
+    TrackSet,
+    Tracklet,
+    tracklet_new,
+)
+from fcgtrack.io_mot import (
+    detection_features,
+    parse_detections,
+    subsample,
+    write_detections,
+    write_features,
+    write_tracks,
+)
+from fcgtrack.pipeline import fuse_lifted_frames, generate_tracklets, run
+from fcgtrack.synthdata import SynthConfig, generate
+
+SCENES = {
+    "occluded": SynthConfig(
+        num_identities=4, num_frames=60, feature_dim=16, feature_noise_sigma=0.05,
+        occlusions=((2, 20, 35),), seed=3,
+    ),
+    "sinusoidal": SynthConfig(
+        num_identities=3, num_frames=45, feature_dim=8, feature_noise_sigma=0.02,
+        motion_model="sinusoidal", exits=((1, 30),), seed=11,
+    ),
+}
+
+
+def det(frame, feature, box=(0.0, 0.0, 10.0, 10.0), row=0):
+    return Detection(
+        frame=frame, bbox=BBox(*box), score=1.0, feature=np.array(feature, float), source_row=row
+    )
+
+
+def write_scene(scene, directory):
+    seq, _ = generate(scene)
+    directory.mkdir()
+    (directory / "det.txt").write_bytes(write_detections(seq))
+    (directory / "feats.fcgf").write_bytes(
+        write_features(detection_features(seq, scene.feature_dim))
+    )
+    return directory / "det.txt", directory / "feats.fcgf"
+
+
+@pytest.mark.parametrize("scene", sorted(SCENES))
+@pytest.mark.parametrize("ratio", [1, 2, 5])
+@pytest.mark.parametrize("flags", [(), ("--motion",), ("--non-consecutive",)])
+def test_column_path_matches_detection_adapter(tmp_path, scene, ratio, flags):
+    scene = SCENES[scene]
+    det_path, feat_path = write_scene(scene, tmp_path / "seq")
+    out = tmp_path / "out.txt"
+    dim = str(scene.feature_dim)
+    argv = ["track", "--det", str(det_path), "--features", str(feat_path), "--out", str(out),
+            "--feature-dim", dim, "--ratio", str(ratio), *flags]
+    assert main(argv) == 0
+
+    cfg = FcgConfig(
+        feature_dim=scene.feature_dim,
+        use_motion="--motion" in flags,
+        consecutive="--non-consecutive" not in flags,
+    )
+    seq = subsample(parse_detections(det_path.read_bytes(), feat_path.read_bytes(), cfg), ratio)
+    adapter = write_tracks(run(list(seq.detections), cfg))
+    assert adapter
+    assert out.read_bytes() == adapter == write_tracks(run(seq.columns, cfg))
+
+
+def test_track_command_builds_no_detection_objects(tmp_path, monkeypatch):
+    det_path, feat_path = write_scene(SCENES["occluded"], tmp_path / "seq")
+    built = []
+    original = core.Detection.__post_init__
+    monkeypatch.setattr(
+        core.Detection, "__post_init__", lambda self: built.append(original(self))
+    )
+    argv = ["track", "--det", str(det_path), "--features", str(feat_path),
+            "--out", str(tmp_path / "out.txt"), "--feature-dim", "16", "--ratio", "2"]
+    assert main(argv) == 0
+    assert built == []
+
+
+class TestDetectionColumns:
+    def test_round_trip_through_detections(self):
+        dets = [det(3, [1.0, 2.0], box=(1, 2, 3, 4), row=7), det(1, [0.5, 0.0], row=2)]
+        cols = DetectionColumns.from_detections(dets)
+        assert cols.frame.tolist() == [3, 1]
+        assert cols.row.tolist() == [7, 2]
+        assert [cols.detection(i) for i in range(2)] == dets
+
+    def test_columns_are_read_only(self):
+        cols = DetectionColumns.from_detections([det(1, [1.0, 0.0])])
+        with pytest.raises(ValueError):
+            cols.feature[0, 0] = 2.0
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            DetectionColumns.from_detections([det(1, [1.0, 0.0]), det(2, [1.0, 0.0, 0.0])])
+
+    def test_sequence_view_compares_with_tuples(self):
+        seq, _ = generate(SCENES["sinusoidal"])
+        dets = tuple(seq.detections)
+        assert seq.detections == dets and dets == seq.detections
+        assert seq.detections[-1] == dets[-1]
+        assert seq.detections[2:5] == dets[2:5]
+        assert seq.detections != dets[:-1]
+
+
+class TestIndexTracklets:
+    def test_tracklets_index_the_sequence_table(self):
+        seq, _ = generate(SCENES["occluded"])
+        cfg = FcgConfig(feature_dim=16)
+        frames = generate_tracklets(seq.columns, cfg)
+        for lf in frames:
+            for t in lf.tracklets:
+                assert t.columns is seq.columns
+                assert np.all(np.diff(seq.columns.frame[t.rows]) > 0)
+                expected = np.median(seq.columns.feature[t.rows], axis=0)
+                assert np.array_equal(t.median_feature, expected)
+
+    def test_single_member_cluster_is_carried_over(self):
+        a = tracklet_new([det(1, [1.0, 0.0]), det(2, [1.0, 0.0])])
+        b = tracklet_new([det(7, [0.0, 1.0])])
+        fused = fuse_lifted_frames(
+            LiftedFrame(1, 0, 1, (a,)), LiftedFrame(1, 1, 2, (b,)), FcgConfig(feature_dim=2)
+        )
+        assert fused.tracklets[0] is a and fused.tracklets[1] is b
+
+    def test_merged_tracklet_median_covers_all_members(self):
+        table = DetectionColumns.from_detections(
+            [det(f, [1.0, 0.1 * f], row=f) for f in (1, 2, 8, 9)]
+        )
+        early = Tracklet.from_rows(table, np.array([0, 1]))
+        late = Tracklet.from_rows(table, np.array([2, 3]))
+        fused = fuse_lifted_frames(
+            LiftedFrame(1, 0, 1, (early,)), LiftedFrame(1, 1, 2, (late,)),
+            FcgConfig(feature_dim=2),
+        )
+        (merged,) = fused.tracklets
+        assert merged.columns is table
+        assert merged.rows.tolist() == [0, 1, 2, 3]
+        assert np.array_equal(merged.median_feature, np.median(table.feature, axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 11])
+    def test_median_matches_numpy(self, k, dtype):
+        values = np.random.default_rng(k).normal(size=(k, 9)).astype(dtype)
+        values[0, 0] = values[-1, 0]  # a tie
+        median = core._median(values)
+        assert median.dtype == np.float64
+        assert np.array_equal(median, np.median(values.astype(np.float64), axis=0))
+
+
+class TestTrackColumns:
+    def columns(self, ids, frames):
+        n = len(ids)
+        return TrackColumns(
+            track_id=np.array(ids, dtype=np.int64),
+            frame=np.array(frames, dtype=np.int64),
+            box=np.tile([1.0, 2.0, 3.0, 4.0], (n, 1)),
+            score=np.ones(n),
+        )
+
+    def test_tracks_from_columns(self):
+        ts = TrackSet(columns=self.columns([1, 1, 2], [1, 3, 2]))
+        b = BBox(1.0, 2.0, 3.0, 4.0)
+        assert ts.tracks == {1: (TrackEntry(1, b, 1.0), TrackEntry(3, b, 1.0)),
+                             2: (TrackEntry(2, b, 1.0),)}
+        assert len(ts) == 2 and ts.num_boxes == 3
+        assert ts == TrackSet(tracks=ts.tracks)
+
+    def test_columns_from_tracks(self):
+        b = BBox(1.0, 2.0, 3.0, 4.0)
+        ts = TrackSet(tracks={4: (TrackEntry(2, b, 0.5),), 1: (TrackEntry(5, b, 1.0),)})
+        assert ts.columns.track_id.tolist() == [1, 4]
+        assert ts.columns.frame.tolist() == [5, 2]
+        assert write_tracks(ts) == write_tracks(TrackSet(columns=ts.columns))
+
+    def test_rejects_repeated_frame_bad_id_and_unsorted_ids(self):
+        with pytest.raises(FrameConflictError):
+            TrackSet(columns=self.columns([1, 1], [2, 2]))
+        with pytest.raises(ValueError, match="positive"):
+            TrackSet(columns=self.columns([0], [1]))
+        with pytest.raises(ValueError, match="sorted by track ID"):
+            TrackSet(columns=self.columns([1, 2, 1], [5, 1, 3]))
+
+    def test_takes_exactly_one_form(self):
+        with pytest.raises(TypeError):
+            TrackSet()
+        with pytest.raises(TypeError):
+            TrackSet(tracks={}, columns=self.columns([], []))
+
+    def test_immutable(self):
+        ts = TrackSet(tracks={})
+        with pytest.raises(AttributeError):
+            ts.tracks = {}

@@ -1,0 +1,100 @@
+"""Property tests of the tracker and its I/O on generated detection lists."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from fcgtrack.core import BBox, Detection, FcgConfig  # noqa: E402
+from fcgtrack.io_mot import (  # noqa: E402
+    SequenceInput,
+    detection_features,
+    parse_detections,
+    subsample,
+    write_detections,
+    write_features,
+    write_tracks,
+)
+from fcgtrack.pipeline import run  # noqa: E402
+
+DIM = 4
+CFG = FcgConfig(feature_dim=DIM, window=3)
+COLUMNS = ("frame", "box", "score", "row", "feature")
+
+
+@st.composite
+def detection_lists(draw, max_size=24, max_frame=20):
+    """Frame-sorted detections of up to DIM identities, source rows 0..n-1.
+
+    Features are a basis vector plus small noise, rounded to float32 so that
+    the feature sidecar stores them exactly.
+    """
+    n = draw(st.integers(0, max_size))
+    frames = sorted(draw(st.lists(st.integers(1, max_frame), min_size=n, max_size=n)))
+    coord = st.floats(0.0, 500.0, allow_subnormal=False)
+    size = st.floats(1.0, 120.0)
+    noise = st.floats(-0.0625, 0.0625, width=32, allow_subnormal=False)
+    dets = []
+    for row, frame in enumerate(frames):
+        feature = np.eye(DIM)[draw(st.integers(0, DIM - 1))]
+        feature = feature + draw(st.lists(noise, min_size=DIM, max_size=DIM))
+        dets.append(
+            Detection(
+                frame=frame,
+                bbox=BBox(draw(coord), draw(coord), draw(size), draw(size)),
+                score=draw(st.floats(0.0, 1.0)),
+                feature=feature.astype(np.float32).astype(np.float64),
+                source_row=row,
+            )
+        )
+    return dets
+
+
+def assert_same_columns(a, b):
+    for name in COLUMNS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_run_output_ignores_input_order(data):
+    dets = data.draw(detection_lists())
+    shuffled = data.draw(st.permutations(dets))
+    assert write_tracks(run(shuffled, CFG)) == write_tracks(run(dets, CFG))
+
+
+@settings(max_examples=60)
+@given(detection_lists(), st.booleans(), st.booleans())
+def test_no_track_repeats_a_frame(dets, motion, consecutive):
+    cfg = FcgConfig(feature_dim=DIM, window=3, use_motion=motion, consecutive=consecutive)
+    tracks = run(dets, cfg)
+    assert tracks.num_boxes == len(dets)
+    for entries in tracks.tracks.values():
+        frames = [e.frame for e in entries]
+        assert all(a < b for a, b in zip(frames, frames[1:]))
+
+
+@settings(max_examples=60)
+@given(detection_lists(max_frame=60), st.integers(1, 5), st.integers(1, 5))
+def test_subsample_composes(dets, a, b):
+    seq = SequenceInput(detections=dets)
+    twice = subsample(subsample(seq, a), b)
+    direct = subsample(seq, a * b)
+    assert twice.fps_ratio_applied == direct.fps_ratio_applied == a * b
+    assert_same_columns(twice.columns, direct.columns)
+
+
+@settings(max_examples=60)
+@given(detection_lists())
+def test_write_then_parse_round_trips_every_column(dets):
+    seq = SequenceInput(detections=dets)
+    cfg = FcgConfig(feature_dim=DIM, score_threshold=0.0)
+    again = parse_detections(
+        write_detections(seq), write_features(detection_features(seq, DIM)), cfg
+    )
+    assert again.columns.row.tolist() == list(range(len(dets)))
+    for name in ("frame", "box", "score", "row"):
+        assert np.array_equal(getattr(again.columns, name), getattr(seq.columns, name)), name
+    assert np.array_equal(again.columns.feature, detection_features(seq, DIM))
