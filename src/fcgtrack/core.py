@@ -15,6 +15,11 @@ from typing import NamedTuple
 import numpy as np
 
 
+# Distance of a pair that may never share a cluster. Every admissible cut
+# threshold lies strictly below it, so no cut can apply a forbidden merge.
+CANNOT_LINK = 1.0e6
+
+
 class FcgError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -404,10 +409,12 @@ class FcgConfig:
     def __post_init__(self):
         if self.window < 1:
             raise InvalidConfigError(f"window must be >= 1, got {self.window}")
-        if not self.tracklet_threshold > 0:
-            raise InvalidConfigError("tracklet_threshold must be > 0")
-        if not self.track_threshold > 0:
-            raise InvalidConfigError("track_threshold must be > 0")
+        for name in ("tracklet_threshold", "track_threshold"):
+            value = getattr(self, name)
+            if not 0 < value < CANNOT_LINK:
+                raise InvalidConfigError(
+                    f"{name} must be in (0, {CANNOT_LINK}), got {value}"
+                )
         if self.kt < 0:
             raise InvalidConfigError(f"kt must be >= 0, got {self.kt}")
         if not self.ct >= 1:

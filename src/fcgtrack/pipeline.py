@@ -4,8 +4,10 @@ Stage 1 clusters detections inside consecutive non-overlapping windows of
 `window` frames, with same-frame detections forbidden from sharing a tracklet.
 Stage 2 repeatedly fuses adjacent lifted frames pairwise (a balanced binary
 reduction) until a single lifted frame spans the sequence; its tracklets become
-the final tracks. Window clusterings and same-level fusions are independent
-and may run on several workers without changing the result.
+the final tracks. The clusterings of all windows, and of all fusions of one
+level, run together through `clustering.cluster_batch`, chunk by chunk; the
+chunks are independent and may run on several workers without changing the
+result.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .appearance import cosine_matrix
-from .clustering import cluster_matrix
+from .clustering import chunks, cluster_batch, cluster_matrix
 from .core import (
     Detection,
     DetectionColumns,
@@ -36,6 +38,28 @@ def _map_ordered(fn, items, workers: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _cluster_all(sizes, load, build, threshold: float, workers: int) -> list:
+    """`build(k, partition)` for every clustering instance k, in order of k.
+
+    `load(k)` gives instance k's (dist, cannot_link) pair. The instances are
+    clustered a chunk at a time (`clustering.chunks`), and the chunks are
+    what the workers share.
+    """
+    groups = chunks(sizes)
+
+    def one(group):
+        partitions = cluster_batch(
+            [sizes[k] for k in group], lambda i: load(group[i]), threshold=threshold
+        )
+        return [build(k, p) for k, p in zip(group, partitions)]
+
+    built = [None] * len(sizes)
+    for group, items in zip(groups, _map_ordered(one, groups, workers)):
+        for k, item in zip(group, items):
+            built[k] = item
+    return built
 
 
 def _frame_overlap_mask(tracklets) -> np.ndarray:
@@ -64,14 +88,17 @@ def _sorted_columns(detections) -> DetectionColumns:
     return detections.take(order)
 
 
-def _cluster_window(window, table: DetectionColumns, cfg: FcgConfig) -> LiftedFrame:
-    n, lo, hi = window
+def _window_distances(window, table: DetectionColumns):
+    _, lo, hi = window
     frames = table.frame[lo:hi]
-    partition = cluster_matrix(
+    return (
         cosine_matrix(table.feature[lo:hi].astype(np.float64)),
         frames[:, None] == frames[None, :],
-        threshold=cfg.tracklet_threshold,
     )
+
+
+def _window_frame(window, table: DetectionColumns, partition) -> LiftedFrame:
+    n, lo, _ = window
     # Same-frame pairs never share a cluster, so members ascend in frame.
     tracklets = tuple(
         Tracklet.from_rows(table, lo + np.array(members)) for members in partition
@@ -96,20 +123,26 @@ def generate_tracklets(
         table.frame, np.arange(num_windows + 1) * cfg.window, side="right"
     ).tolist()
     windows = [(n, bounds[n], bounds[n + 1]) for n in range(num_windows)]
-    return _map_ordered(lambda w: _cluster_window(w, table, cfg), windows, workers)
-
-
-def _fuse_tracklets(union: list[Tracklet], cfg: FcgConfig) -> tuple[Tracklet, ...]:
-    """Cluster tracklets under the weighted distance; one tracklet per cluster.
-
-    Tracklets covering a common frame index can never fuse. A cluster of one
-    is the input tracklet itself; only merged clusters get a new median.
-    """
-    partition = cluster_matrix(
-        weighted_matrix(union, cfg),
-        _frame_overlap_mask(union),
-        threshold=cfg.track_threshold,
+    return _cluster_all(
+        [hi - lo for _, lo, hi in windows],
+        lambda k: _window_distances(windows[k], table),
+        lambda k, partition: _window_frame(windows[k], table, partition),
+        cfg.tracklet_threshold,
+        workers,
     )
+
+
+def _fusion_distances(union: list[Tracklet], cfg: FcgConfig):
+    # Tracklets covering a common frame index can never fuse.
+    return weighted_matrix(union, cfg), _frame_overlap_mask(union)
+
+
+def _fused(union: list[Tracklet], partition) -> tuple[Tracklet, ...]:
+    """One tracklet per cluster of `union`.
+
+    A cluster of one is the input tracklet itself; only merged clusters get a
+    new median.
+    """
     table, rows = common_columns(union)
     merged = []
     for members in partition:
@@ -120,6 +153,21 @@ def _fuse_tracklets(union: list[Tracklet], cfg: FcgConfig) -> tuple[Tracklet, ..
         joined = joined[np.argsort(table.frame[joined], kind="stable")]
         merged.append(Tracklet.from_rows(table, joined))
     return tuple(merged)
+
+
+def _fuse_tracklets(union: list[Tracklet], cfg: FcgConfig) -> tuple[Tracklet, ...]:
+    """Cluster tracklets under the weighted distance; one tracklet per cluster."""
+    partition = cluster_matrix(*_fusion_distances(union, cfg), threshold=cfg.track_threshold)
+    return _fused(union, partition)
+
+
+def _lifted(a: LiftedFrame, b: LiftedFrame, tracklets) -> LiftedFrame:
+    return LiftedFrame(
+        level=max(a.level, b.level) + 1,
+        span_start=a.span_start,
+        span_end=b.span_end,
+        tracklets=tracklets,
+    )
 
 
 def fuse_lifted_frames(a: LiftedFrame, b: LiftedFrame, cfg: FcgConfig) -> LiftedFrame:
@@ -134,21 +182,21 @@ def fuse_lifted_frames(a: LiftedFrame, b: LiftedFrame, cfg: FcgConfig) -> Lifted
             f"consecutive fusion requires adjacent spans, got "
             f"[{a.span_start}, {a.span_end}] then [{b.span_start}, {b.span_end}]"
         )
-    return LiftedFrame(
-        level=max(a.level, b.level) + 1,
-        span_start=a.span_start,
-        span_end=b.span_end,
-        tracklets=_fuse_tracklets(list(a.tracklets) + list(b.tracklets), cfg),
-    )
+    return _lifted(a, b, _fuse_tracklets(list(a.tracklets) + list(b.tracklets), cfg))
 
 
 def _reduce_consecutive(frames: list[LiftedFrame], cfg: FcgConfig, workers: int) -> LiftedFrame:
+    # Each level clusters all of its fusions together; every fused frame
+    # equals `fuse_lifted_frames` on its (adjacent) pair.
     while len(frames) > 1:
-        pairs = [
-            (frames[i], frames[i + 1]) for i in range(0, len(frames) - 1, 2)
-        ]
-        fused = _map_ordered(
-            lambda ab: fuse_lifted_frames(ab[0], ab[1], cfg), pairs, workers
+        pairs = [(frames[i], frames[i + 1]) for i in range(0, len(frames) - 1, 2)]
+        unions = [list(a.tracklets) + list(b.tracklets) for a, b in pairs]
+        fused = _cluster_all(
+            [len(u) for u in unions],
+            lambda k: _fusion_distances(unions[k], cfg),
+            lambda k, partition: _lifted(*pairs[k], _fused(unions[k], partition)),
+            cfg.track_threshold,
+            workers,
         )
         if len(frames) % 2 == 1:
             # Odd trailing frame carries up a level unmerged.

@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .appearance import cosine_matrix, feature_matrix
-from .clustering import CANNOT_LINK
-from .core import BBox, FcgConfig, Tracklet, common_columns
+from .core import CANNOT_LINK, BBox, FcgConfig, Tracklet, common_columns
 from .geometry import box_array, box_displacement_array, extrapolate_array, iou_distance_array
 
 

@@ -61,3 +61,30 @@ def test_track_accepts_nonnegative_threads(seq_dir, tmp_path, threads):
     assert track(seq_dir, tmp_path / "a.txt", "--threads", threads) == 0
     assert track(seq_dir, tmp_path / "b.txt") == 0
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+@pytest.fixture
+def empty_dir(tmp_path):
+    import numpy as np
+
+    from fcgtrack.io_mot import write_features
+
+    path = tmp_path / "empty"
+    path.mkdir()
+    (path / "det.txt").write_bytes(b"")
+    (path / "feats.fcgf").write_bytes(write_features(np.zeros((0, 8))))
+    return path
+
+
+@pytest.mark.parametrize("flag", ["--track-threshold", "--tracklet-threshold"])
+@pytest.mark.parametrize("value", ["inf", "1e6", "2e6"])
+def test_track_rejects_threshold_at_or_above_cannot_link(
+    seq_dir, empty_dir, tmp_path, capsys, flag, value
+):
+    field = flag[2:].replace("-", "_")
+    for source in (seq_dir, empty_dir):
+        out = tmp_path / "out.txt"
+        assert track(source, out, flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be in (0, 1000000.0), got ")
+        assert not out.exists()

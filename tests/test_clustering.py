@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from fcgtrack.clustering import (
+    _BELOW_SENTINEL,
+    BATCH_MIN,
     CANNOT_LINK,
     CondensedMatrix,
     ConstraintSet,
+    _dendrograms,
     cluster,
+    cluster_batch,
     cluster_matrix,
     condensed_index,
     condensed_size,
@@ -357,3 +361,120 @@ class TestAgainstHeapLinkage:
             for merge, (a, b, height, size) in zip(got, expected):
                 assert (merge.a, merge.b, merge.size) == (a, b, size)
                 assert merge.height == height
+
+
+def _sized_instance(rng, n, kind):
+    """A symmetric (n, n) matrix and cannot-link pairs of one generator kind."""
+    square = rng.uniform(0, 1, (n, n))
+    square = (square + square.T) / 2
+    np.fill_diagonal(square, 0.0)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    density = rng.uniform(0, 0.3)
+    cannot = [p for p in pairs if rng.random() < density]
+    if kind == "quantised":
+        square = np.round(square * 10.0) / 10.0
+    elif kind == "diluted_sentinel":
+        interleaved = np.triu(rng.random((n, n)) < rng.uniform(0, 0.5), 1)
+        square[interleaved | interleaved.T] = CANNOT_LINK
+        cannot = cannot[: len(cannot) // 2]
+    return square, cannot
+
+
+def _random_batch(rng, kinds=("continuous", "quantised", "diluted_sentinel")):
+    # Up to three times the handover size, so that most batches start batched
+    # and hand their last live instances to the single-instance loop.
+    count = int(rng.integers(1, 3 * BATCH_MIN))
+    sizes = rng.integers(0, 41, count).tolist()
+    return [_sized_instance(rng, n, kinds[int(rng.integers(len(kinds)))]) for n in sizes]
+
+
+def _loader(instances):
+    def load(k):
+        square, cannot = instances[k]
+        return square, ConstraintSet.of(cannot).mask(len(square))
+
+    return load
+
+
+class TestBatched:
+    """Instances linked together merge exactly as each would on its own."""
+
+    def test_same_merges_as_heap_linkage(self):
+        rng = np.random.default_rng(48)
+        batched = 0
+        for _ in range(40):
+            instances = _random_batch(rng)
+            sizes = [len(square) for square, _ in instances]
+            batched += sum(n >= 2 for n in sizes) >= BATCH_MIN
+            dendrograms = _dendrograms(sizes, _loader(instances), _BELOW_SENTINEL)
+            for (square, cannot), dendrogram in zip(instances, dendrograms):
+                expected = heap_linkage(square, cannot)
+                assert dendrogram.n == len(square)
+                assert len(dendrogram.merges) == len(expected)
+                for merge, (a, b, height, size) in zip(dendrogram.merges, expected):
+                    assert (merge.a, merge.b, merge.size) == (a, b, size)
+                    assert merge.height == height
+        assert batched >= 20
+
+    @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.5, 0.9])
+    def test_partitions_equal_cut_of_full_linkage(self, threshold):
+        rng = np.random.default_rng(49)
+        for _ in range(15):
+            instances = _random_batch(rng)
+            sizes = [len(square) for square, _ in instances]
+            load = _loader(instances)
+            partitions = cluster_batch(sizes, load, threshold=threshold)
+            assert len(partitions) == len(instances)
+            for k, partition in enumerate(partitions):
+                assert partition == cut(linkage_matrix(*load(k)), threshold)
+
+    def test_load_called_once_per_instance_of_two_or_more(self):
+        rng = np.random.default_rng(50)
+        instances = [_sized_instance(rng, n, "continuous") for n in (0, 3, 1, 5, 2)]
+        calls = []
+
+        def load(k):
+            calls.append(k)
+            return _loader(instances)(k)
+
+        parts = cluster_batch([len(sq) for sq, _ in instances], load, threshold=0.5)
+        assert calls == [1, 3, 4]
+        assert parts[0] == [] and parts[2] == [[0]]
+
+    def test_rejects_threshold_outside_range(self):
+        for threshold in (0.0, CANNOT_LINK, float("inf")):
+            with pytest.raises(ValueError):
+                cluster_batch([2], lambda k: (np.zeros((2, 2)), None), threshold=threshold)
+
+    def test_rejects_matrix_of_wrong_size(self):
+        with pytest.raises(ValueError):
+            cluster_batch([3], lambda k: (np.zeros((2, 2)), None), threshold=0.5)
+
+
+class TestStopAtCut:
+    """`cluster_matrix` stops at the first minimum above the threshold."""
+
+    def test_equals_cut_of_full_linkage(self):
+        rng = np.random.default_rng(51)
+        for _ in range(300):
+            n, square, cannot, threshold = random_instance(rng)
+            mask = ConstraintSet.of(cannot).mask(n)
+            full = linkage_matrix(square, mask)
+            thresholds = [threshold]
+            # A threshold exactly equal to a merge height applies that merge.
+            thresholds += [m.height for m in full.merges if 0.0 < m.height < CANNOT_LINK][:3]
+            for t in thresholds:
+                assert cluster_matrix(square, mask, threshold=t) == cut(full, t)
+
+    def test_infinite_input_distances(self):
+        rng = np.random.default_rng(52)
+        for _ in range(200):
+            n, square, cannot, threshold = random_instance(rng)
+            far = np.triu(rng.random((n, n)) < 0.3, 1)
+            square[far | far.T] = np.inf
+            mask = ConstraintSet.of(cannot).mask(n)
+            full = linkage_matrix(square, mask)
+            assert all(m.height < CANNOT_LINK for m in full.merges)
+            assert cluster_matrix(square, mask, threshold=threshold) == cut(full, threshold)
+            expected = brute_force_partition(n, np.minimum(square, CANNOT_LINK), cannot, threshold)
+            assert cluster_matrix(square, mask, threshold=threshold) == expected

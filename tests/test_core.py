@@ -195,3 +195,23 @@ class TestTrackSet:
         ts = TrackSet(tracks={1: (TrackEntry(1, b, 1.0), TrackEntry(2, b, 1.0)), 2: (TrackEntry(1, b, 1.0),)})
         assert ts.num_boxes == 3
         assert len(ts) == 2
+
+
+class TestThresholdBound:
+    """A cut threshold at or above the cannot-link sentinel would cut nothing safely."""
+
+    @pytest.mark.parametrize("field", ["tracklet_threshold", "track_threshold"])
+    @pytest.mark.parametrize("value", [1.0e6, 5.0e6, float("inf")])
+    def test_rejects_threshold_at_or_above_cannot_link(self, field, value):
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be in"):
+            FcgConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["tracklet_threshold", "track_threshold"])
+    def test_accepts_threshold_just_below_cannot_link(self, field):
+        below = float(np.nextafter(1.0e6, 0.0))
+        assert getattr(FcgConfig(**{field: below}), field) == below
+
+    def test_sentinel_is_shared(self):
+        from fcgtrack import clustering, core
+
+        assert core.CANNOT_LINK == clustering.CANNOT_LINK == 1.0e6

@@ -1,7 +1,13 @@
 import math
+import threading
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from fcgtrack import clustering
+from fcgtrack.appearance import cosine_matrix
 
 from fcgtrack.core import (
     BBox,
@@ -14,6 +20,7 @@ from fcgtrack.core import (
 from fcgtrack.io_mot import write_tracks
 from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import (
+    _cluster_all,
     _frame_overlap_mask,
     _reduce_consecutive,
     fuse_lifted_frames,
@@ -280,3 +287,105 @@ class TestRun:
             assert (final.span_start, final.span_end) == (0, n_windows)
             expected_levels = math.ceil(math.log2(n_windows)) + 1 if n_windows > 1 else 1
             assert final.level == expected_levels
+
+
+class TestLevelMemory:
+    """A level is clustered in chunks whose padded tensors stay within a fixed budget."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_stay_within_cell_budget(self, monkeypatch, workers):
+        rng = np.random.default_rng(60)
+        sizes = [int(n) for n in rng.integers(0, 7, 300)]
+        sizes.insert(117, 400)
+        seeds = rng.integers(0, 2**32, len(sizes))
+
+        def matrix(k):
+            local = np.random.default_rng(seeds[k])
+            n = sizes[k]
+            square = np.round(local.uniform(0, 0.2, (n, n)), 2)
+            return square + square.T, local.random((n, n)) < 0.1
+
+        tensors = []
+        link = clustering._link
+
+        def recording_link(d, near, nn, n, limit):
+            tensors.append(d.size)
+            return link(d, near, nn, n, limit)
+
+        monkeypatch.setattr(clustering, "_link", recording_link)
+        loaded = {}
+
+        def load(k):
+            # Each matrix is copied into its chunk's tensor and released
+            # before the next one of that chunk is built.
+            mine = loaded.setdefault(threading.get_ident(), [])
+            assert all(ref() is None for ref in mine)
+            dist, mask = matrix(k)
+            mine.append(weakref.ref(dist))
+            return dist, mask
+
+        built = _cluster_all(sizes, load, lambda k, p: (k, p), 0.1, workers)
+        assert tensors and max(tensors) <= clustering.CHUNK_CELLS
+        assert sum(tensors) < 3 * 400**2
+        assert [k for k, _ in built] == list(range(len(sizes)))
+        for k, partition in built:
+            assert partition == clustering.cluster_matrix(*matrix(k), threshold=0.1)
+
+    def test_chunks_of_sizes(self):
+        sizes = [5] * 20 + [400] + [180] * 5 + [0, 1]
+        groups = clustering.chunks(sizes)
+        assert sorted(k for g in groups for k in g) == list(range(len(sizes)))
+        for group in groups:
+            largest = max(sizes[k] for k in group)
+            assert len(group) * largest**2 <= clustering.CHUNK_CELLS
+            assert len(group) == 1 or len(group) >= clustering.BATCH_MIN
+        # The tiny instances share one chunk; the five of 180 each run alone.
+        assert sorted(len(g) for g in groups) == [1] * 6 + [22]
+
+
+def _rows(frame):
+    return [t.rows.tolist() for t in frame.tracklets]
+
+
+class TestBatchedLevels:
+    """Batched windows and levels give what one clustering per window or pair gives."""
+
+    CFG3 = FcgConfig(feature_dim=8, window=3)
+    SCENE = SynthConfig(
+        num_identities=6, num_frames=150, feature_dim=8, feature_noise_sigma=0.08,
+        occlusions=((2, 30, 80), (5, 60, 61)), exits=((4, 100),), seed=11,
+    )
+
+    def test_windows_match_one_clustering_per_window(self):
+        seq, _ = generate(self.SCENE)
+        frames = generate_tracklets(seq.columns, self.CFG3)
+        assert len(frames) == 50
+        table = seq.columns
+        for frame in frames:
+            lo, hi = np.searchsorted(
+                table.frame, [frame.span_start * 3, frame.span_end * 3], side="right"
+            )
+            feats = table.feature[lo:hi].astype(np.float64)
+            same = table.frame[lo:hi][:, None] == table.frame[lo:hi][None, :]
+            partition = clustering.cluster_matrix(
+                cosine_matrix(feats), same, threshold=self.CFG3.tracklet_threshold
+            )
+            assert _rows(frame) == [(lo + np.array(m)).tolist() for m in partition]
+
+    @pytest.mark.parametrize("motion", [False, True])
+    def test_levels_match_pairwise_fusion(self, motion):
+        cfg = FcgConfig(feature_dim=8, window=3, use_motion=motion)
+        seq, _ = generate(self.SCENE)
+        frames = generate_tracklets(seq.columns, cfg)
+        expected = frames
+        while len(expected) > 1:
+            fused = [
+                fuse_lifted_frames(expected[i], expected[i + 1], cfg)
+                for i in range(0, len(expected) - 1, 2)
+            ]
+            if len(expected) % 2 == 1:
+                fused.append(replace(expected[-1], level=expected[-1].level + 1))
+            expected = fused
+        final = _reduce_consecutive(frames, cfg, workers=1)
+        assert final.level == expected[0].level
+        assert _rows(final) == _rows(expected[0])

@@ -17,7 +17,8 @@ from fcgtrack.io_mot import (  # noqa: E402
     write_features,
     write_tracks,
 )
-from fcgtrack.pipeline import run  # noqa: E402
+from fcgtrack.pipeline import generate_tracklets, run  # noqa: E402
+from fcgtrack.weighting import weighted_distance, weighted_matrix  # noqa: E402
 
 DIM = 4
 CFG = FcgConfig(feature_dim=DIM, window=3)
@@ -98,3 +99,20 @@ def test_write_then_parse_round_trips_every_column(dets):
     for name in ("frame", "box", "score", "row"):
         assert np.array_equal(getattr(again.columns, name), getattr(seq.columns, name)), name
     assert np.array_equal(again.columns.feature, detection_features(seq, DIM))
+
+
+@pytest.mark.parametrize("temporal", [False, True])
+@pytest.mark.parametrize("spatial", [False, True])
+@pytest.mark.parametrize("motion", [False, True])
+@settings(max_examples=15)
+@given(dets=detection_lists(max_frame=30))
+def test_weighted_distance_is_symmetric(dets, temporal, spatial, motion):
+    cfg = FcgConfig(
+        feature_dim=DIM, window=3, use_temporal=temporal, use_spatial=spatial, use_motion=motion
+    )
+    tracklets = [t for frame in generate_tracklets(dets, cfg) for t in frame.tracklets]
+    matrix = weighted_matrix(tracklets, cfg)
+    assert np.array_equal(matrix, matrix.T)
+    for i, t1 in enumerate(tracklets[:6]):
+        for t2 in tracklets[i + 1 : 6]:
+            assert weighted_distance(t1, t2, cfg) == weighted_distance(t2, t1, cfg)
