@@ -8,7 +8,6 @@ as "frame,id,x,y,w,h,score,-1,-1,-1" rows with fixed decimal precision.
 from __future__ import annotations
 
 import struct
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import NoReturn
 
@@ -22,7 +21,7 @@ from .core import (
     FcgConfig,
     FcgError,
     ParseError,
-    TrackEntry,
+    TrackColumns,
     TrackSet,
 )
 
@@ -31,9 +30,9 @@ FEATURE_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
-# Frame indices are held as int64.
-_MAX_FRAME = np.iinfo(np.int64).max
-# CSV lines converted per block by `parse_detections`.
+# Frame indices and track IDs are held as int64.
+_MAX_INT = np.iinfo(np.int64).max
+# CSV lines converted per block by `_fields`.
 _BLOCK_LINES = 4096
 
 
@@ -111,14 +110,15 @@ def _data_lines(data: bytes):
             yield lineno, line
 
 
-def _fields(lines: list[str]):
-    """The frame column and a (5, N) array of x, y, w, h and confidence.
+def _fields(lines: list[str], ints: int):
+    """An (ints, N) int64 array of the first `ints` columns, and a (5, N)
+    float64 array of x, y, w, h and the seventh column (confidence or flag).
 
-    None when a line has fewer than 7 fields or a field does not convert.
-    Lines are split in blocks, so only one block of field strings is alive
-    at a time.
+    None when a line has fewer than 7 fields, or a field does not convert or
+    does not fit int64. Lines are split in blocks, so only one block of field
+    strings is alive at a time.
     """
-    frame = np.empty(len(lines), dtype=np.int64)
+    whole = np.empty((ints, len(lines)), dtype=np.int64)
     values = np.empty((5, len(lines)), dtype=np.float64)
     for start in range(0, len(lines), _BLOCK_LINES):
         fields = [line.split(",", 7) for line in lines[start : start + _BLOCK_LINES]]
@@ -127,12 +127,13 @@ def _fields(lines: list[str]):
         columns = list(zip(*fields))
         stop = start + len(fields)
         try:
-            frame[start:stop] = list(map(int, columns[0]))
+            for k in range(ints):
+                whole[k, start:stop] = list(map(int, columns[k]))
             for k in range(5):
                 values[k, start:stop] = list(map(float, columns[2 + k]))
         except (ValueError, OverflowError):
             return None
-    return frame, values
+    return whole, values
 
 
 def _raise_first_error(
@@ -153,8 +154,8 @@ def _raise_first_error(
             raise ParseError(f"{name} line {lineno}: {exc}") from exc
         if frame < 1:
             raise ParseError(f"{name} line {lineno}: frame index {frame} < 1")
-        if frame > _MAX_FRAME:
-            raise ParseError(f"{name} line {lineno}: frame index {frame} > {_MAX_FRAME}")
+        if frame > _MAX_INT:
+            raise ParseError(f"{name} line {lineno}: frame index {frame} > {_MAX_INT}")
         if w <= 0 or h <= 0:
             raise ParseError(f"{name} line {lineno}: nonpositive box size {w}x{h}")
         if conf < cfg.score_threshold:
@@ -201,10 +202,10 @@ def parse_detections(
             f"{name}: {len(lines)} detection rows but {features.shape[0]} feature rows"
         )
 
-    parsed = _fields(lines)
+    parsed = _fields(lines, ints=1)
     if parsed is None:
         _raise_first_error(det_data, features, cfg, name)
-    frame, (x, y, w, h, conf) = parsed
+    (frame,), (x, y, w, h, conf) = parsed
     box = np.stack([x, y, w, h], axis=1)
     kept = ~(conf < cfg.score_threshold)
     squared = np.einsum("ij,ij->i", features, features, dtype=np.float64)
@@ -266,12 +267,24 @@ def write_tracks(tracks: TrackSet) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 
-def parse_ground_truth(gt_data: bytes, name: str = "gt") -> TrackSet:
-    """Parse ground-truth CSV rows; rows with a zero flag column are ignored.
+def _sorted_tracks(track_id: np.ndarray, frame: np.ndarray, box: np.ndarray) -> TrackColumns:
+    """Ground-truth columns sorted by (track ID, frame), every score 1.0."""
+    order = np.lexsort((frame, track_id))
+    return TrackColumns(
+        track_id=track_id[order], frame=frame[order], box=box[order], score=np.ones(len(order))
+    )
 
-    Track IDs are kept as found in the file (not renumbered).
+
+def _parse_ground_truth_rows(gt_data: bytes, name: str) -> TrackSet:
+    """Parse the rows one by one, raising for the first bad one.
+
+    The reference for the array checks of `parse_ground_truth`, which hands
+    over to it when conversion or a check fails. The one such input it
+    accepts is a zero-flag row whose frame or ID does not fit int64.
     """
-    per_id: dict[int, list[TrackEntry]] = defaultdict(list)
+    ids: list[int] = []
+    frames: list[int] = []
+    boxes: list[tuple[float, float, float, float]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, line in _data_lines(gt_data):
         fields = line.split(",")
@@ -290,33 +303,71 @@ def parse_ground_truth(gt_data: bytes, name: str = "gt") -> TrackSet:
             continue
         if frame < 1:
             raise ParseError(f"{name} line {lineno}: frame index {frame} < 1")
+        if frame > _MAX_INT:
+            raise ParseError(f"{name} line {lineno}: frame index {frame} > {_MAX_INT}")
         if tid < 1:
             raise ParseError(f"{name} line {lineno}: track id {tid} < 1")
+        if tid > _MAX_INT:
+            raise ParseError(f"{name} line {lineno}: track id {tid} > {_MAX_INT}")
         if (frame, tid) in seen:
             raise ParseError(f"{name} line {lineno}: duplicate (frame, id) ({frame}, {tid})")
         seen.add((frame, tid))
         try:
-            bbox = BBox(x, y, w, h)
+            BBox(x, y, w, h)
         except ValueError as exc:
             raise ParseError(f"{name} line {lineno}: {exc}") from exc
-        per_id[tid].append(TrackEntry(frame, bbox, 1.0))
-    tracks = {
-        tid: tuple(sorted(entries, key=lambda e: e.frame))
-        for tid, entries in per_id.items()
-    }
-    return TrackSet(tracks=tracks)
+        ids.append(tid)
+        frames.append(frame)
+        boxes.append((x, y, w, h))
+    return TrackSet(
+        columns=_sorted_tracks(
+            np.array(ids, dtype=np.int64),
+            np.array(frames, dtype=np.int64),
+            np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        )
+    )
+
+
+def parse_ground_truth(gt_data: bytes, name: str = "gt") -> TrackSet:
+    """Parse ground-truth CSV rows into track columns sorted by (ID, frame).
+
+    Rows with a zero flag column (the seventh) are dropped once their fields
+    convert, before any other check. A kept row needs frame >= 1, ID >= 1,
+    both within int64, a finite box of positive size and a (frame, ID) pair
+    no earlier kept row has; the first bad line in the file raises. Track
+    IDs are kept as found in the file (not renumbered); every score is 1.0.
+
+    The rows are converted column by column and checked as arrays; only
+    when a check fails are they walked one by one to name the first bad line.
+    """
+    lines = [line for _, line in _data_lines(gt_data)]
+    parsed = _fields(lines, ints=2)
+    if parsed is None:
+        return _parse_ground_truth_rows(gt_data, name)
+    (frame, tid), (x, y, w, h, flag) = parsed
+    kept = flag != 0
+    cols = _sorted_tracks(tid[kept], frame[kept], np.stack([x, y, w, h], axis=1)[kept])
+    ids, frames, box = cols.track_id, cols.frame, cols.box
+    valid = (frames >= 1) & (ids >= 1)
+    valid &= np.isfinite(box).all(axis=1) & (box[:, 2:] > 0).all(axis=1)
+    repeated = (ids[1:] == ids[:-1]) & (frames[1:] == frames[:-1])
+    if not valid.all() or repeated.any():
+        return _parse_ground_truth_rows(gt_data, name)
+    return TrackSet(columns=cols)
 
 
 def write_ground_truth(tracks: TrackSet) -> bytes:
-    """Serialize a TrackSet as ground-truth rows (flag 1, class 1, visibility 1)."""
-    rows = []
-    for tid, entries in tracks.tracks.items():
-        for e in entries:
-            rows.append((e.frame, tid, e.bbox))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    """Serialize a TrackSet as ground-truth rows (flag 1, class 1, visibility 1).
+
+    Rows are sorted by (frame, id); coordinates keep full precision.
+    """
+    cols = tracks.columns
+    order = np.lexsort((cols.track_id, cols.frame))
     lines = [
-        f"{frame},{tid},{b.x!r},{b.y!r},{b.w!r},{b.h!r},1,1,1"
-        for frame, tid, b in rows
+        f"{frame},{tid},{x!r},{y!r},{w!r},{h!r},1,1,1"
+        for frame, tid, (x, y, w, h) in zip(
+            cols.frame[order].tolist(), cols.track_id[order].tolist(), cols.box[order].tolist()
+        )
     ]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
@@ -341,18 +392,23 @@ def subsample(seq: SequenceInput, ratio: int) -> SequenceInput:
 
 
 def subsample_tracks(tracks: TrackSet, ratio: int) -> TrackSet:
-    """Apply the subsampling frame rule to a TrackSet (for low-fps evaluation)."""
+    """Apply the subsampling frame rule to a TrackSet (for low-fps evaluation).
+
+    A track with no kept frame disappears.
+    """
     if ratio < 1:
         raise ValueError(f"ratio must be >= 1, got {ratio}")
     if ratio == 1:
         return tracks
-    out = {}
-    for tid, entries in tracks.tracks.items():
-        kept = tuple(
-            TrackEntry((e.frame - 1) // ratio + 1, e.bbox, e.score)
-            for e in entries
-            if (e.frame - 1) % ratio == 0
+    cols = tracks.columns
+    offset = cols.frame - 1
+    kept = np.flatnonzero(offset % ratio == 0)
+    # The renumbering keeps frame order, so the columns stay sorted.
+    return TrackSet(
+        columns=TrackColumns(
+            track_id=cols.track_id[kept],
+            frame=offset[kept] // ratio + 1,
+            box=cols.box[kept],
+            score=cols.score[kept],
         )
-        if kept:
-            out[tid] = kept
-    return TrackSet(tracks=out)
+    )

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import TrackSet
-from .geometry import box_array, iou_distance_array
+from .geometry import iou_distance_array
 
 # GT entries per array call in `_matches`; bounds the pair arrays in crowds.
 _GT_BLOCK = 1024
@@ -16,12 +16,9 @@ _GT_BLOCK = 1024
 
 def _by_frame(tracks: TrackSet):
     """Frames, track IDs and an (n, 4) box array of all entries, by (frame, ID)."""
-    rows = sorted(
-        (e.frame, tid, e.bbox) for tid, entries in tracks.tracks.items() for e in entries
-    )
-    frames = np.array([r[0] for r in rows], dtype=np.int64)
-    ids = np.array([r[1] for r in rows], dtype=np.int64)
-    return frames, ids, box_array(r[2] for r in rows)
+    cols = tracks.columns
+    order = np.lexsort((cols.track_id, cols.frame))
+    return cols.frame[order], cols.track_id[order], cols.box[order]
 
 
 def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):
@@ -66,8 +63,8 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
     _, gids, pids, _ = _matches(gt, pred, iou_threshold)
     if not len(gids):
         return 0.0
-    gt_ids = np.array(sorted(gt.tracks))
-    pred_ids = np.array(sorted(pred.tracks))
+    gt_ids = np.unique(gt.columns.track_id)
+    pred_ids = np.unique(pred.columns.track_id)
     matrix = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
     np.add.at(matrix, (np.searchsorted(gt_ids, gids), np.searchsorted(pred_ids, pids)), 1)
     rows, cols = linear_sum_assignment(matrix, maximize=True)

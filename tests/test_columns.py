@@ -26,11 +26,15 @@ from fcgtrack.core import (
 from fcgtrack.io_mot import (
     detection_features,
     parse_detections,
+    parse_ground_truth,
     subsample,
+    subsample_tracks,
     write_detections,
     write_features,
+    write_ground_truth,
     write_tracks,
 )
+from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import fuse_lifted_frames, generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
 
@@ -96,6 +100,32 @@ def test_track_command_builds_no_detection_objects(tmp_path, monkeypatch):
             "--out", str(tmp_path / "out.txt"), "--feature-dim", "16", "--ratio", "2"]
     assert main(argv) == 0
     assert built == []
+
+
+def test_eval_command_builds_no_track_entries_or_boxes(tmp_path, monkeypatch, capsys):
+    scene = SCENES["occluded"]
+    seq, truth = generate(scene)
+    gt_path, pred_path = tmp_path / "gt.txt", tmp_path / "pred.txt"
+    gt_path.write_bytes(write_ground_truth(truth))
+    pred_path.write_bytes(write_tracks(run(seq.columns, FcgConfig(feature_dim=16))))
+    pred = TrackSet(tracks=parse_ground_truth(pred_path.read_bytes()).tracks)
+    expected = f"idf1,{idf1(truth, pred):.6f}\nid_switches,{id_switches(truth, pred)}\n"
+    built = []
+    original_box = core.BBox.__post_init__
+    original_entry = core.TrackEntry.__new__
+
+    def count_entry(cls, *args, **kwargs):
+        built.append(cls)
+        return original_entry(cls, *args, **kwargs)
+
+    monkeypatch.setattr(core.BBox, "__post_init__", lambda self: built.append(original_box(self)))
+    monkeypatch.setattr(core.TrackEntry, "__new__", count_entry)
+    assert main(["eval", "--gt", str(gt_path), "--pred", str(pred_path)]) == 0
+    assert built == []
+    assert capsys.readouterr().out == expected
+    # Both counters are live.
+    TrackEntry(1, BBox(0.0, 0.0, 1.0, 1.0), 1.0)
+    assert len(built) == 2
 
 
 class TestDetectionColumns:
@@ -207,6 +237,45 @@ class TestTrackColumns:
             TrackSet()
         with pytest.raises(TypeError):
             TrackSet(tracks={}, columns=self.columns([], []))
+
+    def test_parsed_ground_truth_is_sorted_columns(self):
+        ts = parse_ground_truth(b"3,9,1,2,3,4,1\n1,9,1,2,3,4,1\n2,4,5,6,7,8,1\n")
+        assert "tracks" not in ts.__dict__
+        assert ts.columns.track_id.tolist() == [4, 9, 9]
+        assert ts.columns.frame.tolist() == [2, 1, 3]
+        assert ts.columns.score.tolist() == [1.0, 1.0, 1.0]
+        # IDs come back in ascending order, not in order of first appearance.
+        assert list(ts.tracks) == [4, 9]
+
+    @pytest.mark.parametrize("ratio", [2, 3, 7])
+    def test_subsample_tracks_matches_entry_rule(self, ratio):
+        _, truth = generate(SCENES["occluded"])
+        expected = {}
+        for tid, entries in truth.tracks.items():
+            kept = tuple(
+                TrackEntry((e.frame - 1) // ratio + 1, e.bbox, e.score)
+                for e in entries
+                if (e.frame - 1) % ratio == 0
+            )
+            if kept:
+                expected[tid] = kept
+        out = subsample_tracks(truth, ratio)
+        assert "tracks" not in out.__dict__
+        assert out == TrackSet(tracks=expected)
+
+    def test_write_ground_truth_bytes(self):
+        ts = TrackSet(
+            tracks={
+                9: (TrackEntry(1, BBox(0.1 + 0.2, -0.0, 1e-300, 2.5), 0.3),),
+                2: (TrackEntry(1, BBox(1, 2, 3, 4), 1.0), TrackEntry(4, BBox(5, 6, 7, 8), 1.0)),
+            }
+        )
+        assert write_ground_truth(ts) == (
+            b"1,2,1.0,2.0,3.0,4.0,1,1,1\n"
+            b"1,9,0.30000000000000004,-0.0,1e-300,2.5,1,1,1\n"
+            b"4,2,5.0,6.0,7.0,8.0,1,1,1\n"
+        )
+        assert write_ground_truth(TrackSet(tracks={})) == b""
 
     def test_immutable(self):
         ts = TrackSet(tracks={})

@@ -1,9 +1,12 @@
-"""Parse errors of `parse_detections`: which line is reported, with what message.
+"""Parse errors of `parse_detections` and `parse_ground_truth`: which line is
+reported, with what message.
 
 Each bad-row kind is pinned to its exact `ParseError` text. When several
 rows are bad the first bad line in the file is reported, whatever the kinds.
-Rows whose score is below the threshold are dropped before the box-finiteness,
-score and feature checks, but after the field, frame and box-size checks.
+Detection rows whose score is below the threshold are dropped before the
+box-finiteness, score and feature checks, but after the field, frame and
+box-size checks. Ground-truth rows with a zero flag are dropped after the
+field checks and before every other check.
 """
 
 import re
@@ -12,7 +15,13 @@ import numpy as np
 import pytest
 
 from fcgtrack.core import FcgConfig, ParseError
-from fcgtrack.io_mot import parse_detections, write_features
+from fcgtrack.cli import main
+from fcgtrack.io_mot import (
+    _parse_ground_truth_rows,
+    parse_detections,
+    parse_ground_truth,
+    write_features,
+)
 
 CFG = FcgConfig(feature_dim=3, score_threshold=0.7)
 GOOD = "1,-1,1,1,5,5,0.9,-1,-1,-1"
@@ -152,3 +161,189 @@ class TestFrameRange:
     def test_largest_int64_frame_parses(self):
         seq = parse([f"{2**63 - 1},-1,1,1,5,5,0.9"])
         assert seq.columns.frame.tolist() == [2**63 - 1]
+
+
+GT_GOOD = "1,1,1,1,5,5,1,1,1"
+MAX = 2**63 - 1
+
+
+def parse_gt(lines):
+    return parse_ground_truth(("\n".join(lines) + "\n").encode(), name="gt.txt")
+
+
+def gt_raises_exactly(message, lines):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_gt(lines)
+
+
+def gt_rows(ts):
+    return [(e.frame, tid) for tid, entries in ts.tracks.items() for e in entries]
+
+
+class TestGroundTruthEachKind:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,1,1,1", "expected at least 7 fields, got 4"),
+            ("2,1,1,1,5,5", "expected at least 7 fields, got 6"),
+            ("1.5,1,1,1,5,5,1", "invalid literal for int() with base 10: '1.5'"),
+            ("x,1,1,1,5,5,1", "invalid literal for int() with base 10: 'x'"),
+            ("2,2.0,1,1,5,5,1", "invalid literal for int() with base 10: '2.0'"),
+            ("2,id,1,1,5,5,1", "invalid literal for int() with base 10: 'id'"),
+            ("2,1,abc,1,5,5,1", "could not convert string to float: 'abc'"),
+            ("2,1,1,1,5,h,1", "could not convert string to float: 'h'"),
+            ("2,1,1,1,5,5,yes", "could not convert string to float: 'yes'"),
+            ("0,1,1,1,5,5,1", "frame index 0 < 1"),
+            ("-4,1,1,1,5,5,1", "frame index -4 < 1"),
+            ("0,0,1,1,5,5,1", "frame index 0 < 1"),
+            ("2,0,1,1,5,5,1", "track id 0 < 1"),
+            ("2,-3,1,1,5,5,1", "track id -3 < 1"),
+            ("1,1,2,2,6,6,1", "duplicate (frame, id) (1, 1)"),
+            ("1,1,nan,1,0,5,1", "duplicate (frame, id) (1, 1)"),
+            ("2,1,nan,1,5,5,1", "box must be finite, got x=nan, y=1.0, w=5.0, h=5.0"),
+            ("2,1,1,-inf,5,5,1", "box must be finite, got x=1.0, y=-inf, w=5.0, h=5.0"),
+            ("2,1,1,1,inf,5,1", "box must be finite, got x=1.0, y=1.0, w=inf, h=5.0"),
+            ("2,1,1,1,5,nan,1", "box must be finite, got x=1.0, y=1.0, w=5.0, h=nan"),
+            ("2,1,1,1,nan,0,1", "box must be finite, got x=1.0, y=1.0, w=nan, h=0.0"),
+            ("2,1,1,1,0,5,1", "box size must be positive, got w=0.0, h=5.0"),
+            ("2,1,1,1,5,-1,1", "box size must be positive, got w=5.0, h=-1.0"),
+        ],
+    )
+    def test_row_message(self, row, message):
+        gt_raises_exactly(f"gt.txt line 2: {message}", [GT_GOOD, row])
+
+    def test_duplicate_names_the_second_line(self):
+        gt_raises_exactly(
+            "gt.txt line 4: duplicate (frame, id) (3, 7)",
+            ["3,7,1,1,5,5,1", GT_GOOD, "4,7,1,1,5,5,1", "3,7,9,9,5,5,1"],
+        )
+
+    def test_blank_lines_count_toward_line_numbers(self):
+        with pytest.raises(ParseError, match=r"^gt\.txt line 4: track id 0 < 1$"):
+            parse_ground_truth(f"\n{GT_GOOD}\n\n2,0,1,1,5,5,1\n".encode(), name="gt.txt")
+
+
+class TestGroundTruthFlagZero:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0,1,1,1,5,5,0",
+            "2,0,1,1,5,5,0",
+            "2,-3,1,1,5,5,0.0",
+            "1,1,1,1,5,5,0",  # would repeat (1, 1)
+            "2,1,nan,1,5,5,0",
+            "2,1,1,1,0,-5,-0.0",
+            f"{MAX + 1},1,1,1,5,5,0",
+            f"2,{10**20},1,1,5,5,0",
+        ],
+    )
+    def test_skips_every_later_check(self, row):
+        assert gt_rows(parse_gt([GT_GOOD, row])) == [(1, 1)]
+
+    def test_dropped_row_does_not_claim_its_frame_and_id(self):
+        ts = parse_gt(["1,1,1,1,5,5,0", GT_GOOD])
+        assert gt_rows(ts) == [(1, 1)]
+        assert ts.tracks[1][0].bbox.w == 5.0
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,1,1,1,5,0", "expected at least 7 fields, got 6"),
+            ("2.5,1,1,1,5,5,0", "invalid literal for int() with base 10: '2.5'"),
+            ("2,1,abc,1,5,5,0", "could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_still_needs_well_formed_fields(self, row, message):
+        gt_raises_exactly(f"gt.txt line 2: {message}", [GT_GOOD, row])
+
+    def test_nan_flag_is_not_zero(self):
+        gt_raises_exactly("gt.txt line 2: frame index 0 < 1", [GT_GOOD, "0,1,1,1,5,5,nan"])
+
+
+class TestGroundTruthFirstBadLineWins:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("2,1,1,1,0,5,1", "3,1,abc,1,5,5,1"),
+            ("2,1,abc,1,5,5,1", "0,1,1,1,5,5,1"),
+            ("2,1,nan,1,5,5,1", "3,1"),
+            ("2,0,1,1,5,5,1", "1,1,1,1,5,5,1"),
+            ("1,1,1,1,5,5,1", "3,0,1,1,5,5,1"),
+            ("2,1", "3,1,nan,1,5,5,1"),
+            ("0,1,1,1,5,5,1", "3,x,1,1,5,5,1"),
+        ],
+    )
+    def test_earlier_line_reported(self, first, second):
+        with pytest.raises(ParseError, match=r"^gt\.txt line 2: "):
+            parse_gt([GT_GOOD, first, GT_GOOD.replace("1,1,", "5,1,", 1), second])
+
+
+def parsed_or_error(parse, data):
+    try:
+        return parse(data, "gt.txt")
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_ground_truth_array_checks_match_the_row_walk():
+    # Random files of good rows and every bad-row kind. Fields that do not
+    # convert or do not fit int64 are rare, so most files reach the array
+    # checks; the per-row walk is the reference for what they accept.
+    rng = np.random.default_rng(2016)
+    pick = lambda values, p: str(rng.choice(values, p=p))  # noqa: E731
+    outcomes = set()
+    for _ in range(3000):
+        lines = []
+        for _ in range(rng.integers(0, 7)):
+            fields = [
+                pick(["1", "2", "3", "0", "-1"], [0.3, 0.3, 0.3, 0.05, 0.05]),
+                pick(["1", "2", "7", "0", "-2"], [0.3, 0.3, 0.3, 0.05, 0.05]),
+                *(pick(["1", "5", "-1", "nan", "inf"], [0.4, 0.4, 0.1, 0.05, 0.05])
+                  for _ in range(2)),
+                *(pick(["1", "5", "0", "-1", "nan", "inf"], [0.4, 0.4, 0.05, 0.05, 0.05, 0.05])
+                  for _ in range(2)),
+                pick(["1", "0", "-0.0", "nan"], [0.8, 0.1, 0.05, 0.05]),
+                "1", "1",
+            ]
+            kind = rng.integers(0, 60)
+            if kind == 0:
+                fields = fields[:6]
+            elif kind == 1:
+                fields[rng.integers(0, 7)] = "1.5x"
+            elif kind == 2:
+                fields[rng.integers(0, 2)] = str(MAX + 1)
+            lines.append(",".join(fields))
+        data = ("\n".join(lines) + "\n").encode()
+        got = parsed_or_error(parse_ground_truth, data)
+        assert got == parsed_or_error(_parse_ground_truth_rows, data), lines
+        outcomes.add(got.split(": ", 1)[1].split(" ")[0] if isinstance(got, str) else "ok")
+    # Every outcome occurs: a parse, and each kind of message.
+    assert outcomes == {"ok", "expected", "invalid", "could", "frame", "track", "duplicate", "box"}
+
+
+class TestGroundTruthRange:
+    def test_frame_beyond_int64_is_a_parse_error(self):
+        gt_raises_exactly(
+            f"gt.txt line 2: frame index {10**20} > {MAX}",
+            [GT_GOOD, f"{10**20},1,0,0,10,10,1,1,1"],
+        )
+
+    def test_id_beyond_int64_is_a_parse_error(self):
+        gt_raises_exactly(
+            f"gt.txt line 2: track id {MAX + 1} > {MAX}",
+            [GT_GOOD, f"1,{MAX + 1},0,0,10,10,1,1,1"],
+        )
+
+    def test_largest_int64_frame_and_id_parse(self):
+        assert gt_rows(parse_gt([f"{MAX},{MAX},0,0,10,10,1,1,1"])) == [(MAX, MAX)]
+
+    @pytest.mark.parametrize("row", [f"{10**20},1,0,0,10,10,1,1,1", f"1,{10**20},0,0,10,10,1"])
+    @pytest.mark.parametrize("side", ["--gt", "--pred"])
+    def test_eval_exits_with_data_error(self, tmp_path, capsys, row, side):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text(GT_GOOD + "\n")
+        bad.write_text(f"{GT_GOOD}\n{row}\n")
+        files = {"--gt": good, "--pred": good, side: bad}
+        argv = ["eval", "--gt", str(files["--gt"]), "--pred", str(files["--pred"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: bad.txt line 2: ")

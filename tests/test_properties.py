@@ -7,18 +7,22 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fcgtrack.core import BBox, Detection, FcgConfig  # noqa: E402
+from fcgtrack.core import BBox, Detection, FcgConfig, TrackEntry, TrackSet  # noqa: E402
 from fcgtrack.io_mot import (  # noqa: E402
     SequenceInput,
     detection_features,
     parse_detections,
+    parse_ground_truth,
     subsample,
     write_detections,
     write_features,
+    write_ground_truth,
     write_tracks,
 )
+from fcgtrack.metrics import id_switches, idf1  # noqa: E402
 from fcgtrack.pipeline import generate_tracklets, run  # noqa: E402
 from fcgtrack.weighting import weighted_distance, weighted_matrix  # noqa: E402
+from oracles import brute_force_idf1, per_pair_id_switches  # noqa: E402
 
 DIM = 4
 CFG = FcgConfig(feature_dim=DIM, window=3)
@@ -51,6 +55,31 @@ def detection_lists(draw, max_size=24, max_frame=20):
             )
         )
     return dets
+
+
+@st.composite
+def track_sets(draw, ids, frames, boxes):
+    """A TrackSet with scores 1.0: distinct IDs drawn from `ids`, each with
+    one or more distinct frames from `frames` and a box from `boxes` per frame."""
+    tracks = {}
+    for tid in draw(st.lists(ids, max_size=4, unique=True)):
+        track_frames = sorted(draw(st.lists(frames, min_size=1, max_size=6, unique=True)))
+        tracks[tid] = tuple(TrackEntry(f, BBox(*draw(boxes)), 1.0) for f in track_frames)
+    return TrackSet(tracks=tracks)
+
+
+ANY_BOX = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+# Coarse positions, so that boxes of different IDs collide and tie.
+GRID_BOX = st.tuples(
+    st.sampled_from([0.0, 6.0, 12.0, 18.0]), st.sampled_from([0.0, 3.0]),
+    st.just(10.0), st.just(10.0),
+)
+INT64 = st.integers(1, 2**63 - 1)
 
 
 def assert_same_columns(a, b):
@@ -116,3 +145,23 @@ def test_weighted_distance_is_symmetric(dets, temporal, spatial, motion):
     for i, t1 in enumerate(tracklets[:6]):
         for t2 in tracklets[i + 1 : 6]:
             assert weighted_distance(t1, t2, cfg) == weighted_distance(t2, t1, cfg)
+
+
+@settings(max_examples=100)
+@given(track_sets(INT64, INT64, ANY_BOX))
+def test_ground_truth_write_then_parse_round_trips(ts):
+    again = parse_ground_truth(write_ground_truth(ts))
+    assert again == ts
+    assert write_ground_truth(again) == write_ground_truth(ts)
+
+
+@settings(max_examples=100)
+@given(
+    track_sets(st.integers(1, 9), st.integers(1, 8), GRID_BOX),
+    track_sets(st.integers(1, 9), st.integers(1, 8), GRID_BOX),
+)
+def test_parsed_columns_score_like_the_oracles(gt, pred):
+    gt_cols = parse_ground_truth(write_ground_truth(gt))
+    pred_cols = parse_ground_truth(write_ground_truth(pred))
+    assert idf1(gt_cols, pred_cols) == brute_force_idf1(gt, pred)
+    assert id_switches(gt_cols, pred_cols) == per_pair_id_switches(gt, pred)
