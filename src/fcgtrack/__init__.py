@@ -56,7 +56,6 @@ from .pipeline import fuse_lifted_frames, generate_tracklets, run
 from .synthdata import SynthConfig, generate
 from .weighting import (
     PairContext,
-    pair_context,
     spatial_weights,
     temporal_weight,
     weighted_distance,
@@ -107,7 +106,6 @@ __all__ = [
     "iou_distance",
     "linkage",
     "linkage_matrix",
-    "pair_context",
     "parse_detections",
     "parse_ground_truth",
     "read_features",

@@ -8,7 +8,6 @@ the configuration fields; repeated runs of one command are byte-identical.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -114,8 +113,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     )
     if args.ratio > 1:
         seq = subsample(seq, args.ratio)
-    workers = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    tracks = run(seq.columns, cfg, workers=workers)
+    tracks = run(seq.columns, cfg)
     Path(args.out).write_bytes(write_tracks(tracks))
     return 0
 
@@ -146,7 +144,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     gt = parse_ground_truth(Path(args.gt).read_bytes(), name=Path(args.gt).name)
-    pred = parse_ground_truth(Path(args.pred).read_bytes(), name=Path(args.pred).name)
+    pred = parse_ground_truth(
+        Path(args.pred).read_bytes(), name=Path(args.pred).name, results=True
+    )
     print(f"idf1,{idf1(gt, pred, args.iou_threshold):.6f}")
     print(f"id_switches,{id_switches(gt, pred, args.iou_threshold)}")
     return 0
@@ -184,7 +184,9 @@ def _build_parser() -> _Parser:
     p_track.add_argument("--features", required=True, help="feature sidecar (.fcgf)")
     p_track.add_argument("--out", required=True, help="output result file")
     p_track.add_argument("--ratio", type=int, default=1, help="subsample before tracking")
-    p_track.add_argument("--threads", type=int, default=1, help="worker count (0 = auto)")
+    p_track.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored: tracking is sequential"
+    )
     _add_config_flags(p_track)
     p_track.set_defaults(func=_cmd_track)
 

@@ -34,8 +34,9 @@ instance at once with the same elementwise arithmetic, so each instance's
 merges are exactly those of a run on its own. An instance stops at its first
 minimum above the cut threshold; `cut` would discard that merge and all later
 ones. Once fewer than `BATCH_MIN` instances are live, each finishes in the
-single-instance loop on views of the same state. `chunks` splits a level so
-that no padded tensor exceeds `CHUNK_CELLS` cells.
+single-instance loop on views of the same state. `cluster_batch` links its
+instances a chunk at a time (`chunks`), so that no padded tensor exceeds
+`CHUNK_CELLS` cells.
 
 `linkage_matrix` (full dendrogram of one square matrix), `linkage`
 (condensed matrix plus constraint set) and `cluster` (items plus a pairwise
@@ -70,13 +71,6 @@ def condensed_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def condensed_index(n: int, i: int, j: int) -> int:
-    """Index of pair (i, j), i < j, in a row-major upper-triangle layout."""
-    if not 0 <= i < j < n:
-        raise IndexError(f"bad pair ({i}, {j}) for n={n}")
-    return n * i - i * (i + 1) // 2 + (j - i - 1)
-
-
 @dataclass(frozen=True)
 class CondensedMatrix:
     """Upper-triangle pairwise distances for n items, row-major."""
@@ -100,7 +94,9 @@ class CondensedMatrix:
             return 0.0
         if i > j:
             i, j = j, i
-        return float(self.values[condensed_index(self.n, i, j)])
+        if not 0 <= i < j < self.n:
+            raise IndexError(f"bad pair ({i}, {j}) for n={self.n}")
+        return float(self.values[self.n * i - i * (i + 1) // 2 + (j - i - 1)])
 
 
 @dataclass(frozen=True)
@@ -117,9 +113,6 @@ class ConstraintSet:
                 raise ValueError(f"cannot-link pair must be irreflexive, got ({a}, {b})")
             normalized.add((a, b) if a < b else (b, a))
         return cls(frozenset(normalized))
-
-    def forbids(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in self.cannot_link
 
     def mask(self, n: int) -> np.ndarray:
         """Symmetric (n, n) boolean matrix, True at every forbidden pair."""
@@ -432,7 +425,8 @@ def chunks(sizes: Sequence[int]) -> list[list[int]]:
     `CHUNK_CELLS`; an instance larger than that is a group of its own. A
     group of fewer than `BATCH_MIN` instances would be linked one instance
     at a time anyway, so it is split into groups of one, and its instances
-    never share a tensor.
+    never share a tensor. Each group lists its indices in ascending order,
+    and the groups come in order of their first index.
     """
     groups: list[list[int]] = []
     group: list[int] = []
@@ -445,8 +439,8 @@ def chunks(sizes: Sequence[int]) -> list[list[int]]:
         groups.append(group)
     split: list[list[int]] = []
     for group in groups:
-        split.extend([group] if len(group) >= BATCH_MIN else [[k] for k in group])
-    return split
+        split.extend([sorted(group)] if len(group) >= BATCH_MIN else [[k] for k in group])
+    return sorted(split)
 
 
 def cluster_batch(
@@ -456,15 +450,20 @@ def cluster_batch(
 
     Instance k has `sizes[k]` items. For each instance of two or more items
     `load(k)` returns its (dist, cannot_link) pair as `cluster_matrix` takes
-    them; each is copied into the padded tensor before the next is loaded.
-    Every partition equals `cluster_matrix(*load(k), threshold=threshold)`.
+    them, and is called in the order `chunks` lists the instances. The
+    instances are linked a chunk at a time; each pair is copied into its
+    chunk's padded tensor before the next is loaded. Every partition equals
+    `cluster_matrix(*load(k), threshold=threshold)`.
     """
     _check_threshold(threshold)
-    n, (count, merged_a, merged_b, _, _) = _linked(sizes, load, threshold)
-    return [
-        _partition(nk, merged_a[k, :c].tolist(), merged_b[k, :c].tolist())
-        for k, (nk, c) in enumerate(zip(n.tolist(), count.tolist()))
-    ]
+    partitions: list = [None] * len(sizes)
+    for group in chunks(sizes):
+        n, (count, merged_a, merged_b, _, _) = _linked(
+            [sizes[k] for k in group], lambda i: load(group[i]), threshold
+        )
+        for k, nk, a, b, c in zip(group, n.tolist(), merged_a, merged_b, count.tolist()):
+            partitions[k] = _partition(nk, a[:c].tolist(), b[:c].tolist())
+    return partitions
 
 
 def cluster_matrix(

@@ -1,7 +1,6 @@
 """Core domain types: boxes, detections, tracklets, lifted frames, config, tracks.
 
-Everything here is immutable after construction and safe to share across
-worker threads.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -306,14 +305,6 @@ class Tracklet:
         return frozenset(self.columns.frame[self.rows].tolist())
 
     @property
-    def first(self) -> Detection:
-        return self.columns.detection(self.rows[0])
-
-    @property
-    def last(self) -> Detection:
-        return self.columns.detection(self.rows[-1])
-
-    @property
     def first_frame(self) -> int:
         return int(self.columns.frame[self.rows[0]])
 
@@ -415,13 +406,13 @@ class FcgConfig:
                 raise InvalidConfigError(
                     f"{name} must be in (0, {CANNOT_LINK}), got {value}"
                 )
-        if self.kt < 0:
+        if not self.kt >= 0:
             raise InvalidConfigError(f"kt must be >= 0, got {self.kt}")
         if not self.ct >= 1:
             raise InvalidConfigError(f"ct must be >= 1, got {self.ct}")
         if not 0 < self.off <= 1:
             raise InvalidConfigError(f"off must be in (0, 1], got {self.off}")
-        if self.kf < 0:
+        if not self.kf >= 0:
             raise InvalidConfigError(f"kf must be >= 0, got {self.kf}")
         if not self.cf >= 1:
             raise InvalidConfigError(f"cf must be >= 1, got {self.cf}")

@@ -47,21 +47,14 @@ class SequenceInput:
 
     columns: DetectionColumns
     name: str
-    fps_ratio_applied: int
 
     def __init__(
-        self,
-        detections=(),
-        name: str = "sequence",
-        fps_ratio_applied: int = 1,
-        *,
-        columns: DetectionColumns | None = None,
+        self, detections=(), name: str = "sequence", *, columns: DetectionColumns | None = None
     ):
         if columns is None:
             columns = DetectionColumns.from_detections(detections)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "fps_ratio_applied", fps_ratio_applied)
 
     @property
     def detections(self) -> DetectionView:
@@ -275,12 +268,13 @@ def _sorted_tracks(track_id: np.ndarray, frame: np.ndarray, box: np.ndarray) -> 
     )
 
 
-def _parse_ground_truth_rows(gt_data: bytes, name: str) -> TrackSet:
+def _parse_ground_truth_rows(gt_data: bytes, name: str, results: bool = False) -> TrackSet:
     """Parse the rows one by one, raising for the first bad one.
 
     The reference for the array checks of `parse_ground_truth`, which hands
     over to it when conversion or a check fails. The one such input it
-    accepts is a zero-flag row whose frame or ID does not fit int64.
+    accepts is a zero-flag ground-truth row whose frame or ID does not fit
+    int64.
     """
     ids: list[int] = []
     frames: list[int] = []
@@ -299,7 +293,7 @@ def _parse_ground_truth_rows(gt_data: bytes, name: str) -> TrackSet:
             flag = float(fields[6])
         except ValueError as exc:
             raise ParseError(f"{name} line {lineno}: {exc}") from exc
-        if flag == 0:
+        if flag == 0 and not results:
             continue
         if frame < 1:
             raise ParseError(f"{name} line {lineno}: frame index {frame} < 1")
@@ -328,14 +322,16 @@ def _parse_ground_truth_rows(gt_data: bytes, name: str) -> TrackSet:
     )
 
 
-def parse_ground_truth(gt_data: bytes, name: str = "gt") -> TrackSet:
+def parse_ground_truth(gt_data: bytes, name: str = "gt", *, results: bool = False) -> TrackSet:
     """Parse ground-truth CSV rows into track columns sorted by (ID, frame).
 
     Rows with a zero flag column (the seventh) are dropped once their fields
-    convert, before any other check. A kept row needs frame >= 1, ID >= 1,
-    both within int64, a finite box of positive size and a (frame, ID) pair
-    no earlier kept row has; the first bad line in the file raises. Track
-    IDs are kept as found in the file (not renumbered); every score is 1.0.
+    convert, before any other check. With `results` the rows are a results
+    file's, whose seventh column is a score, and none is dropped by it. A
+    kept row needs frame >= 1, ID >= 1, both within int64, a finite box of
+    positive size and a (frame, ID) pair no earlier kept row has; the first
+    bad line in the file raises. Track IDs are kept as found in the file (not
+    renumbered); every score is 1.0.
 
     The rows are converted column by column and checked as arrays; only
     when a check fails are they walked one by one to name the first bad line.
@@ -343,16 +339,16 @@ def parse_ground_truth(gt_data: bytes, name: str = "gt") -> TrackSet:
     lines = [line for _, line in _data_lines(gt_data)]
     parsed = _fields(lines, ints=2)
     if parsed is None:
-        return _parse_ground_truth_rows(gt_data, name)
+        return _parse_ground_truth_rows(gt_data, name, results)
     (frame, tid), (x, y, w, h, flag) = parsed
-    kept = flag != 0
+    kept = (flag != 0) | results
     cols = _sorted_tracks(tid[kept], frame[kept], np.stack([x, y, w, h], axis=1)[kept])
     ids, frames, box = cols.track_id, cols.frame, cols.box
     valid = (frames >= 1) & (ids >= 1)
     valid &= np.isfinite(box).all(axis=1) & (box[:, 2:] > 0).all(axis=1)
     repeated = (ids[1:] == ids[:-1]) & (frames[1:] == frames[:-1])
     if not valid.all() or repeated.any():
-        return _parse_ground_truth_rows(gt_data, name)
+        return _parse_ground_truth_rows(gt_data, name, results)
     return TrackSet(columns=cols)
 
 
@@ -384,11 +380,7 @@ def subsample(seq: SequenceInput, ratio: int) -> SequenceInput:
         return seq
     offset = seq.columns.frame - 1
     kept = seq.columns.take(np.flatnonzero(offset % ratio == 0))
-    return SequenceInput(
-        name=seq.name,
-        fps_ratio_applied=seq.fps_ratio_applied * ratio,
-        columns=replace(kept, frame=(kept.frame - 1) // ratio + 1),
-    )
+    return SequenceInput(name=seq.name, columns=replace(kept, frame=(kept.frame - 1) // ratio + 1))
 
 
 def subsample_tracks(tracks: TrackSet, ratio: int) -> TrackSet:

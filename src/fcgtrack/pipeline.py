@@ -5,21 +5,19 @@ Stage 1 clusters detections inside consecutive non-overlapping windows of
 Stage 2 repeatedly fuses adjacent lifted frames pairwise (a balanced binary
 reduction) until a single lifted frame spans the sequence; its tracklets become
 the final tracks. The clusterings of all windows, and of all fusions of one
-level, run together through `clustering.cluster_batch`, chunk by chunk; the
-chunks are independent and may run on several workers without changing the
-result.
+level, are one `clustering.cluster_batch` call, as is a single fusion. The run
+is sequential: it starts no thread or process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from .appearance import cosine_matrix
-from .clustering import chunks, cluster_batch, cluster_matrix
+from .clustering import cluster_batch
 from .core import (
     Detection,
     DetectionColumns,
@@ -31,35 +29,6 @@ from .core import (
     common_columns,
 )
 from .weighting import weighted_matrix
-
-
-def _map_ordered(fn, items, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _cluster_all(sizes, load, build, threshold: float, workers: int) -> list:
-    """`build(k, partition)` for every clustering instance k, in order of k.
-
-    `load(k)` gives instance k's (dist, cannot_link) pair. The instances are
-    clustered a chunk at a time (`clustering.chunks`), and the chunks are
-    what the workers share.
-    """
-    groups = chunks(sizes)
-
-    def one(group):
-        partitions = cluster_batch(
-            [sizes[k] for k in group], lambda i: load(group[i]), threshold=threshold
-        )
-        return [build(k, p) for k, p in zip(group, partitions)]
-
-    built = [None] * len(sizes)
-    for group, items in zip(groups, _map_ordered(one, groups, workers)):
-        for k, item in zip(group, items):
-            built[k] = item
-    return built
 
 
 def _frame_overlap_mask(tracklets) -> np.ndarray:
@@ -107,7 +76,7 @@ def _window_frame(window, table: DetectionColumns, partition) -> LiftedFrame:
 
 
 def generate_tracklets(
-    detections: DetectionColumns | list[Detection], cfg: FcgConfig, *, workers: int = 1
+    detections: DetectionColumns | list[Detection], cfg: FcgConfig
 ) -> list[LiftedFrame]:
     """Stage 1: one lifted frame of appearance tracklets per temporal window.
 
@@ -123,18 +92,12 @@ def generate_tracklets(
         table.frame, np.arange(num_windows + 1) * cfg.window, side="right"
     ).tolist()
     windows = [(n, bounds[n], bounds[n + 1]) for n in range(num_windows)]
-    return _cluster_all(
+    partitions = cluster_batch(
         [hi - lo for _, lo, hi in windows],
         lambda k: _window_distances(windows[k], table),
-        lambda k, partition: _window_frame(windows[k], table, partition),
-        cfg.tracklet_threshold,
-        workers,
+        threshold=cfg.tracklet_threshold,
     )
-
-
-def _fusion_distances(union: list[Tracklet], cfg: FcgConfig):
-    # Tracklets covering a common frame index can never fuse.
-    return weighted_matrix(union, cfg), _frame_overlap_mask(union)
+    return [_window_frame(w, table, p) for w, p in zip(windows, partitions)]
 
 
 def _fused(union: list[Tracklet], partition) -> tuple[Tracklet, ...]:
@@ -155,10 +118,18 @@ def _fused(union: list[Tracklet], partition) -> tuple[Tracklet, ...]:
     return tuple(merged)
 
 
-def _fuse_tracklets(union: list[Tracklet], cfg: FcgConfig) -> tuple[Tracklet, ...]:
-    """Cluster tracklets under the weighted distance; one tracklet per cluster."""
-    partition = cluster_matrix(*_fusion_distances(union, cfg), threshold=cfg.track_threshold)
-    return _fused(union, partition)
+def _fuse_all(unions: list[list[Tracklet]], cfg: FcgConfig) -> list[tuple[Tracklet, ...]]:
+    """Cluster every union under the weighted distance in one `cluster_batch` call.
+
+    Tracklets covering a common frame index can never fuse. Returns one
+    tracklet per cluster, for each union.
+    """
+    partitions = cluster_batch(
+        [len(u) for u in unions],
+        lambda k: (weighted_matrix(unions[k], cfg), _frame_overlap_mask(unions[k])),
+        threshold=cfg.track_threshold,
+    )
+    return [_fused(u, p) for u, p in zip(unions, partitions)]
 
 
 def _lifted(a: LiftedFrame, b: LiftedFrame, tracklets) -> LiftedFrame:
@@ -182,22 +153,17 @@ def fuse_lifted_frames(a: LiftedFrame, b: LiftedFrame, cfg: FcgConfig) -> Lifted
             f"consecutive fusion requires adjacent spans, got "
             f"[{a.span_start}, {a.span_end}] then [{b.span_start}, {b.span_end}]"
         )
-    return _lifted(a, b, _fuse_tracklets(list(a.tracklets) + list(b.tracklets), cfg))
+    (tracklets,) = _fuse_all([list(a.tracklets) + list(b.tracklets)], cfg)
+    return _lifted(a, b, tracklets)
 
 
-def _reduce_consecutive(frames: list[LiftedFrame], cfg: FcgConfig, workers: int) -> LiftedFrame:
+def _reduce_consecutive(frames: list[LiftedFrame], cfg: FcgConfig) -> LiftedFrame:
     # Each level clusters all of its fusions together; every fused frame
     # equals `fuse_lifted_frames` on its (adjacent) pair.
     while len(frames) > 1:
         pairs = [(frames[i], frames[i + 1]) for i in range(0, len(frames) - 1, 2)]
-        unions = [list(a.tracklets) + list(b.tracklets) for a, b in pairs]
-        fused = _cluster_all(
-            [len(u) for u in unions],
-            lambda k: _fusion_distances(unions[k], cfg),
-            lambda k, partition: _lifted(*pairs[k], _fused(unions[k], partition)),
-            cfg.track_threshold,
-            workers,
-        )
+        merged = _fuse_all([list(a.tracklets) + list(b.tracklets) for a, b in pairs], cfg)
+        fused = [_lifted(a, b, tracklets) for (a, b), tracklets in zip(pairs, merged)]
         if len(frames) % 2 == 1:
             # Odd trailing frame carries up a level unmerged.
             carried = frames[-1]
@@ -214,7 +180,7 @@ def _fuse_global(frames: list[LiftedFrame], cfg: FcgConfig) -> LiftedFrame:
         level=2,
         span_start=frames[0].span_start,
         span_end=frames[-1].span_end,
-        tracklets=_fuse_tracklets([t for frame in frames for t in frame.tracklets], plain),
+        tracklets=_fuse_all([[t for frame in frames for t in frame.tracklets]], plain)[0],
     )
 
 
@@ -238,13 +204,13 @@ def run(
     `detections` are the columns of a sequence (`SequenceInput.columns`) or
     `Detection` objects. IDs are 1..K in order of each track's first frame
     (ties by the first detection's source row). The output is deterministic
-    for fixed inputs, independent of the worker count.
+    for fixed inputs. `workers` is accepted and ignored: the run is sequential.
     """
-    frames = generate_tracklets(detections, cfg, workers=workers)
+    frames = generate_tracklets(detections, cfg)
     if not frames:
         return TrackSet(tracks={})
     if cfg.consecutive:
-        final = _reduce_consecutive(frames, cfg, workers)
+        final = _reduce_consecutive(frames, cfg)
     elif len(frames) == 1:
         final = frames[0]
     else:

@@ -170,10 +170,6 @@ def generate(cfg: SynthConfig) -> tuple[SequenceInput, TrackSet]:
             gt[identity].append(TrackEntry(frame, bbox, 1.0))
             row += 1
 
-    seq = SequenceInput(
-        detections=tuple(detections),
-        name=f"synth-{cfg.seed}",
-        fps_ratio_applied=1,
-    )
+    seq = SequenceInput(detections=tuple(detections), name=f"synth-{cfg.seed}")
     truth = TrackSet(tracks={k: tuple(v) for k, v in gt.items() if v})
     return seq, truth

@@ -88,25 +88,6 @@ def _endpoints(tracklets: Sequence[Tracklet], cfg: FcgConfig):
     return before, gap, last_box, first_box
 
 
-def pair_context(t1: Tracklet, t2: Tracklet, cfg: FcgConfig) -> PairContext | None:
-    """Order a tracklet pair in time and collect its endpoint boxes.
-
-    Returns None when neither ordering leaves a gap (interleaved spans).
-    With motion enabled the earlier tracklet's last box is extrapolated at
-    its final velocity over min(delta_t, window) frames.
-    """
-    before, gap, last_box, first_box = _endpoints((t1, t2), cfg)
-    last_box = np.broadcast_to(last_box, (2, 2, 4))
-    for i, j in ((0, 1), (1, 0)):
-        if before[i, j]:
-            return PairContext(
-                last_box_k=BBox(*last_box[i, j]),
-                first_box_q=BBox(*first_box[0, j]),
-                delta_t=int(gap[i, j]),
-            )
-    return None
-
-
 def weighted_matrix(tracklets: Sequence[Tracklet], cfg: FcgConfig) -> np.ndarray:
     """Weighted distances between all tracklet pairs as a symmetric (n, n) matrix.
 

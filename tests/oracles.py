@@ -231,7 +231,7 @@ def scalar_weighted_distance(t1, t2, cfg, sentinel=SENTINEL):
     if cfg.use_temporal:
         d *= 1.0 if delta_t <= cfg.kt else cfg.ct
     if cfg.use_spatial:
-        last = early.last.bbox
+        last = early.detections[-1].bbox
         if cfg.use_motion:
             prev = early.detections[-2].bbox if len(early.detections) >= 2 else last
             k = min(delta_t, cfg.window)
@@ -241,7 +241,7 @@ def scalar_weighted_distance(t1, t2, cfg, sentinel=SENTINEL):
                 w=max(last.w + k * (last.w - prev.w), 1.0),
                 h=max(last.h + k * (last.h - prev.h), 1.0),
             )
-        first = late.first.bbox
+        first = late.detections[0].bbox
         lambda_c = min(1.0, scalar_iou_distance(last, first) + cfg.off)
         lambda_f = 1.0 if scalar_box_displacement(last, first) <= cfg.kf else cfg.cf
         d *= lambda_c * lambda_f

@@ -1,6 +1,6 @@
 from fcgtrack.cli import main
-from fcgtrack.core import FcgConfig
-from fcgtrack.io_mot import parse_detections, parse_ground_truth, write_tracks
+from fcgtrack.core import BBox, FcgConfig, TrackEntry, TrackSet
+from fcgtrack.io_mot import parse_detections, parse_ground_truth, write_ground_truth, write_tracks
 from fcgtrack.pipeline import run
 
 
@@ -126,6 +126,20 @@ class TestEval:
         assert main(["eval", "--gt", str(seq_dir / "gt.txt"), "--pred", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["idf1,1.000000", "id_switches,0"]
+
+    def test_zero_score_result_rows_are_scored(self, tmp_path, capsys):
+        # In a results file the seventh column is a score, not a flag.
+        boxes = (BBox(0, 0, 10, 10), BBox(1, 0, 10, 10))
+        gt, pred = tmp_path / "gt.txt", tmp_path / "res.txt"
+        gt.write_bytes(write_ground_truth(TrackSet(tracks={
+            1: tuple(TrackEntry(f, b, 1.0) for f, b in enumerate(boxes, 1))
+        })))
+        pred.write_bytes(write_tracks(TrackSet(tracks={
+            1: tuple(TrackEntry(f, b, 0.0) for f, b in enumerate(boxes, 1))
+        })))
+        assert ",0.0000," in pred.read_text()
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["idf1,1.000000", "id_switches,0"]
 
 
 class TestSubsampleCommand:

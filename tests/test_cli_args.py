@@ -1,5 +1,7 @@
 """`track` rejects out-of-range --ratio and --threads the way `subsample` does."""
 
+import threading
+
 import pytest
 
 from fcgtrack.cli import main
@@ -61,6 +63,27 @@ def test_track_accepts_nonnegative_threads(seq_dir, tmp_path, threads):
     assert track(seq_dir, tmp_path / "a.txt", "--threads", threads) == 0
     assert track(seq_dir, tmp_path / "b.txt") == 0
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "8"])
+def test_threads_start_no_thread(seq_dir, tmp_path, monkeypatch, threads):
+    # seq_dir spans 12 frames, two windows at the default window of 6.
+    assert track(seq_dir, tmp_path / "one.txt", "--threads", "1") == 0
+
+    def refuse(self):
+        raise AssertionError(f"thread started: {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert track(seq_dir, tmp_path / "many.txt", "--threads", threads) == 0
+    assert (tmp_path / "many.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_track_rejects_kf_that_is_not_nonnegative(seq_dir, tmp_path, capsys, value):
+    out = tmp_path / "out.txt"
+    assert track(seq_dir, out, "--kf", value) == 2
+    assert capsys.readouterr().err == f"error: kf must be >= 0, got {float(value)}\n"
+    assert not out.exists()
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 import io
+import weakref
 
 import numpy as np
 import pytest
 
+from fcgtrack import clustering
 from fcgtrack.clustering import (
     _BELOW_SENTINEL,
     BATCH_MIN,
@@ -13,7 +15,6 @@ from fcgtrack.clustering import (
     cluster,
     cluster_batch,
     cluster_matrix,
-    condensed_index,
     condensed_size,
     cut,
     linkage,
@@ -43,10 +44,11 @@ THREE = matrix_from_square(
 class TestCondensedMatrix:
     def test_indexing(self):
         n = 5
+        matrix = CondensedMatrix(n=n, values=np.arange(condensed_size(n), dtype=float))
         k = 0
         for i in range(n):
             for j in range(i + 1, n):
-                assert condensed_index(n, i, j) == k
+                assert matrix.get(i, j) == k
                 k += 1
         assert k == condensed_size(n)
 
@@ -66,9 +68,11 @@ class TestCondensedMatrix:
 class TestConstraintSet:
     def test_normalizes_order(self):
         cs = ConstraintSet.of([(3, 1), (1, 3), (0, 2)])
-        assert cs.forbids(1, 3) and cs.forbids(3, 1)
-        assert cs.forbids(2, 0)
-        assert not cs.forbids(0, 1)
+        assert cs.cannot_link == {(1, 3), (0, 2)}
+        mask = cs.mask(4)
+        assert mask[1, 3] and mask[3, 1]
+        assert mask[2, 0]
+        assert not mask[0, 1]
 
     def test_rejects_reflexive(self):
         with pytest.raises(ValueError):
@@ -478,3 +482,59 @@ class TestStopAtCut:
             assert cluster_matrix(square, mask, threshold=threshold) == cut(full, threshold)
             expected = brute_force_partition(n, np.minimum(square, CANNOT_LINK), cannot, threshold)
             assert cluster_matrix(square, mask, threshold=threshold) == expected
+
+
+class TestLevelMemory:
+    """`cluster_batch` links in chunks whose padded tensors stay within a fixed budget."""
+
+    def test_chunks_stay_within_cell_budget(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        sizes = [int(n) for n in rng.integers(0, 7, 300)]
+        sizes.insert(117, 400)
+        seeds = rng.integers(0, 2**32, len(sizes))
+
+        def matrix(k):
+            local = np.random.default_rng(seeds[k])
+            n = sizes[k]
+            square = np.round(local.uniform(0, 0.2, (n, n)), 2)
+            return square + square.T, local.random((n, n)) < 0.1
+
+        tensors = []
+        link = clustering._link
+
+        def recording_link(d, near, nn, n, limit):
+            tensors.append(d.size)
+            return link(d, near, nn, n, limit)
+
+        monkeypatch.setattr(clustering, "_link", recording_link)
+        calls, loaded = [], []
+
+        def load(k):
+            # Each matrix is copied into its chunk's tensor and released
+            # before the next one is built.
+            assert all(ref() is None for ref in loaded)
+            dist, mask = matrix(k)
+            calls.append(k)
+            loaded.append(weakref.ref(dist))
+            return dist, mask
+
+        partitions = cluster_batch(sizes, load, threshold=0.1)
+        assert tensors and max(tensors) <= clustering.CHUNK_CELLS
+        assert sum(tensors) < 3 * 400**2
+        assert calls == [k for g in clustering.chunks(sizes) for k in g if sizes[k] >= 2]
+        assert len(partitions) == len(sizes)
+        for k, partition in enumerate(partitions):
+            assert partition == cluster_matrix(*matrix(k), threshold=0.1)
+
+    def test_chunks_of_sizes(self):
+        sizes = [5] * 20 + [400] + [180] * 5 + [0, 1]
+        groups = clustering.chunks(sizes)
+        assert sorted(k for g in groups for k in g) == list(range(len(sizes)))
+        for group in groups:
+            largest = max(sizes[k] for k in group)
+            assert len(group) * largest**2 <= clustering.CHUNK_CELLS
+            assert len(group) == 1 or len(group) >= clustering.BATCH_MIN
+        # The tiny instances share one chunk; the five of 180 each run alone.
+        assert sorted(len(g) for g in groups) == [1] * 6 + [22]
+        # Chunks are listed in ascending index order.
+        assert groups == sorted(sorted(g) for g in groups)

@@ -173,6 +173,10 @@ class TestFcgConfig:
             {"off": 1.5},
             {"score_threshold": 2.0},
             {"feature_dim": 0},
+            {"kt": -1},
+            {"kt": float("nan")},
+            {"kf": -1.0},
+            {"kf": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -294,7 +294,6 @@ class TestSubsample:
         assert [d.frame for d in out.detections] == [1, 2, 3, 4, 5]
         kept_rows = [d.source_row for d in out.detections]
         assert kept_rows == [0, 2, 4, 6, 8]
-        assert out.fps_ratio_applied == 2
 
     def test_ratio_thirty_keeps_one_frame(self):
         out = subsample(self.seq(range(1, 31)), 30)
@@ -305,7 +304,6 @@ class TestSubsample:
         twice = subsample(subsample(s, 2), 2)
         direct = subsample(s, 4)
         assert twice.detections == direct.detections
-        assert twice.fps_ratio_applied == direct.fps_ratio_applied == 4
 
     def test_subsample_tracks_matches_rule(self):
         b = BBox(0, 0, 1, 1)

@@ -260,6 +260,41 @@ class TestGroundTruthFlagZero:
         gt_raises_exactly("gt.txt line 2: frame index 0 < 1", [GT_GOOD, "0,1,1,1,5,5,nan"])
 
 
+class TestResultsScoreColumn:
+    """A results file's seventh column is a score: no row is dropped by it."""
+
+    @staticmethod
+    def parse(lines):
+        data = ("\n".join(lines) + "\n").encode()
+        return parse_ground_truth(data, name="res.txt", results=True)
+
+    @pytest.mark.parametrize("score", ["0", "0.0000", "-0.0", "0.5", "nan"])
+    def test_keeps_every_score(self, score):
+        ts = self.parse([GT_GOOD, f"2,1,1,1,5,5,{score},-1,-1,-1"])
+        assert gt_rows(ts) == [(1, 1), (2, 1)]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,1,1,1,5,5,0", "frame index 0 < 1"),
+            ("2,0,1,1,5,5,0", "track id 0 < 1"),
+            ("1,1,1,1,5,5,0", "duplicate (frame, id) (1, 1)"),
+            ("2,1,1,1,0,5,0", "box size must be positive, got w=0.0, h=5.0"),
+            (f"{MAX + 1},1,1,1,5,5,0", f"frame index {MAX + 1} > {MAX}"),
+            ("2,1,abc,1,5,5,0", "could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_zero_score_row_is_checked(self, row, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(f'res.txt line 2: {message}')}$"):
+            self.parse([GT_GOOD, row])
+
+    def test_array_checks_match_the_row_walk(self):
+        data = f"{GT_GOOD}\n2,1,1,1,5,5,0\n3,1,1,1,5,5,0.25\n".encode()
+        fast = parse_ground_truth(data, "res.txt", results=True)
+        assert fast == _parse_ground_truth_rows(data, "res.txt", results=True)
+        assert gt_rows(fast) == [(1, 1), (2, 1), (3, 1)]
+
+
 class TestGroundTruthFirstBadLineWins:
     @pytest.mark.parametrize(
         "first, second",

@@ -1,12 +1,11 @@
 import math
-import threading
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fcgtrack import clustering
+from fcgtrack import clustering, pipeline
 from fcgtrack.appearance import cosine_matrix
 
 from fcgtrack.core import (
@@ -20,14 +19,16 @@ from fcgtrack.core import (
 from fcgtrack.io_mot import write_tracks
 from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import (
-    _cluster_all,
     _frame_overlap_mask,
+    _fuse_all,
+    _fused,
     _reduce_consecutive,
     fuse_lifted_frames,
     generate_tracklets,
     run,
 )
 from fcgtrack.synthdata import SynthConfig, generate
+from fcgtrack.weighting import weighted_matrix
 
 CFG = FcgConfig(feature_dim=8)
 
@@ -90,16 +91,6 @@ class TestGenerateTracklets:
 
     def test_empty_input(self):
         assert generate_tracklets([], CFG) == []
-
-    def test_workers_do_not_change_result(self):
-        rng = np.random.default_rng(31)
-        dets = [
-            det(int(f), rng.normal(size=8), row=i)
-            for i, f in enumerate(rng.integers(1, 40, size=60))
-        ]
-        base = generate_tracklets(dets, CFG, workers=1)
-        for workers in (2, 4):
-            assert generate_tracklets(dets, CFG, workers=workers) == base
 
 
 class TestFuseLiftedFrames:
@@ -283,27 +274,28 @@ class TestRun:
             frames = generate_tracklets(dets, CFG)
             n_windows = math.ceil(num_frames / CFG.window)
             assert len(frames) == n_windows
-            final = _reduce_consecutive(frames, CFG, workers=1)
+            final = _reduce_consecutive(frames, CFG)
             assert (final.span_start, final.span_end) == (0, n_windows)
             expected_levels = math.ceil(math.log2(n_windows)) + 1 if n_windows > 1 else 1
             assert final.level == expected_levels
 
 
 class TestLevelMemory:
-    """A level is clustered in chunks whose padded tensors stay within a fixed budget."""
+    """Each stage clusters its level in chunks whose padded tensors stay within a fixed budget."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_chunks_stay_within_cell_budget(self, monkeypatch, workers):
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_chunks_stay_within_cell_budget(self, monkeypatch, stage):
         rng = np.random.default_rng(60)
         sizes = [int(n) for n in rng.integers(0, 7, 300)]
         sizes.insert(117, 400)
-        seeds = rng.integers(0, 2**32, len(sizes))
-
-        def matrix(k):
-            local = np.random.default_rng(seeds[k])
-            n = sizes[k]
-            square = np.round(local.uniform(0, 0.2, (n, n)), 2)
-            return square + square.T, local.random((n, n)) < 0.1
+        # Instance k holds sizes[k] detections in frames 4k+1..4k+4, drawn
+        # near a few axes so that some of them cluster.
+        dets = []
+        for k, n in enumerate(sizes):
+            picks = sorted(rng.integers(0, 4, n).tolist())
+            for f in picks:
+                feature = basis(int(rng.integers(0, 3))) + rng.normal(0, 0.1, 8)
+                dets.append(det(4 * k + 1 + f, feature, row=len(dets)))
 
         tensors = []
         link = clustering._link
@@ -313,34 +305,56 @@ class TestLevelMemory:
             return link(d, near, nn, n, limit)
 
         monkeypatch.setattr(clustering, "_link", recording_link)
-        loaded = {}
+        loaded = []
 
-        def load(k):
+        def releasing(build):
             # Each matrix is copied into its chunk's tensor and released
-            # before the next one of that chunk is built.
-            mine = loaded.setdefault(threading.get_ident(), [])
-            assert all(ref() is None for ref in mine)
-            dist, mask = matrix(k)
-            mine.append(weakref.ref(dist))
-            return dist, mask
+            # before the next one is built.
+            def load(*args):
+                assert all(ref() is None for ref in loaded)
+                out = build(*args)
+                loaded.append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+                return out
 
-        built = _cluster_all(sizes, load, lambda k, p: (k, p), 0.1, workers)
+            return load
+
+        cfg = FcgConfig(feature_dim=8, window=4)
+        bounds = np.cumsum([0] + sizes).tolist()
+        if stage == 1:
+            monkeypatch.setattr(
+                pipeline, "_window_distances", releasing(pipeline._window_distances)
+            )
+            built = [_rows(f) for f in generate_tracklets(dets, cfg)]
+        else:
+            unions = [
+                [tracklet_new([d]) for d in dets[bounds[k] : bounds[k + 1]]]
+                for k in range(len(sizes))
+            ]
+            monkeypatch.setattr(pipeline, "weighted_matrix", releasing(weighted_matrix))
+            built = _fuse_all(unions, cfg)
         assert tensors and max(tensors) <= clustering.CHUNK_CELLS
         assert sum(tensors) < 3 * 400**2
-        assert [k for k, _ in built] == list(range(len(sizes)))
-        for k, partition in built:
-            assert partition == clustering.cluster_matrix(*matrix(k), threshold=0.1)
+        assert len(built) == len(sizes)
 
-    def test_chunks_of_sizes(self):
-        sizes = [5] * 20 + [400] + [180] * 5 + [0, 1]
-        groups = clustering.chunks(sizes)
-        assert sorted(k for g in groups for k in g) == list(range(len(sizes)))
-        for group in groups:
-            largest = max(sizes[k] for k in group)
-            assert len(group) * largest**2 <= clustering.CHUNK_CELLS
-            assert len(group) == 1 or len(group) >= clustering.BATCH_MIN
-        # The tiny instances share one chunk; the five of 180 each run alone.
-        assert sorted(len(g) for g in groups) == [1] * 6 + [22]
+        table = pipeline._sorted_columns(dets)
+        for k, got in enumerate(built):
+            lo, hi = bounds[k], bounds[k + 1]
+            if stage == 1:
+                frames = table.frame[lo:hi]
+                partition = clustering.cluster_matrix(
+                    cosine_matrix(table.feature[lo:hi].astype(np.float64)),
+                    frames[:, None] == frames[None, :],
+                    threshold=cfg.tracklet_threshold,
+                )
+                assert got == [(lo + np.array(m)).tolist() for m in partition]
+            else:
+                union = unions[k]
+                partition = clustering.cluster_matrix(
+                    weighted_matrix(union, cfg),
+                    _frame_overlap_mask(union),
+                    threshold=cfg.track_threshold,
+                )
+                assert got == _fused(union, partition)
 
 
 def _rows(frame):
@@ -386,6 +400,6 @@ class TestBatchedLevels:
             if len(expected) % 2 == 1:
                 fused.append(replace(expected[-1], level=expected[-1].level + 1))
             expected = fused
-        final = _reduce_consecutive(frames, cfg, workers=1)
+        final = _reduce_consecutive(frames, cfg)
         assert final.level == expected[0].level
         assert _rows(final) == _rows(expected[0])

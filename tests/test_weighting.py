@@ -9,7 +9,7 @@ from fcgtrack.clustering import CANNOT_LINK
 from fcgtrack.core import BBox, Detection, FcgConfig, tracklet_new
 from fcgtrack.weighting import (
     PairContext,
-    pair_context,
+    _endpoints,
     spatial_weights,
     temporal_weight,
     weighted_distance,
@@ -71,6 +71,16 @@ class TestSpatialWeights:
             lam_c, lam_f = spatial_weights(PairContext(a, b, 1), CFG)
             assert CFG.off <= lam_c <= 1.0
             assert lam_f in (1.0, CFG.cf)
+
+
+def pair_context(t1, t2, cfg):
+    """The pair's endpoint geometry in time order, from `_endpoints`; None if interleaved."""
+    before, gap, last_box, first_box = _endpoints((t1, t2), cfg)
+    last_box = np.broadcast_to(last_box, (2, 2, 4))
+    for i, j in ((0, 1), (1, 0)):
+        if before[i, j]:
+            return PairContext(BBox(*last_box[i, j]), BBox(*first_box[0, j]), int(gap[i, j]))
+    return None
 
 
 class TestPairContext:
