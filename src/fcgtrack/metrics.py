@@ -5,7 +5,6 @@ from __future__ import annotations
 from itertools import groupby
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import TrackSet
 from .geometry import iou_distance_array
@@ -15,21 +14,28 @@ _GT_BLOCK = 1024
 
 
 def _by_frame(tracks: TrackSet):
-    """Frames, track IDs and an (n, 4) box array of all entries, by (frame, ID)."""
+    """Frames, ID ranks and an (n, 4) box array of all entries, by (frame, ID).
+
+    An ID's rank is its position among the distinct track IDs of the set.
+    The columns are sorted by track ID, so ranks take no sort and keep the
+    order of the IDs.
+    """
     cols = tracks.columns
+    rank = np.zeros(len(cols.track_id), dtype=np.int64)
+    np.cumsum(cols.track_id[1:] != cols.track_id[:-1], out=rank[1:])
     order = np.lexsort((cols.track_id, cols.frame))
-    return cols.frame[order], cols.track_id[order], cols.box[order]
+    return cols.frame[order], rank[order], cols.box[order]
 
 
 def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):
     """Same-frame box pairs with IoU >= iou_threshold, ascending by frame.
 
-    Returns parallel arrays: frame, GT ID, predicted ID and IoU. The IoUs
-    are computed by array calls over blocks of GT entries, each paired with
-    every prediction in its frame.
+    Returns parallel arrays: frame, GT ID rank, predicted ID rank (see
+    `_by_frame`) and IoU. The IoUs are computed by array calls over blocks
+    of GT entries, each paired with every prediction in its frame.
     """
-    gt_frame, gt_id, gt_box = _by_frame(gt)
-    pred_frame, pred_id, pred_box = _by_frame(pred)
+    gt_frame, gt_rank, gt_box = _by_frame(gt)
+    pred_frame, pred_rank, pred_box = _by_frame(pred)
     lo = np.searchsorted(pred_frame, gt_frame, side="left")
     count = np.searchsorted(pred_frame, gt_frame, side="right") - lo
     blocks = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
@@ -41,7 +47,121 @@ def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):
         keep = iou >= iou_threshold
         blocks.append((g[keep], p[keep], iou[keep]))
     g, p, iou = (np.concatenate(parts) for parts in zip(*blocks))
-    return gt_frame[g], gt_id[g], pred_id[p], iou
+    return gt_frame[g], gt_rank[g], pred_rank[p], iou
+
+
+def _components(row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Connected-component label of each edge of the bipartite graph (row, col).
+
+    Label propagation over node arrays: every round hooks the larger of two
+    adjacent roots to the smaller, then jumps pointers until every node
+    points at its root. A round without a cross edge ends it.
+    """
+    a = row
+    b = col + (row.max() + 1)
+    label = np.arange(b.max() + 1)
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            return la
+        np.minimum.at(label, np.maximum(la, lb)[cross], np.minimum(la, lb)[cross])
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+
+
+def _max_assignment(weight: np.ndarray):
+    """Largest total of weight[i, a(i)] over one-to-one maps a of rows to columns.
+
+    Shortest augmenting paths (Jonker and Volgenant 1987; Crouse 2016, "On
+    implementing 2D rectangular assignment algorithms"): each row of the
+    shorter side in turn runs a Dijkstra search over the reduced costs of
+    -weight to the nearest free column, preferring a free column on ties;
+    then the dual potentials are updated and the path is flipped. The total
+    has the dtype of `weight`. Integer weights stay integers in float64
+    throughout, so their total is exact.
+    """
+    if weight.shape[0] > weight.shape[1]:
+        weight = weight.T
+    cost = -weight.astype(np.float64)
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_rows)
+    v = np.zeros(n_cols)
+    col4row = np.full(n_rows, -1)
+    row4col = np.full(n_cols, -1)
+    for start in range(n_rows):
+        shortest = np.full(n_cols, np.inf)
+        path = np.full(n_cols, -1)
+        todo = np.ones(n_cols, dtype=bool)
+        reached = []
+        i, low = start, 0.0
+        while True:
+            reduced = low + cost[i] - u[i] - v
+            better = todo & (reduced < shortest)
+            path[better] = i
+            shortest[better] = reduced[better]
+            dist = np.where(todo, shortest, np.inf)
+            j = int(dist.argmin())
+            low = dist[j]
+            if row4col[j] >= 0:
+                free = np.flatnonzero((dist == low) & (row4col < 0))
+                if len(free):
+                    j = int(free[0])
+            todo[j] = False
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            reached.append(i)
+        u[start] += low
+        u[reached] += low - shortest[col4row[reached]]
+        done = ~todo
+        v[done] -= low - shortest[done]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return weight[np.arange(n_rows), col4row].sum()
+
+
+def _idtp(row: np.ndarray, col: np.ndarray) -> int:
+    """Largest total of matched frames over one-to-one GT-to-prediction ID maps.
+
+    `row` and `col` hold the GT and predicted ID ranks of every matched box
+    pair. A pair of IDs that never matches adds nothing, so the pairs that
+    do match split into connected components, each solved apart. No map
+    beats each row's largest count, so a component whose rows take their
+    largest counts in distinct columns, one each, is solved by those; such
+    components are summed as arrays and the rest go to `_max_assignment`.
+    Memory and time follow the matches, not the product of the ID counts.
+    """
+    n_cols = col.max() + 1
+    key, count = np.unique(row * n_cols + col, return_counts=True)
+    row, col = np.divmod(key, n_cols)
+    best = np.zeros(row[-1] + 1, dtype=count.dtype)
+    np.maximum.at(best, row, count)
+    top = count == best[row]
+    clash = top & (
+        (np.bincount(row[top])[row] > 1) | (np.bincount(col[top], minlength=n_cols)[col] > 1)
+    )
+    if not clash.any():
+        return int(count[top].sum())
+    label = _components(row, col)
+    hard = np.isin(label, label[clash])
+    total = int(count[top & ~hard].sum())
+    edges = np.flatnonzero(hard)
+    edges = edges[np.argsort(label[edges], kind="stable")]
+    for part in np.split(edges, np.flatnonzero(np.diff(label[edges])) + 1):
+        _, r = np.unique(row[part], return_inverse=True)
+        _, c = np.unique(col[part], return_inverse=True)
+        weight = np.zeros((r.max() + 1, c.max() + 1), dtype=np.int64)
+        weight[r, c] = count[part]
+        total += int(_max_assignment(weight))
+    return total
 
 
 def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
@@ -60,16 +180,10 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
     if total_gt == 0 or total_pred == 0:
         return 0.0
 
-    _, gids, pids, _ = _matches(gt, pred, iou_threshold)
-    if not len(gids):
+    _, rows, cols, _ = _matches(gt, pred, iou_threshold)
+    if not len(rows):
         return 0.0
-    gt_ids = np.unique(gt.columns.track_id)
-    pred_ids = np.unique(pred.columns.track_id)
-    matrix = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
-    np.add.at(matrix, (np.searchsorted(gt_ids, gids), np.searchsorted(pred_ids, pids)), 1)
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
-    idtp = int(matrix[rows, cols].sum())
-    return 2.0 * idtp / (total_gt + total_pred)
+    return 2.0 * _idtp(rows, cols) / (total_gt + total_pred)
 
 
 def id_switches(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> int:

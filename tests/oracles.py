@@ -81,6 +81,36 @@ def box_iou(a, b):
     return inter / (a.w * a.h + b.w * b.h - inter)
 
 
+def matched_frames(gt, pred, iou_threshold=0.5):
+    """(GT ID, predicted ID) -> frames where both have a box with IoU >= the
+    threshold, for every pair with at least one such frame; pair by pair."""
+    counts = {}
+    for gid, gentries in gt.tracks.items():
+        gmap = {e.frame: e.bbox for e in gentries}
+        for pid, pentries in pred.tracks.items():
+            c = 0
+            for e in pentries:
+                gbox = gmap.get(e.frame)
+                if gbox is not None and box_iou(gbox, e.bbox) >= iou_threshold:
+                    c += 1
+            if c:
+                counts[(gid, pid)] = c
+    return counts
+
+
+def brute_force_assignment(weight):
+    """Largest total of weight[i, a(i)] over every injective map a from the
+    shorter side of the matrix to the longer; up to about 7 x 7."""
+    w = np.asarray(weight)
+    if w.shape[0] > w.shape[1]:
+        w = w.T
+    rows = range(w.shape[0])
+    return max(
+        sum(w[i, j] for i, j in zip(rows, cols))
+        for cols in itertools.permutations(range(w.shape[1]), w.shape[0])
+    )
+
+
 def brute_force_idf1(gt, pred, iou_threshold=0.5):
     """IDF1 by exhaustive search over injective GT-to-prediction ID mappings.
 
@@ -94,18 +124,7 @@ def brute_force_idf1(gt, pred, iou_threshold=0.5):
     if total_gt == 0 or total_pred == 0:
         return 0.0
 
-    counts = {}
-    for gid, gentries in gt.tracks.items():
-        gmap = {e.frame: e.bbox for e in gentries}
-        for pid, pentries in pred.tracks.items():
-            c = 0
-            for e in pentries:
-                gbox = gmap.get(e.frame)
-                if gbox is not None and box_iou(gbox, e.bbox) >= iou_threshold:
-                    c += 1
-            if c:
-                counts[(gid, pid)] = c
-
+    counts = matched_frames(gt, pred, iou_threshold)
     gt_ids = sorted(gt.tracks)
     pred_ids = sorted(pred.tracks)
     best = 0

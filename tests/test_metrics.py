@@ -1,10 +1,13 @@
+import tracemalloc
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
-from fcgtrack.core import BBox, TrackEntry, TrackSet
+from fcgtrack.core import BBox, TrackColumns, TrackEntry, TrackSet
 from fcgtrack import metrics
 from fcgtrack.metrics import id_switches, idf1
-from oracles import brute_force_idf1, per_pair_id_switches
+from oracles import brute_force_assignment, brute_force_idf1, per_pair_id_switches
 
 
 def track(frame_boxes, score=1.0):
@@ -198,3 +201,147 @@ class TestArrayMatching:
         expected = [(idf1(gt, pred), id_switches(gt, pred)) for gt, pred in cases]
         monkeypatch.setattr(metrics, "_GT_BLOCK", block)
         assert [(idf1(gt, pred), id_switches(gt, pred)) for gt, pred in cases] == expected
+
+
+def random_weights(rng, kind, shape):
+    """A random count matrix: `continuous` floats, `quantised` to a few
+    values so that ties are common, `sparse` (mostly zero) or `zero`."""
+    if kind == "continuous":
+        return rng.uniform(0.0, 100.0, shape)
+    if kind == "quantised":
+        return rng.integers(0, 3, shape)
+    if kind == "sparse":
+        return rng.integers(1, 20, shape) * (rng.random(shape) < 0.2)
+    return np.zeros(shape, dtype=np.int64)
+
+
+def count_matrix(row, col):
+    """The dense (GT ID x predicted ID) matrix of matched-frame counts."""
+    matrix = np.zeros((row.max() + 1, col.max() + 1), dtype=np.int64)
+    np.add.at(matrix, (row, col), 1)
+    return matrix
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("kind", ["continuous", "quantised", "sparse", "zero"])
+    def test_matches_brute_force(self, kind):
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            weight = random_weights(rng, kind, tuple(rng.integers(1, 8, size=2)))
+            got = metrics._max_assignment(weight)
+            if kind == "continuous":
+                assert got == pytest.approx(brute_force_assignment(weight), rel=1e-12)
+            else:
+                assert got == brute_force_assignment(weight)
+
+    @pytest.mark.parametrize("kind", ["continuous", "quantised", "sparse", "zero"])
+    def test_row_and_column_vectors(self, kind):
+        rng = np.random.default_rng(72)
+        for n in range(1, 12):
+            weight = random_weights(rng, kind, (1, n))
+            assert metrics._max_assignment(weight) == weight.max()
+            assert metrics._max_assignment(weight.T) == weight.max()
+
+    def test_matches_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(73)
+        cases = [
+            random_weights(rng, kind, tuple(rng.integers(1, 61, size=2)))
+            for _ in range(40)
+            for kind in ("continuous", "quantised", "sparse")
+        ]
+        cases.append(rng.integers(1, 1000, (200, 200)))
+        for weight in cases:
+            rows, cols = optimize.linear_sum_assignment(weight, maximize=True)
+            expected = weight[rows, cols].sum()
+            if weight.dtype.kind == "f":
+                assert metrics._max_assignment(weight) == pytest.approx(expected, rel=1e-12)
+            else:
+                assert metrics._max_assignment(weight) == expected
+
+
+def bfs_components(row, col):
+    """Component of each edge, as a frozenset of its edge indices, by search."""
+    edges_of = defaultdict(list)
+    for e, (r, c) in enumerate(zip(row.tolist(), col.tolist())):
+        edges_of["r", r].append(e)
+        edges_of["c", c].append(e)
+    component = {}
+    for start in range(len(row)):
+        if start in component:
+            continue
+        seen, stack = {start}, [start]
+        while stack:
+            e = stack.pop()
+            for node in (("r", int(row[e])), ("c", int(col[e]))):
+                for f in edges_of[node]:
+                    if f not in seen:
+                        seen.add(f)
+                        stack.append(f)
+        for e in seen:
+            component[e] = frozenset(seen)
+    return [component[e] for e in range(len(row))]
+
+
+class TestSparseIdtp:
+    def test_components_match_search(self):
+        rng = np.random.default_rng(74)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            row = rng.integers(0, int(rng.integers(1, 30)), n)
+            col = rng.integers(0, int(rng.integers(1, 30)), n)
+            label = metrics._components(row, col)
+            expected = bfs_components(row, col)
+            for e in range(n):
+                assert frozenset(np.flatnonzero(label == label[e]).tolist()) == expected[e]
+
+    @pytest.mark.parametrize("near, far, best", [(2, 1, 400), (1, 1, 200)])
+    def test_long_chain(self, near, far, best):
+        # GT rank k matches predicted rank k `near` times and k + 1 `far`
+        # times: one component of 401 IDs, numbered from the far end. With a
+        # tie every row's largest count is shared and the solver runs.
+        k = np.arange(200)[::-1]
+        row = np.repeat(np.concatenate([k, k]), [near] * 200 + [far] * 200)
+        col = np.repeat(np.concatenate([k, k + 1]), [near] * 200 + [far] * 200)
+        assert len(np.unique(metrics._components(row, col))) == 1
+        assert metrics._idtp(row, col) == best
+
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(75)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            row = rng.integers(0, int(rng.integers(1, 7)), n)
+            col = rng.integers(0, int(rng.integers(1, 7)), n)
+            assert metrics._idtp(row, col) == brute_force_assignment(count_matrix(row, col))
+
+    def test_matches_scipy_on_many_ids(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(76)
+        for _ in range(40):
+            n = int(rng.integers(1, 400))
+            row = rng.integers(0, 80, n)
+            col = rng.integers(0, 80, n)
+            matrix = count_matrix(row, col)
+            rows, cols = optimize.linear_sum_assignment(matrix, maximize=True)
+            assert metrics._idtp(row, col) == matrix[rows, cols].sum()
+
+    def test_memory_follows_matches_not_id_product(self):
+        # 8,000 one-frame identities: a dense count matrix would be 512 MB.
+        n = 8000
+        ids = np.arange(1, n + 1)
+
+        def tracks(offset):
+            return TrackSet(columns=TrackColumns(
+                track_id=ids + offset, frame=ids.copy(),
+                box=np.tile([0.0, 0.0, 10.0, 10.0], (n, 1)), score=np.ones(n),
+            ))
+
+        gt, pred = tracks(0), tracks(7)
+        tracemalloc.start()
+        try:
+            score = idf1(gt, pred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert score == 1.0
+        assert peak < 32 * 2**20

@@ -22,7 +22,12 @@ from fcgtrack.io_mot import (  # noqa: E402
 from fcgtrack.metrics import id_switches, idf1  # noqa: E402
 from fcgtrack.pipeline import generate_tracklets, run  # noqa: E402
 from fcgtrack.weighting import weighted_distance, weighted_matrix  # noqa: E402
-from oracles import brute_force_idf1, per_pair_id_switches  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_assignment,
+    brute_force_idf1,
+    matched_frames,
+    per_pair_id_switches,
+)
 
 DIM = 4
 CFG = FcgConfig(feature_dim=DIM, window=3)
@@ -58,11 +63,12 @@ def detection_lists(draw, max_size=24, max_frame=20):
 
 
 @st.composite
-def track_sets(draw, ids, frames, boxes):
-    """A TrackSet with scores 1.0: distinct IDs drawn from `ids`, each with
-    one or more distinct frames from `frames` and a box from `boxes` per frame."""
+def track_sets(draw, ids, frames, boxes, max_ids=4):
+    """A TrackSet with scores 1.0: up to `max_ids` distinct IDs drawn from
+    `ids`, each with one or more distinct frames from `frames` and a box from
+    `boxes` per frame."""
     tracks = {}
-    for tid in draw(st.lists(ids, max_size=4, unique=True)):
+    for tid in draw(st.lists(ids, max_size=max_ids, unique=True)):
         track_frames = sorted(draw(st.lists(frames, min_size=1, max_size=6, unique=True)))
         tracks[tid] = tuple(TrackEntry(f, BBox(*draw(boxes)), 1.0) for f in track_frames)
     return TrackSet(tracks=tracks)
@@ -164,3 +170,29 @@ def test_parsed_columns_score_like_the_oracles(gt, pred):
     pred_cols = parse_ground_truth(write_ground_truth(pred))
     assert idf1(gt_cols, pred_cols) == brute_force_idf1(gt, pred)
     assert id_switches(gt_cols, pred_cols) == per_pair_id_switches(gt, pred)
+
+
+# Three box positions in one row, so IDs match several IDs of the other side.
+CROWD_BOX = st.tuples(
+    st.sampled_from([0.0, 2.0, 4.0]), st.just(0.0), st.just(10.0), st.just(10.0),
+)
+
+
+@settings(max_examples=100)
+@given(
+    track_sets(st.integers(1, 30), st.integers(1, 4), CROWD_BOX, max_ids=6),
+    track_sets(st.integers(1, 30), st.integers(1, 4), CROWD_BOX, max_ids=6),
+)
+def test_idf1_of_parsed_columns_is_the_brute_force_idtp(gt, pred):
+    gt_cols = parse_ground_truth(write_ground_truth(gt))
+    pred_cols = parse_ground_truth(write_ground_truth(pred))
+    counts = matched_frames(gt, pred)
+    # A spare zero row and column keep the matrix non-empty and change no total.
+    weight = np.zeros((len(gt.tracks) + 1, len(pred.tracks) + 1), dtype=np.int64)
+    gt_index = {tid: i for i, tid in enumerate(gt.tracks)}
+    pred_index = {tid: i for i, tid in enumerate(pred.tracks)}
+    for (gid, pid), count in counts.items():
+        weight[gt_index[gid], pred_index[pid]] = count
+    boxes = sum(map(len, gt.tracks.values())) + sum(map(len, pred.tracks.values()))
+    expected = 2.0 * brute_force_assignment(weight) / boxes if boxes else 1.0
+    assert idf1(gt_cols, pred_cols) == expected
