@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .core import FcgConfig, FcgError
 from .io_mot import (
+    check_ratio,
     detection_features,
     parse_detections,
     parse_ground_truth,
@@ -39,69 +41,50 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _size(text: str) -> tuple[float, float]:
-    try:
-        w, h = text.lower().split("x")
-        return float(w), float(h)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from exc
+def _numbers(metavar: str, sep: str, kind: type):
+    """An argparse type: `metavar`'s fields, split at `sep`, each read as `kind`."""
+    count = len(metavar.lower().split(sep))
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(kind(v) for v in text.lower().split(sep))
+        except ValueError:
+            values = ()
+        if len(values) != count:
+            raise argparse.ArgumentTypeError(f"expected {metavar}, got {text!r}")
+        return values
+
+    return parse
 
 
-def _occlusion(text: str) -> tuple[int, int, int]:
-    try:
-        identity, start, end = (int(v) for v in text.split(":"))
-        return identity, start, end
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected id:start:end, got {text!r}") from exc
-
-
-def _exit_spec(text: str) -> tuple[int, int]:
-    try:
-        identity, frame = (int(v) for v in text.split(":"))
-        return identity, frame
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected id:frame, got {text!r}") from exc
+# The boolean fields of FcgConfig, each set by a flag that flips its default.
+_TOGGLES = {
+    "use_temporal": ("--no-temporal", "disable temporal weighting"),
+    "use_spatial": ("--no-spatial", "disable spatial weighting"),
+    "use_motion": ("--motion", "enable constant-velocity motion"),
+    "consecutive": ("--non-consecutive", "one global fusion step"),
+}
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=_DEFAULTS.window)
-    p.add_argument("--tracklet-threshold", type=float, default=_DEFAULTS.tracklet_threshold)
-    p.add_argument("--track-threshold", type=float, default=_DEFAULTS.track_threshold)
-    p.add_argument("--kt", type=int, default=_DEFAULTS.kt)
-    p.add_argument("--ct", type=float, default=_DEFAULTS.ct)
-    p.add_argument("--off", type=float, default=_DEFAULTS.off)
-    p.add_argument("--kf", type=float, default=_DEFAULTS.kf)
-    p.add_argument("--cf", type=float, default=_DEFAULTS.cf)
-    p.add_argument("--score-threshold", type=float, default=_DEFAULTS.score_threshold)
-    p.add_argument("--feature-dim", type=int, default=_DEFAULTS.feature_dim)
-    p.add_argument("--no-temporal", action="store_true", help="disable temporal weighting")
-    p.add_argument("--no-spatial", action="store_true", help="disable spatial weighting")
-    p.add_argument("--motion", action="store_true", help="enable constant-velocity motion")
-    p.add_argument("--non-consecutive", action="store_true", help="one global fusion step")
+    """One flag per FcgConfig field: `--field-name VALUE`, or its toggle."""
+    for f in fields(FcgConfig):
+        if f.name not in _TOGGLES:
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
+    for name, (flag, text) in _TOGGLES.items():
+        default = getattr(_DEFAULTS, name)
+        p.add_argument(
+            flag, dest=name, action="store_const", const=not default, default=default, help=text
+        )
 
 
 def _config(args: argparse.Namespace) -> FcgConfig:
-    return FcgConfig(
-        window=args.window,
-        tracklet_threshold=args.tracklet_threshold,
-        track_threshold=args.track_threshold,
-        kt=args.kt,
-        ct=args.ct,
-        off=args.off,
-        kf=args.kf,
-        cf=args.cf,
-        score_threshold=args.score_threshold,
-        use_temporal=not args.no_temporal,
-        use_spatial=not args.no_spatial,
-        use_motion=args.motion,
-        consecutive=not args.non_consecutive,
-        feature_dim=args.feature_dim,
-    )
+    return FcgConfig(**{f.name: getattr(args, f.name) for f in fields(FcgConfig)})
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
-    if args.ratio < 1:
-        raise ValueError(f"ratio must be >= 1, got {args.ratio}")
+    check_ratio(args.ratio)
     if args.threads < 0:
         raise ValueError(f"threads must be >= 0, got {args.threads}")
     cfg = _config(args)
@@ -111,8 +94,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
         cfg,
         name=Path(args.det).name,
     )
-    if args.ratio > 1:
-        seq = subsample(seq, args.ratio)
+    # Rebinding `seq` lets the unkept rows and the sidecar bytes go before tracking.
+    seq = subsample(seq, args.ratio)
     tracks = run(seq.columns, cfg)
     Path(args.out).write_bytes(write_tracks(tracks))
     return 0
@@ -153,6 +136,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_subsample(args: argparse.Namespace) -> int:
+    check_ratio(args.ratio)
     cfg = FcgConfig(score_threshold=args.score_threshold, feature_dim=args.feature_dim)
     seq = parse_detections(
         Path(args.det).read_bytes(),
@@ -198,12 +182,13 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--out-dir", required=True)
     p_synth.add_argument("--feature-dim", type=int, default=2048)
     p_synth.add_argument("--motion-model", choices=["linear", "sinusoidal"], default="linear")
-    p_synth.add_argument("--occlude", type=_occlusion, action="append", default=[],
-                         metavar="ID:START:END")
-    p_synth.add_argument("--exit", type=_exit_spec, action="append", default=[],
-                         metavar="ID:FRAME")
-    p_synth.add_argument("--arena", type=_size, default=(1920.0, 1080.0), metavar="WxH")
-    p_synth.add_argument("--box", type=_size, default=(50.0, 100.0), metavar="WxH")
+    p_synth.add_argument("--occlude", type=_numbers("id:start:end", ":", int),
+                         action="append", default=[], metavar="ID:START:END")
+    p_synth.add_argument("--exit", type=_numbers("id:frame", ":", int), action="append",
+                         default=[], metavar="ID:FRAME")
+    size = _numbers("WxH", "x", float)
+    p_synth.add_argument("--arena", type=size, default=(1920.0, 1080.0), metavar="WxH")
+    p_synth.add_argument("--box", type=size, default=(50.0, 100.0), metavar="WxH")
     p_synth.set_defaults(func=_cmd_synth)
 
     p_eval = sub.add_parser("eval", help="score a result file against ground truth")

@@ -18,6 +18,10 @@ import numpy as np
 # threshold lies strictly below it, so no cut can apply a forbidden merge.
 CANNOT_LINK = 1.0e6
 
+# Frame indices, track IDs and frame counts (window, subsampling ratio) are
+# held as int64.
+MAX_INT = np.iinfo(np.int64).max
+
 
 class FcgError(Exception):
     """Base class for all errors raised by this package."""
@@ -400,6 +404,8 @@ class FcgConfig:
     def __post_init__(self):
         if self.window < 1:
             raise InvalidConfigError(f"window must be >= 1, got {self.window}")
+        if self.window > MAX_INT:
+            raise InvalidConfigError(f"window must be <= {MAX_INT}, got {self.window}")
         for name in ("tracklet_threshold", "track_threshold"):
             value = getattr(self, name)
             if not 0 < value < CANNOT_LINK:
@@ -447,40 +453,32 @@ class TrackColumns:
 
 
 class TrackSet:
-    """Final labeled tracks: track ID to its (frame, box, score) rows.
+    """Final labeled tracks, held as `TrackColumns`.
 
     Within a track frames are strictly increasing (one box per frame per ID).
     Pipeline output additionally numbers IDs 1..K in order of first
     appearance; parsed ground truth keeps the IDs found in the file.
 
-    Built from entries (`TrackSet(tracks=...)`) or from columns
-    (`TrackSet(columns=...)`); `tracks` and `columns` are each derived from
-    the other on first use. Immutable.
+    Built from columns (`TrackSet(columns=...)`) or from a mapping of track
+    ID to its (frame, box, score) entries (`TrackSet(tracks=...)`), which is
+    converted to columns; an ID with no entries holds no rows. `tracks` is a
+    view of the columns built on first use, IDs in ascending order. Two
+    TrackSets are equal when their columns are. Immutable.
     """
 
     def __init__(self, tracks=None, *, columns: TrackColumns | None = None):
         if (tracks is None) == (columns is None):
             raise TypeError("TrackSet takes either tracks or columns")
-        if columns is not None:
-            ids, frames = columns.track_id, columns.frame
-            if np.any(ids < 1):
-                raise ValueError(f"track IDs must be positive, got {int(ids.min())}")
-            if np.any(ids[1:] < ids[:-1]):
-                raise ValueError("track columns must be sorted by track ID")
-            if np.any((ids[1:] == ids[:-1]) & (frames[1:] <= frames[:-1])):
-                raise FrameConflictError("a track has non-increasing frames")
-            self.__dict__["columns"] = columns
-            return
-        tracks = dict(tracks)
-        for tid, entries in tracks.items():
-            if tid < 1:
-                raise ValueError(f"track IDs must be positive, got {tid}")
-            frames = [e.frame for e in entries]
-            if any(b <= a for a, b in zip(frames, frames[1:])):
-                raise FrameConflictError(
-                    f"track {tid} has non-increasing frames: {frames}"
-                )
-        self.__dict__["tracks"] = tracks
+        if columns is None:
+            columns = _entry_columns(dict(tracks))
+        ids, frames = columns.track_id, columns.frame
+        if np.any(ids < 1):
+            raise ValueError(f"track IDs must be positive, got {int(ids.min())}")
+        if np.any(ids[1:] < ids[:-1]):
+            raise ValueError("track columns must be sorted by track ID")
+        if np.any((ids[1:] == ids[:-1]) & (frames[1:] <= frames[:-1])):
+            raise FrameConflictError("a track has non-increasing frames")
+        self.__dict__["columns"] = columns
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: TrackSet is immutable")
@@ -495,22 +493,14 @@ class TrackSet:
             tracks.setdefault(tid, []).append(TrackEntry(frame, BBox(*box), score))
         return {tid: tuple(entries) for tid, entries in tracks.items()}
 
-    @cached_property
-    def columns(self) -> TrackColumns:
-        rows = [(tid, e) for tid in sorted(self.tracks) for e in self.tracks[tid]]
-        return TrackColumns(
-            track_id=np.array([tid for tid, _ in rows], dtype=np.int64),
-            frame=np.array([e.frame for _, e in rows], dtype=np.int64),
-            box=np.array(
-                [(e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h) for _, e in rows], dtype=np.float64
-            ).reshape(-1, 4),
-            score=np.array([e.score for _, e in rows], dtype=np.float64),
-        )
-
     def __eq__(self, other):
         if not isinstance(other, TrackSet):
             return NotImplemented
-        return self.tracks == other.tracks
+        a, b = self.columns, other.columns
+        return all(
+            np.array_equal(getattr(a, name), getattr(b, name))
+            for name in ("track_id", "frame", "box", "score")
+        )
 
     __hash__ = None
 
@@ -519,11 +509,23 @@ class TrackSet:
 
     @property
     def num_boxes(self) -> int:
-        if "tracks" not in self.__dict__:
-            return len(self.columns.frame)
-        return sum(len(entries) for entries in self.tracks.values())
+        return len(self.columns.frame)
 
     def __len__(self) -> int:
-        if "tracks" not in self.__dict__:
-            return len(np.unique(self.columns.track_id))
-        return len(self.tracks)
+        return len(np.unique(self.columns.track_id))
+
+
+def _entry_columns(tracks: dict) -> TrackColumns:
+    """Columns of a track ID -> entries mapping, sorted by ID, entries in order."""
+    if min(tracks, default=1) < 1:
+        # An ID with no entries holds no row to be checked as a column.
+        raise ValueError(f"track IDs must be positive, got {min(tracks)}")
+    rows = [(tid, e) for tid in sorted(tracks) for e in tracks[tid]]
+    return TrackColumns(
+        track_id=np.array([tid for tid, _ in rows], dtype=np.int64),
+        frame=np.array([e.frame for _, e in rows], dtype=np.int64),
+        box=np.array(
+            [(e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h) for _, e in rows], dtype=np.float64
+        ).reshape(-1, 4),
+        score=np.array([e.score for _, e in rows], dtype=np.float64),
+    )

@@ -19,6 +19,7 @@ from .core import (
     DetectionColumns,
     DetectionView,
     FcgConfig,
+    MAX_INT,
     FcgError,
     ParseError,
     TrackColumns,
@@ -29,9 +30,6 @@ FEATURE_MAGIC = b"FCGF"
 FEATURE_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
-
-# Frame indices and track IDs are held as int64.
-_MAX_INT = np.iinfo(np.int64).max
 # CSV lines converted per block by `_fields`.
 _BLOCK_LINES = 4096
 
@@ -46,15 +44,11 @@ class SequenceInput:
     """
 
     columns: DetectionColumns
-    name: str
 
-    def __init__(
-        self, detections=(), name: str = "sequence", *, columns: DetectionColumns | None = None
-    ):
+    def __init__(self, detections=(), *, columns: DetectionColumns | None = None):
         if columns is None:
             columns = DetectionColumns.from_detections(detections)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "name", name)
 
     @property
     def detections(self) -> DetectionView:
@@ -96,8 +90,13 @@ def read_features(blob: bytes) -> np.ndarray:
     return data.reshape(rows, dim)
 
 
-def _data_lines(data: bytes):
-    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
+def _data_lines(data: bytes, name: str):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{name} line {lineno}: not UTF-8 text") from exc
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line:
             yield lineno, line
@@ -133,7 +132,7 @@ def _raise_first_error(
     det_data: bytes, features: np.ndarray, cfg: FcgConfig, name: str
 ) -> NoReturn:
     """Check the rows one by one and raise for the first bad one."""
-    for row_idx, (lineno, line) in enumerate(_data_lines(det_data)):
+    for row_idx, (lineno, line) in enumerate(_data_lines(det_data, name)):
         fields = line.split(",")
         if len(fields) < 7:
             raise ParseError(
@@ -147,8 +146,8 @@ def _raise_first_error(
             raise ParseError(f"{name} line {lineno}: {exc}") from exc
         if frame < 1:
             raise ParseError(f"{name} line {lineno}: frame index {frame} < 1")
-        if frame > _MAX_INT:
-            raise ParseError(f"{name} line {lineno}: frame index {frame} > {_MAX_INT}")
+        if frame > MAX_INT:
+            raise ParseError(f"{name} line {lineno}: frame index {frame} > {MAX_INT}")
         if w <= 0 or h <= 0:
             raise ParseError(f"{name} line {lineno}: nonpositive box size {w}x{h}")
         if conf < cfg.score_threshold:
@@ -189,7 +188,7 @@ def parse_detections(
             f"{name}: feature dimension {features.shape[1]} does not match "
             f"configured {cfg.feature_dim}"
         )
-    lines = [line for _, line in _data_lines(det_data)]
+    lines = [line for _, line in _data_lines(det_data, name)]
     if len(lines) != features.shape[0]:
         raise ParseError(
             f"{name}: {len(lines)} detection rows but {features.shape[0]} feature rows"
@@ -215,7 +214,7 @@ def parse_detections(
         columns = DetectionColumns(frame, box, conf, rows, features)
     else:
         columns = DetectionColumns(frame[rows], box[rows], conf[rows], rows, features[rows])
-    return SequenceInput(name=name, columns=columns)
+    return SequenceInput(columns=columns)
 
 
 def write_detections(seq: SequenceInput) -> bytes:
@@ -280,7 +279,7 @@ def _parse_ground_truth_rows(gt_data: bytes, name: str, results: bool = False) -
     frames: list[int] = []
     boxes: list[tuple[float, float, float, float]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, line in _data_lines(gt_data):
+    for lineno, line in _data_lines(gt_data, name):
         fields = line.split(",")
         if len(fields) < 7:
             raise ParseError(
@@ -297,12 +296,12 @@ def _parse_ground_truth_rows(gt_data: bytes, name: str, results: bool = False) -
             continue
         if frame < 1:
             raise ParseError(f"{name} line {lineno}: frame index {frame} < 1")
-        if frame > _MAX_INT:
-            raise ParseError(f"{name} line {lineno}: frame index {frame} > {_MAX_INT}")
+        if frame > MAX_INT:
+            raise ParseError(f"{name} line {lineno}: frame index {frame} > {MAX_INT}")
         if tid < 1:
             raise ParseError(f"{name} line {lineno}: track id {tid} < 1")
-        if tid > _MAX_INT:
-            raise ParseError(f"{name} line {lineno}: track id {tid} > {_MAX_INT}")
+        if tid > MAX_INT:
+            raise ParseError(f"{name} line {lineno}: track id {tid} > {MAX_INT}")
         if (frame, tid) in seen:
             raise ParseError(f"{name} line {lineno}: duplicate (frame, id) ({frame}, {tid})")
         seen.add((frame, tid))
@@ -336,7 +335,7 @@ def parse_ground_truth(gt_data: bytes, name: str = "gt", *, results: bool = Fals
     The rows are converted column by column and checked as arrays; only
     when a check fails are they walked one by one to name the first bad line.
     """
-    lines = [line for _, line in _data_lines(gt_data)]
+    lines = [line for _, line in _data_lines(gt_data, name)]
     parsed = _fields(lines, ints=2)
     if parsed is None:
         return _parse_ground_truth_rows(gt_data, name, results)
@@ -368,39 +367,42 @@ def write_ground_truth(tracks: TrackSet) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 
-def subsample(seq: SequenceInput, ratio: int) -> SequenceInput:
-    """Keep every ratio-th frame (those with (frame-1) % ratio == 0), renumbered.
-
-    Kept frame f becomes (f-1)//ratio + 1, so the output is a consecutive
-    frame grid and all frame-gap logic operates in kept frames.
-    """
+def check_ratio(ratio: int) -> int:
+    """`ratio` as a subsampling ratio: an int64 of at least 1, else ValueError."""
     if ratio < 1:
         raise ValueError(f"ratio must be >= 1, got {ratio}")
-    if ratio == 1:
+    if ratio > MAX_INT:
+        raise ValueError(f"ratio must be <= {MAX_INT}, got {ratio}")
+    return ratio
+
+
+def _subsampled(frame: np.ndarray, ratio: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subsampling rule at a checked `ratio`: frame f is kept when
+    (f-1) % ratio == 0 and becomes (f-1)//ratio + 1, a consecutive grid in
+    the same order. Returns the kept positions in `frame` and their frames.
+    """
+    offset = frame - 1
+    kept = np.flatnonzero(offset % ratio == 0)
+    return kept, offset[kept] // ratio + 1
+
+
+def subsample(seq: SequenceInput, ratio: int) -> SequenceInput:
+    """Keep every ratio-th frame of a sequence, renumbered (see `_subsampled`)."""
+    if check_ratio(ratio) == 1:
         return seq
-    offset = seq.columns.frame - 1
-    kept = seq.columns.take(np.flatnonzero(offset % ratio == 0))
-    return SequenceInput(name=seq.name, columns=replace(kept, frame=(kept.frame - 1) // ratio + 1))
+    kept, frame = _subsampled(seq.columns.frame, ratio)
+    return SequenceInput(columns=replace(seq.columns.take(kept), frame=frame))
 
 
 def subsample_tracks(tracks: TrackSet, ratio: int) -> TrackSet:
-    """Apply the subsampling frame rule to a TrackSet (for low-fps evaluation).
+    """Apply the subsampling rule to a TrackSet (for low-fps evaluation).
 
-    A track with no kept frame disappears.
+    A track with no kept frame disappears; the columns stay sorted.
     """
-    if ratio < 1:
-        raise ValueError(f"ratio must be >= 1, got {ratio}")
-    if ratio == 1:
+    if check_ratio(ratio) == 1:
         return tracks
     cols = tracks.columns
-    offset = cols.frame - 1
-    kept = np.flatnonzero(offset % ratio == 0)
-    # The renumbering keeps frame order, so the columns stay sorted.
+    kept, frame = _subsampled(cols.frame, ratio)
     return TrackSet(
-        columns=TrackColumns(
-            track_id=cols.track_id[kept],
-            frame=offset[kept] // ratio + 1,
-            box=cols.box[kept],
-            score=cols.score[kept],
-        )
+        columns=TrackColumns(cols.track_id[kept], frame, cols.box[kept], cols.score[kept])
     )

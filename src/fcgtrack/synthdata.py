@@ -48,8 +48,9 @@ class SynthConfig:
                 f"feature_dim {self.feature_dim} must be >= num_identities "
                 f"{self.num_identities} (one prototype axis per identity)"
             )
-        if self.feature_noise_sigma < 0:
-            raise InvalidConfigError("feature_noise_sigma must be >= 0")
+        sigma = self.feature_noise_sigma
+        if not (sigma >= 0 and math.isfinite(sigma)):
+            raise InvalidConfigError(f"feature_noise_sigma must be finite and >= 0, got {sigma}")
         if self.motion_model not in MOTION_MODELS:
             raise InvalidConfigError(
                 f"motion_model must be one of {MOTION_MODELS}, got {self.motion_model!r}"
@@ -70,6 +71,9 @@ class SynthConfig:
                 raise InvalidConfigError(
                     f"exit frame {exit_frame} outside [1, {self.num_frames}]"
                 )
+        for name in ("arena", "box_size"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise InvalidConfigError(f"{name} must be finite, got {getattr(self, name)}")
         bw, bh = self.box_size
         if bw <= 0 or bh <= 0:
             raise InvalidConfigError("box_size must be positive")
@@ -170,6 +174,6 @@ def generate(cfg: SynthConfig) -> tuple[SequenceInput, TrackSet]:
             gt[identity].append(TrackEntry(frame, bbox, 1.0))
             row += 1
 
-    seq = SequenceInput(detections=tuple(detections), name=f"synth-{cfg.seed}")
-    truth = TrackSet(tracks={k: tuple(v) for k, v in gt.items() if v})
+    seq = SequenceInput(detections=tuple(detections))
+    truth = TrackSet(tracks={k: tuple(v) for k, v in gt.items()})
     return seq, truth

@@ -1,4 +1,5 @@
-"""`track` rejects out-of-range --ratio and --threads the way `subsample` does."""
+"""`track` and `subsample` reject an out-of-range --ratio alike, and `track`
+an out-of-range --threads or --window, each before reading any file."""
 
 import threading
 
@@ -111,3 +112,72 @@ def test_track_rejects_threshold_at_or_above_cannot_link(
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be in (0, 1000000.0), got ")
         assert not out.exists()
+
+
+BEYOND_INT64 = "99999999999999999999"
+INT64_MAX = 2**63 - 1
+
+
+def missing_input(tmp_path, command, *flags):
+    # No input file exists, so an error about a flag shows it was checked first.
+    missing = tmp_path / "missing"
+    out = ["--out", str(tmp_path / "out.txt")] if command == "track" else [
+        "--out-dir", str(tmp_path / "sub")]
+    return main(
+        [
+            command,
+            "--det", str(missing / "det.txt"),
+            "--features", str(missing / "feats.fcgf"),
+            *out,
+            *flags,
+        ]
+    )
+
+
+@pytest.mark.parametrize("command", ["track", "subsample"])
+@pytest.mark.parametrize(
+    "ratio, message",
+    [
+        ("0", "ratio must be >= 1, got 0"),
+        ("-3", "ratio must be >= 1, got -3"),
+        (BEYOND_INT64, f"ratio must be <= {INT64_MAX}, got {BEYOND_INT64}"),
+        (str(INT64_MAX + 1), f"ratio must be <= {INT64_MAX}, got {INT64_MAX + 1}"),
+    ],
+)
+def test_ratio_is_checked_before_any_file_is_read(tmp_path, capsys, command, ratio, message):
+    assert missing_input(tmp_path, command, "--ratio", ratio) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.txt").exists() and not (tmp_path / "sub").exists()
+
+
+def test_window_beyond_int64_is_checked_before_any_file_is_read(tmp_path, capsys):
+    assert missing_input(tmp_path, "track", "--window", BEYOND_INT64) == 2
+    assert capsys.readouterr().err == (
+        f"error: window must be <= {INT64_MAX}, got {BEYOND_INT64}\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--ratio", "--window"])
+def test_largest_int64_is_accepted(seq_dir, tmp_path, flag):
+    assert track(seq_dir, tmp_path / "out.txt", flag, str(INT64_MAX)) == 0
+    assert (tmp_path / "out.txt").exists()
+
+
+def test_subsample_at_largest_int64_keeps_frame_one(seq_dir, tmp_path):
+    from fcgtrack.io_mot import parse_ground_truth
+
+    out_dir = tmp_path / "sub"
+    assert main(
+        [
+            "subsample",
+            "--det", str(seq_dir / "det.txt"),
+            "--features", str(seq_dir / "feats.fcgf"),
+            "--gt", str(seq_dir / "gt.txt"),
+            "--ratio", str(INT64_MAX),
+            "--out-dir", str(out_dir),
+            "--feature-dim", "8",
+        ]
+    ) == 0
+    gt = parse_ground_truth((out_dir / "gt.txt").read_bytes())
+    assert set(gt.columns.frame.tolist()) == {1}
+    assert {line.split(",")[0] for line in (out_dir / "det.txt").read_text().splitlines()} == {"1"}

@@ -183,6 +183,12 @@ class TestFcgConfig:
         with pytest.raises(InvalidConfigError):
             FcgConfig(**kwargs)
 
+    def test_window_is_bounded_by_int64(self):
+        top = 2**63 - 1
+        assert FcgConfig(window=top).window == top
+        with pytest.raises(InvalidConfigError, match=f"^window must be <= {top}, got {top + 1}$"):
+            FcgConfig(window=top + 1)
+
 
 class TestTrackSet:
     def test_strictly_increasing_frames_enforced(self):
@@ -199,6 +205,30 @@ class TestTrackSet:
         ts = TrackSet(tracks={1: (TrackEntry(1, b, 1.0), TrackEntry(2, b, 1.0)), 2: (TrackEntry(1, b, 1.0),)})
         assert ts.num_boxes == 3
         assert len(ts) == 2
+
+    def test_id_without_entries_holds_no_rows(self):
+        b = BBox(0, 0, 1, 1)
+        empty = TrackSet(tracks={3: ()})
+        assert empty == TrackSet(tracks={})
+        assert len(empty) == 0 and empty.num_boxes == 0 and empty.tracks == {}
+        assert TrackSet(tracks={3: (), 5: (TrackEntry(1, b, 1.0),)}) == TrackSet(
+            tracks={5: (TrackEntry(1, b, 1.0),)}
+        )
+
+    def test_tracks_list_ids_in_ascending_order(self):
+        b = BBox(0, 0, 1, 1)
+        ts = TrackSet(tracks={9: (TrackEntry(1, b, 1.0),), 2: (TrackEntry(4, b, 0.5),)})
+        assert list(ts.tracks) == [2, 9]
+        assert ts.tracks[2] == (TrackEntry(4, b, 0.5),)
+
+    def test_equality_compares_columns(self):
+        b = BBox(0, 0, 1, 1)
+        one = TrackSet(tracks={1: (TrackEntry(1, b, 1.0),)})
+        assert one == TrackSet(tracks={1: (TrackEntry(1, BBox(0.0, 0.0, 1.0, 1.0), 1),)})
+        assert one != TrackSet(tracks={1: (TrackEntry(1, b, 0.5),)})
+        assert one != TrackSet(tracks={1: (TrackEntry(2, b, 1.0),)})
+        assert one != TrackSet(tracks={2: (TrackEntry(1, b, 1.0),)})
+        assert one != TrackSet(tracks={1: (TrackEntry(1, BBox(0, 0, 1, 2), 1.0),)})
 
 
 class TestThresholdBound:

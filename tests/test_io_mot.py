@@ -261,7 +261,7 @@ class TestDetectionRoundTrip:
             )
             for f in range(1, 8)
         )
-        seq = SequenceInput(detections=dets, name="t")
+        seq = SequenceInput(detections=dets)
         cfg = FcgConfig(feature_dim=3)
         again = parse_detections(
             write_detections(seq), write_features(detection_features(seq)), cfg, name="t"
@@ -283,7 +283,7 @@ class TestSubsample:
             )
             for i, f in enumerate(frames)
         )
-        return SequenceInput(detections=dets, name="s")
+        return SequenceInput(detections=dets)
 
     def test_ratio_one_is_identity(self):
         s = self.seq(range(1, 11))

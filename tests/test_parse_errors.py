@@ -382,3 +382,47 @@ class TestGroundTruthRange:
         argv = ["eval", "--gt", str(files["--gt"]), "--pred", str(files["--pred"])]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: bad.txt line 2: ")
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 names the file and the line that holds it."""
+
+    # The bad byte sits on line 3 (line 2 is blank).
+    DET = b"1,-1,1,1,5,5,0.9,-1,-1,-1\n\n2,-1,1,\xff1,5,5,0.9,-1,-1,-1\n"
+    GT = b"1,1,1,1,5,5,1,1,1\n\n2,1,1,\xff1,5,5,1,1,1\n"
+    # A lead byte cut short by the end of its line.
+    CUT = b"1,1,1,1,5,5,1,1,1\n2,1,1,1,5,5,1\xc3\n"
+
+    def test_detections(self):
+        feats = write_features(np.array([UNIT, UNIT]))
+        with pytest.raises(ParseError, match=r"^det\.txt line 3: not UTF-8 text$"):
+            parse_detections(self.DET, feats, CFG, name="det.txt")
+
+    @pytest.mark.parametrize("results", [False, True])
+    def test_ground_truth_and_results(self, results):
+        with pytest.raises(ParseError, match=r"^gt\.txt line 3: not UTF-8 text$"):
+            parse_ground_truth(self.GT, name="gt.txt", results=results)
+        with pytest.raises(ParseError, match=r"^gt\.txt line 2: not UTF-8 text$"):
+            parse_ground_truth(self.CUT, name="gt.txt", results=results)
+
+    def test_row_walk(self):
+        with pytest.raises(ParseError, match=r"^gt\.txt line 3: not UTF-8 text$"):
+            _parse_ground_truth_rows(self.GT, "gt.txt")
+
+    def test_commands(self, tmp_path, capsys):
+        det, feats = tmp_path / "det.txt", tmp_path / "feats.fcgf"
+        det.write_bytes(self.DET)
+        feats.write_bytes(write_features(np.array([UNIT, UNIT])))
+        out = tmp_path / "res.txt"
+        assert main(["track", "--det", str(det), "--features", str(feats), "--out", str(out),
+                     "--feature-dim", "3"]) == 2
+        assert capsys.readouterr().err == "error: det.txt line 3: not UTF-8 text\n"
+        assert not out.exists()
+
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_bytes(b"1,1,1,1,5,5,1,1,1\n")
+        bad.write_bytes(self.GT)
+        assert main(["eval", "--gt", str(bad), "--pred", str(good)]) == 2
+        assert capsys.readouterr().err == "error: bad.txt line 3: not UTF-8 text\n"
+        assert main(["eval", "--gt", str(good), "--pred", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: bad.txt line 3: not UTF-8 text\n"

@@ -7,7 +7,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fcgtrack.core import BBox, Detection, FcgConfig, TrackEntry, TrackSet  # noqa: E402
+from fcgtrack.core import (  # noqa: E402
+    BBox,
+    Detection,
+    FcgConfig,
+    TrackColumns,
+    TrackEntry,
+    TrackSet,
+)
 from fcgtrack.io_mot import (  # noqa: E402
     SequenceInput,
     detection_features,
@@ -196,3 +203,36 @@ def test_idf1_of_parsed_columns_is_the_brute_force_idtp(gt, pred):
     boxes = sum(map(len, gt.tracks.values())) + sum(map(len, pred.tracks.values()))
     expected = 2.0 * brute_force_assignment(weight) / boxes if boxes else 1.0
     assert idf1(gt_cols, pred_cols) == expected
+
+
+@st.composite
+def track_columns(draw, max_rows=12):
+    """Columns of up to `max_rows` boxes with distinct (ID, frame) pairs,
+    sorted by (ID, frame), as `TrackSet(columns=...)` takes them."""
+    pairs = sorted(
+        draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 9)), max_size=max_rows,
+                      unique=True))
+    )
+    n = len(pairs)
+    boxes = [draw(ANY_BOX) for _ in range(n)]
+    scores = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return TrackColumns(
+        track_id=np.array([tid for tid, _ in pairs], dtype=np.int64),
+        frame=np.array([frame for _, frame in pairs], dtype=np.int64),
+        box=np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        score=np.array(scores, dtype=np.float64),
+    )
+
+
+@settings(max_examples=100)
+@given(track_columns())
+def test_trackset_round_trips_through_its_entries(cols):
+    held = TrackSet(columns=cols)
+    tracks = held.tracks
+    again = TrackSet(tracks=tracks)
+    assert again == held
+    for name in ("track_id", "frame", "box", "score"):
+        assert np.array_equal(getattr(again.columns, name), getattr(cols, name)), name
+    assert list(tracks) == sorted(tracks)
+    assert len(again) == len(held) == len(tracks)
+    assert again.num_boxes == held.num_boxes == sum(map(len, tracks.values())) == len(cols.frame)

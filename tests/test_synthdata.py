@@ -131,3 +131,40 @@ class TestSynthConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(InvalidConfigError):
             SynthConfig(**kwargs)
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("feature_noise_sigma", float("nan")),
+            ("feature_noise_sigma", float("inf")),
+            ("arena", (float("nan"), 500.0)),
+            ("arena", (1920.0, float("inf"))),
+            ("arena", (float("inf"), float("inf"))),
+            ("box_size", (float("nan"), 5.0)),
+            ("box_size", (50.0, float("nan"))),
+            ("box_size", (float("inf"), 5.0)),
+        ],
+    )
+    def test_rejected_naming_the_field(self, field, value):
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be finite"):
+            SynthConfig(num_identities=1, num_frames=5, **{field: value})
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--arena", "nanx500", "arena must be finite, got (nan, 500.0)"),
+            ("--box", "50xinf", "box_size must be finite, got (50.0, inf)"),
+            ("--sigma", "nan", "feature_noise_sigma must be finite and >= 0, got nan"),
+            ("--sigma", "inf", "feature_noise_sigma must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_synth_command_names_the_field(self, tmp_path, capsys, flag, value, message):
+        from fcgtrack.cli import main
+
+        argv = ["synth", "--identities", "2", "--frames", "5", "--feature-dim", "4",
+                "--out-dir", str(tmp_path / "seq"), flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "seq").exists()
