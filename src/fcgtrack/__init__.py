@@ -8,14 +8,10 @@ with spatio-temporal weighting until one set of tracks remains.
 from .appearance import cosine_distance, cosine_matrix, feature_matrix, tracklet_distance
 from .clustering import (
     CANNOT_LINK,
-    CondensedMatrix,
-    ConstraintSet,
     Dendrogram,
     Merge,
-    cluster,
     cluster_matrix,
     cut,
-    linkage,
     linkage_matrix,
 )
 from .core import (
@@ -54,21 +50,13 @@ from .io_mot import (
 from .metrics import id_switches, idf1
 from .pipeline import fuse_lifted_frames, generate_tracklets, run
 from .synthdata import SynthConfig, generate
-from .weighting import (
-    PairContext,
-    spatial_weights,
-    temporal_weight,
-    weighted_distance,
-    weighted_matrix,
-)
+from .weighting import spatial_weights, temporal_weight, weighted_distance, weighted_matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BBox",
     "CANNOT_LINK",
-    "CondensedMatrix",
-    "ConstraintSet",
     "DegenerateFeatureError",
     "Dendrogram",
     "Detection",
@@ -82,7 +70,6 @@ __all__ = [
     "InvalidConfigError",
     "LiftedFrame",
     "Merge",
-    "PairContext",
     "ParseError",
     "SequenceInput",
     "SynthConfig",
@@ -91,7 +78,6 @@ __all__ = [
     "TrackSet",
     "Tracklet",
     "box_displacement",
-    "cluster",
     "cluster_matrix",
     "cosine_distance",
     "cosine_matrix",
@@ -104,7 +90,6 @@ __all__ = [
     "id_switches",
     "idf1",
     "iou_distance",
-    "linkage",
     "linkage_matrix",
     "parse_detections",
     "parse_ground_truth",

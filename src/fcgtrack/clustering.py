@@ -38,20 +38,18 @@ single-instance loop on views of the same state. `cluster_batch` links its
 instances a chunk at a time (`chunks`), so that no padded tensor exceeds
 `CHUNK_CELLS` cells.
 
-`linkage_matrix` (full dendrogram of one square matrix), `linkage`
-(condensed matrix plus constraint set) and `cluster` (items plus a pairwise
-metric) run the same core.
+`linkage_matrix` (full dendrogram of one square matrix) runs the same core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .core import CANNOT_LINK, _frozen_array
+from .core import CANNOT_LINK
 
 # Live instances below which the batched step stops paying. A batched step
 # over 8 instances of 20-40 items took about 0.23 ms, one merge of the
@@ -65,66 +63,6 @@ CHUNK_CELLS = 1 << 18
 
 # Largest float below the sentinel: the full-dendrogram stopping point.
 _BELOW_SENTINEL = float(np.nextafter(CANNOT_LINK, 0.0))
-
-
-def condensed_size(n: int) -> int:
-    return n * (n - 1) // 2
-
-
-@dataclass(frozen=True)
-class CondensedMatrix:
-    """Upper-triangle pairwise distances for n items, row-major."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _frozen_array(self.values)
-        if vals.shape != (condensed_size(self.n),):
-            raise ValueError(
-                f"expected {condensed_size(self.n)} condensed entries for n={self.n}, "
-                f"got {vals.shape}"
-            )
-        if self.n and vals.size and not np.all(vals >= 0.0):
-            raise ValueError("distances must be nonnegative")
-        object.__setattr__(self, "values", vals)
-
-    def get(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if i > j:
-            i, j = j, i
-        if not 0 <= i < j < self.n:
-            raise IndexError(f"bad pair ({i}, {j}) for n={self.n}")
-        return float(self.values[self.n * i - i * (i + 1) // 2 + (j - i - 1)])
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Unordered item-index pairs that may never share a cluster."""
-
-    cannot_link: frozenset[tuple[int, int]]
-
-    @classmethod
-    def of(cls, pairs: Iterable[tuple[int, int]] = ()) -> "ConstraintSet":
-        normalized = set()
-        for a, b in pairs:
-            if a == b:
-                raise ValueError(f"cannot-link pair must be irreflexive, got ({a}, {b})")
-            normalized.add((a, b) if a < b else (b, a))
-        return cls(frozenset(normalized))
-
-    def mask(self, n: int) -> np.ndarray:
-        """Symmetric (n, n) boolean matrix, True at every forbidden pair."""
-        mask = np.zeros((n, n), dtype=bool)
-        for a, b in self.cannot_link:
-            if not (0 <= a < n and 0 <= b < n):
-                raise IndexError(f"constraint ({a}, {b}) outside item range 0..{n - 1}")
-            mask[a, b] = mask[b, a] = True
-        return mask
-
-
-EMPTY_CONSTRAINTS = ConstraintSet.of()
 
 
 class Merge(NamedTuple):
@@ -383,19 +321,6 @@ def linkage_matrix(
     return dendrogram
 
 
-def linkage(
-    matrix: CondensedMatrix,
-    constraints: ConstraintSet = EMPTY_CONSTRAINTS,
-    *,
-    trace: TextIO | None = None,
-) -> Dendrogram:
-    """`linkage_matrix` over a condensed matrix and a set of cannot-link pairs."""
-    n = matrix.n
-    square = np.zeros((n, n), dtype=np.float64)
-    square[np.triu_indices(n, 1)] = matrix.values
-    return linkage_matrix(square, constraints.mask(n), trace=trace)
-
-
 def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < CANNOT_LINK:
         raise ValueError(
@@ -475,19 +400,3 @@ def cluster_matrix(
     """
     n = _square_size(np.asarray(dist))
     return cluster_batch([n], lambda _: (dist, cannot_link), threshold=threshold)[0]
-
-
-def cluster(
-    items: Sequence,
-    metric: Callable,
-    constraints: ConstraintSet = EMPTY_CONSTRAINTS,
-    *,
-    threshold: float,
-) -> list[list[int]]:
-    """Cluster items under a pairwise metric; returns item-index clusters."""
-    n = len(items)
-    if n == 0:
-        return []
-    values = [metric(items[i], items[j]) for i in range(n) for j in range(i + 1, n)]
-    matrix = CondensedMatrix(n=n, values=np.array(values, dtype=np.float64))
-    return cut(linkage(matrix, constraints), threshold)

@@ -363,14 +363,11 @@ def common_columns(tracklets) -> tuple[DetectionColumns | None, list[np.ndarray]
 class LiftedFrame:
     """An artificial time instant holding tracklets over a span of window indices."""
 
-    level: int
     span_start: int
     span_end: int
     tracklets: tuple[Tracklet, ...]
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"hierarchy level must be >= 1, got {self.level}")
         if not (self.span_start >= 0 and self.span_end > self.span_start):
             raise ValueError(
                 f"invalid span [{self.span_start}, {self.span_end}]"

@@ -29,6 +29,8 @@ from .core import (
 FEATURE_MAGIC = b"FCGF"
 FEATURE_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
+# Rows and dimension are u32 fields of the header.
+FEATURE_HEADER_MAX = 2**32 - 1
 
 # CSV lines converted per block by `_fields`.
 _BLOCK_LINES = 4096
@@ -61,6 +63,9 @@ def write_features(features: np.ndarray) -> bytes:
     if features.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got shape {features.shape}")
     rows, dim = features.shape
+    for field, value in (("rows", rows), ("dimension", dim)):
+        if value > FEATURE_HEADER_MAX:
+            raise ValueError(f"feature {field} must be <= {FEATURE_HEADER_MAX}, got {value}")
     header = _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, rows, dim)
     return header + features.astype("<f4").tobytes()
 

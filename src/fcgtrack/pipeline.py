@@ -72,7 +72,7 @@ def _window_frame(window, table: DetectionColumns, partition) -> LiftedFrame:
     tracklets = tuple(
         Tracklet.from_rows(table, lo + np.array(members)) for members in partition
     )
-    return LiftedFrame(level=1, span_start=n, span_end=n + 1, tracklets=tracklets)
+    return LiftedFrame(span_start=n, span_end=n + 1, tracklets=tracklets)
 
 
 def generate_tracklets(
@@ -133,12 +133,7 @@ def _fuse_all(unions: list[list[Tracklet]], cfg: FcgConfig) -> list[tuple[Trackl
 
 
 def _lifted(a: LiftedFrame, b: LiftedFrame, tracklets) -> LiftedFrame:
-    return LiftedFrame(
-        level=max(a.level, b.level) + 1,
-        span_start=a.span_start,
-        span_end=b.span_end,
-        tracklets=tracklets,
-    )
+    return LiftedFrame(span_start=a.span_start, span_end=b.span_end, tracklets=tracklets)
 
 
 def fuse_lifted_frames(a: LiftedFrame, b: LiftedFrame, cfg: FcgConfig) -> LiftedFrame:
@@ -166,8 +161,7 @@ def _reduce_consecutive(frames: list[LiftedFrame], cfg: FcgConfig) -> LiftedFram
         fused = [_lifted(a, b, tracklets) for (a, b), tracklets in zip(pairs, merged)]
         if len(frames) % 2 == 1:
             # Odd trailing frame carries up a level unmerged.
-            carried = frames[-1]
-            fused.append(replace(carried, level=carried.level + 1))
+            fused.append(frames[-1])
         frames = fused
     return frames[0]
 
@@ -177,7 +171,6 @@ def _fuse_global(frames: list[LiftedFrame], cfg: FcgConfig) -> LiftedFrame:
     # spatio-temporal weights off (they presuppose ordered, adjacent spans).
     plain = replace(cfg, use_temporal=False, use_spatial=False, use_motion=False)
     return LiftedFrame(
-        level=2,
         span_start=frames[0].span_start,
         span_end=frames[-1].span_end,
         tracklets=_fuse_all([[t for frame in frames for t in frame.tracklets]], plain)[0],
@@ -196,15 +189,13 @@ def _assign_ids(tracklets) -> TrackSet:
     )
 
 
-def run(
-    detections: DetectionColumns | list[Detection], cfg: FcgConfig, *, workers: int = 1
-) -> TrackSet:
+def run(detections: DetectionColumns | list[Detection], cfg: FcgConfig) -> TrackSet:
     """Track a full sequence: tracklet generation, hierarchical fusion, IDs.
 
     `detections` are the columns of a sequence (`SequenceInput.columns`) or
     `Detection` objects. IDs are 1..K in order of each track's first frame
     (ties by the first detection's source row). The output is deterministic
-    for fixed inputs. `workers` is accepted and ignored: the run is sequential.
+    for fixed inputs.
     """
     frames = generate_tracklets(detections, cfg)
     if not frames:

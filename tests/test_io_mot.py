@@ -57,6 +57,19 @@ class TestFeatureBlob:
         with pytest.raises(ParseError, match="length"):
             read_features(blob)
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((2**32, 0), "rows must be <= 4294967295, got 4294967296"),
+         ((0, 2**32), "dimension must be <= 4294967295, got 4294967296")],
+    )
+    def test_header_fields_beyond_u32_are_refused(self, shape, message):
+        with pytest.raises(ValueError, match=f"^feature {message}$"):
+            write_features(np.zeros(shape))
+
+    def test_largest_u32_dimension_is_written(self):
+        blob = write_features(np.zeros((0, 2**32 - 1)))
+        assert read_features(blob).shape == (0, 2**32 - 1)
+
 
 class TestParseDetections:
     def test_basic_row(self):

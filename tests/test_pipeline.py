@@ -1,6 +1,5 @@
 import math
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +49,7 @@ class TestGenerateTracklets:
         frames = generate_tracklets([det(1, basis(0))], CFG)
         assert len(frames) == 1
         lf = frames[0]
-        assert (lf.level, lf.span_start, lf.span_end) == (1, 0, 1)
+        assert (lf.span_start, lf.span_end) == (0, 1)
         assert len(lf.tracklets) == 1
         assert len(lf.tracklets[0]) == 1
 
@@ -97,10 +96,10 @@ class TestFuseLiftedFrames:
     def test_same_identity_fuses(self):
         t1 = tracklet_new([det(f, basis(0), box=(0, 0, 10, 10)) for f in (1, 2)])
         t2 = tracklet_new([det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)])
-        a = LiftedFrame(1, 0, 1, (t1,))
-        b = LiftedFrame(1, 1, 2, (t2,))
+        a = LiftedFrame(0, 1, (t1,))
+        b = LiftedFrame(1, 2, (t2,))
         fused = fuse_lifted_frames(a, b, CFG)
-        assert (fused.level, fused.span_start, fused.span_end) == (2, 0, 2)
+        assert (fused.span_start, fused.span_end) == (0, 2)
         assert len(fused.tracklets) == 1
         assert fused.tracklets[0].frame_set == frozenset({1, 2, 7, 8})
 
@@ -108,7 +107,7 @@ class TestFuseLiftedFrames:
         t1 = tracklet_new([det(1, basis(0))])
         t2 = tracklet_new([det(7, basis(1))])
         fused = fuse_lifted_frames(
-            LiftedFrame(1, 0, 1, (t1,)), LiftedFrame(1, 1, 2, (t2,)), CFG
+            LiftedFrame(0, 1, (t1,)), LiftedFrame(1, 2, (t2,)), CFG
         )
         assert len(fused.tracklets) == 2
 
@@ -117,7 +116,7 @@ class TestFuseLiftedFrames:
         t2 = tracklet_new([det(7, [1.0, 0.0]), det(8, [1.0, 1.0])])
         cfg = FcgConfig(feature_dim=2, track_threshold=1.9)
         fused = fuse_lifted_frames(
-            LiftedFrame(1, 0, 1, (t1,)), LiftedFrame(1, 1, 2, (t2,)), cfg
+            LiftedFrame(0, 1, (t1,)), LiftedFrame(1, 2, (t2,)), cfg
         )
         assert len(fused.tracklets) == 1
         assert np.array_equal(fused.tracklets[0].median_feature, [1.0, 1.0])
@@ -128,7 +127,7 @@ class TestFuseLiftedFrames:
         t1 = tracklet_new([det(3, basis(0))])
         t2 = tracklet_new([det(3, basis(0))])
         fused = fuse_lifted_frames(
-            LiftedFrame(1, 0, 1, (t1,)), LiftedFrame(1, 0, 1, (t2,)), cfg
+            LiftedFrame(0, 1, (t1,)), LiftedFrame(0, 1, (t2,)), cfg
         )
         assert len(fused.tracklets) == 2
 
@@ -149,8 +148,8 @@ class TestFuseLiftedFrames:
         assert _frame_overlap_mask([]).shape == (0, 0)
 
     def test_adjacency_required_when_consecutive(self):
-        a = LiftedFrame(1, 1, 2, (tracklet_new([det(7, basis(0))]),))
-        b = LiftedFrame(1, 0, 1, (tracklet_new([det(1, basis(0))]),))
+        a = LiftedFrame(1, 2, (tracklet_new([det(7, basis(0))]),))
+        b = LiftedFrame(0, 1, (tracklet_new([det(1, basis(0))]),))
         with pytest.raises(ValueError):
             fuse_lifted_frames(a, b, CFG)
 
@@ -237,12 +236,8 @@ class TestRun:
             feature_noise_sigma=0.05, seed=6,
         )
         seq, _ = generate(scfg)
-        blobs = {
-            workers: write_tracks(run(list(seq.detections), CFG, workers=workers))
-            for workers in (1, 2, 8)
-        }
-        assert blobs[1] == blobs[2] == blobs[8]
-        assert blobs[1] == write_tracks(run(list(seq.detections), CFG))
+        blobs = [write_tracks(run(list(seq.detections), CFG)) for _ in range(3)]
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_perfect_inputs_recover_identity_count(self):
         # pairwise-identical features per identity; cross distance 1 exceeds
@@ -268,16 +263,25 @@ class TestRun:
         with pytest.raises(DimensionMismatchError):
             run(dets, CFG)
 
-    def test_hierarchy_depth_and_final_span(self):
+    def test_hierarchy_depth_and_final_span(self, monkeypatch):
+        levels = []
+        fuse_all = pipeline._fuse_all
+
+        def counting_fuse_all(unions, cfg):
+            levels.append(len(unions))
+            return fuse_all(unions, cfg)
+
+        monkeypatch.setattr(pipeline, "_fuse_all", counting_fuse_all)
         for num_frames in (6, 12, 30, 36, 59):
+            levels.clear()
             dets = [det(f, basis(0), row=f) for f in range(1, num_frames + 1)]
             frames = generate_tracklets(dets, CFG)
             n_windows = math.ceil(num_frames / CFG.window)
             assert len(frames) == n_windows
             final = _reduce_consecutive(frames, CFG)
             assert (final.span_start, final.span_end) == (0, n_windows)
-            expected_levels = math.ceil(math.log2(n_windows)) + 1 if n_windows > 1 else 1
-            assert final.level == expected_levels
+            # One `_fuse_all` call per level of the reduction tree.
+            assert len(levels) == math.ceil(math.log2(n_windows))
 
 
 class TestLevelMemory:
@@ -398,8 +402,9 @@ class TestBatchedLevels:
                 for i in range(0, len(expected) - 1, 2)
             ]
             if len(expected) % 2 == 1:
-                fused.append(replace(expected[-1], level=expected[-1].level + 1))
+                fused.append(expected[-1])
             expected = fused
         final = _reduce_consecutive(frames, cfg)
-        assert final.level == expected[0].level
-        assert _rows(final) == _rows(expected[0])
+        top = expected[0]
+        assert (final.span_start, final.span_end) == (top.span_start, top.span_end)
+        assert _rows(final) == _rows(top)

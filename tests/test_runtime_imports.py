@@ -2,6 +2,7 @@
 
 import json
 import os
+import types
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,17 @@ def test_no_subcommand_imports_scipy(tmp_path):
     for name, code, loaded in report:
         assert code == 0, name
         assert loaded == [], name
+
+
+def test_every_exported_name_resolves():
+    import fcgtrack
+
+    assert len(set(fcgtrack.__all__)) == len(fcgtrack.__all__)
+    missing = [name for name in fcgtrack.__all__ if not hasattr(fcgtrack, name)]
+    assert missing == []
+    # Every public name the package imports is exported, and nothing else.
+    public = {
+        name for name, value in vars(fcgtrack).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(fcgtrack.__all__)

@@ -168,3 +168,17 @@ class TestNonFiniteConfig:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "seq").exists()
+
+
+class TestFeatureDimBound:
+    """The sidecar header stores the dimension as u32, so larger ones are refused up front."""
+
+    @pytest.mark.parametrize("dim", ["4294967296", "99999999999999999999"])
+    def test_synth_command_names_the_field(self, tmp_path, capsys, dim):
+        from fcgtrack.cli import main
+
+        argv = ["synth", "--identities", "1", "--frames", "1", "--exit", "1:1",
+                "--feature-dim", dim, "--out-dir", str(tmp_path / "seq")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: feature_dim must be <= 4294967295, got {dim}\n"
+        assert not (tmp_path / "seq").exists()

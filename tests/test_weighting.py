@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from fcgtrack.appearance import tracklet_distance
 from fcgtrack.clustering import CANNOT_LINK
 from fcgtrack.core import BBox, Detection, FcgConfig, tracklet_new
 from fcgtrack.weighting import (
-    PairContext,
     _endpoints,
     spatial_weights,
     temporal_weight,
@@ -46,21 +46,19 @@ class TestTemporalWeight:
 class TestSpatialWeights:
     def test_identical_boxes(self):
         b = BBox(0, 0, 10, 10)
-        lam_c, lam_f = spatial_weights(PairContext(b, b, 1), CFG)
+        lam_c, lam_f = spatial_weights(b, b, CFG)
         assert lam_c == pytest.approx(0.15, abs=1e-12)
         assert lam_f == 1.0
 
     def test_far_disjoint_boxes(self):
         # displacement 3 > kf=2, zero overlap
-        ctx = PairContext(BBox(0, 0, 10, 10), BBox(30, 0, 10, 10), 1)
-        lam_c, lam_f = spatial_weights(ctx, CFG)
+        lam_c, lam_f = spatial_weights(BBox(0, 0, 10, 10), BBox(30, 0, 10, 10), CFG)
         assert lam_c == 1.0
         assert lam_f == 2.0
 
     def test_lambda_c_saturates_at_one(self):
         # iou distance 6/7, so 6/7 + 0.15 > 1
-        ctx = PairContext(BBox(0, 0, 2, 2), BBox(1, 1, 2, 2), 1)
-        lam_c, _ = spatial_weights(ctx, CFG)
+        lam_c, _ = spatial_weights(BBox(0, 0, 2, 2), BBox(1, 1, 2, 2), CFG)
         assert lam_c == 1.0
 
     def test_ranges(self):
@@ -68,9 +66,12 @@ class TestSpatialWeights:
         for _ in range(300):
             a = BBox(*rng.uniform(0, 100, 2), *rng.uniform(1, 50, 2))
             b = BBox(*rng.uniform(0, 100, 2), *rng.uniform(1, 50, 2))
-            lam_c, lam_f = spatial_weights(PairContext(a, b, 1), CFG)
+            lam_c, lam_f = spatial_weights(a, b, CFG)
             assert CFG.off <= lam_c <= 1.0
             assert lam_f in (1.0, CFG.cf)
+
+
+PairContext = namedtuple("PairContext", "last_box_k first_box_q delta_t")
 
 
 def pair_context(t1, t2, cfg):
