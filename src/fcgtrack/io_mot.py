@@ -7,7 +7,9 @@ as "frame,id,x,y,w,h,score,-1,-1,-1" rows with fixed decimal precision.
 
 from __future__ import annotations
 
+import io
 import struct
+import warnings
 from dataclasses import dataclass, replace
 from typing import NoReturn
 
@@ -32,8 +34,11 @@ _HEADER = struct.Struct("<4sIII")
 # Rows and dimension are u32 fields of the header.
 FEATURE_HEADER_MAX = 2**32 - 1
 
-# CSV lines converted per block by `_fields`.
+# CSV lines converted per block by `_line_fields`.
 _BLOCK_LINES = 4096
+# The bytes of files that `_plain_fields` hands to numpy's C reader: digits,
+# signs, decimal point, exponent, comma, and the whitespace of line ends.
+_PLAIN = b"0123456789+-.eE, \t\r\n"
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -107,13 +112,45 @@ def _data_lines(data: bytes, name: str):
             yield lineno, line
 
 
-def _fields(lines: list[str], ints: int):
+def _plain_fields(data: bytes, ints: int):
+    """`_line_fields` of the data lines of `data` in one call to numpy's C
+    reader, or None where that reader might judge a line differently.
+
+    Taken only when every byte is in `_PLAIN`: within that alphabet the C
+    reader accepts no value that Python's `int` or `float` refuses and
+    converts the rest to the same bits, while it refuses whitespace-only
+    lines, a line end inside a line and a float-written integer (which older
+    numpy accepts with a DeprecationWarning). It skips empty lines, as
+    `_data_lines` does, so its rows are the data lines. Any error or warning
+    gives None; so does an empty file, on which it warns.
+    """
+    if data.translate(None, _PLAIN):
+        return None
+    dtype = [(f"i{k}", "<i8") for k in range(ints)] + [(f"v{k}", "<f8") for k in range(5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(
+                io.BytesIO(data),
+                dtype=dtype,
+                delimiter=",",
+                comments=None,
+                usecols=[*range(ints), 2, 3, 4, 5, 6],
+                ndmin=1,
+            )
+        except (ValueError, Warning):
+            return None
+    names = table.dtype.names
+    return np.stack([table[n] for n in names[:ints]]), np.stack([table[n] for n in names[ints:]])
+
+
+def _line_fields(lines: list[str], ints: int):
     """An (ints, N) int64 array of the first `ints` columns, and a (5, N)
     float64 array of x, y, w, h and the seventh column (confidence or flag).
 
     None when a line has fewer than 7 fields, or a field does not convert or
     does not fit int64. Lines are split in blocks, so only one block of field
-    strings is alive at a time.
+    strings is alive at a time. The reference for `_plain_fields`.
     """
     whole = np.empty((ints, len(lines)), dtype=np.int64)
     values = np.empty((5, len(lines)), dtype=np.float64)
@@ -131,6 +168,20 @@ def _fields(lines: list[str], ints: int):
         except (ValueError, OverflowError):
             return None
     return whole, values
+
+
+def _fields(data: bytes, ints: int, name: str):
+    """The number of data lines in `data`, and their `_line_fields` arrays
+    or None.
+
+    The C reader (`_plain_fields`) converts plain files; any other file, or
+    one it refuses, is split into lines and converted by `_line_fields`.
+    """
+    parsed = _plain_fields(data, ints)
+    if parsed is not None:
+        return parsed[1].shape[1], parsed
+    lines = [line for _, line in _data_lines(data, name)]
+    return len(lines), _line_fields(lines, ints)
 
 
 def _raise_first_error(
@@ -193,13 +244,11 @@ def parse_detections(
             f"{name}: feature dimension {features.shape[1]} does not match "
             f"configured {cfg.feature_dim}"
         )
-    lines = [line for _, line in _data_lines(det_data, name)]
-    if len(lines) != features.shape[0]:
+    count, parsed = _fields(det_data, 1, name)
+    if count != features.shape[0]:
         raise ParseError(
-            f"{name}: {len(lines)} detection rows but {features.shape[0]} feature rows"
+            f"{name}: {count} detection rows but {features.shape[0]} feature rows"
         )
-
-    parsed = _fields(lines, ints=1)
     if parsed is None:
         _raise_first_error(det_data, features, cfg, name)
     (frame,), (x, y, w, h, conf) = parsed
@@ -213,7 +262,7 @@ def parse_detections(
 
     rows = np.flatnonzero(kept)
     rows = rows[np.argsort(frame[rows], kind="stable")]
-    if len(rows) == len(lines) and np.all(rows[1:] > rows[:-1]):
+    if len(rows) == count and np.all(rows[1:] > rows[:-1]):
         # Every row kept and already in frame order: the features stay a view
         # of the sidecar.
         columns = DetectionColumns(frame, box, conf, rows, features)
@@ -340,8 +389,7 @@ def parse_ground_truth(gt_data: bytes, name: str = "gt", *, results: bool = Fals
     The rows are converted column by column and checked as arrays; only
     when a check fails are they walked one by one to name the first bad line.
     """
-    lines = [line for _, line in _data_lines(gt_data, name)]
-    parsed = _fields(lines, ints=2)
+    _, parsed = _fields(gt_data, 2, name)
     if parsed is None:
         return _parse_ground_truth_rows(gt_data, name, results)
     (frame, tid), (x, y, w, h, flag) = parsed

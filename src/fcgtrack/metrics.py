@@ -186,6 +186,36 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
     return 2.0 * _idtp(rows, cols) / (total_gt + total_pred)
 
 
+def _greedy(frame, gid, pid, iou) -> np.ndarray:
+    """Mask of the matched pairs that the per-frame greedy match keeps.
+
+    Per frame, pairs are taken by descending IoU, ties toward the lower
+    predicted then GT rank, each skipped when its GT or predicted rank is
+    taken. A frame where no rank occurs in two pairs keeps every pair, so
+    only frames where one does are walked.
+    """
+    keep = np.ones(len(frame), dtype=bool)
+    clash = np.zeros(len(frame), dtype=bool)
+    for rank in (gid, pid):
+        order = np.lexsort((rank, frame))
+        f, r = frame[order], rank[order]
+        same = (f[1:] == f[:-1]) & (r[1:] == r[:-1])
+        clash[order[1:][same]] = True
+    walk = np.flatnonzero(np.isin(frame, frame[clash]))
+    keep[walk] = False
+    pairs = zip(*(a.tolist() for a in (frame[walk], -iou[walk], pid[walk], gid[walk], walk)))
+    for _, candidates in groupby(pairs, key=lambda m: m[0]):
+        used_gt: set[int] = set()
+        used_pred: set[int] = set()
+        for _, _, p, g, index in sorted(candidates):
+            if g in used_gt or p in used_pred:
+                continue
+            used_gt.add(g)
+            used_pred.add(p)
+            keep[index] = True
+    return keep
+
+
 def id_switches(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> int:
     """Count frames where a GT identity's matched predicted ID changes.
 
@@ -196,19 +226,9 @@ def id_switches(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> int
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    last_match: dict[int, int] = {}
-    switches = 0
-    frames, gids, pids, ious = (a.tolist() for a in _matches(gt, pred, iou_threshold))
-    for _, pairs in groupby(zip(frames, gids, pids, ious), key=lambda m: m[0]):
-        candidates = sorted((-iou, pid, gid) for _, gid, pid, iou in pairs)
-        used_gt: set[int] = set()
-        used_pred: set[int] = set()
-        for _, pid, gid in candidates:
-            if gid in used_gt or pid in used_pred:
-                continue
-            used_gt.add(gid)
-            used_pred.add(pid)
-            if gid in last_match and last_match[gid] != pid:
-                switches += 1
-            last_match[gid] = pid
-    return switches
+    frame, gid, pid, iou = _matches(gt, pred, iou_threshold)
+    keep = _greedy(frame, gid, pid, iou)
+    frame, gid, pid = frame[keep], gid[keep], pid[keep]
+    order = np.lexsort((frame, gid))
+    gid, pid = gid[order], pid[order]
+    return int(np.count_nonzero((gid[1:] == gid[:-1]) & (pid[1:] != pid[:-1])))

@@ -168,6 +168,15 @@ class TestIdSwitches:
         )
         assert id_switches(gt, pred) == 0
 
+    def test_equal_ious_go_to_the_lower_predicted_id(self):
+        # Prediction 7 holds GT 1 at frames 1 and 3. At frame 2 prediction 3
+        # covers the same box; the tie goes to the lower ID, 3: two switches.
+        box = (0, 0, 10, 10)
+        gt = TrackSet(tracks={1: track([(1, box), (2, box), (3, box)])})
+        pred = TrackSet(tracks={7: track([(1, box), (2, box), (3, box)]), 3: track([(2, box)])})
+        assert id_switches(gt, pred) == 2
+        assert per_pair_id_switches(gt, pred) == 2
+
 
 def crowded_tracks(rng, num_ids, frames=8):
     # coarse positions so boxes of different IDs collide and tie

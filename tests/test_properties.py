@@ -205,6 +205,18 @@ def test_idf1_of_parsed_columns_is_the_brute_force_idtp(gt, pred):
     assert idf1(gt_cols, pred_cols) == expected
 
 
+@settings(max_examples=200)
+@given(
+    track_sets(st.integers(1, 30), st.integers(1, 3), CROWD_BOX, max_ids=8),
+    track_sets(st.integers(1, 30), st.integers(1, 3), CROWD_BOX, max_ids=8),
+)
+def test_id_switches_in_crowds_match_the_per_pair_walk(gt, pred):
+    # Up to 8 IDs a side on 3 frames and 3 positions: most frames have a GT
+    # or predicted ID in several matched pairs, often at equal IoU, which the
+    # greedy match decides.
+    assert id_switches(gt, pred) == per_pair_id_switches(gt, pred)
+
+
 @st.composite
 def track_columns(draw, max_rows=12):
     """Columns of up to `max_rows` boxes with distinct (ID, frame) pairs,
