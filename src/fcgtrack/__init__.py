@@ -17,11 +17,8 @@ from .clustering import (
 from .core import (
     BBox,
     DegenerateFeatureError,
-    Detection,
     DetectionColumns,
-    DetectionView,
     DimensionMismatchError,
-    EmptyInputError,
     FcgConfig,
     FcgError,
     FrameConflictError,
@@ -32,11 +29,9 @@ from .core import (
     TrackEntry,
     TrackSet,
     Tracklet,
-    tracklet_new,
 )
 from .geometry import box_displacement, extrapolate, iou_distance
 from .io_mot import (
-    SequenceInput,
     parse_detections,
     parse_ground_truth,
     read_features,
@@ -59,11 +54,8 @@ __all__ = [
     "CANNOT_LINK",
     "DegenerateFeatureError",
     "Dendrogram",
-    "Detection",
     "DetectionColumns",
-    "DetectionView",
     "DimensionMismatchError",
-    "EmptyInputError",
     "FcgConfig",
     "FcgError",
     "FrameConflictError",
@@ -71,7 +63,6 @@ __all__ = [
     "LiftedFrame",
     "Merge",
     "ParseError",
-    "SequenceInput",
     "SynthConfig",
     "TrackColumns",
     "TrackEntry",
@@ -100,7 +91,6 @@ __all__ = [
     "subsample_tracks",
     "temporal_weight",
     "tracklet_distance",
-    "tracklet_new",
     "weighted_distance",
     "weighted_matrix",
     "write_detections",

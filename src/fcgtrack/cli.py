@@ -96,7 +96,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     )
     # Rebinding `seq` lets the unkept rows and the sidecar bytes go before tracking.
     seq = subsample(seq, args.ratio)
-    tracks = run(seq.columns, cfg)
+    tracks = run(seq, cfg)
     Path(args.out).write_bytes(write_tracks(tracks))
     return 0
 

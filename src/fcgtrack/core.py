@@ -1,4 +1,4 @@
-"""Core domain types: boxes, detections, tracklets, lifted frames, config, tracks.
+"""Core domain types: boxes, detection columns, tracklets, lifted frames, config, tracks.
 
 Everything here is immutable after construction.
 """
@@ -6,7 +6,6 @@ Everything here is immutable after construction.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -31,12 +30,8 @@ class InvalidConfigError(FcgError):
     """A configuration value is out of its admissible range."""
 
 
-class EmptyInputError(FcgError):
-    """An operation that requires at least one element got none."""
-
-
 class FrameConflictError(FcgError):
-    """Two detections claim the same frame inside one tracklet."""
+    """A track's frames are not strictly increasing (two boxes claim one frame)."""
 
 
 class DimensionMismatchError(FcgError):
@@ -49,14 +44,6 @@ class DegenerateFeatureError(FcgError):
 
 class ParseError(FcgError):
     """Malformed input data; the message carries file/line context."""
-
-
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    if arr.base is not None or arr.flags.writeable:
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -97,68 +84,15 @@ class BBox:
 
 
 @dataclass(frozen=True, eq=False)
-class Detection:
-    """One object instance in one frame with its appearance feature."""
-
-    frame: int
-    bbox: BBox
-    score: float
-    feature: np.ndarray
-    source_row: int = -1
-
-    def __eq__(self, other):
-        if not isinstance(other, Detection):
-            return NotImplemented
-        return (
-            self.frame == other.frame
-            and self.bbox == other.bbox
-            and self.score == other.score
-            and self.source_row == other.source_row
-            and np.array_equal(self.feature, other.feature)
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.frame, self.bbox, self.score, self.source_row, self.feature.tobytes())
-        )
-
-    def __post_init__(self):
-        object.__setattr__(self, "frame", int(self.frame))
-        object.__setattr__(self, "score", float(self.score))
-        object.__setattr__(self, "source_row", int(self.source_row))
-        if self.frame < 1:
-            raise ValueError(f"frame index must be >= 1, got {self.frame}")
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
-        feat = _frozen_array(self.feature)
-        if feat.ndim != 1 or feat.size == 0:
-            raise DimensionMismatchError(
-                f"feature must be a nonempty 1-d vector (source row {self.source_row})"
-            )
-        norm = float(np.linalg.norm(feat))
-        # Any inf or NaN component makes the norm non-finite, as does a norm
-        # too large for cosine distance to square.
-        if not math.isfinite(norm):
-            raise DegenerateFeatureError(
-                f"non-finite feature vector or norm (source row {self.source_row})"
-            )
-        if not norm > 0.0:
-            raise DegenerateFeatureError(
-                f"zero-norm feature vector (source row {self.source_row})"
-            )
-        object.__setattr__(self, "feature", feat)
-
-
-@dataclass(frozen=True, eq=False)
 class DetectionColumns:
     """Detections as parallel columns, one entry per detection in each.
 
     `frame` (N,) int64, `box` (N, 4) float64 rows of (x, y, w, h), `score`
     (N,) float64, `row` (N,) int64 source rows and `feature` (N, D): float32
-    as read from a feature sidecar, float64 from `Detection` objects; every
+    as read from a feature sidecar, float64 from `synthdata.generate`; every
     computation on features is done in float64. The arrays are made
     read-only; the constructor checks nothing else, so callers hand it
-    validated values (`parse_detections`, `from_detections`).
+    validated values (`parse_detections`, `generate`).
     """
 
     frame: np.ndarray
@@ -171,37 +105,6 @@ class DetectionColumns:
         for name in ("frame", "box", "score", "row", "feature"):
             getattr(self, name).setflags(write=False)
 
-    @classmethod
-    def from_detections(cls, detections) -> "DetectionColumns":
-        """Columns of `Detection` objects, in the given order."""
-        dets = list(detections)
-        dims = sorted({d.feature.shape[0] for d in dets})
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"feature dimensions differ: {dims}")
-        return cls(
-            frame=np.array([d.frame for d in dets], dtype=np.int64),
-            box=np.array(
-                [(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets], dtype=np.float64
-            ).reshape(-1, 4),
-            score=np.array([d.score for d in dets], dtype=np.float64),
-            row=np.array([d.source_row for d in dets], dtype=np.int64),
-            feature=np.stack([d.feature for d in dets]) if dets else np.zeros((0, 0)),
-        )
-
-    @classmethod
-    def concat(cls, tables) -> "DetectionColumns":
-        """The rows of several tables, one after the other."""
-        tables = list(tables)
-        dims = sorted({t.feature.shape[1] for t in tables})
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"feature dimensions differ: {dims}")
-        return cls(
-            *(
-                np.concatenate([getattr(t, name) for t in tables])
-                for name in ("frame", "box", "score", "row", "feature")
-            )
-        )
-
     def __len__(self) -> int:
         return len(self.frame)
 
@@ -211,47 +114,6 @@ class DetectionColumns:
             self.frame[index], self.box[index], self.score[index], self.row[index],
             self.feature[index],
         )
-
-    def detection(self, i) -> Detection:
-        """Row `i` as a `Detection`."""
-        return Detection(
-            frame=int(self.frame[i]),
-            bbox=BBox(*self.box[i].tolist()),
-            score=float(self.score[i]),
-            feature=self.feature[i],
-            source_row=int(self.row[i]),
-        )
-
-
-class DetectionView(Sequence):
-    """Rows of a `DetectionColumns` as `Detection` objects, built on access.
-
-    Compares equal to any sequence of equal detections, tuples included.
-    """
-
-    __slots__ = ("_columns", "_rows")
-
-    def __init__(self, columns: DetectionColumns, rows=None):
-        self._columns = columns
-        self._rows = range(len(columns)) if rows is None else rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self._columns.detection(r) for r in self._rows[i])
-        return self._columns.detection(self._rows[i])
-
-    def __eq__(self, other):
-        if isinstance(other, (str, bytes)) or not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"DetectionView({tuple(self)!r})"
 
 
 def _median(values: np.ndarray) -> np.ndarray:
@@ -275,7 +137,7 @@ class Tracklet:
 
     The element-wise median of their features is cached (even counts use the
     mean of the two middle values). Tracklets of one sequence share its
-    table. Construct through :func:`tracklet_new` or :meth:`from_rows`.
+    table. Construct through :meth:`from_rows`.
     """
 
     columns: DetectionColumns
@@ -289,20 +151,6 @@ class Tracklet:
         median.setflags(write=False)
         rows.setflags(write=False)
         return cls(columns=columns, rows=rows, median_feature=median)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tracklet):
-            return NotImplemented
-        return self.detections == other.detections and np.array_equal(
-            self.median_feature, other.median_feature
-        )
-
-    def __hash__(self):
-        return hash((tuple(self.detections), self.median_feature.tobytes()))
-
-    @property
-    def detections(self) -> DetectionView:
-        return DetectionView(self.columns, self.rows)
 
     @property
     def frame_set(self) -> frozenset[int]:
@@ -320,43 +168,12 @@ class Tracklet:
         return len(self.rows)
 
 
-def tracklet_new(detections) -> Tracklet:
-    """Build a tracklet from detections of one object.
-
-    Detections are sorted by frame and the element-wise median of their
-    features is cached. Raises on an empty list, duplicate frame indices, or
-    mixed feature dimensions.
-    """
-    dets = list(detections)
-    if not dets:
-        raise EmptyInputError("a tracklet needs at least one detection")
-    dims = {d.feature.shape[0] for d in dets}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"mixed feature dimensions in tracklet: {sorted(dims)}")
-    frames = [d.frame for d in dets]
-    if len(set(frames)) != len(frames):
-        dup = sorted(f for f in set(frames) if frames.count(f) > 1)
-        raise FrameConflictError(f"duplicate frame indices in tracklet: {dup}")
-    dets.sort(key=lambda d: d.frame)
-    return Tracklet.from_rows(DetectionColumns.from_detections(dets), np.arange(len(dets)))
-
-
-def common_columns(tracklets) -> tuple[DetectionColumns | None, list[np.ndarray]]:
-    """One table holding the detections of all `tracklets`, and each one's rows in it.
-
-    Tracklets of one sequence share its table, which comes back as it is;
-    tracklets built apart (through :func:`tracklet_new`) are stacked into a
-    new table. The table is None when there are no tracklets.
-    """
-    tables = {id(t.columns): t.columns for t in tracklets}
-    if len(tables) <= 1:
-        return next(iter(tables.values()), None), [t.rows for t in tracklets]
-    offset, start = {}, 0
-    for key, table in tables.items():
-        offset[key] = start
-        start += len(table)
-    stacked = DetectionColumns.concat(tables.values())
-    return stacked, [t.rows + offset[id(t.columns)] for t in tracklets]
+def _shared_table(tracklets) -> DetectionColumns:
+    """The one detection table that all of a nonempty list of tracklets index."""
+    table = tracklets[0].columns
+    if any(t.columns is not table for t in tracklets):
+        raise ValueError("tracklets index different detection tables")
+    return table
 
 
 @dataclass(frozen=True)

@@ -8,21 +8,19 @@ as "frame,id,x,y,w,h,score,-1,-1,-1" rows with fixed decimal precision.
 from __future__ import annotations
 
 import io
+import math
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NoReturn
 
 import numpy as np
 
 from .core import (
     BBox,
-    Detection,
     DetectionColumns,
-    DetectionView,
     FcgConfig,
     MAX_INT,
-    FcgError,
     ParseError,
     TrackColumns,
     TrackSet,
@@ -39,27 +37,6 @@ _BLOCK_LINES = 4096
 # The bytes of files that `_plain_fields` hands to numpy's C reader: digits,
 # signs, decimal point, exponent, comma, and the whitespace of line ends.
 _PLAIN = b"0123456789+-.eE, \t\r\n"
-
-
-@dataclass(frozen=True, init=False, eq=False)
-class SequenceInput:
-    """Score-filtered detections of one sequence, held as columns.
-
-    `parse_detections` sorts them by (frame, source row). The constructor
-    also takes `Detection` objects (`SequenceInput(detections=...)`, kept in
-    the given order), and `detections` reads them back, built on access.
-    """
-
-    columns: DetectionColumns
-
-    def __init__(self, detections=(), *, columns: DetectionColumns | None = None):
-        if columns is None:
-            columns = DetectionColumns.from_detections(detections)
-        object.__setattr__(self, "columns", columns)
-
-    @property
-    def detections(self) -> DetectionView:
-        return DetectionView(self.columns)
 
 
 def write_features(features: np.ndarray) -> bytes:
@@ -209,23 +186,30 @@ def _raise_first_error(
         if conf < cfg.score_threshold:
             continue
         try:
-            Detection(
-                frame=frame,
-                bbox=BBox(x, y, w, h),
-                score=conf,
-                feature=features[row_idx],
-                source_row=row_idx,
-            )
-        except (FcgError, ValueError) as exc:
+            BBox(x, y, w, h)
+        except ValueError as exc:
             raise ParseError(f"{name} line {lineno}: {exc}") from exc
+        if not 0.0 <= conf <= 1.0:
+            raise ParseError(f"{name} line {lineno}: score must be in [0, 1], got {conf}")
+        # Any inf or NaN component makes the norm non-finite.
+        norm = float(np.linalg.norm(features[row_idx].astype(np.float64)))
+        if not math.isfinite(norm):
+            raise ParseError(
+                f"{name} line {lineno}: non-finite feature vector or norm (source row {row_idx})"
+            )
+        if not norm > 0.0:
+            raise ParseError(
+                f"{name} line {lineno}: zero-norm feature vector (source row {row_idx})"
+            )
     # Only reached if the array checks flagged a row these checks accept.
     raise ParseError(f"{name}: invalid detection rows")
 
 
 def parse_detections(
     det_data: bytes, feature_data: bytes, cfg: FcgConfig, name: str = "det"
-) -> SequenceInput:
-    """Parse a detection CSV plus its feature sidecar into a SequenceInput.
+) -> DetectionColumns:
+    """Parse a detection CSV plus its feature sidecar into columns sorted by
+    (frame, source row).
 
     Rows with confidence below cfg.score_threshold are dropped (their feature
     rows are skipped with them); invalid boxes or malformed lines raise with
@@ -265,15 +249,12 @@ def parse_detections(
     if len(rows) == count and np.all(rows[1:] > rows[:-1]):
         # Every row kept and already in frame order: the features stay a view
         # of the sidecar.
-        columns = DetectionColumns(frame, box, conf, rows, features)
-    else:
-        columns = DetectionColumns(frame[rows], box[rows], conf[rows], rows, features[rows])
-    return SequenceInput(columns=columns)
+        return DetectionColumns(frame, box, conf, rows, features)
+    return DetectionColumns(frame[rows], box[rows], conf[rows], rows, features[rows])
 
 
-def write_detections(seq: SequenceInput) -> bytes:
+def write_detections(cols: DetectionColumns) -> bytes:
     """Serialize detections to CSV with full-precision coordinates, id column -1."""
-    cols = seq.columns
     lines = [
         f"{frame},-1,{x!r},{y!r},{w!r},{h!r},{score!r},-1,-1,-1"
         for frame, (x, y, w, h), score in zip(
@@ -283,14 +264,14 @@ def write_detections(seq: SequenceInput) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 
-def detection_features(seq: SequenceInput, feature_dim: int | None = None) -> np.ndarray:
+def detection_features(cols: DetectionColumns, feature_dim: int | None = None) -> np.ndarray:
     """Feature matrix aligned with write_detections row order.
 
-    `feature_dim` fixes the column count when the sequence is empty.
+    `feature_dim` fixes the column count when there are no detections.
     """
-    if not len(seq.columns):
+    if not len(cols):
         return np.zeros((0, feature_dim if feature_dim else 1), dtype=np.float64)
-    return seq.columns.feature
+    return cols.feature
 
 
 def write_tracks(tracks: TrackSet) -> bytes:
@@ -439,12 +420,12 @@ def _subsampled(frame: np.ndarray, ratio: int) -> tuple[np.ndarray, np.ndarray]:
     return kept, offset[kept] // ratio + 1
 
 
-def subsample(seq: SequenceInput, ratio: int) -> SequenceInput:
+def subsample(cols: DetectionColumns, ratio: int) -> DetectionColumns:
     """Keep every ratio-th frame of a sequence, renumbered (see `_subsampled`)."""
     if check_ratio(ratio) == 1:
-        return seq
-    kept, frame = _subsampled(seq.columns.frame, ratio)
-    return SequenceInput(columns=replace(seq.columns.take(kept), frame=frame))
+        return cols
+    kept, frame = _subsampled(cols.frame, ratio)
+    return replace(cols.take(kept), frame=frame)
 
 
 def subsample_tracks(tracks: TrackSet, ratio: int) -> TrackSet:

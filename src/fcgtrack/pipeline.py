@@ -19,14 +19,13 @@ import numpy as np
 from .appearance import cosine_matrix
 from .clustering import cluster_batch
 from .core import (
-    Detection,
     DetectionColumns,
     FcgConfig,
     LiftedFrame,
     TrackColumns,
     TrackSet,
     Tracklet,
-    common_columns,
+    _shared_table,
 )
 from .weighting import weighted_matrix
 
@@ -39,7 +38,7 @@ def _frame_overlap_mask(tracklets) -> np.ndarray:
     """
     if not tracklets:
         return np.zeros((0, 0), dtype=bool)
-    table, rows = common_columns(tracklets)
+    table, rows = _shared_table(tracklets), [t.rows for t in tracklets]
     present, column = np.unique(table.frame[np.concatenate(rows)], return_inverse=True)
     row = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
     incidence = np.zeros((len(rows), len(present)), dtype=np.float32)
@@ -47,10 +46,8 @@ def _frame_overlap_mask(tracklets) -> np.ndarray:
     return incidence @ incidence.T > 0.0
 
 
-def _sorted_columns(detections) -> DetectionColumns:
-    """`detections` (columns or `Detection` objects) as columns in (frame, row) order."""
-    if not isinstance(detections, DetectionColumns):
-        detections = DetectionColumns.from_detections(detections)
+def _sorted_columns(detections: DetectionColumns) -> DetectionColumns:
+    """`detections` in (frame, row) order."""
     order = np.lexsort((detections.row, detections.frame))
     if np.all(order[1:] > order[:-1]):
         return detections
@@ -75,9 +72,7 @@ def _window_frame(window, table: DetectionColumns, partition) -> LiftedFrame:
     return LiftedFrame(span_start=n, span_end=n + 1, tracklets=tracklets)
 
 
-def generate_tracklets(
-    detections: DetectionColumns | list[Detection], cfg: FcgConfig
-) -> list[LiftedFrame]:
+def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> list[LiftedFrame]:
     """Stage 1: one lifted frame of appearance tracklets per temporal window.
 
     Window n covers frames [n*window + 1, (n+1)*window]; the last window may
@@ -104,15 +99,16 @@ def _fused(union: list[Tracklet], partition) -> tuple[Tracklet, ...]:
     """One tracklet per cluster of `union`.
 
     A cluster of one is the input tracklet itself; only merged clusters get a
-    new median.
+    new median. A union of two or more tracklets has passed `weighted_matrix`,
+    so they index one table.
     """
-    table, rows = common_columns(union)
     merged = []
     for members in partition:
         if len(members) == 1:
             merged.append(union[members[0]])
             continue
-        joined = np.concatenate([rows[i] for i in members])
+        table = union[members[0]].columns
+        joined = np.concatenate([union[i].rows for i in members])
         joined = joined[np.argsort(table.frame[joined], kind="stable")]
         merged.append(Tracklet.from_rows(table, joined))
     return tuple(merged)
@@ -178,7 +174,7 @@ def _fuse_global(frames: list[LiftedFrame], cfg: FcgConfig) -> LiftedFrame:
 
 
 def _assign_ids(tracklets) -> TrackSet:
-    table, rows = common_columns(tracklets)
+    table, rows = _shared_table(tracklets), [t.rows for t in tracklets]
     first = np.array([r[0] for r in rows])
     # lexsort is stable: ties keep the final lifted frame's order.
     ordered = [rows[k] for k in np.lexsort((table.row[first], table.frame[first]))]
@@ -189,13 +185,11 @@ def _assign_ids(tracklets) -> TrackSet:
     )
 
 
-def run(detections: DetectionColumns | list[Detection], cfg: FcgConfig) -> TrackSet:
+def run(detections: DetectionColumns, cfg: FcgConfig) -> TrackSet:
     """Track a full sequence: tracklet generation, hierarchical fusion, IDs.
 
-    `detections` are the columns of a sequence (`SequenceInput.columns`) or
-    `Detection` objects. IDs are 1..K in order of each track's first frame
-    (ties by the first detection's source row). The output is deterministic
-    for fixed inputs.
+    IDs are 1..K in order of each track's first frame (ties by the first
+    detection's source row). The output is deterministic for fixed inputs.
     """
     frames = generate_tracklets(detections, cfg)
     if not frames:

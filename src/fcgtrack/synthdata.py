@@ -10,13 +10,12 @@ generated values.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, Detection, InvalidConfigError, TrackEntry, TrackSet
-from .io_mot import FEATURE_HEADER_MAX, SequenceInput
+from .core import DetectionColumns, InvalidConfigError, TrackColumns, TrackSet
+from .io_mot import FEATURE_HEADER_MAX
 
 MOTION_MODELS = ("linear", "sinusoidal")
 
@@ -85,35 +84,29 @@ class SynthConfig:
             raise InvalidConfigError("arena must be larger than the box size")
 
 
-def _reflect(p: float, lo: float, hi: float) -> float:
-    # Fold p into [lo, hi] as if bouncing off both ends.
+def _reflect(p: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    # Fold p into [lo, hi] as if bouncing off both ends; `SynthConfig`
+    # makes the arena larger than the box, so hi > lo.
     span = hi - lo
-    if span <= 0:
-        return lo
-    q = (p - lo) % (2.0 * span)
-    return lo + span - abs(q - span)
+    q = np.remainder(p - lo, 2.0 * span)
+    return lo + span - np.abs(q - span)
 
 
-def _identity_boxes(cfg: SynthConfig, identity: int) -> list[BBox]:
+def _identity_boxes(cfg: SynthConfig, identity: int) -> np.ndarray:
+    """(num_frames, 4) boxes of one identity, row t at frame t + 1."""
     rng = np.random.default_rng([cfg.seed, identity])
     bw, bh = cfg.box_size
     max_x = cfg.arena[0] - bw
     max_y = cfg.arena[1] - bh
     x0 = rng.uniform(0.0, max_x)
     y0 = rng.uniform(0.0, max_y)
-    boxes = []
+    t = np.arange(cfg.num_frames, dtype=np.float64)
+    steps = range(cfg.num_frames)
     if cfg.motion_model == "linear":
         vx = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
         vy = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-        for t in range(cfg.num_frames):
-            boxes.append(
-                BBox(
-                    _reflect(x0 + vx * t, 0.0, max_x),
-                    _reflect(y0 + vy * t, 0.0, max_y),
-                    bw,
-                    bh,
-                )
-            )
+        x = _reflect(x0 + vx * t, 0.0, max_x)
+        y = _reflect(y0 + vy * t, 0.0, max_y)
     else:
         ax = rng.uniform(0.1, 0.45) * max_x
         ay = rng.uniform(0.1, 0.45) * max_y
@@ -123,61 +116,39 @@ def _identity_boxes(cfg: SynthConfig, identity: int) -> list[BBox]:
         phy = rng.uniform(0.0, 2.0 * math.pi)
         cx = rng.uniform(ax, max_x - ax)
         cy = rng.uniform(ay, max_y - ay)
-        for t in range(cfg.num_frames):
-            boxes.append(
-                BBox(
-                    cx + ax * math.sin(2.0 * math.pi * t / px + phx),
-                    cy + ay * math.sin(2.0 * math.pi * t / py + phy),
-                    bw,
-                    bh,
-                )
-            )
-    return boxes
+        # math.sin, not np.sin: numpy's vectorised sine may round differently.
+        x = cx + ax * np.array([math.sin(2.0 * math.pi * k / px + phx) for k in steps])
+        y = cy + ay * np.array([math.sin(2.0 * math.pi * k / py + phy) for k in steps])
+    return np.stack([x, y, np.full_like(t, bw), np.full_like(t, bh)], axis=1)
 
 
-def _feature(cfg: SynthConfig, identity: int, frame: int) -> np.ndarray:
-    proto = np.zeros(cfg.feature_dim, dtype=np.float64)
-    proto[identity - 1] = 1.0
-    if cfg.feature_noise_sigma == 0.0:
-        return proto
-    rng = np.random.default_rng([cfg.seed, identity, frame])
-    v = proto + rng.normal(0.0, cfg.feature_noise_sigma, cfg.feature_dim)
-    return v / np.linalg.norm(v)
-
-
-def generate(cfg: SynthConfig) -> tuple[SequenceInput, TrackSet]:
+def generate(cfg: SynthConfig) -> tuple[DetectionColumns, TrackSet]:
     """Emit detections and matching ground truth for the configured scene.
 
     Occluded frames and frames at or past an identity's exit produce nothing.
-    Scores are fixed at 1.0; ground-truth track IDs equal identity numbers.
+    Detections are emitted frame by frame, identities in order within a
+    frame; their source rows count from 0 in that order. Scores are fixed at
+    1.0; ground-truth track IDs equal identity numbers.
     """
-    hidden: dict[int, set[int]] = defaultdict(set)
+    visible = np.ones((cfg.num_frames, cfg.num_identities), dtype=bool)
     for identity, start, end in cfg.occlusions:
-        hidden[identity].update(range(start, end + 1))
+        visible[start - 1 : end, identity - 1] = False
     for identity, exit_frame in cfg.exits:
-        hidden[identity].update(range(exit_frame, cfg.num_frames + 1))
-
-    boxes = {k: _identity_boxes(cfg, k) for k in range(1, cfg.num_identities + 1)}
-    detections: list[Detection] = []
-    gt: dict[int, list[TrackEntry]] = defaultdict(list)
-    row = 0
-    for frame in range(1, cfg.num_frames + 1):
-        for identity in range(1, cfg.num_identities + 1):
-            if frame in hidden[identity]:
-                continue
-            bbox = boxes[identity][frame - 1]
-            detections.append(
-                Detection(
-                    frame=frame,
-                    bbox=bbox,
-                    score=1.0,
-                    feature=_feature(cfg, identity, frame),
-                    source_row=row,
-                )
-            )
-            gt[identity].append(TrackEntry(frame, bbox, 1.0))
-            row += 1
-
-    seq = SequenceInput(detections=tuple(detections))
-    truth = TrackSet(tracks={k: tuple(v) for k, v in gt.items()})
+        visible[exit_frame - 1 :, identity - 1] = False
+    t, k = np.nonzero(visible)  # frame-major, as emitted
+    boxes = np.stack([_identity_boxes(cfg, i + 1) for i in range(cfg.num_identities)], axis=1)
+    box = boxes[t, k]
+    feature = np.zeros((len(t), cfg.feature_dim))
+    feature[np.arange(len(t)), k] = 1.0
+    if cfg.feature_noise_sigma != 0.0:
+        for n, (frame, identity) in enumerate(zip((t + 1).tolist(), (k + 1).tolist())):
+            rng = np.random.default_rng([cfg.seed, identity, frame])
+            v = feature[n] + rng.normal(0.0, cfg.feature_noise_sigma, cfg.feature_dim)
+            feature[n] = v / np.linalg.norm(v)
+    frame = t + 1
+    seq = DetectionColumns(frame, box, np.ones(len(t)), np.arange(len(t)), feature)
+    order = np.lexsort((frame, k))
+    truth = TrackSet(
+        columns=TrackColumns(k[order] + 1, frame[order], box[order], np.ones(len(t)))
+    )
     return seq, truth

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .appearance import cosine_matrix, feature_matrix
-from .core import CANNOT_LINK, BBox, FcgConfig, Tracklet, common_columns
+from .core import CANNOT_LINK, BBox, FcgConfig, Tracklet, _shared_table
 from .geometry import box_array, box_displacement_array, extrapolate_array, iou_distance_array
 
 
@@ -56,7 +56,7 @@ def _endpoints(tracklets: Sequence[Tracklet], cfg: FcgConfig):
     arrays broadcast to (n, n, 4). Entries where i is not before j are
     meaningless. Endpoints are gathered from the tracklets' table by row.
     """
-    table, rows = common_columns(tracklets)
+    table, rows = _shared_table(tracklets), [t.rows for t in tracklets]
     first = np.array([r[0] for r in rows], dtype=np.intp)
     last = np.array([r[-1] for r in rows], dtype=np.intp)
     first_frame = table.frame[first]

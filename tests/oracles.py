@@ -9,7 +9,38 @@ from collections import defaultdict
 
 import numpy as np
 
+from fcgtrack.core import BBox, DetectionColumns, Tracklet
+
 SENTINEL = 1.0e6
+# Box, score and source row of a row tuple that leaves them out.
+_ROW_DEFAULTS = ((0.0, 0.0, 10.0, 10.0), 1.0, -1)
+
+
+def columns(rows):
+    """`DetectionColumns` of (frame, feature[, box[, score[, row]]]) tuples, in order.
+
+    Left-out trailing fields take `_ROW_DEFAULTS`. Nothing is validated.
+    """
+    rows = [(*r, *_ROW_DEFAULTS[len(r) - 2 :]) for r in rows]
+    frame, feature, box, score, row = zip(*rows) if rows else ((),) * 5
+    return DetectionColumns(
+        frame=np.array(frame, dtype=np.int64),
+        box=np.array(box, dtype=np.float64).reshape(-1, 4),
+        score=np.array(score, dtype=np.float64),
+        row=np.array(row, dtype=np.int64),
+        feature=np.array(feature, dtype=np.float64) if rows else np.zeros((0, 0)),
+    )
+
+
+def tracklets(*groups):
+    """One tracklet per group of `columns` row tuples, its rows sorted by frame.
+
+    All of them index one table: the groups' rows, one group after the other.
+    """
+    groups = [sorted(group, key=lambda r: r[0]) for group in groups]
+    table = columns([r for group in groups for r in group])
+    ends = np.cumsum([len(group) for group in groups], dtype=np.int64)
+    return [Tracklet.from_rows(table, np.arange(end - len(g), end)) for g, end in zip(groups, ends)]
 
 
 def cannot_link_mask(pairs, n):
@@ -238,6 +269,11 @@ def scalar_box_displacement(a, b):
     return (d1 + d2) / 2.0
 
 
+def _box(tracklet, k):
+    """Box of a tracklet's k-th detection."""
+    return BBox(*tracklet.columns.box[tracklet.rows[k]].tolist())
+
+
 def scalar_weighted_distance(t1, t2, cfg, sentinel=SENTINEL):
     """Per-pair weighted tracklet distance, one Python call per pair.
 
@@ -258,9 +294,9 @@ def scalar_weighted_distance(t1, t2, cfg, sentinel=SENTINEL):
     if cfg.use_temporal:
         d *= 1.0 if delta_t <= cfg.kt else cfg.ct
     if cfg.use_spatial:
-        last = early.detections[-1].bbox
+        last = _box(early, -1)
         if cfg.use_motion:
-            prev = early.detections[-2].bbox if len(early.detections) >= 2 else last
+            prev = _box(early, -2) if len(early) >= 2 else last
             k = min(delta_t, cfg.window)
             last = type(last)(
                 x=last.x + k * (last.x - prev.x),
@@ -268,7 +304,7 @@ def scalar_weighted_distance(t1, t2, cfg, sentinel=SENTINEL):
                 w=max(last.w + k * (last.w - prev.w), 1.0),
                 h=max(last.h + k * (last.h - prev.h), 1.0),
             )
-        first = late.detections[0].bbox
+        first = _box(late, 0)
         lambda_c = min(1.0, scalar_iou_distance(last, first) + cfg.off)
         lambda_f = 1.0 if scalar_box_displacement(last, first) <= cfg.kf else cfg.cf
         d *= lambda_c * lambda_f

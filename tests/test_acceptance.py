@@ -12,15 +12,7 @@ import pytest
 
 from fcgtrack.appearance import cosine_distance, tracklet_distance
 from fcgtrack.clustering import cluster_matrix, cut, linkage_matrix
-from fcgtrack.core import (
-    BBox,
-    Detection,
-    FcgConfig,
-    LiftedFrame,
-    TrackEntry,
-    TrackSet,
-    tracklet_new,
-)
+from fcgtrack.core import BBox, FcgConfig, LiftedFrame, TrackEntry, TrackSet
 from fcgtrack.geometry import box_displacement, extrapolate, iou_distance
 from fcgtrack.io_mot import (
     parse_detections,
@@ -34,7 +26,7 @@ from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import fuse_lifted_frames, generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
 from fcgtrack.weighting import spatial_weights, temporal_weight, weighted_distance
-from oracles import brute_force_partition, cannot_link_mask
+from oracles import brute_force_partition, cannot_link_mask, columns, tracklets
 
 TOL = 1e-9
 
@@ -50,10 +42,7 @@ def criterion(num, label):
 
 
 def det(frame, feature, box=(0.0, 0.0, 10.0, 10.0), score=1.0, row=0):
-    return Detection(
-        frame=frame, bbox=BBox(*box), score=score,
-        feature=np.array(feature, float), source_row=row,
-    )
+    return (frame, feature, box, score, row)
 
 
 def basis(k, dim=8):
@@ -89,10 +78,10 @@ def test_criterion_2_formula_unit_suite():
         start = time.perf_counter()
 
         # element-wise medians
-        assert np.array_equal(tracklet_new([det(1, [0.6, 0.8])]).median_feature, [0.6, 0.8])
-        t = tracklet_new([det(1, [0.0, 1.0]), det(2, [1.0, 0.0]), det(3, [1.0, 1.0])])
+        assert np.array_equal(tracklets([det(1, [0.6, 0.8])])[0].median_feature, [0.6, 0.8])
+        (t,) = tracklets([det(1, [0.0, 1.0]), det(2, [1.0, 0.0]), det(3, [1.0, 1.0])])
         assert np.array_equal(t.median_feature, [1.0, 1.0])
-        t = tracklet_new([det(1, [0.0, 1.0]), det(2, [2.0, 3.0])])
+        (t,) = tracklets([det(1, [0.0, 1.0]), det(2, [2.0, 3.0])])
         assert np.array_equal(t.median_feature, [1.0, 2.0])
 
         # box geometry
@@ -111,14 +100,13 @@ def test_criterion_2_formula_unit_suite():
         assert cosine_distance([0.3, 0.4], [0.3, 0.4]) == 0.0
         assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
         assert cosine_distance([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 - 1 / math.sqrt(2), abs=TOL)
-        ta = tracklet_new([det(1, [0.5, 0.5])])
-        tb = tracklet_new([det(2, [0.5, 0.5])])
+        ta, tb = tracklets([det(1, [0.5, 0.5])], [det(2, [0.5, 0.5])])
         assert tracklet_distance(ta, tb) == 0.0
         assert tracklet_distance(
-            tracklet_new([det(1, [1.0, 0.0])]), tracklet_new([det(2, [0.0, 1.0])])
+            *tracklets([det(1, [1.0, 0.0])], [det(2, [0.0, 1.0])])
         ) == 1.0
         assert tracklet_distance(
-            tracklet_new([det(1, [1.0, 0.0])]), tracklet_new([det(2, [1.0, 1.0])])
+            *tracklets([det(1, [1.0, 0.0])], [det(2, [1.0, 1.0])])
         ) == pytest.approx(1 - 1 / math.sqrt(2), abs=TOL)
 
         # weighting factors
@@ -135,13 +123,15 @@ def test_criterion_2_formula_unit_suite():
         assert lam_c == 1.0
 
         # combined weighted distance
-        t1 = tracklet_new([det(1, [1.0, 0.0])])
-        t2 = tracklet_new([det(42, [0.9, math.sqrt(1 - 0.81)], box=(100, 0, 10, 10))])
+        t1, t2, t3, t4 = tracklets(
+            [det(1, [1.0, 0.0])],
+            [det(42, [0.9, math.sqrt(1 - 0.81)], box=(100, 0, 10, 10))],
+            [det(5, [0.9, math.sqrt(1 - 0.81)], box=(100, 0, 10, 10))],
+            [det(2, [1.0, 0.0], box=(0, 0, 10, 10))],
+        )
         assert weighted_distance(t1, t2, cfg) == pytest.approx(0.8, abs=TOL)
         plain = FcgConfig(use_temporal=False, use_spatial=False, use_motion=False)
-        t3 = tracklet_new([det(5, [0.9, math.sqrt(1 - 0.81)], box=(100, 0, 10, 10))])
         assert weighted_distance(t1, t3, plain) == tracklet_distance(t1, t3)
-        t4 = tracklet_new([det(2, [1.0, 0.0], box=(0, 0, 10, 10))])
         assert weighted_distance(t1, t4, cfg) == 0.0
 
         # clustering
@@ -164,56 +154,57 @@ def test_criterion_2_formula_unit_suite():
 
         # tracklet generation
         cfg8 = FcgConfig(feature_dim=8)
-        frames = generate_tracklets([det(1, basis(0))], cfg8)
+        frames = generate_tracklets(columns([det(1, basis(0))]), cfg8)
         assert len(frames) == 1 and len(frames[0].tracklets) == 1
         assert len(frames[0].tracklets[0]) == 1
         dets = [
             det(1, basis(0), row=0), det(1, basis(1), row=1),
             det(2, basis(0), row=2), det(2, basis(1), row=3),
         ]
-        tracklets = generate_tracklets(dets, cfg8)[0].tracklets
-        assert len(tracklets) == 2 and all(len(t) == 2 for t in tracklets)
-        pair = generate_tracklets([det(1, basis(0), row=0), det(1, basis(0), row=1)], cfg8)
+        window = generate_tracklets(columns(dets), cfg8)[0].tracklets
+        assert len(window) == 2 and all(len(t) == 2 for t in window)
+        pair = generate_tracklets(
+            columns([det(1, basis(0), row=0), det(1, basis(0), row=1)]), cfg8
+        )
         assert len(pair[0].tracklets) == 2
 
         # lifted-frame fusion
-        t1 = tracklet_new([det(f, basis(0), box=(0, 0, 10, 10)) for f in (1, 2)])
-        t2 = tracklet_new([det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)])
+        t1, t2 = tracklets(
+            [det(f, basis(0), box=(0, 0, 10, 10)) for f in (1, 2)],
+            [det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)],
+        )
         fused = fuse_lifted_frames(
             LiftedFrame(0, 1, (t1,)), LiftedFrame(1, 2, (t2,)), cfg8
         )
         assert len(fused.tracklets) == 1
         assert fused.tracklets[0].frame_set == frozenset({1, 2, 7, 8})
-        fused = fuse_lifted_frames(
-            LiftedFrame(0, 1, (tracklet_new([det(1, basis(0))]),)),
-            LiftedFrame(1, 2, (tracklet_new([det(7, basis(1))]),)),
-            cfg8,
-        )
+        ta, tb = tracklets([det(1, basis(0))], [det(7, basis(1))])
+        fused = fuse_lifted_frames(LiftedFrame(0, 1, (ta,)), LiftedFrame(1, 2, (tb,)), cfg8)
         assert len(fused.tracklets) == 2
+        ta, tb = tracklets([det(1, [0.0, 1.0])], [det(7, [1.0, 0.0]), det(8, [1.0, 1.0])])
         merged = fuse_lifted_frames(
-            LiftedFrame(0, 1, (tracklet_new([det(1, [0.0, 1.0])]),)),
-            LiftedFrame(1, 2, (tracklet_new([det(7, [1.0, 0.0]), det(8, [1.0, 1.0])]),)),
+            LiftedFrame(0, 1, (ta,)),
+            LiftedFrame(1, 2, (tb,)),
             FcgConfig(feature_dim=2, track_threshold=1.9),
         )
         assert np.array_equal(merged.tracklets[0].median_feature, [1.0, 1.0])
 
         # full runs
-        assert run([], cfg8).tracks == {}
+        assert run(columns([]), cfg8).tracks == {}
         moving = [det(f, basis(0), box=(float(f), 0, 10, 10), row=f - 1) for f in range(1, 31)]
-        ts = run(moving, cfg8)
+        ts = run(columns(moving), cfg8)
         assert list(ts.tracks) == [1] and len(ts.tracks[1]) == 30
         seq, gt = generate(SynthConfig(num_identities=2, num_frames=30, feature_dim=8, seed=2))
-        ts = run(list(seq.detections), cfg8)
+        ts = run(seq, cfg8)
         assert len(ts.tracks) == 2 and id_switches(gt, ts) == 0
 
         # detection ingestion
         cfg3 = FcgConfig(feature_dim=3)
         blob = write_features(np.array([[1.0, 0.0, 0.0]]))
         seq = parse_detections(b"1,-1,10,20,30,40,0.9,-1,-1,-1\n", blob, cfg3)
-        d = seq.detections[0]
-        assert (d.frame, d.bbox, d.score) == (1, BBox(10, 20, 30, 40), 0.9)
+        assert (seq.frame[0], BBox(*seq.box[0]), seq.score[0]) == (1, BBox(10, 20, 30, 40), 0.9)
         seq = parse_detections(b"1,-1,10,20,30,40,0.5,-1,-1,-1\n", blob, cfg3)
-        assert seq.detections == ()
+        assert len(seq) == 0
         from fcgtrack.core import ParseError
 
         with pytest.raises(ParseError):
@@ -239,25 +230,19 @@ def test_criterion_2_formula_unit_suite():
             parse_ground_truth(b"1,5,1,2,3,4,1,1,1\n1,5,2,3,4,5,1,1,1\n")
 
         # subsampling
-        from fcgtrack.io_mot import SequenceInput
-
-        tenseq = SequenceInput(
-            detections=tuple(det(f, [1.0, 0.0], row=f - 1) for f in range(1, 11))
-        )
+        tenseq = columns(det(f, [1.0, 0.0], row=f - 1) for f in range(1, 11))
         assert subsample(tenseq, 1) is tenseq
         sub = subsample(tenseq, 2)
-        assert [d.frame for d in sub.detections] == [1, 2, 3, 4, 5]
-        thirty = SequenceInput(
-            detections=tuple(det(f, [1.0, 0.0], row=f - 1) for f in range(1, 31))
-        )
-        assert [d.frame for d in subsample(thirty, 30).detections] == [1]
+        assert sub.frame.tolist() == [1, 2, 3, 4, 5]
+        thirty = columns(det(f, [1.0, 0.0], row=f - 1) for f in range(1, 31))
+        assert subsample(thirty, 30).frame.tolist() == [1]
 
         # synthetic generator
         seq, gt = generate(SynthConfig(num_identities=2, num_frames=10, feature_dim=4, seed=1))
-        assert len(seq.detections) == 20
+        assert len(seq) == 20
         feats = {1: [], 2: []}
-        for d in seq.detections:
-            feats[int(np.argmax(d.feature)) + 1].append(d.feature)
+        for feature in seq.feature:
+            feats[int(np.argmax(feature)) + 1].append(feature)
         assert all(
             cosine_distance(a, b) == 0.0 for fs in feats.values() for a, b in zip(fs, fs[1:])
         )
@@ -266,9 +251,10 @@ def test_criterion_2_formula_unit_suite():
             num_identities=1, num_frames=10, feature_dim=2, occlusions=((1, 4, 6),), seed=1
         )
         seq, _ = generate(occl)
-        assert len(seq.detections) == 7
-        twice = [generate(occl) for _ in range(2)]
-        assert twice[0][0].detections == twice[1][0].detections
+        assert len(seq) == 7
+        (a, _), (b, _) = [generate(occl) for _ in range(2)]
+        for name in ("frame", "box", "score", "row", "feature"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
         # identity metrics
         straight = lambda frames: tuple(TrackEntry(f, BBox(0, 0, 10, 10), 1.0) for f in frames)
@@ -302,7 +288,7 @@ def test_criterion_3_perfect_recovery():
     with criterion(3, "10 identities, 300 frames, sigma 0.02: IDF1 = 1.0, 0 switches"):
         start = time.perf_counter()
         seq, gt = generate(SCENE3)
-        tracks = run(list(seq.detections), CFG32)
+        tracks = run(seq, CFG32)
         assert idf1(gt, tracks) == 1.0
         assert id_switches(gt, tracks) == 0
         assert time.perf_counter() - start < 30.0
@@ -320,7 +306,7 @@ def test_criterion_4_occlusion_reidentification():
         gap = frames_2[frames_2.index(40) + 1] - 40
         assert gap == 61 > CFG32.kt
         assert CFG32.use_temporal
-        tracks = run(list(seq.detections), CFG32)
+        tracks = run(seq, CFG32)
         assert idf1(gt, tracks) == 1.0
         assert len(tracks.tracks) == 3
 
@@ -355,7 +341,7 @@ def test_criterion_5_same_frame_exclusivity():
             cfg = FcgConfig(
                 feature_dim=scene.feature_dim, window=int(rng.integers(2, 9))
             )
-            tracks = run(list(seq.detections), cfg)
+            tracks = run(seq, cfg)
             for entries in tracks.tracks.values():
                 frames = [e.frame for e in entries]
                 assert len(frames) == len(set(frames))
@@ -368,7 +354,7 @@ def test_criterion_6_low_fps_robustness():
         for ratio in (2, 5, 10):
             sub_seq = subsample(seq, ratio)
             sub_gt = subsample_tracks(gt, ratio)
-            tracks = run(list(sub_seq.detections), CFG16)
+            tracks = run(sub_seq, CFG16)
             assert idf1(sub_gt, tracks) >= 0.95
         assert time.perf_counter() - start < 30.0
 
@@ -413,19 +399,17 @@ def _c7_scene(seed, window=6):
         w = (f - 1) // window
         for k in (1, 2):
             if k == 1:
-                box = BBox(100.0 + 0.8 * f, 50.0, 50.0, 100.0)
+                box = (100.0 + 0.8 * f, 50.0, 50.0, 100.0)
             else:
-                box = BBox(1800.0 - 0.8 * f, 50.0, 50.0, 100.0)
+                box = (1800.0 - 0.8 * f, 50.0, 50.0, 100.0)
             feat = dirs[(k, w)]
             if k == 2 and w in dip_windows:
                 flicker = dip_cos * dirs[(1, w)] + dip_sin * eye[5]
                 feat = flicker / np.linalg.norm(flicker)
-            dets.append(
-                Detection(frame=f, bbox=box, score=1.0, feature=feat, source_row=row)
-            )
-            gt[k].append(TrackEntry(f, box, 1.0))
+            dets.append((f, feat, box, 1.0, row))
+            gt[k].append(TrackEntry(f, BBox(*box), 1.0))
             row += 1
-    return dets, TrackSet(tracks={k: tuple(v) for k, v in gt.items()})
+    return columns(dets), TrackSet(tracks={k: tuple(v) for k, v in gt.items()})
 
 
 def test_criterion_7_spatial_ablation_direction():
@@ -435,8 +419,8 @@ def test_criterion_7_spatial_ablation_direction():
         strict = 0
         for seed in range(20):
             dets, gt = _c7_scene(seed)
-            on = id_switches(gt, run(list(dets), cfg_on))
-            off = id_switches(gt, run(list(dets), cfg_off))
+            on = id_switches(gt, run(dets, cfg_on))
+            off = id_switches(gt, run(dets, cfg_off))
             assert on <= off
             strict += on < off
         assert strict >= 5
@@ -445,13 +429,12 @@ def test_criterion_7_spatial_ablation_direction():
 def test_criterion_8_schedule_independence():
     with criterion(8, "criteria 3 and 6 byte-identical across three repeated runs"):
         seq3, _ = generate(SCENE3)
-        dets3 = list(seq3.detections)
-        outputs = [write_tracks(run(dets3, CFG32)) for _ in range(3)]
+        outputs = [write_tracks(run(seq3, CFG32)) for _ in range(3)]
         assert outputs[0] == outputs[1] == outputs[2]
 
         seq6, _ = generate(SCENE6)
         for ratio in (2, 5, 10):
-            dets = list(subsample(seq6, ratio).detections)
+            dets = subsample(seq6, ratio)
             outputs = [write_tracks(run(dets, CFG16)) for _ in range(3)]
             assert outputs[0] == outputs[1] == outputs[2]
 
@@ -459,7 +442,6 @@ def test_criterion_8_schedule_independence():
 def test_criterion_9_window_size_plateau():
     with criterion(9, "IDF1 = 1.0 for every window size 2..6"):
         seq, gt = generate(SCENE3)
-        dets = list(seq.detections)
         for window in (2, 3, 4, 5, 6):
             cfg = FcgConfig(feature_dim=32, window=window)
-            assert idf1(gt, run(dets, cfg)) == 1.0
+            assert idf1(gt, run(seq, cfg)) == 1.0

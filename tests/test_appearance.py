@@ -4,22 +4,13 @@ import numpy as np
 import pytest
 
 from fcgtrack.appearance import cosine_distance, cosine_matrix, feature_matrix, tracklet_distance
-from fcgtrack.core import (
-    BBox,
-    DegenerateFeatureError,
-    Detection,
-    DimensionMismatchError,
-    tracklet_new,
-)
-from oracles import scalar_cosine
+from fcgtrack.core import DegenerateFeatureError, DimensionMismatchError
+from oracles import scalar_cosine, tracklets
 
 
-def tracklet(frames, features):
-    dets = [
-        Detection(frame=f, bbox=BBox(0, 0, 1, 1), score=1.0, feature=np.array(feat, float))
-        for f, feat in zip(frames, features)
-    ]
-    return tracklet_new(dets)
+def rows(frames, features):
+    """Row tuples of one object: a feature per frame, every box (0, 0, 1, 1)."""
+    return [(f, feat, (0, 0, 1, 1)) for f, feat in zip(frames, features)]
 
 
 class TestCosineDistance:
@@ -81,26 +72,25 @@ class TestCosineDistance:
 
 class TestTrackletDistance:
     def test_identical_single_detections(self):
-        t1 = tracklet([1], [[0.5, 0.5]])
-        t2 = tracklet([2], [[0.5, 0.5]])
+        t1, t2 = tracklets(rows([1], [[0.5, 0.5]]), rows([2], [[0.5, 0.5]]))
         assert tracklet_distance(t1, t2) == 0.0
 
     def test_orthogonal_medians(self):
-        t1 = tracklet([1], [[1.0, 0.0]])
-        t2 = tracklet([2], [[0.0, 1.0]])
+        t1, t2 = tracklets(rows([1], [[1.0, 0.0]]), rows([2], [[0.0, 1.0]]))
         assert tracklet_distance(t1, t2) == 1.0
 
     def test_45_degree_medians(self):
-        t1 = tracklet([1], [[1.0, 0.0]])
-        t2 = tracklet([2], [[1.0, 1.0]])
+        t1, t2 = tracklets(rows([1], [[1.0, 0.0]]), rows([2], [[1.0, 1.0]]))
         assert tracklet_distance(t1, t2) == pytest.approx(
             1.0 - 1.0 / math.sqrt(2.0), abs=1e-9
         )
 
     def test_uses_cached_median(self):
         # medians: (1, 0.5) vs (1, 0.5) built from different member features
-        t1 = tracklet([1, 2], [[1.0, 0.0], [1.0, 1.0]])
-        t2 = tracklet([3, 4], [[1.0, 1.0], [1.0, 0.0]])
+        t1, t2 = tracklets(
+            rows([1, 2], [[1.0, 0.0], [1.0, 1.0]]),
+            rows([3, 4], [[1.0, 1.0], [1.0, 0.0]]),
+        )
         assert tracklet_distance(t1, t2) == 0.0
 
 

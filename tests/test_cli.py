@@ -56,7 +56,7 @@ class TestTrack:
             cfg,
             name="det.txt",
         )
-        expected = write_tracks(run(list(seq.detections), cfg))
+        expected = write_tracks(run(seq, cfg))
         assert out.read_bytes() == expected
 
     def test_repeat_runs_identical(self, tmp_path):

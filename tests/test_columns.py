@@ -1,7 +1,8 @@
 """The columnar data path: detection and track columns, index-array tracklets.
 
-The CLI tracks a sequence as columns from parse to output; `run` also takes
-`Detection` objects. Both paths must write the same bytes.
+The CLI tracks a sequence as columns from parse to output, features as the
+sidecar's float32 view. A float64 table rebuilt from per-row tuples must
+give the same bytes.
 """
 
 import numpy as np
@@ -11,9 +12,6 @@ import fcgtrack.core as core
 from fcgtrack.cli import main
 from fcgtrack.core import (
     BBox,
-    Detection,
-    DetectionColumns,
-    DimensionMismatchError,
     FcgConfig,
     FrameConflictError,
     LiftedFrame,
@@ -21,7 +19,6 @@ from fcgtrack.core import (
     TrackEntry,
     TrackSet,
     Tracklet,
-    tracklet_new,
 )
 from fcgtrack.io_mot import (
     detection_features,
@@ -37,6 +34,7 @@ from fcgtrack.io_mot import (
 from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import fuse_lifted_frames, generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
+from oracles import columns, tracklets
 
 SCENES = {
     "occluded": SynthConfig(
@@ -51,9 +49,7 @@ SCENES = {
 
 
 def det(frame, feature, box=(0.0, 0.0, 10.0, 10.0), row=0):
-    return Detection(
-        frame=frame, bbox=BBox(*box), score=1.0, feature=np.array(feature, float), source_row=row
-    )
+    return (frame, feature, box, 1.0, row)
 
 
 def write_scene(scene, directory):
@@ -84,22 +80,12 @@ def test_column_path_matches_detection_adapter(tmp_path, scene, ratio, flags):
         consecutive="--non-consecutive" not in flags,
     )
     seq = subsample(parse_detections(det_path.read_bytes(), feat_path.read_bytes(), cfg), ratio)
-    adapter = write_tracks(run(list(seq.detections), cfg))
+    # The sequence rebuilt row by row, as per-row detection objects held it.
+    rows = zip(seq.frame.tolist(), seq.feature, seq.box.tolist(), seq.score.tolist(),
+               seq.row.tolist())
+    adapter = write_tracks(run(columns(rows), cfg))
     assert adapter
-    assert out.read_bytes() == adapter == write_tracks(run(seq.columns, cfg))
-
-
-def test_track_command_builds_no_detection_objects(tmp_path, monkeypatch):
-    det_path, feat_path = write_scene(SCENES["occluded"], tmp_path / "seq")
-    built = []
-    original = core.Detection.__post_init__
-    monkeypatch.setattr(
-        core.Detection, "__post_init__", lambda self: built.append(original(self))
-    )
-    argv = ["track", "--det", str(det_path), "--features", str(feat_path),
-            "--out", str(tmp_path / "out.txt"), "--feature-dim", "16", "--ratio", "2"]
-    assert main(argv) == 0
-    assert built == []
+    assert out.read_bytes() == adapter == write_tracks(run(seq, cfg))
 
 
 def test_eval_command_builds_no_track_entries_or_boxes(tmp_path, monkeypatch, capsys):
@@ -107,7 +93,7 @@ def test_eval_command_builds_no_track_entries_or_boxes(tmp_path, monkeypatch, ca
     seq, truth = generate(scene)
     gt_path, pred_path = tmp_path / "gt.txt", tmp_path / "pred.txt"
     gt_path.write_bytes(write_ground_truth(truth))
-    pred_path.write_bytes(write_tracks(run(seq.columns, FcgConfig(feature_dim=16))))
+    pred_path.write_bytes(write_tracks(run(seq, FcgConfig(feature_dim=16))))
     pred = TrackSet(tracks=parse_ground_truth(pred_path.read_bytes()).tracks)
     expected = f"idf1,{idf1(truth, pred):.6f}\nid_switches,{id_switches(truth, pred)}\n"
     built = []
@@ -129,55 +115,33 @@ def test_eval_command_builds_no_track_entries_or_boxes(tmp_path, monkeypatch, ca
 
 
 class TestDetectionColumns:
-    def test_round_trip_through_detections(self):
-        dets = [det(3, [1.0, 2.0], box=(1, 2, 3, 4), row=7), det(1, [0.5, 0.0], row=2)]
-        cols = DetectionColumns.from_detections(dets)
-        assert cols.frame.tolist() == [3, 1]
-        assert cols.row.tolist() == [7, 2]
-        assert [cols.detection(i) for i in range(2)] == dets
-
     def test_columns_are_read_only(self):
-        cols = DetectionColumns.from_detections([det(1, [1.0, 0.0])])
+        cols = columns([det(1, [1.0, 0.0])])
         with pytest.raises(ValueError):
             cols.feature[0, 0] = 2.0
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            DetectionColumns.from_detections([det(1, [1.0, 0.0]), det(2, [1.0, 0.0, 0.0])])
-
-    def test_sequence_view_compares_with_tuples(self):
-        seq, _ = generate(SCENES["sinusoidal"])
-        dets = tuple(seq.detections)
-        assert seq.detections == dets and dets == seq.detections
-        assert seq.detections[-1] == dets[-1]
-        assert seq.detections[2:5] == dets[2:5]
-        assert seq.detections != dets[:-1]
 
 
 class TestIndexTracklets:
     def test_tracklets_index_the_sequence_table(self):
         seq, _ = generate(SCENES["occluded"])
         cfg = FcgConfig(feature_dim=16)
-        frames = generate_tracklets(seq.columns, cfg)
+        frames = generate_tracklets(seq, cfg)
         for lf in frames:
             for t in lf.tracklets:
-                assert t.columns is seq.columns
-                assert np.all(np.diff(seq.columns.frame[t.rows]) > 0)
-                expected = np.median(seq.columns.feature[t.rows], axis=0)
+                assert t.columns is seq
+                assert np.all(np.diff(seq.frame[t.rows]) > 0)
+                expected = np.median(seq.feature[t.rows], axis=0)
                 assert np.array_equal(t.median_feature, expected)
 
     def test_single_member_cluster_is_carried_over(self):
-        a = tracklet_new([det(1, [1.0, 0.0]), det(2, [1.0, 0.0])])
-        b = tracklet_new([det(7, [0.0, 1.0])])
+        a, b = tracklets([det(1, [1.0, 0.0]), det(2, [1.0, 0.0])], [det(7, [0.0, 1.0])])
         fused = fuse_lifted_frames(
             LiftedFrame(0, 1, (a,)), LiftedFrame(1, 2, (b,)), FcgConfig(feature_dim=2)
         )
         assert fused.tracklets[0] is a and fused.tracklets[1] is b
 
     def test_merged_tracklet_median_covers_all_members(self):
-        table = DetectionColumns.from_detections(
-            [det(f, [1.0, 0.1 * f], row=f) for f in (1, 2, 8, 9)]
-        )
+        table = columns([det(f, [1.0, 0.1 * f], row=f) for f in (1, 2, 8, 9)])
         early = Tracklet.from_rows(table, np.array([0, 1]))
         late = Tracklet.from_rows(table, np.array([2, 3]))
         fused = fuse_lifted_frames(

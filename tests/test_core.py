@@ -3,23 +3,18 @@ import pytest
 
 from fcgtrack.core import (
     BBox,
-    DegenerateFeatureError,
-    Detection,
-    DimensionMismatchError,
-    EmptyInputError,
     FcgConfig,
     FrameConflictError,
     InvalidConfigError,
     LiftedFrame,
     TrackEntry,
     TrackSet,
-    tracklet_new,
 )
-from oracles import median_by_sorting
+from oracles import median_by_sorting, tracklets
 
 
 def det(frame, feature, score=1.0, box=(0.0, 0.0, 10.0, 10.0), row=-1):
-    return Detection(frame=frame, bbox=BBox(*box), score=score, feature=np.array(feature, float), source_row=row)
+    return (frame, feature, box, score, row)
 
 
 class TestBBox:
@@ -47,45 +42,16 @@ class TestBBox:
             BBox(**fields)
 
 
-class TestDetection:
-    def test_rejects_zero_norm_feature(self):
-        with pytest.raises(DegenerateFeatureError):
-            det(1, [0.0, 0.0], row=17)
-
-    def test_zero_norm_message_names_source_row(self):
-        with pytest.raises(DegenerateFeatureError, match="17"):
-            det(1, [0.0, 0.0], row=17)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_rejects_non_finite_feature(self, bad):
-        with pytest.raises(DegenerateFeatureError, match="non-finite.*17"):
-            det(1, [1.0, bad, 0.5], row=17)
-
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_rejects_feature_whose_norm_overflows(self):
-        with pytest.raises(DegenerateFeatureError):
-            det(1, [1e200, 1e200])
-
-    def test_rejects_bad_frame_and_score(self):
-        with pytest.raises(ValueError):
-            det(0, [1.0])
-        with pytest.raises(ValueError):
-            det(1, [1.0], score=1.5)
-
-    def test_feature_is_immutable(self):
-        d = det(1, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            d.feature[0] = 5.0
-
-
 class TestTrackletNew:
+    """New tracklets: `Tracklet.from_rows` on frame-sorted rows (`oracles.tracklets`)."""
+
     def test_single_detection_median(self):
-        t = tracklet_new([det(1, [0.6, 0.8])])
+        (t,) = tracklets([det(1, [0.6, 0.8])])
         assert np.array_equal(t.median_feature, [0.6, 0.8])
 
     def test_odd_count_median(self):
         feats = [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
-        t = tracklet_new([det(i + 1, f) for i, f in enumerate(feats)])
+        (t,) = tracklets([det(i + 1, f) for i, f in enumerate(feats)])
         assert median_by_sorting(feats) == [1.0, 1.0]
         assert np.array_equal(t.median_feature, [1.0, 1.0])
 
@@ -93,46 +59,35 @@ class TestTrackletNew:
         # Same expected median as the (0,0)/(2,4) textbook case, with valid
         # (nonzero-norm) features.
         feats = [[0.0, 1.0], [2.0, 3.0]]
-        t = tracklet_new([det(1, feats[0]), det(2, feats[1])])
+        (t,) = tracklets([det(1, feats[0]), det(2, feats[1])])
         assert median_by_sorting(feats) == [1.0, 2.0]
         assert np.array_equal(t.median_feature, [1.0, 2.0])
 
     def test_sorts_by_frame(self):
-        t = tracklet_new([det(5, [1.0]), det(2, [2.0]), det(9, [3.0])])
-        assert [d.frame for d in t.detections] == [2, 5, 9]
+        (t,) = tracklets([det(5, [1.0]), det(2, [2.0]), det(9, [3.0])])
+        assert t.columns.frame[t.rows].tolist() == [2, 5, 9]
         assert t.first_frame == 2 and t.last_frame == 9
         assert t.frame_set == frozenset({2, 5, 9})
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
         dets = [det(f + 1, rng.normal(size=6)) for f in range(9)]
-        reference = tracklet_new(dets)
+        (reference,) = tracklets(dets)
         for _ in range(20):
             perm = [dets[i] for i in rng.permutation(len(dets))]
-            t = tracklet_new(perm)
-            assert t.detections == reference.detections
+            (t,) = tracklets(perm)
+            assert t.columns.frame[t.rows].tolist() == reference.columns.frame.tolist()
+            assert np.array_equal(t.columns.feature[t.rows], reference.columns.feature)
             assert np.array_equal(t.median_feature, reference.median_feature)
 
     def test_median_recomputable(self):
         rng = np.random.default_rng(12)
         for n in (1, 2, 5, 8):
             dets = [det(f + 1, rng.normal(size=7)) for f in range(n)]
-            t = tracklet_new(dets)
-            stacked = np.stack([d.feature for d in t.detections])
+            (t,) = tracklets(dets)
+            stacked = t.columns.feature[t.rows]
             assert np.array_equal(t.median_feature, np.median(stacked, axis=0))
             assert median_by_sorting(stacked) == list(t.median_feature)
-
-    def test_duplicate_frame_rejected(self):
-        with pytest.raises(FrameConflictError):
-            tracklet_new([det(3, [1.0]), det(3, [2.0])])
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            tracklet_new([])
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            tracklet_new([det(1, [1.0]), det(2, [1.0, 2.0])])
 
 
 class TestLiftedFrame:

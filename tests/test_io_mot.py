@@ -3,7 +3,6 @@ import pytest
 
 from fcgtrack.core import BBox, FcgConfig, ParseError, TrackEntry, TrackSet
 from fcgtrack.io_mot import (
-    SequenceInput,
     detection_features,
     parse_detections,
     parse_ground_truth,
@@ -15,8 +14,10 @@ from fcgtrack.io_mot import (
     write_ground_truth,
     write_tracks,
 )
+from oracles import columns
 
 CFG = FcgConfig(feature_dim=3)
+COLUMNS = ("frame", "box", "score", "row", "feature")
 
 
 def feats(rows):
@@ -78,13 +79,12 @@ class TestParseDetections:
             feats([[1.0, 0.0, 0.0]]),
             CFG,
         )
-        assert len(seq.detections) == 1
-        d = seq.detections[0]
-        assert d.frame == 1
-        assert d.bbox == BBox(10, 20, 30, 40)
-        assert d.score == 0.9
-        assert d.source_row == 0
-        assert np.array_equal(d.feature, [1.0, 0.0, 0.0])
+        assert len(seq) == 1
+        assert seq.frame[0] == 1
+        assert BBox(*seq.box[0]) == BBox(10, 20, 30, 40)
+        assert seq.score[0] == 0.9
+        assert seq.row[0] == 0
+        assert np.array_equal(seq.feature[0], [1.0, 0.0, 0.0])
 
     def test_score_filter(self):
         seq = parse_detections(
@@ -95,10 +95,10 @@ class TestParseDetections:
             feats([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
             CFG,
         )
-        assert len(seq.detections) == 1
+        assert len(seq) == 1
         # the kept detection carries its own feature row, not the dropped one
-        assert np.array_equal(seq.detections[0].feature, [0.0, 1.0, 0.0])
-        assert seq.detections[0].source_row == 1
+        assert np.array_equal(seq.feature[0], [0.0, 1.0, 0.0])
+        assert seq.row[0] == 1
 
     def test_row_count_mismatch(self):
         with pytest.raises(ParseError, match="3 detection rows but 2 feature rows"):
@@ -179,7 +179,7 @@ class TestParseDetections:
             feats([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
             CFG,
         )
-        assert [(d.frame, d.source_row) for d in seq.detections] == [
+        assert list(zip(seq.frame.tolist(), seq.row.tolist())) == [
             (1, 1),
             (1, 2),
             (2, 0),
@@ -191,7 +191,7 @@ class TestParseDetections:
             feats([[1, 0, 0]] * 4),
             CFG,
         )
-        rows = [d.source_row for d in seq.detections]
+        rows = seq.row.tolist()
         assert len(rows) == len(set(rows))
 
 
@@ -262,41 +262,25 @@ class TestParseGroundTruth:
 class TestDetectionRoundTrip:
     def test_write_then_parse_is_identity(self):
         rng = np.random.default_rng(55)
-        from fcgtrack.core import Detection
-
-        dets = tuple(
-            Detection(
-                frame=f,
-                bbox=BBox(*rng.uniform(1, 500, 2), *rng.uniform(1, 80, 2)),
-                score=1.0,
-                feature=rng.normal(size=3).astype(np.float32).astype(np.float64),
-                source_row=f - 1,
-            )
-            for f in range(1, 8)
-        )
-        seq = SequenceInput(detections=dets)
+        rows = []
+        for f in range(1, 8):
+            box = (*rng.uniform(1, 500, 2), *rng.uniform(1, 80, 2))
+            feature = rng.normal(size=3).astype(np.float32).astype(np.float64)
+            rows.append((f, feature, box, 1.0, f - 1))
+        seq = columns(rows)
         cfg = FcgConfig(feature_dim=3)
         again = parse_detections(
             write_detections(seq), write_features(detection_features(seq)), cfg, name="t"
         )
-        assert again.detections == dets
+        for name in COLUMNS:
+            assert np.array_equal(getattr(again, name), getattr(seq, name)), name
 
 
 class TestSubsample:
     def seq(self, frames):
-        from fcgtrack.core import Detection
-
-        dets = tuple(
-            Detection(
-                frame=f,
-                bbox=BBox(0, 0, 1, 1),
-                score=1.0,
-                feature=np.array([1.0, 0.0, 0.0]),
-                source_row=i,
-            )
-            for i, f in enumerate(frames)
+        return columns(
+            (f, np.array([1.0, 0.0, 0.0]), (0, 0, 1, 1), 1.0, i) for i, f in enumerate(frames)
         )
-        return SequenceInput(detections=dets)
 
     def test_ratio_one_is_identity(self):
         s = self.seq(range(1, 11))
@@ -304,19 +288,20 @@ class TestSubsample:
 
     def test_ratio_two(self):
         out = subsample(self.seq(range(1, 11)), 2)
-        assert [d.frame for d in out.detections] == [1, 2, 3, 4, 5]
-        kept_rows = [d.source_row for d in out.detections]
+        assert out.frame.tolist() == [1, 2, 3, 4, 5]
+        kept_rows = out.row.tolist()
         assert kept_rows == [0, 2, 4, 6, 8]
 
     def test_ratio_thirty_keeps_one_frame(self):
         out = subsample(self.seq(range(1, 31)), 30)
-        assert [d.frame for d in out.detections] == [1]
+        assert out.frame.tolist() == [1]
 
     def test_composition(self):
         s = self.seq(range(1, 41))
         twice = subsample(subsample(s, 2), 2)
         direct = subsample(s, 4)
-        assert twice.detections == direct.detections
+        for name in COLUMNS:
+            assert np.array_equal(getattr(twice, name), getattr(direct, name)), name
 
     def test_subsample_tracks_matches_rule(self):
         b = BBox(0, 0, 1, 1)

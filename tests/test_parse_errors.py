@@ -124,14 +124,14 @@ class TestDroppedRows:
     )
     def test_bad_feature_passes(self, feature):
         seq = parse([GOOD, f"2,-1,1,1,5,5,{DROPPED}"], [UNIT, feature])
-        assert [d.source_row for d in seq.detections] == [0]
+        assert seq.row.tolist() == [0]
 
     @pytest.mark.parametrize(
         "box", ["nan,1,5,5", "1,inf,5,5", "1,1,nan,5", "1,1,5,nan", "-inf,1,5,inf"]
     )
     def test_non_finite_box_passes(self, box):
         seq = parse([GOOD, f"2,-1,{box},{DROPPED}"])
-        assert [d.source_row for d in seq.detections] == [0]
+        assert seq.row.tolist() == [0]
 
     @pytest.mark.parametrize(
         "row, message",
@@ -160,7 +160,7 @@ class TestFrameRange:
 
     def test_largest_int64_frame_parses(self):
         seq = parse([f"{2**63 - 1},-1,1,1,5,5,0.9"])
-        assert seq.columns.frame.tolist() == [2**63 - 1]
+        assert seq.frame.tolist() == [2**63 - 1]
 
 
 GT_GOOD = "1,1,1,1,5,5,1,1,1"

@@ -7,14 +7,7 @@ import pytest
 from fcgtrack import clustering, pipeline
 from fcgtrack.appearance import cosine_matrix
 
-from fcgtrack.core import (
-    BBox,
-    Detection,
-    DimensionMismatchError,
-    FcgConfig,
-    LiftedFrame,
-    tracklet_new,
-)
+from fcgtrack.core import FcgConfig, LiftedFrame
 from fcgtrack.io_mot import write_tracks
 from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import (
@@ -28,14 +21,13 @@ from fcgtrack.pipeline import (
 )
 from fcgtrack.synthdata import SynthConfig, generate
 from fcgtrack.weighting import weighted_matrix
+from oracles import columns, tracklets
 
 CFG = FcgConfig(feature_dim=8)
 
 
 def det(frame, feature, box=(0.0, 0.0, 10.0, 10.0), row=0):
-    return Detection(
-        frame=frame, bbox=BBox(*box), score=1.0, feature=np.array(feature, float), source_row=row
-    )
+    return (frame, feature, box, 1.0, row)
 
 
 def basis(k, dim=8):
@@ -46,7 +38,7 @@ def basis(k, dim=8):
 
 class TestGenerateTracklets:
     def test_single_detection(self):
-        frames = generate_tracklets([det(1, basis(0))], CFG)
+        frames = generate_tracklets(columns([det(1, basis(0))]), CFG)
         assert len(frames) == 1
         lf = frames[0]
         assert (lf.span_start, lf.span_end) == (0, 1)
@@ -60,42 +52,44 @@ class TestGenerateTracklets:
             det(2, basis(0), row=2),
             det(2, basis(1), row=3),
         ]
-        frames = generate_tracklets(dets, CFG)
+        frames = generate_tracklets(columns(dets), CFG)
         assert len(frames) == 1
         tracklets = frames[0].tracklets
         assert len(tracklets) == 2
         assert all(len(t) == 2 for t in tracklets)
         for t in tracklets:
-            feats = np.stack([d.feature for d in t.detections])
+            feats = t.columns.feature[t.rows]
             assert np.array_equal(feats[0], feats[1])
 
     def test_same_frame_identical_features_stay_apart(self):
         dets = [det(1, basis(0), row=0), det(1, basis(0), row=1)]
-        frames = generate_tracklets(dets, CFG)
+        frames = generate_tracklets(columns(dets), CFG)
         assert len(frames[0].tracklets) == 2
         assert all(len(t) == 1 for t in frames[0].tracklets)
 
     def test_window_bucketing(self):
         dets = [det(f, basis(0), row=f) for f in (1, 6, 7, 13)]
-        frames = generate_tracklets(dets, CFG)
+        frames = generate_tracklets(columns(dets), CFG)
         assert [(lf.span_start, lf.span_end) for lf in frames] == [(0, 1), (1, 2), (2, 3)]
         assert [len(lf.tracklets) for lf in frames] == [1, 1, 1]
-        assert {d.frame for d in frames[0].tracklets[0].detections} == {1, 6}
+        assert frames[0].tracklets[0].frame_set == {1, 6}
 
     def test_empty_windows_are_kept(self):
         dets = [det(1, basis(0)), det(20, basis(0))]
-        frames = generate_tracklets(dets, CFG)
+        frames = generate_tracklets(columns(dets), CFG)
         assert len(frames) == math.ceil(20 / CFG.window)
         assert len(frames[1].tracklets) == 0
 
     def test_empty_input(self):
-        assert generate_tracklets([], CFG) == []
+        assert generate_tracklets(columns([]), CFG) == []
 
 
 class TestFuseLiftedFrames:
     def test_same_identity_fuses(self):
-        t1 = tracklet_new([det(f, basis(0), box=(0, 0, 10, 10)) for f in (1, 2)])
-        t2 = tracklet_new([det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)])
+        t1, t2 = tracklets(
+            [det(f, basis(0), box=(0, 0, 10, 10)) for f in (1, 2)],
+            [det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)],
+        )
         a = LiftedFrame(0, 1, (t1,))
         b = LiftedFrame(1, 2, (t2,))
         fused = fuse_lifted_frames(a, b, CFG)
@@ -104,16 +98,14 @@ class TestFuseLiftedFrames:
         assert fused.tracklets[0].frame_set == frozenset({1, 2, 7, 8})
 
     def test_orthogonal_identities_stay_apart(self):
-        t1 = tracklet_new([det(1, basis(0))])
-        t2 = tracklet_new([det(7, basis(1))])
+        t1, t2 = tracklets([det(1, basis(0))], [det(7, basis(1))])
         fused = fuse_lifted_frames(
             LiftedFrame(0, 1, (t1,)), LiftedFrame(1, 2, (t2,)), CFG
         )
         assert len(fused.tracklets) == 2
 
     def test_merged_median_recomputed(self):
-        t1 = tracklet_new([det(1, [0.0, 1.0])])
-        t2 = tracklet_new([det(7, [1.0, 0.0]), det(8, [1.0, 1.0])])
+        t1, t2 = tracklets([det(1, [0.0, 1.0])], [det(7, [1.0, 0.0]), det(8, [1.0, 1.0])])
         cfg = FcgConfig(feature_dim=2, track_threshold=1.9)
         fused = fuse_lifted_frames(
             LiftedFrame(0, 1, (t1,)), LiftedFrame(1, 2, (t2,)), cfg
@@ -124,8 +116,7 @@ class TestFuseLiftedFrames:
     def test_frame_overlap_is_cannot_link(self):
         # same frame index on both sides of a non-consecutive fusion
         cfg = FcgConfig(feature_dim=8, consecutive=False, track_threshold=1.9)
-        t1 = tracklet_new([det(3, basis(0))])
-        t2 = tracklet_new([det(3, basis(0))])
+        t1, t2 = tracklets([det(3, basis(0))], [det(3, basis(0))])
         fused = fuse_lifted_frames(
             LiftedFrame(0, 1, (t1,)), LiftedFrame(0, 1, (t2,)), cfg
         )
@@ -134,29 +125,30 @@ class TestFuseLiftedFrames:
     def test_frame_overlap_mask_matches_frame_sets(self):
         rng = np.random.default_rng(35)
         for _ in range(20):
-            tracklets = [
-                tracklet_new(
+            built = tracklets(*(
+                [
                     det(int(f), basis(0))
                     for f in set(rng.integers(1, 10**9 if k % 3 else 30, size=4))
-                )
+                ]
                 for k in range(int(rng.integers(1, 12)))
-            ]
-            mask = _frame_overlap_mask(tracklets)
-            for i, ti in enumerate(tracklets):
-                for j, tj in enumerate(tracklets):
+            ))
+            mask = _frame_overlap_mask(built)
+            for i, ti in enumerate(built):
+                for j, tj in enumerate(built):
                     assert mask[i, j] == bool(ti.frame_set & tj.frame_set)
         assert _frame_overlap_mask([]).shape == (0, 0)
 
     def test_adjacency_required_when_consecutive(self):
-        a = LiftedFrame(1, 2, (tracklet_new([det(7, basis(0))]),))
-        b = LiftedFrame(0, 1, (tracklet_new([det(1, basis(0))]),))
+        late, early = tracklets([det(7, basis(0))], [det(1, basis(0))])
+        a = LiftedFrame(1, 2, (late,))
+        b = LiftedFrame(0, 1, (early,))
         with pytest.raises(ValueError):
             fuse_lifted_frames(a, b, CFG)
 
 
 class TestRun:
     def test_empty_input(self):
-        ts = run([], CFG)
+        ts = run(columns([]), CFG)
         assert ts.tracks == {}
 
     def test_single_identity_thirty_frames(self):
@@ -164,7 +156,7 @@ class TestRun:
             det(f, basis(0), box=(float(f), 0.0, 10.0, 10.0), row=f - 1)
             for f in range(1, 31)
         ]
-        ts = run(dets, CFG)
+        ts = run(columns(dets), CFG)
         assert list(ts.tracks) == [1]
         assert len(ts.tracks[1]) == 30
         assert [e.frame for e in ts.tracks[1]] == list(range(1, 31))
@@ -172,7 +164,7 @@ class TestRun:
     def test_two_orthogonal_identities(self):
         scfg = SynthConfig(num_identities=2, num_frames=30, feature_dim=8, seed=2)
         seq, gt = generate(scfg)
-        ts = run(list(seq.detections), CFG)
+        ts = run(seq, CFG)
         assert len(ts.tracks) == 2
         assert idf1(gt, ts) == 1.0
         assert id_switches(gt, ts) == 0
@@ -188,15 +180,14 @@ class TestRun:
                 seed=int(rng.integers(0, 2**32)),
             )
             seq, _ = generate(scfg)
-            ts = run(list(seq.detections), CFG)
+            ts = run(seq, CFG)
             produced = sorted(
                 (e.frame, e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h)
                 for entries in ts.tracks.values()
                 for e in entries
             )
             expected = sorted(
-                (d.frame, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h)
-                for d in seq.detections
+                (frame, *box) for frame, box in zip(seq.frame.tolist(), seq.box.tolist())
             )
             assert produced == expected
 
@@ -211,7 +202,7 @@ class TestRun:
                 seed=int(rng.integers(0, 2**32)),
             )
             seq, _ = generate(scfg)
-            ts = run(list(seq.detections), CFG)
+            ts = run(seq, CFG)
             for entries in ts.tracks.values():
                 frames = [e.frame for e in entries]
                 assert len(frames) == len(set(frames))
@@ -225,7 +216,7 @@ class TestRun:
             occlusions=((1, 1, 10), (2, 1, 5)),
         )
         seq, _ = generate(scfg)
-        ts = run(list(seq.detections), CFG)
+        ts = run(seq, CFG)
         first_frames = [entries[0].frame for _, entries in sorted(ts.tracks.items())]
         assert first_frames == sorted(first_frames)
         assert list(ts.tracks) == list(range(1, len(ts.tracks) + 1))
@@ -236,7 +227,7 @@ class TestRun:
             feature_noise_sigma=0.05, seed=6,
         )
         seq, _ = generate(scfg)
-        blobs = [write_tracks(run(list(seq.detections), CFG)) for _ in range(3)]
+        blobs = [write_tracks(run(seq, CFG)) for _ in range(3)]
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_perfect_inputs_recover_identity_count(self):
@@ -244,7 +235,7 @@ class TestRun:
         # threshold times the worst-case weight product 0.055 * 4 * 2
         scfg = SynthConfig(num_identities=5, num_frames=60, feature_dim=8, seed=7)
         seq, gt = generate(scfg)
-        ts = run(list(seq.detections), CFG)
+        ts = run(seq, CFG)
         assert len(ts.tracks) == 5
         assert idf1(gt, ts) == 1.0
 
@@ -252,16 +243,9 @@ class TestRun:
         cfg = FcgConfig(feature_dim=8, consecutive=False)
         scfg = SynthConfig(num_identities=3, num_frames=40, feature_dim=8, seed=8)
         seq, gt = generate(scfg)
-        ts = run(list(seq.detections), cfg)
+        ts = run(seq, cfg)
         assert len(ts.tracks) == 3
         assert idf1(gt, ts) == 1.0
-
-    @pytest.mark.parametrize("second_frame", [2, 20])
-    def test_mixed_feature_dimensions_raise_package_error(self, second_frame):
-        # same window (stage 1) and different windows (stage 2)
-        dets = [det(1, basis(0, dim=8)), det(second_frame, basis(0, dim=4), row=1)]
-        with pytest.raises(DimensionMismatchError):
-            run(dets, CFG)
 
     def test_hierarchy_depth_and_final_span(self, monkeypatch):
         levels = []
@@ -275,7 +259,7 @@ class TestRun:
         for num_frames in (6, 12, 30, 36, 59):
             levels.clear()
             dets = [det(f, basis(0), row=f) for f in range(1, num_frames + 1)]
-            frames = generate_tracklets(dets, CFG)
+            frames = generate_tracklets(columns(dets), CFG)
             n_windows = math.ceil(num_frames / CFG.window)
             assert len(frames) == n_windows
             final = _reduce_consecutive(frames, CFG)
@@ -328,19 +312,17 @@ class TestLevelMemory:
             monkeypatch.setattr(
                 pipeline, "_window_distances", releasing(pipeline._window_distances)
             )
-            built = [_rows(f) for f in generate_tracklets(dets, cfg)]
+            built = [_rows(f) for f in generate_tracklets(columns(dets), cfg)]
         else:
-            unions = [
-                [tracklet_new([d]) for d in dets[bounds[k] : bounds[k + 1]]]
-                for k in range(len(sizes))
-            ]
+            singles = tracklets(*([d] for d in dets))
+            unions = [singles[bounds[k] : bounds[k + 1]] for k in range(len(sizes))]
             monkeypatch.setattr(pipeline, "weighted_matrix", releasing(weighted_matrix))
             built = _fuse_all(unions, cfg)
         assert tensors and max(tensors) <= clustering.CHUNK_CELLS
         assert sum(tensors) < 3 * 400**2
         assert len(built) == len(sizes)
 
-        table = pipeline._sorted_columns(dets)
+        table = pipeline._sorted_columns(columns(dets))
         for k, got in enumerate(built):
             lo, hi = bounds[k], bounds[k + 1]
             if stage == 1:
@@ -358,7 +340,9 @@ class TestLevelMemory:
                     _frame_overlap_mask(union),
                     threshold=cfg.track_threshold,
                 )
-                assert got == _fused(union, partition)
+                assert [t.rows.tolist() for t in got] == [
+                    t.rows.tolist() for t in _fused(union, partition)
+                ]
 
 
 def _rows(frame):
@@ -376,9 +360,9 @@ class TestBatchedLevels:
 
     def test_windows_match_one_clustering_per_window(self):
         seq, _ = generate(self.SCENE)
-        frames = generate_tracklets(seq.columns, self.CFG3)
+        frames = generate_tracklets(seq, self.CFG3)
         assert len(frames) == 50
-        table = seq.columns
+        table = seq
         for frame in frames:
             lo, hi = np.searchsorted(
                 table.frame, [frame.span_start * 3, frame.span_end * 3], side="right"
@@ -394,7 +378,7 @@ class TestBatchedLevels:
     def test_levels_match_pairwise_fusion(self, motion):
         cfg = FcgConfig(feature_dim=8, window=3, use_motion=motion)
         seq, _ = generate(self.SCENE)
-        frames = generate_tracklets(seq.columns, cfg)
+        frames = generate_tracklets(seq, cfg)
         expected = frames
         while len(expected) > 1:
             fused = [
@@ -408,3 +392,27 @@ class TestBatchedLevels:
         top = expected[0]
         assert (final.span_start, final.span_end) == (top.span_start, top.span_end)
         assert _rows(final) == _rows(top)
+
+
+class TestMixedTables:
+    """Tracklets that index two detection tables are refused, not stacked."""
+
+    ENTRIES = {
+        "fuse_lifted_frames": lambda a, b: fuse_lifted_frames(
+            LiftedFrame(0, 1, a), LiftedFrame(1, 2, b), CFG
+        ),
+        "weighted_matrix": lambda a, b: weighted_matrix(a + b, CFG),
+        "assign_ids": lambda a, b: pipeline._assign_ids(a + b),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_tracklets_of_two_sequences_raise(self, entry):
+        scene = dict(num_identities=2, num_frames=6, feature_dim=8, feature_noise_sigma=0.02)
+        seq_a, _ = generate(SynthConfig(**scene, seed=1))
+        seq_b, _ = generate(SynthConfig(**scene, seed=2))
+        (a,) = generate_tracklets(seq_a, CFG)
+        (b,) = generate_tracklets(seq_b, CFG)
+        with pytest.raises(ValueError, match="^tracklets index different detection tables$"):
+            self.ENTRIES[entry](a.tracklets, b.tracklets)
+        # The tracklets of one sequence are accepted.
+        self.ENTRIES[entry](a.tracklets[:1], a.tracklets[1:])

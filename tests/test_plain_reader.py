@@ -62,7 +62,7 @@ def data_lines(data):
 def outcome(parse, data):
     """Each parsed column as (dtype, shape, bytes), or the ParseError text."""
     try:
-        cols = parse(data).columns
+        cols = parse(data)
     except ParseError as exc:
         return str(exc)
     arrays = (getattr(cols, f.name) for f in fields(cols))
@@ -76,8 +76,8 @@ def parse_det(data):
 
 PARSERS = {
     "detections": (1, parse_det),
-    "ground truth": (2, lambda data: parse_ground_truth(data, "gt.txt")),
-    "results": (2, lambda data: parse_ground_truth(data, "res.txt", results=True)),
+    "ground truth": (2, lambda data: parse_ground_truth(data, "gt.txt").columns),
+    "results": (2, lambda data: parse_ground_truth(data, "res.txt", results=True).columns),
 }
 
 
@@ -152,7 +152,7 @@ class TestPinned:
     def test_whitespace_only_line_is_not_a_row(self):
         data = f"{GOOD}\n \t\n2,-1,1,1,5,5,0.9\n".encode()
         seq = parse_detections(data, write_features(np.array([UNIT, UNIT])), CFG)
-        assert seq.columns.frame.tolist() == [1, 2]
+        assert seq.frame.tolist() == [1, 2]
 
 
 @pytest.mark.filterwarnings("error")
@@ -172,7 +172,7 @@ class TestEmptyInput:
 
     def test_detections(self, data):
         for seq in self.twice(lambda: parse_detections(data, write_features(np.zeros((0, 3))), CFG)):
-            assert len(seq.columns) == 0
+            assert len(seq) == 0
 
     @pytest.mark.parametrize("results", [False, True])
     def test_ground_truth_and_results(self, data, results):

@@ -9,14 +9,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from fcgtrack.core import (  # noqa: E402
     BBox,
-    Detection,
     FcgConfig,
     TrackColumns,
     TrackEntry,
     TrackSet,
 )
 from fcgtrack.io_mot import (  # noqa: E402
-    SequenceInput,
     detection_features,
     parse_detections,
     parse_ground_truth,
@@ -32,6 +30,7 @@ from fcgtrack.weighting import weighted_distance, weighted_matrix  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_assignment,
     brute_force_idf1,
+    columns,
     matched_frames,
     per_pair_id_switches,
 )
@@ -43,7 +42,8 @@ COLUMNS = ("frame", "box", "score", "row", "feature")
 
 @st.composite
 def detection_lists(draw, max_size=24, max_frame=20):
-    """Frame-sorted detections of up to DIM identities, source rows 0..n-1.
+    """Frame-sorted detection row tuples (`oracles.columns`) of up to DIM
+    identities, source rows 0..n-1.
 
     Features are a basis vector plus small noise, rounded to float32 so that
     the feature sidecar stores them exactly.
@@ -57,15 +57,9 @@ def detection_lists(draw, max_size=24, max_frame=20):
     for row, frame in enumerate(frames):
         feature = np.eye(DIM)[draw(st.integers(0, DIM - 1))]
         feature = feature + draw(st.lists(noise, min_size=DIM, max_size=DIM))
-        dets.append(
-            Detection(
-                frame=frame,
-                bbox=BBox(draw(coord), draw(coord), draw(size), draw(size)),
-                score=draw(st.floats(0.0, 1.0)),
-                feature=feature.astype(np.float32).astype(np.float64),
-                source_row=row,
-            )
-        )
+        feature = feature.astype(np.float32).astype(np.float64)
+        box = (draw(coord), draw(coord), draw(size), draw(size))
+        dets.append((frame, feature, box, draw(st.floats(0.0, 1.0)), row))
     return dets
 
 
@@ -105,14 +99,14 @@ def assert_same_columns(a, b):
 def test_run_output_ignores_input_order(data):
     dets = data.draw(detection_lists())
     shuffled = data.draw(st.permutations(dets))
-    assert write_tracks(run(shuffled, CFG)) == write_tracks(run(dets, CFG))
+    assert write_tracks(run(columns(shuffled), CFG)) == write_tracks(run(columns(dets), CFG))
 
 
 @settings(max_examples=60)
 @given(detection_lists(), st.booleans(), st.booleans())
 def test_no_track_repeats_a_frame(dets, motion, consecutive):
     cfg = FcgConfig(feature_dim=DIM, window=3, use_motion=motion, consecutive=consecutive)
-    tracks = run(dets, cfg)
+    tracks = run(columns(dets), cfg)
     assert tracks.num_boxes == len(dets)
     for entries in tracks.tracks.values():
         frames = [e.frame for e in entries]
@@ -122,24 +116,24 @@ def test_no_track_repeats_a_frame(dets, motion, consecutive):
 @settings(max_examples=60)
 @given(detection_lists(max_frame=60), st.integers(1, 5), st.integers(1, 5))
 def test_subsample_composes(dets, a, b):
-    seq = SequenceInput(detections=dets)
+    seq = columns(dets)
     twice = subsample(subsample(seq, a), b)
     direct = subsample(seq, a * b)
-    assert_same_columns(twice.columns, direct.columns)
+    assert_same_columns(twice, direct)
 
 
 @settings(max_examples=60)
 @given(detection_lists())
 def test_write_then_parse_round_trips_every_column(dets):
-    seq = SequenceInput(detections=dets)
+    seq = columns(dets)
     cfg = FcgConfig(feature_dim=DIM, score_threshold=0.0)
     again = parse_detections(
         write_detections(seq), write_features(detection_features(seq, DIM)), cfg
     )
-    assert again.columns.row.tolist() == list(range(len(dets)))
+    assert again.row.tolist() == list(range(len(dets)))
     for name in ("frame", "box", "score", "row"):
-        assert np.array_equal(getattr(again.columns, name), getattr(seq.columns, name)), name
-    assert np.array_equal(again.columns.feature, detection_features(seq, DIM))
+        assert np.array_equal(getattr(again, name), getattr(seq, name)), name
+    assert np.array_equal(again.feature, detection_features(seq, DIM))
 
 
 @pytest.mark.parametrize("temporal", [False, True])
@@ -151,7 +145,7 @@ def test_weighted_distance_is_symmetric(dets, temporal, spatial, motion):
     cfg = FcgConfig(
         feature_dim=DIM, window=3, use_temporal=temporal, use_spatial=spatial, use_motion=motion
     )
-    tracklets = [t for frame in generate_tracklets(dets, cfg) for t in frame.tracklets]
+    tracklets = [t for frame in generate_tracklets(columns(dets), cfg) for t in frame.tracklets]
     matrix = weighted_matrix(tracklets, cfg)
     assert np.array_equal(matrix, matrix.T)
     for i, t1 in enumerate(tracklets[:6]):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,17 @@ from fcgtrack.synthdata import SynthConfig, generate
 class TestGenerate:
     def test_counts_and_exact_distances_with_zero_noise(self):
         seq, gt = generate(SynthConfig(num_identities=2, num_frames=10, feature_dim=4, seed=1))
-        assert len(seq.detections) == 20
+        assert len(seq) == 20
         by_id = {}
-        for d in seq.detections:
-            by_id.setdefault(int(np.argmax(d.feature)), []).append(d)
+        for feature in seq.feature:
+            by_id.setdefault(int(np.argmax(feature)), []).append(feature)
         same = [
-            cosine_distance(a.feature, b.feature)
-            for dets in by_id.values()
-            for a, b in zip(dets, dets[1:])
+            cosine_distance(a, b)
+            for feats in by_id.values()
+            for a, b in zip(feats, feats[1:])
         ]
         cross = [
-            cosine_distance(a.feature, b.feature)
+            cosine_distance(a, b)
             for a in by_id[0]
             for b in by_id[1]
         ]
@@ -33,8 +35,8 @@ class TestGenerate:
             occlusions=((1, 4, 6),), seed=1,
         )
         seq, gt = generate(cfg)
-        assert len(seq.detections) == 7
-        assert {d.frame for d in seq.detections} == {1, 2, 3, 7, 8, 9, 10}
+        assert len(seq) == 7
+        assert set(seq.frame.tolist()) == {1, 2, 3, 7, 8, 9, 10}
         assert [e.frame for e in gt.tracks[1]] == [1, 2, 3, 7, 8, 9, 10]
 
     def test_exit_removes_tail(self):
@@ -42,7 +44,7 @@ class TestGenerate:
             num_identities=1, num_frames=10, feature_dim=2, exits=((1, 8),), seed=1
         )
         seq, _ = generate(cfg)
-        assert [d.frame for d in seq.detections] == list(range(1, 8))
+        assert seq.frame.tolist() == list(range(1, 8))
 
     def test_deterministic_bytes(self):
         cfg = SynthConfig(
@@ -62,7 +64,7 @@ class TestGenerate:
         )
         seq, gt = generate(cfg)
         from_seq = sorted(
-            (d.frame, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in seq.detections
+            (frame, *box) for frame, box in zip(seq.frame.tolist(), seq.box.tolist())
         )
         from_gt = sorted(
             (e.frame, e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h)
@@ -81,7 +83,7 @@ class TestGenerate:
                 )
                 seq, _ = generate(cfg)
                 dists.append(
-                    cosine_distance(seq.detections[0].feature, seq.detections[1].feature)
+                    cosine_distance(seq.feature[0], seq.feature[1])
                 )
             return float(np.mean(dists))
 
@@ -93,8 +95,8 @@ class TestGenerate:
             feature_noise_sigma=0.2, seed=3,
         )
         seq, _ = generate(cfg)
-        for d in seq.detections:
-            assert np.linalg.norm(d.feature) == pytest.approx(1.0, abs=1e-12)
+        for feature in seq.feature:
+            assert np.linalg.norm(feature) == pytest.approx(1.0, abs=1e-12)
 
     def test_boxes_stay_in_arena(self):
         for model in ("linear", "sinusoidal"):
@@ -104,13 +106,13 @@ class TestGenerate:
                 seed=11,
             )
             seq, _ = generate(cfg)
-            for d in seq.detections:
-                assert 0.0 <= d.bbox.x and d.bbox.right <= 400.0 + 1e-9
-                assert 0.0 <= d.bbox.y and d.bbox.bottom <= 300.0 + 1e-9
+            for x, y, w, h in seq.box.tolist():
+                assert 0.0 <= x and x + w <= 400.0 + 1e-9
+                assert 0.0 <= y and y + h <= 300.0 + 1e-9
 
     def test_source_rows_follow_emission_order(self):
         seq, _ = generate(SynthConfig(num_identities=2, num_frames=5, feature_dim=2, seed=1))
-        assert [d.source_row for d in seq.detections] == list(range(10))
+        assert seq.row.tolist() == list(range(10))
 
 
 class TestSynthConfigValidation:
@@ -182,3 +184,48 @@ class TestFeatureDimBound:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: feature_dim must be <= 4294967295, got {dim}\n"
         assert not (tmp_path / "seq").exists()
+
+
+class TestPinnedSynthBytes:
+    """`synth` writes these exact files; the benchmark's inputs come from the same generator."""
+
+    SCENES = {
+        "linear, occlusion and exit": (
+            ["--identities", "4", "--frames", "40", "--sigma", "0.02", "--seed", "3",
+             "--feature-dim", "8", "--occlude", "2:10:20", "--exit", "3:30"],
+            {
+                "det.txt": "0e4828b6110d28bc5625ddef7f8a1cc0fccd68986aed9b4d1e0c4a25278d6ec0",
+                "feats.fcgf": "edf689a51a30a5d407e4565d97e0f4ec0ea2685f8d1fc62663273b31a20481a1",
+                "gt.txt": "66c94084f9d80759daab324d03e4ea8ede4382e127c39e39570029ad6f03ca30",
+            },
+        ),
+        "sinusoidal": (
+            ["--identities", "3", "--frames", "50", "--motion-model", "sinusoidal",
+             "--sigma", "0.05", "--seed", "11", "--feature-dim", "8"],
+            {
+                "det.txt": "61fa6afadb58a4e44eef4bb1f2bf90e328158f07dfbc365657e09b77adbdbcd2",
+                "feats.fcgf": "6e539c6c1b86e5e5e6601ddd8c1ef76cadc3c2cb59c47188c3672de0162a6993",
+                "gt.txt": "e89c86a27ab604b74a6dfd276ddaa4c03a594b516264fb8030ff1e0a7b70d70f",
+            },
+        ),
+        "every identity exits at frame 1": (
+            ["--identities", "2", "--frames", "5", "--exit", "1:1", "--exit", "2:1",
+             "--feature-dim", "4"],
+            {
+                "det.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "feats.fcgf": "ba221db5f00305aae19b2f8c3e2a5b772999237ecab0c5a5eaca2ba222a33343",
+                "gt.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("scene", sorted(SCENES))
+    def test_sha256(self, tmp_path, scene):
+        from fcgtrack.cli import main
+
+        argv, expected = self.SCENES[scene]
+        assert main(["synth", *argv, "--out-dir", str(tmp_path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected
+        }
+        assert digests == expected

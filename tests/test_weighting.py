@@ -7,7 +7,7 @@ import pytest
 
 from fcgtrack.appearance import tracklet_distance
 from fcgtrack.clustering import CANNOT_LINK
-from fcgtrack.core import BBox, Detection, FcgConfig, tracklet_new
+from fcgtrack.core import BBox, FcgConfig
 from fcgtrack.weighting import (
     _endpoints,
     spatial_weights,
@@ -15,17 +15,14 @@ from fcgtrack.weighting import (
     weighted_distance,
     weighted_matrix,
 )
-from oracles import scalar_weighted_distance
+from oracles import scalar_weighted_distance, tracklets
 
 CFG = FcgConfig()
 
 
-def tracklet(frame_boxes, feature):
-    dets = [
-        Detection(frame=f, bbox=BBox(*box), score=1.0, feature=np.array(feature, float))
-        for f, box in frame_boxes
-    ]
-    return tracklet_new(dets)
+def rows(frame_boxes, feature):
+    """Row tuples of one object: a box per frame, one feature for all."""
+    return [(f, feature, box) for f, box in frame_boxes]
 
 
 class TestTemporalWeight:
@@ -86,8 +83,10 @@ def pair_context(t1, t2, cfg):
 
 class TestPairContext:
     def test_orders_by_time(self):
-        early = tracklet([(1, (0, 0, 10, 10)), (2, (1, 0, 10, 10))], [1.0, 0.0])
-        late = tracklet([(5, (8, 0, 10, 10))], [1.0, 0.0])
+        early, late = tracklets(
+            rows([(1, (0, 0, 10, 10)), (2, (1, 0, 10, 10))], [1.0, 0.0]),
+            rows([(5, (8, 0, 10, 10))], [1.0, 0.0]),
+        )
         for t1, t2 in ((early, late), (late, early)):
             ctx = pair_context(t1, t2, CFG)
             assert ctx.delta_t == 3
@@ -95,22 +94,28 @@ class TestPairContext:
             assert ctx.first_box_q == BBox(8, 0, 10, 10)
 
     def test_interleaved_pair_has_no_context(self):
-        t1 = tracklet([(1, (0, 0, 1, 1)), (5, (0, 0, 1, 1))], [1.0])
-        t2 = tracklet([(3, (0, 0, 1, 1))], [1.0])
+        t1, t2 = tracklets(
+            rows([(1, (0, 0, 1, 1)), (5, (0, 0, 1, 1))], [1.0]),
+            rows([(3, (0, 0, 1, 1))], [1.0]),
+        )
         assert pair_context(t1, t2, CFG) is None
 
     def test_motion_extrapolates_last_box(self):
         cfg = FcgConfig(use_motion=True)
         # moving +5 px/frame in x; gap of 2 frames extrapolates 2 steps
-        early = tracklet([(1, (0, 0, 10, 10)), (2, (5, 0, 10, 10))], [1.0])
-        late = tracklet([(4, (15, 0, 10, 10))], [1.0])
+        early, late = tracklets(
+            rows([(1, (0, 0, 10, 10)), (2, (5, 0, 10, 10))], [1.0]),
+            rows([(4, (15, 0, 10, 10))], [1.0]),
+        )
         ctx = pair_context(early, late, cfg)
         assert ctx.last_box_k == BBox(15, 0, 10, 10)
 
     def test_motion_cap_at_window(self):
         cfg = FcgConfig(use_motion=True, window=6)
-        early = tracklet([(1, (0, 0, 10, 10)), (2, (5, 0, 10, 10))], [1.0])
-        late = tracklet([(52, (0, 0, 10, 10))], [1.0])
+        early, late = tracklets(
+            rows([(1, (0, 0, 10, 10)), (2, (5, 0, 10, 10))], [1.0]),
+            rows([(52, (0, 0, 10, 10))], [1.0]),
+        )
         ctx = pair_context(early, late, cfg)
         # 50-frame gap, extrapolation capped at 6 steps
         assert ctx.last_box_k == BBox(5 + 6 * 5, 0, 10, 10)
@@ -118,8 +123,10 @@ class TestPairContext:
 
     def test_single_detection_has_zero_velocity(self):
         cfg = FcgConfig(use_motion=True)
-        early = tracklet([(1, (3, 4, 10, 10))], [1.0])
-        late = tracklet([(4, (3, 4, 10, 10))], [1.0])
+        early, late = tracklets(
+            rows([(1, (3, 4, 10, 10))], [1.0]),
+            rows([(4, (3, 4, 10, 10))], [1.0]),
+        )
         ctx = pair_context(early, late, cfg)
         assert ctx.last_box_k == BBox(3, 4, 10, 10)
 
@@ -129,8 +136,10 @@ class TestWeightedDistance:
         # base distance 0.1, delta_t 41 -> 4x, far boxes -> 1 * 2
         feat_a = [1.0, 0.0]
         feat_b = [0.9, math.sqrt(1.0 - 0.81)]
-        t1 = tracklet([(1, (0, 0, 10, 10))], feat_a)
-        t2 = tracklet([(42, (100, 0, 10, 10))], feat_b)
+        t1, t2 = tracklets(
+            rows([(1, (0, 0, 10, 10))], feat_a),
+            rows([(42, (100, 0, 10, 10))], feat_b),
+        )
         d = weighted_distance(t1, t2, CFG)
         assert d == pytest.approx(0.8, abs=1e-9)
 
@@ -138,26 +147,31 @@ class TestWeightedDistance:
         cfg = FcgConfig(use_temporal=False, use_spatial=False, use_motion=False)
         rng = np.random.default_rng(10)
         for _ in range(50):
-            t1 = tracklet([(1, tuple(rng.uniform(0, 100, 2)) + (10, 10))], rng.normal(size=8))
-            t2 = tracklet([(5, tuple(rng.uniform(0, 100, 2)) + (10, 10))], rng.normal(size=8))
+            t1, t2 = tracklets(
+                rows([(1, tuple(rng.uniform(0, 100, 2)) + (10, 10))], rng.normal(size=8)),
+                rows([(5, tuple(rng.uniform(0, 100, 2)) + (10, 10))], rng.normal(size=8)),
+            )
             assert weighted_distance(t1, t2, cfg) == tracklet_distance(t1, t2)
 
     def test_zero_base_distance(self):
-        t1 = tracklet([(1, (0, 0, 10, 10))], [0.6, 0.8])
-        t2 = tracklet([(2, (2, 0, 10, 10))], [0.6, 0.8])
+        t1, t2 = tracklets(
+            rows([(1, (0, 0, 10, 10))], [0.6, 0.8]),
+            rows([(2, (2, 0, 10, 10))], [0.6, 0.8]),
+        )
         assert weighted_distance(t1, t2, CFG) == 0.0
 
     def test_overlapping_pair_is_cannot_link(self):
-        t1 = tracklet([(1, (0, 0, 1, 1)), (5, (0, 0, 1, 1))], [1.0])
-        t2 = tracklet([(3, (0, 0, 1, 1))], [1.0])
+        t1, t2 = tracklets(
+            rows([(1, (0, 0, 1, 1)), (5, (0, 0, 1, 1))], [1.0]),
+            rows([(3, (0, 0, 1, 1))], [1.0]),
+        )
         assert weighted_distance(t1, t2, CFG) == CANNOT_LINK
 
     def test_perfect_overlap_gives_off_times_distance(self):
         box = (10, 10, 20, 40)
         feat_a = [1.0, 0.0]
         feat_b = [1.0, 0.5]
-        t1 = tracklet([(1, box)], feat_a)
-        t2 = tracklet([(3, box)], feat_b)
+        t1, t2 = tracklets(rows([(1, box)], feat_a), rows([(3, box)], feat_b))
         base = tracklet_distance(t1, t2)
         assert weighted_distance(t1, t2, CFG) == pytest.approx(
             CFG.off * base, abs=1e-9
@@ -169,38 +183,37 @@ class TestWeightedDistance:
         angles = np.linspace(0.0, math.pi / 2, 12)
         prev = -1.0
         for ang in angles:
-            t1 = tracklet([(1, box_a)], [1.0, 0.0])
-            t2 = tracklet([(44, box_b)], [math.cos(ang), math.sin(ang)])
+            t1, t2 = tracklets(
+                rows([(1, box_a)], [1.0, 0.0]),
+                rows([(44, box_b)], [math.cos(ang), math.sin(ang)]),
+            )
             d = weighted_distance(t1, t2, CFG)
             assert d >= prev
             prev = d
 
     def test_symmetric_in_argument_order(self):
-        t1 = tracklet([(1, (0, 0, 10, 10)), (2, (1, 0, 10, 10))], [1.0, 0.2])
-        t2 = tracklet([(9, (30, 0, 10, 10))], [1.0, 0.4])
+        t1, t2 = tracklets(
+            rows([(1, (0, 0, 10, 10)), (2, (1, 0, 10, 10))], [1.0, 0.2]),
+            rows([(9, (30, 0, 10, 10))], [1.0, 0.4]),
+        )
         assert weighted_distance(t1, t2, CFG) == weighted_distance(t2, t1, CFG)
 
 
 def random_tracklets(rng, count, dim=6):
     """Tracklets with gaps short and long, interleaved and frame-sharing spans."""
-    tracklets = []
+    groups = []
     for _ in range(count):
         start = int(rng.integers(1, 120))
         frames = sorted(set(start + rng.integers(0, 12, size=int(rng.integers(1, 5)))))
         base = rng.normal(size=dim)
         x, y = rng.uniform(0, 200, 2)
         vx, vy, vw = rng.normal(0, 4, 3)
-        dets = [
-            Detection(
-                frame=int(f),
-                bbox=BBox(x + vx * k, y + vy * k, max(5.0 + vw * k, 1.0), 20.0),
-                score=1.0,
-                feature=base + rng.normal(0, 0.05, dim),
-            )
+        groups.append([
+            (int(f), base + rng.normal(0, 0.05, dim),
+             (x + vx * k, y + vy * k, max(5.0 + vw * k, 1.0), 20.0))
             for k, f in enumerate(frames)
-        ]
-        tracklets.append(tracklet_new(dets))
-    return tracklets
+        ])
+    return tracklets(*groups)
 
 
 class TestWeightedMatrix:
@@ -228,7 +241,7 @@ class TestWeightedMatrix:
 
     def test_empty_and_single(self):
         assert weighted_matrix([], CFG).shape == (0, 0)
-        t = tracklet([(1, (0, 0, 10, 10))], [1.0, 0.0])
+        (t,) = tracklets(rows([(1, (0, 0, 10, 10))], [1.0, 0.0]))
         assert weighted_matrix([t], CFG).shape == (1, 1)
 
     def test_scalar_is_matrix_entry(self):
