@@ -1,14 +1,11 @@
-"""Core domain types: boxes, detection columns, tracklets, lifted frames, config, tracks.
+"""Core domain types: detection columns, tracklets, lifted frames, config, track columns.
 
 Everything here is immutable after construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,53 +31,12 @@ class FrameConflictError(FcgError):
     """A track's frames are not strictly increasing (two boxes claim one frame)."""
 
 
-class DimensionMismatchError(FcgError):
-    """Feature vectors with different dimensions were combined."""
-
-
 class DegenerateFeatureError(FcgError):
     """A feature vector is zero or non-finite; cosine distance is undefined."""
 
 
 class ParseError(FcgError):
     """Malformed input data; the message carries file/line context."""
-
-
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box as (left, top, width, height) in pixels."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "w", "h"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (
-            math.isfinite(self.x)
-            and math.isfinite(self.y)
-            and math.isfinite(self.w)
-            and math.isfinite(self.h)
-        ):
-            raise ValueError(
-                f"box must be finite, got x={self.x}, y={self.y}, w={self.w}, h={self.h}"
-            )
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"box size must be positive, got w={self.w}, h={self.h}")
-
-    @property
-    def right(self) -> float:
-        return self.x + self.w
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.h
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,18 +107,6 @@ class Tracklet:
         median.setflags(write=False)
         rows.setflags(write=False)
         return cls(columns=columns, rows=rows, median_feature=median)
-
-    @property
-    def frame_set(self) -> frozenset[int]:
-        return frozenset(self.columns.frame[self.rows].tolist())
-
-    @property
-    def first_frame(self) -> int:
-        return int(self.columns.frame[self.rows[0]])
-
-    @property
-    def last_frame(self) -> int:
-        return int(self.columns.frame[self.rows[-1]])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -242,18 +186,16 @@ class FcgConfig:
             raise InvalidConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
 
 
-class TrackEntry(NamedTuple):
-    frame: int
-    bbox: BBox
-    score: float
-
-
 @dataclass(frozen=True, eq=False)
-class TrackColumns:
-    """Labeled boxes as parallel columns, sorted by (track ID, frame).
+class TrackSet:
+    """Final labeled tracks as parallel columns, sorted by (track ID, frame).
 
     `track_id` and `frame` (N,) int64, `box` (N, 4) float64 rows of
-    (x, y, w, h), `score` (N,) float64. The arrays are made read-only.
+    (x, y, w, h), `score` (N,) float64; the arrays are made read-only. IDs
+    are positive and within a track frames are strictly increasing (one box
+    per frame per ID). Pipeline output numbers IDs 1..K in order of first
+    appearance; parsed ground truth keeps the IDs found in the file. Two
+    TrackSets are equal when their columns are; `len` counts the tracks.
     """
 
     track_id: np.ndarray
@@ -264,82 +206,27 @@ class TrackColumns:
     def __post_init__(self):
         for name in ("track_id", "frame", "box", "score"):
             getattr(self, name).setflags(write=False)
-
-
-class TrackSet:
-    """Final labeled tracks, held as `TrackColumns`.
-
-    Within a track frames are strictly increasing (one box per frame per ID).
-    Pipeline output additionally numbers IDs 1..K in order of first
-    appearance; parsed ground truth keeps the IDs found in the file.
-
-    Built from columns (`TrackSet(columns=...)`) or from a mapping of track
-    ID to its (frame, box, score) entries (`TrackSet(tracks=...)`), which is
-    converted to columns; an ID with no entries holds no rows. `tracks` is a
-    view of the columns built on first use, IDs in ascending order. Two
-    TrackSets are equal when their columns are. Immutable.
-    """
-
-    def __init__(self, tracks=None, *, columns: TrackColumns | None = None):
-        if (tracks is None) == (columns is None):
-            raise TypeError("TrackSet takes either tracks or columns")
-        if columns is None:
-            columns = _entry_columns(dict(tracks))
-        ids, frames = columns.track_id, columns.frame
+        ids, frames = self.track_id, self.frame
         if np.any(ids < 1):
             raise ValueError(f"track IDs must be positive, got {int(ids.min())}")
         if np.any(ids[1:] < ids[:-1]):
             raise ValueError("track columns must be sorted by track ID")
         if np.any((ids[1:] == ids[:-1]) & (frames[1:] <= frames[:-1])):
             raise FrameConflictError("a track has non-increasing frames")
-        self.__dict__["columns"] = columns
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: TrackSet is immutable")
-
-    @cached_property
-    def tracks(self) -> dict[int, tuple[TrackEntry, ...]]:
-        cols = self.columns
-        tracks: dict[int, list[TrackEntry]] = {}
-        for tid, frame, box, score in zip(
-            cols.track_id.tolist(), cols.frame.tolist(), cols.box.tolist(), cols.score.tolist()
-        ):
-            tracks.setdefault(tid, []).append(TrackEntry(frame, BBox(*box), score))
-        return {tid: tuple(entries) for tid, entries in tracks.items()}
 
     def __eq__(self, other):
         if not isinstance(other, TrackSet):
             return NotImplemented
-        a, b = self.columns, other.columns
         return all(
-            np.array_equal(getattr(a, name), getattr(b, name))
+            np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("track_id", "frame", "box", "score")
         )
 
     __hash__ = None
 
-    def __repr__(self) -> str:
-        return f"TrackSet(tracks={self.tracks!r})"
-
     @property
     def num_boxes(self) -> int:
-        return len(self.columns.frame)
+        return len(self.frame)
 
     def __len__(self) -> int:
-        return len(np.unique(self.columns.track_id))
-
-
-def _entry_columns(tracks: dict) -> TrackColumns:
-    """Columns of a track ID -> entries mapping, sorted by ID, entries in order."""
-    if min(tracks, default=1) < 1:
-        # An ID with no entries holds no row to be checked as a column.
-        raise ValueError(f"track IDs must be positive, got {min(tracks)}")
-    rows = [(tid, e) for tid in sorted(tracks) for e in tracks[tid]]
-    return TrackColumns(
-        track_id=np.array([tid for tid, _ in rows], dtype=np.int64),
-        frame=np.array([e.frame for _, e in rows], dtype=np.int64),
-        box=np.array(
-            [(e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h) for _, e in rows], dtype=np.float64
-        ).reshape(-1, 4),
-        score=np.array([e.score for _, e in rows], dtype=np.float64),
-    )
+        return len(np.unique(self.track_id))

@@ -1,23 +1,15 @@
 """Bounding-box distances and constant-velocity extrapolation.
 
-The array forms take boxes as (..., 4) arrays of (left, top, width, height)
-and broadcast like any NumPy operation; the `BBox` forms apply them to one
-pair.
+Boxes are (..., 4) arrays of (left, top, width, height); every function
+broadcasts like any NumPy operation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import BBox
-
 # Extrapolated boxes never shrink below one pixel per side.
 MIN_EXTRAPOLATED_SIZE = 1.0
-
-
-def box_array(boxes) -> np.ndarray:
-    """(n, 4) array of (x, y, w, h) rows from an iterable of boxes."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def _sides(boxes: np.ndarray):
@@ -70,19 +62,3 @@ def extrapolate_array(prev: np.ndarray, curr: np.ndarray, steps) -> np.ndarray:
         axis=-1,
     )
 
-
-def iou_distance(a: BBox, b: BBox) -> float:
-    """1 - IoU of two boxes; 0 for identical boxes, 1 for disjoint ones."""
-    return float(iou_distance_array(*box_array((a, b))))
-
-
-def box_displacement(a: BBox, b: BBox) -> float:
-    """`box_displacement_array` of two boxes, in box-size units."""
-    return float(box_displacement_array(*box_array((a, b))))
-
-
-def extrapolate(prev: BBox, curr: BBox, steps: int) -> BBox:
-    """Extrapolate `curr` by `steps` frames; with prev == curr the result equals curr."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    return BBox(*extrapolate_array(*box_array((prev, curr)), steps))

@@ -16,15 +16,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import (
-    BBox,
-    DetectionColumns,
-    FcgConfig,
-    MAX_INT,
-    ParseError,
-    TrackColumns,
-    TrackSet,
-)
+from .core import DetectionColumns, FcgConfig, MAX_INT, ParseError, TrackSet
 
 FEATURE_MAGIC = b"FCGF"
 FEATURE_VERSION = 1
@@ -161,6 +153,14 @@ def _fields(data: bytes, ints: int, name: str):
     return len(lines), _line_fields(lines, ints)
 
 
+def _check_box(x: float, y: float, w: float, h: float, where: str) -> None:
+    """Raise a ParseError at `where` unless the box is finite with a positive size."""
+    if not all(map(math.isfinite, (x, y, w, h))):
+        raise ParseError(f"{where}: box must be finite, got x={x}, y={y}, w={w}, h={h}")
+    if not (w > 0 and h > 0):
+        raise ParseError(f"{where}: box size must be positive, got w={w}, h={h}")
+
+
 def _raise_first_error(
     det_data: bytes, features: np.ndarray, cfg: FcgConfig, name: str
 ) -> NoReturn:
@@ -185,10 +185,7 @@ def _raise_first_error(
             raise ParseError(f"{name} line {lineno}: nonpositive box size {w}x{h}")
         if conf < cfg.score_threshold:
             continue
-        try:
-            BBox(x, y, w, h)
-        except ValueError as exc:
-            raise ParseError(f"{name} line {lineno}: {exc}") from exc
+        _check_box(x, y, w, h, f"{name} line {lineno}")
         if not 0.0 <= conf <= 1.0:
             raise ParseError(f"{name} line {lineno}: score must be in [0, 1], got {conf}")
         # Any inf or NaN component makes the norm non-finite.
@@ -265,12 +262,14 @@ def write_detections(cols: DetectionColumns) -> bytes:
 
 
 def detection_features(cols: DetectionColumns, feature_dim: int | None = None) -> np.ndarray:
-    """Feature matrix aligned with write_detections row order.
+    """Feature matrix aligned with write_detections row order: `cols.feature`.
 
-    `feature_dim` fixes the column count when there are no detections.
+    A given `feature_dim` must equal the table's feature width.
     """
-    if not len(cols):
-        return np.zeros((0, feature_dim if feature_dim else 1), dtype=np.float64)
+    if feature_dim is not None and feature_dim != cols.feature.shape[1]:
+        raise ValueError(
+            f"feature_dim {feature_dim} does not match the table's width {cols.feature.shape[1]}"
+        )
     return cols.feature
 
 
@@ -280,26 +279,24 @@ def write_tracks(tracks: TrackSet) -> bytes:
     Coordinates carry 2 decimals, scores 4; the stream is newline-terminated
     with no trailing blank line.
     """
-    cols = tracks.columns
-    order = np.lexsort((cols.track_id, cols.frame))
+    order = np.lexsort((tracks.track_id, tracks.frame))
     lines = [
         f"{frame},{tid},{x:.2f},{y:.2f},{w:.2f},{h:.2f},{score:.4f},-1,-1,-1"
         for frame, tid, (x, y, w, h), score in zip(
-            cols.frame[order].tolist(),
-            cols.track_id[order].tolist(),
-            cols.box[order].tolist(),
-            cols.score[order].tolist(),
+            tracks.frame[order].tolist(),
+            tracks.track_id[order].tolist(),
+            tracks.box[order].tolist(),
+            tracks.score[order].tolist(),
         )
     ]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 
-def _sorted_tracks(track_id: np.ndarray, frame: np.ndarray, box: np.ndarray) -> TrackColumns:
-    """Ground-truth columns sorted by (track ID, frame), every score 1.0."""
+def _sorted_tracks(track_id: np.ndarray, frame: np.ndarray, box: np.ndarray) -> tuple:
+    """Ground-truth columns sorted by (track ID, frame), every score 1.0:
+    the `TrackSet` fields in order, not yet checked."""
     order = np.lexsort((frame, track_id))
-    return TrackColumns(
-        track_id=track_id[order], frame=frame[order], box=box[order], score=np.ones(len(order))
-    )
+    return track_id[order], frame[order], box[order], np.ones(len(order))
 
 
 def _parse_ground_truth_rows(gt_data: bytes, name: str, results: bool = False) -> TrackSet:
@@ -340,15 +337,12 @@ def _parse_ground_truth_rows(gt_data: bytes, name: str, results: bool = False) -
         if (frame, tid) in seen:
             raise ParseError(f"{name} line {lineno}: duplicate (frame, id) ({frame}, {tid})")
         seen.add((frame, tid))
-        try:
-            BBox(x, y, w, h)
-        except ValueError as exc:
-            raise ParseError(f"{name} line {lineno}: {exc}") from exc
+        _check_box(x, y, w, h, f"{name} line {lineno}")
         ids.append(tid)
         frames.append(frame)
         boxes.append((x, y, w, h))
     return TrackSet(
-        columns=_sorted_tracks(
+        *_sorted_tracks(
             np.array(ids, dtype=np.int64),
             np.array(frames, dtype=np.int64),
             np.array(boxes, dtype=np.float64).reshape(-1, 4),
@@ -375,14 +369,15 @@ def parse_ground_truth(gt_data: bytes, name: str = "gt", *, results: bool = Fals
         return _parse_ground_truth_rows(gt_data, name, results)
     (frame, tid), (x, y, w, h, flag) = parsed
     kept = (flag != 0) | results
-    cols = _sorted_tracks(tid[kept], frame[kept], np.stack([x, y, w, h], axis=1)[kept])
-    ids, frames, box = cols.track_id, cols.frame, cols.box
+    columns = _sorted_tracks(tid[kept], frame[kept], np.stack([x, y, w, h], axis=1)[kept])
+    ids, frames, box, _ = columns
     valid = (frames >= 1) & (ids >= 1)
     valid &= np.isfinite(box).all(axis=1) & (box[:, 2:] > 0).all(axis=1)
     repeated = (ids[1:] == ids[:-1]) & (frames[1:] == frames[:-1])
     if not valid.all() or repeated.any():
         return _parse_ground_truth_rows(gt_data, name, results)
-    return TrackSet(columns=cols)
+    # Built only now: the checks above hand bad rows to the line-numbered reader.
+    return TrackSet(*columns)
 
 
 def write_ground_truth(tracks: TrackSet) -> bytes:
@@ -390,12 +385,13 @@ def write_ground_truth(tracks: TrackSet) -> bytes:
 
     Rows are sorted by (frame, id); coordinates keep full precision.
     """
-    cols = tracks.columns
-    order = np.lexsort((cols.track_id, cols.frame))
+    order = np.lexsort((tracks.track_id, tracks.frame))
     lines = [
         f"{frame},{tid},{x!r},{y!r},{w!r},{h!r},1,1,1"
         for frame, tid, (x, y, w, h) in zip(
-            cols.frame[order].tolist(), cols.track_id[order].tolist(), cols.box[order].tolist()
+            tracks.frame[order].tolist(),
+            tracks.track_id[order].tolist(),
+            tracks.box[order].tolist(),
         )
     ]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
@@ -435,8 +431,5 @@ def subsample_tracks(tracks: TrackSet, ratio: int) -> TrackSet:
     """
     if check_ratio(ratio) == 1:
         return tracks
-    cols = tracks.columns
-    kept, frame = _subsampled(cols.frame, ratio)
-    return TrackSet(
-        columns=TrackColumns(cols.track_id[kept], frame, cols.box[kept], cols.score[kept])
-    )
+    kept, frame = _subsampled(tracks.frame, ratio)
+    return TrackSet(tracks.track_id[kept], frame, tracks.box[kept], tracks.score[kept])

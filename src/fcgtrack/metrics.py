@@ -20,11 +20,11 @@ def _by_frame(tracks: TrackSet):
     The columns are sorted by track ID, so ranks take no sort and keep the
     order of the IDs.
     """
-    cols = tracks.columns
-    rank = np.zeros(len(cols.track_id), dtype=np.int64)
-    np.cumsum(cols.track_id[1:] != cols.track_id[:-1], out=rank[1:])
-    order = np.lexsort((cols.track_id, cols.frame))
-    return cols.frame[order], rank[order], cols.box[order]
+    ids = tracks.track_id
+    rank = np.zeros(len(ids), dtype=np.int64)
+    np.cumsum(ids[1:] != ids[:-1], out=rank[1:])
+    order = np.lexsort((ids, tracks.frame))
+    return tracks.frame[order], rank[order], tracks.box[order]
 
 
 def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):

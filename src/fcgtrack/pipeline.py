@@ -22,7 +22,6 @@ from .core import (
     DetectionColumns,
     FcgConfig,
     LiftedFrame,
-    TrackColumns,
     TrackSet,
     Tracklet,
     _shared_table,
@@ -180,9 +179,7 @@ def _assign_ids(tracklets) -> TrackSet:
     ordered = [rows[k] for k in np.lexsort((table.row[first], table.frame[first]))]
     index = np.concatenate(ordered)
     track_id = np.repeat(np.arange(1, len(ordered) + 1), [len(r) for r in ordered])
-    return TrackSet(
-        columns=TrackColumns(track_id, table.frame[index], table.box[index], table.score[index])
-    )
+    return TrackSet(track_id, table.frame[index], table.box[index], table.score[index])
 
 
 def run(detections: DetectionColumns, cfg: FcgConfig) -> TrackSet:
@@ -193,7 +190,9 @@ def run(detections: DetectionColumns, cfg: FcgConfig) -> TrackSet:
     """
     frames = generate_tracklets(detections, cfg)
     if not frames:
-        return TrackSet(tracks={})
+        return TrackSet(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), np.zeros(0)
+        )
     if cfg.consecutive:
         final = _reduce_consecutive(frames, cfg)
     elif len(frames) == 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectionColumns, InvalidConfigError, TrackColumns, TrackSet
+from .core import DetectionColumns, InvalidConfigError, TrackSet
 from .io_mot import FEATURE_HEADER_MAX
 
 MOTION_MODELS = ("linear", "sinusoidal")
@@ -148,7 +148,5 @@ def generate(cfg: SynthConfig) -> tuple[DetectionColumns, TrackSet]:
     frame = t + 1
     seq = DetectionColumns(frame, box, np.ones(len(t)), np.arange(len(t)), feature)
     order = np.lexsort((frame, k))
-    truth = TrackSet(
-        columns=TrackColumns(k[order] + 1, frame[order], box[order], np.ones(len(t)))
-    )
+    truth = TrackSet(k[order] + 1, frame[order], box[order], np.ones(len(t)))
     return seq, truth

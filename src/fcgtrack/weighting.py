@@ -6,8 +6,7 @@ frame spans interleave) get the cannot-link sentinel instead of a weighted
 distance.
 
 `weighted_matrix` computes every pair of a tracklet list at once from
-endpoint arrays; the single-pair functions apply the same array code to one
-pair.
+endpoint arrays.
 """
 
 from __future__ import annotations
@@ -16,20 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .appearance import cosine_matrix, feature_matrix
-from .core import CANNOT_LINK, BBox, FcgConfig, Tracklet, _shared_table
-from .geometry import box_array, box_displacement_array, extrapolate_array, iou_distance_array
+from .appearance import cosine_matrix
+from .core import CANNOT_LINK, DetectionColumns, FcgConfig, Tracklet, _shared_table
+from .geometry import box_displacement_array, extrapolate_array, iou_distance_array
 
 
 def _temporal_factor(delta_t, cfg: FcgConfig):
     return np.where(delta_t <= cfg.kt, 1.0, cfg.ct)
-
-
-def temporal_weight(delta_t: int, cfg: FcgConfig) -> float:
-    """1 within the association horizon, the harder `ct` factor beyond it."""
-    if delta_t < 0:
-        raise ValueError(f"delta_t must be >= 0, got {delta_t}")
-    return float(_temporal_factor(delta_t, cfg))
 
 
 def _spatial_factors(last_box: np.ndarray, first_box: np.ndarray, cfg: FcgConfig):
@@ -39,24 +31,17 @@ def _spatial_factors(last_box: np.ndarray, first_box: np.ndarray, cfg: FcgConfig
     return lambda_c, lambda_f
 
 
-def spatial_weights(last_box: BBox, first_box: BBox, cfg: FcgConfig) -> tuple[float, float]:
-    """(close, far) factors from the earlier tracklet's last box (extrapolated
-    when motion is on) and the later one's first: overlap eases fusion, large
-    displacement hardens it."""
-    lambda_c, lambda_f = _spatial_factors(*box_array((last_box, first_box)), cfg)
-    return float(lambda_c), float(lambda_f)
-
-
-def _endpoints(tracklets: Sequence[Tracklet], cfg: FcgConfig):
+def _endpoints(table: DetectionColumns, tracklets: Sequence[Tracklet], cfg: FcgConfig):
     """Gap and endpoint boxes of every ordered pair (i, j), read as "i before j".
 
     Returns `before[i, j]` (i ends before j starts), the gap
     first_frame[j] - last_frame[i], i's last box (extrapolated over
     min(gap, window) frames when motion is on) and j's first box; the box
     arrays broadcast to (n, n, 4). Entries where i is not before j are
-    meaningless. Endpoints are gathered from the tracklets' table by row.
+    meaningless. Endpoints are gathered from `table`, which the tracklets
+    index, by row.
     """
-    table, rows = _shared_table(tracklets), [t.rows for t in tracklets]
+    rows = [t.rows for t in tracklets]
     first = np.array([r[0] for r in rows], dtype=np.intp)
     last = np.array([r[-1] for r in rows], dtype=np.intp)
     first_frame = table.frame[first]
@@ -79,12 +64,13 @@ def weighted_matrix(tracklets: Sequence[Tracklet], cfg: FcgConfig) -> np.ndarray
     Each entry is the median cosine distance, times the temporal factor when
     that is enabled, then times the product of the spatial factors when those
     are enabled. Temporally interleaved pairs, the diagonal among them, hold
-    the cannot-link sentinel as a value.
+    the cannot-link sentinel as a value. The tracklets must index one table.
     """
     if not tracklets:
         return np.zeros((0, 0))
-    dist = cosine_matrix(feature_matrix([t.median_feature for t in tracklets]))
-    before, gap, last_box, first_box = _endpoints(tracklets, cfg)
+    table = _shared_table(tracklets)
+    dist = cosine_matrix(np.stack([t.median_feature for t in tracklets]))
+    before, gap, last_box, first_box = _endpoints(table, tracklets, cfg)
 
     def symmetric(directed):
         # Entry (i, j) as seen from whichever of i and j comes first.
@@ -97,11 +83,3 @@ def weighted_matrix(tracklets: Sequence[Tracklet], cfg: FcgConfig) -> np.ndarray
         dist = dist * symmetric(lambda_c * lambda_f)
     return np.where(before | before.T, dist, CANNOT_LINK)
 
-
-def weighted_distance(t1: Tracklet, t2: Tracklet, cfg: FcgConfig) -> float:
-    """Appearance distance scaled by the enabled temporal and spatial priors.
-
-    With every toggle off this is exactly the plain tracklet distance.
-    Temporally interleaved pairs return the cannot-link sentinel.
-    """
-    return float(weighted_matrix((t1, t2), cfg)[0, 1])

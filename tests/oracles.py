@@ -1,25 +1,34 @@
-"""Independent brute-force references the production code is checked against."""
+"""Independent brute-force references the production code is checked against,
+and the builders and one-pair forms the tests construct and read values with."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 import numpy as np
 
-from fcgtrack.core import BBox, DetectionColumns, Tracklet
+from fcgtrack.appearance import cosine_matrix
+from fcgtrack.core import DetectionColumns, TrackSet, Tracklet
+from fcgtrack.geometry import box_displacement_array, extrapolate_array, iou_distance_array
+from fcgtrack.weighting import _spatial_factors, weighted_matrix
 
 SENTINEL = 1.0e6
+# A box (left, top, width, height) with named sides.
+Box = namedtuple("Box", "x y w h")
+# One box of a track, as `track_entries` lists them.
+Entry = namedtuple("Entry", "frame bbox score")
 # Box, score and source row of a row tuple that leaves them out.
 _ROW_DEFAULTS = ((0.0, 0.0, 10.0, 10.0), 1.0, -1)
 
 
-def columns(rows):
+def columns(rows, dim=0):
     """`DetectionColumns` of (frame, feature[, box[, score[, row]]]) tuples, in order.
 
-    Left-out trailing fields take `_ROW_DEFAULTS`. Nothing is validated.
+    Left-out trailing fields take `_ROW_DEFAULTS`; with no rows the feature
+    width is `dim`. Nothing is validated.
     """
     rows = [(*r, *_ROW_DEFAULTS[len(r) - 2 :]) for r in rows]
     frame, feature, box, score, row = zip(*rows) if rows else ((),) * 5
@@ -28,7 +37,7 @@ def columns(rows):
         box=np.array(box, dtype=np.float64).reshape(-1, 4),
         score=np.array(score, dtype=np.float64),
         row=np.array(row, dtype=np.int64),
-        feature=np.array(feature, dtype=np.float64) if rows else np.zeros((0, 0)),
+        feature=np.array(feature, dtype=np.float64) if rows else np.zeros((0, dim)),
     )
 
 
@@ -41,6 +50,75 @@ def tracklets(*groups):
     table = columns([r for group in groups for r in group])
     ends = np.cumsum([len(group) for group in groups], dtype=np.int64)
     return [Tracklet.from_rows(table, np.arange(end - len(g), end)) for g, end in zip(groups, ends)]
+
+
+def tracklet_frames(tracklet):
+    """The frames of a tracklet's detections, in its (ascending) order."""
+    return tracklet.columns.frame[tracklet.rows].tolist()
+
+
+def track_set(tracks):
+    """`TrackSet` of a track ID -> (frame, box, score) entries mapping.
+
+    IDs in ascending order, each ID's entries in the given order; an ID with
+    no entries holds no rows. The `TrackSet` checks the columns.
+    """
+    rows = [(tid, *entry) for tid in sorted(tracks) for entry in tracks[tid]]
+    tid, frame, box, score = zip(*rows) if rows else ((),) * 4
+    return TrackSet(
+        track_id=np.array(tid, dtype=np.int64),
+        frame=np.array(frame, dtype=np.int64),
+        box=np.array(box, dtype=np.float64).reshape(-1, 4),
+        score=np.array(score, dtype=np.float64),
+    )
+
+
+def track_entries(tracks):
+    """Track ID -> tuple of `Entry(frame, Box, score)` of a `TrackSet`, IDs ascending."""
+    entries = defaultdict(list)
+    for tid, frame, box, score in zip(
+        tracks.track_id.tolist(), tracks.frame.tolist(), tracks.box.tolist(), tracks.score.tolist()
+    ):
+        entries[tid].append(Entry(frame, Box(*box), score))
+    return {tid: tuple(e) for tid, e in entries.items()}
+
+
+# One-pair forms of the array functions, for assertions about a single pair.
+# Boxes are `Box` values or (x, y, w, h) tuples.
+
+
+def iou_distance(a, b):
+    return float(iou_distance_array(np.array(a, dtype=float), np.array(b, dtype=float)))
+
+
+def box_displacement(a, b):
+    return float(box_displacement_array(np.array(a, dtype=float), np.array(b, dtype=float)))
+
+
+def extrapolate(prev, curr, steps):
+    return Box(*extrapolate_array(np.array(prev, dtype=float), np.array(curr, dtype=float), steps))
+
+
+def cosine_distance(h1, h2):
+    return float(cosine_matrix(np.array([h1, h2], dtype=float))[0, 1])
+
+
+def tracklet_distance(t1, t2):
+    """`cosine_distance` of two tracklets' cached medians."""
+    return cosine_distance(t1.median_feature, t2.median_feature)
+
+
+def spatial_weights(last_box, first_box, cfg):
+    """(close, far) factors of one pair of boxes."""
+    lambda_c, lambda_f = _spatial_factors(
+        np.array(last_box, dtype=float), np.array(first_box, dtype=float), cfg
+    )
+    return float(lambda_c), float(lambda_f)
+
+
+def weighted_distance(t1, t2, cfg):
+    """The `weighted_matrix` entry of two tracklets of one table."""
+    return float(weighted_matrix((t1, t2), cfg)[0, 1])
 
 
 def cannot_link_mask(pairs, n):
@@ -124,9 +202,10 @@ def matched_frames(gt, pred, iou_threshold=0.5):
     """(GT ID, predicted ID) -> frames where both have a box with IoU >= the
     threshold, for every pair with at least one such frame; pair by pair."""
     counts = {}
-    for gid, gentries in gt.tracks.items():
+    pred_tracks = track_entries(pred)
+    for gid, gentries in track_entries(gt).items():
         gmap = {e.frame: e.bbox for e in gentries}
-        for pid, pentries in pred.tracks.items():
+        for pid, pentries in pred_tracks.items():
             c = 0
             for e in pentries:
                 gbox = gmap.get(e.frame)
@@ -156,16 +235,16 @@ def brute_force_idf1(gt, pred, iou_threshold=0.5):
     Only usable for a handful of IDs; counts feasible frames per ID pair from
     scratch and maximizes the total over every partial one-to-one mapping.
     """
-    total_gt = sum(len(v) for v in gt.tracks.values())
-    total_pred = sum(len(v) for v in pred.tracks.values())
+    total_gt = gt.num_boxes
+    total_pred = pred.num_boxes
     if total_gt == 0 and total_pred == 0:
         return 1.0
     if total_gt == 0 or total_pred == 0:
         return 0.0
 
     counts = matched_frames(gt, pred, iou_threshold)
-    gt_ids = sorted(gt.tracks)
-    pred_ids = sorted(pred.tracks)
+    gt_ids = sorted(track_entries(gt))
+    pred_ids = sorted(track_entries(pred))
     best = 0
     max_r = min(len(gt_ids), len(pred_ids))
     for r in range(1, max_r + 1):
@@ -271,7 +350,7 @@ def scalar_box_displacement(a, b):
 
 def _box(tracklet, k):
     """Box of a tracklet's k-th detection."""
-    return BBox(*tracklet.columns.box[tracklet.rows[k]].tolist())
+    return Box(*tracklet.columns.box[tracklet.rows[k]].tolist())
 
 
 def scalar_weighted_distance(t1, t2, cfg, sentinel=SENTINEL):
@@ -283,13 +362,14 @@ def scalar_weighted_distance(t1, t2, cfg, sentinel=SENTINEL):
     box (extrapolated at its final velocity when motion is on) with the later
     one's first box. Boxes are (x, y, w, h) tuples.
     """
-    if t1.last_frame < t2.first_frame:
+    f1, f2 = tracklet_frames(t1), tracklet_frames(t2)
+    if f1[-1] < f2[0]:
         early, late = t1, t2
-    elif t2.last_frame < t1.first_frame:
+    elif f2[-1] < f1[0]:
         early, late = t2, t1
     else:
         return sentinel
-    delta_t = late.first_frame - early.last_frame
+    delta_t = tracklet_frames(late)[0] - tracklet_frames(early)[-1]
     d = scalar_cosine(t1.median_feature, t2.median_feature)
     if cfg.use_temporal:
         d *= 1.0 if delta_t <= cfg.kt else cfg.ct
@@ -319,11 +399,11 @@ def per_pair_id_switches(gt, pred, iou_threshold=0.5):
     whenever a GT identity's match differs from its previous match.
     """
     def by_frame(tracks):
-        frames = defaultdict(list)
-        for tid in sorted(tracks.tracks):
-            for e in tracks.tracks[tid]:
-                frames[e.frame].append((tid, e.bbox))
-        return frames
+        by = defaultdict(list)
+        for tid, entries in track_entries(tracks).items():
+            for e in entries:
+                by[e.frame].append((tid, e.bbox))
+        return by
 
     gt_frames, pred_frames = by_frame(gt), by_frame(pred)
     last_match = {}

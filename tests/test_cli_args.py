@@ -179,5 +179,5 @@ def test_subsample_at_largest_int64_keeps_frame_one(seq_dir, tmp_path):
         ]
     ) == 0
     gt = parse_ground_truth((out_dir / "gt.txt").read_bytes())
-    assert set(gt.columns.frame.tolist()) == {1}
+    assert set(gt.frame.tolist()) == {1}
     assert {line.split(",")[0] for line in (out_dir / "det.txt").read_text().splitlines()} == {"1"}

@@ -10,16 +10,7 @@ import pytest
 
 import fcgtrack.core as core
 from fcgtrack.cli import main
-from fcgtrack.core import (
-    BBox,
-    FcgConfig,
-    FrameConflictError,
-    LiftedFrame,
-    TrackColumns,
-    TrackEntry,
-    TrackSet,
-    Tracklet,
-)
+from fcgtrack.core import FcgConfig, FrameConflictError, LiftedFrame, TrackSet, Tracklet
 from fcgtrack.io_mot import (
     detection_features,
     parse_detections,
@@ -31,10 +22,9 @@ from fcgtrack.io_mot import (
     write_ground_truth,
     write_tracks,
 )
-from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import fuse_lifted_frames, generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
-from oracles import columns, tracklets
+from oracles import Box, Entry, columns, track_entries, track_set, tracklets
 
 SCENES = {
     "occluded": SynthConfig(
@@ -88,32 +78,6 @@ def test_column_path_matches_detection_adapter(tmp_path, scene, ratio, flags):
     assert out.read_bytes() == adapter == write_tracks(run(seq, cfg))
 
 
-def test_eval_command_builds_no_track_entries_or_boxes(tmp_path, monkeypatch, capsys):
-    scene = SCENES["occluded"]
-    seq, truth = generate(scene)
-    gt_path, pred_path = tmp_path / "gt.txt", tmp_path / "pred.txt"
-    gt_path.write_bytes(write_ground_truth(truth))
-    pred_path.write_bytes(write_tracks(run(seq, FcgConfig(feature_dim=16))))
-    pred = TrackSet(tracks=parse_ground_truth(pred_path.read_bytes()).tracks)
-    expected = f"idf1,{idf1(truth, pred):.6f}\nid_switches,{id_switches(truth, pred)}\n"
-    built = []
-    original_box = core.BBox.__post_init__
-    original_entry = core.TrackEntry.__new__
-
-    def count_entry(cls, *args, **kwargs):
-        built.append(cls)
-        return original_entry(cls, *args, **kwargs)
-
-    monkeypatch.setattr(core.BBox, "__post_init__", lambda self: built.append(original_box(self)))
-    monkeypatch.setattr(core.TrackEntry, "__new__", count_entry)
-    assert main(["eval", "--gt", str(gt_path), "--pred", str(pred_path)]) == 0
-    assert built == []
-    assert capsys.readouterr().out == expected
-    # Both counters are live.
-    TrackEntry(1, BBox(0.0, 0.0, 1.0, 1.0), 1.0)
-    assert len(built) == 2
-
-
 class TestDetectionColumns:
     def test_columns_are_read_only(self):
         cols = columns([det(1, [1.0, 0.0])])
@@ -164,9 +128,9 @@ class TestIndexTracklets:
 
 
 class TestTrackColumns:
-    def columns(self, ids, frames):
+    def tracks(self, ids, frames):
         n = len(ids)
-        return TrackColumns(
+        return TrackSet(
             track_id=np.array(ids, dtype=np.int64),
             frame=np.array(frames, dtype=np.int64),
             box=np.tile([1.0, 2.0, 3.0, 4.0], (n, 1)),
@@ -174,64 +138,65 @@ class TestTrackColumns:
         )
 
     def test_tracks_from_columns(self):
-        ts = TrackSet(columns=self.columns([1, 1, 2], [1, 3, 2]))
-        b = BBox(1.0, 2.0, 3.0, 4.0)
-        assert ts.tracks == {1: (TrackEntry(1, b, 1.0), TrackEntry(3, b, 1.0)),
-                             2: (TrackEntry(2, b, 1.0),)}
+        ts = self.tracks([1, 1, 2], [1, 3, 2])
+        b = Box(1.0, 2.0, 3.0, 4.0)
+        assert track_entries(ts) == {1: (Entry(1, b, 1.0), Entry(3, b, 1.0)),
+                                     2: (Entry(2, b, 1.0),)}
         assert len(ts) == 2 and ts.num_boxes == 3
-        assert ts == TrackSet(tracks=ts.tracks)
+        assert ts == track_set(track_entries(ts))
 
     def test_columns_from_tracks(self):
-        b = BBox(1.0, 2.0, 3.0, 4.0)
-        ts = TrackSet(tracks={4: (TrackEntry(2, b, 0.5),), 1: (TrackEntry(5, b, 1.0),)})
-        assert ts.columns.track_id.tolist() == [1, 4]
-        assert ts.columns.frame.tolist() == [5, 2]
-        assert write_tracks(ts) == write_tracks(TrackSet(columns=ts.columns))
+        b = Box(1.0, 2.0, 3.0, 4.0)
+        ts = track_set({4: (Entry(2, b, 0.5),), 1: (Entry(5, b, 1.0),)})
+        assert ts.track_id.tolist() == [1, 4]
+        assert ts.frame.tolist() == [5, 2]
+        assert write_tracks(ts) == write_tracks(TrackSet(ts.track_id, ts.frame, ts.box, ts.score))
 
     def test_rejects_repeated_frame_bad_id_and_unsorted_ids(self):
         with pytest.raises(FrameConflictError):
-            TrackSet(columns=self.columns([1, 1], [2, 2]))
+            self.tracks([1, 1], [2, 2])
         with pytest.raises(ValueError, match="positive"):
-            TrackSet(columns=self.columns([0], [1]))
+            self.tracks([0], [1])
         with pytest.raises(ValueError, match="sorted by track ID"):
-            TrackSet(columns=self.columns([1, 2, 1], [5, 1, 3]))
+            self.tracks([1, 2, 1], [5, 1, 3])
 
     def test_takes_exactly_one_form(self):
+        # The four columns; the track ID -> entries mapping form is gone.
         with pytest.raises(TypeError):
             TrackSet()
         with pytest.raises(TypeError):
-            TrackSet(tracks={}, columns=self.columns([], []))
+            TrackSet(tracks={})
 
     def test_parsed_ground_truth_is_sorted_columns(self):
         ts = parse_ground_truth(b"3,9,1,2,3,4,1\n1,9,1,2,3,4,1\n2,4,5,6,7,8,1\n")
-        assert "tracks" not in ts.__dict__
-        assert ts.columns.track_id.tolist() == [4, 9, 9]
-        assert ts.columns.frame.tolist() == [2, 1, 3]
-        assert ts.columns.score.tolist() == [1.0, 1.0, 1.0]
+        assert not hasattr(ts, "tracks")
+        assert ts.track_id.tolist() == [4, 9, 9]
+        assert ts.frame.tolist() == [2, 1, 3]
+        assert ts.score.tolist() == [1.0, 1.0, 1.0]
         # IDs come back in ascending order, not in order of first appearance.
-        assert list(ts.tracks) == [4, 9]
+        assert list(track_entries(ts)) == [4, 9]
 
     @pytest.mark.parametrize("ratio", [2, 3, 7])
     def test_subsample_tracks_matches_entry_rule(self, ratio):
         _, truth = generate(SCENES["occluded"])
         expected = {}
-        for tid, entries in truth.tracks.items():
+        for tid, entries in track_entries(truth).items():
             kept = tuple(
-                TrackEntry((e.frame - 1) // ratio + 1, e.bbox, e.score)
+                Entry((e.frame - 1) // ratio + 1, e.bbox, e.score)
                 for e in entries
                 if (e.frame - 1) % ratio == 0
             )
             if kept:
                 expected[tid] = kept
         out = subsample_tracks(truth, ratio)
-        assert "tracks" not in out.__dict__
-        assert out == TrackSet(tracks=expected)
+        assert not hasattr(out, "tracks")
+        assert out == track_set(expected)
 
     def test_write_ground_truth_bytes(self):
-        ts = TrackSet(
-            tracks={
-                9: (TrackEntry(1, BBox(0.1 + 0.2, -0.0, 1e-300, 2.5), 0.3),),
-                2: (TrackEntry(1, BBox(1, 2, 3, 4), 1.0), TrackEntry(4, BBox(5, 6, 7, 8), 1.0)),
+        ts = track_set(
+            {
+                9: (Entry(1, Box(0.1 + 0.2, -0.0, 1e-300, 2.5), 0.3),),
+                2: (Entry(1, Box(1, 2, 3, 4), 1.0), Entry(4, Box(5, 6, 7, 8), 1.0)),
             }
         )
         assert write_ground_truth(ts) == (
@@ -239,9 +204,12 @@ class TestTrackColumns:
             b"1,9,0.30000000000000004,-0.0,1e-300,2.5,1,1,1\n"
             b"4,2,5.0,6.0,7.0,8.0,1,1,1\n"
         )
-        assert write_ground_truth(TrackSet(tracks={})) == b""
+        assert write_ground_truth(track_set({})) == b""
 
     def test_immutable(self):
-        ts = TrackSet(tracks={})
+        ts = self.tracks([1], [1])
         with pytest.raises(AttributeError):
-            ts.tracks = {}
+            ts.frame = np.array([2])
+        for name in ("track_id", "frame", "box", "score"):
+            with pytest.raises(ValueError):
+                getattr(ts, name)[0] = 2

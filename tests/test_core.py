@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from fcgtrack.core import (
-    BBox,
     FcgConfig,
     FrameConflictError,
     InvalidConfigError,
     LiftedFrame,
-    TrackEntry,
-    TrackSet,
+    ParseError,
 )
-from oracles import median_by_sorting, tracklets
+from fcgtrack.io_mot import _check_box
+from oracles import (
+    Box,
+    Entry,
+    median_by_sorting,
+    track_entries,
+    track_set,
+    tracklet_frames,
+    tracklets,
+)
 
 
 def det(frame, feature, score=1.0, box=(0.0, 0.0, 10.0, 10.0), row=-1):
@@ -18,28 +25,20 @@ def det(frame, feature, score=1.0, box=(0.0, 0.0, 10.0, 10.0), row=-1):
 
 
 class TestBBox:
-    def test_extreme_points(self):
-        b = BBox(3.0, 7.0, 10.0, 20.0)
-        assert b.right == 13.0
-        assert b.bottom == 27.0
-        assert b.area == 200.0
+    """The box rule of the per-line readers, `io_mot._check_box`."""
 
     @pytest.mark.parametrize("w,h", [(0.0, 5.0), (5.0, 0.0), (-1.0, 5.0)])
     def test_rejects_nonpositive_size(self, w, h):
-        with pytest.raises(ValueError):
-            BBox(0.0, 0.0, w, h)
-
-    def test_coerces_numpy_scalars(self):
-        b = BBox(np.float64(1.5), np.float64(2.5), np.float64(3.0), np.float64(4.0))
-        assert type(b.x) is float and type(b.w) is float
+        with pytest.raises(ParseError):
+            _check_box(0.0, 0.0, w, h, "t line 1")
 
     @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, field, value):
         fields = dict(x=1.0, y=2.0, w=3.0, h=4.0)
         fields[field] = value
-        with pytest.raises(ValueError, match="finite"):
-            BBox(**fields)
+        with pytest.raises(ParseError, match="finite"):
+            _check_box(**fields, where="t line 1")
 
 
 class TestTrackletNew:
@@ -66,8 +65,8 @@ class TestTrackletNew:
     def test_sorts_by_frame(self):
         (t,) = tracklets([det(5, [1.0]), det(2, [2.0]), det(9, [3.0])])
         assert t.columns.frame[t.rows].tolist() == [2, 5, 9]
-        assert t.first_frame == 2 and t.last_frame == 9
-        assert t.frame_set == frozenset({2, 5, 9})
+        assert tracklet_frames(t)[0] == 2 and tracklet_frames(t)[-1] == 9
+        assert frozenset(tracklet_frames(t)) == frozenset({2, 5, 9})
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -145,43 +144,43 @@ class TestFcgConfig:
 
 class TestTrackSet:
     def test_strictly_increasing_frames_enforced(self):
-        b = BBox(0, 0, 1, 1)
+        b = Box(0, 0, 1, 1)
         with pytest.raises(FrameConflictError):
-            TrackSet(tracks={1: (TrackEntry(2, b, 1.0), TrackEntry(2, b, 1.0))})
+            track_set({1: (Entry(2, b, 1.0), Entry(2, b, 1.0))})
 
     def test_rejects_nonpositive_id(self):
         with pytest.raises(ValueError):
-            TrackSet(tracks={0: ()})
+            track_set({0: (Entry(1, Box(0, 0, 1, 1), 1.0),)})
 
     def test_num_boxes(self):
-        b = BBox(0, 0, 1, 1)
-        ts = TrackSet(tracks={1: (TrackEntry(1, b, 1.0), TrackEntry(2, b, 1.0)), 2: (TrackEntry(1, b, 1.0),)})
+        b = Box(0, 0, 1, 1)
+        ts = track_set({1: (Entry(1, b, 1.0), Entry(2, b, 1.0)), 2: (Entry(1, b, 1.0),)})
         assert ts.num_boxes == 3
         assert len(ts) == 2
 
     def test_id_without_entries_holds_no_rows(self):
-        b = BBox(0, 0, 1, 1)
-        empty = TrackSet(tracks={3: ()})
-        assert empty == TrackSet(tracks={})
-        assert len(empty) == 0 and empty.num_boxes == 0 and empty.tracks == {}
-        assert TrackSet(tracks={3: (), 5: (TrackEntry(1, b, 1.0),)}) == TrackSet(
-            tracks={5: (TrackEntry(1, b, 1.0),)}
+        b = Box(0, 0, 1, 1)
+        empty = track_set({3: ()})
+        assert empty == track_set({})
+        assert len(empty) == 0 and empty.num_boxes == 0 and track_entries(empty) == {}
+        assert track_set({3: (), 5: (Entry(1, b, 1.0),)}) == track_set(
+            {5: (Entry(1, b, 1.0),)}
         )
 
     def test_tracks_list_ids_in_ascending_order(self):
-        b = BBox(0, 0, 1, 1)
-        ts = TrackSet(tracks={9: (TrackEntry(1, b, 1.0),), 2: (TrackEntry(4, b, 0.5),)})
-        assert list(ts.tracks) == [2, 9]
-        assert ts.tracks[2] == (TrackEntry(4, b, 0.5),)
+        b = Box(0, 0, 1, 1)
+        ts = track_set({9: (Entry(1, b, 1.0),), 2: (Entry(4, b, 0.5),)})
+        assert list(track_entries(ts)) == [2, 9]
+        assert track_entries(ts)[2] == (Entry(4, b, 0.5),)
 
     def test_equality_compares_columns(self):
-        b = BBox(0, 0, 1, 1)
-        one = TrackSet(tracks={1: (TrackEntry(1, b, 1.0),)})
-        assert one == TrackSet(tracks={1: (TrackEntry(1, BBox(0.0, 0.0, 1.0, 1.0), 1),)})
-        assert one != TrackSet(tracks={1: (TrackEntry(1, b, 0.5),)})
-        assert one != TrackSet(tracks={1: (TrackEntry(2, b, 1.0),)})
-        assert one != TrackSet(tracks={2: (TrackEntry(1, b, 1.0),)})
-        assert one != TrackSet(tracks={1: (TrackEntry(1, BBox(0, 0, 1, 2), 1.0),)})
+        b = Box(0, 0, 1, 1)
+        one = track_set({1: (Entry(1, b, 1.0),)})
+        assert one == track_set({1: (Entry(1, Box(0.0, 0.0, 1.0, 1.0), 1),)})
+        assert one != track_set({1: (Entry(1, b, 0.5),)})
+        assert one != track_set({1: (Entry(2, b, 1.0),)})
+        assert one != track_set({2: (Entry(1, b, 1.0),)})
+        assert one != track_set({1: (Entry(1, Box(0, 0, 1, 2), 1.0),)})
 
 
 class TestThresholdBound:

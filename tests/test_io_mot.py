@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fcgtrack.core import BBox, FcgConfig, ParseError, TrackEntry, TrackSet
+from fcgtrack.core import FcgConfig, ParseError
 from fcgtrack.io_mot import (
     detection_features,
     parse_detections,
@@ -14,7 +14,8 @@ from fcgtrack.io_mot import (
     write_ground_truth,
     write_tracks,
 )
-from oracles import columns
+from fcgtrack.synthdata import SynthConfig, generate
+from oracles import Box, Entry, columns, track_entries, track_set
 
 CFG = FcgConfig(feature_dim=3)
 COLUMNS = ("frame", "box", "score", "row", "feature")
@@ -81,7 +82,7 @@ class TestParseDetections:
         )
         assert len(seq) == 1
         assert seq.frame[0] == 1
-        assert BBox(*seq.box[0]) == BBox(10, 20, 30, 40)
+        assert Box(*seq.box[0]) == Box(10, 20, 30, 40)
         assert seq.score[0] == 0.9
         assert seq.row[0] == 0
         assert np.array_equal(seq.feature[0], [1.0, 0.0, 0.0])
@@ -197,18 +198,18 @@ class TestParseDetections:
 
 class TestWriteTracks:
     def test_empty(self):
-        assert write_tracks(TrackSet(tracks={})) == b""
+        assert write_tracks(track_set({})) == b""
 
     def test_single_row_format(self):
-        ts = TrackSet(tracks={1: (TrackEntry(1, BBox(10, 20, 30, 40), 0.9),)})
+        ts = track_set({1: (Entry(1, Box(10, 20, 30, 40), 0.9),)})
         assert write_tracks(ts) == b"1,1,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1\n"
 
     def test_sorted_by_frame_then_id(self):
-        b = BBox(0, 0, 1, 1)
-        ts = TrackSet(
-            tracks={
-                2: (TrackEntry(1, b, 1.0), TrackEntry(2, b, 1.0)),
-                1: (TrackEntry(2, b, 1.0),),
+        b = Box(0, 0, 1, 1)
+        ts = track_set(
+            {
+                2: (Entry(1, b, 1.0), Entry(2, b, 1.0)),
+                1: (Entry(2, b, 1.0),),
             }
         )
         lines = write_tracks(ts).decode().splitlines()
@@ -216,29 +217,29 @@ class TestWriteTracks:
         assert keys == [(1, 2), (2, 1), (2, 2)]
 
     def test_round_trip_through_gt_parser(self):
-        ts = TrackSet(
-            tracks={
-                1: (TrackEntry(1, BBox(10.25, 20.5, 30.75, 40.0), 0.9),),
-                2: (TrackEntry(1, BBox(1, 2, 3, 4), 0.8), TrackEntry(3, BBox(5, 6, 7, 8), 0.7)),
+        ts = track_set(
+            {
+                1: (Entry(1, Box(10.25, 20.5, 30.75, 40.0), 0.9),),
+                2: (Entry(1, Box(1, 2, 3, 4), 0.8), Entry(3, Box(5, 6, 7, 8), 0.7)),
             }
         )
         parsed = parse_ground_truth(write_tracks(ts))
-        assert set(parsed.tracks) == {1, 2}
+        assert set(track_entries(parsed)) == {1, 2}
         for tid in (1, 2):
-            got = [(e.frame, e.bbox) for e in parsed.tracks[tid]]
-            want = [(e.frame, e.bbox) for e in ts.tracks[tid]]
+            got = [(e.frame, e.bbox) for e in track_entries(parsed)[tid]]
+            want = [(e.frame, e.bbox) for e in track_entries(ts)[tid]]
             assert got == want
 
 
 class TestParseGroundTruth:
     def test_two_rows_one_track(self):
         ts = parse_ground_truth(detfile("1,5,1,2,3,4,1,1,1", "2,5,2,3,4,5,1,1,1"))
-        assert list(ts.tracks) == [5]
-        assert [e.frame for e in ts.tracks[5]] == [1, 2]
+        assert list(track_entries(ts)) == [5]
+        assert [e.frame for e in track_entries(ts)[5]] == [1, 2]
 
     def test_flag_zero_excluded(self):
         ts = parse_ground_truth(detfile("1,5,1,2,3,4,0,1,1", "2,5,2,3,4,5,1,1,1"))
-        assert [e.frame for e in ts.tracks[5]] == [2]
+        assert [e.frame for e in track_entries(ts)[5]] == [2]
 
     def test_duplicate_frame_id_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -246,13 +247,13 @@ class TestParseGroundTruth:
 
     def test_keeps_file_ids(self):
         ts = parse_ground_truth(detfile("1,42,1,2,3,4,1,1,1"))
-        assert list(ts.tracks) == [42]
+        assert list(track_entries(ts)) == [42]
 
     def test_gt_round_trip(self):
-        ts = TrackSet(
-            tracks={
-                3: (TrackEntry(1, BBox(1.5, 2.25, 3.125, 4.0), 1.0),),
-                9: (TrackEntry(2, BBox(10, 20, 30, 40), 1.0),),
+        ts = track_set(
+            {
+                3: (Entry(1, Box(1.5, 2.25, 3.125, 4.0), 1.0),),
+                9: (Entry(2, Box(10, 20, 30, 40), 1.0),),
             }
         )
         again = parse_ground_truth(write_ground_truth(ts))
@@ -274,6 +275,28 @@ class TestDetectionRoundTrip:
         )
         for name in COLUMNS:
             assert np.array_equal(getattr(again, name), getattr(seq, name)), name
+
+
+class TestDetectionFeatures:
+    NO_ONE = SynthConfig(
+        num_identities=2, num_frames=5, feature_dim=4, exits=((1, 1), (2, 1))
+    )
+
+    def test_empty_table_keeps_its_width(self):
+        seq, _ = generate(self.NO_ONE)
+        assert seq.feature.shape == (0, 4)
+        assert detection_features(seq).shape == (0, 4)
+        again = parse_detections(
+            write_detections(seq), write_features(detection_features(seq)), FcgConfig(feature_dim=4)
+        )
+        assert again.feature.shape == (0, 4)
+
+    def test_feature_dim_must_match_the_table(self):
+        seq, _ = generate(SynthConfig(num_identities=2, num_frames=5, feature_dim=4))
+        assert detection_features(seq, 4) is seq.feature
+        for table in (seq, generate(self.NO_ONE)[0]):
+            with pytest.raises(ValueError, match="^feature_dim 3 does not match"):
+                detection_features(table, 3)
 
 
 class TestSubsample:
@@ -304,17 +327,17 @@ class TestSubsample:
             assert np.array_equal(getattr(twice, name), getattr(direct, name)), name
 
     def test_subsample_tracks_matches_rule(self):
-        b = BBox(0, 0, 1, 1)
-        ts = TrackSet(
-            tracks={1: tuple(TrackEntry(f, b, 1.0) for f in range(1, 11))}
+        b = Box(0, 0, 1, 1)
+        ts = track_set(
+            {1: tuple(Entry(f, b, 1.0) for f in range(1, 11))}
         )
         out = subsample_tracks(ts, 5)
-        assert [e.frame for e in out.tracks[1]] == [1, 2]
+        assert [e.frame for e in track_entries(out)[1]] == [1, 2]
 
     def test_subsample_tracks_drops_emptied_tracks(self):
-        b = BBox(0, 0, 1, 1)
-        ts = TrackSet(tracks={1: (TrackEntry(2, b, 1.0),)})
-        assert subsample_tracks(ts, 2).tracks == {}
+        b = Box(0, 0, 1, 1)
+        ts = track_set({1: (Entry(2, b, 1.0),)})
+        assert track_entries(subsample_tracks(ts, 2)) == {}
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):

@@ -4,14 +4,21 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from fcgtrack.core import BBox, TrackColumns, TrackEntry, TrackSet
+from fcgtrack.core import TrackSet
 from fcgtrack import metrics
 from fcgtrack.metrics import id_switches, idf1
-from oracles import brute_force_assignment, brute_force_idf1, per_pair_id_switches
+from oracles import (
+    Box,
+    Entry,
+    brute_force_assignment,
+    brute_force_idf1,
+    per_pair_id_switches,
+    track_set,
+)
 
 
 def track(frame_boxes, score=1.0):
-    return tuple(TrackEntry(f, BBox(*b), score) for f, b in frame_boxes)
+    return tuple(Entry(f, Box(*b), score) for f, b in frame_boxes)
 
 
 def straight_track(frames, x=0.0, y=0.0):
@@ -20,14 +27,14 @@ def straight_track(frames, x=0.0, y=0.0):
 
 class TestIdf1:
     def test_perfect_match(self):
-        gt = TrackSet(tracks={1: straight_track(range(1, 11))})
-        pred = TrackSet(tracks={7: straight_track(range(1, 11))})
+        gt = track_set({1: straight_track(range(1, 11))})
+        pred = track_set({7: straight_track(range(1, 11))})
         assert idf1(gt, pred) == 1.0
 
     def test_split_track_scores_half(self):
-        gt = TrackSet(tracks={1: straight_track(range(1, 11))})
-        pred = TrackSet(
-            tracks={
+        gt = track_set({1: straight_track(range(1, 11))})
+        pred = track_set(
+            {
                 1: straight_track(range(1, 6)),
                 2: straight_track(range(6, 11)),
             }
@@ -35,11 +42,11 @@ class TestIdf1:
         assert idf1(gt, pred) == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_prediction(self):
-        gt = TrackSet(tracks={1: straight_track([1, 2, 3])})
-        assert idf1(gt, TrackSet(tracks={})) == 0.0
+        gt = track_set({1: straight_track([1, 2, 3])})
+        assert idf1(gt, track_set({})) == 0.0
 
     def test_both_empty(self):
-        assert idf1(TrackSet(tracks={}), TrackSet(tracks={})) == 1.0
+        assert idf1(track_set({}), track_set({})) == 1.0
 
     def test_self_score_is_one(self):
         rng = np.random.default_rng(61)
@@ -49,28 +56,28 @@ class TestIdf1:
             tracks[tid] = track(
                 [(int(f), (float(rng.uniform(0, 100)), 0.0, 5.0, 5.0)) for f in frames]
             )
-        ts = TrackSet(tracks=tracks)
+        ts = track_set(tracks)
         assert idf1(ts, ts) == 1.0
 
     def test_relabeling_invariance(self):
-        gt = TrackSet(
-            tracks={1: straight_track([1, 2, 3]), 2: straight_track([1, 2], x=50.0)}
+        gt = track_set(
+            {1: straight_track([1, 2, 3]), 2: straight_track([1, 2], x=50.0)}
         )
-        pred_a = TrackSet(
-            tracks={1: straight_track([1, 2]), 2: straight_track([3], x=50.0)}
+        pred_a = track_set(
+            {1: straight_track([1, 2]), 2: straight_track([3], x=50.0)}
         )
-        pred_b = TrackSet(
-            tracks={9: straight_track([1, 2]), 4: straight_track([3], x=50.0)}
+        pred_b = track_set(
+            {9: straight_track([1, 2]), 4: straight_track([3], x=50.0)}
         )
         assert idf1(gt, pred_a) == idf1(gt, pred_b)
 
     def test_iou_gate(self):
-        gt = TrackSet(tracks={1: track([(1, (0, 0, 10, 10))])})
+        gt = track_set({1: track([(1, (0, 0, 10, 10))])})
         # overlap 5x10 of 10x10 boxes: IoU = 50/150 = 1/3 < 0.5
-        pred_far = TrackSet(tracks={1: track([(1, (5, 0, 10, 10))])})
+        pred_far = track_set({1: track([(1, (5, 0, 10, 10))])})
         assert idf1(gt, pred_far) == 0.0
         # overlap 8x10: IoU = 80/120 = 2/3 >= 0.5
-        pred_near = TrackSet(tracks={1: track([(1, (2, 0, 10, 10))])})
+        pred_near = track_set({1: track([(1, (2, 0, 10, 10))])})
         assert idf1(gt, pred_near) == 1.0
 
     def test_matches_enumeration_oracle(self):
@@ -90,7 +97,7 @@ class TestIdf1:
                             for f in frames
                         ]
                     )
-                return TrackSet(tracks=tracks)
+                return track_set(tracks)
 
             gt = random_tracks(int(rng.integers(1, 5)))
             pred = random_tracks(int(rng.integers(1, 5)))
@@ -101,14 +108,14 @@ class TestIdf1:
 
 class TestIdSwitches:
     def test_perfect_match(self):
-        gt = TrackSet(tracks={1: straight_track(range(1, 11))})
-        pred = TrackSet(tracks={3: straight_track(range(1, 11))})
+        gt = track_set({1: straight_track(range(1, 11))})
+        pred = track_set({3: straight_track(range(1, 11))})
         assert id_switches(gt, pred) == 0
 
     def test_split_track_switches_once(self):
-        gt = TrackSet(tracks={1: straight_track(range(1, 11))})
-        pred = TrackSet(
-            tracks={
+        gt = track_set({1: straight_track(range(1, 11))})
+        pred = track_set(
+            {
                 1: straight_track(range(1, 6)),
                 2: straight_track(range(6, 11)),
             }
@@ -116,9 +123,9 @@ class TestIdSwitches:
         assert id_switches(gt, pred) == 1
 
     def test_alternating_ids(self):
-        gt = TrackSet(tracks={1: straight_track([1, 2, 3, 4])})
-        pred = TrackSet(
-            tracks={
+        gt = track_set({1: straight_track([1, 2, 3, 4])})
+        pred = track_set(
+            {
                 1: straight_track([1, 3]),
                 2: straight_track([2, 4]),
             }
@@ -126,9 +133,9 @@ class TestIdSwitches:
         assert id_switches(gt, pred) == 3
 
     def test_gap_does_not_reset_memory(self):
-        gt = TrackSet(tracks={1: straight_track([1, 2, 5, 6])})
-        pred = TrackSet(
-            tracks={
+        gt = track_set({1: straight_track([1, 2, 5, 6])})
+        pred = track_set(
+            {
                 1: straight_track([1, 2]),
                 2: straight_track([5, 6]),
             }
@@ -146,7 +153,7 @@ class TestIdSwitches:
                 )
                 for tid in range(1, 4)
             }
-            gt = TrackSet(tracks=tracks)
+            gt = track_set(tracks)
             pred_tracks = {
                 tid: straight_track(
                     sorted(rng.choice(range(1, 10), size=4, replace=False).tolist()),
@@ -154,14 +161,14 @@ class TestIdSwitches:
                 )
                 for tid in range(1, 4)
             }
-            pred = TrackSet(tracks=pred_tracks)
+            pred = track_set(pred_tracks)
             assert id_switches(gt, pred) >= 0
 
     def test_tie_breaks_toward_lower_predicted_id(self):
-        gt = TrackSet(tracks={1: track([(1, (0, 0, 10, 10)), (2, (0, 0, 10, 10))])})
+        gt = track_set({1: track([(1, (0, 0, 10, 10)), (2, (0, 0, 10, 10))])})
         # two identical predicted boxes in frame 2; the lower ID wins the tie
-        pred = TrackSet(
-            tracks={
+        pred = track_set(
+            {
                 1: track([(1, (0, 0, 10, 10)), (2, (0, 0, 10, 10))]),
                 2: track([(2, (0, 0, 10, 10)),]),
             }
@@ -172,16 +179,16 @@ class TestIdSwitches:
         # Prediction 7 holds GT 1 at frames 1 and 3. At frame 2 prediction 3
         # covers the same box; the tie goes to the lower ID, 3: two switches.
         box = (0, 0, 10, 10)
-        gt = TrackSet(tracks={1: track([(1, box), (2, box), (3, box)])})
-        pred = TrackSet(tracks={7: track([(1, box), (2, box), (3, box)]), 3: track([(2, box)])})
+        gt = track_set({1: track([(1, box), (2, box), (3, box)])})
+        pred = track_set({7: track([(1, box), (2, box), (3, box)]), 3: track([(2, box)])})
         assert id_switches(gt, pred) == 2
         assert per_pair_id_switches(gt, pred) == 2
 
 
 def crowded_tracks(rng, num_ids, frames=8):
     # coarse positions so boxes of different IDs collide and tie
-    return TrackSet(
-        tracks={
+    return track_set(
+        {
             tid: track(
                 [
                     (f, (float(rng.integers(0, 4)) * 6.0, float(rng.integers(0, 2)) * 3.0, 10.0, 10.0))
@@ -340,10 +347,10 @@ class TestSparseIdtp:
         ids = np.arange(1, n + 1)
 
         def tracks(offset):
-            return TrackSet(columns=TrackColumns(
+            return TrackSet(
                 track_id=ids + offset, frame=ids.copy(),
                 box=np.tile([0.0, 0.0, 10.0, 10.0], (n, 1)), score=np.ones(n),
-            ))
+            )
 
         gt, pred = tracks(0), tracks(7)
         tracemalloc.start()

@@ -22,6 +22,7 @@ from fcgtrack.io_mot import (
     parse_ground_truth,
     write_features,
 )
+from oracles import track_entries
 
 CFG = FcgConfig(feature_dim=3, score_threshold=0.7)
 GOOD = "1,-1,1,1,5,5,0.9,-1,-1,-1"
@@ -177,7 +178,7 @@ def gt_raises_exactly(message, lines):
 
 
 def gt_rows(ts):
-    return [(e.frame, tid) for tid, entries in ts.tracks.items() for e in entries]
+    return [(e.frame, tid) for tid, entries in track_entries(ts).items() for e in entries]
 
 
 class TestGroundTruthEachKind:
@@ -243,7 +244,7 @@ class TestGroundTruthFlagZero:
     def test_dropped_row_does_not_claim_its_frame_and_id(self):
         ts = parse_gt(["1,1,1,1,5,5,0", GT_GOOD])
         assert gt_rows(ts) == [(1, 1)]
-        assert ts.tracks[1][0].bbox.w == 5.0
+        assert track_entries(ts)[1][0].bbox.w == 5.0
 
     @pytest.mark.parametrize(
         "row, message",

@@ -21,7 +21,7 @@ from fcgtrack.pipeline import (
 )
 from fcgtrack.synthdata import SynthConfig, generate
 from fcgtrack.weighting import weighted_matrix
-from oracles import columns, tracklets
+from oracles import columns, track_entries, tracklet_frames, tracklets
 
 CFG = FcgConfig(feature_dim=8)
 
@@ -72,7 +72,7 @@ class TestGenerateTracklets:
         frames = generate_tracklets(columns(dets), CFG)
         assert [(lf.span_start, lf.span_end) for lf in frames] == [(0, 1), (1, 2), (2, 3)]
         assert [len(lf.tracklets) for lf in frames] == [1, 1, 1]
-        assert frames[0].tracklets[0].frame_set == {1, 6}
+        assert frozenset(tracklet_frames(frames[0].tracklets[0])) == {1, 6}
 
     def test_empty_windows_are_kept(self):
         dets = [det(1, basis(0)), det(20, basis(0))]
@@ -95,7 +95,7 @@ class TestFuseLiftedFrames:
         fused = fuse_lifted_frames(a, b, CFG)
         assert (fused.span_start, fused.span_end) == (0, 2)
         assert len(fused.tracklets) == 1
-        assert fused.tracklets[0].frame_set == frozenset({1, 2, 7, 8})
+        assert frozenset(tracklet_frames(fused.tracklets[0])) == frozenset({1, 2, 7, 8})
 
     def test_orthogonal_identities_stay_apart(self):
         t1, t2 = tracklets([det(1, basis(0))], [det(7, basis(1))])
@@ -135,7 +135,7 @@ class TestFuseLiftedFrames:
             mask = _frame_overlap_mask(built)
             for i, ti in enumerate(built):
                 for j, tj in enumerate(built):
-                    assert mask[i, j] == bool(ti.frame_set & tj.frame_set)
+                    assert mask[i, j] == bool(set(tracklet_frames(ti)) & set(tracklet_frames(tj)))
         assert _frame_overlap_mask([]).shape == (0, 0)
 
     def test_adjacency_required_when_consecutive(self):
@@ -149,7 +149,7 @@ class TestFuseLiftedFrames:
 class TestRun:
     def test_empty_input(self):
         ts = run(columns([]), CFG)
-        assert ts.tracks == {}
+        assert track_entries(ts) == {}
 
     def test_single_identity_thirty_frames(self):
         dets = [
@@ -157,15 +157,15 @@ class TestRun:
             for f in range(1, 31)
         ]
         ts = run(columns(dets), CFG)
-        assert list(ts.tracks) == [1]
-        assert len(ts.tracks[1]) == 30
-        assert [e.frame for e in ts.tracks[1]] == list(range(1, 31))
+        assert list(track_entries(ts)) == [1]
+        assert len(track_entries(ts)[1]) == 30
+        assert [e.frame for e in track_entries(ts)[1]] == list(range(1, 31))
 
     def test_two_orthogonal_identities(self):
         scfg = SynthConfig(num_identities=2, num_frames=30, feature_dim=8, seed=2)
         seq, gt = generate(scfg)
         ts = run(seq, CFG)
-        assert len(ts.tracks) == 2
+        assert len(track_entries(ts)) == 2
         assert idf1(gt, ts) == 1.0
         assert id_switches(gt, ts) == 0
 
@@ -183,7 +183,7 @@ class TestRun:
             ts = run(seq, CFG)
             produced = sorted(
                 (e.frame, e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h)
-                for entries in ts.tracks.values()
+                for entries in track_entries(ts).values()
                 for e in entries
             )
             expected = sorted(
@@ -203,7 +203,7 @@ class TestRun:
             )
             seq, _ = generate(scfg)
             ts = run(seq, CFG)
-            for entries in ts.tracks.values():
+            for entries in track_entries(ts).values():
                 frames = [e.frame for e in entries]
                 assert len(frames) == len(set(frames))
 
@@ -217,9 +217,9 @@ class TestRun:
         )
         seq, _ = generate(scfg)
         ts = run(seq, CFG)
-        first_frames = [entries[0].frame for _, entries in sorted(ts.tracks.items())]
+        first_frames = [entries[0].frame for _, entries in sorted(track_entries(ts).items())]
         assert first_frames == sorted(first_frames)
-        assert list(ts.tracks) == list(range(1, len(ts.tracks) + 1))
+        assert list(track_entries(ts)) == list(range(1, len(track_entries(ts)) + 1))
 
     def test_deterministic_and_schedule_independent(self):
         scfg = SynthConfig(
@@ -236,7 +236,7 @@ class TestRun:
         scfg = SynthConfig(num_identities=5, num_frames=60, feature_dim=8, seed=7)
         seq, gt = generate(scfg)
         ts = run(seq, CFG)
-        assert len(ts.tracks) == 5
+        assert len(track_entries(ts)) == 5
         assert idf1(gt, ts) == 1.0
 
     def test_non_consecutive_mode(self):
@@ -244,7 +244,7 @@ class TestRun:
         scfg = SynthConfig(num_identities=3, num_frames=40, feature_dim=8, seed=8)
         seq, gt = generate(scfg)
         ts = run(seq, cfg)
-        assert len(ts.tracks) == 3
+        assert len(track_entries(ts)) == 3
         assert idf1(gt, ts) == 1.0
 
     def test_hierarchy_depth_and_final_span(self, monkeypatch):
@@ -416,3 +416,11 @@ class TestMixedTables:
             self.ENTRIES[entry](a.tracklets, b.tracklets)
         # The tracklets of one sequence are accepted.
         self.ENTRIES[entry](a.tracklets[:1], a.tracklets[1:])
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_tracklets_of_two_feature_widths_raise(self, entry):
+        # The tables are told apart before any median is stacked.
+        (a,) = tracklets([(1, [1.0, 0.0, 0.0])])
+        (b,) = tracklets([(2, [1.0, 0.0, 0.0, 0.0])])
+        with pytest.raises(ValueError, match="^tracklets index different detection tables$"):
+            self.ENTRIES[entry]((a,), (b,))

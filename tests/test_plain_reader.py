@@ -76,8 +76,8 @@ def parse_det(data):
 
 PARSERS = {
     "detections": (1, parse_det),
-    "ground truth": (2, lambda data: parse_ground_truth(data, "gt.txt").columns),
-    "results": (2, lambda data: parse_ground_truth(data, "res.txt", results=True).columns),
+    "ground truth": (2, lambda data: parse_ground_truth(data, "gt.txt")),
+    "results": (2, lambda data: parse_ground_truth(data, "res.txt", results=True)),
 }
 
 

