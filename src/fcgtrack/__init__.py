@@ -21,6 +21,7 @@ from .core import (
     FcgError,
     FrameConflictError,
     InvalidConfigError,
+    Level,
     LiftedFrame,
     ParseError,
     TrackSet,
@@ -53,6 +54,7 @@ __all__ = [
     "FcgError",
     "FrameConflictError",
     "InvalidConfigError",
+    "Level",
     "LiftedFrame",
     "Merge",
     "ParseError",

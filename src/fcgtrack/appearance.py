@@ -23,7 +23,8 @@ def cosine_matrix(features: np.ndarray) -> np.ndarray:
         raise DegenerateFeatureError(
             "cosine distance undefined for a zero-norm or overflowing vector"
         )
-    dist = np.sqrt(np.multiply.outer(squared, squared))
+    dist = np.multiply.outer(squared, squared)
+    np.sqrt(dist, out=dist)
     np.divide(gram, dist, out=dist)
     np.subtract(1.0, dist, out=dist)
     return np.clip(dist, 0.0, 2.0, out=dist)

@@ -84,42 +84,36 @@ class Dendrogram:
     merges: tuple[Merge, ...]
 
 
-def _square_size(dist: np.ndarray) -> int:
+def _one(dist, cannot_link):
+    """`sizes` and `load` of a single instance given as a square matrix, which `load` copies."""
+    dist = np.asarray(dist)
     n = dist.shape[0] if dist.ndim == 2 else -1
     if dist.shape != (n, n):
         raise ValueError(f"expected a square distance matrix, got shape {dist.shape}")
-    return n
+    mask = None if cannot_link is None else np.asarray(cannot_link, dtype=bool)[None]
+    return [n], lambda _: (np.array(dist, dtype=np.float64)[None], mask)
 
 
-def _load(out, near, nn, dist, cannot_link) -> None:
-    """Write one instance into its (n, n) slice `out` of the working tensor.
+def _load(d: np.ndarray, cannot_link, n: np.ndarray):
+    """Turn a chunk's stacked distances into its working tensor, in place.
 
-    Reads only the strict upper triangles of `dist` and of the boolean
-    `cannot_link`. `out` gets the mirrored distances with +inf on the
-    diagonal and at cannot-link pairs; `near` and `nn` get each row's
-    nearest later-created neighbour (the first of equal minima) and its
-    distance.
+    Reads the strict upper triangles of each instance's block d[k, :n[k],
+    :n[k]] and of the boolean `cannot_link` (or None), and mirrors them, with
+    +inf on the diagonal, at cannot-link pairs and outside the blocks.
+    Returns each row's nearest later-created neighbour (the first of equal
+    minima) and its distance.
     """
-    n = len(out)
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.shape != (n, n):
-        raise ValueError(f"expected a ({n}, {n}) distance matrix, got shape {dist.shape}")
-    lower = np.tri(n, dtype=bool)  # the diagonal and below
-    upper = np.where(lower, 0.0, dist)
-    if not (upper >= 0.0).all():
+    pos = np.arange(d.shape[1])
+    pair = (pos[:, None] < pos) & (pos < n[:, None, None])
+    if not ((d >= 0.0) | ~pair).all():
         raise ValueError("distances must be nonnegative, not NaN")
-    if cannot_link is not None:
-        cannot_link = np.asarray(cannot_link, dtype=bool)
-        if cannot_link.shape != (n, n):
-            raise ValueError(f"cannot-link mask shape {cannot_link.shape} does not match n={n}")
-        upper[cannot_link > lower] = np.inf
     # The diagonal and the columns of merged-away clusters hold +inf, so
     # averaged rows stay +inf there and never look like a closer neighbour.
-    upper.flat[:: n + 1] = np.inf
-    np.add(upper, upper.T, out=out)
-    upper[lower] = np.inf
-    nn[:] = upper.argmin(axis=1)
-    near[:] = upper.min(axis=1)
+    off = ~pair if cannot_link is None else ~pair | cannot_link
+    d[off] = np.inf
+    near, nn = d.min(axis=2), d.argmin(axis=2)
+    np.minimum(d, d.transpose(0, 2, 1), out=d)
+    return near, nn
 
 
 def _link(d, near, nn, n, limit: float):
@@ -254,41 +248,36 @@ def _finish(d, near, nn, cid, slot_of, size, n, count, record, limit) -> int:
         near[closer] = row[closer]
 
 
-def _linked(sizes: Sequence[int], load: Callable, limit: float):
-    """Link independent instances together, each stopped at its first minimum above `limit`.
+def _linked(sizes: Sequence[int], group: Sequence[int], load: Callable, limit: float):
+    """Link the instances `group` together, each stopped at its first minimum above `limit`.
 
-    Every instance of two or more items is loaded into one padded tensor
-    (`load(k)` returns its (dist, cannot_link) pair). Returns the sizes as an
-    array and `_link`'s merge records.
+    Those of two or more items are loaded by one `load` call (see
+    `cluster_batch`). Returns per instance the lists of merged creation
+    indices a < b, heights and new sizes.
     """
-    n = np.array(sizes, dtype=np.intp).reshape(-1)
-    m = int(n.max(initial=0))
-    d = np.full((len(n), m, m), np.inf)
-    near = np.full((len(n), m), np.inf)
-    nn = np.zeros((len(n), m), dtype=np.intp)
-    for k in np.flatnonzero(n >= 2).tolist():
-        nk = int(n[k])
-        _load(d[k, :nk, :nk], near[k, :nk], nn[k, :nk], *load(k))
-    return n, _link(d, near, nn, n, limit)
+    linked = [k for k in group if sizes[k] >= 2]
+    records = dict.fromkeys(group, ([], [], [], []))
+    if not linked:
+        return [records[k] for k in group]
+    n = np.array([sizes[k] for k in linked], dtype=np.intp)
+    m = int(n.max())
+    dist, cannot_link = load(linked)
+    d = np.asarray(dist, dtype=np.float64)
+    if d.shape != (len(n), m, m):
+        raise ValueError(f"expected a {(len(n), m, m)} distance tensor, got shape {d.shape}")
+    if cannot_link is not None and np.shape(cannot_link) != d.shape:
+        raise ValueError(
+            f"cannot-link mask shape {np.shape(cannot_link)} does not match {d.shape}"
+        )
+    count, *merged = _link(d, *_load(d, cannot_link, n), n, limit)
+    for i, (k, c) in enumerate(zip(linked, count.tolist())):
+        records[k] = tuple(x[i, :c].tolist() for x in merged)
+    return [records[k] for k in group]
 
 
 def _dendrograms(sizes: Sequence[int], load: Callable, limit: float) -> list[Dendrogram]:
-    n, (count, merged_a, merged_b, height, merged_size) = _linked(sizes, load, limit)
-    return [
-        Dendrogram(
-            n=nk,
-            merges=tuple(
-                map(
-                    Merge,
-                    merged_a[k, :c].tolist(),
-                    merged_b[k, :c].tolist(),
-                    height[k, :c].tolist(),
-                    merged_size[k, :c].tolist(),
-                )
-            ),
-        )
-        for k, (nk, c) in enumerate(zip(n.tolist(), count.tolist()))
-    ]
+    records = _linked(sizes, range(len(sizes)), load, limit)
+    return [Dendrogram(n=n, merges=tuple(map(Merge, *r))) for n, r in zip(sizes, records)]
 
 
 def _partition(n: int, merged_a: Sequence[int], merged_b: Sequence[int]) -> list[list[int]]:
@@ -313,8 +302,7 @@ def linkage_matrix(
     run stops when that minimum reaches the sentinel. When `trace` is given,
     one "merge <a> <b> <height> <size>" line per merge is written to it.
     """
-    n = _square_size(np.asarray(dist))
-    dendrogram = _dendrograms([n], lambda _: (dist, cannot_link), _BELOW_SENTINEL)[0]
+    dendrogram = _dendrograms(*_one(dist, cannot_link), _BELOW_SENTINEL)[0]
     if trace is not None:
         for a, b, height, size in dendrogram.merges:
             trace.write(f"merge {a} {b} {height!r} {size}\n")
@@ -369,25 +357,23 @@ def chunks(sizes: Sequence[int]) -> list[list[int]]:
 
 
 def cluster_batch(
-    sizes: Sequence[int], load: Callable[[int], tuple], *, threshold: float
+    sizes: Sequence[int], load: Callable[[list[int]], tuple], *, threshold: float
 ) -> list[list[list[int]]]:
     """Cluster independent instances together; one partition per instance, in order.
 
-    Instance k has `sizes[k]` items. For each instance of two or more items
-    `load(k)` returns its (dist, cannot_link) pair as `cluster_matrix` takes
-    them, and is called in the order `chunks` lists the instances. The
-    instances are linked a chunk at a time; each pair is copied into its
-    chunk's padded tensor before the next is loaded. Every partition equals
-    `cluster_matrix(*load(k), threshold=threshold)`.
+    Instance k has `sizes[k]` items. They are linked a chunk at a time
+    (`chunks`, in order of first index): `load(group)` returns the stacked
+    (dist, cannot_link) of the chunk's instances of two or more items, a
+    float64 (len(group), m, m) tensor, m their largest size, holding each
+    instance's matrix (as `cluster_matrix` takes it) top left, and a boolean
+    one or None; the rest is ignored. The distance tensor is overwritten,
+    and released before the next load. Each partition equals `cluster_matrix`.
     """
     _check_threshold(threshold)
     partitions: list = [None] * len(sizes)
     for group in chunks(sizes):
-        n, (count, merged_a, merged_b, _, _) = _linked(
-            [sizes[k] for k in group], lambda i: load(group[i]), threshold
-        )
-        for k, nk, a, b, c in zip(group, n.tolist(), merged_a, merged_b, count.tolist()):
-            partitions[k] = _partition(nk, a[:c].tolist(), b[:c].tolist())
+        for k, (a, b, _, _) in zip(group, _linked(sizes, group, load, threshold)):
+            partitions[k] = _partition(sizes[k], a, b)
     return partitions
 
 
@@ -398,5 +384,4 @@ def cluster_matrix(
 
     The run stops at the first merge above `threshold`.
     """
-    n = _square_size(np.asarray(dist))
-    return cluster_batch([n], lambda _: (dist, cannot_link), threshold=threshold)[0]
+    return cluster_batch(*_one(dist, cannot_link), threshold=threshold)[0]

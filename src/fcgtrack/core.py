@@ -1,4 +1,5 @@
-"""Core domain types: detection columns, tracklets, lifted frames, config, track columns.
+"""Core domain types: detection columns, per-level tracklet tables with their tracklet and
+lifted-frame views, config, track columns.
 
 Everything here is immutable after construction.
 """
@@ -72,19 +73,35 @@ class DetectionColumns:
         )
 
 
-def _median(values: np.ndarray) -> np.ndarray:
-    """Element-wise float64 median over the rows of a finite (k, D) array.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i]..starts[i]+lengths[i]-1."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
-    The same values as `np.median(values.astype(np.float64), axis=0)`: the
-    middle row of the column-sorted array, or the mean (a + b) / 2 of the two
-    middle rows, taken in float64.
+
+def _medians(feature: np.ndarray, members: np.ndarray, offsets: np.ndarray, groups) -> np.ndarray:
+    """Float64 medians of the groups of rows members[offsets[g]:offsets[g+1]] of a finite
+    (N, D) feature array: the values of `np.median(x.astype(np.float64), axis=0)`, a middle
+    value or the mean of the two in float64. The groups of one size are sorted together.
     """
-    ordered = np.sort(values, axis=0)
-    half = len(ordered) // 2
-    middle = ordered[half].astype(np.float64)
-    if len(ordered) % 2:
-        return middle
-    return (ordered[half - 1].astype(np.float64) + middle) / 2
+    start = offsets[groups]
+    sizes = offsets[np.asarray(groups) + 1] - start
+    out = np.empty((len(sizes), feature.shape[1]))
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        which = np.flatnonzero(sizes == size)
+        values = np.sort(feature[members[start[which] + np.arange(size)[:, None]]], axis=0)
+        middle = values[size // 2].astype(np.float64)
+        if size % 2 == 0:
+            middle = (values[size // 2 - 1].astype(np.float64) + middle) / 2
+        out[which] = middle
+    return out
+
+
+def _grouped(order: np.ndarray, label: np.ndarray, n: int):
+    """`members` and `offsets` (see `Level`) of the rows `order` labelled 0..n-1, kept in order
+    within a label."""
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(label, minlength=n), out=offsets[1:])
+    return order[np.argsort(label * len(order) + np.arange(len(order)))], offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,31 +110,15 @@ class Tracklet:
 
     The element-wise median of their features is cached (even counts use the
     mean of the two middle values). Tracklets of one sequence share its
-    table. Construct through :meth:`from_rows`.
+    table. They are views of a `Level`.
     """
 
     columns: DetectionColumns
     rows: np.ndarray
     median_feature: np.ndarray
 
-    @classmethod
-    def from_rows(cls, columns: DetectionColumns, rows: np.ndarray) -> "Tracklet":
-        """Tracklet of table rows already in ascending frame order; not validated."""
-        median = _median(columns.feature[rows])
-        median.setflags(write=False)
-        rows.setflags(write=False)
-        return cls(columns=columns, rows=rows, median_feature=median)
-
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def _shared_table(tracklets) -> DetectionColumns:
-    """The one detection table that all of a nonempty list of tracklets index."""
-    table = tracklets[0].columns
-    if any(t.columns is not table for t in tracklets):
-        raise ValueError("tracklets index different detection tables")
-    return table
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,71 @@ class LiftedFrame:
                 f"invalid span [{self.span_start}, {self.span_end}]"
             )
         object.__setattr__(self, "tracklets", tuple(self.tracklets))
+
+
+@dataclass(frozen=True, eq=False)
+class Level:
+    """One level of the fusion tree: its lifted frames as arrays over one detection table.
+
+    `order` holds the rows of the level's tracklets by frame, then row;
+    order[i] is in tracklet label[i], and `same_frame` (2, P) lists the
+    positions i < j in `order` of the rows sharing a frame. Tracklet t's rows,
+    in frame order, are members[offsets[t]:offsets[t+1]], its median feature
+    median[t]. Lifted frame f spans windows [span_start[f], span_end[f]] with
+    tracklets bounds[f]..bounds[f+1]-1. Item f is a `LiftedFrame` of views.
+    """
+
+    table: DetectionColumns
+    order: np.ndarray
+    same_frame: np.ndarray
+    label: np.ndarray
+    members: np.ndarray
+    offsets: np.ndarray
+    median: np.ndarray
+    span_start: np.ndarray
+    span_end: np.ndarray
+    bounds: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.label, self.members, self.offsets, self.median):
+            array.setflags(write=False)
+
+    @classmethod
+    def build(cls, table, order, label, median, span_start, span_end, bounds) -> "Level":
+        """The level of the labelled rows `order` of `table`, deriving the rest."""
+        frame, rank = table.frame[order], np.arange(len(order))
+        later = np.searchsorted(frame, frame, side="right") - rank - 1
+        same_frame = np.stack([np.repeat(rank, later), _ranges(rank + 1, later)])
+        return cls(
+            table, order, same_frame, label, *_grouped(order, label, len(median)), median,
+            np.asarray(span_start, dtype=np.int64), np.asarray(span_end, dtype=np.int64),
+            np.asarray(bounds, dtype=np.intp),
+        )
+
+    def __len__(self) -> int:
+        return len(self.span_start)
+
+    def __getitem__(self, f: int) -> LiftedFrame:
+        f, members, offsets = range(len(self))[f], self.members, self.offsets
+        return LiftedFrame(int(self.span_start[f]), int(self.span_end[f]), tuple(
+            Tracklet(self.table, members[offsets[t] : offsets[t + 1]], self.median[t])
+            for t in range(self.bounds[f], self.bounds[f + 1])
+        ))
+
+
+def level_of(frames: list[LiftedFrame]) -> Level:
+    """The level holding the given lifted frames, whose tracklets (one or more) index one table."""
+    tracklets = [t for frame in frames for t in frame.tracklets]
+    table = tracklets[0].columns
+    if any(t.columns is not table for t in tracklets):
+        raise ValueError("tracklets index different detection tables")
+    rows = np.concatenate([t.rows for t in tracklets])
+    by_frame = np.lexsort((rows, table.frame[rows]))
+    label = np.repeat(np.arange(len(tracklets)), [len(t) for t in tracklets])[by_frame]
+    median = np.stack([t.median_feature for t in tracklets])
+    spans = ([getattr(frame, side) for frame in frames] for side in ("span_start", "span_end"))
+    counts = np.cumsum([0] + [len(frame.tracklets) for frame in frames])
+    return Level.build(table, rows[by_frame], label, median, *spans, counts)
 
 
 @dataclass(frozen=True)

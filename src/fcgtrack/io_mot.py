@@ -324,6 +324,8 @@ def _parse_ground_truth_rows(gt_data: bytes, name: str, results: bool = False) -
             flag = float(fields[6])
         except ValueError as exc:
             raise ParseError(f"{name} line {lineno}: {exc}") from exc
+        if results and not 0.0 <= flag <= 1.0:
+            raise ParseError(f"{name} line {lineno}: score {flag} outside [0, 1]")
         if flag == 0 and not results:
             continue
         if frame < 1:
@@ -355,7 +357,8 @@ def parse_ground_truth(gt_data: bytes, name: str = "gt", *, results: bool = Fals
 
     Rows with a zero flag column (the seventh) are dropped once their fields
     convert, before any other check. With `results` the rows are a results
-    file's, whose seventh column is a score, and none is dropped by it. A
+    file's, whose seventh column is a score in [0, 1], and none is dropped
+    by it. A
     kept row needs frame >= 1, ID >= 1, both within int64, a finite box of
     positive size and a (frame, ID) pair no earlier kept row has; the first
     bad line in the file raises. Track IDs are kept as found in the file (not
@@ -374,7 +377,8 @@ def parse_ground_truth(gt_data: bytes, name: str = "gt", *, results: bool = Fals
     valid = (frames >= 1) & (ids >= 1)
     valid &= np.isfinite(box).all(axis=1) & (box[:, 2:] > 0).all(axis=1)
     repeated = (ids[1:] == ids[:-1]) & (frames[1:] == frames[:-1])
-    if not valid.all() or repeated.any():
+    misscored = results and not ((flag >= 0.0) & (flag <= 1.0)).all()
+    if not valid.all() or repeated.any() or misscored:
         return _parse_ground_truth_rows(gt_data, name, results)
     # Built only now: the checks above hand bad rows to the line-numbered reader.
     return TrackSet(*columns)

@@ -1,12 +1,15 @@
-"""Two-stage tracking: per-window tracklet generation, then hierarchical fusion.
+"""Two-stage tracking on per-level arrays: per-window tracklets, then hierarchical fusion.
 
 Stage 1 clusters detections inside consecutive non-overlapping windows of
-`window` frames, with same-frame detections forbidden from sharing a tracklet.
-Stage 2 repeatedly fuses adjacent lifted frames pairwise (a balanced binary
-reduction) until a single lifted frame spans the sequence; its tracklets become
-the final tracks. The clusterings of all windows, and of all fusions of one
-level, are one `clustering.cluster_batch` call, as is a single fusion. The run
-is sequential: it starts no thread or process.
+`window` frames, with same-frame detections forbidden from sharing a tracklet;
+its tracklets are the first `Level`, one lifted frame per window. Stage 2
+fuses adjacent lifted frames pairwise (a balanced binary reduction), one
+level into the next, until a single lifted frame spans the sequence; its
+tracklets become the final tracks. All windows, and all fusions of one level,
+are one `clustering.cluster_batch` call, whose chunks load stacked tensors: a
+cosine matrix per window or fusion, the weights from the level's endpoint
+arrays and the cannot-link masks from its same-frame row pairs. The run is
+sequential: it starts no thread or process.
 """
 
 from __future__ import annotations
@@ -16,33 +19,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from .appearance import cosine_matrix
 from .clustering import cluster_batch
 from .core import (
     DetectionColumns,
     FcgConfig,
+    Level,
     LiftedFrame,
     TrackSet,
-    Tracklet,
-    _shared_table,
+    _grouped,
+    _medians,
+    _ranges,
+    level_of,
 )
-from .weighting import weighted_matrix
-
-
-def _frame_overlap_mask(tracklets) -> np.ndarray:
-    """(n, n) boolean matrix, True where two tracklets share a frame index.
-
-    Built from a tracklet-by-frame incidence over the distinct frames present,
-    so its size follows the detections, not the largest frame index.
-    """
-    if not tracklets:
-        return np.zeros((0, 0), dtype=bool)
-    table, rows = _shared_table(tracklets), [t.rows for t in tracklets]
-    present, column = np.unique(table.frame[np.concatenate(rows)], return_inverse=True)
-    row = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-    incidence = np.zeros((len(rows), len(present)), dtype=np.float32)
-    incidence[row, column] = 1.0
-    return incidence @ incidence.T > 0.0
+from .weighting import weighted_blocks
 
 
 def _sorted_columns(detections: DetectionColumns) -> DetectionColumns:
@@ -53,132 +42,125 @@ def _sorted_columns(detections: DetectionColumns) -> DetectionColumns:
     return detections.take(order)
 
 
-def _window_distances(window, table: DetectionColumns):
-    _, lo, hi = window
-    frames = table.frame[lo:hi]
-    return (
-        cosine_matrix(table.feature[lo:hi].astype(np.float64)),
-        frames[:, None] == frames[None, :],
-    )
+def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> Level:
+    """Stage 1: the first level, one lifted frame of appearance tracklets per temporal window.
 
-
-def _window_frame(window, table: DetectionColumns, partition) -> LiftedFrame:
-    n, lo, _ = window
-    # Same-frame pairs never share a cluster, so members ascend in frame.
-    tracklets = tuple(
-        Tracklet.from_rows(table, lo + np.array(members)) for members in partition
-    )
-    return LiftedFrame(span_start=n, span_end=n + 1, tracklets=tracklets)
-
-
-def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> list[LiftedFrame]:
-    """Stage 1: one lifted frame of appearance tracklets per temporal window.
-
-    Window n covers frames [n*window + 1, (n+1)*window]; the last window may
-    be shorter. Windows without detections yield empty lifted frames. Each
-    window is a contiguous slice of the frame-sorted columns.
+    Window n covers frames [n*window + 1, (n+1)*window]; the last may be
+    shorter, and one without detections is an empty lifted frame. A window's
+    detections start as tracklets of one and fuse under the cosine distance.
     """
     table = _sorted_columns(detections)
-    if not len(table):
-        return []
-    num_windows = math.ceil(int(table.frame[-1]) / cfg.window)
-    bounds = np.searchsorted(
-        table.frame, np.arange(num_windows + 1) * cfg.window, side="right"
-    ).tolist()
-    windows = [(n, bounds[n], bounds[n + 1]) for n in range(num_windows)]
-    partitions = cluster_batch(
-        [hi - lo for _, lo, hi in windows],
-        lambda k: _window_distances(windows[k], table),
-        threshold=cfg.tracklet_threshold,
+    num_windows = math.ceil(int(table.frame[-1]) / cfg.window) if len(table) else 0
+    windows = np.arange(num_windows)
+    bounds = np.searchsorted(table.frame, np.append(windows, num_windows) * cfg.window, "right")
+    # A detection's median is its feature, which `weighted_blocks` reads in float64.
+    rows = np.arange(len(table))
+    singles = Level.build(table, rows, rows, table.feature, windows, windows + 1, bounds)
+    # Two detections are ordered in time unless they share a frame, which the
+    # cannot-link mask forbids anyway: with the weights off the weighted
+    # distance is the plain cosine distance.
+    plain = replace(
+        cfg, use_temporal=False, use_spatial=False, use_motion=False,
+        track_threshold=cfg.tracklet_threshold,
     )
-    return [_window_frame(w, table, p) for w, p in zip(windows, partitions)]
+    return _fuse(singles, np.arange(num_windows + 1), np.full(num_windows, True), plain)
 
 
-def _fused(union: list[Tracklet], partition) -> tuple[Tracklet, ...]:
-    """One tracklet per cluster of `union`.
+def _overlap(level: Level, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Stacked cannot-link masks of ascending, disjoint tracklet ranges (as
+    `weighted_blocks`): True where two tracklets of a range share a frame."""
+    pair = level.label[level.same_frame]
+    k = np.searchsorted(lo, pair[0], side="right") - 1
+    i, j = pair - lo[k]
+    keep = (k >= 0) & (i < n[k]) & (j >= 0) & (j < n[k])
+    k, i, j = k[keep], i[keep], j[keep]
+    mask = np.zeros((len(n), max(n), max(n)), dtype=bool)
+    mask[k, i, j] = mask[k, j, i] = True
+    return mask
 
-    A cluster of one is the input tracklet itself; only merged clusters get a
-    new median. A union of two or more tracklets has passed `weighted_matrix`,
-    so they index one table.
+
+def _fuse(level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig) -> Level:
+    """The next level: lifted frames cuts[g]..cuts[g+1]-1 of `level` fused into frame g.
+
+    Where `clustered[g]` their tracklets are clustered under the weighted
+    distance, all in one `cluster_batch` call; tracklets sharing a frame
+    never fuse. Each cluster becomes a tracklet, with the median of all its
+    detections. Other runs are carried over as they are.
     """
-    merged = []
-    for members in partition:
-        if len(members) == 1:
-            merged.append(union[members[0]])
-            continue
-        table = union[members[0]].columns
-        joined = np.concatenate([union[i].rows for i in members])
-        joined = joined[np.argsort(table.frame[joined], kind="stable")]
-        merged.append(Tracklet.from_rows(table, joined))
-    return tuple(merged)
+    lo, hi = level.bounds[cuts[:-1]], level.bounds[cuts[1:]]
+    runs = np.flatnonzero(clustered)
+    run_lo, run_n = lo[runs], (hi - lo)[runs]
 
+    def load(group):
+        return (
+            weighted_blocks(level, run_lo[group], run_n[group], cfg),
+            _overlap(level, run_lo[group], run_n[group]),
+        )
 
-def _fuse_all(unions: list[list[Tracklet]], cfg: FcgConfig) -> list[tuple[Tracklet, ...]]:
-    """Cluster every union under the weighted distance in one `cluster_batch` call.
-
-    Tracklets covering a common frame index can never fuse. Returns one
-    tracklet per cluster, for each union.
-    """
-    partitions = cluster_batch(
-        [len(u) for u in unions],
-        lambda k: (weighted_matrix(unions[k], cfg), _frame_overlap_mask(unions[k])),
-        threshold=cfg.track_threshold,
+    found = iter(cluster_batch(run_n.tolist(), load, threshold=cfg.track_threshold))
+    partitions = [
+        next(found) if c else [[i] for i in range(b - a)]
+        for a, b, c in zip(lo.tolist(), hi.tolist(), np.asarray(clustered).tolist())
+    ]
+    items = [a + i for a, p in zip(lo.tolist(), partitions) for c in p for i in c]
+    items = np.array(items, dtype=np.intp)
+    sizes = np.array([len(c) for p in partitions for c in p], dtype=np.intp)
+    relabel = np.empty(len(level.median), dtype=np.intp)
+    relabel[items] = np.repeat(np.arange(len(sizes)), sizes)
+    label = relabel[level.label]
+    members, offsets = _grouped(level.order, label, len(sizes))
+    median = np.empty((len(sizes), level.median.shape[1]))
+    single = sizes == 1
+    median[single] = level.median[items[(np.cumsum(sizes) - 1)[single]]]
+    merged = np.flatnonzero(~single)
+    median[merged] = _medians(level.table.feature, members, offsets, merged)
+    return replace(
+        level, label=label, members=members, offsets=offsets, median=median,
+        span_start=level.span_start[cuts[:-1]], span_end=level.span_end[cuts[1:] - 1],
+        bounds=np.cumsum([0] + [len(p) for p in partitions]),
     )
-    return [_fused(u, p) for u, p in zip(unions, partitions)]
-
-
-def _lifted(a: LiftedFrame, b: LiftedFrame, tracklets) -> LiftedFrame:
-    return LiftedFrame(span_start=a.span_start, span_end=b.span_end, tracklets=tracklets)
 
 
 def fuse_lifted_frames(a: LiftedFrame, b: LiftedFrame, cfg: FcgConfig) -> LiftedFrame:
     """Cluster the union of two lifted frames' tracklets into one lifted frame.
 
-    Tracklets covering a common frame index can never fuse; each output
-    cluster becomes a single tracklet whose median is taken over all member
-    detections' features (a cluster of one is carried over as it is).
+    The one-fusion form of a level step (`_fuse`): tracklets sharing a frame
+    never fuse, and each cluster becomes a tracklet with the median of all
+    its detections.
     """
     if cfg.consecutive and a.span_end > b.span_start:
         raise ValueError(
             f"consecutive fusion requires adjacent spans, got "
             f"[{a.span_start}, {a.span_end}] then [{b.span_start}, {b.span_end}]"
         )
-    (tracklets,) = _fuse_all([list(a.tracklets) + list(b.tracklets)], cfg)
-    return _lifted(a, b, tracklets)
+    if not (a.tracklets or b.tracklets):
+        return LiftedFrame(a.span_start, b.span_end, ())
+    return _fuse(level_of([a, b]), np.array([0, 2]), [True], cfg)[0]
 
 
-def _reduce_consecutive(frames: list[LiftedFrame], cfg: FcgConfig) -> LiftedFrame:
-    # Each level clusters all of its fusions together; every fused frame
-    # equals `fuse_lifted_frames` on its (adjacent) pair.
-    while len(frames) > 1:
-        pairs = [(frames[i], frames[i + 1]) for i in range(0, len(frames) - 1, 2)]
-        merged = _fuse_all([list(a.tracklets) + list(b.tracklets) for a, b in pairs], cfg)
-        fused = [_lifted(a, b, tracklets) for (a, b), tracklets in zip(pairs, merged)]
-        if len(frames) % 2 == 1:
-            # Odd trailing frame carries up a level unmerged.
-            fused.append(frames[-1])
-        frames = fused
-    return frames[0]
+def _reduce_consecutive(level: Level, cfg: FcgConfig) -> Level:
+    # Each level fuses frames 2i and 2i+1; an odd trailing frame carries up
+    # a level unmerged. Every fused frame equals `fuse_lifted_frames` on its
+    # (adjacent) pair.
+    while len(level) > 1:
+        cuts = np.append(np.arange(0, len(level), 2), len(level))
+        level = _fuse(level, cuts, np.diff(cuts) == 2, cfg)
+    return level
 
 
-def _fuse_global(frames: list[LiftedFrame], cfg: FcgConfig) -> LiftedFrame:
+def _fuse_global(level: Level, cfg: FcgConfig) -> Level:
     # Non-consecutive ablation: one clustering over every tracklet, with the
     # spatio-temporal weights off (they presuppose ordered, adjacent spans).
     plain = replace(cfg, use_temporal=False, use_spatial=False, use_motion=False)
-    return LiftedFrame(
-        span_start=frames[0].span_start,
-        span_end=frames[-1].span_end,
-        tracklets=_fuse_all([[t for frame in frames for t in frame.tracklets]], plain)[0],
-    )
+    return _fuse(level, np.array([0, len(level)]), [True], plain)
 
 
-def _assign_ids(tracklets) -> TrackSet:
-    table, rows = _shared_table(tracklets), [t.rows for t in tracklets]
-    first = np.array([r[0] for r in rows])
+def _assign_ids(level: Level) -> TrackSet:
+    table, sizes, first = level.table, np.diff(level.offsets), level.members[level.offsets[:-1]]
     # lexsort is stable: ties keep the final lifted frame's order.
-    ordered = [rows[k] for k in np.lexsort((table.row[first], table.frame[first]))]
-    index = np.concatenate(ordered)
-    track_id = np.repeat(np.arange(1, len(ordered) + 1), [len(r) for r in ordered])
+    ordered = np.lexsort((table.row[first], table.frame[first]))
+    index = level.members[_ranges(level.offsets[ordered], sizes[ordered])]
+    track_id = np.repeat(np.arange(1, len(ordered) + 1), sizes[ordered])
     return TrackSet(track_id, table.frame[index], table.box[index], table.score[index])
 
 
@@ -188,15 +170,7 @@ def run(detections: DetectionColumns, cfg: FcgConfig) -> TrackSet:
     IDs are 1..K in order of each track's first frame (ties by the first
     detection's source row). The output is deterministic for fixed inputs.
     """
-    frames = generate_tracklets(detections, cfg)
-    if not frames:
-        return TrackSet(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), np.zeros(0)
-        )
-    if cfg.consecutive:
-        final = _reduce_consecutive(frames, cfg)
-    elif len(frames) == 1:
-        final = frames[0]
-    else:
-        final = _fuse_global(frames, cfg)
-    return _assign_ids(final.tracklets)
+    level = generate_tracklets(detections, cfg)
+    if len(level) > 1:
+        level = _reduce_consecutive(level, cfg) if cfg.consecutive else _fuse_global(level, cfg)
+    return _assign_ids(level)

@@ -5,8 +5,8 @@ the first box of the later one. Pairs that cannot be ordered in time (their
 frame spans interleave) get the cannot-link sentinel instead of a weighted
 distance.
 
-`weighted_matrix` computes every pair of a tracklet list at once from
-endpoint arrays.
+`weighted_blocks` weights a chunk of a `Level`'s fusions at once, from endpoint
+arrays gathered once for the chunk; `weighted_matrix` is its one-fusion form.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .appearance import cosine_matrix
-from .core import CANNOT_LINK, DetectionColumns, FcgConfig, Tracklet, _shared_table
+from .core import CANNOT_LINK, DetectionColumns, FcgConfig, LiftedFrame, Tracklet, level_of
 from .geometry import box_displacement_array, extrapolate_array, iou_distance_array
 
 
@@ -31,55 +31,67 @@ def _spatial_factors(last_box: np.ndarray, first_box: np.ndarray, cfg: FcgConfig
     return lambda_c, lambda_f
 
 
-def _endpoints(table: DetectionColumns, tracklets: Sequence[Tracklet], cfg: FcgConfig):
-    """Gap and endpoint boxes of every ordered pair (i, j), read as "i before j".
+def _endpoints(table: DetectionColumns, first, last, prev, cfg: FcgConfig):
+    """Gap and endpoint boxes of every pair (i, j) of tracklets, read as "i before j".
 
-    Returns `before[i, j]` (i ends before j starts), the gap
-    first_frame[j] - last_frame[i], i's last box (extrapolated over
-    min(gap, window) frames when motion is on) and j's first box; the box
-    arrays broadcast to (n, n, 4). Entries where i is not before j are
-    meaningless. Endpoints are gathered from `table`, which the tracklets
-    index, by row.
+    From the (..., m) table rows of each tracklet's first, last and `prev`
+    (second-to-last; for one row, the last) detection: the gap first_frame[j] - last_frame[i], i's
+    last box (extrapolated over min(gap, window) frames with motion on) and
+    j's first box, broadcasting to (..., m, m, 4). Meaningless where gap <= 0.
     """
-    rows = [t.rows for t in tracklets]
-    first = np.array([r[0] for r in rows], dtype=np.intp)
-    last = np.array([r[-1] for r in rows], dtype=np.intp)
-    first_frame = table.frame[first]
-    last_frame = table.frame[last]
-    before = last_frame[:, None] < first_frame[None, :]
-    gap = first_frame[None, :] - last_frame[:, None]
-    last_box = table.box[last][:, None, :]
+    gap = table.frame[first][..., None, :] - table.frame[last][..., :, None]
+    last_box = table.box[last][..., :, None, :]
     if cfg.use_motion:
-        prev = np.array([r[-2] if len(r) >= 2 else r[-1] for r in rows], dtype=np.intp)
         last_box = extrapolate_array(
-            table.box[prev][:, None, :], last_box, np.minimum(gap, cfg.window)
+            table.box[prev][..., :, None, :], last_box, np.minimum(gap, cfg.window)
         )
-    first_box = table.box[first][None, :, :]
-    return before, gap, last_box, first_box
+    first_box = table.box[first][..., None, :, :]
+    return gap, last_box, first_box
 
 
-def weighted_matrix(tracklets: Sequence[Tracklet], cfg: FcgConfig) -> np.ndarray:
-    """Weighted distances between all tracklet pairs as a symmetric (n, n) matrix.
+def weighted_blocks(level, lo, n, cfg: FcgConfig) -> np.ndarray:
+    """Stacked weighted distances of the tracklets lo[k]..lo[k]+n[k]-1 of a level.
 
-    Each entry is the median cosine distance, times the temporal factor when
-    that is enabled, then times the product of the spatial factors when those
-    are enabled. Temporally interleaved pairs, the diagonal among them, hold
-    the cannot-link sentinel as a value. The tracklets must index one table.
+    Block k, at [k, :n[k], :n[k]] of a (len(n), m, m) tensor, is the median
+    cosine distance (one `cosine_matrix` per block, in float64), times the
+    temporal factor when that is enabled, then times the product of the
+    spatial factors when those are enabled; gaps and boxes are gathered only
+    then. Pairs not ordered in time, the diagonal among them, hold the
+    cannot-link sentinel as a value, and so does the padding.
     """
-    if not tracklets:
-        return np.zeros((0, 0))
-    table = _shared_table(tracklets)
-    dist = cosine_matrix(np.stack([t.median_feature for t in tracklets]))
-    before, gap, last_box, first_box = _endpoints(table, tracklets, cfg)
+    lo, n = np.asarray(lo), np.asarray(n)
+    blocks = (
+        cosine_matrix(np.asarray(level.median[a : a + k], dtype=np.float64))
+        for a, k in zip(lo.tolist(), n.tolist())
+    )
+    # A lone block is used as it is, not copied.
+    dist = next(blocks)[None] if len(n) == 1 else np.zeros((len(n), max(n), max(n)))
+    for k, block in enumerate(blocks):
+        dist[k, : len(block), : len(block)] = block
+    index = np.minimum(lo[:, None] + np.arange(dist.shape[1]), (lo + n - 1)[:, None])
+    start, end = level.offsets[index], level.offsets[index + 1]
+    first, last, frame = level.members[start], level.members[end - 1], level.table.frame
+    before = frame[last][:, :, None] < frame[first][:, None, :]
 
     def symmetric(directed):
         # Entry (i, j) as seen from whichever of i and j comes first.
-        return np.where(before, directed, directed.T)
+        return np.where(before, directed, directed.swapaxes(1, 2))
 
-    if cfg.use_temporal:
-        dist = dist * symmetric(_temporal_factor(gap, cfg))
-    if cfg.use_spatial:
-        lambda_c, lambda_f = _spatial_factors(last_box, first_box, cfg)
-        dist = dist * symmetric(lambda_c * lambda_f)
-    return np.where(before | before.T, dist, CANNOT_LINK)
+    if cfg.use_temporal or cfg.use_spatial:
+        prev = level.members[np.maximum(end - 2, start)]  # the last, for one row
+        gap, last_box, first_box = _endpoints(level.table, first, last, prev, cfg)
+        if cfg.use_temporal:
+            dist *= symmetric(_temporal_factor(gap, cfg))
+        if cfg.use_spatial:
+            lambda_c, lambda_f = _spatial_factors(last_box, first_box, cfg)
+            dist *= symmetric(lambda_c * lambda_f)
+    dist[~(before | before.swapaxes(1, 2))] = CANNOT_LINK
+    return dist
 
+
+def weighted_matrix(tracklets: Sequence[Tracklet], cfg: FcgConfig) -> np.ndarray:
+    """Weighted distances of all pairs of tracklets of one table (`weighted_blocks`), (n, n)."""
+    if not tracklets:
+        return np.zeros((0, 0))
+    level = level_of([LiftedFrame(0, 1, tuple(tracklets))])
+    return weighted_blocks(level, [0], [len(tracklets)], cfg)[0]

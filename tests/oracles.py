@@ -11,7 +11,7 @@ from collections import defaultdict, namedtuple
 import numpy as np
 
 from fcgtrack.appearance import cosine_matrix
-from fcgtrack.core import DetectionColumns, TrackSet, Tracklet
+from fcgtrack.core import DetectionColumns, TrackSet, Tracklet, _medians
 from fcgtrack.geometry import box_displacement_array, extrapolate_array, iou_distance_array
 from fcgtrack.weighting import _spatial_factors, weighted_matrix
 
@@ -41,6 +41,14 @@ def columns(rows, dim=0):
     )
 
 
+def tracklet(table, rows):
+    """`Tracklet` of table rows already in ascending frame order, with its median."""
+    rows = np.asarray(rows)
+    rows.setflags(write=False)
+    (median,) = _medians(table.feature, rows, np.array([0, len(rows)]), [0])
+    return Tracklet(table, rows, median)
+
+
 def tracklets(*groups):
     """One tracklet per group of `columns` row tuples, its rows sorted by frame.
 
@@ -49,12 +57,20 @@ def tracklets(*groups):
     groups = [sorted(group, key=lambda r: r[0]) for group in groups]
     table = columns([r for group in groups for r in group])
     ends = np.cumsum([len(group) for group in groups], dtype=np.int64)
-    return [Tracklet.from_rows(table, np.arange(end - len(g), end)) for g, end in zip(groups, ends)]
+    return [tracklet(table, np.arange(end - len(g), end)) for g, end in zip(groups, ends)]
 
 
 def tracklet_frames(tracklet):
     """The frames of a tracklet's detections, in its (ascending) order."""
     return tracklet.columns.frame[tracklet.rows].tolist()
+
+
+def frame_overlap_mask(tracklets):
+    """(n, n) boolean matrix, True where two tracklets share a frame, from frame sets."""
+    frames = [set(tracklet_frames(t)) for t in tracklets]
+    return np.array([[bool(a & b) for b in frames] for a in frames], dtype=bool).reshape(
+        len(frames), len(frames)
+    )
 
 
 def track_set(tracks):
@@ -127,6 +143,27 @@ def cannot_link_mask(pairs, n):
     for a, b in pairs:
         mask[a, b] = mask[b, a] = True
     return mask
+
+
+def stacked(load_one):
+    """`cluster_batch`'s per-chunk `load` from a per-instance one.
+
+    `load_one(k)` returns instance k's (square, cannot_link mask or None);
+    the chunk's matrices are padded into (B, m, m) float64 and boolean
+    tensors, the padding NaN and True so that reading it would show.
+    """
+    def load(group):
+        pairs = [load_one(k) for k in group]
+        m = max(len(square) for square, _ in pairs)
+        dist = np.full((len(group), m, m), np.nan)
+        mask = np.ones((len(group), m, m), dtype=bool)
+        for i, (square, cannot) in enumerate(pairs):
+            n = len(square)
+            dist[i, :n, :n] = square
+            mask[i, :n, :n] = False if cannot is None else cannot
+        return dist, mask
+
+    return load
 
 
 def brute_force_partition(n, square, cannot_pairs, threshold, sentinel=SENTINEL):

@@ -15,7 +15,7 @@ from fcgtrack.clustering import (
     cut,
     linkage_matrix,
 )
-from oracles import brute_force_partition, cannot_link_mask, heap_linkage
+from oracles import brute_force_partition, cannot_link_mask, heap_linkage, stacked
 
 THREE = np.array(
     [
@@ -294,12 +294,16 @@ def _random_batch(rng, kinds=("continuous", "quantised", "diluted_sentinel")):
     return [_sized_instance(rng, n, kinds[int(rng.integers(len(kinds)))]) for n in sizes]
 
 
-def _loader(instances):
+def _one(instances):
     def load(k):
         square, cannot = instances[k]
         return square, cannot_link_mask(cannot, len(square))
 
     return load
+
+
+def _loader(instances):
+    return stacked(_one(instances))
 
 
 class TestBatched:
@@ -328,20 +332,19 @@ class TestBatched:
         for _ in range(15):
             instances = _random_batch(rng)
             sizes = [len(square) for square, _ in instances]
-            load = _loader(instances)
-            partitions = cluster_batch(sizes, load, threshold=threshold)
+            partitions = cluster_batch(sizes, _loader(instances), threshold=threshold)
             assert len(partitions) == len(instances)
             for k, partition in enumerate(partitions):
-                assert partition == cut(linkage_matrix(*load(k)), threshold)
+                assert partition == cut(linkage_matrix(*_one(instances)(k)), threshold)
 
     def test_load_called_once_per_instance_of_two_or_more(self):
         rng = np.random.default_rng(50)
         instances = [_sized_instance(rng, n, "continuous") for n in (0, 3, 1, 5, 2)]
         calls = []
 
-        def load(k):
-            calls.append(k)
-            return _loader(instances)(k)
+        def load(group):
+            calls.extend(group)
+            return _loader(instances)(group)
 
         parts = cluster_batch([len(sq) for sq, _ in instances], load, threshold=0.5)
         assert calls == [1, 3, 4]
@@ -411,12 +414,11 @@ class TestLevelMemory:
         monkeypatch.setattr(clustering, "_link", recording_link)
         calls, loaded = [], []
 
-        def load(k):
-            # Each matrix is copied into its chunk's tensor and released
-            # before the next one is built.
+        def load(group):
+            # Each chunk's tensor is released before the next one is built.
             assert all(ref() is None for ref in loaded)
-            dist, mask = matrix(k)
-            calls.append(k)
+            dist, mask = stacked(matrix)(group)
+            calls.extend(group)
             loaded.append(weakref.ref(dist))
             return dist, mask
 

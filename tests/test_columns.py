@@ -10,7 +10,7 @@ import pytest
 
 import fcgtrack.core as core
 from fcgtrack.cli import main
-from fcgtrack.core import FcgConfig, FrameConflictError, LiftedFrame, TrackSet, Tracklet
+from fcgtrack.core import FcgConfig, FrameConflictError, LiftedFrame, TrackSet
 from fcgtrack.io_mot import (
     detection_features,
     parse_detections,
@@ -24,7 +24,7 @@ from fcgtrack.io_mot import (
 )
 from fcgtrack.pipeline import fuse_lifted_frames, generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
-from oracles import Box, Entry, columns, track_entries, track_set, tracklets
+from oracles import Box, Entry, columns, track_entries, track_set, tracklet, tracklets
 
 SCENES = {
     "occluded": SynthConfig(
@@ -102,12 +102,16 @@ class TestIndexTracklets:
         fused = fuse_lifted_frames(
             LiftedFrame(0, 1, (a,)), LiftedFrame(1, 2, (b,)), FcgConfig(feature_dim=2)
         )
-        assert fused.tracklets[0] is a and fused.tracklets[1] is b
+        # Views of the same rows and the same median: nothing is recomputed.
+        for got, kept in zip(fused.tracklets, (a, b)):
+            assert got.columns is kept.columns
+            assert np.array_equal(got.rows, kept.rows)
+            assert np.array_equal(got.median_feature, kept.median_feature)
 
     def test_merged_tracklet_median_covers_all_members(self):
         table = columns([det(f, [1.0, 0.1 * f], row=f) for f in (1, 2, 8, 9)])
-        early = Tracklet.from_rows(table, np.array([0, 1]))
-        late = Tracklet.from_rows(table, np.array([2, 3]))
+        early = tracklet(table, np.array([0, 1]))
+        late = tracklet(table, np.array([2, 3]))
         fused = fuse_lifted_frames(
             LiftedFrame(0, 1, (early,)), LiftedFrame(1, 2, (late,)),
             FcgConfig(feature_dim=2),
@@ -118,11 +122,11 @@ class TestIndexTracklets:
         assert np.array_equal(merged.median_feature, np.median(table.feature, axis=0))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("k", [1, 2, 3, 6, 11])
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 11, 16, 17, 30])
     def test_median_matches_numpy(self, k, dtype):
         values = np.random.default_rng(k).normal(size=(k, 9)).astype(dtype)
         values[0, 0] = values[-1, 0]  # a tie
-        median = core._median(values)
+        (median,) = core._medians(values, np.arange(k), np.array([0, k]), [0])
         assert median.dtype == np.float64
         assert np.array_equal(median, np.median(values.astype(np.float64), axis=0))
 

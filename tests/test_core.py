@@ -42,7 +42,7 @@ class TestBBox:
 
 
 class TestTrackletNew:
-    """New tracklets: `Tracklet.from_rows` on frame-sorted rows (`oracles.tracklets`)."""
+    """New tracklets: `oracles.tracklet` on frame-sorted rows (`oracles.tracklets`)."""
 
     def test_single_detection_median(self):
         (t,) = tracklets([det(1, [0.6, 0.8])])

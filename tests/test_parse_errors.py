@@ -262,14 +262,14 @@ class TestGroundTruthFlagZero:
 
 
 class TestResultsScoreColumn:
-    """A results file's seventh column is a score: no row is dropped by it."""
+    """A results file's seventh column is a score in [0, 1]: no row is dropped by it."""
 
     @staticmethod
     def parse(lines):
         data = ("\n".join(lines) + "\n").encode()
         return parse_ground_truth(data, name="res.txt", results=True)
 
-    @pytest.mark.parametrize("score", ["0", "0.0000", "-0.0", "0.5", "nan"])
+    @pytest.mark.parametrize("score", ["0", "0.0000", "-0.0", "0.5"])
     def test_keeps_every_score(self, score):
         ts = self.parse([GT_GOOD, f"2,1,1,1,5,5,{score},-1,-1,-1"])
         assert gt_rows(ts) == [(1, 1), (2, 1)]
@@ -288,6 +288,27 @@ class TestResultsScoreColumn:
     def test_zero_score_row_is_checked(self, row, message):
         with pytest.raises(ParseError, match=f"^{re.escape(f'res.txt line 2: {message}')}$"):
             self.parse([GT_GOOD, row])
+
+    @pytest.mark.parametrize("score", ["1.5", "-0.2", "nan", "inf", "1.0001", "-1e-300"])
+    def test_rejects_score_outside_unit_interval(self, score):
+        # Plain files take the array checks, the rest (nan, inf) the row walk
+        # at once; both name the line.
+        message = f"res.txt line 2: score {float(score)} outside [0, 1]"
+        lines = [GT_GOOD, f"2,1,1,1,5,5,{score},-1,-1,-1", "3,1,1,1,5,5,7"]
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            self.parse(lines)
+        data = ("\n".join(lines) + "\n").encode()
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            _parse_ground_truth_rows(data, "res.txt", results=True)
+        # Ground truth reads the same column as a flag, with no range.
+        assert gt_rows(parse_gt(lines)) == [(1, 1), (2, 1), (3, 1)]
+
+    def test_eval_rejects_score_outside_unit_interval(self, tmp_path, capsys):
+        (tmp_path / "gt.txt").write_text(f"{GT_GOOD}\n")
+        (tmp_path / "res.txt").write_text("1,1,1,1,5,5,1.5,-1,-1,-1\n")
+        argv = ["eval", "--gt", str(tmp_path / "gt.txt"), "--pred", str(tmp_path / "res.txt")]
+        assert main(argv) == 2
+        assert "res.txt line 1: score 1.5 outside [0, 1]" in capsys.readouterr().err
 
     def test_array_checks_match_the_row_walk(self):
         data = f"{GT_GOOD}\n2,1,1,1,5,5,0\n3,1,1,1,5,5,0.25\n".encode()

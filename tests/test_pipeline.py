@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,13 +8,12 @@ import pytest
 from fcgtrack import clustering, pipeline
 from fcgtrack.appearance import cosine_matrix
 
-from fcgtrack.core import FcgConfig, LiftedFrame
+from fcgtrack.core import FcgConfig, LiftedFrame, level_of
 from fcgtrack.io_mot import write_tracks
 from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import (
-    _frame_overlap_mask,
-    _fuse_all,
-    _fused,
+    _fuse,
+    _overlap,
     _reduce_consecutive,
     fuse_lifted_frames,
     generate_tracklets,
@@ -21,7 +21,7 @@ from fcgtrack.pipeline import (
 )
 from fcgtrack.synthdata import SynthConfig, generate
 from fcgtrack.weighting import weighted_matrix
-from oracles import columns, track_entries, tracklet_frames, tracklets
+from oracles import columns, frame_overlap_mask, track_entries, tracklet_frames, tracklets
 
 CFG = FcgConfig(feature_dim=8)
 
@@ -81,7 +81,7 @@ class TestGenerateTracklets:
         assert len(frames[1].tracklets) == 0
 
     def test_empty_input(self):
-        assert generate_tracklets(columns([]), CFG) == []
+        assert list(generate_tracklets(columns([]), CFG)) == []
 
 
 class TestFuseLiftedFrames:
@@ -132,11 +132,12 @@ class TestFuseLiftedFrames:
                 ]
                 for k in range(int(rng.integers(1, 12)))
             ))
-            mask = _frame_overlap_mask(built)
-            for i, ti in enumerate(built):
-                for j, tj in enumerate(built):
-                    assert mask[i, j] == bool(set(tracklet_frames(ti)) & set(tracklet_frames(tj)))
-        assert _frame_overlap_mask([]).shape == (0, 0)
+            level = level_of([LiftedFrame(0, 1, tuple(built))])
+            mask = _overlap(level, np.array([0]), np.array([len(built)]))[0]
+            expected = frame_overlap_mask(built)
+            # The diagonal is never read: a tracklet cannot link with itself anyway.
+            off = ~np.eye(len(built), dtype=bool)
+            assert np.array_equal(mask[off], expected[off])
 
     def test_adjacency_required_when_consecutive(self):
         late, early = tracklets([det(7, basis(0))], [det(1, basis(0))])
@@ -249,22 +250,22 @@ class TestRun:
 
     def test_hierarchy_depth_and_final_span(self, monkeypatch):
         levels = []
-        fuse_all = pipeline._fuse_all
+        fuse = pipeline._fuse
 
-        def counting_fuse_all(unions, cfg):
-            levels.append(len(unions))
-            return fuse_all(unions, cfg)
+        def counting_fuse(level, cuts, clustered, cfg):
+            levels.append(len(cuts) - 1)
+            return fuse(level, cuts, clustered, cfg)
 
-        monkeypatch.setattr(pipeline, "_fuse_all", counting_fuse_all)
+        monkeypatch.setattr(pipeline, "_fuse", counting_fuse)
         for num_frames in (6, 12, 30, 36, 59):
-            levels.clear()
             dets = [det(f, basis(0), row=f) for f in range(1, num_frames + 1)]
             frames = generate_tracklets(columns(dets), CFG)
             n_windows = math.ceil(num_frames / CFG.window)
             assert len(frames) == n_windows
-            final = _reduce_consecutive(frames, CFG)
+            levels.clear()  # stage 1 is a step of its own
+            (final,) = _reduce_consecutive(frames, CFG)
             assert (final.span_start, final.span_end) == (0, n_windows)
-            # One `_fuse_all` call per level of the reduction tree.
+            # One `_fuse` call per level of the reduction tree.
             assert len(levels) == math.ceil(math.log2(n_windows))
 
 
@@ -296,28 +297,34 @@ class TestLevelMemory:
         loaded = []
 
         def releasing(build):
-            # Each matrix is copied into its chunk's tensor and released
-            # before the next one is built.
-            def load(*args):
+            # Each chunk's tensor is released before the next one is built.
+            def load(group):
                 assert all(ref() is None for ref in loaded)
-                out = build(*args)
-                loaded.append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+                out = build(group)
+                loaded.append(weakref.ref(out[0]))
                 return out
 
             return load
 
+        batch = pipeline.cluster_batch
+        monkeypatch.setattr(
+            pipeline, "cluster_batch",
+            lambda sizes, load, *, threshold: batch(sizes, releasing(load), threshold=threshold),
+        )
         cfg = FcgConfig(feature_dim=8, window=4)
         bounds = np.cumsum([0] + sizes).tolist()
         if stage == 1:
-            monkeypatch.setattr(
-                pipeline, "_window_distances", releasing(pipeline._window_distances)
-            )
             built = [_rows(f) for f in generate_tracklets(columns(dets), cfg)]
         else:
             singles = tracklets(*([d] for d in dets))
             unions = [singles[bounds[k] : bounds[k + 1]] for k in range(len(sizes))]
-            monkeypatch.setattr(pipeline, "weighted_matrix", releasing(weighted_matrix))
-            built = _fuse_all(unions, cfg)
+            # Each union is one fusion: its tracklets and an empty partner frame.
+            level = level_of([
+                LiftedFrame(2 * k + side, 2 * k + side + 1, tuple(u) if side == 0 else ())
+                for k, u in enumerate(unions) for side in (0, 1)
+            ])
+            cuts = np.arange(0, 2 * len(sizes) + 1, 2)
+            built = _fuse(level, cuts, np.full(len(sizes), True), cfg)
         assert tensors and max(tensors) <= clustering.CHUNK_CELLS
         assert sum(tensors) < 3 * 400**2
         assert len(built) == len(sizes)
@@ -337,12 +344,32 @@ class TestLevelMemory:
                 union = unions[k]
                 partition = clustering.cluster_matrix(
                     weighted_matrix(union, cfg),
-                    _frame_overlap_mask(union),
+                    frame_overlap_mask(union),
                     threshold=cfg.track_threshold,
                 )
-                assert [t.rows.tolist() for t in got] == [
-                    t.rows.tolist() for t in _fused(union, partition)
+                assert _rows(got) == [
+                    sorted(r for i in m for r in union[i].rows.tolist()) for m in partition
                 ]
+
+
+    def test_global_fusion_peak_memory(self):
+        # 40 identities over 25 windows: one stage-2 instance of 1,000
+        # tracklets, where one n x n float64 matrix is 8 MB. Before stage 2
+        # ran on per-level arrays its traced peak was 34,093,756 bytes
+        # (about 4.3 such matrices); that is the bound.
+        seq, _ = generate(SynthConfig(
+            num_identities=40, num_frames=150, feature_dim=64, feature_noise_sigma=0.02, seed=3
+        ))
+        cfg = FcgConfig(feature_dim=64, consecutive=False)
+        level = generate_tracklets(seq, cfg)
+        assert len(level.median) == 1000
+        tracemalloc.start()
+        try:
+            pipeline._fuse_global(level, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34_093_756
 
 
 def _rows(frame):
@@ -388,7 +415,7 @@ class TestBatchedLevels:
             if len(expected) % 2 == 1:
                 fused.append(expected[-1])
             expected = fused
-        final = _reduce_consecutive(frames, cfg)
+        (final,) = _reduce_consecutive(frames, cfg)
         top = expected[0]
         assert (final.span_start, final.span_end) == (top.span_start, top.span_end)
         assert _rows(final) == _rows(top)
@@ -402,7 +429,7 @@ class TestMixedTables:
             LiftedFrame(0, 1, a), LiftedFrame(1, 2, b), CFG
         ),
         "weighted_matrix": lambda a, b: weighted_matrix(a + b, CFG),
-        "assign_ids": lambda a, b: pipeline._assign_ids(a + b),
+        "assign_ids": lambda a, b: pipeline._assign_ids(level_of([LiftedFrame(0, 1, a + b)])),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRIES))

@@ -70,10 +70,13 @@ PairContext = namedtuple("PairContext", "last_box_k first_box_q delta_t")
 
 def pair_context(t1, t2, cfg):
     """The pair's endpoint geometry in time order, from `_endpoints`; None if interleaved."""
-    before, gap, last_box, first_box = _endpoints(t1.columns, (t1, t2), cfg)
+    first, last, prev = (
+        np.array([t.rows[max(i, -len(t))] for t in (t1, t2)]) for i in (0, -1, -2)
+    )
+    gap, last_box, first_box = _endpoints(t1.columns, first, last, prev, cfg)
     last_box = np.broadcast_to(last_box, (2, 2, 4))
     for i, j in ((0, 1), (1, 0)):
-        if before[i, j]:
+        if gap[i, j] > 0:
             return PairContext(Box(*last_box[i, j]), Box(*first_box[0, j]), int(gap[i, j]))
     return None
 
