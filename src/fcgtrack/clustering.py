@@ -28,15 +28,32 @@ one pair at a time. Nearest-neighbour chains would reorder the updates and so
 move heights by ulps, which can flip ties.
 
 Many independent instances (the windows of stage 1, the fusions of one level
-of stage 2) are clustered together by `cluster_batch`: their matrices are
-padded with +inf into one (B, m, m) tensor and each step advances every live
-instance at once with the same elementwise arithmetic, so each instance's
-merges are exactly those of a run on its own. An instance stops at its first
-minimum above the cut threshold; `cut` would discard that merge and all later
-ones. Once fewer than `BATCH_MIN` instances are live, each finishes in the
-single-instance loop on views of the same state. `cluster_batch` links its
-instances a chunk at a time (`chunks`), so that no padded tensor exceeds
-`CHUNK_CELLS` cells.
+of stage 2) are clustered together by `cluster_batch`. It splits each
+instance into the connected components of its threshold graph, whose edges
+are the pairs outside the cannot-link mask with d <= threshold * `MARGIN`,
+and links only the components of two or more items. A cut never joins two
+components: the height of two clusters is the mean of their cross pairs,
+which is never below the smallest of them, and every pair across two
+components is cannot-link (+inf) or above threshold * MARGIN. The margin
+absorbs rounding. Each merge rounds a height at most four times, and every
+term is nonnegative, so a height whose entries went through t merges is at
+least (1 - 2**-53)**(4t) times its exact mean, with t < n. MARGIN = 1 +
+2**-19 keeps a cross-component height above the threshold for any n below
+2**32. Inside a component every update runs in the same order and with the
+same arithmetic: its items keep their order, so creation indices map
+monotonically and ties go the same way, and its entries are computed from
+its own entries only. Each partition is therefore exactly that of `cut` on
+the instance's full dendrogram.
+
+The components are gathered, padded with +inf, into (B, m, m) tensors, and
+each step of `_link` advances every live component at once with the same
+elementwise arithmetic, so each component's merges are exactly those of a
+run on its own. A component stops at its first minimum above the cut
+threshold; `cut` would discard that merge and all later ones. Once fewer than
+`BATCH_MIN` components are live, each finishes in the single-instance loop
+on views of the same state. Instances are loaded a chunk at a time
+(`chunks`), and the components of successive chunks are linked together,
+so that no padded tensor exceeds `CHUNK_CELLS` cells.
 
 `linkage_matrix` (full dendrogram of one square matrix) runs the same core.
 """
@@ -49,7 +66,11 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .core import CANNOT_LINK
+from .core import CANNOT_LINK, _connected, _grouped, _ranges
+
+# Slack of the component split's edges, d <= threshold * MARGIN: at least the
+# relative rounding of any height (see the module docstring).
+MARGIN = 1.0 + 2.0**-19
 
 # Live instances below which the batched step stops paying. A batched step
 # over 8 instances of 20-40 items took about 0.23 ms, one merge of the
@@ -58,7 +79,7 @@ from .core import CANNOT_LINK
 BATCH_MIN = 8
 
 # Cells (float64) of one chunk's padded (B, m, m) tensor: 2 MiB. A single
-# instance larger than this is a chunk of its own.
+# instance or component larger than this is a chunk of its own.
 CHUNK_CELLS = 1 << 18
 
 # Largest float below the sentinel: the full-dendrogram stopping point.
@@ -94,6 +115,15 @@ def _one(dist, cannot_link):
     return [n], lambda _: (np.array(dist, dtype=np.float64)[None], mask)
 
 
+def _pairs(d: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The strict upper triangles of the blocks d[k, :n[k], :n[k]], as a mask, checked."""
+    pos = np.arange(d.shape[1])
+    pair = (pos[:, None] < pos) & (pos < n[:, None, None])
+    if not ((d >= 0.0) | ~pair).all():
+        raise ValueError("distances must be nonnegative, not NaN")
+    return pair
+
+
 def _load(d: np.ndarray, cannot_link, n: np.ndarray):
     """Turn a chunk's stacked distances into its working tensor, in place.
 
@@ -103,10 +133,7 @@ def _load(d: np.ndarray, cannot_link, n: np.ndarray):
     Returns each row's nearest later-created neighbour (the first of equal
     minima) and its distance.
     """
-    pos = np.arange(d.shape[1])
-    pair = (pos[:, None] < pos) & (pos < n[:, None, None])
-    if not ((d >= 0.0) | ~pair).all():
-        raise ValueError("distances must be nonnegative, not NaN")
+    pair = _pairs(d, n)
     # The diagonal and the columns of merged-away clusters hold +inf, so
     # averaged rows stay +inf there and never look like a closer neighbour.
     off = ~pair if cannot_link is None else ~pair | cannot_link
@@ -248,6 +275,20 @@ def _finish(d, near, nn, cid, slot_of, size, n, count, record, limit) -> int:
         near[closer] = row[closer]
 
 
+def _loaded(n: np.ndarray, group: Sequence[int], load: Callable):
+    """`load(group)` of instances of sizes n: float64 distances and the mask, shapes checked."""
+    dist, cannot_link = load(group)
+    d = np.asarray(dist, dtype=np.float64)
+    m = int(n.max())
+    if d.shape != (len(n), m, m):
+        raise ValueError(f"expected a {(len(n), m, m)} distance tensor, got shape {d.shape}")
+    if cannot_link is not None and np.shape(cannot_link) != d.shape:
+        raise ValueError(
+            f"cannot-link mask shape {np.shape(cannot_link)} does not match {d.shape}"
+        )
+    return d, cannot_link
+
+
 def _linked(sizes: Sequence[int], group: Sequence[int], load: Callable, limit: float):
     """Link the instances `group` together, each stopped at its first minimum above `limit`.
 
@@ -260,15 +301,7 @@ def _linked(sizes: Sequence[int], group: Sequence[int], load: Callable, limit: f
     if not linked:
         return [records[k] for k in group]
     n = np.array([sizes[k] for k in linked], dtype=np.intp)
-    m = int(n.max())
-    dist, cannot_link = load(linked)
-    d = np.asarray(dist, dtype=np.float64)
-    if d.shape != (len(n), m, m):
-        raise ValueError(f"expected a {(len(n), m, m)} distance tensor, got shape {d.shape}")
-    if cannot_link is not None and np.shape(cannot_link) != d.shape:
-        raise ValueError(
-            f"cannot-link mask shape {np.shape(cannot_link)} does not match {d.shape}"
-        )
+    d, cannot_link = _loaded(n, linked, load)
     count, *merged = _link(d, *_load(d, cannot_link, n), n, limit)
     for i, (k, c) in enumerate(zip(linked, count.tolist())):
         records[k] = tuple(x[i, :c].tolist() for x in merged)
@@ -330,51 +363,154 @@ def cut(dendrogram: Dendrogram, threshold: float) -> list[list[int]]:
     return _partition(dendrogram.n, [m.a for m in applied], [m.b for m in applied])
 
 
-def chunks(sizes: Sequence[int]) -> list[list[int]]:
-    """Split instances of the given sizes into groups for `cluster_batch`.
-
-    Indices are taken in order of size (stable) and a group closes before
-    its padded tensor, count times largest size squared, would exceed
-    `CHUNK_CELLS`; an instance larger than that is a group of its own. A
-    group of fewer than `BATCH_MIN` instances would be linked one instance
-    at a time anyway, so it is split into groups of one, and its instances
-    never share a tensor. Each group lists its indices in ascending order,
-    and the groups come in order of their first index.
-    """
+def _within_budget(sizes: Sequence[int]) -> list[list[int]]:
+    """Groups of indices whose padded tensor, count times largest size squared, stays within
+    `CHUNK_CELLS`, taken in order of size (stable); a larger instance is a group of its own.
+    Each group is ascending, and the groups come in order of their first index."""
     groups: list[list[int]] = []
     group: list[int] = []
     for k in sorted(range(len(sizes)), key=sizes.__getitem__):
         if group and (len(group) + 1) * sizes[k] ** 2 > CHUNK_CELLS:
-            groups.append(group)
+            groups.append(sorted(group))
             group = []
         group.append(k)
     if group:
-        groups.append(group)
+        groups.append(sorted(group))
+    return sorted(groups)
+
+
+def chunks(sizes: Sequence[int]) -> list[list[int]]:
+    """Split instances of the given sizes into the groups that `cluster_batch` loads.
+
+    The groups of `_within_budget`, but a group of fewer than `BATCH_MIN`
+    instances is split into groups of one: loading so few together saves
+    little, and an instance loaded alone needs no padded copy of its matrix
+    (on five windows of 180 detections that copy is 1.3 MB of peak memory).
+    Each group lists its indices in ascending order, and the groups come in
+    order of their first index.
+    """
     split: list[list[int]] = []
-    for group in groups:
-        split.extend([sorted(group)] if len(group) >= BATCH_MIN else [[k] for k in group])
+    for group in _within_budget(sizes):
+        split.extend([group] if len(group) >= BATCH_MIN else [[k] for k in group])
     return sorted(split)
+
+
+def _smallest_leaves(count: np.ndarray, merged_a: np.ndarray, merged_b: np.ndarray, n: np.ndarray):
+    """The smallest leaf of each leaf's cluster after the first count[k] merges of instance k.
+
+    Takes `_link`'s merge record and returns a (B, m) array, m the tensor
+    width: the leaves and merged clusters of every instance are the nodes of
+    one graph whose edges join each merged cluster to its two parts.
+    """
+    batch, steps = merged_a.shape
+    width = 2 * steps + 1
+    base = np.arange(batch)[:, None] * width
+    applied = np.arange(steps) < count[:, None]
+    new = (base + n[:, None] + np.arange(steps))[applied]
+    parts = np.concatenate([(base + merged_a)[applied], (base + merged_b)[applied]])
+    label = _connected(batch * width, parts, np.concatenate([new, new]))
+    return label.reshape(batch, width)[:, : steps + 1] - base
+
+
+def _components(n: np.ndarray, start: np.ndarray, d: np.ndarray, cannot_link, threshold: float):
+    """The threshold-graph components of two or more items of a loaded chunk of instances of
+    sizes n, whose items are numbered from start[k] on (see `cluster_batch`).
+
+    Returns the components' sizes and, concatenated over the components,
+    their items (ascending within each) and the cells of their blocks of
+    `d` and of `cannot_link`, row by row.
+    """
+    batch, m = d.shape[:2]
+    edge = _pairs(d, n) & (d <= threshold * MARGIN)
+    if cannot_link is not None:
+        edge &= ~cannot_link
+    # Node k * m + i is item i of instance k, and cell (k, i, j) of the
+    # tensor is flat cell (k * m + i) * m + j.
+    a, j = np.divmod(np.flatnonzero(edge), m)
+    del edge
+    node = _connected(batch * m, a, a - a % m + j)
+    # The nodes grouped by component (labelled by its smallest node), ascending within.
+    members, offsets = _grouped(np.arange(batch * m), node, batch * m)
+    sizes = np.diff(offsets)
+    linked = sizes >= 2
+    c = sizes[linked]
+    at = members[_ranges(offsets[:-1][linked], c)]
+    row = np.repeat(at, np.repeat(c, c))
+    col = at[_ranges(np.repeat(np.cumsum(c) - c, c), np.repeat(c, c))]
+    cell = row * m + col % m
+    mask = np.zeros(len(cell), dtype=bool)
+    if cannot_link is not None:
+        mask = np.asarray(cannot_link).reshape(-1)[cell]
+    return c, start[at // m] + at % m, d.reshape(-1)[cell], mask
+
+
+def _link_components(c: np.ndarray, items: np.ndarray, cells: np.ndarray, mask, threshold: float):
+    """Link components as `_components` returns them, stacked within `CHUNK_CELLS`.
+
+    Returns their items and the cluster root (smallest member) of each.
+    """
+    first, first_cell = np.cumsum(c) - c, np.cumsum(c * c) - c * c
+    found = [(items[:0], items[:0])]
+    # Components share a tensor even when fewer than BATCH_MIN: `_link` then
+    # finishes each on views of it, after one gather for all of them.
+    for group in _within_budget(c.tolist()):
+        size = c[group]
+        real = np.arange(size.max()) < size[:, None]
+        block = real[:, :, None] & real[:, None, :]
+        cd = np.empty(block.shape)  # `_load` ignores the cells outside the blocks
+        cd[block] = cells[_ranges(first_cell[group], size * size)]
+        cl = np.zeros(block.shape, dtype=bool)
+        cl[block] = mask[_ranges(first_cell[group], size * size)]
+        count, merged_a, merged_b, _, _ = _link(cd, *_load(cd, cl, size), size, threshold)
+        leaf = _smallest_leaves(count, merged_a, merged_b, size)
+        at = np.zeros(real.shape, dtype=np.intp)
+        at[real] = items[_ranges(first[group], size)]
+        found.append((at[real], at[np.arange(len(size))[:, None], leaf][real]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def cluster_batch(
     sizes: Sequence[int], load: Callable[[list[int]], tuple], *, threshold: float
-) -> list[list[list[int]]]:
-    """Cluster independent instances together; one partition per instance, in order.
+) -> np.ndarray:
+    """Cluster independent instances together; returns each item's cluster root, flat.
 
-    Instance k has `sizes[k]` items. They are linked a chunk at a time
+    Instance k has `sizes[k]` items. They are loaded a chunk at a time
     (`chunks`, in order of first index): `load(group)` returns the stacked
     (dist, cannot_link) of the chunk's instances of two or more items, a
     float64 (len(group), m, m) tensor, m their largest size, holding each
     instance's matrix (as `cluster_matrix` takes it) top left, and a boolean
-    one or None; the rest is ignored. The distance tensor is overwritten,
-    and released before the next load. Each partition equals `cluster_matrix`.
+    one or None; the rest is ignored. The tensors are released before the
+    next load; the components of successive chunks are linked together
+    (`_link_components`). The result holds, for instance 0's items, then instance 1's
+    and so on, the smallest member of the item's cluster, numbered within
+    its instance. Each partition equals `cluster_matrix`.
     """
     _check_threshold(threshold)
-    partitions: list = [None] * len(sizes)
+    sizes = list(sizes)
+    n = np.array(sizes, dtype=np.intp)
+    start = np.cumsum(n) - n
+    base = np.repeat(start, n)  # of each item's instance
+    root = np.arange(len(base)) - base
+
+    def link(pool):
+        items, smallest = _link_components(*map(np.concatenate, zip(*pool)), threshold)
+        root[items] = smallest - base[items]
+
+    # The components of successive chunks are linked together, once their
+    # blocks reach CHUNK_CELLS cells and at the end.
+    pool: list = []
     for group in chunks(sizes):
-        for k, (a, b, _, _) in zip(group, _linked(sizes, group, load, threshold)):
-            partitions[k] = _partition(sizes[k], a, b)
-    return partitions
+        linked = [k for k in group if sizes[k] >= 2]
+        if linked:
+            pool.append(_components(
+                n[linked], start[linked], *_loaded(n[linked], linked, load), threshold
+            ))
+            if sum(len(part[2]) for part in pool) >= CHUNK_CELLS:
+                link(pool)
+                pool = []
+    if pool:
+        link(pool)
+    return root
 
 
 def cluster_matrix(
@@ -382,6 +518,9 @@ def cluster_matrix(
 ) -> list[list[int]]:
     """Cluster n items given their square distance matrix; returns item-index clusters.
 
-    The run stops at the first merge above `threshold`.
+    The run stops at the first merge above `threshold`. Clusters are listed
+    by their smallest member index, members ascending.
     """
-    return cluster_batch(*_one(dist, cannot_link), threshold=threshold)[0]
+    root = cluster_batch(*_one(dist, cannot_link), threshold=threshold)
+    heads = np.flatnonzero(root == np.arange(len(root)))
+    return [np.flatnonzero(root == r).tolist() for r in heads]

@@ -96,6 +96,36 @@ def _medians(feature: np.ndarray, members: np.ndarray, offsets: np.ndarray, grou
     return out
 
 
+def _connected(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label of each node of the graph on nodes 0..count-1 with edges
+    (a[e], b[e]): the smallest node of its component.
+
+    Label propagation over node arrays: every round hooks each root adjacent to a smaller root
+    to the smallest of those, then jumps pointers until every node points at its root. Edges
+    inside one tree are dropped; a round without a cross edge ends it. The smallest hook of a
+    root comes from a `np.lexsort` of the cross edges, which `track` runs anyway: the first call
+    of `np.minimum.at`, or of an integer `np.sort`, maps more of numpy's code and so raises the
+    peak RSS of a run by about 0.1-0.4 MB.
+    """
+    label = np.arange(count)
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            return label
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        hi, lo = np.maximum(la, lb), np.minimum(la, lb)
+        order = np.lexsort((lo, hi))
+        hi, lo = hi[order], lo[order]
+        first = np.concatenate(([True], hi[1:] != hi[:-1]))
+        label[hi[first]] = lo[first]
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+
+
 def _grouped(order: np.ndarray, label: np.ndarray, n: int):
     """`members` and `offsets` (see `Level`) of the rows `order` labelled 0..n-1, kept in order
     within a label."""
@@ -295,4 +325,6 @@ class TrackSet:
         return len(self.frame)
 
     def __len__(self) -> int:
-        return len(np.unique(self.track_id))
+        # The IDs are sorted: count where they change.
+        ids = self.track_id
+        return int(np.count_nonzero(ids[1:] != ids[:-1])) + bool(len(ids))

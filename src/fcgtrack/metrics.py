@@ -6,7 +6,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .core import TrackSet
+from .core import TrackSet, _connected
 from .geometry import iou_distance_array
 
 # GT entries per array call in `_matches`; bounds the pair arrays in crowds.
@@ -51,26 +51,9 @@ def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):
 
 
 def _components(row: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Connected-component label of each edge of the bipartite graph (row, col).
-
-    Label propagation over node arrays: every round hooks the larger of two
-    adjacent roots to the smaller, then jumps pointers until every node
-    points at its root. A round without a cross edge ends it.
-    """
-    a = row
+    """Connected-component label of each edge of the bipartite graph (row, col)."""
     b = col + (row.max() + 1)
-    label = np.arange(b.max() + 1)
-    while True:
-        la, lb = label[a], label[b]
-        cross = la != lb
-        if not cross.any():
-            return la
-        np.minimum.at(label, np.maximum(la, lb)[cross], np.minimum(la, lb)[cross])
-        while True:
-            root = label[label]
-            if np.array_equal(root, label):
-                break
-            label = root
+    return _connected(b.max() + 1, row, b)[row]
 
 
 def _max_assignment(weight: np.ndarray):

@@ -97,27 +97,28 @@ def _fuse(level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig)
             _overlap(level, run_lo[group], run_n[group]),
         )
 
-    found = iter(cluster_batch(run_n.tolist(), load, threshold=cfg.track_threshold))
-    partitions = [
-        next(found) if c else [[i] for i in range(b - a)]
-        for a, b, c in zip(lo.tolist(), hi.tolist(), np.asarray(clustered).tolist())
-    ]
-    items = [a + i for a, p in zip(lo.tolist(), partitions) for c in p for i in c]
-    items = np.array(items, dtype=np.intp)
-    sizes = np.array([len(c) for p in partitions for c in p], dtype=np.intp)
-    relabel = np.empty(len(level.median), dtype=np.intp)
-    relabel[items] = np.repeat(np.arange(len(sizes)), sizes)
-    label = relabel[level.label]
-    members, offsets = _grouped(level.order, label, len(sizes))
-    median = np.empty((len(sizes), level.median.shape[1]))
-    single = sizes == 1
-    median[single] = level.median[items[(np.cumsum(sizes) - 1)[single]]]
+    # Each tracklet's cluster root, its smallest member; tracklets outside
+    # the clustered runs are their own. The roots, ascending, order the next
+    # level's tracklets: by frame, then by smallest member.
+    root = np.arange(len(level.median))
+    root[_ranges(run_lo, run_n)] = (
+        cluster_batch(run_n.tolist(), load, threshold=cfg.track_threshold)
+        + np.repeat(run_lo, run_n)
+    )
+    head = root == np.arange(len(root))
+    cluster = (np.cumsum(head) - 1)[root]
+    count = int(head.sum())
+    label = cluster[level.label]
+    members, offsets = _grouped(level.order, label, count)
+    median = np.empty((count, level.median.shape[1]))
+    single = np.bincount(cluster, minlength=count) == 1
+    median[single] = level.median[np.flatnonzero(head)[single]]
     merged = np.flatnonzero(~single)
     median[merged] = _medians(level.table.feature, members, offsets, merged)
     return replace(
         level, label=label, members=members, offsets=offsets, median=median,
         span_start=level.span_start[cuts[:-1]], span_end=level.span_end[cuts[1:] - 1],
-        bounds=np.cumsum([0] + [len(p) for p in partitions]),
+        bounds=np.append(0, np.cumsum(head))[level.bounds[cuts]],
     )
 
 

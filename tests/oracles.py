@@ -166,6 +166,20 @@ def stacked(load_one):
     return load
 
 
+def instance_partitions(sizes, root):
+    """`cluster_batch`'s flat cluster roots as one partition per instance, listed as `cut` lists
+    them: clusters by smallest member, members ascending."""
+    bounds = np.cumsum([0, *sizes])
+    assert len(root) == bounds[-1]
+    parts = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        local = np.asarray(root[lo:hi])
+        heads = np.flatnonzero(local == np.arange(hi - lo))
+        assert set(local.tolist()) <= set(heads.tolist())
+        parts.append([np.flatnonzero(local == h).tolist() for h in heads])
+    return parts
+
+
 def brute_force_partition(n, square, cannot_pairs, threshold, sentinel=SENTINEL):
     """Constrained average-linkage clustering by direct recomputation.
 

@@ -15,7 +15,13 @@ from fcgtrack.clustering import (
     cut,
     linkage_matrix,
 )
-from oracles import brute_force_partition, cannot_link_mask, heap_linkage, stacked
+from oracles import (
+    brute_force_partition,
+    cannot_link_mask,
+    heap_linkage,
+    instance_partitions,
+    stacked,
+)
 
 THREE = np.array(
     [
@@ -332,7 +338,9 @@ class TestBatched:
         for _ in range(15):
             instances = _random_batch(rng)
             sizes = [len(square) for square, _ in instances]
-            partitions = cluster_batch(sizes, _loader(instances), threshold=threshold)
+            partitions = instance_partitions(
+                sizes, cluster_batch(sizes, _loader(instances), threshold=threshold)
+            )
             assert len(partitions) == len(instances)
             for k, partition in enumerate(partitions):
                 assert partition == cut(linkage_matrix(*_one(instances)(k)), threshold)
@@ -346,7 +354,8 @@ class TestBatched:
             calls.extend(group)
             return _loader(instances)(group)
 
-        parts = cluster_batch([len(sq) for sq, _ in instances], load, threshold=0.5)
+        sizes = [len(sq) for sq, _ in instances]
+        parts = instance_partitions(sizes, cluster_batch(sizes, load, threshold=0.5))
         assert calls == [1, 3, 4]
         assert parts[0] == [] and parts[2] == [[0]]
 
@@ -422,7 +431,7 @@ class TestLevelMemory:
             loaded.append(weakref.ref(dist))
             return dist, mask
 
-        partitions = cluster_batch(sizes, load, threshold=0.1)
+        partitions = instance_partitions(sizes, cluster_batch(sizes, load, threshold=0.1))
         assert tensors and max(tensors) <= clustering.CHUNK_CELLS
         assert sum(tensors) < 3 * 400**2
         assert calls == [k for g in clustering.chunks(sizes) for k in g if sizes[k] >= 2]
@@ -442,3 +451,31 @@ class TestLevelMemory:
         assert sorted(len(g) for g in groups) == [1] * 6 + [22]
         # Chunks are listed in ascending index order.
         assert groups == sorted(sorted(g) for g in groups)
+
+
+class TestComponentSplit:
+    """`cluster_batch` links each threshold-graph component apart, never a whole instance."""
+
+    def test_links_no_tensor_larger_than_the_largest_blob(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        blobs = [4, 7, 1, 5]
+        n = sum(blobs)
+        blob = np.repeat(np.arange(len(blobs)), blobs)[rng.permutation(n)]
+        square = np.where(
+            blob[:, None] == blob[None, :],
+            rng.uniform(0.0, 0.02, (n, n)),
+            rng.uniform(0.5, 1.0, (n, n)),
+        )
+        square = np.triu(square, 1) + np.triu(square, 1).T
+        widths = []
+        link = clustering._link
+
+        def recording_link(d, near, nn, n, limit):
+            widths.append(d.shape[1])
+            return link(d, near, nn, n, limit)
+
+        monkeypatch.setattr(clustering, "_link", recording_link)
+        partition = cluster_matrix(square, threshold=0.1)
+        assert widths and max(widths) <= max(blobs)
+        assert partition == cut(linkage_matrix(square), 0.1)
+        assert sorted(map(len, partition)) == sorted(blobs)

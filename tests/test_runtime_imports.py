@@ -62,3 +62,34 @@ def test_every_exported_name_resolves():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(fcgtrack.__all__)
+
+
+# Counts the tracks of a TrackSet, then runs `track`, in one fresh interpreter,
+# and reports whether numpy.ma (about 1.3 MB of RSS) was imported.
+MA_SCRIPT = """
+import sys
+import numpy as np
+from fcgtrack.cli import main
+from fcgtrack.core import TrackSet
+
+out = sys.argv[1]
+tracks = TrackSet(np.array([1, 1, 4]), np.array([1, 2, 1]), np.zeros((3, 4)), np.ones(3))
+assert len(tracks) == 2
+assert main(["synth", "--identities", "3", "--frames", "30", "--sigma", "0.02", "--seed", "7",
+             "--feature-dim", "8", "--out-dir", out + "/seq"]) == 0
+before = "numpy.ma" in sys.modules
+assert main(["track", "--det", out + "/seq/det.txt", "--features", out + "/seq/feats.fcgf",
+             "--feature-dim", "8", "--out", out + "/res.txt"]) == 0
+print(before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_counting_tracks_and_tracking_leave_numpy_ma_unimported(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MA_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
