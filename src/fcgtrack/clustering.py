@@ -34,16 +34,28 @@ are the pairs outside the cannot-link mask with d <= threshold * `MARGIN`,
 and links only the components of two or more items. A cut never joins two
 components: the height of two clusters is the mean of their cross pairs,
 which is never below the smallest of them, and every pair across two
-components is cannot-link (+inf) or above threshold * MARGIN. The margin
-absorbs rounding. Each merge rounds a height at most four times, and every
-term is nonnegative, so a height whose entries went through t merges is at
-least (1 - 2**-53)**(4t) times its exact mean, with t < n. MARGIN = 1 +
-2**-19 keeps a cross-component height above the threshold for any n below
-2**32. Inside a component every update runs in the same order and with the
-same arithmetic: its items keep their order, so creation indices map
-monotonically and ties go the same way, and its entries are computed from
-its own entries only. Each partition is therefore exactly that of `cut` on
-the instance's full dendrogram.
+components is cannot-link (+inf) or above threshold * MARGIN. Nor does a cut
+split a sub-threshold clique, a component all of whose pairs are edges with
+d <= threshold / MARGIN: a mean is never above the largest of its pairs, so
+every merge inside it is applied, whatever their order, and the component
+ends as one cluster. Such a component is not linked.
+
+The margin absorbs rounding. A merged row is (|K| * D[K] + |L| * D[L]) /
+(|K| + |L|), so each term of a height takes three roundings per merge
+level, one product, one sum and one quotient, and every term is
+nonnegative. A height whose terms went through t merge levels, t < n, is
+therefore between (1 - 2**-53)**(3t) and (1 + 2**-53)**(3t) times its exact
+mean. One more rounding, of threshold * MARGIN or threshold / MARGIN,
+gives the bounds: a cross-component height is above
+(1 - 2**-53)**(3t + 1) * MARGIN * threshold, and a height inside a
+sub-threshold clique is at most (1 + 2**-53)**(3t + 1) * threshold /
+MARGIN. With MARGIN = 1 + 2**-19 and n below 2**32, (3t + 1) * 2**-53 <
+0.75 * 2**-19 + 2**-53, so the first stays above the threshold and the
+second at or below it. Inside a component every update runs in the same
+order and with the same arithmetic: its items keep their order, so creation
+indices map monotonically and ties go the same way, and its entries are
+computed from its own entries only. Each partition is therefore exactly that
+of `cut` on the instance's full dendrogram.
 
 The components are gathered, padded with +inf, into (B, m, m) tensors, and
 each step of `_link` advances every live component at once with the same
@@ -66,10 +78,11 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .core import CANNOT_LINK, _connected, _grouped, _ranges
+from .core import CANNOT_LINK, _connected, _ranges
 
-# Slack of the component split's edges, d <= threshold * MARGIN: at least the
-# relative rounding of any height (see the module docstring).
+# Slack of the component split's edges, d <= threshold * MARGIN, and of the
+# cliques' strong edges, d <= threshold / MARGIN: more than the relative
+# rounding of any height (see the module docstring).
 MARGIN = 1.0 + 2.0**-19
 
 # Live instances below which the batched step stops paying. A batched step
@@ -416,9 +429,10 @@ def _components(n: np.ndarray, start: np.ndarray, d: np.ndarray, cannot_link, th
     """The threshold-graph components of two or more items of a loaded chunk of instances of
     sizes n, whose items are numbered from start[k] on (see `cluster_batch`).
 
-    Returns the components' sizes and, concatenated over the components,
-    their items (ascending within each) and the cells of their blocks of
-    `d` and of `cannot_link`, row by row.
+    Returns the items of the sub-threshold cliques and the root of each,
+    numbered within its instance, then the other components' sizes and,
+    concatenated over those, their items (ascending within each) and the
+    cells of their blocks of `d` and of `cannot_link`, row by row.
     """
     batch, m = d.shape[:2]
     edge = _pairs(d, n) & (d <= threshold * MARGIN)
@@ -427,21 +441,30 @@ def _components(n: np.ndarray, start: np.ndarray, d: np.ndarray, cannot_link, th
     # Node k * m + i is item i of instance k, and cell (k, i, j) of the
     # tensor is flat cell (k * m + i) * m + j.
     a, j = np.divmod(np.flatnonzero(edge), m)
+    strong = d[edge] <= threshold / MARGIN
     del edge
     node = _connected(batch * m, a, a - a % m + j)
-    # The nodes grouped by component (labelled by its smallest node), ascending within.
-    members, offsets = _grouped(np.arange(batch * m), node, batch * m)
-    sizes = np.diff(offsets)
-    linked = sizes >= 2
+    # Sizes and strong edges of the components, indexed by label: the smallest node.
+    sizes = np.bincount(node, minlength=batch * m)
+    strong = np.bincount(node[a[strong]], minlength=batch * m)
+    # A component all of whose pairs are strong edges is one cluster.
+    clique = (sizes >= 2) & (strong == sizes * (sizes - 1) // 2)
+    settled = np.flatnonzero(clique[node])
+    linked = (sizes >= 2) & ~clique
     c = sizes[linked]
-    at = members[_ranges(offsets[:-1][linked], c)]
+    # The other components' nodes, grouped by label, ascending within.
+    at = np.flatnonzero(linked[node])
+    at = at[np.argsort(node[at], kind="stable")]
     row = np.repeat(at, np.repeat(c, c))
     col = at[_ranges(np.repeat(np.cumsum(c) - c, c), np.repeat(c, c))]
     cell = row * m + col % m
     mask = np.zeros(len(cell), dtype=bool)
     if cannot_link is not None:
         mask = np.asarray(cannot_link).reshape(-1)[cell]
-    return c, start[at // m] + at % m, d.reshape(-1)[cell], mask
+    return (
+        start[settled // m] + settled % m, node[settled] % m,
+        c, start[at // m] + at % m, d.reshape(-1)[cell], mask,
+    )
 
 
 def _link_components(c: np.ndarray, items: np.ndarray, cells: np.ndarray, mask, threshold: float):
@@ -479,11 +502,14 @@ def cluster_batch(
     (dist, cannot_link) of the chunk's instances of two or more items, a
     float64 (len(group), m, m) tensor, m their largest size, holding each
     instance's matrix (as `cluster_matrix` takes it) top left, and a boolean
-    one or None; the rest is ignored. The tensors are released before the
-    next load; the components of successive chunks are linked together
-    (`_link_components`). The result holds, for instance 0's items, then instance 1's
-    and so on, the smallest member of the item's cluster, numbered within
-    its instance. Each partition equals `cluster_matrix`.
+    one or None; the rest is ignored. Each chunk is split into the
+    components of its threshold graph (`_components`): a sub-threshold
+    clique is one cluster at once, and the other components of two or more
+    items, from successive chunks together, are linked
+    (`_link_components`). The tensors are released before the next load.
+    The result holds, for instance 0's items, then instance 1's and so on,
+    the smallest member of the item's cluster, numbered within its
+    instance. Each partition equals `cluster_matrix`.
     """
     _check_threshold(threshold)
     sizes = list(sizes)
@@ -502,9 +528,11 @@ def cluster_batch(
     for group in chunks(sizes):
         linked = [k for k in group if sizes[k] >= 2]
         if linked:
-            pool.append(_components(
+            items, roots, *part = _components(
                 n[linked], start[linked], *_loaded(n[linked], linked, load), threshold
-            ))
+            )
+            root[items] = roots
+            pool.append(part)
             if sum(len(part[2]) for part in pool) >= CHUNK_CELLS:
                 link(pool)
                 pool = []

@@ -172,16 +172,14 @@ class Level:
     """One level of the fusion tree: its lifted frames as arrays over one detection table.
 
     `order` holds the rows of the level's tracklets by frame, then row;
-    order[i] is in tracklet label[i], and `same_frame` (2, P) lists the
-    positions i < j in `order` of the rows sharing a frame. Tracklet t's rows,
-    in frame order, are members[offsets[t]:offsets[t+1]], its median feature
-    median[t]. Lifted frame f spans windows [span_start[f], span_end[f]] with
-    tracklets bounds[f]..bounds[f+1]-1. Item f is a `LiftedFrame` of views.
+    order[i] is in tracklet label[i]. Tracklet t's rows, in frame order, are
+    members[offsets[t]:offsets[t+1]], its median feature median[t]. Lifted
+    frame f spans windows [span_start[f], span_end[f]] with tracklets
+    bounds[f]..bounds[f+1]-1. Item f is a `LiftedFrame` of views.
     """
 
     table: DetectionColumns
     order: np.ndarray
-    same_frame: np.ndarray
     label: np.ndarray
     members: np.ndarray
     offsets: np.ndarray
@@ -197,11 +195,8 @@ class Level:
     @classmethod
     def build(cls, table, order, label, median, span_start, span_end, bounds) -> "Level":
         """The level of the labelled rows `order` of `table`, deriving the rest."""
-        frame, rank = table.frame[order], np.arange(len(order))
-        later = np.searchsorted(frame, frame, side="right") - rank - 1
-        same_frame = np.stack([np.repeat(rank, later), _ranges(rank + 1, later)])
         return cls(
-            table, order, same_frame, label, *_grouped(order, label, len(median)), median,
+            table, order, label, *_grouped(order, label, len(median)), median,
             np.asarray(span_start, dtype=np.int64), np.asarray(span_end, dtype=np.int64),
             np.asarray(bounds, dtype=np.intp),
         )

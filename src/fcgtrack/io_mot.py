@@ -280,16 +280,13 @@ def write_tracks(tracks: TrackSet) -> bytes:
     with no trailing blank line.
     """
     order = np.lexsort((tracks.track_id, tracks.frame))
-    lines = [
-        f"{frame},{tid},{x:.2f},{y:.2f},{w:.2f},{h:.2f},{score:.4f},-1,-1,-1"
-        for frame, tid, (x, y, w, h), score in zip(
-            tracks.frame[order].tolist(),
-            tracks.track_id[order].tolist(),
-            tracks.box[order].tolist(),
-            tracks.score[order].tolist(),
-        )
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    rows = zip(
+        tracks.frame[order].tolist(),
+        tracks.track_id[order].tolist(),
+        *tracks.box[order].T.tolist(),
+        tracks.score[order].tolist(),
+    )
+    return "".join(map("%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,-1,-1,-1\n".__mod__, rows)).encode("utf-8")
 
 
 def _sorted_tracks(track_id: np.ndarray, frame: np.ndarray, box: np.ndarray) -> tuple:

@@ -8,8 +8,8 @@ level into the next, until a single lifted frame spans the sequence; its
 tracklets become the final tracks. All windows, and all fusions of one level,
 are one `clustering.cluster_batch` call, whose chunks load stacked tensors: a
 cosine matrix per window or fusion, the weights from the level's endpoint
-arrays and the cannot-link masks from its same-frame row pairs. The run is
-sequential: it starts no thread or process.
+arrays and the cannot-link masks from the frames of the chunk's own rows. The
+run is sequential: it starts no thread or process.
 """
 
 from __future__ import annotations
@@ -69,13 +69,24 @@ def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> Level:
 def _overlap(level: Level, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Stacked cannot-link masks of ascending, disjoint tracklet ranges (as
     `weighted_blocks`): True where two tracklets of a range share a frame."""
-    pair = level.label[level.same_frame]
-    k = np.searchsorted(lo, pair[0], side="right") - 1
-    i, j = pair - lo[k]
-    keep = (k >= 0) & (i < n[k]) & (j >= 0) & (j < n[k])
-    k, i, j = k[keep], i[keep], j[keep]
-    mask = np.zeros((len(n), max(n), max(n)), dtype=bool)
-    mask[k, i, j] = mask[k, j, i] = True
+    # The ranges' rows (positions in `members`), each with its range and local tracklet.
+    start, end = level.offsets[lo], level.offsets[lo + n]
+    at = _ranges(start, end - start)
+    k = np.repeat(np.arange(len(n)), end - start)
+    t = np.searchsorted(level.offsets, at, side="right") - 1 - lo[k]
+    frame = level.table.frame[level.members[at]]
+    order = np.lexsort((frame, k))
+    k, t, frame = k[order], t[order], frame[order]
+    # Pair each row with the earlier rows of its range and frame, from the first on.
+    rank = np.arange(len(k))
+    head = np.ones(len(k), dtype=bool)
+    head[1:] = (k[1:] != k[:-1]) | (frame[1:] != frame[:-1])
+    first = np.flatnonzero(head)[np.cumsum(head) - 1]
+    i, j = _ranges(first, rank - first), np.repeat(rank, rank - first)
+    m = int(n.max())
+    mask = np.zeros((len(n), m, m), dtype=bool)
+    mask[k[j], t[i], t[j]] = True
+    mask |= mask.transpose(0, 2, 1)
     return mask
 
 

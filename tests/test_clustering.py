@@ -466,6 +466,12 @@ class TestComponentSplit:
             rng.uniform(0.0, 0.02, (n, n)),
             rng.uniform(0.5, 1.0, (n, n)),
         )
+        # One pair of each blob of two or more at the threshold, above threshold / MARGIN:
+        # no blob is a clique of the split's strong edges, so every one is linked.
+        for b in range(len(blobs)):
+            inside = np.flatnonzero(blob == b)
+            if len(inside) >= 2:
+                square[inside[0], inside[1]] = 0.1
         square = np.triu(square, 1) + np.triu(square, 1).T
         widths = []
         link = clustering._link

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fcgtrack.core import FcgConfig, ParseError
+from fcgtrack.core import FcgConfig, ParseError, TrackSet
 from fcgtrack.io_mot import (
     detection_features,
     parse_detections,
@@ -203,6 +203,24 @@ class TestWriteTracks:
     def test_single_row_format(self):
         ts = track_set({1: (Entry(1, Box(10, 20, 30, 40), 0.9),)})
         assert write_tracks(ts) == b"1,1,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1\n"
+
+    def test_rows_as_one_f_string_each_would_format_them(self):
+        rng = np.random.default_rng(8)
+        edges = [0.005, 0.015, 2.675, -0.0, 1e-9, 123456789.125, 0.99995, 0.00005]
+        values = np.concatenate([edges, rng.uniform(-1e4, 1e4, 200), rng.uniform(0, 1, 200)])
+        box = rng.choice(values, (300, 4))
+        score = rng.choice(values, 300)
+        frame = rng.integers(1, 2**40, 300)
+        ts = TrackSet(np.arange(1, 301), frame, box, score)
+        order = np.lexsort((ts.track_id, ts.frame))
+        expected = "".join(
+            f"{f},{t},{x:.2f},{y:.2f},{w:.2f},{h:.2f},{s:.4f},-1,-1,-1\n"
+            for f, t, (x, y, w, h), s in zip(
+                frame[order].tolist(), ts.track_id[order].tolist(), box[order].tolist(),
+                score[order].tolist(),
+            )
+        )
+        assert write_tracks(ts) == expected.encode()
 
     def test_sorted_by_frame_then_id(self):
         b = Box(0, 0, 1, 1)

@@ -139,6 +139,16 @@ class TestFuseLiftedFrames:
             off = ~np.eye(len(built), dtype=bool)
             assert np.array_equal(mask[off], expected[off])
 
+    def test_frame_overlap_mask_pairs_rows_of_one_range_only(self):
+        # Frame 5 is in both ranges, once each: no tracklet of either range overlaps another.
+        built = tracklets(
+            [det(5, basis(0))], [det(1, basis(0))], [det(9, basis(0))], [det(5, basis(0))]
+        )
+        level = level_of(
+            [LiftedFrame(0, 1, tuple(built[:2])), LiftedFrame(1, 2, tuple(built[2:]))]
+        )
+        assert not _overlap(level, np.array([0, 2]), np.array([2, 2])).any()
+
     def test_adjacency_required_when_consecutive(self):
         late, early = tracklets([det(7, basis(0))], [det(1, basis(0))])
         a = LiftedFrame(1, 2, (late,))
