@@ -31,14 +31,15 @@ Many independent instances (the windows of stage 1, the fusions of one level
 of stage 2) are clustered together by `cluster_batch`. It splits each
 instance into the connected components of its threshold graph, whose edges
 are the pairs outside the cannot-link mask with d <= threshold * `MARGIN`,
-and links only the components of two or more items. A cut never joins two
-components: the height of two clusters is the mean of their cross pairs,
-which is never below the smallest of them, and every pair across two
-components is cannot-link (+inf) or above threshold * MARGIN. Nor does a cut
-split a sub-threshold clique, a component all of whose pairs are edges with
-d <= threshold / MARGIN: a mean is never above the largest of its pairs, so
-every merge inside it is applied, whatever their order, and the component
-ends as one cluster. Such a component is not linked.
+and links only the components of two or more items, whose blocks alone are
+computed in full; a lower bound on the distances picks the candidate edges.
+A cut never joins two components: the height of two clusters is the mean of
+their cross pairs, which is never below the smallest of them, and every pair
+across two components is cannot-link (+inf) or above threshold * MARGIN.
+Nor does a cut split a sub-threshold clique, a component all of whose pairs
+are edges with d <= threshold / MARGIN: a mean is never above the largest of
+its pairs, so every merge inside it is applied, whatever their order, and
+the component ends as one cluster. Such a component is not linked.
 
 The margin absorbs rounding. A merged row is (|K| * D[K] + |L| * D[L]) /
 (|K| + |L|), so each term of a height takes three roundings per merge
@@ -118,39 +119,59 @@ class Dendrogram:
     merges: tuple[Merge, ...]
 
 
+def dense(dist, cannot_link=None):
+    """`cluster_batch`'s `load` result for a (B, m, m) distance tensor given in full, and a
+    boolean cannot-link tensor of its shape or None: the distances bound themselves."""
+    dist = np.asarray(dist, dtype=np.float64)
+    mask = np.zeros(dist.shape, dtype=bool) if cannot_link is None else np.asarray(cannot_link)
+    if mask.shape != dist.shape:
+        raise ValueError(f"cannot-link mask shape {mask.shape} does not match {dist.shape}")
+    return dist, lambda k, i, j: (dist[k, i, j], mask[k, i, j])
+
+
 def _one(dist, cannot_link):
-    """`sizes` and `load` of a single instance given as a square matrix, which `load` copies."""
+    """`sizes` and `load` of a single instance given as a square matrix (see `dense`)."""
     dist = np.asarray(dist)
     n = dist.shape[0] if dist.ndim == 2 else -1
     if dist.shape != (n, n):
         raise ValueError(f"expected a square distance matrix, got shape {dist.shape}")
     mask = None if cannot_link is None else np.asarray(cannot_link, dtype=bool)[None]
-    return [n], lambda _: (np.array(dist, dtype=np.float64)[None], mask)
+    return [n], lambda _: dense(dist[None], mask)
 
 
-def _pairs(d: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The strict upper triangles of the blocks d[k, :n[k], :n[k]], as a mask, checked."""
-    pos = np.arange(d.shape[1])
-    pair = (pos[:, None] < pos) & (pos < n[:, None, None])
-    if not ((d >= 0.0) | ~pair).all():
+def _pairs(n: np.ndarray, m: int) -> np.ndarray:
+    """The strict upper triangles of the blocks [k, :n[k], :n[k]] of a (len(n), m, m) tensor."""
+    pos = np.arange(m)
+    return (pos[:, None] < pos) & (pos < n[:, None, None])
+
+
+def _checked(d: np.ndarray, skip=False) -> np.ndarray:
+    """`d`, or ValueError if one of its values, but where `skip`, is negative or NaN."""
+    if not ((d >= 0.0) | skip).all():
         raise ValueError("distances must be nonnegative, not NaN")
-    return pair
+    return d
 
 
-def _load(d: np.ndarray, cannot_link, n: np.ndarray):
+def _exact(pairs: Callable, cells: np.ndarray, shape: tuple):
+    """`pairs` of these flat cells of a `load` tensor of `shape`: distances and flags, checked."""
+    dist, cannot_link = (np.asarray(x) for x in pairs(*np.unravel_index(cells, shape)))
+    if dist.shape != cells.shape or cannot_link.shape != cells.shape:
+        raise ValueError(f"expected {len(cells)} pair distances and flags")
+    return _checked(dist.astype(np.float64, copy=False)), cannot_link.astype(bool, copy=False)
+
+
+def _load(d: np.ndarray, cannot_link: np.ndarray, n: np.ndarray):
     """Turn a chunk's stacked distances into its working tensor, in place.
 
     Reads the strict upper triangles of each instance's block d[k, :n[k],
-    :n[k]] and of the boolean `cannot_link` (or None), and mirrors them, with
-    +inf on the diagonal, at cannot-link pairs and outside the blocks.
-    Returns each row's nearest later-created neighbour (the first of equal
-    minima) and its distance.
+    :n[k]] and of the boolean `cannot_link`, and mirrors them, with +inf on
+    the diagonal, at cannot-link pairs and outside the blocks. Returns each
+    row's nearest later-created neighbour (the first of equal minima) and
+    its distance.
     """
-    pair = _pairs(d, n)
     # The diagonal and the columns of merged-away clusters hold +inf, so
     # averaged rows stay +inf there and never look like a closer neighbour.
-    off = ~pair if cannot_link is None else ~pair | cannot_link
-    d[off] = np.inf
+    d[~_pairs(n, d.shape[1]) | cannot_link] = np.inf
     near, nn = d.min(axis=2), d.argmin(axis=2)
     np.minimum(d, d.transpose(0, 2, 1), out=d)
     return near, nn
@@ -289,32 +310,31 @@ def _finish(d, near, nn, cid, slot_of, size, n, count, record, limit) -> int:
 
 
 def _loaded(n: np.ndarray, group: Sequence[int], load: Callable):
-    """`load(group)` of instances of sizes n: float64 distances and the mask, shapes checked."""
-    dist, cannot_link = load(group)
-    d = np.asarray(dist, dtype=np.float64)
+    """`load(group)` of instances of sizes n: the float64 bound, checked, its `_pairs`, `pairs`."""
+    bound, pairs = load(group)
+    bound = np.asarray(bound, dtype=np.float64)
     m = int(n.max())
-    if d.shape != (len(n), m, m):
-        raise ValueError(f"expected a {(len(n), m, m)} distance tensor, got shape {d.shape}")
-    if cannot_link is not None and np.shape(cannot_link) != d.shape:
-        raise ValueError(
-            f"cannot-link mask shape {np.shape(cannot_link)} does not match {d.shape}"
-        )
-    return d, cannot_link
+    if bound.shape != (len(n), m, m):
+        raise ValueError(f"expected a {(len(n), m, m)} distance tensor, got shape {bound.shape}")
+    pair = _pairs(n, m)
+    return _checked(bound, ~pair), pair, pairs
 
 
 def _linked(sizes: Sequence[int], group: Sequence[int], load: Callable, limit: float):
     """Link the instances `group` together, each stopped at its first minimum above `limit`.
 
     Those of two or more items are loaded by one `load` call (see
-    `cluster_batch`). Returns per instance the lists of merged creation
-    indices a < b, heights and new sizes.
+    `cluster_batch`), all of their pairs computed. Returns per instance the
+    lists of merged creation indices a < b, heights and new sizes.
     """
     linked = [k for k in group if sizes[k] >= 2]
     records = dict.fromkeys(group, ([], [], [], []))
     if not linked:
         return [records[k] for k in group]
     n = np.array([sizes[k] for k in linked], dtype=np.intp)
-    d, cannot_link = _loaded(n, linked, load)
+    bound, pair, pairs = _loaded(n, linked, load)
+    d, cannot_link = np.empty(bound.shape), np.zeros(bound.shape, dtype=bool)
+    d[pair], cannot_link[pair] = _exact(pairs, np.flatnonzero(pair), bound.shape)
     count, *merged = _link(d, *_load(d, cannot_link, n), n, limit)
     for i, (k, c) in enumerate(zip(linked, count.tolist())):
         records[k] = tuple(x[i, :c].tolist() for x in merged)
@@ -425,24 +445,23 @@ def _smallest_leaves(count: np.ndarray, merged_a: np.ndarray, merged_b: np.ndarr
     return label.reshape(batch, width)[:, : steps + 1] - base
 
 
-def _components(n: np.ndarray, start: np.ndarray, d: np.ndarray, cannot_link, threshold: float):
+def _components(n: np.ndarray, start: np.ndarray, bound, pair, pairs, threshold: float):
     """The threshold-graph components of two or more items of a loaded chunk of instances of
     sizes n, whose items are numbered from start[k] on (see `cluster_batch`).
 
     Returns the items of the sub-threshold cliques and the root of each,
     numbered within its instance, then the other components' sizes and,
     concatenated over those, their items (ascending within each) and the
-    cells of their blocks of `d` and of `cannot_link`, row by row.
+    distances and flags of their blocks' strict upper triangles, row by row.
     """
-    batch, m = d.shape[:2]
-    edge = _pairs(d, n) & (d <= threshold * MARGIN)
-    if cannot_link is not None:
-        edge &= ~cannot_link
+    batch, m = bound.shape[:2]
     # Node k * m + i is item i of instance k, and cell (k, i, j) of the
     # tensor is flat cell (k * m + i) * m + j.
-    a, j = np.divmod(np.flatnonzero(edge), m)
+    candidate = np.flatnonzero(pair & (bound <= threshold * MARGIN))
+    d, cannot_link = _exact(pairs, candidate, bound.shape)
+    edge = (d <= threshold * MARGIN) & ~cannot_link
+    a, j = np.divmod(candidate[edge], m)
     strong = d[edge] <= threshold / MARGIN
-    del edge
     node = _connected(batch * m, a, a - a % m + j)
     # Sizes and strong edges of the components, indexed by label: the smallest node.
     sizes = np.bincount(node, minlength=batch * m)
@@ -457,13 +476,10 @@ def _components(n: np.ndarray, start: np.ndarray, d: np.ndarray, cannot_link, th
     at = at[np.argsort(node[at], kind="stable")]
     row = np.repeat(at, np.repeat(c, c))
     col = at[_ranges(np.repeat(np.cumsum(c) - c, c), np.repeat(c, c))]
-    cell = row * m + col % m
-    mask = np.zeros(len(cell), dtype=bool)
-    if cannot_link is not None:
-        mask = np.asarray(cannot_link).reshape(-1)[cell]
+    upper = col > row
     return (
-        start[settled // m] + settled % m, node[settled] % m,
-        c, start[at // m] + at % m, d.reshape(-1)[cell], mask,
+        start[settled // m] + settled % m, node[settled] % m, c, start[at // m] + at % m,
+        *_exact(pairs, row[upper] * m + col[upper] % m, bound.shape),
     )
 
 
@@ -472,20 +488,22 @@ def _link_components(c: np.ndarray, items: np.ndarray, cells: np.ndarray, mask, 
 
     Returns their items and the cluster root (smallest member) of each.
     """
-    first, first_cell = np.cumsum(c) - c, np.cumsum(c * c) - c * c
+    tri = c * (c - 1) // 2
+    first, first_cell = np.cumsum(c) - c, np.cumsum(tri) - tri
     found = [(items[:0], items[:0])]
     # Components share a tensor even when fewer than BATCH_MIN: `_link` then
     # finishes each on views of it, after one gather for all of them.
     for group in _within_budget(c.tolist()):
         size = c[group]
-        real = np.arange(size.max()) < size[:, None]
-        block = real[:, :, None] & real[:, None, :]
-        cd = np.empty(block.shape)  # `_load` ignores the cells outside the blocks
-        cd[block] = cells[_ranges(first_cell[group], size * size)]
-        cl = np.zeros(block.shape, dtype=bool)
-        cl[block] = mask[_ranges(first_cell[group], size * size)]
+        m = int(size.max())
+        pair = _pairs(size, m)
+        cd = np.empty(pair.shape)  # `_load` reads only the pairs
+        cd[pair] = cells[_ranges(first_cell[group], tri[group])]
+        cl = np.zeros(pair.shape, dtype=bool)
+        cl[pair] = mask[_ranges(first_cell[group], tri[group])]
         count, merged_a, merged_b, _, _ = _link(cd, *_load(cd, cl, size), size, threshold)
         leaf = _smallest_leaves(count, merged_a, merged_b, size)
+        real = np.arange(m) < size[:, None]
         at = np.zeros(real.shape, dtype=np.intp)
         at[real] = items[_ranges(first[group], size)]
         found.append((at[real], at[np.arange(len(size))[:, None], leaf][real]))
@@ -498,18 +516,22 @@ def cluster_batch(
     """Cluster independent instances together; returns each item's cluster root, flat.
 
     Instance k has `sizes[k]` items. They are loaded a chunk at a time
-    (`chunks`, in order of first index): `load(group)` returns the stacked
-    (dist, cannot_link) of the chunk's instances of two or more items, a
-    float64 (len(group), m, m) tensor, m their largest size, holding each
-    instance's matrix (as `cluster_matrix` takes it) top left, and a boolean
-    one or None; the rest is ignored. Each chunk is split into the
-    components of its threshold graph (`_components`): a sub-threshold
-    clique is one cluster at once, and the other components of two or more
-    items, from successive chunks together, are linked
-    (`_link_components`). The tensors are released before the next load.
-    The result holds, for instance 0's items, then instance 1's and so on,
-    the smallest member of the item's cluster, numbered within its
-    instance. Each partition equals `cluster_matrix`.
+    (`chunks`, in order of first index): `load(group)` returns (bound, pairs)
+    for the chunk's instances of two or more items. `bound` is a (len(group),
+    m, m) tensor, m their largest size, holding top left a lower bound on each
+    instance's distances (as `cluster_matrix` takes them). `pairs(k, i, j)`
+    returns the distances and boolean cannot-link flags of the cells (k[p],
+    i[p], j[p]), i < j; it is asked only for the cells whose bound is at most
+    threshold * `MARGIN` and for the blocks of linked components. The bound
+    and every computed distance must be nonnegative, not NaN (else
+    ValueError); `dense` serves distances given in full. Each chunk is split
+    into the components of its threshold graph (`_components`): a
+    sub-threshold clique is one cluster at once, and the other components,
+    from successive chunks together, are linked (`_link_components`). The
+    bound and `pairs` are released before the next load. The result holds,
+    for instance 0's items, then instance 1's and so on, the smallest member
+    of the item's cluster, numbered within its instance. Each partition
+    equals `cluster_matrix`.
     """
     _check_threshold(threshold)
     sizes = list(sizes)

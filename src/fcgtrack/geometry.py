@@ -17,7 +17,7 @@ def _sides(boxes: np.ndarray):
 
 
 def iou_distance_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1 - IoU of boxes; 0 for identical boxes, 1 for disjoint ones."""
+    """1 - IoU of boxes, clamped into [0, 1] against rounding; 0 if identical, 1 if disjoint."""
     ax, ay, aw, ah = _sides(a)
     bx, by, bw, bh = _sides(b)
     iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
@@ -25,7 +25,7 @@ def iou_distance_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     overlap = (iw > 0.0) & (ih > 0.0)
     inter = np.where(overlap, iw * ih, 0.0)
     union = aw * ah + bw * bh - inter
-    return np.where(overlap, 1.0 - inter / union, 1.0)
+    return np.clip(np.where(overlap, 1.0 - inter / union, 1.0), 0.0, 1.0)
 
 
 def box_displacement_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ its tracklets are the first `Level`, one lifted frame per window. Stage 2
 fuses adjacent lifted frames pairwise (a balanced binary reduction), one
 level into the next, until a single lifted frame spans the sequence; its
 tracklets become the final tracks. All windows, and all fusions of one level,
-are one `clustering.cluster_batch` call, whose chunks load stacked tensors: a
-cosine matrix per window or fusion, the weights from the level's endpoint
-arrays and the cannot-link masks from the frames of the chunk's own rows. The
-run is sequential: it starts no thread or process.
+are one `clustering.cluster_batch` call. Its chunks load a cosine matrix per
+window or fusion, which (times `off` with the spatial weights on) bounds the
+weighted distances from below (see `weighting`): only the pairs the cut can
+reach, and the blocks of linked components, are weighed. The run is
+sequential: it starts no thread or process.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .clustering import cluster_batch
 from .core import (
+    CANNOT_LINK,
     DetectionColumns,
     FcgConfig,
     Level,
@@ -31,7 +33,7 @@ from .core import (
     _ranges,
     level_of,
 )
-from .weighting import weighted_blocks
+from .weighting import cosine_blocks, weighted_pairs
 
 
 def _sorted_columns(detections: DetectionColumns) -> DetectionColumns:
@@ -53,7 +55,7 @@ def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> Level:
     num_windows = math.ceil(int(table.frame[-1]) / cfg.window) if len(table) else 0
     windows = np.arange(num_windows)
     bounds = np.searchsorted(table.frame, np.append(windows, num_windows) * cfg.window, "right")
-    # A detection's median is its feature, which `weighted_blocks` reads in float64.
+    # A detection's median is its feature, which `cosine_blocks` reads in float64.
     rows = np.arange(len(table))
     singles = Level.build(table, rows, rows, table.feature, windows, windows + 1, bounds)
     # Two detections are ordered in time unless they share a frame, which the
@@ -66,28 +68,21 @@ def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> Level:
     return _fuse(singles, np.arange(num_windows + 1), np.full(num_windows, True), plain)
 
 
-def _overlap(level: Level, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Stacked cannot-link masks of ascending, disjoint tracklet ranges (as
-    `weighted_blocks`): True where two tracklets of a range share a frame."""
-    # The ranges' rows (positions in `members`), each with its range and local tracklet.
-    start, end = level.offsets[lo], level.offsets[lo + n]
-    at = _ranges(start, end - start)
-    k = np.repeat(np.arange(len(n)), end - start)
-    t = np.searchsorted(level.offsets, at, side="right") - 1 - lo[k]
-    frame = level.table.frame[level.members[at]]
-    order = np.lexsort((frame, k))
-    k, t, frame = k[order], t[order], frame[order]
-    # Pair each row with the earlier rows of its range and frame, from the first on.
-    rank = np.arange(len(k))
-    head = np.ones(len(k), dtype=bool)
-    head[1:] = (k[1:] != k[:-1]) | (frame[1:] != frame[:-1])
-    first = np.flatnonzero(head)[np.cumsum(head) - 1]
+def _share_frame(level: Level, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """True where tracklets t[p] and u[p] of a level share a frame."""
+    nodes = np.flatnonzero(np.bincount(np.concatenate([t, u])))  # the tracklets asked about
+    start, end = level.offsets[nodes], level.offsets[nodes + 1]
+    node = np.repeat(nodes, end - start)
+    frame = level.table.frame[level.members[_ranges(start, end - start)]]
+    order = np.lexsort((node, frame))
+    node, frame = node[order], frame[order]
+    # Pair each row with the earlier rows of its frame (a tracklet has one row a frame).
+    head = np.flatnonzero(np.append(True, frame[1:] != frame[:-1]))
+    rank = np.arange(len(node))
+    first = head[np.searchsorted(head, rank, side="right") - 1]
     i, j = _ranges(first, rank - first), np.repeat(rank, rank - first)
-    m = int(n.max())
-    mask = np.zeros((len(n), m, m), dtype=bool)
-    mask[k[j], t[i], t[j]] = True
-    mask |= mask.transpose(0, 2, 1)
-    return mask
+    width = len(level.median)
+    return np.isin(np.minimum(t, u) * width + np.maximum(t, u), node[i] * width + node[j])
 
 
 def _fuse(level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig) -> Level:
@@ -103,10 +98,20 @@ def _fuse(level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig)
     run_lo, run_n = lo[runs], (hi - lo)[runs]
 
     def load(group):
-        return (
-            weighted_blocks(level, run_lo[group], run_n[group], cfg),
-            _overlap(level, run_lo[group], run_n[group]),
-        )
+        lo = run_lo[group]
+        cos = cosine_blocks(level, lo, run_n[group])
+
+        def pairs(k, i, j):
+            t, u = lo[k] + i, lo[k] + j
+            dist = weighted_pairs(level, cos[k, i, j], t, u, cfg)
+            # Only a pair not ordered in time, which holds the sentinel, can share a frame.
+            far = np.flatnonzero(dist >= CANNOT_LINK)
+            cannot_link = np.zeros(len(dist), dtype=bool)
+            if len(far):
+                cannot_link[far] = _share_frame(level, t[far], u[far])
+            return dist, cannot_link
+
+        return (cos * cfg.off if cfg.use_spatial else cos), pairs
 
     # Each tracklet's cluster root, its smallest member; tracklets outside
     # the clustered runs are their own. The roots, ascending, order the next

@@ -5,8 +5,11 @@ the first box of the later one. Pairs that cannot be ordered in time (their
 frame spans interleave) get the cannot-link sentinel instead of a weighted
 distance.
 
-`weighted_blocks` weights a chunk of a `Level`'s fusions at once, from endpoint
-arrays gathered once for the chunk; `weighted_matrix` is its one-fusion form.
+`weighted_pairs` weighs given pairs elementwise, so a value is bit-identical
+wherever its pair is weighed. It is fl(fl(cos * t) * fl(lambda_c * lambda_f)),
+t, lambda_f >= 1 and lambda_c = min(1, fl(iou_distance + off)) >= off (the IoU
+distance is at least 0); rounding is monotone, so it is at least
+fl(cos * off), or cos with the spatial factors off: stage 2's lower bound.
 """
 
 from __future__ import annotations
@@ -31,67 +34,70 @@ def _spatial_factors(last_box: np.ndarray, first_box: np.ndarray, cfg: FcgConfig
     return lambda_c, lambda_f
 
 
-def _endpoints(table: DetectionColumns, first, last, prev, cfg: FcgConfig):
-    """Gap and endpoint boxes of every pair (i, j) of tracklets, read as "i before j".
+def _endpoints(table: DetectionColumns, last, prev, first, cfg: FcgConfig):
+    """Gap and endpoint boxes of pairs of tracklets read as "a before b".
 
-    From the (..., m) table rows of each tracklet's first, last and `prev`
-    (second-to-last; for one row, the last) detection: the gap first_frame[j] - last_frame[i], i's
-    last box (extrapolated over min(gap, window) frames with motion on) and
-    j's first box, broadcasting to (..., m, m, 4). Meaningless where gap <= 0.
+    From the table rows of a's last and `prev` (second-to-last; for one row,
+    the last) detection and of b's first, which broadcast together: the gap
+    first_frame(b) - last_frame(a), a's last box (extrapolated over
+    min(gap, window) frames with motion on) and b's first box. Meaningless
+    where gap <= 0.
     """
-    gap = table.frame[first][..., None, :] - table.frame[last][..., :, None]
-    last_box = table.box[last][..., :, None, :]
+    gap = table.frame[first] - table.frame[last]
+    last_box = table.box[last]
     if cfg.use_motion:
-        last_box = extrapolate_array(
-            table.box[prev][..., :, None, :], last_box, np.minimum(gap, cfg.window)
-        )
-    first_box = table.box[first][..., None, :, :]
-    return gap, last_box, first_box
+        last_box = extrapolate_array(table.box[prev], last_box, np.minimum(gap, cfg.window))
+    return gap, last_box, table.box[first]
 
 
-def weighted_blocks(level, lo, n, cfg: FcgConfig) -> np.ndarray:
-    """Stacked weighted distances of the tracklets lo[k]..lo[k]+n[k]-1 of a level.
-
-    Block k, at [k, :n[k], :n[k]] of a (len(n), m, m) tensor, is the median
-    cosine distance (one `cosine_matrix` per block, in float64), times the
-    temporal factor when that is enabled, then times the product of the
-    spatial factors when those are enabled; gaps and boxes are gathered only
-    then. Pairs not ordered in time, the diagonal among them, hold the
-    cannot-link sentinel as a value, and so does the padding.
-    """
-    lo, n = np.asarray(lo), np.asarray(n)
+def cosine_blocks(level, lo, n) -> np.ndarray:
+    """Stacked median cosine distances of the tracklets lo[k]..lo[k]+n[k]-1 of a level: block
+    k is one `cosine_matrix` at [k, :n[k], :n[k]], the padding 0. A lone block is not copied."""
     blocks = (
         cosine_matrix(np.asarray(level.median[a : a + k], dtype=np.float64))
         for a, k in zip(lo.tolist(), n.tolist())
     )
-    # A lone block is used as it is, not copied.
-    dist = next(blocks)[None] if len(n) == 1 else np.zeros((len(n), max(n), max(n)))
+    if len(n) == 1:
+        return next(blocks)[None]
+    dist = np.zeros((len(n), max(n), max(n)))
     for k, block in enumerate(blocks):
         dist[k, : len(block), : len(block)] = block
-    index = np.minimum(lo[:, None] + np.arange(dist.shape[1]), (lo + n - 1)[:, None])
-    start, end = level.offsets[index], level.offsets[index + 1]
-    first, last, frame = level.members[start], level.members[end - 1], level.table.frame
-    before = frame[last][:, :, None] < frame[first][:, None, :]
+    return dist
 
-    def symmetric(directed):
-        # Entry (i, j) as seen from whichever of i and j comes first.
-        return np.where(before, directed, directed.swapaxes(1, 2))
 
+def weighted_pairs(level, cos: np.ndarray, t: np.ndarray, u: np.ndarray, cfg: FcgConfig):
+    """Weighted distances of the pairs of tracklets t[p], u[p] of a level, cos[p] their cosine
+    distances: times the temporal factor when that is enabled, then times the product of the
+    spatial factors when those are enabled, the pair read from whichever tracklet ends first.
+    Pairs not ordered in time, a tracklet with itself among them, hold the sentinel as a value.
+    """
+    offsets, members, frame = level.offsets, level.members, level.table.frame
+    first_t, first_u = members[offsets[t]], members[offsets[u]]
+    t_first = frame[members[offsets[t + 1] - 1]] < frame[first_u]
+    ordered = t_first | (frame[members[offsets[u + 1] - 1]] < frame[first_t])
+    dist = np.array(cos, dtype=np.float64)
     if cfg.use_temporal or cfg.use_spatial:
-        prev = level.members[np.maximum(end - 2, start)]  # the last, for one row
-        gap, last_box, first_box = _endpoints(level.table, first, last, prev, cfg)
+        early = np.where(t_first, t, u)
+        start, end = offsets[early], offsets[early + 1]
+        # The earlier tracklet's last row and the one before it (the last, for one row).
+        last, prev = members[end - 1], members[np.maximum(end - 2, start)]
+        first = np.where(t_first, first_u, first_t)  # the later tracklet's
+        gap, last_box, first_box = _endpoints(level.table, last, prev, first, cfg)
         if cfg.use_temporal:
-            dist *= symmetric(_temporal_factor(gap, cfg))
+            dist *= _temporal_factor(gap, cfg)
         if cfg.use_spatial:
             lambda_c, lambda_f = _spatial_factors(last_box, first_box, cfg)
-            dist *= symmetric(lambda_c * lambda_f)
-    dist[~(before | before.swapaxes(1, 2))] = CANNOT_LINK
+            dist *= lambda_c * lambda_f
+    dist[~ordered] = CANNOT_LINK
     return dist
 
 
 def weighted_matrix(tracklets: Sequence[Tracklet], cfg: FcgConfig) -> np.ndarray:
-    """Weighted distances of all pairs of tracklets of one table (`weighted_blocks`), (n, n)."""
-    if not tracklets:
+    """Weighted distances of all pairs of tracklets of one table (`weighted_pairs`), (n, n)."""
+    n = len(tracklets)
+    if not n:
         return np.zeros((0, 0))
     level = level_of([LiftedFrame(0, 1, tuple(tracklets))])
-    return weighted_blocks(level, [0], [len(tracklets)], cfg)[0]
+    t, u = np.indices((n, n)).reshape(2, -1)
+    cos = cosine_blocks(level, np.array([0]), np.array([n]))
+    return weighted_pairs(level, cos.ravel(), t, u, cfg).reshape(n, n)

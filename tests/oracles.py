@@ -11,9 +11,10 @@ from collections import defaultdict, namedtuple
 import numpy as np
 
 from fcgtrack.appearance import cosine_matrix
-from fcgtrack.core import DetectionColumns, TrackSet, Tracklet, _medians
+from fcgtrack.clustering import dense
+from fcgtrack.core import CANNOT_LINK, DetectionColumns, TrackSet, Tracklet, _medians, _ranges
 from fcgtrack.geometry import box_displacement_array, extrapolate_array, iou_distance_array
-from fcgtrack.weighting import _spatial_factors, weighted_matrix
+from fcgtrack.weighting import _spatial_factors, _temporal_factor, weighted_matrix
 
 SENTINEL = 1.0e6
 # A box (left, top, width, height) with named sides.
@@ -150,7 +151,8 @@ def stacked(load_one):
 
     `load_one(k)` returns instance k's (square, cannot_link mask or None);
     the chunk's matrices are padded into (B, m, m) float64 and boolean
-    tensors, the padding NaN and True so that reading it would show.
+    tensors, the padding NaN and True so that reading it would show, and
+    served by `clustering.dense`.
     """
     def load(group):
         pairs = [load_one(k) for k in group]
@@ -161,7 +163,7 @@ def stacked(load_one):
             n = len(square)
             dist[i, :n, :n] = square
             mask[i, :n, :n] = False if cannot is None else cannot
-        return dist, mask
+        return dense(dist, mask)
 
     return load
 
@@ -476,3 +478,74 @@ def per_pair_id_switches(gt, pred, iou_threshold=0.5):
                 switches += 1
             last_match[gid] = pid
     return switches
+
+
+# The dense forms of stage 2's loads: every pair of every fusion of a chunk, as stacked tensors.
+
+
+def weighted_blocks(level, lo, n, cfg):
+    """Stacked weighted distances of the tracklets lo[k]..lo[k]+n[k]-1 of a level.
+
+    Block k, at [k, :n[k], :n[k]] of a (len(n), m, m) tensor, is the median
+    cosine distance (one `cosine_matrix` per block, in float64), times the
+    temporal factor when that is enabled, then times the product of the
+    spatial factors when those are enabled, each pair read from the
+    tracklet that ends first, over gap and endpoint boxes broadcast to
+    (len(n), m, m). Pairs not ordered in time, the diagonal among them, hold
+    the cannot-link sentinel as a value; the padding is not read.
+    """
+    lo, n = np.asarray(lo), np.asarray(n)
+    m = int(n.max())
+    dist = np.zeros((len(n), m, m))
+    for k, (a, size) in enumerate(zip(lo.tolist(), n.tolist())):
+        dist[k, :size, :size] = cosine_matrix(np.asarray(level.median[a : a + size], dtype=float))
+    index = np.minimum(lo[:, None] + np.arange(m), (lo + n - 1)[:, None])
+    start, end = level.offsets[index], level.offsets[index + 1]
+    first, last, frame = level.members[start], level.members[end - 1], level.table.frame
+    before = frame[last][:, :, None] < frame[first][:, None, :]
+
+    def symmetric(directed):
+        # Entry (i, j) as seen from whichever of i and j comes first.
+        return np.where(before, directed, directed.swapaxes(1, 2))
+
+    if cfg.use_temporal or cfg.use_spatial:
+        table = level.table
+        prev = level.members[np.maximum(end - 2, start)]  # the last, for one row
+        gap = frame[first][:, None, :] - frame[last][:, :, None]
+        last_box = table.box[last][:, :, None, :]
+        if cfg.use_motion:
+            last_box = extrapolate_array(
+                table.box[prev][:, :, None, :], last_box, np.minimum(gap, cfg.window)
+            )
+        first_box = table.box[first][:, None, :, :]
+        if cfg.use_temporal:
+            dist *= symmetric(_temporal_factor(gap, cfg))
+        if cfg.use_spatial:
+            lambda_c, lambda_f = _spatial_factors(last_box, first_box, cfg)
+            dist *= symmetric(lambda_c * lambda_f)
+    dist[~(before | before.swapaxes(1, 2))] = CANNOT_LINK
+    return dist
+
+
+def overlap_masks(level, lo, n):
+    """Stacked cannot-link masks of ascending, disjoint tracklet ranges (as
+    `weighted_blocks`): True where two tracklets of a range share a frame."""
+    # The ranges' rows (positions in `members`), each with its range and local tracklet.
+    start, end = level.offsets[lo], level.offsets[lo + n]
+    at = _ranges(start, end - start)
+    k = np.repeat(np.arange(len(n)), end - start)
+    t = np.searchsorted(level.offsets, at, side="right") - 1 - lo[k]
+    frame = level.table.frame[level.members[at]]
+    order = np.lexsort((frame, k))
+    k, t, frame = k[order], t[order], frame[order]
+    # Pair each row with the earlier rows of its range and frame, from the first on.
+    rank = np.arange(len(k))
+    head = np.ones(len(k), dtype=bool)
+    head[1:] = (k[1:] != k[:-1]) | (frame[1:] != frame[:-1])
+    first = np.flatnonzero(head)[np.cumsum(head) - 1]
+    i, j = _ranges(first, rank - first), np.repeat(rank, rank - first)
+    m = int(n.max())
+    mask = np.zeros((len(n), m, m), dtype=bool)
+    mask[k[j], t[i], t[j]] = True
+    mask |= mask.transpose(0, 2, 1)
+    return mask

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,3 +113,24 @@ class TestCosineMatrix:
 
     def test_single_row_needs_no_norm(self):
         assert cosine_matrix(np.zeros((1, 3))).shape == (1, 1)
+
+    def test_row_blocks_equal_one_denominator_matrix(self):
+        # 600 rows: two full blocks of denominators and a partial one.
+        features = np.random.default_rng(600).normal(size=(600, 16))
+        gram = features @ features.T
+        squared = gram.diagonal()
+        whole = 1.0 - gram / np.sqrt(np.multiply.outer(squared, squared))
+        assert np.array_equal(cosine_matrix(features), np.clip(whole, 0.0, 2.0))
+
+    def test_peak_memory_is_the_result_and_a_row_block(self):
+        # At 2,000 rows a block of 256 denominator rows is 0.128 of the n x n result;
+        # a full denominator matrix beside it would make the peak 2 such matrices.
+        n = 2000
+        features = np.random.default_rng(2000).normal(size=(n, 8))
+        tracemalloc.start()
+        try:
+            cosine_matrix(features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * n * n * 8

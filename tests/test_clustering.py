@@ -13,6 +13,7 @@ from fcgtrack.clustering import (
     cluster_batch,
     cluster_matrix,
     cut,
+    dense,
     linkage_matrix,
 )
 from oracles import (
@@ -362,11 +363,11 @@ class TestBatched:
     def test_rejects_threshold_outside_range(self):
         for threshold in (0.0, CANNOT_LINK, float("inf")):
             with pytest.raises(ValueError):
-                cluster_batch([2], lambda k: (np.zeros((2, 2)), None), threshold=threshold)
+                cluster_batch([2], lambda k: dense(np.zeros((1, 2, 2))), threshold=threshold)
 
     def test_rejects_matrix_of_wrong_size(self):
         with pytest.raises(ValueError):
-            cluster_batch([3], lambda k: (np.zeros((2, 2)), None), threshold=0.5)
+            cluster_batch([3], lambda k: dense(np.zeros((2, 2))), threshold=0.5)
 
 
 class TestStopAtCut:
@@ -426,10 +427,10 @@ class TestLevelMemory:
         def load(group):
             # Each chunk's tensor is released before the next one is built.
             assert all(ref() is None for ref in loaded)
-            dist, mask = stacked(matrix)(group)
+            bound, pairs = stacked(matrix)(group)
             calls.extend(group)
-            loaded.append(weakref.ref(dist))
-            return dist, mask
+            loaded.append(weakref.ref(bound))
+            return bound, pairs
 
         partitions = instance_partitions(sizes, cluster_batch(sizes, load, threshold=0.1))
         assert tensors and max(tensors) <= clustering.CHUNK_CELLS

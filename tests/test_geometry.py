@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fcgtrack.geometry import iou_distance_array
 from oracles import Box, box_displacement, extrapolate, iou_distance
 
 
@@ -33,6 +34,15 @@ class TestIouDistance:
             d = iou_distance(a, b)
             assert d == iou_distance(b, a)
             assert 0.0 <= d <= 1.0
+
+    def test_nearly_identical_boxes_stay_in_range(self):
+        # Rounding took such pairs below 0, to about -1e-10 at coordinates near 1e6.
+        rng = np.random.default_rng(3)
+        corner = rng.uniform(0, 1e6, (20000, 2))
+        a = np.concatenate([corner, rng.uniform(1, 500, (20000, 2))], axis=1)
+        b = a * (1 + rng.normal(0, 1e-15, a.shape))
+        d = iou_distance_array(a, b)
+        assert d.min() >= 0.0 and d.max() <= 1.0
 
     def test_zero_iff_identical(self):
         a = Box(1, 2, 3, 4)

@@ -2,7 +2,9 @@
 
 The digests were taken from the tracker before stage 2 moved onto per-level
 arrays, and pin every output byte of the scenes below across such
-refactors. A scene whose digest moves has changed behaviour, not layout.
+refactors; that of `noisy_motion` was taken before stage 2 weighed only the
+pairs its cut can reach. A scene whose digest moves has changed behaviour,
+not layout.
 """
 
 import hashlib
@@ -27,6 +29,12 @@ GAPPED = SynthConfig(
     num_identities=3, num_frames=42, feature_dim=8, feature_noise_sigma=0.05,
     occlusions=((1, 13, 24), (2, 13, 30), (3, 7, 24)), seed=23,
 )
+# Noisy enough that stage 2 links about 200 components that are not cliques,
+# with motion extrapolation on: the linkage core and the motion weights,
+# which no benchmark workload reaches.
+NOISY = SynthConfig(
+    num_identities=12, num_frames=60, feature_dim=16, feature_noise_sigma=0.07, seed=3,
+)
 
 SCENES = {
     "default": (BUSY, 1, FcgConfig(feature_dim=16)),
@@ -34,6 +42,7 @@ SCENES = {
     "non_consecutive": (BUSY, 1, FcgConfig(feature_dim=16, consecutive=False)),
     "gapped": (GAPPED, 1, FcgConfig(feature_dim=8)),
     "ratio_3": (BUSY, 3, FcgConfig(feature_dim=16)),
+    "noisy_motion": (NOISY, 1, FcgConfig(feature_dim=16, use_motion=True)),
 }
 
 GOLDEN = {
@@ -42,6 +51,7 @@ GOLDEN = {
     "non_consecutive": "37b423383adb1e23da881ef7e1504001801515034dc74039a4d32dab584df262",
     "gapped": "94118ae78fb3d3ef2e130c41b2bad44f297326b7d9f725bc61dc1d7c56b553c9",
     "ratio_3": "503b38bbe4e01d341c6699e6b6465437f5e14a78fd457f35c3a4097590b35783",
+    "noisy_motion": "dbad3a6642c1465f1909d57ff95aba424f28739ab78c64c248c8f827288e5c0c",
 }
 
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from fcgtrack.clustering import BATCH_MIN, cluster_matrix  # noqa: E402
 from fcgtrack.core import FcgConfig, LiftedFrame, _medians, level_of  # noqa: E402
-from fcgtrack.pipeline import _fuse, _overlap, fuse_lifted_frames  # noqa: E402
+from fcgtrack.pipeline import _fuse, fuse_lifted_frames  # noqa: E402
 from fcgtrack.weighting import weighted_matrix  # noqa: E402
-from oracles import frame_overlap_mask, median_by_sorting, tracklets  # noqa: E402
+from oracles import frame_overlap_mask, median_by_sorting, overlap_masks, tracklets  # noqa: E402
 
 DIM = 4
 WINDOW = 6
@@ -109,7 +109,7 @@ def test_overlap_mask_equals_frame_sets(frames, data):
     if not ranges:
         return
     lo, hi = np.array(ranges).T
-    masks = _overlap(level, lo, hi - lo)
+    masks = overlap_masks(level, lo, hi - lo)
     everything = [t for frame in frames for t in frame.tracklets]
     for k, (a, b) in enumerate(ranges):
         expected = frame_overlap_mask(everything[a:b])

@@ -13,15 +13,22 @@ from fcgtrack.io_mot import write_tracks
 from fcgtrack.metrics import id_switches, idf1
 from fcgtrack.pipeline import (
     _fuse,
-    _overlap,
     _reduce_consecutive,
+    _share_frame,
     fuse_lifted_frames,
     generate_tracklets,
     run,
 )
 from fcgtrack.synthdata import SynthConfig, generate
 from fcgtrack.weighting import weighted_matrix
-from oracles import columns, frame_overlap_mask, track_entries, tracklet_frames, tracklets
+from oracles import (
+    columns,
+    frame_overlap_mask,
+    overlap_masks,
+    track_entries,
+    tracklet_frames,
+    tracklets,
+)
 
 CFG = FcgConfig(feature_dim=8)
 
@@ -133,7 +140,7 @@ class TestFuseLiftedFrames:
                 for k in range(int(rng.integers(1, 12)))
             ))
             level = level_of([LiftedFrame(0, 1, tuple(built))])
-            mask = _overlap(level, np.array([0]), np.array([len(built)]))[0]
+            mask = overlap_masks(level, np.array([0]), np.array([len(built)]))[0]
             expected = frame_overlap_mask(built)
             # The diagonal is never read: a tracklet cannot link with itself anyway.
             off = ~np.eye(len(built), dtype=bool)
@@ -147,7 +154,27 @@ class TestFuseLiftedFrames:
         level = level_of(
             [LiftedFrame(0, 1, tuple(built[:2])), LiftedFrame(1, 2, tuple(built[2:]))]
         )
-        assert not _overlap(level, np.array([0, 2]), np.array([2, 2])).any()
+        assert not overlap_masks(level, np.array([0, 2]), np.array([2, 2])).any()
+
+    def test_share_frame_matches_frame_sets(self):
+        # Pairs of any two tracklets of a level, in either order, across its lifted frames too.
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            built = tracklets(*(
+                [det(int(f), basis(0)) for f in set(rng.integers(1, 30, size=4))]
+                for k in range(int(rng.integers(2, 12)))
+            ))
+            half = len(built) // 2
+            level = level_of(
+                [LiftedFrame(0, 1, tuple(built[:half])), LiftedFrame(1, 2, tuple(built[half:]))]
+            )
+            n = len(built)
+            t, u = rng.integers(0, n, (2, 3 * n))
+            expected = frame_overlap_mask(built)
+            assert _share_frame(level, t, u).tolist() == [
+                bool(expected[a, b]) and a != b for a, b in zip(t, u)
+            ]
+            assert not _share_frame(level, t[:0], u[:0]).any()
 
     def test_adjacency_required_when_consecutive(self):
         late, early = tracklets([det(7, basis(0))], [det(1, basis(0))])

@@ -73,7 +73,9 @@ def pair_context(t1, t2, cfg):
     first, last, prev = (
         np.array([t.rows[max(i, -len(t))] for t in (t1, t2)]) for i in (0, -1, -2)
     )
-    gap, last_box, first_box = _endpoints(t1.columns, first, last, prev, cfg)
+    gap, last_box, first_box = _endpoints(
+        t1.columns, last[:, None], prev[:, None], first[None, :], cfg
+    )
     last_box = np.broadcast_to(last_box, (2, 2, 4))
     for i, j in ((0, 1), (1, 0)):
         if gap[i, j] > 0:
