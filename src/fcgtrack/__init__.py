@@ -22,10 +22,8 @@ from .core import (
     FrameConflictError,
     InvalidConfigError,
     Level,
-    LiftedFrame,
     ParseError,
     TrackSet,
-    Tracklet,
 )
 from .io_mot import (
     parse_detections,
@@ -39,9 +37,8 @@ from .io_mot import (
     write_tracks,
 )
 from .metrics import id_switches, idf1
-from .pipeline import fuse_lifted_frames, generate_tracklets, run
+from .pipeline import generate_tracklets, run
 from .synthdata import SynthConfig, generate
-from .weighting import weighted_matrix
 
 __version__ = "0.1.0"
 
@@ -55,16 +52,13 @@ __all__ = [
     "FrameConflictError",
     "InvalidConfigError",
     "Level",
-    "LiftedFrame",
     "Merge",
     "ParseError",
     "SynthConfig",
     "TrackSet",
-    "Tracklet",
     "cluster_matrix",
     "cosine_matrix",
     "cut",
-    "fuse_lifted_frames",
     "generate",
     "generate_tracklets",
     "id_switches",
@@ -76,7 +70,6 @@ __all__ = [
     "run",
     "subsample",
     "subsample_tracks",
-    "weighted_matrix",
     "write_detections",
     "write_features",
     "write_ground_truth",

@@ -1,5 +1,4 @@
-"""Core domain types: detection columns, per-level tracklet tables with their tracklet and
-lifted-frame views, config, track columns.
+"""Core domain types: detection columns, per-level tracklet tables, config, track columns.
 
 Everything here is immutable after construction.
 """
@@ -135,39 +134,6 @@ def _grouped(order: np.ndarray, label: np.ndarray, n: int):
 
 
 @dataclass(frozen=True, eq=False)
-class Tracklet:
-    """Detections of one object: rows of a detection table, ascending in frame.
-
-    The element-wise median of their features is cached (even counts use the
-    mean of the two middle values). Tracklets of one sequence share its
-    table. They are views of a `Level`.
-    """
-
-    columns: DetectionColumns
-    rows: np.ndarray
-    median_feature: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
-class LiftedFrame:
-    """An artificial time instant holding tracklets over a span of window indices."""
-
-    span_start: int
-    span_end: int
-    tracklets: tuple[Tracklet, ...]
-
-    def __post_init__(self):
-        if not (self.span_start >= 0 and self.span_end > self.span_start):
-            raise ValueError(
-                f"invalid span [{self.span_start}, {self.span_end}]"
-            )
-        object.__setattr__(self, "tracklets", tuple(self.tracklets))
-
-
-@dataclass(frozen=True, eq=False)
 class Level:
     """One level of the fusion tree: its lifted frames as arrays over one detection table.
 
@@ -175,7 +141,7 @@ class Level:
     order[i] is in tracklet label[i]. Tracklet t's rows, in frame order, are
     members[offsets[t]:offsets[t+1]], its median feature median[t]. Lifted
     frame f spans windows [span_start[f], span_end[f]] with tracklets
-    bounds[f]..bounds[f+1]-1. Item f is a `LiftedFrame` of views.
+    bounds[f]..bounds[f+1]-1.
     """
 
     table: DetectionColumns
@@ -189,8 +155,9 @@ class Level:
     bounds: np.ndarray
 
     def __post_init__(self):
-        for array in (self.label, self.members, self.offsets, self.median):
-            array.setflags(write=False)
+        for name in ("order", "label", "members", "offsets", "median", "span_start", "span_end",
+                     "bounds"):
+            getattr(self, name).setflags(write=False)
 
     @classmethod
     def build(cls, table, order, label, median, span_start, span_end, bounds) -> "Level":
@@ -203,28 +170,6 @@ class Level:
 
     def __len__(self) -> int:
         return len(self.span_start)
-
-    def __getitem__(self, f: int) -> LiftedFrame:
-        f, members, offsets = range(len(self))[f], self.members, self.offsets
-        return LiftedFrame(int(self.span_start[f]), int(self.span_end[f]), tuple(
-            Tracklet(self.table, members[offsets[t] : offsets[t + 1]], self.median[t])
-            for t in range(self.bounds[f], self.bounds[f + 1])
-        ))
-
-
-def level_of(frames: list[LiftedFrame]) -> Level:
-    """The level holding the given lifted frames, whose tracklets (one or more) index one table."""
-    tracklets = [t for frame in frames for t in frame.tracklets]
-    table = tracklets[0].columns
-    if any(t.columns is not table for t in tracklets):
-        raise ValueError("tracklets index different detection tables")
-    rows = np.concatenate([t.rows for t in tracklets])
-    by_frame = np.lexsort((rows, table.frame[rows]))
-    label = np.repeat(np.arange(len(tracklets)), [len(t) for t in tracklets])[by_frame]
-    median = np.stack([t.median_feature for t in tracklets])
-    spans = ([getattr(frame, side) for frame in frames] for side in ("span_start", "span_end"))
-    counts = np.cumsum([0] + [len(frame.tracklets) for frame in frames])
-    return Level.build(table, rows[by_frame], label, median, *spans, counts)
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,10 @@ from .core import (
     DetectionColumns,
     FcgConfig,
     Level,
-    LiftedFrame,
     TrackSet,
     _grouped,
     _medians,
     _ranges,
-    level_of,
 )
 from .weighting import cosine_blocks, weighted_pairs
 
@@ -138,27 +136,9 @@ def _fuse(level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig)
     )
 
 
-def fuse_lifted_frames(a: LiftedFrame, b: LiftedFrame, cfg: FcgConfig) -> LiftedFrame:
-    """Cluster the union of two lifted frames' tracklets into one lifted frame.
-
-    The one-fusion form of a level step (`_fuse`): tracklets sharing a frame
-    never fuse, and each cluster becomes a tracklet with the median of all
-    its detections.
-    """
-    if cfg.consecutive and a.span_end > b.span_start:
-        raise ValueError(
-            f"consecutive fusion requires adjacent spans, got "
-            f"[{a.span_start}, {a.span_end}] then [{b.span_start}, {b.span_end}]"
-        )
-    if not (a.tracklets or b.tracklets):
-        return LiftedFrame(a.span_start, b.span_end, ())
-    return _fuse(level_of([a, b]), np.array([0, 2]), [True], cfg)[0]
-
-
 def _reduce_consecutive(level: Level, cfg: FcgConfig) -> Level:
     # Each level fuses frames 2i and 2i+1; an odd trailing frame carries up
-    # a level unmerged. Every fused frame equals `fuse_lifted_frames` on its
-    # (adjacent) pair.
+    # a level unmerged. Every fused frame equals `_fuse` of its pair alone.
     while len(level) > 1:
         cuts = np.append(np.arange(0, len(level), 2), len(level))
         level = _fuse(level, cuts, np.diff(cuts) == 2, cfg)

@@ -14,12 +14,10 @@ fl(cos * off), or cos with the spatial factors off: stage 2's lower bound.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .appearance import cosine_matrix
-from .core import CANNOT_LINK, DetectionColumns, FcgConfig, LiftedFrame, Tracklet, level_of
+from .core import CANNOT_LINK, DetectionColumns, FcgConfig
 from .geometry import box_displacement_array, extrapolate_array, iou_distance_array
 
 
@@ -90,14 +88,3 @@ def weighted_pairs(level, cos: np.ndarray, t: np.ndarray, u: np.ndarray, cfg: Fc
             dist *= lambda_c * lambda_f
     dist[~ordered] = CANNOT_LINK
     return dist
-
-
-def weighted_matrix(tracklets: Sequence[Tracklet], cfg: FcgConfig) -> np.ndarray:
-    """Weighted distances of all pairs of tracklets of one table (`weighted_pairs`), (n, n)."""
-    n = len(tracklets)
-    if not n:
-        return np.zeros((0, 0))
-    level = level_of([LiftedFrame(0, 1, tuple(tracklets))])
-    t, u = np.indices((n, n)).reshape(2, -1)
-    cos = cosine_blocks(level, np.array([0]), np.array([n]))
-    return weighted_pairs(level, cos.ravel(), t, u, cfg).reshape(n, n)

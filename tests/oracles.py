@@ -12,9 +12,10 @@ import numpy as np
 
 from fcgtrack.appearance import cosine_matrix
 from fcgtrack.clustering import dense
-from fcgtrack.core import CANNOT_LINK, DetectionColumns, TrackSet, Tracklet, _medians, _ranges
+from fcgtrack.core import CANNOT_LINK, DetectionColumns, Level, TrackSet, _medians, _ranges
 from fcgtrack.geometry import box_displacement_array, extrapolate_array, iou_distance_array
-from fcgtrack.weighting import _spatial_factors, _temporal_factor, weighted_matrix
+from fcgtrack.pipeline import _fuse
+from fcgtrack.weighting import _spatial_factors, _temporal_factor, weighted_pairs
 
 SENTINEL = 1.0e6
 # A box (left, top, width, height) with named sides.
@@ -42,33 +43,70 @@ def columns(rows, dim=0):
     )
 
 
-def tracklet(table, rows):
-    """`Tracklet` of table rows already in ascending frame order, with its median."""
-    rows = np.asarray(rows)
-    rows.setflags(write=False)
-    (median,) = _medians(table.feature, rows, np.array([0, len(rows)]), [0])
-    return Tracklet(table, rows, median)
+def build_level(*frames):
+    """`Level` whose lifted frame f spans windows [f, f+1] and holds one tracklet per group of
+    `columns` row tuples in frames[f].
 
-
-def tracklets(*groups):
-    """One tracklet per group of `columns` row tuples, its rows sorted by frame.
-
-    All of them index one table: the groups' rows, one group after the other.
+    One table holds every group's rows, sorted by frame within the group, one group after the
+    other; a tracklet's median is `_medians` of its rows.
     """
-    groups = [sorted(group, key=lambda r: r[0]) for group in groups]
+    groups = [sorted(group, key=lambda r: r[0]) for frame in frames for group in frame]
     table = columns([r for group in groups for r in group])
-    ends = np.cumsum([len(group) for group in groups], dtype=np.int64)
-    return [tracklet(table, np.arange(end - len(g), end)) for g, end in zip(groups, ends)]
+    sizes = [len(group) for group in groups]
+    rows = np.arange(len(table))
+    median = _medians(table.feature, rows, np.cumsum([0, *sizes]), np.arange(len(groups)))
+    order = np.lexsort((rows, table.frame))
+    label = np.repeat(np.arange(len(groups)), sizes)[order]
+    spans = np.arange(len(frames))
+    bounds = np.cumsum([0, *map(len, frames)])
+    return Level.build(table, order, label, median, spans, spans + 1, bounds)
 
 
-def tracklet_frames(tracklet):
-    """The frames of a tracklet's detections, in its (ascending) order."""
-    return tracklet.columns.frame[tracklet.rows].tolist()
+def frames_of(level, lo, hi):
+    """The level of lifted frames lo..hi-1 of `level`, over its table."""
+    t0, t1 = level.bounds[lo], level.bounds[hi]
+    keep = (level.label >= t0) & (level.label < t1)
+    return Level.build(
+        level.table, level.order[keep], level.label[keep] - t0, level.median[t0:t1],
+        level.span_start[lo:hi], level.span_end[lo:hi], level.bounds[lo : hi + 1] - t0,
+    )
 
 
-def frame_overlap_mask(tracklets):
-    """(n, n) boolean matrix, True where two tracklets share a frame, from frame sets."""
-    frames = [set(tracklet_frames(t)) for t in tracklets]
+def fuse_all(level, cfg):
+    """A single fusion: every lifted frame of `level` clustered into one (`pipeline._fuse`)."""
+    return _fuse(level, np.array([0, len(level)]), np.array([True]), cfg)
+
+
+def tracklet_rows(level):
+    """Each tracklet's table rows, in frame order, as lists."""
+    members, offsets = level.members.tolist(), level.offsets.tolist()
+    return [members[a:b] for a, b in zip(offsets, offsets[1:])]
+
+
+def frame_rows(level):
+    """Each lifted frame's `tracklet_rows`."""
+    rows, bounds = tracklet_rows(level), level.bounds.tolist()
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def tracklet_frames(level, t):
+    """The frames of tracklet t's detections, ascending."""
+    return level.table.frame[tracklet_rows(level)[t]].tolist()
+
+
+def same_level(a, b):
+    """Whether two levels over one table hold the same spans, tracklet rows and medians."""
+    return (
+        a.table is b.table and frame_rows(a) == frame_rows(b)
+        and np.array_equal(a.span_start, b.span_start) and np.array_equal(a.span_end, b.span_end)
+        and np.array_equal(a.median, b.median)
+    )
+
+
+def frame_overlap_mask(level):
+    """(n, n) boolean matrix over a level's tracklets, True where two share a frame, from
+    frame sets."""
+    frames = [set(level.table.frame[rows].tolist()) for rows in tracklet_rows(level)]
     return np.array([[bool(a & b) for b in frames] for a in frames], dtype=bool).reshape(
         len(frames), len(frames)
     )
@@ -120,9 +158,9 @@ def cosine_distance(h1, h2):
     return float(cosine_matrix(np.array([h1, h2], dtype=float))[0, 1])
 
 
-def tracklet_distance(t1, t2):
+def tracklet_distance(level, t, u):
     """`cosine_distance` of two tracklets' cached medians."""
-    return cosine_distance(t1.median_feature, t2.median_feature)
+    return cosine_distance(level.median[t], level.median[u])
 
 
 def spatial_weights(last_box, first_box, cfg):
@@ -133,9 +171,17 @@ def spatial_weights(last_box, first_box, cfg):
     return float(lambda_c), float(lambda_f)
 
 
-def weighted_distance(t1, t2, cfg):
-    """The `weighted_matrix` entry of two tracklets of one table."""
-    return float(weighted_matrix((t1, t2), cfg)[0, 1])
+def weighted_square(level, cfg):
+    """(n, n) weighted distances (`weighted_pairs`) of every pair of a level's tracklets."""
+    n = len(level.median)
+    t, u = np.indices((n, n)).reshape(2, -1)
+    return weighted_pairs(level, cosine_matrix(level.median).ravel(), t, u, cfg).reshape(n, n)
+
+
+def weighted_distance(level, t, u, cfg):
+    """The weighted distance of tracklets t and u of a level, weighed as a pair alone."""
+    cos = np.array([tracklet_distance(level, t, u)])
+    return float(weighted_pairs(level, cos, np.array([t]), np.array([u]), cfg)[0])
 
 
 def cannot_link_mask(pairs, n):
@@ -401,13 +447,8 @@ def scalar_box_displacement(a, b):
     return (d1 + d2) / 2.0
 
 
-def _box(tracklet, k):
-    """Box of a tracklet's k-th detection."""
-    return Box(*tracklet.columns.box[tracklet.rows[k]].tolist())
-
-
-def scalar_weighted_distance(t1, t2, cfg, sentinel=SENTINEL):
-    """Per-pair weighted tracklet distance, one Python call per pair.
+def scalar_weighted_distance(level, t, u, cfg, sentinel=SENTINEL):
+    """Weighted distance of tracklets t and u of a level, one Python call per pair.
 
     Orders the pair in time (interleaved spans give the sentinel), scales the
     median cosine distance by the temporal factor, then by the product of the
@@ -415,21 +456,26 @@ def scalar_weighted_distance(t1, t2, cfg, sentinel=SENTINEL):
     box (extrapolated at its final velocity when motion is on) with the later
     one's first box. Boxes are (x, y, w, h) tuples.
     """
-    f1, f2 = tracklet_frames(t1), tracklet_frames(t2)
+    f1, f2 = tracklet_frames(level, t), tracklet_frames(level, u)
     if f1[-1] < f2[0]:
-        early, late = t1, t2
+        early, late = t, u
     elif f2[-1] < f1[0]:
-        early, late = t2, t1
+        early, late = u, t
     else:
         return sentinel
-    delta_t = tracklet_frames(late)[0] - tracklet_frames(early)[-1]
-    d = scalar_cosine(t1.median_feature, t2.median_feature)
+    delta_t = tracklet_frames(level, late)[0] - tracklet_frames(level, early)[-1]
+    d = scalar_cosine(level.median[t], level.median[u])
+    rows = tracklet_rows(level)
+
+    def box(t, k):
+        return Box(*level.table.box[rows[t][k]].tolist())
+
     if cfg.use_temporal:
         d *= 1.0 if delta_t <= cfg.kt else cfg.ct
     if cfg.use_spatial:
-        last = _box(early, -1)
+        last = box(early, -1)
         if cfg.use_motion:
-            prev = _box(early, -2) if len(early) >= 2 else last
+            prev = box(early, -2) if len(rows[early]) >= 2 else last
             k = min(delta_t, cfg.window)
             last = type(last)(
                 x=last.x + k * (last.x - prev.x),
@@ -437,7 +483,7 @@ def scalar_weighted_distance(t1, t2, cfg, sentinel=SENTINEL):
                 w=max(last.w + k * (last.w - prev.w), 1.0),
                 h=max(last.h + k * (last.h - prev.h), 1.0),
             )
-        first = _box(late, 0)
+        first = box(late, 0)
         lambda_c = min(1.0, scalar_iou_distance(last, first) + cfg.off)
         lambda_f = 1.0 if scalar_box_displacement(last, first) <= cfg.kf else cfg.cf
         d *= lambda_c * lambda_f

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fcgtrack.clustering import cluster_matrix, cut, linkage_matrix
-from fcgtrack.core import FcgConfig, LiftedFrame
+from fcgtrack.core import FcgConfig
 from fcgtrack.io_mot import (
     parse_detections,
     parse_ground_truth,
@@ -21,7 +21,7 @@ from fcgtrack.io_mot import (
     write_tracks,
 )
 from fcgtrack.metrics import id_switches, idf1
-from fcgtrack.pipeline import fuse_lifted_frames, generate_tracklets, run
+from fcgtrack.pipeline import generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
 from fcgtrack.weighting import _temporal_factor
 from oracles import (
@@ -29,17 +29,19 @@ from oracles import (
     Entry,
     box_displacement,
     brute_force_partition,
+    build_level,
     cannot_link_mask,
     columns,
     cosine_distance,
     extrapolate,
+    frame_rows,
+    fuse_all,
     iou_distance,
     spatial_weights,
     track_entries,
     track_set,
     tracklet_distance,
     tracklet_frames,
-    tracklets,
     weighted_distance,
 )
 
@@ -93,11 +95,12 @@ def test_criterion_2_formula_unit_suite():
         start = time.perf_counter()
 
         # element-wise medians
-        assert np.array_equal(tracklets([det(1, [0.6, 0.8])])[0].median_feature, [0.6, 0.8])
-        (t,) = tracklets([det(1, [0.0, 1.0]), det(2, [1.0, 0.0]), det(3, [1.0, 1.0])])
-        assert np.array_equal(t.median_feature, [1.0, 1.0])
-        (t,) = tracklets([det(1, [0.0, 1.0]), det(2, [2.0, 3.0])])
-        assert np.array_equal(t.median_feature, [1.0, 2.0])
+        median = lambda *dets: build_level([dets]).median[0]
+        assert np.array_equal(median(det(1, [0.6, 0.8])), [0.6, 0.8])
+        assert np.array_equal(
+            median(det(1, [0.0, 1.0]), det(2, [1.0, 0.0]), det(3, [1.0, 1.0])), [1.0, 1.0]
+        )
+        assert np.array_equal(median(det(1, [0.0, 1.0]), det(2, [2.0, 3.0])), [1.0, 2.0])
 
         # box geometry
         assert iou_distance(Box(0, 0, 10, 10), Box(0, 0, 10, 10)) == 0.0
@@ -115,14 +118,10 @@ def test_criterion_2_formula_unit_suite():
         assert cosine_distance([0.3, 0.4], [0.3, 0.4]) == 0.0
         assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
         assert cosine_distance([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 - 1 / math.sqrt(2), abs=TOL)
-        ta, tb = tracklets([det(1, [0.5, 0.5])], [det(2, [0.5, 0.5])])
-        assert tracklet_distance(ta, tb) == 0.0
-        assert tracklet_distance(
-            *tracklets([det(1, [1.0, 0.0])], [det(2, [0.0, 1.0])])
-        ) == 1.0
-        assert tracklet_distance(
-            *tracklets([det(1, [1.0, 0.0])], [det(2, [1.0, 1.0])])
-        ) == pytest.approx(1 - 1 / math.sqrt(2), abs=TOL)
+        between = lambda a, b: tracklet_distance(build_level([[det(1, a)], [det(2, b)]]), 0, 1)
+        assert between([0.5, 0.5], [0.5, 0.5]) == 0.0
+        assert between([1.0, 0.0], [0.0, 1.0]) == 1.0
+        assert between([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 - 1 / math.sqrt(2), abs=TOL)
 
         # weighting factors
         cfg = FcgConfig()
@@ -138,16 +137,16 @@ def test_criterion_2_formula_unit_suite():
         assert lam_c == 1.0
 
         # combined weighted distance
-        t1, t2, t3, t4 = tracklets(
+        four = build_level([
             [det(1, [1.0, 0.0])],
             [det(42, [0.9, math.sqrt(1 - 0.81)], box=(100, 0, 10, 10))],
             [det(5, [0.9, math.sqrt(1 - 0.81)], box=(100, 0, 10, 10))],
             [det(2, [1.0, 0.0], box=(0, 0, 10, 10))],
-        )
-        assert weighted_distance(t1, t2, cfg) == pytest.approx(0.8, abs=TOL)
+        ])
+        assert weighted_distance(four, 0, 1, cfg) == pytest.approx(0.8, abs=TOL)
         plain = FcgConfig(use_temporal=False, use_spatial=False, use_motion=False)
-        assert weighted_distance(t1, t3, plain) == tracklet_distance(t1, t3)
-        assert weighted_distance(t1, t4, cfg) == 0.0
+        assert weighted_distance(four, 0, 2, plain) == tracklet_distance(four, 0, 2)
+        assert weighted_distance(four, 0, 3, cfg) == 0.0
 
         # clustering
         assert linkage_matrix(np.zeros((1, 1))).merges == ()
@@ -169,40 +168,32 @@ def test_criterion_2_formula_unit_suite():
 
         # tracklet generation
         cfg8 = FcgConfig(feature_dim=8)
-        frames = generate_tracklets(columns([det(1, basis(0))]), cfg8)
-        assert len(frames) == 1 and len(frames[0].tracklets) == 1
-        assert len(frames[0].tracklets[0]) == 1
+        assert frame_rows(generate_tracklets(columns([det(1, basis(0))]), cfg8)) == [[[0]]]
         dets = [
             det(1, basis(0), row=0), det(1, basis(1), row=1),
             det(2, basis(0), row=2), det(2, basis(1), row=3),
         ]
-        window = generate_tracklets(columns(dets), cfg8)[0].tracklets
-        assert len(window) == 2 and all(len(t) == 2 for t in window)
+        (window,) = frame_rows(generate_tracklets(columns(dets), cfg8))
+        assert len(window) == 2 and all(len(rows) == 2 for rows in window)
         pair = generate_tracklets(
             columns([det(1, basis(0), row=0), det(1, basis(0), row=1)]), cfg8
         )
-        assert len(pair[0].tracklets) == 2
+        assert len(frame_rows(pair)[0]) == 2
 
         # lifted-frame fusion
-        t1, t2 = tracklets(
-            [det(f, basis(0), box=(0, 0, 10, 10)) for f in (1, 2)],
-            [det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)],
-        )
-        fused = fuse_lifted_frames(
-            LiftedFrame(0, 1, (t1,)), LiftedFrame(1, 2, (t2,)), cfg8
-        )
-        assert len(fused.tracklets) == 1
-        assert frozenset(tracklet_frames(fused.tracklets[0])) == frozenset({1, 2, 7, 8})
-        ta, tb = tracklets([det(1, basis(0))], [det(7, basis(1))])
-        fused = fuse_lifted_frames(LiftedFrame(0, 1, (ta,)), LiftedFrame(1, 2, (tb,)), cfg8)
-        assert len(fused.tracklets) == 2
-        ta, tb = tracklets([det(1, [0.0, 1.0])], [det(7, [1.0, 0.0]), det(8, [1.0, 1.0])])
-        merged = fuse_lifted_frames(
-            LiftedFrame(0, 1, (ta,)),
-            LiftedFrame(1, 2, (tb,)),
+        fused = fuse_all(build_level(
+            [[det(f, basis(0), box=(0, 0, 10, 10)) for f in (1, 2)]],
+            [[det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)]],
+        ), cfg8)
+        assert len(fused.median) == 1
+        assert frozenset(tracklet_frames(fused, 0)) == frozenset({1, 2, 7, 8})
+        fused = fuse_all(build_level([[det(1, basis(0))]], [[det(7, basis(1))]]), cfg8)
+        assert len(fused.median) == 2
+        merged = fuse_all(
+            build_level([[det(1, [0.0, 1.0])]], [[det(7, [1.0, 0.0]), det(8, [1.0, 1.0])]]),
             FcgConfig(feature_dim=2, track_threshold=1.9),
         )
-        assert np.array_equal(merged.tracklets[0].median_feature, [1.0, 1.0])
+        assert np.array_equal(merged.median[0], [1.0, 1.0])
 
         # full runs
         assert track_entries(run(columns([]), cfg8)) == {}

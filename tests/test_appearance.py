@@ -6,7 +6,7 @@ import pytest
 
 from fcgtrack.appearance import cosine_matrix
 from fcgtrack.core import DegenerateFeatureError
-from oracles import cosine_distance, scalar_cosine, tracklet_distance, tracklets
+from oracles import build_level, cosine_distance, scalar_cosine, tracklet_distance
 
 
 def rows(frames, features):
@@ -69,26 +69,26 @@ class TestCosineDistance:
 
 class TestTrackletDistance:
     def test_identical_single_detections(self):
-        t1, t2 = tracklets(rows([1], [[0.5, 0.5]]), rows([2], [[0.5, 0.5]]))
-        assert tracklet_distance(t1, t2) == 0.0
+        pair = build_level([rows([1], [[0.5, 0.5]]), rows([2], [[0.5, 0.5]])])
+        assert tracklet_distance(pair, 0, 1) == 0.0
 
     def test_orthogonal_medians(self):
-        t1, t2 = tracklets(rows([1], [[1.0, 0.0]]), rows([2], [[0.0, 1.0]]))
-        assert tracklet_distance(t1, t2) == 1.0
+        pair = build_level([rows([1], [[1.0, 0.0]]), rows([2], [[0.0, 1.0]])])
+        assert tracklet_distance(pair, 0, 1) == 1.0
 
     def test_45_degree_medians(self):
-        t1, t2 = tracklets(rows([1], [[1.0, 0.0]]), rows([2], [[1.0, 1.0]]))
-        assert tracklet_distance(t1, t2) == pytest.approx(
+        pair = build_level([rows([1], [[1.0, 0.0]]), rows([2], [[1.0, 1.0]])])
+        assert tracklet_distance(pair, 0, 1) == pytest.approx(
             1.0 - 1.0 / math.sqrt(2.0), abs=1e-9
         )
 
     def test_uses_cached_median(self):
         # medians: (1, 0.5) vs (1, 0.5) built from different member features
-        t1, t2 = tracklets(
+        pair = build_level([
             rows([1, 2], [[1.0, 0.0], [1.0, 1.0]]),
             rows([3, 4], [[1.0, 1.0], [1.0, 0.0]]),
-        )
-        assert tracklet_distance(t1, t2) == 0.0
+        ])
+        assert tracklet_distance(pair, 0, 1) == 0.0
 
 
 class TestCosineMatrix:

@@ -14,10 +14,9 @@ from hypothesis import strategies as st  # noqa: E402
 from fcgtrack import clustering, pipeline  # noqa: E402
 from fcgtrack.appearance import cosine_matrix  # noqa: E402
 from fcgtrack.clustering import BATCH_MIN, dense  # noqa: E402
-from fcgtrack.core import FcgConfig, LiftedFrame, level_of  # noqa: E402
+from fcgtrack.core import FcgConfig  # noqa: E402
 from fcgtrack.pipeline import _fuse  # noqa: E402
-from fcgtrack.weighting import weighted_matrix  # noqa: E402
-from oracles import overlap_masks, tracklets, weighted_blocks  # noqa: E402
+from oracles import build_level, overlap_masks, weighted_blocks, weighted_square  # noqa: E402
 from test_level_properties import DIM, WINDOW, lifted_frames  # noqa: E402
 
 # Every prior at random; thresholds from the noise inside an axis (about 0.01) up to far
@@ -65,8 +64,8 @@ def test_candidate_pairs_equal_the_dense_oracle():
 @settings(max_examples=150)
 @given(lifted_frames(2, 2 * BATCH_MIN + 2), CONFIGS, st.booleans())
 def _check_candidate_pairs_equal_the_dense_oracle(frames, cfg, whole):
-    assume(any(frame.tracklets for frame in frames))
-    level = level_of(frames)
+    assume(any(frames))
+    level = build_level(*frames)
     # One level step of pairwise fusions, or one fusion of every frame.
     cuts = np.array([0, len(frames)]) if whole else np.append(
         np.arange(0, len(frames), 2), len(frames)
@@ -115,8 +114,8 @@ def _check_candidate_pairs_equal_the_dense_oracle(frames, cfg, whole):
 
 @st.composite
 def close_boxes(draw):
-    """Tracklets of one frame each whose boxes are one box, at coordinates up to 1e6, moved by
-    a few ulps or not at all: the IoU distances of such pairs round to about 0."""
+    """A level of tracklets of one frame each whose boxes are one box, at coordinates up to 1e6,
+    moved by a few ulps or not at all: the IoU distances of such pairs round to about 0."""
     count = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     box = np.concatenate([rng.uniform(0, 1e6, 2), rng.uniform(1, 500, 2)])
@@ -124,25 +123,24 @@ def close_boxes(draw):
     for k in range(count):
         moved = box * (1 + rng.normal(0, 1e-15, 4) * draw(st.integers(0, 1)))
         groups.append([(1 + 2 * k, rng.normal(size=DIM), tuple(moved.tolist()))])
-    return tracklets(*groups)
+    return build_level(groups)
 
 
 @settings(max_examples=200)
 @given(st.one_of(close_boxes(), lifted_frames(1, 4).map(
-    lambda frames: [t for frame in frames for t in frame.tracklets]
+    lambda frames: build_level(sum(frames, []))
 )), CONFIGS)
 def test_weighted_distance_is_bounded_by_the_cosine_times_off(built, cfg):
-    assume(built)
-    cos = cosine_matrix(np.stack([t.median_feature for t in built]))
-    weighted = weighted_matrix(built, cfg)
+    assume(len(built.median))
+    cos = cosine_matrix(built.median)
+    weighted = weighted_square(built, cfg)
     assert (weighted >= (cos * cfg.off if cfg.use_spatial else cos)).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-12])
 def test_a_bad_pair_distance_raises(bad):
     # Two tracklets of the same feature in two adjacent lifted frames: a candidate pair.
-    early, late = tracklets([(1, [1.0, 0.0])], [(7, [1.0, 0.0])])
-    level = level_of([LiftedFrame(0, 1, (early,)), LiftedFrame(1, 2, (late,))])
+    level = build_level([[(1, [1.0, 0.0])]], [[(7, [1.0, 0.0])]])
     weighted = pipeline.weighted_pairs
     cfg = FcgConfig(feature_dim=2)
 

@@ -10,7 +10,7 @@ import pytest
 
 import fcgtrack.core as core
 from fcgtrack.cli import main
-from fcgtrack.core import FcgConfig, FrameConflictError, LiftedFrame, TrackSet
+from fcgtrack.core import FcgConfig, FrameConflictError, TrackSet
 from fcgtrack.io_mot import (
     detection_features,
     parse_detections,
@@ -22,9 +22,11 @@ from fcgtrack.io_mot import (
     write_ground_truth,
     write_tracks,
 )
-from fcgtrack.pipeline import fuse_lifted_frames, generate_tracklets, run
+from fcgtrack.pipeline import generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
-from oracles import Box, Entry, columns, track_entries, track_set, tracklet, tracklets
+from oracles import (
+    Box, Entry, build_level, columns, fuse_all, track_entries, track_set, tracklet_rows,
+)
 
 SCENES = {
     "occluded": SynthConfig(
@@ -88,38 +90,29 @@ class TestDetectionColumns:
 class TestIndexTracklets:
     def test_tracklets_index_the_sequence_table(self):
         seq, _ = generate(SCENES["occluded"])
-        cfg = FcgConfig(feature_dim=16)
-        frames = generate_tracklets(seq, cfg)
-        for lf in frames:
-            for t in lf.tracklets:
-                assert t.columns is seq
-                assert np.all(np.diff(seq.frame[t.rows]) > 0)
-                expected = np.median(seq.feature[t.rows], axis=0)
-                assert np.array_equal(t.median_feature, expected)
+        level = generate_tracklets(seq, FcgConfig(feature_dim=16))
+        assert level.table is seq
+        for rows, median in zip(tracklet_rows(level), level.median):
+            assert np.all(np.diff(seq.frame[rows]) > 0)
+            assert np.array_equal(median, np.median(seq.feature[rows], axis=0))
 
     def test_single_member_cluster_is_carried_over(self):
-        a, b = tracklets([det(1, [1.0, 0.0]), det(2, [1.0, 0.0])], [det(7, [0.0, 1.0])])
-        fused = fuse_lifted_frames(
-            LiftedFrame(0, 1, (a,)), LiftedFrame(1, 2, (b,)), FcgConfig(feature_dim=2)
-        )
-        # Views of the same rows and the same median: nothing is recomputed.
-        for got, kept in zip(fused.tracklets, (a, b)):
-            assert got.columns is kept.columns
-            assert np.array_equal(got.rows, kept.rows)
-            assert np.array_equal(got.median_feature, kept.median_feature)
+        pair = build_level([[det(1, [1.0, 0.0]), det(2, [1.0, 0.0])]], [[det(7, [0.0, 1.0])]])
+        fused = fuse_all(pair, FcgConfig(feature_dim=2))
+        # The same rows and the same median: nothing is recomputed.
+        assert fused.table is pair.table
+        assert tracklet_rows(fused) == tracklet_rows(pair)
+        assert np.array_equal(fused.median, pair.median)
 
     def test_merged_tracklet_median_covers_all_members(self):
-        table = columns([det(f, [1.0, 0.1 * f], row=f) for f in (1, 2, 8, 9)])
-        early = tracklet(table, np.array([0, 1]))
-        late = tracklet(table, np.array([2, 3]))
-        fused = fuse_lifted_frames(
-            LiftedFrame(0, 1, (early,)), LiftedFrame(1, 2, (late,)),
-            FcgConfig(feature_dim=2),
+        pair = build_level(
+            [[det(f, [1.0, 0.1 * f], row=f) for f in (1, 2)]],
+            [[det(f, [1.0, 0.1 * f], row=f) for f in (8, 9)]],
         )
-        (merged,) = fused.tracklets
-        assert merged.columns is table
-        assert merged.rows.tolist() == [0, 1, 2, 3]
-        assert np.array_equal(merged.median_feature, np.median(table.feature, axis=0))
+        fused = fuse_all(pair, FcgConfig(feature_dim=2))
+        assert fused.table is pair.table
+        assert tracklet_rows(fused) == [[0, 1, 2, 3]]
+        assert np.array_equal(fused.median[0], np.median(pair.table.feature, axis=0))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 11, 16, 17, 30])

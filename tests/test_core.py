@@ -1,22 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fcgtrack.core import (
-    FcgConfig,
-    FrameConflictError,
-    InvalidConfigError,
-    LiftedFrame,
-    ParseError,
-)
+from fcgtrack.core import FcgConfig, FrameConflictError, InvalidConfigError, Level, ParseError
 from fcgtrack.io_mot import _check_box
 from oracles import (
     Box,
     Entry,
+    build_level,
+    fuse_all,
     median_by_sorting,
     track_entries,
     track_set,
     tracklet_frames,
-    tracklets,
 )
 
 
@@ -42,61 +39,59 @@ class TestBBox:
 
 
 class TestTrackletNew:
-    """New tracklets: `oracles.tracklet` on frame-sorted rows (`oracles.tracklets`)."""
+    """New tracklets: the medians and frame order of a level that `oracles.build_level` builds."""
 
     def test_single_detection_median(self):
-        (t,) = tracklets([det(1, [0.6, 0.8])])
-        assert np.array_equal(t.median_feature, [0.6, 0.8])
+        assert np.array_equal(build_level([[det(1, [0.6, 0.8])]]).median[0], [0.6, 0.8])
 
     def test_odd_count_median(self):
         feats = [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
-        (t,) = tracklets([det(i + 1, f) for i, f in enumerate(feats)])
+        level = build_level([[det(i + 1, f) for i, f in enumerate(feats)]])
         assert median_by_sorting(feats) == [1.0, 1.0]
-        assert np.array_equal(t.median_feature, [1.0, 1.0])
+        assert np.array_equal(level.median[0], [1.0, 1.0])
 
     def test_even_count_median_is_mean_of_middles(self):
         # Same expected median as the (0,0)/(2,4) textbook case, with valid
         # (nonzero-norm) features.
         feats = [[0.0, 1.0], [2.0, 3.0]]
-        (t,) = tracklets([det(1, feats[0]), det(2, feats[1])])
+        level = build_level([[det(1, feats[0]), det(2, feats[1])]])
         assert median_by_sorting(feats) == [1.0, 2.0]
-        assert np.array_equal(t.median_feature, [1.0, 2.0])
+        assert np.array_equal(level.median[0], [1.0, 2.0])
 
     def test_sorts_by_frame(self):
-        (t,) = tracklets([det(5, [1.0]), det(2, [2.0]), det(9, [3.0])])
-        assert t.columns.frame[t.rows].tolist() == [2, 5, 9]
-        assert tracklet_frames(t)[0] == 2 and tracklet_frames(t)[-1] == 9
-        assert frozenset(tracklet_frames(t)) == frozenset({2, 5, 9})
+        level = build_level([[det(5, [1.0]), det(2, [2.0]), det(9, [3.0])]])
+        assert level.table.frame[level.members].tolist() == [2, 5, 9]
+        assert tracklet_frames(level, 0) == [2, 5, 9]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
         dets = [det(f + 1, rng.normal(size=6)) for f in range(9)]
-        (reference,) = tracklets(dets)
+        reference = build_level([dets])
         for _ in range(20):
-            perm = [dets[i] for i in rng.permutation(len(dets))]
-            (t,) = tracklets(perm)
-            assert t.columns.frame[t.rows].tolist() == reference.columns.frame.tolist()
-            assert np.array_equal(t.columns.feature[t.rows], reference.columns.feature)
-            assert np.array_equal(t.median_feature, reference.median_feature)
+            level = build_level([[dets[i] for i in rng.permutation(len(dets))]])
+            assert level.table.frame[level.members].tolist() == reference.table.frame.tolist()
+            assert np.array_equal(level.table.feature[level.members], reference.table.feature)
+            assert np.array_equal(level.median, reference.median)
 
     def test_median_recomputable(self):
         rng = np.random.default_rng(12)
         for n in (1, 2, 5, 8):
-            dets = [det(f + 1, rng.normal(size=7)) for f in range(n)]
-            (t,) = tracklets(dets)
-            stacked = t.columns.feature[t.rows]
-            assert np.array_equal(t.median_feature, np.median(stacked, axis=0))
-            assert median_by_sorting(stacked) == list(t.median_feature)
+            level = build_level([[det(f + 1, rng.normal(size=7)) for f in range(n)]])
+            stacked = level.table.feature[level.members]
+            assert np.array_equal(level.median[0], np.median(stacked, axis=0))
+            assert median_by_sorting(stacked) == list(level.median[0])
 
 
-class TestLiftedFrame:
-    def test_valid_span(self):
-        lf = LiftedFrame(span_start=0, span_end=1, tracklets=())
-        assert lf.span_end == 1
-
-    def test_rejects_bad_span_or_level(self):
-        with pytest.raises(ValueError):
-            LiftedFrame(span_start=2, span_end=2, tracklets=())
+class TestLevel:
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(Level) if f.name != "table"]
+    )
+    def test_arrays_are_read_only(self, name):
+        built = build_level([[det(1, [1.0, 0.0])]], [[det(2, [1.0, 0.0])], [det(2, [0.0, 1.0])]])
+        for level in (built, fuse_all(built, FcgConfig(feature_dim=2))):
+            array = getattr(level, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
 
 
 class TestFcgConfig:

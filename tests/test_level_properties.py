@@ -8,10 +8,19 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fcgtrack.clustering import BATCH_MIN, cluster_matrix  # noqa: E402
-from fcgtrack.core import FcgConfig, LiftedFrame, _medians, level_of  # noqa: E402
-from fcgtrack.pipeline import _fuse, fuse_lifted_frames  # noqa: E402
-from fcgtrack.weighting import weighted_matrix  # noqa: E402
-from oracles import frame_overlap_mask, median_by_sorting, overlap_masks, tracklets  # noqa: E402
+from fcgtrack.core import FcgConfig, _medians  # noqa: E402
+from fcgtrack.pipeline import _fuse  # noqa: E402
+from oracles import (  # noqa: E402
+    build_level,
+    frame_overlap_mask,
+    frames_of,
+    fuse_all,
+    median_by_sorting,
+    overlap_masks,
+    same_level,
+    tracklet_rows,
+    weighted_square,
+)
 
 DIM = 4
 WINDOW = 6
@@ -19,7 +28,8 @@ WINDOW = 6
 
 @st.composite
 def lifted_frames(draw, min_frames, max_frames):
-    """Consecutive lifted frames of up to three tracklets each, over one table.
+    """Consecutive lifted frames of up to three tracklets each, as `oracles.build_level` takes
+    them: per frame, a list of each tracklet's row tuples.
 
     Lifted frame f draws its tracklets' frames from its window and the next
     one, so tracklets of one frame share frames and interleave, and so do
@@ -29,22 +39,19 @@ def lifted_frames(draw, min_frames, max_frames):
     count = draw(st.integers(min_frames, max_frames))
     axis = st.integers(0, DIM - 1)
     noise = st.floats(-0.0625, 0.0625, width=32)
-    groups, sizes = [], []
+    frames = []
     for f in range(count):
-        sizes.append(draw(st.integers(0, 3)))
-        for _ in range(sizes[-1]):
+        frames.append([])
+        for _ in range(draw(st.integers(0, 3))):
             span = st.integers(f * WINDOW + 1, (f + 2) * WINDOW)
-            frames = sorted(draw(st.sets(span, min_size=1, max_size=5)))
+            times = sorted(draw(st.sets(span, min_size=1, max_size=5)))
             base, x = np.eye(DIM)[draw(axis)], draw(st.sampled_from([0.0, 8.0, 40.0]))
-            features = [base + draw(st.lists(noise, min_size=DIM, max_size=DIM)) for _ in frames]
-            groups.append([
+            features = [base + draw(st.lists(noise, min_size=DIM, max_size=DIM)) for _ in times]
+            frames[-1].append([
                 (frame, feature, (x + frame, 0.0, 10.0, 20.0))
-                for frame, feature in zip(frames, features)
+                for frame, feature in zip(times, features)
             ])
-    built = iter(tracklets(*groups))
-    return [
-        LiftedFrame(f, f + 1, tuple(next(built) for _ in range(n))) for f, n in enumerate(sizes)
-    ]
+    return frames
 
 
 CONFIGS = st.builds(
@@ -58,50 +65,40 @@ CONFIGS = st.builds(
 )
 
 
-def same_tracklets(got, expected):
-    assert (got.span_start, got.span_end) == (expected.span_start, expected.span_end)
-    assert len(got.tracklets) == len(expected.tracklets)
-    for a, b in zip(got.tracklets, expected.tracklets):
-        assert a.columns is b.columns
-        assert a.rows.tolist() == b.rows.tolist()
-        assert np.array_equal(a.median_feature, b.median_feature)
-
-
 @settings(max_examples=80)
 # Enough fusions that most examples link BATCH_MIN or more of them together.
 @given(lifted_frames(2 * BATCH_MIN + 2, 4 * BATCH_MIN + 1), CONFIGS)
 def test_batched_level_equals_each_pair_fused_alone(frames, cfg):
-    assume(any(frame.tracklets for frame in frames))  # a level holds a tracklet
-    level = level_of(frames)
+    assume(any(frames))  # a level holds a tracklet
+    level = build_level(*frames)
     cuts = np.append(np.arange(0, len(frames), 2), len(frames))
     batched = _fuse(level, cuts, np.diff(cuts) == 2, cfg)
     assert len(batched) == len(cuts) - 1
-    for g, got in enumerate(batched):
-        pair = frames[2 * g : 2 * g + 2]
+    for g in range(len(batched)):
+        got = frames_of(batched, g, g + 1)
+        pair = frames_of(level, 2 * g, min(2 * g + 2, len(frames)))
         if len(pair) == 1:
-            same_tracklets(got, pair[0])  # the odd trailing frame, carried
+            assert same_level(got, pair)  # the odd trailing frame, carried
             continue
-        same_tracklets(got, fuse_lifted_frames(*pair, cfg))
+        assert same_level(got, fuse_all(pair, cfg))
         # The pair alone, by the per-fusion reference: its weighted matrix and
         # the frame-set overlap mask, clustered, and each cluster's detections.
-        union = pair[0].tracklets + pair[1].tracklets
         partition = cluster_matrix(
-            weighted_matrix(union, cfg), frame_overlap_mask(union), threshold=cfg.track_threshold
+            weighted_square(pair, cfg), frame_overlap_mask(pair), threshold=cfg.track_threshold
         )
-        frame_of = union[0].columns.frame if union else None
-        for tracklet, members in zip(got.tracklets, partition):
-            rows = [r for i in members for r in union[i].rows.tolist()]
-            rows.sort(key=frame_of.__getitem__)
-            assert tracklet.rows.tolist() == rows
-            feature = tracklet.columns.feature[rows]
-            assert tracklet.median_feature.tolist() == median_by_sorting(feature)
+        union = tracklet_rows(pair)
+        assert len(partition) == len(got.median)
+        frame_of = level.table.frame.__getitem__
+        for rows, median, members in zip(tracklet_rows(got), got.median, partition):
+            assert rows == sorted((r for i in members for r in union[i]), key=frame_of)
+            assert median.tolist() == median_by_sorting(level.table.feature[rows])
 
 
 @settings(max_examples=80)
 @given(lifted_frames(1, 6), st.data())
 def test_overlap_mask_equals_frame_sets(frames, data):
-    assume(any(frame.tracklets for frame in frames))  # a level holds a tracklet
-    level = level_of(frames)
+    assume(any(frames))  # a level holds a tracklet
+    level = build_level(*frames)
     n = len(level.median)
     # Random ranges of tracklets, in order, some of them skipped.
     cuts = sorted(data.draw(st.sets(st.integers(0, n), max_size=5)) | {0, n})
@@ -110,9 +107,9 @@ def test_overlap_mask_equals_frame_sets(frames, data):
         return
     lo, hi = np.array(ranges).T
     masks = overlap_masks(level, lo, hi - lo)
-    everything = [t for frame in frames for t in frame.tracklets]
+    everything = frame_overlap_mask(level)
     for k, (a, b) in enumerate(ranges):
-        expected = frame_overlap_mask(everything[a:b])
+        expected = everything[a:b, a:b]
         got = masks[k, : b - a, : b - a]
         off = ~np.eye(b - a, dtype=bool)  # a tracklet never links with itself
         assert np.array_equal(got[off], expected[off])

@@ -8,26 +8,23 @@ import pytest
 from fcgtrack import clustering, pipeline
 from fcgtrack.appearance import cosine_matrix
 
-from fcgtrack.core import FcgConfig, LiftedFrame, level_of
+from fcgtrack.core import FcgConfig
 from fcgtrack.io_mot import write_tracks
 from fcgtrack.metrics import id_switches, idf1
-from fcgtrack.pipeline import (
-    _fuse,
-    _reduce_consecutive,
-    _share_frame,
-    fuse_lifted_frames,
-    generate_tracklets,
-    run,
-)
+from fcgtrack.pipeline import _fuse, _reduce_consecutive, _share_frame, generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
-from fcgtrack.weighting import weighted_matrix
 from oracles import (
+    build_level,
     columns,
     frame_overlap_mask,
+    frame_rows,
+    frames_of,
+    fuse_all,
     overlap_masks,
+    same_level,
     track_entries,
     tracklet_frames,
-    tracklets,
+    weighted_square,
 )
 
 CFG = FcgConfig(feature_dim=8)
@@ -45,12 +42,10 @@ def basis(k, dim=8):
 
 class TestGenerateTracklets:
     def test_single_detection(self):
-        frames = generate_tracklets(columns([det(1, basis(0))]), CFG)
-        assert len(frames) == 1
-        lf = frames[0]
-        assert (lf.span_start, lf.span_end) == (0, 1)
-        assert len(lf.tracklets) == 1
-        assert len(lf.tracklets[0]) == 1
+        level = generate_tracklets(columns([det(1, basis(0))]), CFG)
+        assert len(level) == 1
+        assert (level.span_start[0], level.span_end[0]) == (0, 1)
+        assert frame_rows(level) == [[[0]]]
 
     def test_two_identities_two_frames(self):
         dets = [
@@ -59,100 +54,86 @@ class TestGenerateTracklets:
             det(2, basis(0), row=2),
             det(2, basis(1), row=3),
         ]
-        frames = generate_tracklets(columns(dets), CFG)
-        assert len(frames) == 1
-        tracklets = frames[0].tracklets
+        level = generate_tracklets(columns(dets), CFG)
+        assert len(level) == 1
+        (tracklets,) = frame_rows(level)
         assert len(tracklets) == 2
-        assert all(len(t) == 2 for t in tracklets)
-        for t in tracklets:
-            feats = t.columns.feature[t.rows]
+        assert all(len(rows) == 2 for rows in tracklets)
+        for rows in tracklets:
+            feats = level.table.feature[rows]
             assert np.array_equal(feats[0], feats[1])
 
     def test_same_frame_identical_features_stay_apart(self):
         dets = [det(1, basis(0), row=0), det(1, basis(0), row=1)]
-        frames = generate_tracklets(columns(dets), CFG)
-        assert len(frames[0].tracklets) == 2
-        assert all(len(t) == 1 for t in frames[0].tracklets)
+        assert frame_rows(generate_tracklets(columns(dets), CFG)) == [[[0], [1]]]
 
     def test_window_bucketing(self):
         dets = [det(f, basis(0), row=f) for f in (1, 6, 7, 13)]
-        frames = generate_tracklets(columns(dets), CFG)
-        assert [(lf.span_start, lf.span_end) for lf in frames] == [(0, 1), (1, 2), (2, 3)]
-        assert [len(lf.tracklets) for lf in frames] == [1, 1, 1]
-        assert frozenset(tracklet_frames(frames[0].tracklets[0])) == {1, 6}
+        level = generate_tracklets(columns(dets), CFG)
+        assert level.span_start.tolist() == [0, 1, 2] and level.span_end.tolist() == [1, 2, 3]
+        assert [len(frame) for frame in frame_rows(level)] == [1, 1, 1]
+        assert frozenset(tracklet_frames(level, 0)) == {1, 6}
 
     def test_empty_windows_are_kept(self):
         dets = [det(1, basis(0)), det(20, basis(0))]
-        frames = generate_tracklets(columns(dets), CFG)
-        assert len(frames) == math.ceil(20 / CFG.window)
-        assert len(frames[1].tracklets) == 0
+        level = generate_tracklets(columns(dets), CFG)
+        assert len(level) == math.ceil(20 / CFG.window)
+        assert frame_rows(level)[1] == []
 
     def test_empty_input(self):
-        assert list(generate_tracklets(columns([]), CFG)) == []
+        assert len(generate_tracklets(columns([]), CFG)) == 0
 
 
 class TestFuseLiftedFrames:
+    """A single fusion: `_fuse` of the two lifted frames of a level."""
+
     def test_same_identity_fuses(self):
-        t1, t2 = tracklets(
-            [det(f, basis(0), box=(0, 0, 10, 10)) for f in (1, 2)],
-            [det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)],
+        pair = build_level(
+            [[det(f, basis(0), box=(0, 0, 10, 10)) for f in (1, 2)]],
+            [[det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)]],
         )
-        a = LiftedFrame(0, 1, (t1,))
-        b = LiftedFrame(1, 2, (t2,))
-        fused = fuse_lifted_frames(a, b, CFG)
-        assert (fused.span_start, fused.span_end) == (0, 2)
-        assert len(fused.tracklets) == 1
-        assert frozenset(tracklet_frames(fused.tracklets[0])) == frozenset({1, 2, 7, 8})
+        fused = fuse_all(pair, CFG)
+        assert (fused.span_start.tolist(), fused.span_end.tolist()) == ([0], [2])
+        assert len(fused.median) == 1
+        assert frozenset(tracklet_frames(fused, 0)) == frozenset({1, 2, 7, 8})
 
     def test_orthogonal_identities_stay_apart(self):
-        t1, t2 = tracklets([det(1, basis(0))], [det(7, basis(1))])
-        fused = fuse_lifted_frames(
-            LiftedFrame(0, 1, (t1,)), LiftedFrame(1, 2, (t2,)), CFG
-        )
-        assert len(fused.tracklets) == 2
+        pair = build_level([[det(1, basis(0))]], [[det(7, basis(1))]])
+        assert len(fuse_all(pair, CFG).median) == 2
 
     def test_merged_median_recomputed(self):
-        t1, t2 = tracklets([det(1, [0.0, 1.0])], [det(7, [1.0, 0.0]), det(8, [1.0, 1.0])])
-        cfg = FcgConfig(feature_dim=2, track_threshold=1.9)
-        fused = fuse_lifted_frames(
-            LiftedFrame(0, 1, (t1,)), LiftedFrame(1, 2, (t2,)), cfg
-        )
-        assert len(fused.tracklets) == 1
-        assert np.array_equal(fused.tracklets[0].median_feature, [1.0, 1.0])
+        pair = build_level([[det(1, [0.0, 1.0])]], [[det(7, [1.0, 0.0]), det(8, [1.0, 1.0])]])
+        fused = fuse_all(pair, FcgConfig(feature_dim=2, track_threshold=1.9))
+        assert len(fused.median) == 1
+        assert np.array_equal(fused.median[0], [1.0, 1.0])
 
     def test_frame_overlap_is_cannot_link(self):
         # same frame index on both sides of a non-consecutive fusion
         cfg = FcgConfig(feature_dim=8, consecutive=False, track_threshold=1.9)
-        t1, t2 = tracklets([det(3, basis(0))], [det(3, basis(0))])
-        fused = fuse_lifted_frames(
-            LiftedFrame(0, 1, (t1,)), LiftedFrame(0, 1, (t2,)), cfg
-        )
-        assert len(fused.tracklets) == 2
+        pair = build_level([[det(3, basis(0))]], [[det(3, basis(0))]])
+        assert len(fuse_all(pair, cfg).median) == 2
 
     def test_frame_overlap_mask_matches_frame_sets(self):
         rng = np.random.default_rng(35)
         for _ in range(20):
-            built = tracklets(*(
+            groups = [
                 [
                     det(int(f), basis(0))
                     for f in set(rng.integers(1, 10**9 if k % 3 else 30, size=4))
                 ]
                 for k in range(int(rng.integers(1, 12)))
-            ))
-            level = level_of([LiftedFrame(0, 1, tuple(built))])
-            mask = overlap_masks(level, np.array([0]), np.array([len(built)]))[0]
-            expected = frame_overlap_mask(built)
+            ]
+            level = build_level(groups)
+            mask = overlap_masks(level, np.array([0]), np.array([len(groups)]))[0]
+            expected = frame_overlap_mask(level)
             # The diagonal is never read: a tracklet cannot link with itself anyway.
-            off = ~np.eye(len(built), dtype=bool)
+            off = ~np.eye(len(groups), dtype=bool)
             assert np.array_equal(mask[off], expected[off])
 
     def test_frame_overlap_mask_pairs_rows_of_one_range_only(self):
         # Frame 5 is in both ranges, once each: no tracklet of either range overlaps another.
-        built = tracklets(
-            [det(5, basis(0))], [det(1, basis(0))], [det(9, basis(0))], [det(5, basis(0))]
-        )
-        level = level_of(
-            [LiftedFrame(0, 1, tuple(built[:2])), LiftedFrame(1, 2, tuple(built[2:]))]
+        level = build_level(
+            [[det(5, basis(0))], [det(1, basis(0))]], [[det(9, basis(0))], [det(5, basis(0))]]
         )
         assert not overlap_masks(level, np.array([0, 2]), np.array([2, 2])).any()
 
@@ -160,28 +141,19 @@ class TestFuseLiftedFrames:
         # Pairs of any two tracklets of a level, in either order, across its lifted frames too.
         rng = np.random.default_rng(36)
         for _ in range(20):
-            built = tracklets(*(
+            groups = [
                 [det(int(f), basis(0)) for f in set(rng.integers(1, 30, size=4))]
                 for k in range(int(rng.integers(2, 12)))
-            ))
-            half = len(built) // 2
-            level = level_of(
-                [LiftedFrame(0, 1, tuple(built[:half])), LiftedFrame(1, 2, tuple(built[half:]))]
-            )
-            n = len(built)
+            ]
+            half = len(groups) // 2
+            level = build_level(groups[:half], groups[half:])
+            n = len(groups)
             t, u = rng.integers(0, n, (2, 3 * n))
-            expected = frame_overlap_mask(built)
+            expected = frame_overlap_mask(level)
             assert _share_frame(level, t, u).tolist() == [
                 bool(expected[a, b]) and a != b for a, b in zip(t, u)
             ]
             assert not _share_frame(level, t[:0], u[:0]).any()
-
-    def test_adjacency_required_when_consecutive(self):
-        late, early = tracklets([det(7, basis(0))], [det(1, basis(0))])
-        a = LiftedFrame(1, 2, (late,))
-        b = LiftedFrame(0, 1, (early,))
-        with pytest.raises(ValueError):
-            fuse_lifted_frames(a, b, CFG)
 
 
 class TestRun:
@@ -300,8 +272,8 @@ class TestRun:
             n_windows = math.ceil(num_frames / CFG.window)
             assert len(frames) == n_windows
             levels.clear()  # stage 1 is a step of its own
-            (final,) = _reduce_consecutive(frames, CFG)
-            assert (final.span_start, final.span_end) == (0, n_windows)
+            final = _reduce_consecutive(frames, CFG)
+            assert (final.span_start.tolist(), final.span_end.tolist()) == ([0], [n_windows])
             # One `_fuse` call per level of the reduction tree.
             assert len(levels) == math.ceil(math.log2(n_windows))
 
@@ -351,17 +323,14 @@ class TestLevelMemory:
         cfg = FcgConfig(feature_dim=8, window=4)
         bounds = np.cumsum([0] + sizes).tolist()
         if stage == 1:
-            built = [_rows(f) for f in generate_tracklets(columns(dets), cfg)]
+            built = frame_rows(generate_tracklets(columns(dets), cfg))
         else:
-            singles = tracklets(*([d] for d in dets))
-            unions = [singles[bounds[k] : bounds[k + 1]] for k in range(len(sizes))]
-            # Each union is one fusion: its tracklets and an empty partner frame.
-            level = level_of([
-                LiftedFrame(2 * k + side, 2 * k + side + 1, tuple(u) if side == 0 else ())
-                for k, u in enumerate(unions) for side in (0, 1)
-            ])
+            # Each union is one fusion: its detections as tracklets of one, and an empty
+            # partner frame.
+            unions = [[[d] for d in dets[bounds[k] : bounds[k + 1]]] for k in range(len(sizes))]
+            level = build_level(*(frame for union in unions for frame in (union, [])))
             cuts = np.arange(0, 2 * len(sizes) + 1, 2)
-            built = _fuse(level, cuts, np.full(len(sizes), True), cfg)
+            built = frame_rows(_fuse(level, cuts, np.full(len(sizes), True), cfg))
         assert tensors and max(tensors) <= clustering.CHUNK_CELLS
         assert sum(tensors) < 3 * 400**2
         assert len(built) == len(sizes)
@@ -378,15 +347,13 @@ class TestLevelMemory:
                 )
                 assert got == [(lo + np.array(m)).tolist() for m in partition]
             else:
-                union = unions[k]
+                union = frames_of(level, 2 * k, 2 * k + 1)
                 partition = clustering.cluster_matrix(
-                    weighted_matrix(union, cfg),
+                    weighted_square(union, cfg),
                     frame_overlap_mask(union),
                     threshold=cfg.track_threshold,
                 )
-                assert _rows(got) == [
-                    sorted(r for i in m for r in union[i].rows.tolist()) for m in partition
-                ]
+                assert got == [sorted(lo + i for i in m) for m in partition]
 
 
     def test_global_fusion_peak_memory(self):
@@ -409,10 +376,6 @@ class TestLevelMemory:
         assert peak <= 34_093_756
 
 
-def _rows(frame):
-    return [t.rows.tolist() for t in frame.tracklets]
-
-
 class TestBatchedLevels:
     """Batched windows and levels give what one clustering per window or pair gives."""
 
@@ -424,67 +387,40 @@ class TestBatchedLevels:
 
     def test_windows_match_one_clustering_per_window(self):
         seq, _ = generate(self.SCENE)
-        frames = generate_tracklets(seq, self.CFG3)
-        assert len(frames) == 50
+        level = generate_tracklets(seq, self.CFG3)
+        assert len(level) == 50
         table = seq
-        for frame in frames:
+        for f, rows in enumerate(frame_rows(level)):
             lo, hi = np.searchsorted(
-                table.frame, [frame.span_start * 3, frame.span_end * 3], side="right"
+                table.frame, [level.span_start[f] * 3, level.span_end[f] * 3], side="right"
             )
             feats = table.feature[lo:hi].astype(np.float64)
             same = table.frame[lo:hi][:, None] == table.frame[lo:hi][None, :]
             partition = clustering.cluster_matrix(
                 cosine_matrix(feats), same, threshold=self.CFG3.tracklet_threshold
             )
-            assert _rows(frame) == [(lo + np.array(m)).tolist() for m in partition]
+            assert rows == [(lo + np.array(m)).tolist() for m in partition]
 
     @pytest.mark.parametrize("motion", [False, True])
-    def test_levels_match_pairwise_fusion(self, motion):
+    def test_levels_match_pairwise_fusion(self, monkeypatch, motion):
+        # Every level step of the reduction, frame by frame: a pair fused alone, or the odd
+        # trailing frame carried.
         cfg = FcgConfig(feature_dim=8, window=3, use_motion=motion)
         seq, _ = generate(self.SCENE)
         frames = generate_tracklets(seq, cfg)
-        expected = frames
-        while len(expected) > 1:
-            fused = [
-                fuse_lifted_frames(expected[i], expected[i + 1], cfg)
-                for i in range(0, len(expected) - 1, 2)
-            ]
-            if len(expected) % 2 == 1:
-                fused.append(expected[-1])
-            expected = fused
-        (final,) = _reduce_consecutive(frames, cfg)
-        top = expected[0]
-        assert (final.span_start, final.span_end) == (top.span_start, top.span_end)
-        assert _rows(final) == _rows(top)
+        steps = []
+        fuse = pipeline._fuse
 
+        def recording(level, cuts, clustered, cfg):
+            steps.append((level, fuse(level, cuts, clustered, cfg)))
+            return steps[-1][1]
 
-class TestMixedTables:
-    """Tracklets that index two detection tables are refused, not stacked."""
-
-    ENTRIES = {
-        "fuse_lifted_frames": lambda a, b: fuse_lifted_frames(
-            LiftedFrame(0, 1, a), LiftedFrame(1, 2, b), CFG
-        ),
-        "weighted_matrix": lambda a, b: weighted_matrix(a + b, CFG),
-        "assign_ids": lambda a, b: pipeline._assign_ids(level_of([LiftedFrame(0, 1, a + b)])),
-    }
-
-    @pytest.mark.parametrize("entry", sorted(ENTRIES))
-    def test_tracklets_of_two_sequences_raise(self, entry):
-        scene = dict(num_identities=2, num_frames=6, feature_dim=8, feature_noise_sigma=0.02)
-        seq_a, _ = generate(SynthConfig(**scene, seed=1))
-        seq_b, _ = generate(SynthConfig(**scene, seed=2))
-        (a,) = generate_tracklets(seq_a, CFG)
-        (b,) = generate_tracklets(seq_b, CFG)
-        with pytest.raises(ValueError, match="^tracklets index different detection tables$"):
-            self.ENTRIES[entry](a.tracklets, b.tracklets)
-        # The tracklets of one sequence are accepted.
-        self.ENTRIES[entry](a.tracklets[:1], a.tracklets[1:])
-
-    @pytest.mark.parametrize("entry", sorted(ENTRIES))
-    def test_tracklets_of_two_feature_widths_raise(self, entry):
-        # The tables are told apart before any median is stacked.
-        (a,) = tracklets([(1, [1.0, 0.0, 0.0])])
-        (b,) = tracklets([(2, [1.0, 0.0, 0.0, 0.0])])
-        with pytest.raises(ValueError, match="^tracklets index different detection tables$"):
-            self.ENTRIES[entry]((a,), (b,))
+        monkeypatch.setattr(pipeline, "_fuse", recording)
+        final = _reduce_consecutive(frames, cfg)
+        assert len(final) == 1 and steps[-1][1] is final and steps[0][0] is frames
+        for before, after in steps:
+            assert len(after) == (len(before) + 1) // 2
+            for g in range(len(after)):
+                alone = frames_of(before, 2 * g, min(2 * g + 2, len(before)))
+                expected = fuse_all(alone, cfg) if len(alone) == 2 else alone
+                assert same_level(frames_of(after, g, g + 1), expected)

@@ -20,7 +20,6 @@ from fcgtrack.io_mot import (  # noqa: E402
 )
 from fcgtrack.metrics import id_switches, idf1  # noqa: E402
 from fcgtrack.pipeline import generate_tracklets, run  # noqa: E402
-from fcgtrack.weighting import weighted_matrix  # noqa: E402
 from oracles import (  # noqa: E402
     Box,
     Entry,
@@ -32,6 +31,7 @@ from oracles import (  # noqa: E402
     track_entries,
     track_set,
     weighted_distance,
+    weighted_square,
 )
 
 DIM = 4
@@ -144,12 +144,13 @@ def test_weighted_distance_is_symmetric(dets, temporal, spatial, motion):
     cfg = FcgConfig(
         feature_dim=DIM, window=3, use_temporal=temporal, use_spatial=spatial, use_motion=motion
     )
-    tracklets = [t for frame in generate_tracklets(columns(dets), cfg) for t in frame.tracklets]
-    matrix = weighted_matrix(tracklets, cfg)
+    level = generate_tracklets(columns(dets), cfg)
+    matrix = weighted_square(level, cfg)
     assert np.array_equal(matrix, matrix.T)
-    for i, t1 in enumerate(tracklets[:6]):
-        for t2 in tracklets[i + 1 : 6]:
-            assert weighted_distance(t1, t2, cfg) == weighted_distance(t2, t1, cfg)
+    n = min(len(level.median), 6)
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert weighted_distance(level, i, j, cfg) == weighted_distance(level, j, i, cfg)
 
 
 @settings(max_examples=100)

@@ -6,13 +6,15 @@ from pathlib import Path
 import fcgtrack
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# Names of the per-object detection and track layers that the package no longer has.
+# Names of the per-object detection, track and tracklet layers that the package no longer has.
 GONE = ("Detection", "DetectionView", "SequenceInput", "EmptyInputError", "tracklet_new",
         "common_columns", "from_detections",
         "BBox", "TrackEntry", "TrackColumns", "DimensionMismatchError", "box_array",
         "iou_distance", "box_displacement", "extrapolate", "feature_matrix", "cosine_distance",
         "tracklet_distance", "temporal_weight", "spatial_weights", "weighted_distance",
-        "frame_set", "first_frame", "last_frame", "_entry_columns")
+        "frame_set", "first_frame", "last_frame", "_entry_columns",
+        "Tracklet", "LiftedFrame", "level_of", "fuse_lifted_frames", "weighted_matrix",
+        "median_feature")
 
 
 def python_block(text):

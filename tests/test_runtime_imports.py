@@ -1,5 +1,7 @@
-"""The command line runs on numpy alone: no subcommand imports scipy."""
+"""The package's imports: the command line runs on numpy alone (no subcommand imports scipy),
+and no module imports a name it never uses."""
 
+import ast
 import json
 import os
 import types
@@ -62,6 +64,25 @@ def test_every_exported_name_resolves():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(fcgtrack.__all__)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__` imports names to export them; every other module imports names to use them.
+    unused = []
+    for path in sorted((SRC / "fcgtrack").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 # Counts the tracks of a TrackSet, then runs `track`, in one fresh interpreter,

@@ -7,15 +7,17 @@ import pytest
 
 from fcgtrack.clustering import CANNOT_LINK
 from fcgtrack.core import FcgConfig
-from fcgtrack.weighting import _endpoints, _temporal_factor, weighted_matrix
+from fcgtrack.weighting import _endpoints, _temporal_factor
 from oracles import (
     Box,
-    tracklet_frames,
+    build_level,
     scalar_weighted_distance,
     spatial_weights,
     tracklet_distance,
-    tracklets,
+    tracklet_frames,
+    tracklet_rows,
     weighted_distance,
+    weighted_square,
 )
 
 CFG = FcgConfig()
@@ -68,13 +70,15 @@ class TestSpatialWeights:
 PairContext = namedtuple("PairContext", "last_box_k first_box_q delta_t")
 
 
-def pair_context(t1, t2, cfg):
-    """The pair's endpoint geometry in time order, from `_endpoints`; None if interleaved."""
+def pair_context(level, t, u, cfg):
+    """The endpoint geometry of tracklets t and u of a level in time order, from `_endpoints`;
+    None if interleaved."""
+    members = tracklet_rows(level)
     first, last, prev = (
-        np.array([t.rows[max(i, -len(t))] for t in (t1, t2)]) for i in (0, -1, -2)
+        np.array([members[k][max(i, -len(members[k]))] for k in (t, u)]) for i in (0, -1, -2)
     )
     gap, last_box, first_box = _endpoints(
-        t1.columns, last[:, None], prev[:, None], first[None, :], cfg
+        level.table, last[:, None], prev[:, None], first[None, :], cfg
     )
     last_box = np.broadcast_to(last_box, (2, 2, 4))
     for i, j in ((0, 1), (1, 0)):
@@ -85,51 +89,51 @@ def pair_context(t1, t2, cfg):
 
 class TestPairContext:
     def test_orders_by_time(self):
-        early, late = tracklets(
+        pair = build_level([
             rows([(1, (0, 0, 10, 10)), (2, (1, 0, 10, 10))], [1.0, 0.0]),
             rows([(5, (8, 0, 10, 10))], [1.0, 0.0]),
-        )
-        for t1, t2 in ((early, late), (late, early)):
-            ctx = pair_context(t1, t2, CFG)
+        ])
+        for t, u in ((0, 1), (1, 0)):
+            ctx = pair_context(pair, t, u, CFG)
             assert ctx.delta_t == 3
             assert ctx.last_box_k == Box(1, 0, 10, 10)
             assert ctx.first_box_q == Box(8, 0, 10, 10)
 
     def test_interleaved_pair_has_no_context(self):
-        t1, t2 = tracklets(
+        pair = build_level([
             rows([(1, (0, 0, 1, 1)), (5, (0, 0, 1, 1))], [1.0]),
             rows([(3, (0, 0, 1, 1))], [1.0]),
-        )
-        assert pair_context(t1, t2, CFG) is None
+        ])
+        assert pair_context(pair, 0, 1, CFG) is None
 
     def test_motion_extrapolates_last_box(self):
         cfg = FcgConfig(use_motion=True)
         # moving +5 px/frame in x; gap of 2 frames extrapolates 2 steps
-        early, late = tracklets(
+        pair = build_level([
             rows([(1, (0, 0, 10, 10)), (2, (5, 0, 10, 10))], [1.0]),
             rows([(4, (15, 0, 10, 10))], [1.0]),
-        )
-        ctx = pair_context(early, late, cfg)
+        ])
+        ctx = pair_context(pair, 0, 1, cfg)
         assert ctx.last_box_k == Box(15, 0, 10, 10)
 
     def test_motion_cap_at_window(self):
         cfg = FcgConfig(use_motion=True, window=6)
-        early, late = tracklets(
+        pair = build_level([
             rows([(1, (0, 0, 10, 10)), (2, (5, 0, 10, 10))], [1.0]),
             rows([(52, (0, 0, 10, 10))], [1.0]),
-        )
-        ctx = pair_context(early, late, cfg)
+        ])
+        ctx = pair_context(pair, 0, 1, cfg)
         # 50-frame gap, extrapolation capped at 6 steps
         assert ctx.last_box_k == Box(5 + 6 * 5, 0, 10, 10)
         assert ctx.delta_t == 50
 
     def test_single_detection_has_zero_velocity(self):
         cfg = FcgConfig(use_motion=True)
-        early, late = tracklets(
+        pair = build_level([
             rows([(1, (3, 4, 10, 10))], [1.0]),
             rows([(4, (3, 4, 10, 10))], [1.0]),
-        )
-        ctx = pair_context(early, late, cfg)
+        ])
+        ctx = pair_context(pair, 0, 1, cfg)
         assert ctx.last_box_k == Box(3, 4, 10, 10)
 
 
@@ -138,44 +142,44 @@ class TestWeightedDistance:
         # base distance 0.1, delta_t 41 -> 4x, far boxes -> 1 * 2
         feat_a = [1.0, 0.0]
         feat_b = [0.9, math.sqrt(1.0 - 0.81)]
-        t1, t2 = tracklets(
+        pair = build_level([
             rows([(1, (0, 0, 10, 10))], feat_a),
             rows([(42, (100, 0, 10, 10))], feat_b),
-        )
-        d = weighted_distance(t1, t2, CFG)
+        ])
+        d = weighted_distance(pair, 0, 1, CFG)
         assert d == pytest.approx(0.8, abs=1e-9)
 
     def test_all_flags_off_is_plain_distance(self):
         cfg = FcgConfig(use_temporal=False, use_spatial=False, use_motion=False)
         rng = np.random.default_rng(10)
         for _ in range(50):
-            t1, t2 = tracklets(
+            pair = build_level([
                 rows([(1, tuple(rng.uniform(0, 100, 2)) + (10, 10))], rng.normal(size=8)),
                 rows([(5, tuple(rng.uniform(0, 100, 2)) + (10, 10))], rng.normal(size=8)),
-            )
-            assert weighted_distance(t1, t2, cfg) == tracklet_distance(t1, t2)
+            ])
+            assert weighted_distance(pair, 0, 1, cfg) == tracklet_distance(pair, 0, 1)
 
     def test_zero_base_distance(self):
-        t1, t2 = tracklets(
+        pair = build_level([
             rows([(1, (0, 0, 10, 10))], [0.6, 0.8]),
             rows([(2, (2, 0, 10, 10))], [0.6, 0.8]),
-        )
-        assert weighted_distance(t1, t2, CFG) == 0.0
+        ])
+        assert weighted_distance(pair, 0, 1, CFG) == 0.0
 
     def test_overlapping_pair_is_cannot_link(self):
-        t1, t2 = tracklets(
+        pair = build_level([
             rows([(1, (0, 0, 1, 1)), (5, (0, 0, 1, 1))], [1.0]),
             rows([(3, (0, 0, 1, 1))], [1.0]),
-        )
-        assert weighted_distance(t1, t2, CFG) == CANNOT_LINK
+        ])
+        assert weighted_distance(pair, 0, 1, CFG) == CANNOT_LINK
 
     def test_perfect_overlap_gives_off_times_distance(self):
         box = (10, 10, 20, 40)
         feat_a = [1.0, 0.0]
         feat_b = [1.0, 0.5]
-        t1, t2 = tracklets(rows([(1, box)], feat_a), rows([(3, box)], feat_b))
-        base = tracklet_distance(t1, t2)
-        assert weighted_distance(t1, t2, CFG) == pytest.approx(
+        pair = build_level([rows([(1, box)], feat_a), rows([(3, box)], feat_b)])
+        base = tracklet_distance(pair, 0, 1)
+        assert weighted_distance(pair, 0, 1, CFG) == pytest.approx(
             CFG.off * base, abs=1e-9
         )
 
@@ -185,24 +189,25 @@ class TestWeightedDistance:
         angles = np.linspace(0.0, math.pi / 2, 12)
         prev = -1.0
         for ang in angles:
-            t1, t2 = tracklets(
+            pair = build_level([
                 rows([(1, box_a)], [1.0, 0.0]),
                 rows([(44, box_b)], [math.cos(ang), math.sin(ang)]),
-            )
-            d = weighted_distance(t1, t2, CFG)
+            ])
+            d = weighted_distance(pair, 0, 1, CFG)
             assert d >= prev
             prev = d
 
     def test_symmetric_in_argument_order(self):
-        t1, t2 = tracklets(
+        pair = build_level([
             rows([(1, (0, 0, 10, 10)), (2, (1, 0, 10, 10))], [1.0, 0.2]),
             rows([(9, (30, 0, 10, 10))], [1.0, 0.4]),
-        )
-        assert weighted_distance(t1, t2, CFG) == weighted_distance(t2, t1, CFG)
+        ])
+        assert weighted_distance(pair, 0, 1, CFG) == weighted_distance(pair, 1, 0, CFG)
 
 
 def random_tracklets(rng, count, dim=6):
-    """Tracklets with gaps short and long, interleaved and frame-sharing spans."""
+    """A level of one lifted frame holding tracklets with gaps short and long, interleaved and
+    frame-sharing spans."""
     groups = []
     for _ in range(count):
         start = int(rng.integers(1, 120))
@@ -215,7 +220,7 @@ def random_tracklets(rng, count, dim=6):
              (x + vx * k, y + vy * k, max(5.0 + vw * k, 1.0), 20.0))
             for k, f in enumerate(frames)
         ])
-    return tracklets(*groups)
+    return build_level(groups)
 
 
 class TestWeightedMatrix:
@@ -227,14 +232,14 @@ class TestWeightedMatrix:
         rng = np.random.default_rng(11)
         kinds = set()
         for _ in range(20):
-            tracklets = random_tracklets(rng, int(rng.integers(2, 14)))
-            got = weighted_matrix(tracklets, cfg)
+            level = random_tracklets(rng, int(rng.integers(2, 14)))
+            got = weighted_square(level, cfg)
             assert np.array_equal(got, got.T)
-            for i, j in itertools.combinations(range(len(tracklets)), 2):
-                expected = scalar_weighted_distance(tracklets[i], tracklets[j], cfg)
+            for i, j in itertools.combinations(range(len(level.median)), 2):
+                expected = scalar_weighted_distance(level, i, j, cfg)
                 if expected == CANNOT_LINK:
                     assert got[i, j] == CANNOT_LINK
-                    shared = set(tracklet_frames(tracklets[i])) & set(tracklet_frames(tracklets[j]))
+                    shared = set(tracklet_frames(level, i)) & set(tracklet_frames(level, j))
                     kinds.add("frame-sharing" if shared else "interleaved")
                 else:
                     assert abs(got[i, j] - expected) <= 1e-12
@@ -242,15 +247,16 @@ class TestWeightedMatrix:
         assert kinds == {"ordered", "interleaved", "frame-sharing"}
 
     def test_empty_and_single(self):
-        assert weighted_matrix([], CFG).shape == (0, 0)
-        (t,) = tracklets(rows([(1, (0, 0, 10, 10))], [1.0, 0.0]))
-        assert weighted_matrix([t], CFG).shape == (1, 1)
+        assert weighted_square(build_level([]), CFG).shape == (0, 0)
+        single = build_level([rows([(1, (0, 0, 10, 10))], [1.0, 0.0])])
+        # A tracklet is not ordered in time with itself.
+        assert weighted_square(single, CFG).tolist() == [[CANNOT_LINK]]
 
     def test_scalar_is_matrix_entry(self):
         rng = np.random.default_rng(12)
-        tracklets = random_tracklets(rng, 8)
-        matrix = weighted_matrix(tracklets, CFG)
+        level = random_tracklets(rng, 8)
+        matrix = weighted_square(level, CFG)
         for i, j in itertools.combinations(range(8), 2):
-            pair = weighted_matrix([tracklets[i], tracklets[j]], CFG)[0, 1]
-            assert weighted_distance(tracklets[i], tracklets[j], CFG) == pair
+            pair = weighted_distance(level, i, j, CFG)
+            assert weighted_distance(level, j, i, CFG) == pair
             assert abs(pair - matrix[i, j]) <= 1e-12
