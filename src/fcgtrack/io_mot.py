@@ -12,7 +12,6 @@ import math
 import struct
 import warnings
 from dataclasses import replace
-from typing import NoReturn
 
 import numpy as np
 
@@ -24,8 +23,6 @@ _HEADER = struct.Struct("<4sIII")
 # Rows and dimension are u32 fields of the header.
 FEATURE_HEADER_MAX = 2**32 - 1
 
-# CSV lines converted per block by `_line_fields`.
-_BLOCK_LINES = 4096
 # The bytes of files that `_plain_fields` hands to numpy's C reader: digits,
 # signs, decimal point, exponent, comma, and the whitespace of line ends.
 _PLAIN = b"0123456789+-.eE, \t\r\n"
@@ -82,16 +79,18 @@ def _data_lines(data: bytes, name: str):
 
 
 def _plain_fields(data: bytes, ints: int):
-    """`_line_fields` of the data lines of `data` in one call to numpy's C
-    reader, or None where that reader might judge a line differently.
+    """An (ints, N) int64 array of the first `ints` columns of the N data
+    lines of `data`, and a (5, N) float64 array of x, y, w, h and the seventh
+    column, in one call to numpy's C reader; or None where that reader might
+    judge a line differently from `_rows`.
 
     Taken only when every byte is in `_PLAIN`: within that alphabet the C
     reader accepts no value that Python's `int` or `float` refuses and
     converts the rest to the same bits, while it refuses whitespace-only
-    lines, a line end inside a line and a float-written integer (which older
-    numpy accepts with a DeprecationWarning). It skips empty lines, as
-    `_data_lines` does, so its rows are the data lines. Any error or warning
-    gives None; so does an empty file, on which it warns.
+    lines, a line end inside a line, a value beyond int64 and a float-written
+    integer (which older numpy accepts with a DeprecationWarning). It skips
+    empty lines, as `_data_lines` does, so its rows are the data lines. Any
+    error or warning gives None; so does an empty file, on which it warns.
     """
     if data.translate(None, _PLAIN):
         return None
@@ -113,44 +112,20 @@ def _plain_fields(data: bytes, ints: int):
     return np.stack([table[n] for n in names[:ints]]), np.stack([table[n] for n in names[ints:]])
 
 
-def _line_fields(lines: list[str], ints: int):
-    """An (ints, N) int64 array of the first `ints` columns, and a (5, N)
-    float64 array of x, y, w, h and the seventh column (confidence or flag).
-
-    None when a line has fewer than 7 fields, or a field does not convert or
-    does not fit int64. Lines are split in blocks, so only one block of field
-    strings is alive at a time. The reference for `_plain_fields`.
-    """
-    whole = np.empty((ints, len(lines)), dtype=np.int64)
-    values = np.empty((5, len(lines)), dtype=np.float64)
-    for start in range(0, len(lines), _BLOCK_LINES):
-        fields = [line.split(",", 7) for line in lines[start : start + _BLOCK_LINES]]
-        if min(map(len, fields)) < 7:
-            return None
-        columns = list(zip(*fields))
-        stop = start + len(fields)
+def _rows(data: bytes, name: str, ints: int):
+    """For each data line of `data`: its line number, its first `ints` fields
+    as ints, and x, y, w, h and the seventh field as floats. The first line
+    with fewer than 7 fields, or a field that does not convert, raises."""
+    for lineno, line in _data_lines(data, name):
+        fields = line.split(",")
+        if len(fields) < 7:
+            raise ParseError(f"{name} line {lineno}: expected at least 7 fields, got {len(fields)}")
         try:
-            for k in range(ints):
-                whole[k, start:stop] = list(map(int, columns[k]))
-            for k in range(5):
-                values[k, start:stop] = list(map(float, columns[2 + k]))
-        except (ValueError, OverflowError):
-            return None
-    return whole, values
-
-
-def _fields(data: bytes, ints: int, name: str):
-    """The number of data lines in `data`, and their `_line_fields` arrays
-    or None.
-
-    The C reader (`_plain_fields`) converts plain files; any other file, or
-    one it refuses, is split into lines and converted by `_line_fields`.
-    """
-    parsed = _plain_fields(data, ints)
-    if parsed is not None:
-        return parsed[1].shape[1], parsed
-    lines = [line for _, line in _data_lines(data, name)]
-    return len(lines), _line_fields(lines, ints)
+            whole = list(map(int, fields[:ints]))
+            values = list(map(float, fields[2:7]))
+        except ValueError as exc:
+            raise ParseError(f"{name} line {lineno}: {exc}") from exc
+        yield lineno, whole, values
 
 
 def _check_box(x: float, y: float, w: float, h: float, where: str) -> None:
@@ -161,45 +136,35 @@ def _check_box(x: float, y: float, w: float, h: float, where: str) -> None:
         raise ParseError(f"{where}: box size must be positive, got w={w}, h={h}")
 
 
-def _raise_first_error(
-    det_data: bytes, features: np.ndarray, cfg: FcgConfig, name: str
-) -> NoReturn:
-    """Check the rows one by one and raise for the first bad one."""
-    for row_idx, (lineno, line) in enumerate(_data_lines(det_data, name)):
-        fields = line.split(",")
-        if len(fields) < 7:
-            raise ParseError(
-                f"{name} line {lineno}: expected at least 7 fields, got {len(fields)}"
-            )
-        try:
-            frame = int(fields[0])
-            x, y, w, h = (float(v) for v in fields[2:6])
-            conf = float(fields[6])
-        except ValueError as exc:
-            raise ParseError(f"{name} line {lineno}: {exc}") from exc
+def _detection_rows(det_data: bytes, features: np.ndarray, cfg: FcgConfig, name: str):
+    """Check the rows one by one and raise for the first bad one; when all
+    pass, their frame, box and score columns."""
+    # Any inf or NaN component makes the squared norm non-finite.
+    squared = np.einsum("ij,ij->i", features, features, dtype=np.float64).tolist()
+    frames: list[int] = []
+    values: list[list[float]] = []
+    for row_idx, (lineno, (frame,), row) in enumerate(_rows(det_data, name, 1)):
+        x, y, w, h, conf = row
+        where = f"{name} line {lineno}"
         if frame < 1:
-            raise ParseError(f"{name} line {lineno}: frame index {frame} < 1")
+            raise ParseError(f"{where}: frame index {frame} < 1")
         if frame > MAX_INT:
-            raise ParseError(f"{name} line {lineno}: frame index {frame} > {MAX_INT}")
+            raise ParseError(f"{where}: frame index {frame} > {MAX_INT}")
         if w <= 0 or h <= 0:
-            raise ParseError(f"{name} line {lineno}: nonpositive box size {w}x{h}")
+            raise ParseError(f"{where}: nonpositive box size {w}x{h}")
+        frames.append(frame)
+        values.append(row)
         if conf < cfg.score_threshold:
             continue
-        _check_box(x, y, w, h, f"{name} line {lineno}")
+        _check_box(x, y, w, h, where)
         if not 0.0 <= conf <= 1.0:
-            raise ParseError(f"{name} line {lineno}: score must be in [0, 1], got {conf}")
-        # Any inf or NaN component makes the norm non-finite.
-        norm = float(np.linalg.norm(features[row_idx].astype(np.float64)))
-        if not math.isfinite(norm):
-            raise ParseError(
-                f"{name} line {lineno}: non-finite feature vector or norm (source row {row_idx})"
-            )
-        if not norm > 0.0:
-            raise ParseError(
-                f"{name} line {lineno}: zero-norm feature vector (source row {row_idx})"
-            )
-    # Only reached if the array checks flagged a row these checks accept.
-    raise ParseError(f"{name}: invalid detection rows")
+            raise ParseError(f"{where}: score must be in [0, 1], got {conf}")
+        if not math.isfinite(squared[row_idx]):
+            raise ParseError(f"{where}: non-finite feature vector or norm (source row {row_idx})")
+        if not squared[row_idx] > 0.0:
+            raise ParseError(f"{where}: zero-norm feature vector (source row {row_idx})")
+    columns = np.array(values, dtype=np.float64).reshape(-1, 5)
+    return np.array(frames, dtype=np.int64), columns[:, :4].copy(), columns[:, 4].copy()
 
 
 def parse_detections(
@@ -214,8 +179,9 @@ def parse_detections(
     carry exactly one feature row per CSV data line, at the configured
     dimension.
 
-    The rows are converted column by column and checked as arrays; only
-    when a check fails are they walked one by one to name the first bad line.
+    A plain file (see `_plain_fields`) is converted column by column and
+    checked as arrays; any other file, and a plain one that fails a check,
+    is walked row by row (`_detection_rows`), which names the first bad line.
     A dropped row must still be well formed, with a positive box size; its
     box finiteness, score range and feature are not checked.
     """
@@ -225,22 +191,24 @@ def parse_detections(
             f"{name}: feature dimension {features.shape[1]} does not match "
             f"configured {cfg.feature_dim}"
         )
-    count, parsed = _fields(det_data, 1, name)
+    parsed = _plain_fields(det_data, 1)
+    count = sum(1 for _ in _data_lines(det_data, name)) if parsed is None else parsed[1].shape[1]
     if count != features.shape[0]:
         raise ParseError(
             f"{name}: {count} detection rows but {features.shape[0]} feature rows"
         )
     if parsed is None:
-        _raise_first_error(det_data, features, cfg, name)
-    (frame,), (x, y, w, h, conf) = parsed
-    box = np.stack([x, y, w, h], axis=1)
+        frame, box, conf = _detection_rows(det_data, features, cfg, name)
+    else:
+        (frame,), (x, y, w, h, conf) = parsed
+        box = np.stack([x, y, w, h], axis=1)
+        squared = np.einsum("ij,ij->i", features, features, dtype=np.float64)
+        valid = np.isfinite(box).all(axis=1) & (conf >= 0.0) & (conf <= 1.0)
+        valid &= np.isfinite(squared) & (squared > 0.0)
+        # A dropped row needs only a frame >= 1 and a positive box size.
+        if np.any((frame < 1) | (w <= 0) | (h <= 0) | ~(valid | (conf < cfg.score_threshold))):
+            frame, box, conf = _detection_rows(det_data, features, cfg, name)
     kept = ~(conf < cfg.score_threshold)
-    squared = np.einsum("ij,ij->i", features, features, dtype=np.float64)
-    valid = np.isfinite(box).all(axis=1) & (conf >= 0.0) & (conf <= 1.0)
-    valid &= np.isfinite(squared) & (squared > 0.0)
-    if np.any((frame < 1) | (w <= 0) | (h <= 0) | (kept & ~valid)):
-        _raise_first_error(det_data, features, cfg, name)
-
     rows = np.flatnonzero(kept)
     rows = rows[np.argsort(frame[rows], kind="stable")]
     if len(rows) == count and np.all(rows[1:] > rows[:-1]):
@@ -299,28 +267,15 @@ def _sorted_tracks(track_id: np.ndarray, frame: np.ndarray, box: np.ndarray) -> 
 def _parse_ground_truth_rows(gt_data: bytes, name: str, results: bool = False) -> TrackSet:
     """Parse the rows one by one, raising for the first bad one.
 
-    The reference for the array checks of `parse_ground_truth`, which hands
-    over to it when conversion or a check fails. The one such input it
-    accepts is a zero-flag ground-truth row whose frame or ID does not fit
-    int64.
+    The reader of files `_plain_fields` does not take, and the reference for
+    the array checks of `parse_ground_truth`, which hands over to it when a
+    check fails.
     """
     ids: list[int] = []
     frames: list[int] = []
     boxes: list[tuple[float, float, float, float]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, line in _data_lines(gt_data, name):
-        fields = line.split(",")
-        if len(fields) < 7:
-            raise ParseError(
-                f"{name} line {lineno}: expected at least 7 fields, got {len(fields)}"
-            )
-        try:
-            frame = int(fields[0])
-            tid = int(fields[1])
-            x, y, w, h = (float(v) for v in fields[2:6])
-            flag = float(fields[6])
-        except ValueError as exc:
-            raise ParseError(f"{name} line {lineno}: {exc}") from exc
+    for lineno, (frame, tid), (x, y, w, h, flag) in _rows(gt_data, name, 2):
         if results and not 0.0 <= flag <= 1.0:
             raise ParseError(f"{name} line {lineno}: score {flag} outside [0, 1]")
         if flag == 0 and not results:
@@ -355,16 +310,17 @@ def parse_ground_truth(gt_data: bytes, name: str = "gt", *, results: bool = Fals
     Rows with a zero flag column (the seventh) are dropped once their fields
     convert, before any other check. With `results` the rows are a results
     file's, whose seventh column is a score in [0, 1], and none is dropped
-    by it. A
-    kept row needs frame >= 1, ID >= 1, both within int64, a finite box of
-    positive size and a (frame, ID) pair no earlier kept row has; the first
-    bad line in the file raises. Track IDs are kept as found in the file (not
-    renumbered); every score is 1.0.
+    by it. A kept row needs frame >= 1, ID >= 1, both within int64, a finite
+    box of positive size and a (frame, ID) pair no earlier kept row has; the
+    first bad line in the file raises. Track IDs are kept as found in the
+    file (not renumbered); every score is 1.0.
 
-    The rows are converted column by column and checked as arrays; only
-    when a check fails are they walked one by one to name the first bad line.
+    A plain file (see `_plain_fields`) is converted column by column and
+    checked as arrays; any other file, and a plain one that fails a check,
+    is walked row by row (`_parse_ground_truth_rows`), which names the first
+    bad line.
     """
-    _, parsed = _fields(gt_data, 2, name)
+    parsed = _plain_fields(gt_data, 2)
     if parsed is None:
         return _parse_ground_truth_rows(gt_data, name, results)
     (frame, tid), (x, y, w, h, flag) = parsed
@@ -400,6 +356,8 @@ def write_ground_truth(tracks: TrackSet) -> bytes:
 
 def check_ratio(ratio: int) -> int:
     """`ratio` as a subsampling ratio: an int64 of at least 1, else ValueError."""
+    if isinstance(ratio, bool) or not isinstance(ratio, (int, np.integer)):
+        raise ValueError(f"ratio must be an integer, got {ratio!r}")
     if ratio < 1:
         raise ValueError(f"ratio must be >= 1, got {ratio}")
     if ratio > MAX_INT:

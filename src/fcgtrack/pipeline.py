@@ -15,7 +15,6 @@ sequential: it starts no thread or process.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -50,9 +49,10 @@ def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> Level:
     detections start as tracklets of one and fuse under the cosine distance.
     """
     table = _sorted_columns(detections)
-    num_windows = math.ceil(int(table.frame[-1]) / cfg.window) if len(table) else 0
+    window_of = (table.frame - 1) // cfg.window
+    num_windows = int(window_of[-1]) + 1 if len(table) else 0
     windows = np.arange(num_windows)
-    bounds = np.searchsorted(table.frame, np.append(windows, num_windows) * cfg.window, "right")
+    bounds = np.searchsorted(window_of, np.arange(num_windows + 1))
     # A detection's median is its feature, which `cosine_blocks` reads in float64.
     rows = np.arange(len(table))
     singles = Level.build(table, rows, rows, table.feature, windows, windows + 1, bounds)

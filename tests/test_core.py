@@ -22,7 +22,7 @@ def det(frame, feature, score=1.0, box=(0.0, 0.0, 10.0, 10.0), row=-1):
 
 
 class TestBBox:
-    """The box rule of the per-line readers, `io_mot._check_box`."""
+    """The box rule of the row walkers, `io_mot._check_box`."""
 
     @pytest.mark.parametrize("w,h", [(0.0, 5.0), (5.0, 0.0), (-1.0, 5.0)])
     def test_rejects_nonpositive_size(self, w, h):

@@ -360,3 +360,13 @@ class TestSubsample:
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):
             subsample(self.seq([1]), 0)
+
+    @pytest.mark.parametrize("ratio", [2.5, 2.0, True, "2"])
+    def test_rejects_a_ratio_that_is_not_an_integer(self, ratio):
+        ts = track_set({1: tuple(Entry(f, Box(0, 0, 1, 1), 1.0) for f in range(1, 12))})
+        for apply, table in ((subsample, self.seq(range(1, 12))), (subsample_tracks, ts)):
+            with pytest.raises(ValueError, match="^ratio must be an integer, got "):
+                apply(table, ratio)
+
+    def test_accepts_an_int64_ratio(self):
+        assert subsample(self.seq(range(1, 12)), np.int64(5)).frame.tolist() == [1, 2, 3]

@@ -83,6 +83,21 @@ class TestGenerateTracklets:
     def test_empty_input(self):
         assert len(generate_tracklets(columns([]), CFG)) == 0
 
+    def test_window_of_a_frame_beyond_float_precision(self):
+        # Frames 2**60+1 and 2**60+2 share window 2 (frames 2**60+1..3*2**59);
+        # a float ceil(frame / window) put both past the last window.
+        dets = [det(2**60 + 1, basis(0), row=0), det(2**60 + 2, basis(0), row=1)]
+        cfg = FcgConfig(feature_dim=8, window=2**59)
+        assert frame_rows(generate_tracklets(columns(dets), cfg)) == [[], [], [[0, 1]]]
+        assert run(columns(dets), cfg).track_id.tolist() == [1, 1]
+
+    def test_window_bounds_at_the_int64_limit(self):
+        # The end of the last window, 2 * 2**62, does not fit int64.
+        dets = [det(1, basis(0), row=0), det(2**63 - 1, basis(0), row=1)]
+        cfg = FcgConfig(feature_dim=8, window=2**62)
+        assert frame_rows(generate_tracklets(columns(dets), cfg)) == [[[0]], [[1]]]
+        assert run(columns(dets), cfg).frame.tolist() == [1, 2**63 - 1]
+
 
 class TestFuseLiftedFrames:
     """A single fusion: `_fuse` of the two lifted frames of a level."""

@@ -1,11 +1,11 @@
-"""The C-reader path of the CSV parsers against the per-line reference.
+"""The C-reader path of the CSV parsers against the row-walk reference.
 
 `io_mot._plain_fields` hands a file whose bytes are all in `io_mot._PLAIN`
 to numpy's C reader; any other file, and any file that reader refuses or
-warns on, goes to `_line_fields` and the per-row walkers. Setting `_PLAIN`
-to no bytes sends every file down the per-line path, which is the
-reference: both paths must give the same columns, bit for bit, or the same
-`ParseError` text.
+warns on, is read by the row walkers (`_detection_rows`,
+`_parse_ground_truth_rows`, both on `_rows`). Setting `_PLAIN` to no bytes
+sends every file down the row walk, which is the reference: both paths
+must give the same columns, bit for bit, or the same `ParseError` text.
 """
 
 import re
@@ -21,6 +21,8 @@ from fcgtrack.io_mot import parse_detections, parse_ground_truth, write_features
 
 CFG = FcgConfig(feature_dim=3, score_threshold=0.5)
 UNIT = [1.0, 0.0, 0.0]
+# Feature rows the checks of a kept row refuse: zero norm, or not finite.
+BAD_FEATURES = [[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0], [np.nan, 1.0, 0.0]]
 GOOD = "1,-1,1,1,5,5,0.9,-1,-1,-1"
 MAX = 2**63 - 1
 
@@ -59,25 +61,31 @@ def data_lines(data):
     return sum(1 for _ in io_mot._data_lines(data, "x"))
 
 
-def outcome(parse, data):
+def random_features(rng, rows):
+    """One feature row per data line: mostly `UNIT`, some from `BAD_FEATURES`."""
+    bad = rng.random(rows) < 0.08
+    return [BAD_FEATURES[rng.integers(len(BAD_FEATURES))] if b else UNIT for b in bad]
+
+
+def outcome(parse, data, features):
     """Each parsed column as (dtype, shape, bytes), or the ParseError text."""
     try:
-        cols = parse(data)
+        cols = parse(data, features)
     except ParseError as exc:
         return str(exc)
     arrays = (getattr(cols, f.name) for f in fields(cols))
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
-def parse_det(data):
-    features = write_features(np.array([UNIT] * data_lines(data)).reshape(-1, 3))
+def parse_det(data, features):
+    features = write_features(np.array(features).reshape(-1, 3))
     return parse_detections(data, features, CFG, name="det.txt")
 
 
 PARSERS = {
     "detections": (1, parse_det),
-    "ground truth": (2, lambda data: parse_ground_truth(data, "gt.txt")),
-    "results": (2, lambda data: parse_ground_truth(data, "res.txt", results=True)),
+    "ground truth": (2, lambda data, _: parse_ground_truth(data, "gt.txt")),
+    "results": (2, lambda data, _: parse_ground_truth(data, "res.txt", results=True)),
 }
 
 
@@ -89,20 +97,21 @@ def test_c_reader_matches_the_line_reference(kind, monkeypatch):
     messages = set()
     for _ in range(1500):
         data = random_file(rng)
+        features = random_features(rng, data_lines(data))
         assert not data.translate(None, io_mot._PLAIN)
         fast = io_mot._plain_fields(data, ints)
         if fast is not None:
             plain += 1
-            lines = [line for _, line in io_mot._data_lines(data, "x")]
-            reference = io_mot._line_fields(lines, ints)
-            assert reference is not None, data
-            for got, want in zip(fast, reference):
+            rows = list(io_mot._rows(data, "x", ints))
+            whole = np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, ints)
+            values = np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, 5)
+            for got, want in zip(fast, (whole.T, values.T)):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), data
                 assert got.tobytes() == want.tobytes(), data
-        got = outcome(parse, data)
+        got = outcome(parse, data, features)
         with monkeypatch.context() as m:
             m.setattr(io_mot, "_PLAIN", b"")
-            assert outcome(parse, data) == got, data
+            assert outcome(parse, data, features) == got, (data, features)
         if isinstance(got, str):
             messages.add(got.split(": ", 1)[1].split(" ")[0])
         else:
@@ -110,6 +119,8 @@ def test_c_reader_matches_the_line_reference(kind, monkeypatch):
     # Both paths are taken, and files parse as well as fail in several ways.
     assert 400 < plain < 1100 and parsed > 250, (plain, parsed)
     assert {"invalid", "could", "expected"} <= messages
+    if kind == "detections":
+        assert {"non-finite", "zero-norm"} <= messages
 
 
 class TestPinned:
