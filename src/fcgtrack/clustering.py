@@ -6,12 +6,12 @@ size-weighted update
 
     d(K+L, M) = (|K| * d(K, M) + |L| * d(L, M)) / (|K| + |L|)
 
-Cannot-link pairs are held as +inf in the working matrix. Any average that
-involves +inf stays +inf, so a merged cluster inherits the cannot-link
-partners of both inputs and no dilution can ever co-cluster a forbidden pair.
-The run stops once the minimum reaches the sentinel `CANNOT_LINK`. An
-unconstrained pair whose distance merely equals the sentinel is a finite
-value and is diluted like any other distance.
+Cannot-link pairs are +inf distances, from `cluster_batch`'s `pairs` to the
+working matrix. Any average that involves +inf stays +inf, so a merged
+cluster inherits the cannot-link partners of both inputs and no dilution
+can ever co-cluster a forbidden pair. The run stops once the minimum
+reaches the sentinel `CANNOT_LINK`; an unconstrained pair whose distance
+merely equals it is a finite value, diluted like any other distance.
 
 Every step merges the global minimum pair among the active clusters, in the
 spirit of Muellner's generic algorithm (arXiv:1109.2378): a per-row cache
@@ -30,12 +30,12 @@ move heights by ulps, which can flip ties.
 Many independent instances (the windows of stage 1, the fusions of one level
 of stage 2) are clustered together by `cluster_batch`. It splits each
 instance into the connected components of its threshold graph, whose edges
-are the pairs outside the cannot-link mask with d <= threshold * `MARGIN`,
+are the pairs with d <= threshold * `MARGIN` (never a +inf, cannot-link one),
 and links only the components of two or more items, whose blocks alone are
 computed in full; a lower bound on the distances picks the candidate edges.
 A cut never joins two components: the height of two clusters is the mean of
 their cross pairs, which is never below the smallest of them, and every pair
-across two components is cannot-link (+inf) or above threshold * MARGIN.
+across two components is above threshold * MARGIN.
 Nor does a cut split a sub-threshold clique, a component all of whose pairs
 are edges with d <= threshold / MARGIN: a mean is never above the largest of
 its pairs, so every merge inside it is applied, whatever their order, and
@@ -121,12 +121,15 @@ class Dendrogram:
 
 def dense(dist, cannot_link=None):
     """`cluster_batch`'s `load` result for a (B, m, m) distance tensor given in full, and a
-    boolean cannot-link tensor of its shape or None: the distances bound themselves."""
+    boolean cannot-link tensor of its shape or None: the distances bound themselves, and
+    `pairs`, which takes one index array per axis, reads +inf at the cannot-link cells."""
     dist = np.asarray(dist, dtype=np.float64)
-    mask = np.zeros(dist.shape, dtype=bool) if cannot_link is None else np.asarray(cannot_link)
+    if cannot_link is None:
+        return dist, lambda *cell: dist[cell]
+    mask = np.asarray(cannot_link, dtype=bool)
     if mask.shape != dist.shape:
         raise ValueError(f"cannot-link mask shape {mask.shape} does not match {dist.shape}")
-    return dist, lambda k, i, j: (dist[k, i, j], mask[k, i, j])
+    return dist, lambda *cell: np.where(mask[cell], np.inf, dist[cell])
 
 
 def _one(dist, cannot_link):
@@ -135,8 +138,8 @@ def _one(dist, cannot_link):
     n = dist.shape[0] if dist.ndim == 2 else -1
     if dist.shape != (n, n):
         raise ValueError(f"expected a square distance matrix, got shape {dist.shape}")
-    mask = None if cannot_link is None else np.asarray(cannot_link, dtype=bool)[None]
-    return [n], lambda _: dense(dist[None], mask)
+    bound, pairs = dense(dist, cannot_link)  # checks the mask against the square
+    return [n], lambda _: (bound[None], lambda k, i, j: pairs(i, j))
 
 
 def _pairs(n: np.ndarray, m: int) -> np.ndarray:
@@ -152,26 +155,25 @@ def _checked(d: np.ndarray, skip=False) -> np.ndarray:
     return d
 
 
-def _exact(pairs: Callable, cells: np.ndarray, shape: tuple):
-    """`pairs` of these flat cells of a `load` tensor of `shape`: distances and flags, checked."""
-    dist, cannot_link = (np.asarray(x) for x in pairs(*np.unravel_index(cells, shape)))
-    if dist.shape != cells.shape or cannot_link.shape != cells.shape:
-        raise ValueError(f"expected {len(cells)} pair distances and flags")
-    return _checked(dist.astype(np.float64, copy=False)), cannot_link.astype(bool, copy=False)
+def _exact(pairs: Callable, cells: np.ndarray, shape: tuple) -> np.ndarray:
+    """`pairs` of these flat cells of a `load` tensor of `shape`: their distances, checked."""
+    dist = np.asarray(pairs(*np.unravel_index(cells, shape)), dtype=np.float64)
+    if dist.shape != cells.shape:
+        raise ValueError(f"expected {len(cells)} pair distances")
+    return _checked(dist)
 
 
-def _load(d: np.ndarray, cannot_link: np.ndarray, n: np.ndarray):
+def _load(d: np.ndarray, n: np.ndarray):
     """Turn a chunk's stacked distances into its working tensor, in place.
 
-    Reads the strict upper triangles of each instance's block d[k, :n[k],
-    :n[k]] and of the boolean `cannot_link`, and mirrors them, with +inf on
-    the diagonal, at cannot-link pairs and outside the blocks. Returns each
-    row's nearest later-created neighbour (the first of equal minima) and
-    its distance.
+    Reads the strict upper triangle of each instance's block d[k, :n[k],
+    :n[k]], +inf at its cannot-link pairs, and mirrors it, with +inf on the
+    diagonal and outside the blocks. Returns each row's nearest
+    later-created neighbour (the first of equal minima) and its distance.
     """
     # The diagonal and the columns of merged-away clusters hold +inf, so
     # averaged rows stay +inf there and never look like a closer neighbour.
-    d[~_pairs(n, d.shape[1]) | cannot_link] = np.inf
+    d[~_pairs(n, d.shape[1])] = np.inf
     near, nn = d.min(axis=2), d.argmin(axis=2)
     np.minimum(d, d.transpose(0, 2, 1), out=d)
     return near, nn
@@ -320,30 +322,20 @@ def _loaded(n: np.ndarray, group: Sequence[int], load: Callable):
     return _checked(bound, ~pair), pair, pairs
 
 
-def _linked(sizes: Sequence[int], group: Sequence[int], load: Callable, limit: float):
-    """Link the instances `group` together, each stopped at its first minimum above `limit`.
-
-    Those of two or more items are loaded by one `load` call (see
-    `cluster_batch`), all of their pairs computed. Returns per instance the
-    lists of merged creation indices a < b, heights and new sizes.
-    """
-    linked = [k for k in group if sizes[k] >= 2]
-    records = dict.fromkeys(group, ([], [], [], []))
-    if not linked:
-        return [records[k] for k in group]
-    n = np.array([sizes[k] for k in linked], dtype=np.intp)
-    bound, pair, pairs = _loaded(n, linked, load)
-    d, cannot_link = np.empty(bound.shape), np.zeros(bound.shape, dtype=bool)
-    d[pair], cannot_link[pair] = _exact(pairs, np.flatnonzero(pair), bound.shape)
-    count, *merged = _link(d, *_load(d, cannot_link, n), n, limit)
-    for i, (k, c) in enumerate(zip(linked, count.tolist())):
-        records[k] = tuple(x[i, :c].tolist() for x in merged)
-    return [records[k] for k in group]
-
-
 def _dendrograms(sizes: Sequence[int], load: Callable, limit: float) -> list[Dendrogram]:
-    records = _linked(sizes, range(len(sizes)), load, limit)
-    return [Dendrogram(n=n, merges=tuple(map(Merge, *r))) for n, r in zip(sizes, records)]
+    """Link every instance, each stopped at its first minimum above `limit`: those of two or
+    more items are loaded by one `load` call (see `cluster_batch`), all of their pairs computed."""
+    merges: list[tuple] = [()] * len(sizes)
+    linked = [k for k, size in enumerate(sizes) if size >= 2]
+    if linked:
+        n = np.array([sizes[k] for k in linked], dtype=np.intp)
+        bound, pair, pairs = _loaded(n, linked, load)
+        d = np.empty(bound.shape)
+        d[pair] = _exact(pairs, np.flatnonzero(pair), bound.shape)
+        count, *merged = _link(d, *_load(d, n), n, limit)
+        for i, (k, c) in enumerate(zip(linked, count.tolist())):
+            merges[k] = tuple(map(Merge, *(x[i, :c].tolist() for x in merged)))
+    return [Dendrogram(n=size, merges=m) for size, m in zip(sizes, merges)]
 
 
 def _partition(n: int, merged_a: Sequence[int], merged_b: Sequence[int]) -> list[list[int]]:
@@ -363,10 +355,11 @@ def linkage_matrix(
     """Run constrained average-linkage clustering over a square distance matrix.
 
     Only the strict upper triangles of `dist` and of the boolean mask
-    `cannot_link` are read. Each step merges the minimum-distance pair of
-    active clusters, ties toward the smallest creation-index pair, and the
-    run stops when that minimum reaches the sentinel. When `trace` is given,
-    one "merge <a> <b> <height> <size>" line per merge is written to it.
+    `cannot_link` are read; a +inf distance is cannot-link as a masked one
+    is. Each step merges the minimum-distance pair of active clusters, ties
+    toward the smallest creation-index pair, and the run stops when that
+    minimum reaches the sentinel. When `trace` is given, one "merge <a> <b>
+    <height> <size>" line per merge is written to it.
     """
     dendrogram = _dendrograms(*_one(dist, cannot_link), _BELOW_SENTINEL)[0]
     if trace is not None:
@@ -452,14 +445,14 @@ def _components(n: np.ndarray, start: np.ndarray, bound, pair, pairs, threshold:
     Returns the items of the sub-threshold cliques and the root of each,
     numbered within its instance, then the other components' sizes and,
     concatenated over those, their items (ascending within each) and the
-    distances and flags of their blocks' strict upper triangles, row by row.
+    distances of their blocks' strict upper triangles, row by row.
     """
     batch, m = bound.shape[:2]
     # Node k * m + i is item i of instance k, and cell (k, i, j) of the
     # tensor is flat cell (k * m + i) * m + j.
     candidate = np.flatnonzero(pair & (bound <= threshold * MARGIN))
-    d, cannot_link = _exact(pairs, candidate, bound.shape)
-    edge = (d <= threshold * MARGIN) & ~cannot_link
+    d = _exact(pairs, candidate, bound.shape)
+    edge = d <= threshold * MARGIN
     a, j = np.divmod(candidate[edge], m)
     strong = d[edge] <= threshold / MARGIN
     node = _connected(batch * m, a, a - a % m + j)
@@ -479,11 +472,11 @@ def _components(n: np.ndarray, start: np.ndarray, bound, pair, pairs, threshold:
     upper = col > row
     return (
         start[settled // m] + settled % m, node[settled] % m, c, start[at // m] + at % m,
-        *_exact(pairs, row[upper] * m + col[upper] % m, bound.shape),
+        _exact(pairs, row[upper] * m + col[upper] % m, bound.shape),
     )
 
 
-def _link_components(c: np.ndarray, items: np.ndarray, cells: np.ndarray, mask, threshold: float):
+def _link_components(c: np.ndarray, items: np.ndarray, cells: np.ndarray, threshold: float):
     """Link components as `_components` returns them, stacked within `CHUNK_CELLS`.
 
     Returns their items and the cluster root (smallest member) of each.
@@ -499,9 +492,7 @@ def _link_components(c: np.ndarray, items: np.ndarray, cells: np.ndarray, mask, 
         pair = _pairs(size, m)
         cd = np.empty(pair.shape)  # `_load` reads only the pairs
         cd[pair] = cells[_ranges(first_cell[group], tri[group])]
-        cl = np.zeros(pair.shape, dtype=bool)
-        cl[pair] = mask[_ranges(first_cell[group], tri[group])]
-        count, merged_a, merged_b, _, _ = _link(cd, *_load(cd, cl, size), size, threshold)
+        count, merged_a, merged_b, _, _ = _link(cd, *_load(cd, size), size, threshold)
         leaf = _smallest_leaves(count, merged_a, merged_b, size)
         real = np.arange(m) < size[:, None]
         at = np.zeros(real.shape, dtype=np.intp)
@@ -520,9 +511,9 @@ def cluster_batch(
     for the chunk's instances of two or more items. `bound` is a (len(group),
     m, m) tensor, m their largest size, holding top left a lower bound on each
     instance's distances (as `cluster_matrix` takes them). `pairs(k, i, j)`
-    returns the distances and boolean cannot-link flags of the cells (k[p],
-    i[p], j[p]), i < j; it is asked only for the cells whose bound is at most
-    threshold * `MARGIN` and for the blocks of linked components. The bound
+    returns the distances of the cells (k[p], i[p], j[p]), i < j, +inf where
+    a pair is cannot-link; it is asked only for the cells whose bound is at
+    most threshold * `MARGIN` and for the blocks of linked components. The bound
     and every computed distance must be nonnegative, not NaN (else
     ValueError); `dense` serves distances given in full. Each chunk is split
     into the components of its threshold graph (`_components`): a

@@ -208,14 +208,14 @@ class FcgConfig:
                 )
         if not self.kt >= 0:
             raise InvalidConfigError(f"kt must be >= 0, got {self.kt}")
-        if not self.ct >= 1:
-            raise InvalidConfigError(f"ct must be >= 1, got {self.ct}")
+        if not 1 <= self.ct < np.inf:
+            raise InvalidConfigError(f"ct must be finite and >= 1, got {self.ct}")
         if not 0 < self.off <= 1:
             raise InvalidConfigError(f"off must be in (0, 1], got {self.off}")
         if not self.kf >= 0:
             raise InvalidConfigError(f"kf must be >= 0, got {self.kf}")
-        if not self.cf >= 1:
-            raise InvalidConfigError(f"cf must be >= 1, got {self.cf}")
+        if not 1 <= self.cf < np.inf:
+            raise InvalidConfigError(f"cf must be finite and >= 1, got {self.cf}")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise InvalidConfigError("score_threshold must be in [0, 1]")
         if self.feature_dim < 1:

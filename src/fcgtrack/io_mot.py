@@ -37,6 +37,8 @@ def write_features(features: np.ndarray) -> bytes:
     for field, value in (("rows", rows), ("dimension", dim)):
         if value > FEATURE_HEADER_MAX:
             raise ValueError(f"feature {field} must be <= {FEATURE_HEADER_MAX}, got {value}")
+    if dim < 1:
+        raise ValueError(f"feature dimension must be >= 1, got {dim}")
     header = _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, rows, dim)
     return header + features.astype("<f4").tobytes()
 
@@ -218,15 +220,17 @@ def parse_detections(
     return DetectionColumns(frame[rows], box[rows], conf[rows], rows, features[rows])
 
 
+def _csv(template: str, *columns: list) -> bytes:
+    """One `template % row` line per row of the columns, each line newline-terminated."""
+    return "".join(map((template + "\n").__mod__, zip(*columns))).encode("utf-8")
+
+
 def write_detections(cols: DetectionColumns) -> bytes:
     """Serialize detections to CSV with full-precision coordinates, id column -1."""
-    lines = [
-        f"{frame},-1,{x!r},{y!r},{w!r},{h!r},{score!r},-1,-1,-1"
-        for frame, (x, y, w, h), score in zip(
-            cols.frame.tolist(), cols.box.tolist(), cols.score.tolist()
-        )
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    return _csv(
+        "%d,-1,%r,%r,%r,%r,%r,-1,-1,-1",
+        cols.frame.tolist(), *cols.box.T.tolist(), cols.score.tolist(),
+    )
 
 
 def detection_features(cols: DetectionColumns, feature_dim: int | None = None) -> np.ndarray:
@@ -248,13 +252,11 @@ def write_tracks(tracks: TrackSet) -> bytes:
     with no trailing blank line.
     """
     order = np.lexsort((tracks.track_id, tracks.frame))
-    rows = zip(
-        tracks.frame[order].tolist(),
-        tracks.track_id[order].tolist(),
-        *tracks.box[order].T.tolist(),
-        tracks.score[order].tolist(),
+    return _csv(
+        "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,-1,-1,-1",
+        tracks.frame[order].tolist(), tracks.track_id[order].tolist(),
+        *tracks.box[order].T.tolist(), tracks.score[order].tolist(),
     )
-    return "".join(map("%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,-1,-1,-1\n".__mod__, rows)).encode("utf-8")
 
 
 def _sorted_tracks(track_id: np.ndarray, frame: np.ndarray, box: np.ndarray) -> tuple:
@@ -343,15 +345,11 @@ def write_ground_truth(tracks: TrackSet) -> bytes:
     Rows are sorted by (frame, id); coordinates keep full precision.
     """
     order = np.lexsort((tracks.track_id, tracks.frame))
-    lines = [
-        f"{frame},{tid},{x!r},{y!r},{w!r},{h!r},1,1,1"
-        for frame, tid, (x, y, w, h) in zip(
-            tracks.frame[order].tolist(),
-            tracks.track_id[order].tolist(),
-            tracks.box[order].tolist(),
-        )
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    return _csv(
+        "%d,%d,%r,%r,%r,%r,1,1,1",
+        tracks.frame[order].tolist(), tracks.track_id[order].tolist(),
+        *tracks.box[order].T.tolist(),
+    )
 
 
 def check_ratio(ratio: int) -> int:

@@ -56,8 +56,8 @@ def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> Level:
     # A detection's median is its feature, which `cosine_blocks` reads in float64.
     rows = np.arange(len(table))
     singles = Level.build(table, rows, rows, table.feature, windows, windows + 1, bounds)
-    # Two detections are ordered in time unless they share a frame, which the
-    # cannot-link mask forbids anyway: with the weights off the weighted
+    # Two detections are ordered in time unless they share a frame, which
+    # makes them cannot-link (+inf) anyway: with the weights off the weighted
     # distance is the plain cosine distance.
     plain = replace(
         cfg, use_temporal=False, use_spatial=False, use_motion=False,
@@ -102,12 +102,12 @@ def _fuse(level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig)
         def pairs(k, i, j):
             t, u = lo[k] + i, lo[k] + j
             dist = weighted_pairs(level, cos[k, i, j], t, u, cfg)
-            # Only a pair not ordered in time, which holds the sentinel, can share a frame.
+            # Only a pair not ordered in time, which holds the sentinel, can share a frame:
+            # such a pair is cannot-link, +inf.
             far = np.flatnonzero(dist >= CANNOT_LINK)
-            cannot_link = np.zeros(len(dist), dtype=bool)
             if len(far):
-                cannot_link[far] = _share_frame(level, t[far], u[far])
-            return dist, cannot_link
+                dist[far[_share_frame(level, t[far], u[far])]] = np.inf
+            return dist
 
         return (cos * cfg.off if cfg.use_spatial else cos), pairs
 

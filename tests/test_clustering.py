@@ -397,6 +397,21 @@ class TestStopAtCut:
             assert cluster_matrix(square, mask, threshold=threshold) == cut(full, threshold)
             expected = brute_force_partition(n, np.minimum(square, CANNOT_LINK), cannot, threshold)
             assert cluster_matrix(square, mask, threshold=threshold) == expected
+            # A +inf distance is a cannot-link pair: no mask gives the same merges and roots.
+            inf = np.where(mask, np.inf, square)
+            assert linkage_matrix(inf) == full
+            assert cluster_matrix(inf, threshold=threshold) == expected
+            roots = cluster_batch(
+                [n], lambda _: (square[None], lambda k, i, j: inf[i, j]), threshold=threshold
+            )
+            assert instance_partitions([n], roots) == [expected]
+
+    def test_mask_shape_is_checked_against_the_square(self):
+        message = r"^cannot-link mask shape \(3, 3\) does not match \(2, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            cluster_matrix(np.zeros((2, 2)), np.zeros((3, 3), bool), threshold=0.5)
+        with pytest.raises(ValueError, match=message):
+            linkage_matrix(np.zeros((2, 2)), np.zeros((3, 3), bool))
 
 
 class TestLevelMemory:

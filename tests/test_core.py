@@ -115,7 +115,9 @@ class TestFcgConfig:
             {"tracklet_threshold": 0.0},
             {"track_threshold": -1.0},
             {"ct": 0.5},
+            {"ct": float("inf")},
             {"cf": 0.0},
+            {"cf": float("inf")},
             {"off": 0.0},
             {"off": 1.5},
             {"score_threshold": 2.0},

@@ -62,7 +62,8 @@ class TestFeatureBlob:
     @pytest.mark.parametrize(
         "shape, message",
         [((2**32, 0), "rows must be <= 4294967295, got 4294967296"),
-         ((0, 2**32), "dimension must be <= 4294967295, got 4294967296")],
+         ((0, 2**32), "dimension must be <= 4294967295, got 4294967296"),
+         ((3, 0), "dimension must be >= 1, got 0")],
     )
     def test_header_fields_beyond_u32_are_refused(self, shape, message):
         with pytest.raises(ValueError, match=f"^feature {message}$"):
