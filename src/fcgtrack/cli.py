@@ -25,7 +25,7 @@ from .io_mot import (
     write_ground_truth,
     write_tracks,
 )
-from .metrics import id_switches, idf1
+from .metrics import evaluate
 from .pipeline import run
 from .synthdata import SynthConfig, generate
 
@@ -130,8 +130,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     pred = parse_ground_truth(
         Path(args.pred).read_bytes(), name=Path(args.pred).name, results=True
     )
-    print(f"idf1,{idf1(gt, pred, args.iou_threshold):.6f}")
-    print(f"id_switches,{id_switches(gt, pred, args.iou_threshold)}")
+    score, switches = evaluate(gt, pred, args.iou_threshold)
+    print(f"idf1,{score:.6f}")
+    print(f"id_switches,{switches}")
     return 0
 
 

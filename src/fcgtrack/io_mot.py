@@ -118,7 +118,12 @@ def _rows(data: bytes, name: str, ints: int):
     """For each data line of `data`: its line number, its first `ints` fields
     as ints, and x, y, w, h and the seventh field as floats. The first line
     with fewer than 7 fields, or a field that does not convert, raises."""
-    for lineno, line in _data_lines(data, name):
+    return _line_rows(_data_lines(data, name), name, ints)
+
+
+def _line_rows(lines, name: str, ints: int):
+    """`_rows` of the (line number, line) pairs `_data_lines` gives."""
+    for lineno, line in lines:
         fields = line.split(",")
         if len(fields) < 7:
             raise ParseError(f"{name} line {lineno}: expected at least 7 fields, got {len(fields)}")
@@ -138,14 +143,15 @@ def _check_box(x: float, y: float, w: float, h: float, where: str) -> None:
         raise ParseError(f"{where}: box size must be positive, got w={w}, h={h}")
 
 
-def _detection_rows(det_data: bytes, features: np.ndarray, cfg: FcgConfig, name: str):
-    """Check the rows one by one and raise for the first bad one; when all
-    pass, their frame, box and score columns."""
+def _detection_rows(lines, features: np.ndarray, cfg: FcgConfig, name: str):
+    """Check the rows of the data lines (as `_data_lines` gives them) one by
+    one and raise for the first bad one; when all pass, their frame, box and
+    score columns."""
     # Any inf or NaN component makes the squared norm non-finite.
     squared = np.einsum("ij,ij->i", features, features, dtype=np.float64).tolist()
     frames: list[int] = []
     values: list[list[float]] = []
-    for row_idx, (lineno, (frame,), row) in enumerate(_rows(det_data, name, 1)):
+    for row_idx, (lineno, (frame,), row) in enumerate(_line_rows(lines, name, 1)):
         x, y, w, h, conf = row
         where = f"{name} line {lineno}"
         if frame < 1:
@@ -194,13 +200,17 @@ def parse_detections(
             f"configured {cfg.feature_dim}"
         )
     parsed = _plain_fields(det_data, 1)
-    count = sum(1 for _ in _data_lines(det_data, name)) if parsed is None else parsed[1].shape[1]
+    lines = _data_lines(det_data, name)
+    if parsed is None:
+        # The C reader does not take the file: split it once, to count and to walk its lines.
+        lines = list(lines)
+    count = len(lines) if parsed is None else parsed[1].shape[1]
     if count != features.shape[0]:
         raise ParseError(
             f"{name}: {count} detection rows but {features.shape[0]} feature rows"
         )
     if parsed is None:
-        frame, box, conf = _detection_rows(det_data, features, cfg, name)
+        frame, box, conf = _detection_rows(lines, features, cfg, name)
     else:
         (frame,), (x, y, w, h, conf) = parsed
         box = np.stack([x, y, w, h], axis=1)
@@ -209,7 +219,7 @@ def parse_detections(
         valid &= np.isfinite(squared) & (squared > 0.0)
         # A dropped row needs only a frame >= 1 and a positive box size.
         if np.any((frame < 1) | (w <= 0) | (h <= 0) | ~(valid | (conf < cfg.score_threshold))):
-            frame, box, conf = _detection_rows(det_data, features, cfg, name)
+            frame, box, conf = _detection_rows(lines, features, cfg, name)
     kept = ~(conf < cfg.score_threshold)
     rows = np.flatnonzero(kept)
     rows = rows[np.argsort(frame[rows], kind="stable")]

@@ -1,4 +1,5 @@
-"""Identity metrics: IDF1 and ID-switch count against ground truth."""
+"""Identity metrics against ground truth: IDF1 and the ID-switch count, both
+read from one table of same-frame box matches that `evaluate` builds once."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ def _by_frame(tracks: TrackSet):
     rank = np.zeros(len(ids), dtype=np.int64)
     np.cumsum(ids[1:] != ids[:-1], out=rank[1:])
     order = np.lexsort((ids, tracks.frame))
-    return tracks.frame[order], rank[order], tracks.box[order]
+    return tracks.frame[order], rank[order], np.take(tracks.box, order, axis=0)
 
 
 def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):
@@ -34,6 +35,8 @@ def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):
     `_by_frame`) and IoU. The IoUs are computed by array calls over blocks
     of GT entries, each paired with every prediction in its frame.
     """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     gt_frame, gt_rank, gt_box = _by_frame(gt)
     pred_frame, pred_rank, pred_box = _by_frame(pred)
     lo = np.searchsorted(pred_frame, gt_frame, side="left")
@@ -43,7 +46,8 @@ def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):
         n = count[start : start + _GT_BLOCK]
         g = np.repeat(np.arange(start, start + len(n)), n)
         p = lo[g] + np.arange(len(g)) - np.repeat(np.cumsum(n) - n, n)
-        iou = 1.0 - iou_distance_array(gt_box[g], pred_box[p])
+        # `np.take` gathers the 4-float rows several times faster than fancy indexing.
+        iou = 1.0 - iou_distance_array(np.take(gt_box, g, axis=0), np.take(pred_box, p, axis=0))
         keep = iou >= iou_threshold
         blocks.append((g[keep], p[keep], iou[keep]))
     g, p, iou = (np.concatenate(parts) for parts in zip(*blocks))
@@ -147,6 +151,14 @@ def _idtp(row: np.ndarray, col: np.ndarray) -> int:
     return total
 
 
+def _idf1(gt: TrackSet, pred: TrackSet, table) -> float:
+    """IDF1 from the `_matches` table of gt and pred; 1.0 when both are empty."""
+    _, rows, cols, _ = table
+    if not len(rows):
+        return float(gt.num_boxes + pred.num_boxes == 0)
+    return 2.0 * _idtp(rows, cols) / (gt.num_boxes + pred.num_boxes)
+
+
 def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
     """Identity F1 under the best global one-to-one GT-to-prediction ID mapping.
 
@@ -154,19 +166,7 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> float:
     IoU >= iou_threshold; the assignment maximizing the total matched frames
     defines IDTP. Returns 1.0 when both track sets are empty.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    total_gt = gt.num_boxes
-    total_pred = pred.num_boxes
-    if total_gt == 0 and total_pred == 0:
-        return 1.0
-    if total_gt == 0 or total_pred == 0:
-        return 0.0
-
-    _, rows, cols, _ = _matches(gt, pred, iou_threshold)
-    if not len(rows):
-        return 0.0
-    return 2.0 * _idtp(rows, cols) / (total_gt + total_pred)
+    return _idf1(gt, pred, _matches(gt, pred, iou_threshold))
 
 
 def _greedy(frame, gid, pid, iou) -> np.ndarray:
@@ -199,6 +199,15 @@ def _greedy(frame, gid, pid, iou) -> np.ndarray:
     return keep
 
 
+def _switches(table) -> int:
+    """The ID-switch count from a `_matches` table."""
+    keep = _greedy(*table)
+    frame, gid, pid, _ = (column[keep] for column in table)
+    order = np.lexsort((frame, gid))
+    gid, pid = gid[order], pid[order]
+    return int(np.count_nonzero((gid[1:] == gid[:-1]) & (pid[1:] != pid[:-1])))
+
+
 def id_switches(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> int:
     """Count frames where a GT identity's matched predicted ID changes.
 
@@ -207,11 +216,10 @@ def id_switches(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> int
     a switch is counted whenever a GT identity's match differs from its most
     recent previous match.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    frame, gid, pid, iou = _matches(gt, pred, iou_threshold)
-    keep = _greedy(frame, gid, pid, iou)
-    frame, gid, pid = frame[keep], gid[keep], pid[keep]
-    order = np.lexsort((frame, gid))
-    gid, pid = gid[order], pid[order]
-    return int(np.count_nonzero((gid[1:] == gid[:-1]) & (pid[1:] != pid[:-1])))
+    return _switches(_matches(gt, pred, iou_threshold))
+
+
+def evaluate(gt: TrackSet, pred: TrackSet, iou_threshold: float = 0.5) -> tuple[float, int]:
+    """`idf1` and `id_switches` of the two sets, from one match table."""
+    table = _matches(gt, pred, iou_threshold)
+    return _idf1(gt, pred, table), _switches(table)

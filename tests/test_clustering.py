@@ -370,6 +370,38 @@ class TestBatched:
             cluster_batch([3], lambda k: dense(np.zeros((2, 2))), threshold=0.5)
 
 
+class TestAgainstScipy:
+    """The paper clusters with SciPy's UPGMA; `cluster_matrix` cuts the same partitions."""
+
+    def test_partitions_match_scipy_average_linkage(self):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        rng = np.random.default_rng(81)
+        compared = skipped = 0
+        for _ in range(1000):
+            n = int(rng.integers(2, 40))
+            if rng.random() < 0.5:
+                square = rng.uniform(0, 1, (n, n))
+                square = (square + square.T) / 2
+            else:
+                # Points around a few centres: components that are sub-threshold cliques.
+                centres = rng.uniform(0, 1, (int(rng.integers(1, 6)), 2))
+                points = centres[rng.integers(0, len(centres), n)] + rng.normal(0, 0.05, (n, 2))
+                square = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+            np.fill_diagonal(square, 0.0)
+            threshold = float(rng.uniform(0.01, 1.0))
+            z = hierarchy.linkage(square[np.triu_indices(n, 1)], method="average")
+            # SciPy's nearest-neighbour chain adds in another order: its heights differ in
+            # ulps, so a height at the threshold may fall on either side of it.
+            if np.any(np.abs(z[:, 2] - threshold) <= 1e-9 * threshold):
+                skipped += 1
+                continue
+            labels = hierarchy.fcluster(z, threshold, criterion="distance")
+            expected = sorted(np.flatnonzero(labels == c).tolist() for c in np.unique(labels))
+            assert cluster_matrix(square, threshold=threshold) == expected
+            compared += 1
+        assert skipped < 0.05 * (compared + skipped)
+
+
 class TestStopAtCut:
     """`cluster_matrix` stops at the first minimum above the threshold."""
 

@@ -4,9 +4,11 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from fcgtrack.cli import main
 from fcgtrack.core import TrackSet
 from fcgtrack import metrics
-from fcgtrack.metrics import id_switches, idf1
+from fcgtrack.io_mot import write_ground_truth, write_tracks
+from fcgtrack.metrics import evaluate, id_switches, idf1
 from oracles import (
     Box,
     Entry,
@@ -217,6 +219,87 @@ class TestArrayMatching:
         expected = [(idf1(gt, pred), id_switches(gt, pred)) for gt, pred in cases]
         monkeypatch.setattr(metrics, "_GT_BLOCK", block)
         assert [(idf1(gt, pred), id_switches(gt, pred)) for gt, pred in cases] == expected
+
+
+def relabeled_tracks(rng, empty):
+    """(gt, pred): GT tracks whose boxes collide across IDs, and a prediction
+    made from them with IDs swapped and split after random frames, boxes
+    moved and dropped, and extra boxes; the sets named in `empty` hold no
+    rows."""
+    frames = int(rng.integers(1, 9))
+    rows = [
+        (tid, f, float(rng.integers(0, 4)) * 6.0, float(rng.integers(0, 2)) * 3.0)
+        for tid in range(1, int(rng.integers(1, 6)) + 1)
+        for f in range(1, frames + 1)
+        if rng.random() < 0.7
+    ]
+    a, b, swap_after, split_after = rng.integers(1, frames + 1, size=4)
+    pred = []
+    for tid, f, x, y in rows:
+        if f > swap_after and tid in (a, b):
+            tid = a + b - tid
+        if f > split_after and tid % 2:
+            tid += 100
+        if rng.random() < 0.85:
+            pred.append((tid, f, x + float(rng.integers(-3, 4)), y))
+    for k in range(int(rng.integers(0, 3))):
+        pred.append((200 + k, int(rng.integers(1, frames + 1)), 12.0, 0.0))
+
+    def tracks(rows):
+        rows = sorted(rows)
+        return TrackSet(
+            track_id=np.array([r[0] for r in rows], dtype=np.int64),
+            frame=np.array([r[1] for r in rows], dtype=np.int64),
+            box=np.array([(*r[2:], 10.0, 10.0) for r in rows], dtype=np.float64).reshape(-1, 4),
+            score=np.ones(len(rows)),
+        )
+
+    return tracks([] if "gt" in empty else rows), tracks([] if "pred" in empty else pred)
+
+
+class TestEvaluate:
+    def test_equals_the_two_metrics(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given
+        from hypothesis import strategies as st
+
+        @given(
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([(), (), (), ("gt",), ("pred",), ("gt", "pred")]),
+            st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.0, 1.0, exclude_min=True)),
+        )
+        def check(seed, empty, threshold):
+            gt, pred = relabeled_tracks(np.random.default_rng(seed), empty)
+            assert evaluate(gt, pred, threshold) == (
+                idf1(gt, pred, threshold),
+                id_switches(gt, pred, threshold),
+            )
+
+        check()
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.5, float("nan")])
+    def test_rejects_a_threshold_outside_the_unit_interval(self, threshold):
+        empty = track_set({})
+        with pytest.raises(ValueError, match="iou_threshold"):
+            evaluate(empty, empty, threshold)
+
+    def test_cli_eval_builds_one_match_table(self, tmp_path, monkeypatch, capsys):
+        gt_tracks = {1: straight_track(range(1, 11)), 2: straight_track(range(1, 11), x=50.0)}
+        swapped = {1: gt_tracks[1][:5] + gt_tracks[2][5:], 2: gt_tracks[2][:5] + gt_tracks[1][5:]}
+        gt, pred = tmp_path / "gt.txt", tmp_path / "res.txt"
+        gt.write_bytes(write_ground_truth(track_set(gt_tracks)))
+        pred.write_bytes(write_tracks(track_set(swapped)))
+        calls = []
+        matches = metrics._matches
+
+        def counted(*args):
+            calls.append(args)
+            return matches(*args)
+
+        monkeypatch.setattr(metrics, "_matches", counted)
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["idf1,0.500000", "id_switches,2"]
+        assert len(calls) == 1
 
 
 def random_weights(rng, kind, shape):
