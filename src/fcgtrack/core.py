@@ -6,6 +6,7 @@ Everything here is immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +18,11 @@ CANNOT_LINK = 1.0e6
 # Frame indices, track IDs and frame counts (window, subsampling ratio) are
 # held as int64.
 MAX_INT = np.iinfo(np.int64).max
+
+# `_medians` orders groups of at most NETWORK_MAX_SIZE rows by network when they fill a
+# (groups x D) plane of NETWORK_MIN_CELLS cells or more, the measured crossover.
+NETWORK_MAX_SIZE = 32
+NETWORK_MIN_CELLS = 2048
 
 
 class FcgError(Exception):
@@ -77,20 +83,50 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
+@lru_cache(maxsize=None)
+def _middle_network(n: int) -> tuple:
+    """Comparators (a, b), a < b, that bring sorted ranks (n-1)//2 and n//2 to those wires:
+    Batcher's odd-even merge sort, less the comparators on wires >= n (absent inputs, +inf, never
+    move) and those that cannot reach the middle wires. n = 6, 12, 24, 32 keep 12, 35, 108, 157."""
+    full = [(i, i + k) for p in (1 << e for e in range((n - 1).bit_length()))
+            for k in (p >> e for e in range(p.bit_length())) for j in range(k % p, n - k, 2 * k)
+            for i in range(j, min(j + k, n - k)) if i // (2 * p) == (i + k) // (2 * p)]
+    need, kept = {(n - 1) // 2, n // 2}, []
+    for a, b in reversed(full):
+        if a in need or b in need:
+            need |= {a, b}
+            kept.append((a, b))
+    return tuple(kept[::-1])
+
+
 def _medians(feature: np.ndarray, members: np.ndarray, offsets: np.ndarray, groups) -> np.ndarray:
     """Float64 medians of the groups of rows members[offsets[g]:offsets[g+1]] of a finite
     (N, D) feature array: the values of `np.median(x.astype(np.float64), axis=0)`, a middle
-    value or the mean of the two in float64. The groups of one size are sorted together.
+    value or the mean of the two in float64. The groups of one size form `size` (groups x D)
+    planes, ordered in the features' dtype: in place by `_middle_network`, one `np.minimum` and
+    one `np.maximum` of whole planes a comparator, where `NETWORK_MAX_SIZE` and
+    `NETWORK_MIN_CELLS` allow, else by `np.sort`. On float32 planes of D = 200, 860 groups of 6
+    take 10.7 ms to sort and 1.3 ms by network, 95 of 24 1.7 and 0.8 ms, 10 of 32 0.18 and
+    0.22 ms (about 1 us a ufunc call). The two can differ only in the sign of a zero median
+    component, which moves no cosine's bits.
     """
     start = offsets[groups]
     sizes = offsets[np.asarray(groups) + 1] - start
     out = np.empty((len(sizes), feature.shape[1]))
     for size in np.flatnonzero(np.bincount(sizes)).tolist():
         which = np.flatnonzero(sizes == size)
-        values = np.sort(feature[members[start[which] + np.arange(size)[:, None]]], axis=0)
-        middle = values[size // 2].astype(np.float64)
+        values = feature[members[start[which] + np.arange(size)[:, None]]]
+        if size <= NETWORK_MAX_SIZE and values[0].size >= NETWORK_MIN_CELLS:
+            planes, low = list(values), np.empty_like(values[0])
+            for a, b in _middle_network(size):
+                np.minimum(planes[a], planes[b], out=low)
+                np.maximum(planes[a], planes[b], out=planes[b])
+                planes[a], low = low, planes[a]
+        else:
+            planes = np.sort(values, axis=0)
+        middle = planes[size // 2].astype(np.float64)
         if size % 2 == 0:
-            middle = (values[size // 2 - 1].astype(np.float64) + middle) / 2
+            middle = (planes[size // 2 - 1].astype(np.float64) + middle) / 2
         out[which] = middle
     return out
 

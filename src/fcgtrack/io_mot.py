@@ -143,12 +143,21 @@ def _check_box(x: float, y: float, w: float, h: float, where: str) -> None:
         raise ParseError(f"{where}: box size must be positive, got w={w}, h={h}")
 
 
+def _squared_norms(features: np.ndarray) -> np.ndarray:
+    """Squared row norms of float32 features, good only for being finite and > 0: float32 sums,
+    which imply it for float64, and float64 sums where float32 gives inf, NaN or 0."""
+    squared = np.einsum("ij,ij->i", features, features).astype(np.float64)
+    redo = np.flatnonzero(~(np.isfinite(squared) & (squared > 0.0)))
+    squared[redo] = np.einsum("ij,ij->i", features[redo], features[redo], dtype=np.float64)
+    return squared
+
+
 def _detection_rows(lines, features: np.ndarray, cfg: FcgConfig, name: str):
     """Check the rows of the data lines (as `_data_lines` gives them) one by
     one and raise for the first bad one; when all pass, their frame, box and
     score columns."""
     # Any inf or NaN component makes the squared norm non-finite.
-    squared = np.einsum("ij,ij->i", features, features, dtype=np.float64).tolist()
+    squared = _squared_norms(features).tolist()
     frames: list[int] = []
     values: list[list[float]] = []
     for row_idx, (lineno, (frame,), row) in enumerate(_line_rows(lines, name, 1)):
@@ -214,7 +223,7 @@ def parse_detections(
     else:
         (frame,), (x, y, w, h, conf) = parsed
         box = np.stack([x, y, w, h], axis=1)
-        squared = np.einsum("ij,ij->i", features, features, dtype=np.float64)
+        squared = _squared_norms(features)
         valid = np.isfinite(box).all(axis=1) & (conf >= 0.0) & (conf <= 1.0)
         valid &= np.isfinite(squared) & (squared > 0.0)
         # A dropped row needs only a frame >= 1 and a positive box size.

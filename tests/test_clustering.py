@@ -373,31 +373,65 @@ class TestBatched:
 class TestAgainstScipy:
     """The paper clusters with SciPy's UPGMA; `cluster_matrix` cuts the same partitions."""
 
-    def test_partitions_match_scipy_average_linkage(self):
+    @staticmethod
+    def instance(rng):
+        """A symmetric (n, n) distance matrix of 2-39 items, zero diagonal, and a threshold."""
+        n = int(rng.integers(2, 40))
+        if rng.random() < 0.5:
+            square = rng.uniform(0, 1, (n, n))
+            square = (square + square.T) / 2
+        else:
+            # Points around a few centres: components that are sub-threshold cliques.
+            centres = rng.uniform(0, 1, (int(rng.integers(1, 6)), 2))
+            points = centres[rng.integers(0, len(centres), n)] + rng.normal(0, 0.05, (n, 2))
+            square = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+        np.fill_diagonal(square, 0.0)
+        return square, float(rng.uniform(0.01, 1.0))
+
+    @staticmethod
+    def scipy_partition(square, threshold):
+        """SciPy's average-linkage partition cut at `threshold`, or None when a merge height
+        lies within 1e-9 relative of it: SciPy's nearest-neighbour chain adds in another
+        order, so its heights differ in ulps and such a merge may fall on either side."""
         hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        z = hierarchy.linkage(square[np.triu_indices(len(square), 1)], method="average")
+        if np.any(np.abs(z[:, 2] - threshold) <= 1e-9 * threshold):
+            return None
+        labels = hierarchy.fcluster(z, threshold, criterion="distance")
+        return sorted(np.flatnonzero(labels == c).tolist() for c in np.unique(labels))
+
+    def test_partitions_match_scipy_average_linkage(self):
         rng = np.random.default_rng(81)
         compared = skipped = 0
         for _ in range(1000):
-            n = int(rng.integers(2, 40))
-            if rng.random() < 0.5:
-                square = rng.uniform(0, 1, (n, n))
-                square = (square + square.T) / 2
-            else:
-                # Points around a few centres: components that are sub-threshold cliques.
-                centres = rng.uniform(0, 1, (int(rng.integers(1, 6)), 2))
-                points = centres[rng.integers(0, len(centres), n)] + rng.normal(0, 0.05, (n, 2))
-                square = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
-            np.fill_diagonal(square, 0.0)
-            threshold = float(rng.uniform(0.01, 1.0))
-            z = hierarchy.linkage(square[np.triu_indices(n, 1)], method="average")
-            # SciPy's nearest-neighbour chain adds in another order: its heights differ in
-            # ulps, so a height at the threshold may fall on either side of it.
-            if np.any(np.abs(z[:, 2] - threshold) <= 1e-9 * threshold):
+            square, threshold = self.instance(rng)
+            expected = self.scipy_partition(square, threshold)
+            if expected is None:
                 skipped += 1
                 continue
-            labels = hierarchy.fcluster(z, threshold, criterion="distance")
-            expected = sorted(np.flatnonzero(labels == c).tolist() for c in np.unique(labels))
             assert cluster_matrix(square, threshold=threshold) == expected
+            compared += 1
+        assert skipped < 0.05 * (compared + skipped)
+
+    def test_constrained_partitions_match_scipy_with_a_finite_stand_in(self):
+        """SciPy takes no +inf, so each cannot-link pair gets the stand-in
+        threshold * n**2. Two clusters K and L that hold such a pair have a mean distance of
+        at least threshold * n**2 / (|K| |L|) > threshold, since |K| |L| < n**2. Average
+        linkage merges at nondecreasing heights, so SciPy makes every merge at or below the
+        threshold, the cut's merges, before any merge across a stand-in: the same merges as
+        `cluster_matrix`, to which such cluster pairs are +inf."""
+        rng = np.random.default_rng(82)
+        compared = skipped = 0
+        for _ in range(1000):
+            square, threshold = self.instance(rng)
+            n = len(square)
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0, 0.3), 1)
+            mask = upper | upper.T
+            expected = self.scipy_partition(np.where(mask, threshold * n**2, square), threshold)
+            if expected is None:
+                skipped += 1
+                continue
+            assert cluster_matrix(square, mask, threshold=threshold) == expected
             compared += 1
         assert skipped < 0.05 * (compared + skipped)
 

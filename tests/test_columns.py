@@ -124,6 +124,37 @@ class TestIndexTracklets:
         assert np.array_equal(median, np.median(values.astype(np.float64), axis=0))
 
 
+class TestMiddleNetwork:
+    """A comparator network selects every input's middle ranks if it does so for every 0-1
+    input (the 0-1 principle, Knuth, TAOCP vol. 3, 5.3.4): up to 20 wires that is checked
+    on all 2**n columns, above on random three-valued ones."""
+
+    def check(self, columns):
+        """`core._middle_network(n)` on (n, C) columns leaves `np.sort`'s middle wires."""
+        n = len(columns)
+        planes = list(columns)
+        for a, b in core._middle_network(n):
+            low, high = planes[a], planes[b]
+            planes[a], planes[b] = np.minimum(low, high), np.maximum(low, high)
+        ordered = np.sort(columns, axis=0)
+        assert np.array_equal(planes[(n - 1) // 2], ordered[(n - 1) // 2])
+        assert np.array_equal(planes[n // 2], ordered[n // 2])
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_every_zero_one_column(self, n):
+        column = np.arange(2**n)
+        self.check(np.stack([(column >> w & 1).astype(np.int8) for w in range(n)]))
+
+    @pytest.mark.parametrize("n", range(21, core.NETWORK_MAX_SIZE + 1))
+    def test_random_columns_above_twenty(self, n):
+        self.check(np.random.default_rng(n).integers(0, 3, (n, 200_000)).astype(np.int8))
+
+    def test_comparator_counts(self):
+        counts = [len(core._middle_network(n)) for n in (1, 2, 6, 12, 24, 32)]
+        assert counts == [0, 1, 12, 35, 108, 157]
+        assert all(a < b < n for n in range(1, 40) for a, b in core._middle_network(n))
+
+
 class TestTrackColumns:
     def tracks(self, ids, frames):
         n = len(ids)

@@ -1,14 +1,17 @@
 """Property tests of the per-level arrays: batched fusions, overlap masks, medians."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fcgtrack.clustering import BATCH_MIN, cluster_matrix  # noqa: E402
-from fcgtrack.core import FcgConfig, _medians  # noqa: E402
+from fcgtrack import core  # noqa: E402
+from fcgtrack.core import NETWORK_MAX_SIZE, NETWORK_MIN_CELLS, FcgConfig, _medians  # noqa: E402
 from fcgtrack.pipeline import _fuse  # noqa: E402
 from oracles import (  # noqa: E402
     build_level,
@@ -147,3 +150,38 @@ def test_medians_of_large_groups():
     for g, median in enumerate(got):
         values = feature[offsets[g] : offsets[g + 1]].astype(np.float64)
         assert median.tolist() == median_by_sorting(values)
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, NETWORK_MAX_SIZE + 4), st.integers(1, 48)),
+        min_size=1, max_size=6, unique_by=lambda size_count: size_count[0],
+    ),
+    st.sampled_from([4, 128]),
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**32 - 1),
+)
+@example([(6, 20), (12, 3), (NETWORK_MAX_SIZE + 1, 20)], 128, np.float32, 0)
+def test_network_medians_equal_numpy(counts, dim, dtype, seed):
+    """Sizes on both sides of `NETWORK_MAX_SIZE`, counts on both sides of `NETWORK_MIN_CELLS`:
+    the network and the sort give `np.median`'s values, ties and signed zeros included."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.permutation(np.repeat(*np.array(counts).T))
+    rows = int(sizes.sum())
+    values = np.array([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0], dtype=dtype)
+    feature = rng.choice(values, (rows, dim))
+    feature += rng.normal(0, 1, (rows, dim)).astype(dtype) * (rng.random((rows, dim)) < 0.3)
+    members = rng.permutation(rows)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    groups = rng.permutation(len(sizes))
+    with mock.patch.object(core, "_middle_network", wraps=core._middle_network) as network:
+        got = _medians(feature, members, offsets, groups)
+    networked = {size for size, count in counts
+                 if size <= NETWORK_MAX_SIZE and count * dim >= NETWORK_MIN_CELLS}
+    assert {call.args[0] for call in network.call_args_list} == networked
+    assert got.dtype == np.float64
+    for g, median in zip(groups, got):
+        rows_of_g = feature[members[offsets[g] : offsets[g + 1]]].astype(np.float64)
+        # `==` counts -0.0 and 0.0 as equal.
+        assert np.array_equal(median, np.median(rows_of_g, axis=0))

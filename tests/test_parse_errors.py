@@ -77,6 +77,16 @@ class TestEachKind:
     def test_feature_message(self, feature, message):
         raises_exactly(f"det.txt line 2: {message}", [GOOD, GOOD], [UNIT, feature])
 
+    # Squares of 1e20 overflow float32 and squares of 1e-30 underflow it to 0; in float64
+    # both norms are finite and positive, so the rows are kept.
+    @pytest.mark.parametrize("scale", [1e20, -1e20, 1e-30, -1e-30])
+    @pytest.mark.parametrize("suffix", ["", "\x0b"], ids=["plain", "row-walk"])
+    def test_feature_norm_outside_float32_range(self, scale, suffix):
+        feature = [scale, scale / 2, 0.0]
+        seq = parse([GOOD + suffix, GOOD + suffix], [UNIT, feature])
+        assert seq.row.tolist() == [0, 1]
+        assert seq.feature[1].tolist() == np.float32(feature).tolist()
+
     def test_blank_lines_count_toward_line_numbers(self):
         with pytest.raises(ParseError, match=r"^det\.txt line 4: frame index 0 < 1$"):
             parse_detections(
