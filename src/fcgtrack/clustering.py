@@ -65,8 +65,9 @@ run on its own. A component stops at its first minimum above the cut
 threshold; `cut` would discard that merge and all later ones. Once fewer than
 `BATCH_MIN` components are live, each finishes in the single-instance loop
 on views of the same state. Instances are loaded a chunk at a time
-(`chunks`), and the components of successive chunks are linked together,
-so that no padded tensor exceeds `CHUNK_CELLS` cells.
+(`_within_budget`), however few share a chunk, and the components of
+successive chunks are linked together, so that no padded tensor exceeds
+`CHUNK_CELLS` cells.
 
 `linkage_matrix` (full dendrogram of one square matrix) runs the same core.
 """
@@ -86,8 +87,8 @@ from .core import CANNOT_LINK, _connected, _ranges
 # rounding of any height (see the module docstring).
 MARGIN = 1.0 + 2.0**-19
 
-# Live instances below which the batched step stops paying. A batched step
-# over 8 instances of 20-40 items took about 0.23 ms, one merge of the
+# Live instances below which `_link`'s batched step stops paying. A batched
+# step over 8 instances of 20-40 items took about 0.23 ms, one merge of the
 # single-instance loop about 0.03 ms (2-core x86-64, numpy 2.4.6), so with
 # fewer live instances each finishes on its own.
 BATCH_MIN = 8
@@ -405,22 +406,6 @@ def _within_budget(sizes: Sequence[int]) -> list[list[int]]:
     return sorted(groups)
 
 
-def chunks(sizes: Sequence[int]) -> list[list[int]]:
-    """Split instances of the given sizes into the groups that `cluster_batch` loads.
-
-    The groups of `_within_budget`, but a group of fewer than `BATCH_MIN`
-    instances is split into groups of one: loading so few together saves
-    little, and an instance loaded alone needs no padded copy of its matrix
-    (on five windows of 180 detections that copy is 1.3 MB of peak memory).
-    Each group lists its indices in ascending order, and the groups come in
-    order of their first index.
-    """
-    split: list[list[int]] = []
-    for group in _within_budget(sizes):
-        split.extend([group] if len(group) >= BATCH_MIN else [[k] for k in group])
-    return sorted(split)
-
-
 def _smallest_leaves(count: np.ndarray, merged_a: np.ndarray, merged_b: np.ndarray, n: np.ndarray):
     """The smallest leaf of each leaf's cluster after the first count[k] merges of instance k.
 
@@ -507,15 +492,15 @@ def cluster_batch(
     """Cluster independent instances together; returns each item's cluster root, flat.
 
     Instance k has `sizes[k]` items. They are loaded a chunk at a time
-    (`chunks`, in order of first index): `load(group)` returns (bound, pairs)
-    for the chunk's instances of two or more items. `bound` is a (len(group),
-    m, m) tensor, m their largest size, holding top left a lower bound on each
-    instance's distances (as `cluster_matrix` takes them). `pairs(k, i, j)`
-    returns the distances of the cells (k[p], i[p], j[p]), i < j, +inf where
-    a pair is cannot-link; it is asked only for the cells whose bound is at
-    most threshold * `MARGIN` and for the blocks of linked components. The bound
-    and every computed distance must be nonnegative, not NaN (else
-    ValueError); `dense` serves distances given in full. Each chunk is split
+    (`_within_budget`, in order of first index): `load(group)` returns (bound,
+    pairs) for the chunk's instances of two or more items. `bound` is a
+    (len(group), m, m) tensor, m their largest size, holding top left a lower
+    bound on each instance's distances (as `cluster_matrix` takes them).
+    `pairs(k, i, j)` returns the distances of the cells (k[p], i[p], j[p]),
+    i < j, +inf where a pair is cannot-link; it is asked only for the cells
+    whose bound is at most threshold * `MARGIN` and for the blocks of linked
+    components. The bound and every computed distance must be nonnegative,
+    not NaN (else ValueError); `dense` serves distances given in full. Each chunk is split
     into the components of its threshold graph (`_components`): a
     sub-threshold clique is one cluster at once, and the other components,
     from successive chunks together, are linked (`_link_components`). The
@@ -538,7 +523,7 @@ def cluster_batch(
     # The components of successive chunks are linked together, once their
     # blocks reach CHUNK_CELLS cells and at the end.
     pool: list = []
-    for group in chunks(sizes):
+    for group in _within_budget(sizes):
         linked = [k for k in group if sizes[k] >= 2]
         if linked:
             items, roots, *part = _components(

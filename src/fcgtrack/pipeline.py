@@ -6,11 +6,11 @@ its tracklets are the first `Level`, one lifted frame per window. Stage 2
 fuses adjacent lifted frames pairwise (a balanced binary reduction), one
 level into the next, until a single lifted frame spans the sequence; its
 tracklets become the final tracks. All windows, and all fusions of one level,
-are one `clustering.cluster_batch` call. Its chunks load a cosine matrix per
-window or fusion, which (times `off` with the spatial weights on) bounds the
-weighted distances from below (see `weighting`): only the pairs the cut can
-reach, and the blocks of linked components, are weighed. The run is
-sequential: it starts no thread or process.
+are one `clustering.cluster_batch` call. Each of its chunks loads the stacked
+cosine blocks of its windows or fusions, which (times `off` with the spatial
+weights on) bound the weighted distances from below (see `weighting`): only
+the pairs the cut can reach, and the blocks of linked components, are
+weighed. The run is sequential: it starts no thread or process.
 """
 
 from __future__ import annotations
@@ -83,13 +83,16 @@ def _share_frame(level: Level, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.isin(np.minimum(t, u) * width + np.maximum(t, u), node[i] * width + node[j])
 
 
-def _fuse(level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig) -> Level:
+def _fuse(
+    level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig, medians: bool = True
+) -> Level:
     """The next level: lifted frames cuts[g]..cuts[g+1]-1 of `level` fused into frame g.
 
     Where `clustered[g]` their tracklets are clustered under the weighted
     distance, all in one `cluster_batch` call; tracklets sharing a frame
     never fuse. Each cluster becomes a tracklet, with the median of all its
-    detections. Other runs are carried over as they are.
+    detections, or, unless `medians`, no median: the level's `median` is
+    empty. Other runs are carried over as they are.
     """
     lo, hi = level.bounds[cuts[:-1]], level.bounds[cuts[1:]]
     runs = np.flatnonzero(clustered)
@@ -124,11 +127,12 @@ def _fuse(level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig)
     count = int(head.sum())
     label = cluster[level.label]
     members, offsets = _grouped(level.order, label, count)
-    median = np.empty((count, level.median.shape[1]))
-    single = np.bincount(cluster, minlength=count) == 1
-    median[single] = level.median[np.flatnonzero(head)[single]]
-    merged = np.flatnonzero(~single)
-    median[merged] = _medians(level.table.feature, members, offsets, merged)
+    median = np.empty((count if medians else 0, level.median.shape[1]))
+    if medians:
+        single = np.bincount(cluster, minlength=count) == 1
+        median[single] = level.median[np.flatnonzero(head)[single]]
+        merged = np.flatnonzero(~single)
+        median[merged] = _medians(level.table.feature, members, offsets, merged)
     return replace(
         level, label=label, members=members, offsets=offsets, median=median,
         span_start=level.span_start[cuts[:-1]], span_end=level.span_end[cuts[1:] - 1],
@@ -136,20 +140,21 @@ def _fuse(level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig)
     )
 
 
-def _reduce_consecutive(level: Level, cfg: FcgConfig) -> Level:
+def _reduce_consecutive(level: Level, cfg: FcgConfig, medians: bool = True) -> Level:
     # Each level fuses frames 2i and 2i+1; an odd trailing frame carries up
     # a level unmerged. Every fused frame equals `_fuse` of its pair alone.
+    # Every level but the last is fused again, so it needs its medians.
     while len(level) > 1:
         cuts = np.append(np.arange(0, len(level), 2), len(level))
-        level = _fuse(level, cuts, np.diff(cuts) == 2, cfg)
+        level = _fuse(level, cuts, np.diff(cuts) == 2, cfg, medians or len(cuts) > 2)
     return level
 
 
-def _fuse_global(level: Level, cfg: FcgConfig) -> Level:
+def _fuse_global(level: Level, cfg: FcgConfig, medians: bool = True) -> Level:
     # Non-consecutive ablation: one clustering over every tracklet, with the
     # spatio-temporal weights off (they presuppose ordered, adjacent spans).
     plain = replace(cfg, use_temporal=False, use_spatial=False, use_motion=False)
-    return _fuse(level, np.array([0, len(level)]), [True], plain)
+    return _fuse(level, np.array([0, len(level)]), [True], plain, medians)
 
 
 def _assign_ids(level: Level) -> TrackSet:
@@ -169,5 +174,7 @@ def run(detections: DetectionColumns, cfg: FcgConfig) -> TrackSet:
     """
     level = generate_tracklets(detections, cfg)
     if len(level) > 1:
-        level = _reduce_consecutive(level, cfg) if cfg.consecutive else _fuse_global(level, cfg)
+        # The final level's medians are not computed: `_assign_ids` reads no median.
+        fuse = _reduce_consecutive if cfg.consecutive else _fuse_global
+        level = fuse(level, cfg, medians=False)
     return _assign_ids(level)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .appearance import cosine_matrix
+from .appearance import cosine_from_gram
 from .core import CANNOT_LINK, DetectionColumns, FcgConfig
 from .geometry import box_displacement_array, extrapolate_array, iou_distance_array
 
@@ -50,17 +50,14 @@ def _endpoints(table: DetectionColumns, last, prev, first, cfg: FcgConfig):
 
 def cosine_blocks(level, lo, n) -> np.ndarray:
     """Stacked median cosine distances of the tracklets lo[k]..lo[k]+n[k]-1 of a level: block
-    k is one `cosine_matrix` at [k, :n[k], :n[k]], the padding 0. A lone block is not copied."""
-    blocks = (
-        cosine_matrix(np.asarray(level.median[a : a + k], dtype=np.float64))
-        for a, k in zip(lo.tolist(), n.tolist())
-    )
-    if len(n) == 1:
-        return next(blocks)[None]
-    dist = np.zeros((len(n), max(n), max(n)))
-    for k, block in enumerate(blocks):
-        dist[k, : len(block), : len(block)] = block
-    return dist
+    k, at [k, :n[k], :n[k]], equals `cosine_matrix` of those tracklets alone, as each is its
+    own Gram product, normalized with the others in one pass. The padding is nonnegative."""
+    m = int(n.max())
+    dist = np.zeros((len(n), m, m))
+    for k, (a, size) in enumerate(zip(lo.tolist(), n.tolist())):
+        features = np.asarray(level.median[a : a + size], dtype=np.float64)
+        np.matmul(features, features.T, out=dist[k, :size, :size])
+    return cosine_from_gram(dist, n)
 
 
 def weighted_pairs(level, cos: np.ndarray, t: np.ndarray, u: np.ndarray, cfg: FcgConfig):

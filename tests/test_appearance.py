@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fcgtrack.appearance import cosine_matrix
 from fcgtrack.core import DegenerateFeatureError
+from fcgtrack.weighting import cosine_blocks
 from oracles import build_level, cosine_distance, scalar_cosine, tracklet_distance
 
 
@@ -134,3 +136,58 @@ class TestCosineMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 1.2 * n * n * 8
+
+
+class TestCosineBlocks:
+    """`cosine_blocks` stacks one `cosine_matrix` per block, normalized together."""
+
+    @staticmethod
+    def blocks(sizes, dim, dtype, seed, spoil=None):
+        """`cosine_blocks` of tracklet runs of the given sizes, apart by a few tracklets,
+        over random medians of one dtype; `spoil` (value, draw) overwrites one real row."""
+        rng = np.random.default_rng(seed)
+        n = np.array(sizes)
+        lo = np.cumsum(n + 3) - n
+        median = rng.normal(size=(int(lo[-1] + n[-1] + 3), dim)).astype(dtype)
+        median[lo[0] + 1] = median[lo[0]]  # a pair at distance 0
+        if spoil is not None:
+            value, draw = spoil
+            k = draw.integers(len(n))
+            median[lo[k] + draw.integers(n[k])] = value
+        return cosine_blocks(SimpleNamespace(median=median), lo, n), median, lo, n
+
+    def test_blocks_equal_cosine_matrix_bit_for_bit(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given
+        from hypothesis import strategies as st
+
+        # Sizes up to 300 take slabs of whole blocks (m <= 256) and slabs of rows inside
+        # one block; a lone block is the one-block case of the same normalization.
+        @given(
+            st.lists(st.integers(2, 300), min_size=1, max_size=6),
+            st.integers(1, 64),
+            st.sampled_from([np.float32, np.float64]),
+            st.integers(0, 2**32 - 1),
+        )
+        @example([300], 8, np.float64, 0)
+        @example([2] * 200 + [3], 4, np.float32, 1)
+        @example([257, 2, 300, 40], 16, np.float64, 2)
+        def check(sizes, dim, dtype, seed):
+            got, median, lo, n = self.blocks(sizes, dim, dtype, seed)
+            m = max(sizes)
+            assert got.shape == (len(sizes), m, m)
+            for k, (a, size) in enumerate(zip(lo.tolist(), sizes)):
+                alone = cosine_matrix(median[a : a + size].astype(np.float64))
+                assert np.array_equal(got[k, :size, :size], alone)
+            assert (got >= 0.0).all()  # the padding too
+
+        check()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("value", [0.0, 1e200])
+    def test_a_degenerate_row_in_any_block_raises(self, value):
+        for seed in range(20):
+            draw = np.random.default_rng(seed)
+            sizes = draw.integers(2, 300, int(draw.integers(1, 6))).tolist()
+            with pytest.raises(DegenerateFeatureError):
+                self.blocks(sizes, 8, np.float64, seed, spoil=(value, draw))

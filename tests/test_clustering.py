@@ -516,23 +516,41 @@ class TestLevelMemory:
         partitions = instance_partitions(sizes, cluster_batch(sizes, load, threshold=0.1))
         assert tensors and max(tensors) <= clustering.CHUNK_CELLS
         assert sum(tensors) < 3 * 400**2
-        assert calls == [k for g in clustering.chunks(sizes) for k in g if sizes[k] >= 2]
+        assert calls == [k for g in clustering._within_budget(sizes) for k in g if sizes[k] >= 2]
         assert len(partitions) == len(sizes)
         for k, partition in enumerate(partitions):
             assert partition == cluster_matrix(*matrix(k), threshold=0.1)
 
     def test_chunks_of_sizes(self):
         sizes = [5] * 20 + [400] + [180] * 5 + [0, 1]
-        groups = clustering.chunks(sizes)
+        groups = clustering._within_budget(sizes)
         assert sorted(k for g in groups for k in g) == list(range(len(sizes)))
         for group in groups:
             largest = max(sizes[k] for k in group)
             assert len(group) * largest**2 <= clustering.CHUNK_CELLS
-            assert len(group) == 1 or len(group) >= clustering.BATCH_MIN
-        # The tiny instances share one chunk; the five of 180 each run alone.
-        assert sorted(len(g) for g in groups) == [1] * 6 + [22]
+        # The tiny instances share one chunk and the five of 180 another, although fewer
+        # than BATCH_MIN; the one of 400 fills a chunk alone.
+        assert sorted(len(g) for g in groups) == [1, 5, 22]
         # Chunks are listed in ascending index order.
         assert groups == sorted(sorted(g) for g in groups)
+
+    def test_few_instances_are_one_load(self):
+        sizes = [3, 0, 5, 1, 4]
+        assert sum(n >= 2 for n in sizes) < BATCH_MIN
+        rng = np.random.default_rng(62)
+        squares = [np.round(rng.uniform(0, 0.2, (n, n)), 2) for n in sizes]
+        squares = [s + s.T for s in squares]
+        calls = []
+        load = stacked(lambda k: (squares[k], None))
+
+        def counting(group):
+            calls.append(list(group))
+            return load(group)
+
+        partitions = instance_partitions(sizes, cluster_batch(sizes, counting, threshold=0.1))
+        assert calls == [[0, 2, 4]]
+        for k, partition in enumerate(partitions):
+            assert partition == cluster_matrix(squares[k], threshold=0.1)
 
 
 class TestComponentSplit:

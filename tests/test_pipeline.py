@@ -276,9 +276,9 @@ class TestRun:
         levels = []
         fuse = pipeline._fuse
 
-        def counting_fuse(level, cuts, clustered, cfg):
+        def counting_fuse(level, cuts, clustered, cfg, *medians):
             levels.append(len(cuts) - 1)
-            return fuse(level, cuts, clustered, cfg)
+            return fuse(level, cuts, clustered, cfg, *medians)
 
         monkeypatch.setattr(pipeline, "_fuse", counting_fuse)
         for num_frames in (6, 12, 30, 36, 59):
@@ -291,6 +291,30 @@ class TestRun:
             assert (final.span_start.tolist(), final.span_end.tolist()) == ([0], [n_windows])
             # One `_fuse` call per level of the reduction tree.
             assert len(levels) == math.ceil(math.log2(n_windows))
+
+    @pytest.mark.parametrize(
+        "num_frames,consecutive,levels", [(6, True, 1), (30, False, 1), (30, True, 3)]
+    )
+    def test_final_level_gets_no_medians(self, monkeypatch, num_frames, consecutive, levels):
+        # `_medians` runs once per level that is fused again, and once for the level that
+        # `generate_tracklets` returns: 5 windows fuse in 3 consecutive levels or 1 global one.
+        seq, _ = generate(SynthConfig(
+            num_identities=3, num_frames=num_frames, feature_dim=8, seed=4
+        ))
+        cfg = FcgConfig(feature_dim=8, consecutive=consecutive)
+        first = generate_tracklets(seq, cfg)
+        fuse = _reduce_consecutive if consecutive else pipeline._fuse_global
+        whole = write_tracks(pipeline._assign_ids(fuse(first, cfg) if len(first) > 1 else first))
+        calls = []
+        medians = pipeline._medians
+
+        def counting(*args):
+            calls.append(args)
+            return medians(*args)
+
+        monkeypatch.setattr(pipeline, "_medians", counting)
+        assert write_tracks(run(seq, cfg)) == whole
+        assert len(calls) == levels
 
 
 class TestLevelMemory:
@@ -426,8 +450,8 @@ class TestBatchedLevels:
         steps = []
         fuse = pipeline._fuse
 
-        def recording(level, cuts, clustered, cfg):
-            steps.append((level, fuse(level, cuts, clustered, cfg)))
+        def recording(level, cuts, clustered, cfg, *medians):
+            steps.append((level, fuse(level, cuts, clustered, cfg, *medians)))
             return steps[-1][1]
 
         monkeypatch.setattr(pipeline, "_fuse", recording)
