@@ -177,7 +177,8 @@ class Level:
     order[i] is in tracklet label[i]. Tracklet t's rows, in frame order, are
     members[offsets[t]:offsets[t+1]], its median feature median[t]. Lifted
     frame f spans windows [span_start[f], span_end[f]] with tracklets
-    bounds[f]..bounds[f+1]-1.
+    bounds[f]..bounds[f+1]-1. Only the final level of stage 2, which is not
+    fused again, has an empty `median` (no rows).
     """
 
     table: DetectionColumns

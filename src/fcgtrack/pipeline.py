@@ -79,7 +79,7 @@ def _share_frame(level: Level, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     rank = np.arange(len(node))
     first = head[np.searchsorted(head, rank, side="right") - 1]
     i, j = _ranges(first, rank - first), np.repeat(rank, rank - first)
-    width = len(level.median)
+    width = len(level.offsets) - 1
     return np.isin(np.minimum(t, u) * width + np.maximum(t, u), node[i] * width + node[j])
 
 
@@ -117,7 +117,7 @@ def _fuse(
     # Each tracklet's cluster root, its smallest member; tracklets outside
     # the clustered runs are their own. The roots, ascending, order the next
     # level's tracklets: by frame, then by smallest member.
-    root = np.arange(len(level.median))
+    root = np.arange(len(level.offsets) - 1)
     root[_ranges(run_lo, run_n)] = (
         cluster_batch(run_n.tolist(), load, threshold=cfg.track_threshold)
         + np.repeat(run_lo, run_n)
@@ -140,21 +140,22 @@ def _fuse(
     )
 
 
-def _reduce_consecutive(level: Level, cfg: FcgConfig, medians: bool = True) -> Level:
+def _reduce_consecutive(level: Level, cfg: FcgConfig) -> Level:
     # Each level fuses frames 2i and 2i+1; an odd trailing frame carries up
     # a level unmerged. Every fused frame equals `_fuse` of its pair alone.
-    # Every level but the last is fused again, so it needs its medians.
+    # Only a level that is fused again gets medians: `_assign_ids` reads none.
     while len(level) > 1:
         cuts = np.append(np.arange(0, len(level), 2), len(level))
-        level = _fuse(level, cuts, np.diff(cuts) == 2, cfg, medians or len(cuts) > 2)
+        level = _fuse(level, cuts, np.diff(cuts) == 2, cfg, len(cuts) > 2)
     return level
 
 
-def _fuse_global(level: Level, cfg: FcgConfig, medians: bool = True) -> Level:
+def _fuse_global(level: Level, cfg: FcgConfig) -> Level:
     # Non-consecutive ablation: one clustering over every tracklet, with the
     # spatio-temporal weights off (they presuppose ordered, adjacent spans).
+    # Its level is final, so it gets no medians.
     plain = replace(cfg, use_temporal=False, use_spatial=False, use_motion=False)
-    return _fuse(level, np.array([0, len(level)]), [True], plain, medians)
+    return _fuse(level, np.array([0, len(level)]), [True], plain, False)
 
 
 def _assign_ids(level: Level) -> TrackSet:
@@ -174,7 +175,5 @@ def run(detections: DetectionColumns, cfg: FcgConfig) -> TrackSet:
     """
     level = generate_tracklets(detections, cfg)
     if len(level) > 1:
-        # The final level's medians are not computed: `_assign_ids` reads no median.
-        fuse = _reduce_consecutive if cfg.consecutive else _fuse_global
-        level = fuse(level, cfg, medians=False)
+        level = _reduce_consecutive(level, cfg) if cfg.consecutive else _fuse_global(level, cfg)
     return _assign_ids(level)

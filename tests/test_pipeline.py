@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,9 +303,11 @@ class TestRun:
             num_identities=3, num_frames=num_frames, feature_dim=8, seed=4
         ))
         cfg = FcgConfig(feature_dim=8, consecutive=consecutive)
-        first = generate_tracklets(seq, cfg)
-        fuse = _reduce_consecutive if consecutive else pipeline._fuse_global
-        whole = write_tracks(pipeline._assign_ids(fuse(first, cfg) if len(first) > 1 else first))
+        fuse = pipeline._fuse
+        # The tracks of a run whose every level, the final one too, gets its medians.
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_fuse", lambda *args: fuse(*args[:4], True))
+            whole = write_tracks(run(seq, cfg))
         calls = []
         medians = pipeline._medians
 
@@ -457,7 +460,10 @@ class TestBatchedLevels:
         monkeypatch.setattr(pipeline, "_fuse", recording)
         final = _reduce_consecutive(frames, cfg)
         assert len(final) == 1 and steps[-1][1] is final and steps[0][0] is frames
-        for before, after in steps:
+        # The last step fuses the last two frames, and computes no median.
+        pair = fuse_all(steps[-1][0], cfg)
+        assert same_level(final, replace(pair, median=pair.median[:0]))
+        for before, after in steps[:-1]:
             assert len(after) == (len(before) + 1) // 2
             for g in range(len(after)):
                 alone = frames_of(before, 2 * g, min(2 * g + 2, len(before)))
