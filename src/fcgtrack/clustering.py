@@ -59,13 +59,12 @@ computed from its own entries only. Each partition is therefore exactly that
 of `cut` on the instance's full dendrogram.
 
 The components are gathered, padded with +inf, into (B, m, m) tensors, and
-each step of `_link` advances every live component at once with the same
-elementwise arithmetic, so each component's merges are exactly those of a
-run on its own. A component stops at its first minimum above the cut
-threshold; `cut` would discard that merge and all later ones. Once fewer than
-`BATCH_MIN` components are live, each finishes in the single-instance loop
-on views of the same state. Instances are loaded a chunk at a time
-(`_within_budget`), however few share a chunk, and the components of
+each step of `_link`, the one linkage loop, advances every live component at
+once with the same elementwise arithmetic, so each component's merges are
+exactly those of a run on its own. A component stops at its first minimum
+above the cut threshold; `cut` would discard that merge and all later ones.
+The loop runs until no component is live. Instances are loaded a chunk at a
+time (`_within_budget`), however few share a chunk, and the components of
 successive chunks are linked together, so that no padded tensor exceeds
 `CHUNK_CELLS` cells.
 
@@ -86,12 +85,6 @@ from .core import CANNOT_LINK, _connected, _ranges
 # cliques' strong edges, d <= threshold / MARGIN: more than the relative
 # rounding of any height (see the module docstring).
 MARGIN = 1.0 + 2.0**-19
-
-# Live instances below which `_link`'s batched step stops paying. A batched
-# step over 8 instances of 20-40 items took about 0.23 ms, one merge of the
-# single-instance loop about 0.03 ms (2-core x86-64, numpy 2.4.6), so with
-# fewer live instances each finishes on its own.
-BATCH_MIN = 8
 
 # Cells (float64) of one chunk's padded (B, m, m) tensor: 2 MiB. A single
 # instance or component larger than this is a chunk of its own.
@@ -185,8 +178,11 @@ def _link(d, near, nn, n, limit: float):
 
     Instance k owns d[k, :n[k], :n[k]] as `_load` wrote it, the rest of its
     slice is +inf, and its `near`/`nn` rows are the row cache; all three are
-    overwritten. Returns the merge count per instance and (B, m-1) arrays of
-    the merged creation indices a < b, the heights and the new sizes.
+    overwritten. This is the one linkage loop: each step advances every live
+    instance by one merge or one row rescan, a single instance alone as well
+    as many, until none is live. Returns the merge count per instance and
+    (B, m-1) arrays of the merged creation indices a < b, the heights and the
+    new sizes.
     """
     batch, m = near.shape
     slots = np.arange(m)
@@ -204,13 +200,13 @@ def _link(d, near, nn, n, limit: float):
     above = 2 * m  # larger than every creation index
 
     live = np.flatnonzero(n >= 2)
-    while len(live) >= BATCH_MIN:
+    while len(live):
         rows = near[live]
         low = rows.min(axis=1)
         going = low <= limit
         if not going.all():
             live, rows, low = live[going], rows[going], low[going]
-            if len(live) < BATCH_MIN:
+            if not len(live):
                 break
         ids = cid[live]
         # Per instance, the tied row of the smallest creation index.
@@ -226,6 +222,8 @@ def _link(d, near, nn, n, limit: float):
             best = cand.min(axis=1)
             near[k, ks] = best
             nn[k, ks] = np.where(cand == best[:, None], cid[k], above).min(axis=1)
+            if stale.all():
+                continue  # no instance merges in this step
             fresh = ~stale
             at, i, j, a, low = live[fresh], i[fresh], j[fresh], a[fresh], low[fresh]
 
@@ -261,55 +259,7 @@ def _link(d, near, nn, n, limit: float):
         near[at] = np.where(closer, row, rows)
         nn[at] = np.where(closer, new[:, None], nn[at])
 
-    for k in live.tolist():
-        nk = int(n[k])
-        count[k] = _finish(
-            d[k, :nk, :nk], near[k, :nk], nn[k, :nk], cid[k, :nk],
-            slot_of[k, : 2 * nk - 1], size[k, :nk], nk, int(count[k]),
-            (merged_a[k], merged_b[k], height[k], merged_size[k]), limit,
-        )
     return count, merged_a, merged_b, height, merged_size
-
-
-def _finish(d, near, nn, cid, slot_of, size, n, count, record, limit) -> int:
-    """The single-instance form of `_link`'s step, on one instance's views."""
-    merged_a, merged_b, height, merged_size = record
-    while True:
-        i = int(near.argmin())
-        low = near[i]
-        if not low <= limit:
-            return count
-        ties = np.flatnonzero(near == low)
-        if len(ties) > 1:
-            i = int(ties[cid[ties].argmin()])
-        j = int(slot_of[nn[i]])
-        if j < 0:
-            cand = np.where(cid > cid[i], d[i], np.inf)
-            near[i] = best = cand.min()
-            ties = np.flatnonzero(cand == best)
-            nn[i] = cid[ties[cid[ties].argmin()]]
-            continue
-
-        a, b = int(cid[i]), int(cid[j])
-        size_a, size_b = int(size[i]), int(size[j])
-        size_new = size_a + size_b
-        new = n + count
-        merged_a[count], merged_b[count] = a, b
-        height[count], merged_size[count] = low, size_new
-        count += 1
-
-        row = (size_a * d[i] + size_b * d[j]) / size_new
-        d[i] = row
-        d[:, i] = row
-        d[:, j] = np.inf
-        cid[i], cid[j] = new, -1
-        slot_of[a] = slot_of[b] = -1
-        slot_of[new] = i
-        size[i] = size_new
-        near[i] = near[j] = np.inf
-        closer = row < near
-        nn[closer] = new
-        near[closer] = row[closer]
 
 
 def _loaded(n: np.ndarray, group: Sequence[int], load: Callable):
@@ -469,8 +419,8 @@ def _link_components(c: np.ndarray, items: np.ndarray, cells: np.ndarray, thresh
     tri = c * (c - 1) // 2
     first, first_cell = np.cumsum(c) - c, np.cumsum(tri) - tri
     found = [(items[:0], items[:0])]
-    # Components share a tensor even when fewer than BATCH_MIN: `_link` then
-    # finishes each on views of it, after one gather for all of them.
+    # Components share a tensor however few they are: one gather for all of
+    # them, and `_link` steps them together until the last one stops.
     for group in _within_budget(c.tolist()):
         size = c[group]
         m = int(size.max())

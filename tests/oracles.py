@@ -228,6 +228,47 @@ def instance_partitions(sizes, root):
     return parts
 
 
+def scipy_cluster_batch(sizes, load, *, threshold):
+    """`clustering.cluster_batch` by SciPy's average linkage (UPGMA), the paper's clustering.
+
+    Each instance of two or more items is loaded alone, `load([k])`, and all
+    of its pairs are asked of `pairs`. SciPy's `linkage(method="average")`
+    clusters their condensed distances and `fcluster(criterion="distance")`
+    cuts at `threshold`; each item's root is the smallest member of its
+    cluster, numbered within its instance, flat over the instances.
+
+    SciPy takes no +inf, so a cannot-link pair of an instance of n items gets
+    the finite stand-in threshold * n**2. Two clusters K and L that hold such
+    a pair have a mean distance of at least threshold * n**2 / (|K| |L|) >
+    threshold, since |K| |L| < n**2. Average linkage merges at nondecreasing
+    heights, so SciPy makes every merge at or below the threshold, the cut's
+    merges, before any merge across a stand-in: the merges of
+    `cluster_batch`, to which such cluster pairs are +inf, and the same
+    partition. SciPy's nearest-neighbour chain adds in another order, so its
+    heights differ in ulps; a merge height within 1e-9 relative of the
+    threshold might fall on either side, and fails the oracle (AssertionError)
+    instead of giving a partition that may differ.
+    """
+    from scipy.cluster.hierarchy import fcluster, linkage
+
+    roots = [np.zeros(0, dtype=np.intp)]
+    for k, n in enumerate(sizes):
+        if n < 2:
+            roots.append(np.arange(n))
+            continue
+        _, pairs = load([k])
+        i, j = np.triu_indices(n, 1)
+        dist = np.asarray(pairs(np.zeros_like(i), i, j), dtype=np.float64)
+        z = linkage(np.where(dist == np.inf, threshold * n**2, dist), method="average")
+        near = np.abs(z[:, 2] - threshold) <= 1e-9 * threshold
+        assert not near.any(), f"a SciPy height {z[near, 2][0]!r} lies at threshold {threshold!r}"
+        _, first, label = np.unique(
+            fcluster(z, threshold, criterion="distance"), return_index=True, return_inverse=True
+        )
+        roots.append(first[label])
+    return np.concatenate(roots)
+
+
 def brute_force_partition(n, square, cannot_pairs, threshold, sentinel=SENTINEL):
     """Constrained average-linkage clustering by direct recomputation.
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from fcgtrack import clustering, pipeline  # noqa: E402
 from fcgtrack.appearance import cosine_matrix  # noqa: E402
-from fcgtrack.clustering import BATCH_MIN, dense  # noqa: E402
+from fcgtrack.clustering import dense  # noqa: E402
 from fcgtrack.core import FcgConfig  # noqa: E402
 from fcgtrack.pipeline import _fuse  # noqa: E402
 from oracles import build_level, overlap_masks, weighted_blocks, weighted_square  # noqa: E402
@@ -62,7 +62,8 @@ def test_candidate_pairs_equal_the_dense_oracle():
 
 
 @settings(max_examples=150)
-@given(lifted_frames(2, 2 * BATCH_MIN + 2), CONFIGS, st.booleans())
+# 2-18 lifted frames: from one fusion alone to 9 linked in one tensor.
+@given(lifted_frames(2, 18), CONFIGS, st.booleans())
 def _check_candidate_pairs_equal_the_dense_oracle(frames, cfg, whole):
     assume(any(frames))
     level = build_level(*frames)

@@ -7,7 +7,6 @@ import pytest
 from fcgtrack import clustering
 from fcgtrack.clustering import (
     _BELOW_SENTINEL,
-    BATCH_MIN,
     CANNOT_LINK,
     _dendrograms,
     cluster_batch,
@@ -294,9 +293,9 @@ def _sized_instance(rng, n, kind):
 
 
 def _random_batch(rng, kinds=("continuous", "quantised", "diluted_sentinel")):
-    # Up to three times the handover size, so that most batches start batched
-    # and hand their last live instances to the single-instance loop.
-    count = int(rng.integers(1, 3 * BATCH_MIN))
+    # Up to 23 instances of 0-40 items, so that most batches start with many
+    # live instances and step the largest ones on after the others stopped.
+    count = int(rng.integers(1, 24))
     sizes = rng.integers(0, 41, count).tolist()
     return [_sized_instance(rng, n, kinds[int(rng.integers(len(kinds)))]) for n in sizes]
 
@@ -313,16 +312,38 @@ def _loader(instances):
     return stacked(_one(instances))
 
 
+class _LiveRows(np.ndarray):
+    """`_link`'s row cache, recording the live instances of each step.
+
+    Each step of `_link` takes the minima of the live instances' cached rows
+    with one `min(axis=1)`, before it drops those that stop.
+    """
+
+    live: list[int]
+
+    def min(self, *args, **kwargs):
+        if kwargs.get("axis") == 1 and self.ndim == 2:
+            self.live.append(len(self))
+        return super().min(*args, **kwargs)
+
+
 class TestBatched:
     """Instances linked together merge exactly as each would on its own."""
 
-    def test_same_merges_as_heap_linkage(self):
+    def test_same_merges_as_heap_linkage(self, monkeypatch):
         rng = np.random.default_rng(48)
-        batched = 0
+        link = clustering._link
+        steps: list[list[int]] = []
+
+        def recording_link(d, near, nn, n, limit):
+            steps.append([])
+            _LiveRows.live = steps[-1]
+            return link(d, near.view(_LiveRows), nn, n, limit)
+
+        monkeypatch.setattr(clustering, "_link", recording_link)
         for _ in range(40):
             instances = _random_batch(rng)
             sizes = [len(square) for square, _ in instances]
-            batched += sum(n >= 2 for n in sizes) >= BATCH_MIN
             dendrograms = _dendrograms(sizes, _loader(instances), _BELOW_SENTINEL)
             for (square, cannot), dendrogram in zip(instances, dendrograms):
                 expected = heap_linkage(square, cannot)
@@ -331,7 +352,9 @@ class TestBatched:
                 for merge, (a, b, height, size) in zip(dendrogram.merges, expected):
                     assert (merge.a, merge.b, merge.size) == (a, b, size)
                     assert merge.height == height
-        assert batched >= 20
+        # Most batches start with 8 or more live instances, and the one loop
+        # steps the last of them on alone.
+        assert sum(live[0] >= 8 and live[-1] == 1 for live in steps) >= 20
 
     @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.5, 0.9])
     def test_partitions_equal_cut_of_full_linkage(self, threshold):
@@ -528,15 +551,14 @@ class TestLevelMemory:
         for group in groups:
             largest = max(sizes[k] for k in group)
             assert len(group) * largest**2 <= clustering.CHUNK_CELLS
-        # The tiny instances share one chunk and the five of 180 another, although fewer
-        # than BATCH_MIN; the one of 400 fills a chunk alone.
+        # The tiny instances share one chunk and the five of 180 another, however few;
+        # the one of 400 fills a chunk alone.
         assert sorted(len(g) for g in groups) == [1, 5, 22]
         # Chunks are listed in ascending index order.
         assert groups == sorted(sorted(g) for g in groups)
 
     def test_few_instances_are_one_load(self):
         sizes = [3, 0, 5, 1, 4]
-        assert sum(n >= 2 for n in sizes) < BATCH_MIN
         rng = np.random.default_rng(62)
         squares = [np.round(rng.uniform(0, 0.2, (n, n)), 2) for n in sizes]
         squares = [s + s.T for s in squares]
@@ -585,3 +607,22 @@ class TestComponentSplit:
         assert widths and max(widths) <= max(blobs)
         assert partition == cut(linkage_matrix(square), 0.1)
         assert sorted(map(len, partition)) == sorted(blobs)
+
+    def test_heights_rounded_across_the_threshold(self):
+        """Items 0-2 at distance 0 and item 3 at x from each: the linkage merges 0-2 first and
+        then 3 at the height (x + 2 * x) / 3, which rounds to x - ulp or x + ulp for some x.
+        With x one ulp above the threshold such a height is at the threshold, so 3 joins:
+        the split's edges, d <= threshold * MARGIN, keep it in the component. With x at the
+        threshold it is above, so 3 stays apart: those pairs are no strong edges,
+        d <= threshold / MARGIN, and the component is linked, not taken for a clique."""
+        rng = np.random.default_rng(63)
+        outcomes = set()
+        for threshold in rng.uniform(0.01, 1.0, 300).tolist():
+            for x in (float(np.nextafter(threshold, np.inf)), threshold):
+                square = np.zeros((4, 4))
+                square[3, :3] = square[:3, 3] = x
+                expected = cut(linkage_matrix(square), threshold)
+                assert cluster_matrix(square, threshold=threshold) == expected
+                outcomes.add((x > threshold, len(expected)))
+        # Both roundings occur: a pair above the threshold that joins, and one at it that does not.
+        assert {(True, 1), (False, 2)} <= outcomes

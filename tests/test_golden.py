@@ -3,18 +3,22 @@
 The digests were taken from the tracker before stage 2 moved onto per-level
 arrays, and pin every output byte of the scenes below across such
 refactors; that of `noisy_motion` was taken before stage 2 weighed only the
-pairs its cut can reach. A scene whose digest moves has changed behaviour,
-not layout.
+pairs its cut can reach, and those of the two `sigma_07` scenes while the
+linkage still had a second, single-instance loop. A scene whose digest moves
+has changed behaviour, not layout. SciPy's average linkage, the paper's, gives
+the same bytes.
 """
 
 import hashlib
 
 import pytest
 
+from fcgtrack import pipeline
 from fcgtrack.core import FcgConfig
 from fcgtrack.io_mot import subsample, write_tracks
 from fcgtrack.pipeline import run
 from fcgtrack.synthdata import SynthConfig, generate
+from oracles import scipy_cluster_batch
 
 # Eight identities over 60 frames with re-appearances, an exit and enough
 # noise that some tracklets fragment and stage 2 has medians to recompute.
@@ -35,6 +39,12 @@ GAPPED = SynthConfig(
 NOISY = SynthConfig(
     num_identities=12, num_frames=60, feature_dim=16, feature_noise_sigma=0.07, seed=3,
 )
+# 60 identities over 120 frames, 7,200 detections: stage 1 and stage 2 each
+# link hundreds of components in one tensor, stepped together down to the
+# last one.
+SIGMA_07 = SynthConfig(
+    num_identities=60, num_frames=120, feature_dim=64, feature_noise_sigma=0.07, seed=3,
+)
 
 SCENES = {
     "default": (BUSY, 1, FcgConfig(feature_dim=16)),
@@ -43,6 +53,8 @@ SCENES = {
     "gapped": (GAPPED, 1, FcgConfig(feature_dim=8)),
     "ratio_3": (BUSY, 3, FcgConfig(feature_dim=16)),
     "noisy_motion": (NOISY, 1, FcgConfig(feature_dim=16, use_motion=True)),
+    "sigma_07": (SIGMA_07, 1, FcgConfig(feature_dim=64)),
+    "sigma_07_motion": (SIGMA_07, 1, FcgConfig(feature_dim=64, use_motion=True)),
 }
 
 GOLDEN = {
@@ -52,12 +64,24 @@ GOLDEN = {
     "gapped": "94118ae78fb3d3ef2e130c41b2bad44f297326b7d9f725bc61dc1d7c56b553c9",
     "ratio_3": "503b38bbe4e01d341c6699e6b6465437f5e14a78fd457f35c3a4097590b35783",
     "noisy_motion": "dbad3a6642c1465f1909d57ff95aba424f28739ab78c64c248c8f827288e5c0c",
+    "sigma_07": "843f6446c76445d25079c100124b7a814dbd5f166bace9214b174b73facb14df",
+    "sigma_07_motion": "e50cc33b1f735647f786e0d8a55eb14764f534aa10e20f076284880d7b0bf613",
 }
+
+
+def _digest(scene):
+    synth, ratio, cfg = SCENES[scene]
+    detections, _ = generate(synth)
+    return hashlib.sha256(write_tracks(run(subsample(detections, ratio), cfg))).hexdigest()
 
 
 @pytest.mark.parametrize("scene", sorted(SCENES))
 def test_track_output_bytes(scene):
-    synth, ratio, cfg = SCENES[scene]
-    detections, _ = generate(synth)
-    blob = write_tracks(run(subsample(detections, ratio), cfg))
-    assert hashlib.sha256(blob).hexdigest() == GOLDEN[scene]
+    assert _digest(scene) == GOLDEN[scene]
+
+
+@pytest.mark.parametrize("scene", sorted(SCENES))
+def test_scipy_average_linkage_gives_the_same_bytes(scene, monkeypatch):
+    pytest.importorskip("scipy.cluster.hierarchy")
+    monkeypatch.setattr(pipeline, "cluster_batch", scipy_cluster_batch)
+    assert _digest(scene) == GOLDEN[scene]
