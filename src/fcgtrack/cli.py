@@ -18,7 +18,6 @@ from .io_mot import (
     detection_features,
     parse_detections,
     parse_ground_truth,
-    subsample,
     subsample_tracks,
     write_detections,
     write_features,
@@ -83,19 +82,21 @@ def _config(args: argparse.Namespace) -> FcgConfig:
     return FcgConfig(**{f.name: getattr(args, f.name) for f in fields(FcgConfig)})
 
 
+def _detections(args: argparse.Namespace, cfg: FcgConfig):
+    """The detections of `--det` and `--features`, subsampled by `--ratio`
+    as they are read: the sidecar is read as a stream, so the feature rows of
+    dropped frames are never held."""
+    det = Path(args.det).read_bytes()
+    with open(args.features, "rb") as features:
+        return parse_detections(det, features, cfg, name=Path(args.det).name, ratio=args.ratio)
+
+
 def _cmd_track(args: argparse.Namespace) -> int:
     check_ratio(args.ratio)
     if args.threads < 0:
         raise ValueError(f"threads must be >= 0, got {args.threads}")
     cfg = _config(args)
-    seq = parse_detections(
-        Path(args.det).read_bytes(),
-        Path(args.features).read_bytes(),
-        cfg,
-        name=Path(args.det).name,
-    )
-    # Rebinding `seq` lets the unkept rows and the sidecar bytes go before tracking.
-    seq = subsample(seq, args.ratio)
+    seq = _detections(args, cfg)
     tracks = run(seq, cfg)
     Path(args.out).write_bytes(write_tracks(tracks))
     return 0
@@ -139,13 +140,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_subsample(args: argparse.Namespace) -> int:
     check_ratio(args.ratio)
     cfg = FcgConfig(score_threshold=args.score_threshold, feature_dim=args.feature_dim)
-    seq = parse_detections(
-        Path(args.det).read_bytes(),
-        Path(args.features).read_bytes(),
-        cfg,
-        name=Path(args.det).name,
-    )
-    sub = subsample(seq, args.ratio)
+    sub = _detections(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "det.txt").write_bytes(write_detections(sub))

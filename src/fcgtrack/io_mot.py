@@ -12,6 +12,7 @@ import math
 import struct
 import warnings
 from dataclasses import replace
+from typing import BinaryIO
 
 import numpy as np
 
@@ -27,10 +28,18 @@ FEATURE_HEADER_MAX = 2**32 - 1
 # signs, decimal point, exponent, comma, and the whitespace of line ends.
 _PLAIN = b"0123456789+-.eE, \t\r\n"
 
+# Bytes of feature rows `parse_detections` reads from a sidecar at a time (at
+# least one row).
+_CHUNK_BYTES = 1 << 20
+
 
 def write_features(features: np.ndarray) -> bytes:
-    """Serialize an (R, D) feature matrix to the binary sidecar format."""
-    features = np.asarray(features, dtype=np.float64)
+    """Serialize an (R, D) feature matrix to the binary sidecar format, each
+    value rounded to float32 once (from float64 for any other dtype). A
+    C-ordered float32 matrix is copied only into the returned bytes."""
+    features = np.asarray(features)
+    if features.dtype not in (np.float32, np.float64):
+        features = features.astype(np.float64)
     if features.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got shape {features.shape}")
     rows, dim = features.shape
@@ -40,7 +49,29 @@ def write_features(features: np.ndarray) -> bytes:
     if dim < 1:
         raise ValueError(f"feature dimension must be >= 1, got {dim}")
     header = _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, rows, dim)
-    return header + features.astype("<f4").tobytes()
+    return b"".join((header, np.ascontiguousarray(features, dtype="<f4")))
+
+
+def _feature_shape(head: bytes, length: int) -> tuple[int, int]:
+    """The (rows, dimension) of a sidecar of `length` bytes that starts with
+    `head`: the header checked (magic, version, dimension), then the length it
+    implies."""
+    if len(head) < _HEADER.size:
+        raise ParseError("feature blob shorter than its header")
+    magic, version, rows, dim = _HEADER.unpack_from(head, 0)
+    if magic != FEATURE_MAGIC:
+        raise ParseError(f"bad feature blob magic {magic!r}")
+    if version != FEATURE_VERSION:
+        raise ParseError(f"unsupported feature blob version {version}")
+    if dim < 1:
+        raise ParseError(f"feature blob declares dimension {dim}")
+    expected = _HEADER.size + 4 * rows * dim
+    if length != expected:
+        raise ParseError(
+            f"feature blob length {length} does not match header "
+            f"({rows} rows x {dim} dims needs {expected})"
+        )
+    return rows, dim
 
 
 def read_features(blob: bytes) -> np.ndarray:
@@ -49,23 +80,72 @@ def read_features(blob: bytes) -> np.ndarray:
     The matrix is a read-only view of `blob`, the values exactly as stored;
     compute with them in float64.
     """
-    if len(blob) < _HEADER.size:
-        raise ParseError("feature blob shorter than its header")
-    magic, version, rows, dim = _HEADER.unpack_from(blob, 0)
-    if magic != FEATURE_MAGIC:
-        raise ParseError(f"bad feature blob magic {magic!r}")
-    if version != FEATURE_VERSION:
-        raise ParseError(f"unsupported feature blob version {version}")
-    if dim < 1:
-        raise ParseError(f"feature blob declares dimension {dim}")
-    expected = _HEADER.size + 4 * rows * dim
-    if len(blob) != expected:
-        raise ParseError(
-            f"feature blob length {len(blob)} does not match header "
-            f"({rows} rows x {dim} dims needs {expected})"
-        )
+    rows, dim = _feature_shape(blob, len(blob))
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
     return data.reshape(rows, dim)
+
+
+def _feature_stream(features: bytes | BinaryIO) -> tuple:
+    """A sidecar given as bytes or as a binary stream: a seekable stream at
+    its first row, its rows and its dimension (`_feature_shape`, the length
+    measured from the stream's position). A stream that cannot seek, such as
+    a pipe, is read whole first."""
+    if isinstance(features, (bytes, bytearray, memoryview)):
+        features = io.BytesIO(features)
+    elif not features.seekable():
+        features = io.BytesIO(features.read())
+    start = features.tell()
+    length = features.seek(0, io.SEEK_END) - start
+    features.seek(start)
+    head = bytearray(min(length, _HEADER.size))
+    _fill(features, head)
+    return (features, *_feature_shape(head, length))
+
+
+def _fill(stream, buffer) -> None:
+    """Fill the writable `buffer` from `stream`, or raise ParseError if the
+    stream ends first: a buffer is never used with bytes of an earlier read."""
+    target = np.asarray(buffer).reshape(-1).view(np.uint8)
+    done = 0
+    while done < len(target):
+        got = stream.readinto(target[done:])
+        if not got:
+            raise ParseError(
+                f"feature blob ended early: a read gave {done} of {len(target)} bytes"
+            )
+        done += got
+
+
+def _stream_rows(stream, rows: int, dim: int, taken: np.ndarray) -> tuple:
+    """Read the `rows` x `dim` float32 rows of a sidecar stream at its first
+    row, `_CHUNK_BYTES` at a time. Returns the squared norms of every row
+    (`_squared_norms`) and the rows `taken` (distinct source rows, in any
+    order) as a float32 array. A chunk whose rows all land in order in one
+    stretch of that array is read straight into it; any other is read into
+    one buffer of at most `rows` rows and its taken rows copied out."""
+    dst = np.argsort(taken, kind="stable")
+    src = taken[dst]
+    squared = np.empty(rows)
+    out = np.empty((len(taken), dim), dtype="<f4")
+    step = max(1, _CHUNK_BYTES // (4 * dim))
+    buffer = None
+    lo = 0
+    for start in range(0, rows, step):
+        n = min(step, rows - start)
+        hi = int(np.searchsorted(src, start + n))
+        at = dst[lo:hi]
+        if hi - lo == n and np.all(np.diff(at) == 1):
+            chunk = out[at[0] : at[0] + n]
+            _fill(stream, chunk)
+        else:
+            if buffer is None:
+                buffer = np.empty((min(step, rows), dim), dtype="<f4")
+            chunk = buffer[:n]
+            _fill(stream, chunk)
+            out[at] = chunk[src[lo:hi] - start]
+        squared[start : start + n] = _squared_norms(chunk)
+        lo = hi
+    return squared, out
 
 
 def _data_lines(data: bytes, name: str):
@@ -152,12 +232,19 @@ def _squared_norms(features: np.ndarray) -> np.ndarray:
     return squared
 
 
-def _detection_rows(lines, features: np.ndarray, cfg: FcgConfig, name: str):
+def _valid(box: np.ndarray, conf: np.ndarray, squared: np.ndarray) -> np.ndarray:
+    """Which rows pass the checks of a kept row beyond the box size: a finite
+    box, a score in [0, 1] and a finite, nonzero feature."""
+    valid = np.isfinite(box).all(axis=1) & (conf >= 0.0) & (conf <= 1.0)
+    return valid & np.isfinite(squared) & (squared > 0.0)
+
+
+def _detection_rows(lines, squared: np.ndarray, cfg: FcgConfig, name: str):
     """Check the rows of the data lines (as `_data_lines` gives them) one by
-    one and raise for the first bad one; when all pass, their frame, box and
-    score columns."""
+    one, with the squared norms of their feature rows, and raise for the
+    first bad one; when all pass, their frame, box and score columns."""
     # Any inf or NaN component makes the squared norm non-finite.
-    squared = _squared_norms(features).tolist()
+    squared = squared.tolist()
     frames: list[int] = []
     values: list[list[float]] = []
     for row_idx, (lineno, (frame,), row) in enumerate(_line_rows(lines, name, 1)):
@@ -185,28 +272,38 @@ def _detection_rows(lines, features: np.ndarray, cfg: FcgConfig, name: str):
 
 
 def parse_detections(
-    det_data: bytes, feature_data: bytes, cfg: FcgConfig, name: str = "det"
+    det_data: bytes, features: bytes | BinaryIO, cfg: FcgConfig, name: str = "det",
+    ratio: int = 1,
 ) -> DetectionColumns:
     """Parse a detection CSV plus its feature sidecar into columns sorted by
-    (frame, source row).
+    (frame, source row), keeping every `ratio`-th frame: the columns of
+    `subsample(parse_detections(det_data, features, cfg, name), ratio)`.
+
+    `features` is the sidecar as bytes or as a binary stream at its start.
+    Its header and length are checked first; then the CSV is parsed, which
+    fixes the rows to keep; then the sidecar is read once, `_CHUNK_BYTES` at
+    a time, and each kept feature row is copied straight to its place, so
+    neither the whole sidecar nor its dropped rows are held in memory. A
+    stream that cannot seek, such as a pipe, is read whole first.
 
     Rows with confidence below cfg.score_threshold are dropped (their feature
     rows are skipped with them); invalid boxes or malformed lines raise with
     the offending line number, the first one in the file. The sidecar must
     carry exactly one feature row per CSV data line, at the configured
-    dimension.
+    dimension. A dropped row must still be well formed, with a positive box
+    size; its box finiteness, score range and feature are not checked. Rows
+    in frames that `ratio` drops are checked as any other.
 
     A plain file (see `_plain_fields`) is converted column by column and
-    checked as arrays; any other file, and a plain one that fails a check,
-    is walked row by row (`_detection_rows`), which names the first bad line.
-    A dropped row must still be well formed, with a positive box size; its
-    box finiteness, score range and feature are not checked.
+    checked as arrays; any other file is converted by the row walk
+    (`_detection_rows`), and its features checked as arrays. Any file that
+    fails a check is walked row by row, which names the first bad line.
     """
-    features = read_features(feature_data)
-    if features.shape[1] != cfg.feature_dim:
+    check_ratio(ratio)
+    stream, rows, dim = _feature_stream(features)
+    if dim != cfg.feature_dim:
         raise ParseError(
-            f"{name}: feature dimension {features.shape[1]} does not match "
-            f"configured {cfg.feature_dim}"
+            f"{name}: feature dimension {dim} does not match configured {cfg.feature_dim}"
         )
     parsed = _plain_fields(det_data, 1)
     lines = _data_lines(det_data, name)
@@ -214,29 +311,36 @@ def parse_detections(
         # The C reader does not take the file: split it once, to count and to walk its lines.
         lines = list(lines)
     count = len(lines) if parsed is None else parsed[1].shape[1]
-    if count != features.shape[0]:
-        raise ParseError(
-            f"{name}: {count} detection rows but {features.shape[0]} feature rows"
-        )
-    if parsed is None:
-        frame, box, conf = _detection_rows(lines, features, cfg, name)
-    else:
+    if count != rows:
+        raise ParseError(f"{name}: {count} detection rows but {rows} feature rows")
+    if parsed is not None:
         (frame,), (x, y, w, h, conf) = parsed
         box = np.stack([x, y, w, h], axis=1)
-        squared = _squared_norms(features)
-        valid = np.isfinite(box).all(axis=1) & (conf >= 0.0) & (conf <= 1.0)
-        valid &= np.isfinite(squared) & (squared > 0.0)
+    else:
+        try:
+            # With every norm valid the walk checks the lines alone. A bad
+            # feature on an earlier line must be named first, so the error
+            # waits for the norms.
+            frame, box, conf = _detection_rows(lines, np.ones(count), cfg, name)
+        except ParseError:
+            frame = box = conf = None
+    if frame is None:
+        taken = np.zeros(0, dtype=np.int64)
+    else:
+        kept = ~(conf < cfg.score_threshold)
+        taken = np.flatnonzero(kept)
+        at, frame_out = _subsampled(frame[taken], ratio)
+        order = np.argsort(frame_out, kind="stable")
+        taken, frame_out = taken[at[order]], frame_out[order]
+    squared, feature = _stream_rows(stream, rows, dim, taken)
+    if frame is None or np.any(
         # A dropped row needs only a frame >= 1 and a positive box size.
-        if np.any((frame < 1) | (w <= 0) | (h <= 0) | ~(valid | (conf < cfg.score_threshold))):
-            frame, box, conf = _detection_rows(lines, features, cfg, name)
-    kept = ~(conf < cfg.score_threshold)
-    rows = np.flatnonzero(kept)
-    rows = rows[np.argsort(frame[rows], kind="stable")]
-    if len(rows) == count and np.all(rows[1:] > rows[:-1]):
-        # Every row kept and already in frame order: the features stay a view
-        # of the sidecar.
-        return DetectionColumns(frame, box, conf, rows, features)
-    return DetectionColumns(frame[rows], box[rows], conf[rows], rows, features[rows])
+        (frame < 1) | (box[:, 2] <= 0) | (box[:, 3] <= 0)
+        | (kept & ~_valid(box, conf, squared))
+    ):
+        # Raises: the row walk is the reference the array checks agree with.
+        _detection_rows(lines, squared, cfg, name)
+    return DetectionColumns(frame_out, box[taken], conf[taken], taken, feature)
 
 
 def _csv(template: str, *columns: list) -> bytes:
