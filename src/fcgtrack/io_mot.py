@@ -118,31 +118,23 @@ def _fill(stream, buffer) -> None:
 
 def _stream_rows(stream, rows: int, dim: int, taken: np.ndarray) -> tuple:
     """Read the `rows` x `dim` float32 rows of a sidecar stream at its first
-    row, `_CHUNK_BYTES` at a time. Returns the squared norms of every row
-    (`_squared_norms`) and the rows `taken` (distinct source rows, in any
-    order) as a float32 array. A chunk whose rows all land in order in one
-    stretch of that array is read straight into it; any other is read into
-    one buffer of at most `rows` rows and its taken rows copied out."""
+    row, `_CHUNK_BYTES` at a time into one buffer of at most `rows` rows.
+    Returns the squared norms of every row (`_squared_norms`) and the rows
+    `taken` (distinct source rows, in any order) as a float32 array, each
+    copied once from the buffer to its place."""
     dst = np.argsort(taken, kind="stable")
     src = taken[dst]
     squared = np.empty(rows)
     out = np.empty((len(taken), dim), dtype="<f4")
     step = max(1, _CHUNK_BYTES // (4 * dim))
-    buffer = None
+    buffer = np.empty((min(step, rows), dim), dtype="<f4")
     lo = 0
     for start in range(0, rows, step):
         n = min(step, rows - start)
         hi = int(np.searchsorted(src, start + n))
-        at = dst[lo:hi]
-        if hi - lo == n and np.all(np.diff(at) == 1):
-            chunk = out[at[0] : at[0] + n]
-            _fill(stream, chunk)
-        else:
-            if buffer is None:
-                buffer = np.empty((min(step, rows), dim), dtype="<f4")
-            chunk = buffer[:n]
-            _fill(stream, chunk)
-            out[at] = chunk[src[lo:hi] - start]
+        chunk = buffer[:n]
+        _fill(stream, chunk)
+        out[dst[lo:hi]] = chunk[src[lo:hi] - start]
         squared[start : start + n] = _squared_norms(chunk)
         lo = hi
     return squared, out
@@ -282,9 +274,9 @@ def parse_detections(
     `features` is the sidecar as bytes or as a binary stream at its start.
     Its header and length are checked first; then the CSV is parsed, which
     fixes the rows to keep; then the sidecar is read once, `_CHUNK_BYTES` at
-    a time, and each kept feature row is copied straight to its place, so
-    neither the whole sidecar nor its dropped rows are held in memory. A
-    stream that cannot seek, such as a pipe, is read whole first.
+    a time into one buffer, and each kept feature row is copied from it to
+    its place, so neither the whole sidecar nor its dropped rows are held in
+    memory. A stream that cannot seek, such as a pipe, is read whole first.
 
     Rows with confidence below cfg.score_threshold are dropped (their feature
     rows are skipped with them); invalid boxes or malformed lines raise with
