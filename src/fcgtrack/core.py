@@ -161,52 +161,38 @@ def _connected(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             label = root
 
 
-def _grouped(order: np.ndarray, label: np.ndarray, n: int):
-    """`members` and `offsets` (see `Level`) of the rows `order` labelled 0..n-1, kept in order
-    within a label."""
+def _grouped(rows: np.ndarray, label: np.ndarray, n: int, width: int):
+    """`members` and `offsets` (see `Level`) of the table rows `rows`, all below `width`,
+    labelled 0..n-1: each label's rows ascending."""
     offsets = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(label, minlength=n), out=offsets[1:])
-    return order[np.argsort(label * len(order) + np.arange(len(order)))], offsets
+    return rows[np.argsort(label * width + rows)], offsets
 
 
 @dataclass(frozen=True, eq=False)
 class Level:
     """One level of the fusion tree: its lifted frames as arrays over one detection table.
 
-    `order` holds the rows of the level's tracklets by frame, then row;
-    order[i] is in tracklet label[i]. Tracklet t's rows, in frame order, are
-    members[offsets[t]:offsets[t+1]], its median feature median[t]. Lifted
-    frame f spans windows [span_start[f], span_end[f]] with tracklets
+    `table` is sorted by (frame, row). Tracklet t is the rows
+    members[offsets[t]:offsets[t+1]], ascending (so in frame order), with
+    median feature median[t]; tracklets are numbered in strictly increasing
+    order of their first row. Lifted frame f holds tracklets
     bounds[f]..bounds[f+1]-1. Only the final level of stage 2, which is not
     fused again, has an empty `median` (no rows).
     """
 
     table: DetectionColumns
-    order: np.ndarray
-    label: np.ndarray
     members: np.ndarray
     offsets: np.ndarray
     median: np.ndarray
-    span_start: np.ndarray
-    span_end: np.ndarray
     bounds: np.ndarray
 
     def __post_init__(self):
-        for name in ("order", "label", "members", "offsets", "median", "span_start", "span_end",
-                     "bounds"):
+        for name in ("members", "offsets", "median", "bounds"):
             getattr(self, name).setflags(write=False)
 
-    @classmethod
-    def build(cls, table, order, label, median, span_start, span_end, bounds) -> "Level":
-        """The level of the labelled rows `order` of `table`, deriving the rest."""
-        return cls(
-            table, order, label, *_grouped(order, label, len(median)), median,
-            np.asarray(span_start, dtype=np.int64), np.asarray(span_end, dtype=np.int64),
-            np.asarray(bounds, dtype=np.intp),
-        )
-
     def __len__(self) -> int:
-        return len(self.span_start)
+        return len(self.bounds) - 1
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,16 @@ Stage 1 clusters detections inside consecutive non-overlapping windows of
 its tracklets are the first `Level`, one lifted frame per window. Stage 2
 fuses adjacent lifted frames pairwise (a balanced binary reduction), one
 level into the next, until a single lifted frame spans the sequence; its
-tracklets become the final tracks. All windows, and all fusions of one level,
-are one `clustering.cluster_batch` call. Each of its chunks loads the stacked
-cosine blocks of its windows or fusions, which (times `off` with the spatial
-weights on) bound the weighted distances from below (see `weighting`): only
-the pairs the cut can reach, and the blocks of linked components, are
-weighed. The run is sequential: it starts no thread or process.
+tracklets become the final tracks. A level is `table`, the detections sorted
+by (frame, row), its tracklets' rows (`members`, `offsets`) and `median`, and
+its lifted frames' tracklets (`bounds`). Tracklets are numbered by first row,
+a rule each fusion keeps, so the final ones are in track ID order. All
+windows, and all fusions of one level, are one `clustering.cluster_batch`
+call. Each of its chunks loads the stacked cosine blocks of its windows or
+fusions, which (times `off` with the spatial weights on) bound the weighted
+distances from below (see `weighting`): only the pairs the cut can reach, and
+the blocks of linked components, are weighed. The run is sequential: it
+starts no thread or process.
 """
 
 from __future__ import annotations
@@ -51,11 +55,9 @@ def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> Level:
     table = _sorted_columns(detections)
     window_of = (table.frame - 1) // cfg.window
     num_windows = int(window_of[-1]) + 1 if len(table) else 0
-    windows = np.arange(num_windows)
     bounds = np.searchsorted(window_of, np.arange(num_windows + 1))
     # A detection's median is its feature, which `cosine_blocks` reads in float64.
-    rows = np.arange(len(table))
-    singles = Level.build(table, rows, rows, table.feature, windows, windows + 1, bounds)
+    singles = Level(table, np.arange(len(table)), np.arange(len(table) + 1), table.feature, bounds)
     # Two detections are ordered in time unless they share a frame, which
     # makes them cannot-link (+inf) anyway: with the weights off the weighted
     # distance is the plain cosine distance.
@@ -116,7 +118,7 @@ def _fuse(
 
     # Each tracklet's cluster root, its smallest member; tracklets outside
     # the clustered runs are their own. The roots, ascending, order the next
-    # level's tracklets: by frame, then by smallest member.
+    # level's tracklets: as tracklets are numbered by first row, so are clusters.
     root = np.arange(len(level.offsets) - 1)
     root[_ranges(run_lo, run_n)] = (
         cluster_batch(run_n.tolist(), load, threshold=cfg.track_threshold)
@@ -125,18 +127,16 @@ def _fuse(
     head = root == np.arange(len(root))
     cluster = (np.cumsum(head) - 1)[root]
     count = int(head.sum())
-    label = cluster[level.label]
-    members, offsets = _grouped(level.order, label, count)
+    label = np.repeat(cluster, np.diff(level.offsets))
+    members, offsets = _grouped(level.members, label, count, len(level.table))
     median = np.empty((count if medians else 0, level.median.shape[1]))
     if medians:
         single = np.bincount(cluster, minlength=count) == 1
         median[single] = level.median[np.flatnonzero(head)[single]]
         merged = np.flatnonzero(~single)
         median[merged] = _medians(level.table.feature, members, offsets, merged)
-    return replace(
-        level, label=label, members=members, offsets=offsets, median=median,
-        span_start=level.span_start[cuts[:-1]], span_end=level.span_end[cuts[1:] - 1],
-        bounds=np.append(0, np.cumsum(head))[level.bounds[cuts]],
+    return Level(
+        level.table, members, offsets, median, np.append(0, np.cumsum(head))[level.bounds[cuts]]
     )
 
 
@@ -159,11 +159,9 @@ def _fuse_global(level: Level, cfg: FcgConfig) -> Level:
 
 
 def _assign_ids(level: Level) -> TrackSet:
-    table, sizes, first = level.table, np.diff(level.offsets), level.members[level.offsets[:-1]]
-    # lexsort is stable: ties keep the final lifted frame's order.
-    ordered = np.lexsort((table.row[first], table.frame[first]))
-    index = level.members[_ranges(level.offsets[ordered], sizes[ordered])]
-    track_id = np.repeat(np.arange(1, len(ordered) + 1), sizes[ordered])
+    # Tracklets are numbered by first row, over a table sorted by (frame, row).
+    table, index, sizes = level.table, level.members, np.diff(level.offsets)
+    track_id = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     return TrackSet(track_id, table.frame[index], table.box[index], table.score[index])
 
 

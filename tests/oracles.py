@@ -44,31 +44,31 @@ def columns(rows, dim=0):
 
 
 def build_level(*frames):
-    """`Level` whose lifted frame f spans windows [f, f+1] and holds one tracklet per group of
-    `columns` row tuples in frames[f].
+    """`Level` whose lifted frame f holds one tracklet per group of `columns` row tuples in
+    frames[f], in the order given.
 
-    One table holds every group's rows, sorted by frame within the group, one group after the
-    other; a tracklet's median is `_medians` of its rows.
+    One table, sorted by (frame, row) as the pipeline's is, holds every group's rows; a
+    tracklet's median is `_medians` of its rows.
     """
-    groups = [sorted(group, key=lambda r: r[0]) for frame in frames for group in frame]
-    table = columns([r for group in groups for r in group])
+    groups = [group for frame in frames for group in frame]
+    given = columns([r for group in groups for r in group])
+    order = np.lexsort((given.row, given.frame))
+    table = given.take(order)
     sizes = [len(group) for group in groups]
-    rows = np.arange(len(table))
-    median = _medians(table.feature, rows, np.cumsum([0, *sizes]), np.arange(len(groups)))
-    order = np.lexsort((rows, table.frame))
-    label = np.repeat(np.arange(len(groups)), sizes)[order]
-    spans = np.arange(len(frames))
-    bounds = np.cumsum([0, *map(len, frames)])
-    return Level.build(table, order, label, median, spans, spans + 1, bounds)
+    # A stable sort of the table's rows by group: each group's rows, ascending.
+    members = np.argsort(np.repeat(np.arange(len(groups)), sizes)[order], kind="stable")
+    offsets = np.cumsum([0, *sizes])
+    median = _medians(table.feature, members, offsets, np.arange(len(groups)))
+    return Level(table, members, offsets, median, np.cumsum([0, *map(len, frames)]))
 
 
 def frames_of(level, lo, hi):
     """The level of lifted frames lo..hi-1 of `level`, over its table."""
     t0, t1 = level.bounds[lo], level.bounds[hi]
-    keep = (level.label >= t0) & (level.label < t1)
-    return Level.build(
-        level.table, level.order[keep], level.label[keep] - t0, level.median[t0:t1],
-        level.span_start[lo:hi], level.span_end[lo:hi], level.bounds[lo : hi + 1] - t0,
+    offsets = level.offsets[t0 : t1 + 1]
+    return Level(
+        level.table, level.members[offsets[0] : offsets[-1]], offsets - offsets[0],
+        level.median[t0:t1], level.bounds[lo : hi + 1] - t0,
     )
 
 
@@ -95,12 +95,23 @@ def tracklet_frames(level, t):
 
 
 def same_level(a, b):
-    """Whether two levels over one table hold the same spans, tracklet rows and medians."""
+    """Whether two levels over one table hold the same lifted frames of tracklet rows and the
+    same medians."""
     return (
         a.table is b.table and frame_rows(a) == frame_rows(b)
-        and np.array_equal(a.span_start, b.span_start) and np.array_equal(a.span_end, b.span_end)
         and np.array_equal(a.median, b.median)
     )
+
+
+def ids_by_first_detection(level):
+    """`TrackSet` of a final level's tracklets, numbered 1..K by the (frame, source row) of
+    each one's first detection, ties in the level's order: a sort of the tracklets, which
+    `pipeline._assign_ids` leaves to the order of the level."""
+    table, sizes, first = level.table, np.diff(level.offsets), level.members[level.offsets[:-1]]
+    ordered = np.lexsort((table.row[first], table.frame[first]))
+    index = level.members[_ranges(level.offsets[ordered], sizes[ordered])]
+    track_id = np.repeat(np.arange(1, len(ordered) + 1), sizes[ordered])
+    return TrackSet(track_id, table.frame[index], table.box[index], table.score[index])
 
 
 def frame_overlap_mask(level):
@@ -228,6 +239,10 @@ def instance_partitions(sizes, root):
     return parts
 
 
+class NearThreshold(AssertionError):
+    """A SciPy merge height lies within 1e-9 relative of the cut threshold."""
+
+
 def scipy_cluster_batch(sizes, load, *, threshold):
     """`clustering.cluster_batch` by SciPy's average linkage (UPGMA), the paper's clustering.
 
@@ -246,7 +261,7 @@ def scipy_cluster_batch(sizes, load, *, threshold):
     `cluster_batch`, to which such cluster pairs are +inf, and the same
     partition. SciPy's nearest-neighbour chain adds in another order, so its
     heights differ in ulps; a merge height within 1e-9 relative of the
-    threshold might fall on either side, and fails the oracle (AssertionError)
+    threshold might fall on either side, and fails the oracle (`NearThreshold`)
     instead of giving a partition that may differ.
     """
     from scipy.cluster.hierarchy import fcluster, linkage
@@ -261,7 +276,8 @@ def scipy_cluster_batch(sizes, load, *, threshold):
         dist = np.asarray(pairs(np.zeros_like(i), i, j), dtype=np.float64)
         z = linkage(np.where(dist == np.inf, threshold * n**2, dist), method="average")
         near = np.abs(z[:, 2] - threshold) <= 1e-9 * threshold
-        assert not near.any(), f"a SciPy height {z[near, 2][0]!r} lies at threshold {threshold!r}"
+        if near.any():
+            raise NearThreshold(f"a SciPy height {z[near, 2][0]!r} lies at threshold {threshold!r}")
         _, first, label = np.unique(
             fcluster(z, threshold, criterion="distance"), return_index=True, return_inverse=True
         )

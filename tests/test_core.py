@@ -83,6 +83,11 @@ class TestTrackletNew:
 
 
 class TestLevel:
+    def test_fields(self):
+        # The tracklets' rows and medians, and each lifted frame's tracklets, over one table.
+        fields = [f.name for f in dataclasses.fields(Level)]
+        assert fields == ["table", "members", "offsets", "median", "bounds"]
+
     @pytest.mark.parametrize(
         "name", [f.name for f in dataclasses.fields(Level) if f.name != "table"]
     )

@@ -10,14 +10,22 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fcgtrack.clustering import cluster_matrix  # noqa: E402
-from fcgtrack import core  # noqa: E402
-from fcgtrack.core import NETWORK_MAX_SIZE, NETWORK_MIN_CELLS, FcgConfig, _medians  # noqa: E402
-from fcgtrack.pipeline import _fuse  # noqa: E402
+from fcgtrack import core, pipeline  # noqa: E402
+from fcgtrack.core import (  # noqa: E402
+    NETWORK_MAX_SIZE,
+    NETWORK_MIN_CELLS,
+    DetectionColumns,
+    FcgConfig,
+    _medians,
+)
+from fcgtrack.pipeline import _fuse, run  # noqa: E402
+from fcgtrack.synthdata import SynthConfig, generate  # noqa: E402
 from oracles import (  # noqa: E402
     build_level,
     frame_overlap_mask,
     frames_of,
     fuse_all,
+    ids_by_first_detection,
     median_by_sorting,
     overlap_masks,
     same_level,
@@ -185,3 +193,35 @@ def test_network_medians_equal_numpy(counts, dim, dtype, seed):
         rows_of_g = feature[members[offsets[g] : offsets[g + 1]]].astype(np.float64)
         # `==` counts -0.0 and 0.0 as equal.
         assert np.array_equal(median, np.median(rows_of_g, axis=0))
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(3, 10), st.integers(12, 60), st.sampled_from([0.03, 0.07]), st.booleans(),
+    st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_tracks_are_numbered_by_first_detection(ids, frames, sigma, consecutive, reverse, seed):
+    """Every level numbers its tracklets in strictly increasing order of their first row, each
+    tracklet's rows ascending, so `run` numbers tracks as the sort of its final level by first
+    (frame, source row) does: with source rows reversed within frames, and rows in any order."""
+    seq, _ = generate(SynthConfig(
+        num_identities=ids, num_frames=frames, feature_dim=64, feature_noise_sigma=sigma,
+        seed=seed,
+    ))
+    if reverse:
+        seq = DetectionColumns(seq.frame, seq.box, seq.score, seq.row[::-1], seq.feature)
+    seq = seq.take(np.random.default_rng(seed).permutation(len(seq)))
+    levels, fuse = [], pipeline._fuse
+
+    def recording(*args):
+        levels.append(fuse(*args))
+        return levels[-1]
+
+    with mock.patch.object(pipeline, "_fuse", recording):
+        tracks = run(seq, FcgConfig(feature_dim=64, consecutive=consecutive))
+    for level in levels:
+        first = level.members[level.offsets[:-1]]
+        assert np.all(first[1:] > first[:-1])
+        assert all(rows == sorted(rows) for rows in tracklet_rows(level))
+    # `generate_tracklets` returns a `_fuse` result, and so does every fusion: the last is final.
+    assert tracks == ids_by_first_detection(levels[-1])

@@ -45,7 +45,7 @@ class TestGenerateTracklets:
     def test_single_detection(self):
         level = generate_tracklets(columns([det(1, basis(0))]), CFG)
         assert len(level) == 1
-        assert (level.span_start[0], level.span_end[0]) == (0, 1)
+        assert level.bounds.tolist() == [0, 1]
         assert frame_rows(level) == [[[0]]]
 
     def test_two_identities_two_frames(self):
@@ -71,8 +71,11 @@ class TestGenerateTracklets:
     def test_window_bucketing(self):
         dets = [det(f, basis(0), row=f) for f in (1, 6, 7, 13)]
         level = generate_tracklets(columns(dets), CFG)
-        assert level.span_start.tolist() == [0, 1, 2] and level.span_end.tolist() == [1, 2, 3]
         assert [len(frame) for frame in frame_rows(level)] == [1, 1, 1]
+        # Lifted frame f is window f: frames 6f+1..6f+6.
+        for f, tracklets in enumerate(frame_rows(level)):
+            frames = level.table.frame[sum(tracklets, [])]
+            assert np.all((frames > 6 * f) & (frames <= 6 * f + 6))
         assert frozenset(tracklet_frames(level, 0)) == {1, 6}
 
     def test_empty_windows_are_kept(self):
@@ -109,7 +112,7 @@ class TestFuseLiftedFrames:
             [[det(f, basis(0), box=(1, 0, 10, 10)) for f in (7, 8)]],
         )
         fused = fuse_all(pair, CFG)
-        assert (fused.span_start.tolist(), fused.span_end.tolist()) == ([0], [2])
+        assert fused.bounds.tolist() == [0, 1]
         assert len(fused.median) == 1
         assert frozenset(tracklet_frames(fused, 0)) == frozenset({1, 2, 7, 8})
 
@@ -247,6 +250,17 @@ class TestRun:
         assert first_frames == sorted(first_frames)
         assert list(track_entries(ts)) == list(range(1, len(track_entries(ts)) + 1))
 
+    def test_tied_distances_merge_the_pair_of_the_smallest_creation_index(self):
+        # B is 0.05 from A and from C, bit for bit, and A is 0.195 from C: the linkage merges
+        # the tie's earlier pair (A, B), after which {A, B} is 0.1225 from C, above the cut.
+        s = math.sqrt(1 - 0.95**2)
+        features = np.array([[0.95, s], [1.0, 0.0], [0.95, -s]])
+        dist = cosine_matrix(features)
+        assert dist[0, 1] == dist[1, 2] and math.isclose(dist[0, 1], 0.05)
+        assert math.isclose(dist[0, 2], 0.195)
+        dets = [det(f + 1, features[f], row=f) for f in range(3)]
+        assert run(columns(dets), FcgConfig(feature_dim=2)).track_id.tolist() == [1, 1, 2]
+
     def test_deterministic_and_schedule_independent(self):
         scfg = SynthConfig(
             num_identities=4, num_frames=50, feature_dim=8,
@@ -289,7 +303,8 @@ class TestRun:
             assert len(frames) == n_windows
             levels.clear()  # stage 1 is a step of its own
             final = _reduce_consecutive(frames, CFG)
-            assert (final.span_start.tolist(), final.span_end.tolist()) == ([0], [n_windows])
+            # One lifted frame holds every detection.
+            assert len(final) == 1 and final.offsets[final.bounds[-1]] == num_frames
             # One `_fuse` call per level of the reduction tree.
             assert len(levels) == math.ceil(math.log2(n_windows))
 
@@ -433,9 +448,8 @@ class TestBatchedLevels:
         assert len(level) == 50
         table = seq
         for f, rows in enumerate(frame_rows(level)):
-            lo, hi = np.searchsorted(
-                table.frame, [level.span_start[f] * 3, level.span_end[f] * 3], side="right"
-            )
+            # Window f holds frames 3f+1..3f+3.
+            lo, hi = np.searchsorted(table.frame, [f * 3, (f + 1) * 3], side="right")
             feats = table.feature[lo:hi].astype(np.float64)
             same = table.frame[lo:hi][:, None] == table.frame[lo:hi][None, :]
             partition = clustering.cluster_matrix(
