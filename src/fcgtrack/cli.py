@@ -8,6 +8,9 @@ the configuration fields; repeated runs of one command are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
+import stat
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -91,6 +94,23 @@ def _detections(args: argparse.Namespace, cfg: FcgConfig):
         return parse_detections(det, features, cfg, name=Path(args.det).name, ratio=args.ratio)
 
 
+def _write(path, data: bytes) -> None:
+    """Write `data` to `path` in place: the file is opened without truncating
+    it, written from its start, and a regular file is then cut to the length
+    written. A file rewritten this way keeps its inode and mode and is never
+    cut to zero bytes first, which on ext4 would force block allocation and
+    writeback at close; a pipe or device is written as any writer would."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _cmd_track(args: argparse.Namespace) -> int:
     check_ratio(args.ratio)
     if args.threads < 0:
@@ -98,7 +118,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     cfg = _config(args)
     seq = _detections(args, cfg)
     tracks = run(seq, cfg)
-    Path(args.out).write_bytes(write_tracks(tracks))
+    _write(args.out, write_tracks(tracks))
     return 0
 
 
@@ -118,11 +138,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     seq, truth = generate(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "det.txt").write_bytes(write_detections(seq))
-    (out_dir / "feats.fcgf").write_bytes(
-        write_features(detection_features(seq, cfg.feature_dim))
-    )
-    (out_dir / "gt.txt").write_bytes(write_ground_truth(truth))
+    _write(out_dir / "det.txt", write_detections(seq))
+    _write(out_dir / "feats.fcgf", write_features(detection_features(seq, cfg.feature_dim)))
+    _write(out_dir / "gt.txt", write_ground_truth(truth))
     return 0
 
 
@@ -143,19 +161,19 @@ def _cmd_subsample(args: argparse.Namespace) -> int:
     sub = _detections(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "det.txt").write_bytes(write_detections(sub))
-    (out_dir / "feats.fcgf").write_bytes(
-        write_features(detection_features(sub, cfg.feature_dim))
-    )
+    _write(out_dir / "det.txt", write_detections(sub))
+    _write(out_dir / "feats.fcgf", write_features(detection_features(sub, cfg.feature_dim)))
     if args.gt is not None:
         truth = parse_ground_truth(Path(args.gt).read_bytes(), name=Path(args.gt).name)
-        (out_dir / "gt.txt").write_bytes(
-            write_ground_truth(subsample_tracks(truth, args.ratio))
-        )
+        _write(out_dir / "gt.txt", write_ground_truth(subsample_tracks(truth, args.ratio)))
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process. It keeps no state
+    between `parse_args` calls: argparse copies an append flag's default list
+    before it appends."""
     parser = _Parser(prog="fcgtrack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import BinaryIO
 
@@ -100,6 +102,19 @@ def _feature_stream(features: bytes | BinaryIO) -> tuple:
     head = bytearray(min(length, _HEADER.size))
     _fill(features, head)
     return (features, *_feature_shape(head, length))
+
+
+@contextmanager
+def _named(name):
+    """Put the base name of the sidecar's path `name` (a stream's `name`
+    attribute) in front of the message of a ParseError raised inside; with no
+    path name the error passes unchanged."""
+    try:
+        yield
+    except ParseError as exc:
+        if not isinstance(name, str):
+            raise
+        raise ParseError(f"{os.path.basename(name)}: {exc}") from None
 
 
 def _fill(stream, buffer) -> None:
@@ -277,6 +292,8 @@ def parse_detections(
     a time into one buffer, and each kept feature row is copied from it to
     its place, so neither the whole sidecar nor its dropped rows are held in
     memory. A stream that cannot seek, such as a pipe, is read whole first.
+    Sidecar errors start with the base name of the stream's `name`, when it
+    is a path, as CSV errors start with `name`.
 
     Rows with confidence below cfg.score_threshold are dropped (their feature
     rows are skipped with them); invalid boxes or malformed lines raise with
@@ -292,7 +309,10 @@ def parse_detections(
     fails a check is walked row by row, which names the first bad line.
     """
     check_ratio(ratio)
-    stream, rows, dim = _feature_stream(features)
+    # Read before a pipe is copied into a nameless buffer.
+    source = getattr(features, "name", None)
+    with _named(source):
+        stream, rows, dim = _feature_stream(features)
     if dim != cfg.feature_dim:
         raise ParseError(
             f"{name}: feature dimension {dim} does not match configured {cfg.feature_dim}"
@@ -324,7 +344,8 @@ def parse_detections(
         at, frame_out = _subsampled(frame[taken], ratio)
         order = np.argsort(frame_out, kind="stable")
         taken, frame_out = taken[at[order]], frame_out[order]
-    squared, feature = _stream_rows(stream, rows, dim, taken)
+    with _named(source):
+        squared, feature = _stream_rows(stream, rows, dim, taken)
     if frame is None or np.any(
         # A dropped row needs only a frame >= 1 and a positive box size.
         (frame < 1) | (box[:, 2] <= 0) | (box[:, 3] <= 0)

@@ -1,4 +1,10 @@
-from fcgtrack.cli import main
+import os
+import stat
+
+import pytest
+
+from fcgtrack import cli
+from fcgtrack.cli import _write, main
 from fcgtrack.core import FcgConfig
 from fcgtrack.io_mot import parse_detections, parse_ground_truth, write_ground_truth, write_tracks
 from fcgtrack.pipeline import run
@@ -15,6 +21,17 @@ def synth_args(out_dir, identities=3, frames=40, sigma=0.02, seed=7, dim=8):
         "--feature-dim", str(dim),
         "--out-dir", str(out_dir),
     ]
+
+
+def track_args(seq_dir, out):
+    return ["track", "--det", str(seq_dir / "det.txt"), "--features", str(seq_dir / "feats.fcgf"),
+            "--out", str(out), "--feature-dim", "8"]
+
+
+def subsample_args(seq_dir, out_dir):
+    return ["subsample", "--det", str(seq_dir / "det.txt"), "--features",
+            str(seq_dir / "feats.fcgf"), "--ratio", "2", "--out-dir", str(out_dir),
+            "--gt", str(seq_dir / "gt.txt"), "--feature-dim", "8"]
 
 
 class TestSynth:
@@ -238,3 +255,107 @@ class TestExitCodes:
         )
         assert code == 2
         assert "magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [lambda blob: b"NOPE" + blob[4:], lambda blob: blob[:-5]],
+                             ids=["bad-magic", "truncated"])
+    def test_sidecar_errors_name_the_features_file(self, tmp_path, capsys, corrupt):
+        seq = tmp_path / "seq"
+        assert main(synth_args(seq)) == 0
+        feats = seq / "feats.fcgf"
+        feats.write_bytes(corrupt(feats.read_bytes()))
+        assert main(track_args(seq, tmp_path / "res.txt")) == 2
+        assert capsys.readouterr().err.startswith("error: feats.fcgf: ")
+
+
+class TestParser:
+    def test_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_flag_leaks_into_the_next_call(self, tmp_path, monkeypatch):
+        """argparse copies an append flag's default before appending, so the one
+        parser gives a later `synth` without `--occlude` no occlusions."""
+        occlusions, generate = [], cli.generate
+
+        def spy(cfg):
+            occlusions.append(cfg.occlusions)
+            return generate(cfg)
+
+        monkeypatch.setattr(cli, "generate", spy)
+        assert main(synth_args(tmp_path / "a") + ["--occlude", "1:5:9"]) == 0
+        assert main(synth_args(tmp_path / "b")) == 0
+        assert occlusions == [((1, 5, 9),), ()]
+        assert main(["track", "--det", "det.txt"]) == 1
+
+
+class TestWrite:
+    """`_write` rewrites a file in place, never truncating it to zero bytes first."""
+
+    NEW = b"0123456789\n" * 10
+
+    @pytest.mark.parametrize(
+        "old", [b"x" * 500, b"y" * 7, b"z" * 110], ids=["longer", "shorter", "equal"]
+    )
+    def test_an_existing_file_ends_holding_the_new_bytes(self, tmp_path, old):
+        path = tmp_path / "out.txt"
+        path.write_bytes(old)
+        path.chmod(0o640)
+        before = path.stat()
+        _write(path, self.NEW)
+        after = path.stat()
+        assert path.read_bytes() == self.NEW
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_bytes(b"x" * 500)
+        link.symlink_to(target)
+        _write(link, self.NEW)
+        assert link.is_symlink() and target.read_bytes() == self.NEW
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_pipe_is_written(self):
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as reader:
+            try:
+                _write(f"/dev/fd/{w}", self.NEW)
+            finally:
+                os.close(w)
+            assert reader.read() == self.NEW
+
+    def test_dev_null_is_written(self):
+        _write(os.devnull, self.NEW)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_no_existing_output_is_truncated(self, tmp_path, monkeypatch):
+        """`synth`, `subsample` and `track` rerun over their own longer outputs open each
+        with `os.open` without O_TRUNC and never cut one to zero bytes; each output then
+        equals that of a run into new files."""
+
+        def run_all(top, frames):
+            assert main(synth_args(top / "seq", frames=frames)) == 0
+            assert main(subsample_args(top / "seq", top / "sub")) == 0
+            assert main(track_args(top / "seq", top / "res.txt")) == 0
+            files = ("det.txt", "feats.fcgf", "gt.txt")
+            return [top / "res.txt"] + [top / d / name for d in ("seq", "sub") for name in files]
+
+        run_all(tmp_path / "old", 40)
+        opened, cuts = {}, []
+        real_open, real_ftruncate = os.open, os.ftruncate
+
+        def spy_open(path, flags, *args, **kwargs):
+            opened[os.fspath(path)] = flags
+            return real_open(path, flags, *args, **kwargs)
+
+        def spy_ftruncate(fd, length):
+            cuts.append(length)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+        outputs = run_all(tmp_path / "old", 30)
+        monkeypatch.undo()
+        assert {str(path) for path in outputs} <= opened.keys()
+        assert not any(opened[str(path)] & os.O_TRUNC for path in outputs)
+        assert len(cuts) == len(outputs) and 0 not in cuts
+        for path, fresh in zip(outputs, run_all(tmp_path / "new", 30)):
+            assert path.read_bytes() == fresh.read_bytes()

@@ -16,10 +16,12 @@ from fcgtrack.clustering import (
     linkage_matrix,
 )
 from oracles import (
+    NearThreshold,
     brute_force_partition,
     cannot_link_mask,
     heap_linkage,
     instance_partitions,
+    scipy_cluster_batch,
     stacked,
 )
 
@@ -412,51 +414,39 @@ class TestAgainstScipy:
         return square, float(rng.uniform(0.01, 1.0))
 
     @staticmethod
-    def scipy_partition(square, threshold):
-        """SciPy's average-linkage partition cut at `threshold`, or None when a merge height
-        lies within 1e-9 relative of it: SciPy's nearest-neighbour chain adds in another
-        order, so its heights differ in ulps and such a merge may fall on either side."""
-        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
-        z = hierarchy.linkage(square[np.triu_indices(len(square), 1)], method="average")
-        if np.any(np.abs(z[:, 2] - threshold) <= 1e-9 * threshold):
-            return None
-        labels = hierarchy.fcluster(z, threshold, criterion="distance")
-        return sorted(np.flatnonzero(labels == c).tolist() for c in np.unique(labels))
+    def compared(square, mask, threshold):
+        """Whether `cluster_matrix` was checked against `oracles.scipy_cluster_batch`: not when
+        a SciPy merge height lies within 1e-9 relative of the threshold (`NearThreshold`)."""
+        pytest.importorskip("scipy")
+        n = len(square)
+        load = dense(square[None], None if mask is None else mask[None])
+        try:
+            roots = scipy_cluster_batch([n], lambda group: load, threshold=threshold)
+        except NearThreshold:
+            return False
+        partition = cluster_matrix(square, mask, threshold=threshold)
+        assert [partition] == instance_partitions([n], roots)
+        return True
 
     def test_partitions_match_scipy_average_linkage(self):
         rng = np.random.default_rng(81)
-        compared = skipped = 0
+        skipped = 0
         for _ in range(1000):
             square, threshold = self.instance(rng)
-            expected = self.scipy_partition(square, threshold)
-            if expected is None:
-                skipped += 1
-                continue
-            assert cluster_matrix(square, threshold=threshold) == expected
-            compared += 1
-        assert skipped < 0.05 * (compared + skipped)
+            skipped += not self.compared(square, None, threshold)
+        assert skipped < 0.05 * 1000
 
     def test_constrained_partitions_match_scipy_with_a_finite_stand_in(self):
-        """SciPy takes no +inf, so each cannot-link pair gets the stand-in
-        threshold * n**2. Two clusters K and L that hold such a pair have a mean distance of
-        at least threshold * n**2 / (|K| |L|) > threshold, since |K| |L| < n**2. Average
-        linkage merges at nondecreasing heights, so SciPy makes every merge at or below the
-        threshold, the cut's merges, before any merge across a stand-in: the same merges as
-        `cluster_matrix`, to which such cluster pairs are +inf."""
+        """Up to 30 % of the pairs are cannot-link, each given to SciPy as the oracle's
+        finite stand-in."""
         rng = np.random.default_rng(82)
-        compared = skipped = 0
+        skipped = 0
         for _ in range(1000):
             square, threshold = self.instance(rng)
             n = len(square)
             upper = np.triu(rng.random((n, n)) < rng.uniform(0, 0.3), 1)
-            mask = upper | upper.T
-            expected = self.scipy_partition(np.where(mask, threshold * n**2, square), threshold)
-            if expected is None:
-                skipped += 1
-                continue
-            assert cluster_matrix(square, mask, threshold=threshold) == expected
-            compared += 1
-        assert skipped < 0.05 * (compared + skipped)
+            skipped += not self.compared(square, upper | upper.T, threshold)
+        assert skipped < 0.05 * 1000
 
 
 class TestStopAtCut:
