@@ -28,7 +28,6 @@ from .core import (
 from .io_mot import (
     parse_detections,
     parse_ground_truth,
-    read_features,
     subsample,
     subsample_tracks,
     write_detections,
@@ -66,7 +65,6 @@ __all__ = [
     "linkage_matrix",
     "parse_detections",
     "parse_ground_truth",
-    "read_features",
     "run",
     "subsample",
     "subsample_tracks",

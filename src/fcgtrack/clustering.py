@@ -75,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Callable, NamedTuple, Sequence, TextIO
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,27 +113,21 @@ class Dendrogram:
     merges: tuple[Merge, ...]
 
 
-def dense(dist, cannot_link=None):
-    """`cluster_batch`'s `load` result for a (B, m, m) distance tensor given in full, and a
-    boolean cannot-link tensor of its shape or None: the distances bound themselves, and
-    `pairs`, which takes one index array per axis, reads +inf at the cannot-link cells."""
+def dense(dist):
+    """`cluster_batch`'s `load` result for a (B, m, m) distance tensor given in full, +inf at
+    its cannot-link cells: the distances bound themselves, and `pairs`, which takes one index
+    array per axis, reads them."""
     dist = np.asarray(dist, dtype=np.float64)
-    if cannot_link is None:
-        return dist, lambda *cell: dist[cell]
-    mask = np.asarray(cannot_link, dtype=bool)
-    if mask.shape != dist.shape:
-        raise ValueError(f"cannot-link mask shape {mask.shape} does not match {dist.shape}")
-    return dist, lambda *cell: np.where(mask[cell], np.inf, dist[cell])
+    return dist, lambda *cell: dist[cell]
 
 
-def _one(dist, cannot_link):
+def _one(dist):
     """`sizes` and `load` of a single instance given as a square matrix (see `dense`)."""
     dist = np.asarray(dist)
     n = dist.shape[0] if dist.ndim == 2 else -1
     if dist.shape != (n, n):
         raise ValueError(f"expected a square distance matrix, got shape {dist.shape}")
-    bound, pairs = dense(dist, cannot_link)  # checks the mask against the square
-    return [n], lambda _: (bound[None], lambda k, i, j: pairs(i, j))
+    return [n], lambda _: dense(dist[None])
 
 
 def _pairs(n: np.ndarray, m: int) -> np.ndarray:
@@ -297,26 +291,15 @@ def _partition(n: int, merged_a: Sequence[int], merged_b: Sequence[int]) -> list
     return sorted((sorted(c) for c in members.values()), key=lambda c: c[0])
 
 
-def linkage_matrix(
-    dist: np.ndarray,
-    cannot_link: np.ndarray | None = None,
-    *,
-    trace: TextIO | None = None,
-) -> Dendrogram:
+def linkage_matrix(dist: np.ndarray) -> Dendrogram:
     """Run constrained average-linkage clustering over a square distance matrix.
 
-    Only the strict upper triangles of `dist` and of the boolean mask
-    `cannot_link` are read; a +inf distance is cannot-link as a masked one
-    is. Each step merges the minimum-distance pair of active clusters, ties
-    toward the smallest creation-index pair, and the run stops when that
-    minimum reaches the sentinel. When `trace` is given, one "merge <a> <b>
-    <height> <size>" line per merge is written to it.
+    Only the strict upper triangle of `dist` is read; a +inf distance is
+    cannot-link. Each step merges the minimum-distance pair of active
+    clusters, ties toward the smallest creation-index pair, and the run stops
+    when that minimum reaches the sentinel.
     """
-    dendrogram = _dendrograms(*_one(dist, cannot_link), _BELOW_SENTINEL)[0]
-    if trace is not None:
-        for a, b, height, size in dendrogram.merges:
-            trace.write(f"merge {a} {b} {height!r} {size}\n")
-    return dendrogram
+    return _dendrograms(*_one(dist), _BELOW_SENTINEL)[0]
 
 
 def _check_threshold(threshold: float) -> None:
@@ -489,14 +472,13 @@ def cluster_batch(
     return root
 
 
-def cluster_matrix(
-    dist: np.ndarray, cannot_link: np.ndarray | None = None, *, threshold: float
-) -> list[list[int]]:
-    """Cluster n items given their square distance matrix; returns item-index clusters.
+def cluster_matrix(dist: np.ndarray, *, threshold: float) -> list[list[int]]:
+    """Cluster n items given their square distance matrix, +inf at its cannot-link pairs;
+    returns item-index clusters.
 
     The run stops at the first merge above `threshold`. Clusters are listed
     by their smallest member index, members ascending.
     """
-    root = cluster_batch(*_one(dist, cannot_link), threshold=threshold)
+    root = cluster_batch(*_one(dist), threshold=threshold)
     heads = np.flatnonzero(root == np.arange(len(root)))
     return [np.flatnonzero(root == r).tolist() for r in heads]

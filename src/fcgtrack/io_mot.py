@@ -76,17 +76,6 @@ def _feature_shape(head: bytes, length: int) -> tuple[int, int]:
     return rows, dim
 
 
-def read_features(blob: bytes) -> np.ndarray:
-    """Parse the binary feature sidecar into an (R, D) float32 matrix.
-
-    The matrix is a read-only view of `blob`, the values exactly as stored;
-    compute with them in float64.
-    """
-    rows, dim = _feature_shape(blob, len(blob))
-    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
-    return data.reshape(rows, dim)
-
-
 def _feature_stream(features: bytes | BinaryIO) -> tuple:
     """A sidecar given as bytes or as a binary stream: a seekable stream at
     its first row, its rows and its dimension (`_feature_shape`, the length
@@ -313,10 +302,8 @@ def parse_detections(
     source = getattr(features, "name", None)
     with _named(source):
         stream, rows, dim = _feature_stream(features)
-    if dim != cfg.feature_dim:
-        raise ParseError(
-            f"{name}: feature dimension {dim} does not match configured {cfg.feature_dim}"
-        )
+        if dim != cfg.feature_dim:
+            raise ParseError(f"feature dimension {dim} does not match configured {cfg.feature_dim}")
     parsed = _plain_fields(det_data, 1)
     lines = _data_lines(det_data, name)
     if parsed is None:

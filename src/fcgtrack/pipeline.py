@@ -10,11 +10,10 @@ by (frame, row), its tracklets' rows (`members`, `offsets`) and `median`, and
 its lifted frames' tracklets (`bounds`). Tracklets are numbered by first row,
 a rule each fusion keeps, so the final ones are in track ID order. All
 windows, and all fusions of one level, are one `clustering.cluster_batch`
-call. Each of its chunks loads the stacked cosine blocks of its windows or
-fusions, which (times `off` with the spatial weights on) bound the weighted
-distances from below (see `weighting`): only the pairs the cut can reach, and
-the blocks of linked components, are weighed. The run is sequential: it
-starts no thread or process.
+call, whose chunks `weighting.fusion_load` loads: it decides every pair's
+distance, and only the pairs the cut can reach, and the blocks of linked
+components, are weighed. The run is sequential: it starts no thread or
+process.
 """
 
 from __future__ import annotations
@@ -24,17 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from .clustering import cluster_batch
-from .core import (
-    CANNOT_LINK,
-    DetectionColumns,
-    FcgConfig,
-    Level,
-    TrackSet,
-    _grouped,
-    _medians,
-    _ranges,
-)
-from .weighting import cosine_blocks, weighted_pairs
+from .core import DetectionColumns, FcgConfig, Level, TrackSet, _grouped, _medians, _ranges
+from .weighting import fusion_load
 
 
 def _sorted_columns(detections: DetectionColumns) -> DetectionColumns:
@@ -68,23 +58,6 @@ def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> Level:
     return _fuse(singles, np.arange(num_windows + 1), np.full(num_windows, True), plain)
 
 
-def _share_frame(level: Level, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """True where tracklets t[p] and u[p] of a level share a frame."""
-    nodes = np.flatnonzero(np.bincount(np.concatenate([t, u])))  # the tracklets asked about
-    start, end = level.offsets[nodes], level.offsets[nodes + 1]
-    node = np.repeat(nodes, end - start)
-    frame = level.table.frame[level.members[_ranges(start, end - start)]]
-    order = np.lexsort((node, frame))
-    node, frame = node[order], frame[order]
-    # Pair each row with the earlier rows of its frame (a tracklet has one row a frame).
-    head = np.flatnonzero(np.append(True, frame[1:] != frame[:-1]))
-    rank = np.arange(len(node))
-    first = head[np.searchsorted(head, rank, side="right") - 1]
-    i, j = _ranges(first, rank - first), np.repeat(rank, rank - first)
-    width = len(level.offsets) - 1
-    return np.isin(np.minimum(t, u) * width + np.maximum(t, u), node[i] * width + node[j])
-
-
 def _fuse(
     level: Level, cuts: np.ndarray, clustered: np.ndarray, cfg: FcgConfig, medians: bool = True
 ) -> Level:
@@ -100,28 +73,16 @@ def _fuse(
     runs = np.flatnonzero(clustered)
     run_lo, run_n = lo[runs], (hi - lo)[runs]
 
-    def load(group):
-        lo = run_lo[group]
-        cos = cosine_blocks(level, lo, run_n[group])
-
-        def pairs(k, i, j):
-            t, u = lo[k] + i, lo[k] + j
-            dist = weighted_pairs(level, cos[k, i, j], t, u, cfg)
-            # Only a pair not ordered in time, which holds the sentinel, can share a frame:
-            # such a pair is cannot-link, +inf.
-            far = np.flatnonzero(dist >= CANNOT_LINK)
-            if len(far):
-                dist[far[_share_frame(level, t[far], u[far])]] = np.inf
-            return dist
-
-        return (cos * cfg.off if cfg.use_spatial else cos), pairs
-
     # Each tracklet's cluster root, its smallest member; tracklets outside
     # the clustered runs are their own. The roots, ascending, order the next
     # level's tracklets: as tracklets are numbered by first row, so are clusters.
     root = np.arange(len(level.offsets) - 1)
     root[_ranges(run_lo, run_n)] = (
-        cluster_batch(run_n.tolist(), load, threshold=cfg.track_threshold)
+        cluster_batch(
+            run_n.tolist(),
+            lambda group: fusion_load(level, run_lo[group], run_n[group], cfg),
+            threshold=cfg.track_threshold,
+        )
         + np.repeat(run_lo, run_n)
     )
     head = root == np.arange(len(root))

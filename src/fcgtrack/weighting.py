@@ -1,15 +1,17 @@
 """Temporal and spatial priors weighting the appearance distance between tracklets.
 
-A tracklet pair is compared through the last box of the earlier tracklet and
-the first box of the later one. Pairs that cannot be ordered in time (their
-frame spans interleave) get the cannot-link sentinel instead of a weighted
-distance.
+This module decides every tracklet pair's distance. A pair is compared
+through the last box of the earlier tracklet and the first box of the later
+one. Pairs that cannot be ordered in time (their frame spans interleave) get
+the cannot-link sentinel instead of a weighted distance, and those of them
+that share a frame are cannot-link, +inf.
 
 `weighted_pairs` weighs given pairs elementwise, so a value is bit-identical
 wherever its pair is weighed. It is fl(fl(cos * t) * fl(lambda_c * lambda_f)),
 t, lambda_f >= 1 and lambda_c = min(1, fl(iou_distance + off)) >= off (the IoU
 distance is at least 0); rounding is monotone, so it is at least
-fl(cos * off), or cos with the spatial factors off: stage 2's lower bound.
+fl(cos * off), or cos with the spatial factors off: the lower bound that
+`fusion_load` hands `clustering.cluster_batch`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .appearance import cosine_from_gram
-from .core import CANNOT_LINK, DetectionColumns, FcgConfig
+from .core import CANNOT_LINK, DetectionColumns, FcgConfig, _ranges
 from .geometry import box_displacement_array, extrapolate_array, iou_distance_array
 
 
@@ -64,7 +66,8 @@ def weighted_pairs(level, cos: np.ndarray, t: np.ndarray, u: np.ndarray, cfg: Fc
     """Weighted distances of the pairs of tracklets t[p], u[p] of a level, cos[p] their cosine
     distances: times the temporal factor when that is enabled, then times the product of the
     spatial factors when those are enabled, the pair read from whichever tracklet ends first.
-    Pairs not ordered in time, a tracklet with itself among them, hold the sentinel as a value.
+    Pairs not ordered in time hold the sentinel as a value, or +inf where they share a frame, a
+    tracklet with itself among them.
     """
     offsets, members, frame = level.offsets, level.members, level.table.frame
     first_t, first_u = members[offsets[t]], members[offsets[u]]
@@ -83,5 +86,38 @@ def weighted_pairs(level, cos: np.ndarray, t: np.ndarray, u: np.ndarray, cfg: Fc
         if cfg.use_spatial:
             lambda_c, lambda_f = _spatial_factors(last_box, first_box, cfg)
             dist *= lambda_c * lambda_f
-    dist[~ordered] = CANNOT_LINK
+    # Only a pair not ordered in time can share a frame: such a pair is cannot-link, +inf.
+    far = np.flatnonzero(~ordered)
+    if len(far):
+        dist[far] = np.where(_share_frame(level, t[far], u[far]), np.inf, CANNOT_LINK)
     return dist
+
+
+def _share_frame(level, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """True where tracklets t[p] and u[p] of a level share a frame, a tracklet with itself too."""
+    nodes = np.flatnonzero(np.bincount(np.concatenate([t, u])))  # the tracklets asked about
+    start, end = level.offsets[nodes], level.offsets[nodes + 1]
+    node = np.repeat(nodes, end - start)
+    frame = level.table.frame[level.members[_ranges(start, end - start)]]
+    order = np.lexsort((node, frame))
+    node, frame = node[order], frame[order]
+    # Pair each row with itself and the earlier rows of its frame.
+    head = np.flatnonzero(np.append(True, frame[1:] != frame[:-1]))
+    rank = np.arange(len(node))
+    first = head[np.searchsorted(head, rank, side="right") - 1]
+    i, j = _ranges(first, rank - first + 1), np.repeat(rank, rank - first + 1)
+    width = len(level.offsets) - 1
+    return np.isin(np.minimum(t, u) * width + np.maximum(t, u), node[i] * width + node[j])
+
+
+def fusion_load(level, lo: np.ndarray, n: np.ndarray, cfg: FcgConfig):
+    """`clustering.cluster_batch`'s (bound, pairs) for the fusions of the tracklets
+    lo[k]..lo[k]+n[k]-1 of a level: their `cosine_blocks`, times `off` with the spatial factors
+    on, bound the weighted distances from below, and `pairs(k, i, j)` weighs the tracklet pairs
+    (lo[k] + i, lo[k] + j) by `weighted_pairs`."""
+    cos = cosine_blocks(level, lo, n)
+
+    def pairs(k, i, j):
+        return weighted_pairs(level, cos[k, i, j], lo[k] + i, lo[k] + j, cfg)
+
+    return (cos * cfg.off if cfg.use_spatial else cos), pairs

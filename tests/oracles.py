@@ -203,24 +203,28 @@ def cannot_link_mask(pairs, n):
     return mask
 
 
+def with_cannot_link(square, pairs):
+    """`square` with +inf at the cannot-link pairs, both ways: the one encoding the clustering
+    API takes."""
+    return np.where(cannot_link_mask(pairs, len(square)), np.inf, square)
+
+
 def stacked(load_one):
     """`cluster_batch`'s per-chunk `load` from a per-instance one.
 
     `load_one(k)` returns instance k's (square, cannot_link mask or None);
-    the chunk's matrices are padded into (B, m, m) float64 and boolean
-    tensors, the padding NaN and True so that reading it would show, and
+    the chunk's matrices, +inf where masked, are padded into a (B, m, m)
+    float64 tensor, the padding NaN so that reading it would show, and
     served by `clustering.dense`.
     """
     def load(group):
         pairs = [load_one(k) for k in group]
         m = max(len(square) for square, _ in pairs)
         dist = np.full((len(group), m, m), np.nan)
-        mask = np.ones((len(group), m, m), dtype=bool)
         for i, (square, cannot) in enumerate(pairs):
             n = len(square)
-            dist[i, :n, :n] = square
-            mask[i, :n, :n] = False if cannot is None else cannot
-        return dense(dist, mask)
+            dist[i, :n, :n] = square if cannot is None else np.where(cannot, np.inf, square)
+        return dense(dist)
 
     return load
 

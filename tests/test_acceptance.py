@@ -30,7 +30,6 @@ from oracles import (
     box_displacement,
     brute_force_partition,
     build_level,
-    cannot_link_mask,
     columns,
     cosine_distance,
     extrapolate,
@@ -43,6 +42,7 @@ from oracles import (
     tracklet_distance,
     tracklet_frames,
     weighted_distance,
+    with_cannot_link,
 )
 
 TOL = 1e-9
@@ -82,7 +82,7 @@ def test_criterion_1_constrained_linkage_matches_brute_force():
             density = rng.uniform(0, 0.3)
             cannot = [p for p in pairs if rng.random() < density]
             threshold = float(rng.uniform(0.01, 1.2))
-            got = cut(linkage_matrix(square, cannot_link_mask(cannot, n)), threshold)
+            got = cut(linkage_matrix(with_cannot_link(square, cannot)), threshold)
             expected = brute_force_partition(n, square, cannot, threshold)
             matches += got == expected
         elapsed = time.perf_counter() - start
@@ -155,7 +155,7 @@ def test_criterion_2_formula_unit_suite():
         assert [(m.a, m.b) for m in dend.merges] == [(0, 1), (2, 3)]
         assert dend.merges[0].height == pytest.approx(0.1, abs=TOL)
         assert dend.merges[1].height == pytest.approx(0.85, abs=TOL)
-        constrained = linkage_matrix(three, cannot_link_mask([(0, 1)], 3))
+        constrained = linkage_matrix(with_cannot_link(three, [(0, 1)]))
         assert [(m.a, m.b) for m in constrained.merges] == [(1, 2)]
         assert constrained.merges[0].height == pytest.approx(0.8, abs=TOL)
         assert cut(dend, 0.05) == [[0], [1], [2]]

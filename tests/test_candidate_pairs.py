@@ -11,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fcgtrack import clustering, pipeline  # noqa: E402
+from fcgtrack import clustering, pipeline, weighting  # noqa: E402
 from fcgtrack.appearance import cosine_matrix  # noqa: E402
 from fcgtrack.clustering import dense  # noqa: E402
 from fcgtrack.core import FcgConfig  # noqa: E402
@@ -79,7 +79,8 @@ def _check_candidate_pairs_equal_the_dense_oracle(frames, cfg, whole):
 
     def oracle(group):
         lo, n = run_lo[group], run_n[group]
-        return dense(weighted_blocks(level, lo, n, cfg), overlap_masks(level, lo, n))
+        square = weighted_blocks(level, lo, n, cfg)
+        return dense(np.where(overlap_masks(level, lo, n), np.inf, square))
 
     def compared(sizes, load, *, threshold):
         def recorded(group):
@@ -141,7 +142,7 @@ def test_weighted_distance_is_bounded_by_the_cosine_times_off(built, cfg):
 def test_a_bad_pair_distance_raises(bad):
     # Two tracklets of the same feature in two adjacent lifted frames: a candidate pair.
     level = build_level([[(1, [1.0, 0.0])]], [[(7, [1.0, 0.0])]])
-    weighted = pipeline.weighted_pairs
+    weighted = weighting.weighted_pairs
     cfg = FcgConfig(feature_dim=2)
 
     def spoiled(*args):
@@ -150,7 +151,7 @@ def test_a_bad_pair_distance_raises(bad):
         return out
 
     assert len(_fuse(level, np.array([0, 2]), np.array([True]), cfg).median) == 1
-    with mock.patch.object(pipeline, "weighted_pairs", spoiled):
+    with mock.patch.object(weighting, "weighted_pairs", spoiled):
         with pytest.raises(ValueError, match="nonnegative"):
             _fuse(level, np.array([0, 2]), np.array([True]), cfg)
 

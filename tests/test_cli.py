@@ -1,5 +1,6 @@
 import os
 import stat
+import struct
 
 import pytest
 
@@ -26,6 +27,13 @@ def synth_args(out_dir, identities=3, frames=40, sigma=0.02, seed=7, dim=8):
 def track_args(seq_dir, out):
     return ["track", "--det", str(seq_dir / "det.txt"), "--features", str(seq_dir / "feats.fcgf"),
             "--out", str(out), "--feature-dim", "8"]
+
+
+def halved_dimension(blob):
+    """A sidecar's header rewritten to twice the rows at half the dimension: its length still
+    matches, and the dimension does not match the configured one."""
+    magic, version, rows, dim = struct.unpack_from("<4sIII", blob)
+    return struct.pack("<4sIII", magic, version, 2 * rows, dim // 2) + blob[16:]
 
 
 def subsample_args(seq_dir, out_dir):
@@ -256,8 +264,11 @@ class TestExitCodes:
         assert code == 2
         assert "magic" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt", [lambda blob: b"NOPE" + blob[4:], lambda blob: blob[:-5]],
-                             ids=["bad-magic", "truncated"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda blob: b"NOPE" + blob[4:], lambda blob: blob[:-5], halved_dimension],
+        ids=["bad-magic", "truncated", "dimension"],
+    )
     def test_sidecar_errors_name_the_features_file(self, tmp_path, capsys, corrupt):
         seq = tmp_path / "seq"
         assert main(synth_args(seq)) == 0

@@ -1,4 +1,3 @@
-import io
 import weakref
 
 import numpy as np
@@ -23,6 +22,7 @@ from oracles import (
     instance_partitions,
     scipy_cluster_batch,
     stacked,
+    with_cannot_link,
 )
 
 THREE = np.array(
@@ -50,7 +50,7 @@ class TestLinkage:
         assert height == pytest.approx(0.85, abs=1e-12)
 
     def test_three_item_example_constrained(self):
-        d = linkage_matrix(THREE, cannot_link_mask([(0, 1)], 3))
+        d = linkage_matrix(with_cannot_link(THREE, [(0, 1)]))
         # next-smallest admissible pair merges, then only the sentinel remains
         assert len(d.merges) == 1
         a, b, height, size = d.merges[0]
@@ -80,19 +80,6 @@ class TestLinkage:
             assert all(h2 >= h1 for h1, h2 in zip(heights, heights[1:]))
             inputs = [m.a for m in d.merges] + [m.b for m in d.merges]
             assert len(inputs) == len(set(inputs))
-
-    def test_trace_dump(self):
-        buf = io.StringIO()
-        linkage_matrix(THREE, trace=buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "merge 0 1 0.1 2"
-        assert lines[1].startswith("merge 2 3 0.85")
-        assert lines[1].endswith(" 3")
-
-    def test_no_trace_by_default(self):
-        # linkage_matrix only writes when a stream is passed in
-        d = linkage_matrix(THREE)
-        assert d.merges
 
 
 class TestCut:
@@ -133,7 +120,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(42)
         for _ in range(250):
             n, square, cannot, threshold = random_instance(rng)
-            got = cut(linkage_matrix(square, cannot_link_mask(cannot, n)), threshold)
+            got = cut(linkage_matrix(with_cannot_link(square, cannot)), threshold)
             expected = brute_force_partition(n, square, cannot, threshold)
             assert got == expected
 
@@ -143,7 +130,7 @@ class TestAgainstBruteForce:
             n, square, cannot, _ = random_instance(rng)
             if not cannot:
                 continue
-            dend = linkage_matrix(square, cannot_link_mask(cannot, n))
+            dend = linkage_matrix(with_cannot_link(square, cannot))
             for threshold in (0.02, 0.5, 1.0, CANNOT_LINK / 2):
                 part = cut(dend, threshold)
                 membership = {}
@@ -168,7 +155,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(45)
         for _ in range(50):
             n, square, cannot, threshold = random_instance(rng)
-            base = cut(linkage_matrix(square, cannot_link_mask(cannot, n)), threshold)
+            base = cut(linkage_matrix(with_cannot_link(square, cannot)), threshold)
             perm = rng.permutation(n)
             permuted_square = square[np.ix_(perm, perm)]
             permuted_cannot = [
@@ -176,7 +163,7 @@ class TestAgainstBruteForce:
                 for a, b in cannot
             ]
             permuted = cut(
-                linkage_matrix(permuted_square, cannot_link_mask(permuted_cannot, n)),
+                linkage_matrix(with_cannot_link(permuted_square, permuted_cannot)),
                 threshold,
             )
             # map permuted indices back to original labels
@@ -191,12 +178,6 @@ class TestLinkageMatrix:
         square = np.array([[0.0, 0.1, 0.9], [7.0, 0.0, 0.8], [7.0, 7.0, 0.0]])
         assert linkage_matrix(square) == linkage_matrix(THREE)
 
-    def test_mask_pins_pair(self):
-        square = np.array([[0.0, 0.1, 0.9], [0.1, 0.0, 0.8], [0.9, 0.8, 0.0]])
-        mask = np.zeros((3, 3), dtype=bool)
-        mask[0, 1] = True
-        assert linkage_matrix(square, mask) == linkage_matrix(THREE, cannot_link_mask([(0, 1)], 3))
-
     def test_empty_and_single(self):
         assert linkage_matrix(np.zeros((0, 0))).merges == ()
         assert linkage_matrix(np.zeros((1, 1))).merges == ()
@@ -210,8 +191,6 @@ class TestLinkageMatrix:
         for bad in (np.nan, -0.5):
             with pytest.raises(ValueError):
                 linkage_matrix(np.array([[0.0, bad], [bad, 0.0]]))
-        with pytest.raises(ValueError):
-            linkage_matrix(np.zeros((2, 2)), np.zeros((3, 3), dtype=bool))
 
     def test_tie_goes_to_creation_order_not_slot_order(self):
         # Merging 0 and 1 puts cluster 4 into slot 0. Afterwards (2, 3),
@@ -233,9 +212,8 @@ class TestLinkageMatrix:
         rng = np.random.default_rng(46)
         for _ in range(50):
             n, square, cannot, threshold = random_instance(rng)
-            mask = cannot_link_mask(cannot, n)
             expected = brute_force_partition(n, square, cannot, threshold)
-            assert cluster_matrix(square, mask, threshold=threshold) == expected
+            assert cluster_matrix(with_cannot_link(square, cannot), threshold=threshold) == expected
 
 
 def _tied_instance(rng):
@@ -268,8 +246,7 @@ class TestAgainstHeapLinkage:
         rng = np.random.default_rng(47)
         for _ in range(1000):
             square, cannot = make(rng)
-            n = square.shape[0]
-            got = linkage_matrix(square, cannot_link_mask(cannot, n)).merges
+            got = linkage_matrix(with_cannot_link(square, cannot)).merges
             expected = heap_linkage(square, cannot)
             assert len(got) == len(expected)
             for merge, (a, b, height, size) in zip(got, expected):
@@ -369,7 +346,7 @@ class TestBatched:
             )
             assert len(partitions) == len(instances)
             for k, partition in enumerate(partitions):
-                assert partition == cut(linkage_matrix(*_one(instances)(k)), threshold)
+                assert partition == cut(linkage_matrix(with_cannot_link(*instances[k])), threshold)
 
     def test_load_called_once_per_instance_of_two_or_more(self):
         rng = np.random.default_rng(50)
@@ -414,17 +391,17 @@ class TestAgainstScipy:
         return square, float(rng.uniform(0.01, 1.0))
 
     @staticmethod
-    def compared(square, mask, threshold):
+    def compared(square, threshold):
         """Whether `cluster_matrix` was checked against `oracles.scipy_cluster_batch`: not when
         a SciPy merge height lies within 1e-9 relative of the threshold (`NearThreshold`)."""
         pytest.importorskip("scipy")
         n = len(square)
-        load = dense(square[None], None if mask is None else mask[None])
+        load = dense(square[None])
         try:
             roots = scipy_cluster_batch([n], lambda group: load, threshold=threshold)
         except NearThreshold:
             return False
-        partition = cluster_matrix(square, mask, threshold=threshold)
+        partition = cluster_matrix(square, threshold=threshold)
         assert [partition] == instance_partitions([n], roots)
         return True
 
@@ -433,7 +410,7 @@ class TestAgainstScipy:
         skipped = 0
         for _ in range(1000):
             square, threshold = self.instance(rng)
-            skipped += not self.compared(square, None, threshold)
+            skipped += not self.compared(square, threshold)
         assert skipped < 0.05 * 1000
 
     def test_constrained_partitions_match_scipy_with_a_finite_stand_in(self):
@@ -445,7 +422,7 @@ class TestAgainstScipy:
             square, threshold = self.instance(rng)
             n = len(square)
             upper = np.triu(rng.random((n, n)) < rng.uniform(0, 0.3), 1)
-            skipped += not self.compared(square, upper | upper.T, threshold)
+            skipped += not self.compared(np.where(upper | upper.T, np.inf, square), threshold)
         assert skipped < 0.05 * 1000
 
 
@@ -456,13 +433,13 @@ class TestStopAtCut:
         rng = np.random.default_rng(51)
         for _ in range(300):
             n, square, cannot, threshold = random_instance(rng)
-            mask = cannot_link_mask(cannot, n)
-            full = linkage_matrix(square, mask)
+            constrained = with_cannot_link(square, cannot)
+            full = linkage_matrix(constrained)
             thresholds = [threshold]
             # A threshold exactly equal to a merge height applies that merge.
             thresholds += [m.height for m in full.merges if 0.0 < m.height < CANNOT_LINK][:3]
             for t in thresholds:
-                assert cluster_matrix(square, mask, threshold=t) == cut(full, t)
+                assert cluster_matrix(constrained, threshold=t) == cut(full, t)
 
     def test_infinite_input_distances(self):
         rng = np.random.default_rng(52)
@@ -470,27 +447,17 @@ class TestStopAtCut:
             n, square, cannot, threshold = random_instance(rng)
             far = np.triu(rng.random((n, n)) < 0.3, 1)
             square[far | far.T] = np.inf
-            mask = cannot_link_mask(cannot, n)
-            full = linkage_matrix(square, mask)
+            inf = with_cannot_link(square, cannot)
+            full = linkage_matrix(inf)
             assert all(m.height < CANNOT_LINK for m in full.merges)
-            assert cluster_matrix(square, mask, threshold=threshold) == cut(full, threshold)
+            assert cluster_matrix(inf, threshold=threshold) == cut(full, threshold)
             expected = brute_force_partition(n, np.minimum(square, CANNOT_LINK), cannot, threshold)
-            assert cluster_matrix(square, mask, threshold=threshold) == expected
-            # A +inf distance is a cannot-link pair: no mask gives the same merges and roots.
-            inf = np.where(mask, np.inf, square)
-            assert linkage_matrix(inf) == full
             assert cluster_matrix(inf, threshold=threshold) == expected
+            # The finite square bounds the +inf one: `cluster_batch` gives the same roots.
             roots = cluster_batch(
                 [n], lambda _: (square[None], lambda k, i, j: inf[i, j]), threshold=threshold
             )
             assert instance_partitions([n], roots) == [expected]
-
-    def test_mask_shape_is_checked_against_the_square(self):
-        message = r"^cannot-link mask shape \(3, 3\) does not match \(2, 2\)$"
-        with pytest.raises(ValueError, match=message):
-            cluster_matrix(np.zeros((2, 2)), np.zeros((3, 3), bool), threshold=0.5)
-        with pytest.raises(ValueError, match=message):
-            linkage_matrix(np.zeros((2, 2)), np.zeros((3, 3), bool))
 
 
 class TestLevelMemory:
@@ -532,7 +499,8 @@ class TestLevelMemory:
         assert calls == [k for g in clustering._within_budget(sizes) for k in g if sizes[k] >= 2]
         assert len(partitions) == len(sizes)
         for k, partition in enumerate(partitions):
-            assert partition == cluster_matrix(*matrix(k), threshold=0.1)
+            square, cannot = matrix(k)
+            assert partition == cluster_matrix(np.where(cannot, np.inf, square), threshold=0.1)
 
     def test_chunks_of_sizes(self):
         sizes = [5] * 20 + [400] + [180] * 5 + [0, 1]

@@ -18,6 +18,7 @@ from oracles import (  # noqa: E402
     cannot_link_mask,
     instance_partitions,
     stacked,
+    with_cannot_link,
 )
 
 GRID = 0.05
@@ -122,8 +123,7 @@ def _check_components_cut_as_the_whole_instance(instances, pick):
 
     roots = cluster_batch(sizes, stacked(load_one), threshold=threshold)
     for (square, cannot, _, quantised), got in zip(instances, instance_partitions(sizes, roots)):
-        mask = cannot_link_mask(cannot, len(square))
-        assert got == cut(linkage_matrix(square, mask), threshold)
+        assert got == cut(linkage_matrix(with_cannot_link(square, cannot)), threshold)
         if not quantised:
             # The oracle takes means with `np.mean`, which rounds otherwise than the linkage's
             # updates: on ties of the grid the two may differ by ulps, so only continuous

@@ -6,7 +6,6 @@ from fcgtrack.io_mot import (
     detection_features,
     parse_detections,
     parse_ground_truth,
-    read_features,
     subsample,
     subsample_tracks,
     write_detections,
@@ -29,35 +28,43 @@ def detfile(*lines):
     return ("\n".join(lines) + "\n").encode()
 
 
+def read_back(blob, cfg=CFG):
+    """The feature rows of a sidecar `blob`, as `parse_detections` reads them for one
+    detection a row."""
+    rows = int(np.frombuffer(blob, dtype="<u4", count=1, offset=8)[0])
+    det = b"".join(b"%d,-1,0,0,10,10,0.9\n" % (r + 1) for r in range(rows))
+    return parse_detections(det, blob, cfg).feature
+
+
 class TestFeatureBlob:
     def test_round_trip(self):
         m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        out = read_features(write_features(m))
+        out = read_back(write_features(m))
         assert out.shape == (2, 3)
         assert np.array_equal(out, m)
 
     def test_f32_precision_is_stable(self):
         m = np.array([[0.1, 0.2, 0.3]])
-        once = read_features(write_features(m))
-        twice = read_features(write_features(once))
+        once = read_back(write_features(m))
+        twice = read_back(write_features(once))
         assert np.array_equal(once, twice)
 
     def test_bad_magic(self):
         blob = b"XXXX" + write_features(np.zeros((1, 3)))[4:]
         with pytest.raises(ParseError, match="magic"):
-            read_features(blob)
+            read_back(blob)
 
     def test_bad_version(self):
         import struct
 
         blob = struct.pack("<4sIII", b"FCGF", 9, 0, 3)
         with pytest.raises(ParseError, match="version"):
-            read_features(blob)
+            read_back(blob)
 
     def test_truncated_payload(self):
         blob = write_features(np.zeros((2, 3)))[:-4]
         with pytest.raises(ParseError, match="length"):
-            read_features(blob)
+            read_back(blob)
 
     @pytest.mark.parametrize(
         "shape, message",
@@ -71,7 +78,7 @@ class TestFeatureBlob:
 
     def test_largest_u32_dimension_is_written(self):
         blob = write_features(np.zeros((0, 2**32 - 1)))
-        assert read_features(blob).shape == (0, 2**32 - 1)
+        assert read_back(blob, FcgConfig(feature_dim=2**32 - 1)).shape == (0, 2**32 - 1)
 
 
 class TestParseDetections:

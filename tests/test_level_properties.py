@@ -95,7 +95,8 @@ def test_batched_level_equals_each_pair_fused_alone(frames, cfg):
         # The pair alone, by the per-fusion reference: its weighted matrix and
         # the frame-set overlap mask, clustered, and each cluster's detections.
         partition = cluster_matrix(
-            weighted_square(pair, cfg), frame_overlap_mask(pair), threshold=cfg.track_threshold
+            np.where(frame_overlap_mask(pair), np.inf, weighted_square(pair, cfg)),
+            threshold=cfg.track_threshold,
         )
         union = tracklet_rows(pair)
         assert len(partition) == len(got.median)

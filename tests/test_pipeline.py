@@ -12,7 +12,7 @@ from fcgtrack.appearance import cosine_matrix
 from fcgtrack.core import FcgConfig
 from fcgtrack.io_mot import write_tracks
 from fcgtrack.metrics import id_switches, idf1
-from fcgtrack.pipeline import _fuse, _reduce_consecutive, _share_frame, generate_tracklets, run
+from fcgtrack.pipeline import _fuse, _reduce_consecutive, generate_tracklets, run
 from fcgtrack.synthdata import SynthConfig, generate
 from oracles import (
     build_level,
@@ -155,24 +155,6 @@ class TestFuseLiftedFrames:
             [[det(5, basis(0))], [det(1, basis(0))]], [[det(9, basis(0))], [det(5, basis(0))]]
         )
         assert not overlap_masks(level, np.array([0, 2]), np.array([2, 2])).any()
-
-    def test_share_frame_matches_frame_sets(self):
-        # Pairs of any two tracklets of a level, in either order, across its lifted frames too.
-        rng = np.random.default_rng(36)
-        for _ in range(20):
-            groups = [
-                [det(int(f), basis(0)) for f in set(rng.integers(1, 30, size=4))]
-                for k in range(int(rng.integers(2, 12)))
-            ]
-            half = len(groups) // 2
-            level = build_level(groups[:half], groups[half:])
-            n = len(groups)
-            t, u = rng.integers(0, n, (2, 3 * n))
-            expected = frame_overlap_mask(level)
-            assert _share_frame(level, t, u).tolist() == [
-                bool(expected[a, b]) and a != b for a, b in zip(t, u)
-            ]
-            assert not _share_frame(level, t[:0], u[:0]).any()
 
 
 class TestRun:
@@ -398,16 +380,18 @@ class TestLevelMemory:
             if stage == 1:
                 frames = table.frame[lo:hi]
                 partition = clustering.cluster_matrix(
-                    cosine_matrix(table.feature[lo:hi].astype(np.float64)),
-                    frames[:, None] == frames[None, :],
+                    np.where(
+                        frames[:, None] == frames[None, :],
+                        np.inf,
+                        cosine_matrix(table.feature[lo:hi].astype(np.float64)),
+                    ),
                     threshold=cfg.tracklet_threshold,
                 )
                 assert got == [(lo + np.array(m)).tolist() for m in partition]
             else:
                 union = frames_of(level, 2 * k, 2 * k + 1)
                 partition = clustering.cluster_matrix(
-                    weighted_square(union, cfg),
-                    frame_overlap_mask(union),
+                    np.where(frame_overlap_mask(union), np.inf, weighted_square(union, cfg)),
                     threshold=cfg.track_threshold,
                 )
                 assert got == [sorted(lo + i for i in m) for m in partition]
@@ -453,7 +437,7 @@ class TestBatchedLevels:
             feats = table.feature[lo:hi].astype(np.float64)
             same = table.frame[lo:hi][:, None] == table.frame[lo:hi][None, :]
             partition = clustering.cluster_matrix(
-                cosine_matrix(feats), same, threshold=self.CFG3.tracklet_threshold
+                np.where(same, np.inf, cosine_matrix(feats)), threshold=self.CFG3.tracklet_threshold
             )
             assert rows == [(lo + np.array(m)).tolist() for m in partition]
 

@@ -14,7 +14,7 @@ GONE = ("Detection", "DetectionView", "SequenceInput", "EmptyInputError", "track
         "tracklet_distance", "temporal_weight", "spatial_weights", "weighted_distance",
         "frame_set", "first_frame", "last_frame", "_entry_columns",
         "Tracklet", "LiftedFrame", "level_of", "fuse_lifted_frames", "weighted_matrix",
-        "median_feature")
+        "median_feature", "read_features")
 
 
 def python_block(text):

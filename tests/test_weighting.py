@@ -7,14 +7,14 @@ import pytest
 
 from fcgtrack.clustering import CANNOT_LINK
 from fcgtrack.core import FcgConfig
-from fcgtrack.weighting import _endpoints, _temporal_factor
+from fcgtrack.weighting import _endpoints, _share_frame, _temporal_factor
 from oracles import (
     Box,
     build_level,
+    frame_overlap_mask,
     scalar_weighted_distance,
     spatial_weights,
     tracklet_distance,
-    tracklet_frames,
     tracklet_rows,
     weighted_distance,
     weighted_square,
@@ -235,12 +235,17 @@ class TestWeightedMatrix:
             level = random_tracklets(rng, int(rng.integers(2, 14)))
             got = weighted_square(level, cfg)
             assert np.array_equal(got, got.T)
+            # +inf exactly at the pairs that share a frame, a tracklet with itself among them.
+            shared = frame_overlap_mask(level)
+            assert np.array_equal(got == np.inf, shared)
             for i, j in itertools.combinations(range(len(level.median)), 2):
                 expected = scalar_weighted_distance(level, i, j, cfg)
-                if expected == CANNOT_LINK:
+                if shared[i, j]:
+                    assert expected == CANNOT_LINK
+                    kinds.add("frame-sharing")
+                elif expected == CANNOT_LINK:
                     assert got[i, j] == CANNOT_LINK
-                    shared = set(tracklet_frames(level, i)) & set(tracklet_frames(level, j))
-                    kinds.add("frame-sharing" if shared else "interleaved")
+                    kinds.add("interleaved")
                 else:
                     assert abs(got[i, j] - expected) <= 1e-12
                     kinds.add("ordered")
@@ -249,8 +254,8 @@ class TestWeightedMatrix:
     def test_empty_and_single(self):
         assert weighted_square(build_level([]), CFG).shape == (0, 0)
         single = build_level([rows([(1, (0, 0, 10, 10))], [1.0, 0.0])])
-        # A tracklet is not ordered in time with itself.
-        assert weighted_square(single, CFG).tolist() == [[CANNOT_LINK]]
+        # A tracklet shares its frames with itself.
+        assert weighted_square(single, CFG).tolist() == [[np.inf]]
 
     def test_scalar_is_matrix_entry(self):
         rng = np.random.default_rng(12)
@@ -259,4 +264,24 @@ class TestWeightedMatrix:
         for i, j in itertools.combinations(range(8), 2):
             pair = weighted_distance(level, i, j, CFG)
             assert weighted_distance(level, j, i, CFG) == pair
-            assert abs(pair - matrix[i, j]) <= 1e-12
+            assert pair == pytest.approx(matrix[i, j], abs=1e-12)
+
+
+class TestShareFrame:
+    def test_share_frame_matches_frame_sets(self):
+        # Pairs of any two tracklets of a level, in either order, across its lifted frames too.
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            groups = [
+                [(int(f), [1.0]) for f in set(rng.integers(1, 30, size=4))]
+                for k in range(int(rng.integers(2, 12)))
+            ]
+            half = len(groups) // 2
+            level = build_level(groups[:half], groups[half:])
+            n = len(groups)
+            t, u = rng.integers(0, n, (2, 3 * n))
+            expected = frame_overlap_mask(level)
+            assert _share_frame(level, t, u).tolist() == [
+                bool(expected[a, b]) for a, b in zip(t, u)
+            ]
+            assert not _share_frame(level, t[:0], u[:0]).any()
