@@ -1,8 +1,9 @@
 """Command-line entry point: track, synth, eval, and subsample subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad files, format
-violations). All tracking constants are settable through flags named after
-the configuration fields; repeated runs of one command are byte-identical.
+violations, input too large for memory). All tracking constants are settable
+through flags named after the configuration fields; repeated runs of one
+command are byte-identical.
 """
 
 from __future__ import annotations
@@ -233,8 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (FcgError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FcgError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

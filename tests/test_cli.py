@@ -277,6 +277,23 @@ class TestExitCodes:
         assert main(track_args(seq, tmp_path / "res.txt")) == 2
         assert capsys.readouterr().err.startswith("error: feats.fcgf: ")
 
+    @pytest.mark.parametrize(
+        "exc", [MemoryError(), MemoryError("Unable to allocate 1.33 TiB for an array")],
+        ids=["bare", "numpy"],
+    )
+    def test_memory_error_is_a_data_error(self, tmp_path, capsys, monkeypatch, exc):
+        # A frame index near 2**40 makes `run` ask numpy for more memory than exists.
+        seq = tmp_path / "seq"
+        assert main(synth_args(seq)) == 0
+
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "run", exhausted)
+        assert main(track_args(seq, tmp_path / "res.txt")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {exc or 'MemoryError'}\n"
+
 
 class TestParser:
     def test_is_built_once(self):

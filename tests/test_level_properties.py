@@ -196,6 +196,57 @@ def test_network_medians_equal_numpy(counts, dim, dtype, seed):
         assert np.array_equal(median, np.median(rows_of_g, axis=0))
 
 
+def same_bits_but_zero_sign(a, b):
+    """Bit equality of two float64 arrays, counting -0.0 as 0.0 (adding 0.0 clears the sign)."""
+    return np.array_equal((a + 0.0).view(np.int64), (b + 0.0).view(np.int64))
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, NETWORK_MAX_SIZE + 4), st.integers(1, 40)),
+        min_size=1, max_size=5, unique_by=lambda size_count: size_count[0],
+    ),
+    st.integers(1, 3 * NETWORK_MAX_SIZE),
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_medians_in_blocks_equal_numpy(counts, block_rows, dtype, seed):
+    """Size classes gathered in blocks of `block_rows` feature rows (one group at least), so
+    that most classes span several blocks, by network (64 columns, 32 groups or more) or by
+    sorting: each median has the bits of `np.median`'s in float64, the sign of a zero aside."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.permutation(np.repeat(*np.array(counts).T))
+    rows, dim = int(sizes.sum()), 64
+    values = np.array([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0], dtype=dtype)
+    feature = rng.choice(values, (rows, dim))
+    feature += rng.normal(0, 1, (rows, dim)).astype(dtype) * (rng.random((rows, dim)) < 0.3)
+    members = rng.permutation(rows)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    groups = rng.permutation(len(sizes))
+    block_bytes = block_rows * dim * np.dtype(dtype).itemsize
+    with mock.patch.object(core, "_BLOCK_BYTES", block_bytes):
+        got = _medians(feature, members, offsets, groups)
+    expected = [np.median(feature[members[offsets[g] : offsets[g + 1]]].astype(np.float64), axis=0)
+                for g in groups]
+    assert same_bits_but_zero_sign(got, np.array(expected).reshape(got.shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_medians_of_classes_larger_than_a_block(dtype):
+    """At the real block size, classes of 2, 3 and 40 rows that each fill two to four blocks."""
+    rng = np.random.default_rng(11)
+    dim = 256
+    block_rows = core._BLOCK_BYTES // (dim * np.dtype(dtype).itemsize)
+    sizes = rng.permutation(np.repeat([2, 3, 40], [block_rows, block_rows, 3 * block_rows // 40]))
+    feature = rng.normal(size=(int(sizes.sum()), dim)).astype(dtype)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    got = _medians(feature, np.arange(len(feature)), offsets, np.arange(len(sizes)))
+    expected = [np.median(feature[offsets[g] : offsets[g + 1]].astype(np.float64), axis=0)
+                for g in range(len(sizes))]
+    assert same_bits_but_zero_sign(got, np.array(expected))
+
+
 @settings(max_examples=40)
 @given(
     st.integers(3, 10), st.integers(12, 60), st.sampled_from([0.03, 0.07]), st.booleans(),

@@ -1,14 +1,17 @@
 """Property tests of the tracker and its I/O on generated detection lists."""
 
+import math
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fcgtrack.core import FcgConfig, TrackSet  # noqa: E402
 from fcgtrack.io_mot import (  # noqa: E402
+    _track_rows,
     detection_features,
     parse_detections,
     parse_ground_truth,
@@ -133,6 +136,65 @@ def test_write_then_parse_round_trips_every_column(dets):
     for name in ("frame", "box", "score", "row"):
         assert np.array_equal(getattr(again, name), getattr(seq, name)), name
     assert np.array_equal(again.feature, detection_features(seq, DIM))
+
+
+# Result values `write_tracks` must print as `%` does: ties and near-ties at
+# both precisions, signed zeros and small negatives, values around the 2**52
+# bound of the array rule, non-finite values and scores at the ends of [0, 1].
+RESULT_VALUE = st.one_of(
+    st.sampled_from([
+        2.675, 10.125, 0.125, 0.015, 1.00005, 0.0, -0.0, -0.001, -1e-9, 1.0, 5e-5,
+        0.99995, 2**52 / 100, -(2**52) / 100, 2**52 / 10**4, math.inf, -math.inf, math.nan,
+    ]),
+    st.integers(-(10**6), 10**6).map(lambda k: k + 0.005),
+    st.floats(-0.01, 0.0),
+    st.floats(2**52 / 100 * (1 - 1e-12), 2**52 / 100 * (1 + 1e-12)),
+    st.floats(-1e6, 1e6),
+    st.floats(),
+)
+# Values the array rule decides, so that its path is drawn as often as the other.
+PLAIN_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, -0.001, 1.0, 5e-5]), st.floats(-0.01, 0.0), st.floats(-1e6, 1e6)
+)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+RESULT_ROWS = st.sampled_from([PLAIN_VALUE, PLAIN_VALUE | NON_FINITE, RESULT_VALUE]).flatmap(
+    lambda value: st.lists(
+        st.tuples(
+            st.one_of(st.integers(1, 3), st.integers(10**18, 2**63 - 1)),
+            st.one_of(st.integers(-3, 3), st.integers(10**18, 2**63 - 1)),
+            st.lists(value, min_size=5, max_size=5),
+        ),
+        max_size=10,
+        unique_by=lambda row: row[:2],
+    )
+)
+
+
+@settings(max_examples=300)
+@given(RESULT_ROWS)
+@example([])
+@example([(1, 1, [2.675, 10.125, -0.001, -0.0, 5e-5])])
+@example([(2**63 - 1, 2**63 - 1, [1.5, 2.25, 3.0, 4.75, 1.0])])
+@example([(1, 1, [math.nan, 1.5, -math.inf, math.inf, 0.5])])
+def test_written_results_equal_percent_formatting(rows):
+    """`write_tracks` gives the bytes of one `%` line per row in (frame, id)
+    order, whichever of its two paths writes them."""
+    rows = sorted(rows)
+    ts = TrackSet(
+        np.array([r[0] for r in rows], dtype=np.int64),
+        np.array([r[1] for r in rows], dtype=np.int64),
+        np.array([r[2][:4] for r in rows], dtype=np.float64).reshape(-1, 4),
+        np.array([r[2][4] for r in rows], dtype=np.float64),
+    )
+    expected = "".join(
+        "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,-1,-1,-1\n" % (frame, tid, *values)
+        for frame, tid, values in sorted((r[1], r[0], r[2]) for r in rows)
+    ).encode()
+    assert write_tracks(ts) == expected
+    order = np.lexsort((ts.track_id, ts.frame))
+    values = np.column_stack((ts.box[order], ts.score[order]))
+    arrays = _track_rows(ts.frame[order], ts.track_id[order], values)
+    assert arrays is None or arrays == expected
 
 
 @pytest.mark.parametrize("temporal", [False, True])
