@@ -95,19 +95,18 @@ def weighted_pairs(level, cos: np.ndarray, t: np.ndarray, u: np.ndarray, cfg: Fc
 
 def _share_frame(level, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """True where tracklets t[p] and u[p] of a level share a frame, a tracklet with itself too."""
-    nodes = np.flatnonzero(np.bincount(np.concatenate([t, u])))  # the tracklets asked about
-    start, end = level.offsets[nodes], level.offsets[nodes + 1]
-    node = np.repeat(nodes, end - start)
-    frame = level.table.frame[level.members[_ranges(start, end - start)]]
-    order = np.lexsort((node, frame))
-    node, frame = node[order], frame[order]
-    # Pair each row with itself and the earlier rows of its frame.
-    head = np.flatnonzero(np.append(True, frame[1:] != frame[:-1]))
-    rank = np.arange(len(node))
-    first = head[np.searchsorted(head, rank, side="right") - 1]
-    i, j = _ranges(first, rank - first + 1), np.repeat(rank, rank - first + 1)
-    width = len(level.offsets) - 1
-    return np.isin(np.minimum(t, u) * width + np.maximum(t, u), node[i] * width + node[j])
+    both = np.concatenate([t, u])
+    start, n = level.offsets[both], level.offsets[both + 1] - level.offsets[both]
+    # Each row of t[p] and of u[p], tagged with p and its side (True for u), by (p, frame, side).
+    pair = np.repeat(np.tile(np.arange(len(t)), 2), n)
+    side = np.repeat(np.arange(len(both)) >= len(t), n)
+    frame = level.table.frame[level.members[_ranges(start, n)]]
+    order = np.lexsort((side, frame, pair))
+    pair, frame, side = pair[order], frame[order], side[order]
+    hit = (pair[1:] == pair[:-1]) & (frame[1:] == frame[:-1]) & side[1:] & ~side[:-1]
+    shared = np.zeros(len(t), dtype=bool)
+    shared[pair[1:][hit]] = True
+    return shared
 
 
 def fusion_load(level, lo: np.ndarray, n: np.ndarray, cfg: FcgConfig):

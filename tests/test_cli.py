@@ -277,6 +277,15 @@ class TestExitCodes:
         assert main(track_args(seq, tmp_path / "res.txt")) == 2
         assert capsys.readouterr().err.startswith("error: feats.fcgf: ")
 
+    def test_zero_dimension_header_names_the_sidecar(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        assert main(synth_args(seq)) == 0
+        feats = seq / "feats.fcgf"
+        blob = feats.read_bytes()
+        feats.write_bytes(blob[:12] + struct.pack("<I", 0) + blob[16:])
+        assert main(track_args(seq, tmp_path / "res.txt")) == 2
+        assert capsys.readouterr().err == "error: feats.fcgf: feature blob declares dimension 0\n"
+
     @pytest.mark.parametrize(
         "exc", [MemoryError(), MemoryError("Unable to allocate 1.33 TiB for an array")],
         ids=["bare", "numpy"],

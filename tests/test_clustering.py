@@ -348,6 +348,39 @@ class TestBatched:
             for k, partition in enumerate(partitions):
                 assert partition == cut(linkage_matrix(with_cannot_link(*instances[k])), threshold)
 
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.9])
+    def test_pool_linked_within_the_loop(self, monkeypatch, threshold):
+        """With a 16-cell budget the pooled components are linked mid-loop, many times in one
+        `cluster_batch` call, and every partition is still the cut of the full linkage."""
+        monkeypatch.setattr(clustering, "CHUNK_CELLS", 16)
+        link_components = clustering._link_components
+        calls = []
+
+        def counting(*args):
+            calls[-1] += 1
+            return link_components(*args)
+
+        monkeypatch.setattr(clustering, "_link_components", counting)
+        rng = np.random.default_rng(49)
+        for _ in range(15):
+            instances = _random_batch(rng)
+            sizes = [len(square) for square, _ in instances]
+            calls.append(0)
+            partitions = instance_partitions(
+                sizes, cluster_batch(sizes, _loader(instances), threshold=threshold)
+            )
+            for k, partition in enumerate(partitions):
+                assert partition == cut(linkage_matrix(with_cannot_link(*instances[k])), threshold)
+        assert max(calls) >= 10
+
+    def test_pairs_of_the_wrong_count_are_refused(self):
+        def load(group):
+            bound, pairs = dense(np.zeros((len(group), 3, 3)))
+            return bound, lambda *cell: pairs(*cell)[:-1]
+
+        with pytest.raises(ValueError, match="^expected 3 pair distances$"):
+            cluster_batch([3], load, threshold=0.5)
+
     def test_load_called_once_per_instance_of_two_or_more(self):
         rng = np.random.default_rng(50)
         instances = [_sized_instance(rng, n, "continuous") for n in (0, 3, 1, 5, 2)]

@@ -4,7 +4,9 @@ The digests were taken from the tracker before stage 2 moved onto per-level
 arrays, and pin every output byte of the scenes below across such
 refactors; that of `noisy_motion` was taken before stage 2 weighed only the
 pairs its cut can reach, and those of the two `sigma_07` scenes while the
-linkage still had a second, single-instance loop. A scene whose digest moves
+linkage still had a second, single-instance loop, and that of `sigma_03`
+while `weighting._share_frame` still paired every same-frame row of the
+tracklets it was asked about. A scene whose digest moves
 has changed behaviour, not layout. SciPy's average linkage, the paper's, gives
 the same bytes.
 """
@@ -45,6 +47,12 @@ NOISY = SynthConfig(
 SIGMA_07 = SynthConfig(
     num_identities=60, num_frames=120, feature_dim=64, feature_noise_sigma=0.07, seed=3,
 )
+# The same scene at sigma = 0.03, where same-identity distances sit at the
+# threshold: stage 2 asks thousands of pairs whose frame spans interleave
+# whether they share a frame, in levels crowded with tracklets.
+SIGMA_03 = SynthConfig(
+    num_identities=60, num_frames=120, feature_dim=64, feature_noise_sigma=0.03, seed=3,
+)
 
 SCENES = {
     "default": (BUSY, 1, FcgConfig(feature_dim=16)),
@@ -53,6 +61,7 @@ SCENES = {
     "gapped": (GAPPED, 1, FcgConfig(feature_dim=8)),
     "ratio_3": (BUSY, 3, FcgConfig(feature_dim=16)),
     "noisy_motion": (NOISY, 1, FcgConfig(feature_dim=16, use_motion=True)),
+    "sigma_03": (SIGMA_03, 1, FcgConfig(feature_dim=64)),
     "sigma_07": (SIGMA_07, 1, FcgConfig(feature_dim=64)),
     "sigma_07_motion": (SIGMA_07, 1, FcgConfig(feature_dim=64, use_motion=True)),
 }
@@ -64,6 +73,7 @@ GOLDEN = {
     "gapped": "94118ae78fb3d3ef2e130c41b2bad44f297326b7d9f725bc61dc1d7c56b553c9",
     "ratio_3": "503b38bbe4e01d341c6699e6b6465437f5e14a78fd457f35c3a4097590b35783",
     "noisy_motion": "dbad3a6642c1465f1909d57ff95aba424f28739ab78c64c248c8f827288e5c0c",
+    "sigma_03": "40e6426a48d9ecd6f37b7acb72d8253369c43853f1eeffb0380b3453cf8d078e",
     "sigma_07": "843f6446c76445d25079c100124b7a814dbd5f166bace9214b174b73facb14df",
     "sigma_07_motion": "e50cc33b1f735647f786e0d8a55eb14764f534aa10e20f076284880d7b0bf613",
 }

@@ -76,6 +76,16 @@ class TestFeatureBlob:
         with pytest.raises(ValueError, match=f"^feature {message}$"):
             write_features(np.zeros(shape))
 
+    def test_one_dimensional_array_is_refused(self):
+        with pytest.raises(ValueError, match=r"^expected a 2-d feature matrix, got shape \(3,\)$"):
+            write_features(np.zeros(3))
+
+    def test_integer_matrix_is_written_as_float32(self):
+        m = np.array([[1, -2, 3], [0, 7, 2**24]])
+        blob = write_features(m)
+        assert np.array_equal(np.frombuffer(blob, dtype="<f4", offset=16).reshape(2, 3), m)
+        assert np.array_equal(read_back(blob), m)
+
     def test_largest_u32_dimension_is_written(self):
         blob = write_features(np.zeros((0, 2**32 - 1)))
         assert read_back(blob, FcgConfig(feature_dim=2**32 - 1)).shape == (0, 2**32 - 1)
@@ -364,6 +374,10 @@ class TestSubsample:
         b = Box(0, 0, 1, 1)
         ts = track_set({1: (Entry(2, b, 1.0),)})
         assert track_entries(subsample_tracks(ts, 2)) == {}
+
+    def test_subsample_tracks_at_ratio_one_is_the_input(self):
+        ts = track_set({1: (Entry(2, Box(0, 0, 1, 1), 1.0),)})
+        assert subsample_tracks(ts, 1) is ts
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):

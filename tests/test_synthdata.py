@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,20 @@ class TestSynthConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(InvalidConfigError):
             SynthConfig(**kwargs)
+
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": 2**64}, "seed must be a 64-bit unsigned integer"),
+            ({"exits": ((2, 3),)}, "exit for unknown identity 2"),
+            ({"box_size": (0.0, 100.0)}, "box_size must be positive"),
+            ({"box_size": (50.0, -1.0)}, "box_size must be positive"),
+        ],
+    )
+    def test_rejects_naming_the_rule(self, kwargs, message):
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+            SynthConfig(num_identities=1, num_frames=5, **kwargs)
 
 
 class TestNonFiniteConfig:

@@ -285,3 +285,29 @@ class TestShareFrame:
                 bool(expected[a, b]) for a, b in zip(t, u)
             ]
             assert not _share_frame(level, t[:0], u[:0]).any()
+
+    def test_crowded_levels_and_self_pairs(self):
+        # 30-40 tracklets over the frames 1-10, each 1-8 frames long, so most pairs share a
+        # frame and a frame holds rows of many tracklets; every tracklet is asked with itself.
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            n = int(rng.integers(30, 41))
+            lengths = rng.integers(1, 9, n)
+            groups = [
+                [(int(f), [1.0]) for f in rng.choice(np.arange(1, 11), size, replace=False)]
+                for size in lengths
+            ]
+            level = build_level(groups[: n // 2], groups[n // 2 :])
+            t, u = rng.integers(0, n, (2, 4 * n))
+            order = rng.permutation(5 * n)
+            t, u = np.append(t, np.arange(n))[order], np.append(u, np.arange(n))[order]
+            expected = frame_overlap_mask(level)[t, u]
+            assert expected.any() and not expected.all()
+            assert _share_frame(level, t, u).tolist() == expected.tolist()
+
+    def test_neighbouring_pairs_stay_apart(self):
+        # Sorted by pair, then frame, the rows of (A, B) end with A's at frame 5 and those of
+        # (C, D) start with D's at frame 5: two pairs meet at one frame, and neither shares it.
+        frames = {"A": (5,), "B": (1, 2), "C": (7, 8), "D": (5,)}
+        level = build_level([[(f, [1.0]) for f in group] for group in frames.values()])
+        assert _share_frame(level, np.array([0, 2]), np.array([1, 3])).tolist() == [False, False]
