@@ -32,7 +32,7 @@ of stage 2) are clustered together by `cluster_batch`. It splits each
 instance into the connected components of its threshold graph, whose edges
 are the pairs with d <= threshold * `MARGIN` (never a +inf, cannot-link one),
 and links only the components of two or more items, whose blocks alone are
-computed in full; a lower bound on the distances picks the candidate edges.
+computed in full; besides those, only candidate cells, edges among them.
 A cut never joins two components: the height of two clusters is the mean of
 their cross pairs, which is never below the smallest of them, and every pair
 across two components is above threshold * MARGIN.
@@ -115,19 +115,18 @@ class Dendrogram:
 
 def dense(dist):
     """`cluster_batch`'s `load` result for a (B, m, m) distance tensor given in full, +inf at
-    its cannot-link cells: the distances bound themselves, and `pairs`, which takes one index
-    array per axis, reads them."""
+    its cannot-link cells: the candidates are the cells not above the limit, so every negative
+    or NaN one in a block is read and rejected, and `pairs` takes one index array per axis."""
     dist = np.asarray(dist, dtype=np.float64)
-    return dist, lambda *cell: dist[cell]
+    if dist.ndim != 3 or dist.shape[1] != dist.shape[2]:
+        raise ValueError(f"expected a (B, m, m) distance tensor, got shape {dist.shape}")
+    return lambda limit: np.flatnonzero(~(dist > limit)), lambda *cell: dist[cell]
 
 
 def _one(dist):
     """`sizes` and `load` of a single instance given as a square matrix (see `dense`)."""
-    dist = np.asarray(dist)
-    n = dist.shape[0] if dist.ndim == 2 else -1
-    if dist.shape != (n, n):
-        raise ValueError(f"expected a square distance matrix, got shape {dist.shape}")
-    return [n], lambda _: dense(dist[None])
+    loaded = dense(np.asarray(dist)[None])
+    return [len(dist)], lambda _: loaded
 
 
 def _pairs(n: np.ndarray, m: int) -> np.ndarray:
@@ -136,19 +135,14 @@ def _pairs(n: np.ndarray, m: int) -> np.ndarray:
     return (pos[:, None] < pos) & (pos < n[:, None, None])
 
 
-def _checked(d: np.ndarray, skip=False) -> np.ndarray:
-    """`d`, or ValueError if one of its values, but where `skip`, is negative or NaN."""
-    if not ((d >= 0.0) | skip).all():
-        raise ValueError("distances must be nonnegative, not NaN")
-    return d
-
-
 def _exact(pairs: Callable, cells: np.ndarray, shape: tuple) -> np.ndarray:
-    """`pairs` of these flat cells of a `load` tensor of `shape`: their distances, checked."""
+    """`pairs` of these flat cells of a `load` tensor of `shape`, checked nonnegative, not NaN."""
     dist = np.asarray(pairs(*np.unravel_index(cells, shape)), dtype=np.float64)
     if dist.shape != cells.shape:
         raise ValueError(f"expected {len(cells)} pair distances")
-    return _checked(dist)
+    if not (dist >= 0.0).all():
+        raise ValueError("distances must be nonnegative, not NaN")
+    return dist
 
 
 def _load(d: np.ndarray, n: np.ndarray):
@@ -256,17 +250,6 @@ def _link(d, near, nn, n, limit: float):
     return count, merged_a, merged_b, height, merged_size
 
 
-def _loaded(n: np.ndarray, group: Sequence[int], load: Callable):
-    """`load(group)` of instances of sizes n: the float64 bound, checked, its `_pairs`, `pairs`."""
-    bound, pairs = load(group)
-    bound = np.asarray(bound, dtype=np.float64)
-    m = int(n.max())
-    if bound.shape != (len(n), m, m):
-        raise ValueError(f"expected a {(len(n), m, m)} distance tensor, got shape {bound.shape}")
-    pair = _pairs(n, m)
-    return _checked(bound, ~pair), pair, pairs
-
-
 def _dendrograms(sizes: Sequence[int], load: Callable, limit: float) -> list[Dendrogram]:
     """Link every instance, each stopped at its first minimum above `limit`: those of two or
     more items are loaded by one `load` call (see `cluster_batch`), all of their pairs computed."""
@@ -274,9 +257,9 @@ def _dendrograms(sizes: Sequence[int], load: Callable, limit: float) -> list[Den
     linked = [k for k, size in enumerate(sizes) if size >= 2]
     if linked:
         n = np.array([sizes[k] for k in linked], dtype=np.intp)
-        bound, pair, pairs = _loaded(n, linked, load)
-        d = np.empty(bound.shape)
-        d[pair] = _exact(pairs, np.flatnonzero(pair), bound.shape)
+        pair = _pairs(n, int(n.max()))
+        d = np.empty(pair.shape)
+        d[pair] = _exact(load(linked)[1], np.flatnonzero(pair), pair.shape)
         count, *merged = _link(d, *_load(d, n), n, limit)
         for i, (k, c) in enumerate(zip(linked, count.tolist())):
             merges[k] = tuple(map(Merge, *(x[i, :c].tolist() for x in merged)))
@@ -304,9 +287,7 @@ def linkage_matrix(dist: np.ndarray) -> Dendrogram:
 
 def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < CANNOT_LINK:
-        raise ValueError(
-            f"threshold must be in (0, {CANNOT_LINK}), got {threshold}"
-        )
+        raise ValueError(f"threshold must be in (0, {CANNOT_LINK}), got {threshold}")
 
 
 def cut(dendrogram: Dendrogram, threshold: float) -> list[list[int]]:
@@ -356,7 +337,7 @@ def _smallest_leaves(count: np.ndarray, merged_a: np.ndarray, merged_b: np.ndarr
     return label.reshape(batch, width)[:, : steps + 1] - base
 
 
-def _components(n: np.ndarray, start: np.ndarray, bound, pair, pairs, threshold: float):
+def _components(n: np.ndarray, start: np.ndarray, candidates, pairs, threshold: float):
     """The threshold-graph components of two or more items of a loaded chunk of instances of
     sizes n, whose items are numbered from start[k] on (see `cluster_batch`).
 
@@ -365,13 +346,19 @@ def _components(n: np.ndarray, start: np.ndarray, bound, pair, pairs, threshold:
     concatenated over those, their items (ascending within each) and the
     distances of their blocks' strict upper triangles, row by row.
     """
-    batch, m = bound.shape[:2]
-    # Node k * m + i is item i of instance k, and cell (k, i, j) of the
-    # tensor is flat cell (k * m + i) * m + j.
-    candidate = np.flatnonzero(pair & (bound <= threshold * MARGIN))
-    d = _exact(pairs, candidate, bound.shape)
+    batch, m = len(n), int(n.max())
+    shape = (batch, m, m)
+    cells = np.asarray(candidates(threshold * MARGIN), dtype=np.intp)
+    if not (np.diff(cells, prepend=-1, append=batch * m * m) > 0).all():
+        raise ValueError(f"expected ascending cells of a {shape} tensor")
+    # Node a = k * m + i is item i of instance k, and cell (k, i, j) is flat
+    # cell a * m + j, in its block's strict upper triangle when i < j < n[k].
+    a, j = np.divmod(cells, m)
+    upper = (j > np.tile(np.arange(m), batch)[a]) & (j < np.repeat(n, m)[a])
+    a, j = a[upper], j[upper]
+    d = _exact(pairs, a * m + j, shape)
     edge = d <= threshold * MARGIN
-    a, j = np.divmod(candidate[edge], m)
+    a, j = a[edge], j[edge]
     strong = d[edge] <= threshold / MARGIN
     node = _connected(batch * m, a, a - a % m + j)
     # Sizes and strong edges of the components, indexed by label: the smallest node.
@@ -390,7 +377,7 @@ def _components(n: np.ndarray, start: np.ndarray, bound, pair, pairs, threshold:
     upper = col > row
     return (
         start[settled // m] + settled % m, node[settled] % m, c, start[at // m] + at % m,
-        _exact(pairs, row[upper] * m + col[upper] % m, bound.shape),
+        _exact(pairs, row[upper] * m + col[upper] % m, shape),
     )
 
 
@@ -425,22 +412,22 @@ def cluster_batch(
     """Cluster independent instances together; returns each item's cluster root, flat.
 
     Instance k has `sizes[k]` items. They are loaded a chunk at a time
-    (`_within_budget`, in order of first index): `load(group)` returns (bound,
-    pairs) for the chunk's instances of two or more items. `bound` is a
-    (len(group), m, m) tensor, m their largest size, holding top left a lower
-    bound on each instance's distances (as `cluster_matrix` takes them).
-    `pairs(k, i, j)` returns the distances of the cells (k[p], i[p], j[p]),
-    i < j, +inf where a pair is cannot-link; it is asked only for the cells
-    whose bound is at most threshold * `MARGIN` and for the blocks of linked
-    components. The bound and every computed distance must be nonnegative,
-    not NaN (else ValueError); `dense` serves distances given in full. Each chunk is split
-    into the components of its threshold graph (`_components`): a
-    sub-threshold clique is one cluster at once, and the other components,
-    from successive chunks together, are linked (`_link_components`). The
-    bound and `pairs` are released before the next load. The result holds,
-    for instance 0's items, then instance 1's and so on, the smallest member
-    of the item's cluster, numbered within its instance. Each partition
-    equals `cluster_matrix`.
+    (`_within_budget`, in order of first index): `load(group)` returns
+    (candidates, pairs) for the chunk's instances of two or more items, over
+    the flat cells of a (len(group), m, m) tensor, m their largest size, that
+    holds each instance's distances top left (as `cluster_matrix` takes them).
+    `candidates(limit)` returns ascending cells, among them every cell i < j of
+    a block whose distance is at most `limit`, and `pairs(k, i, j)` the
+    distances of the cells (k[p], i[p], j[p]), +inf where a pair is
+    cannot-link, each nonnegative, not NaN (else ValueError). `pairs` is asked
+    only for the candidates in a block at threshold * `MARGIN` and for the
+    blocks of linked components; `dense` serves distances given in full. Each
+    chunk is split into the components of its threshold graph (`_components`):
+    a sub-threshold clique is one cluster at once, and the other components,
+    from successive chunks together, are linked (`_link_components`). A load
+    is released before the next. The result holds, for instance 0's items,
+    then instance 1's and so on, the smallest member of the item's cluster,
+    numbered within its instance. Each partition equals `cluster_matrix`.
     """
     _check_threshold(threshold)
     sizes = list(sizes)
@@ -460,7 +447,7 @@ def cluster_batch(
         linked = [k for k in group if sizes[k] >= 2]
         if linked:
             items, roots, *part = _components(
-                n[linked], start[linked], *_loaded(n[linked], linked, load), threshold
+                n[linked], start[linked], *load(linked), threshold
             )
             root[items] = roots
             pool.append(part)

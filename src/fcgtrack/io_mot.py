@@ -376,7 +376,7 @@ def _digits(v: np.ndarray, least: int) -> np.ndarray:
     """The ASCII decimal digits of the nonnegative int64 column `v`, one row a place (most
     significant first) of a (width, N) uint8 array as wide as the largest value needs; leading
     zeros beyond a value's last `least` places are 0 bytes."""
-    width = max(least, len(str(int(v.max()))))
+    width = max(least, len(str(int(v.max(initial=0)))))
     digits = np.empty((width, len(v)), dtype=np.uint8)
     for place in range(width):
         blank = v == 0
@@ -388,33 +388,43 @@ def _digits(v: np.ndarray, least: int) -> np.ndarray:
     return digits
 
 
-def _track_rows(frame: np.ndarray, track_id: np.ndarray, values: np.ndarray) -> bytes | None:
-    """The rows `write_tracks` writes for these columns (`values` holds x, y, w, h and score),
-    built as arrays; None for no rows and where this rule cannot decide a value.
+def _track_rows(frame: np.ndarray, track_id: np.ndarray, values: np.ndarray) -> bytes:
+    """The rows `write_tracks` writes for these columns (`values` holds x, y, w, h and score).
 
     A value x with d places prints as rint(|x| * 10**d), a point before its last d digits, after
     a minus sign where x's sign bit is set. `%` rounds the exact binary value, ties to even, and
     `rint` of the computed product agrees whenever the product is more than its spacing from a
     half-integer: the exact product then lies on the same side. That fails for near-ties such as
     2.675, for NaN, and for every product of 2**51 or more (spacing 0.5 or more; inf is clipped
-    to 2**53 first), which give None, as do negative frames. The digits fill one (width, N)
-    matrix, whose 0 bytes (blank places and plus signs) are dropped in one pass.
+    to 2**53 first). The other rows, but those of negative frames, fill one (width, N) matrix
+    with their digits, beside each remaining row's `%` line, and its 0 bytes (padding, blank
+    places and plus signs) are dropped in one pass.
     """
     scaled = np.minimum(np.abs(values), 2.0**53) * 10.0 ** np.array(_PLACES)
-    decided = np.abs(scaled - np.floor(scaled) - 0.5) > np.spacing(scaled)
-    if not len(frame) or not decided.all() or (frame < 0).any():
-        return None
+    decided = (np.abs(scaled - np.floor(scaled) - 0.5) > np.spacing(scaled)).all(1) & (frame >= 0)
+    kept = np.flatnonzero(decided)
+    at = kept if len(kept) < len(frame) else slice(None)  # views when every row is kept
 
     def text(chars: bytes) -> np.ndarray:
-        return np.broadcast_to(np.frombuffer(chars, np.uint8)[:, None], (len(chars), len(frame)))
+        return np.broadcast_to(np.frombuffer(chars, np.uint8)[:, None], (len(chars), len(kept)))
 
-    pieces = [_digits(frame, 1), text(b","), _digits(track_id, 1)]
-    for x, n, places in zip(values.T, np.rint(scaled.T).astype(np.int64), _PLACES):
+    pieces = [_digits(frame[at], 1), text(b","), _digits(track_id[at], 1)]
+    for x, n, places in zip(values[at].T, np.rint(scaled[at].T).astype(np.int64), _PLACES):
         whole = _digits(n, places + 1)
         pieces += [text(b","), np.signbit(x)[None] * np.uint8(45), whole[:-places], text(b"."),
                    whole[-places:]]
     pieces.append(text(b",-1,-1,-1\n"))
-    return np.concatenate(pieces).T.tobytes().translate(None, b"\0")
+    rows = np.concatenate(pieces)
+    if len(kept) < len(frame):
+        rest = np.flatnonzero(~decided)
+        lines = np.array(_csv(  # `%` lines, padded with 0 bytes to the longest
+            "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,-1,-1,-1", frame[rest].tolist(),
+            track_id[rest].tolist(), *values[rest].T.tolist()).splitlines(keepends=True))
+        spliced = np.zeros((max(len(rows), lines.itemsize), len(frame)), dtype=np.uint8)
+        spliced[: len(rows), kept] = rows
+        spliced[: lines.itemsize, rest] = lines.view(np.uint8).reshape(len(rest), -1).T
+        rows = spliced
+    return rows.T.tobytes().translate(None, b"\0")
 
 
 def write_tracks(tracks: TrackSet) -> bytes:
@@ -422,19 +432,12 @@ def write_tracks(tracks: TrackSet) -> bytes:
 
     Coordinates carry 2 decimals, scores 4, rounded as `%.2f` and `%.4f`
     round; the stream is newline-terminated with no trailing blank line.
-    Rows are built as arrays (`_track_rows`); a set with a value that rule
-    cannot decide is written row by row with `%`, which is the reference.
+    Rows are built as arrays (`_track_rows`); a row with a value that rule
+    cannot decide is written with `%`, which is the reference, and spliced in.
     """
     order = np.lexsort((tracks.track_id, tracks.frame))
-    frame, track_id = tracks.frame[order], tracks.track_id[order]
     values = np.column_stack((tracks.box[order], tracks.score[order]))
-    rows = _track_rows(frame, track_id, values)
-    if rows is not None:
-        return rows
-    return _csv(
-        "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,-1,-1,-1",
-        frame.tolist(), track_id.tolist(), *values.T.tolist(),
-    )
+    return _track_rows(tracks.frame[order], tracks.track_id[order], values)
 
 
 def _sorted_tracks(track_id: np.ndarray, frame: np.ndarray, box: np.ndarray) -> tuple:

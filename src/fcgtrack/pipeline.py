@@ -46,7 +46,7 @@ def generate_tracklets(detections: DetectionColumns, cfg: FcgConfig) -> Level:
     window_of = (table.frame - 1) // cfg.window
     num_windows = int(window_of[-1]) + 1 if len(table) else 0
     bounds = np.searchsorted(window_of, np.arange(num_windows + 1))
-    # A detection's median is its feature, which `cosine_blocks` reads in float64.
+    # A detection's median is its feature, which `fusion_load` reads in float64.
     singles = Level(table, np.arange(len(table)), np.arange(len(table) + 1), table.feature, bounds)
     # Two detections are ordered in time unless they share a frame, which
     # makes them cannot-link (+inf) anyway: with the weights off the weighted

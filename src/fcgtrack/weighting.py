@@ -7,20 +7,38 @@ the cannot-link sentinel instead of a weighted distance, and those of them
 that share a frame are cannot-link, +inf.
 
 `weighted_pairs` weighs given pairs elementwise, so a value is bit-identical
-wherever its pair is weighed. It is fl(fl(cos * t) * fl(lambda_c * lambda_f)),
-t, lambda_f >= 1 and lambda_c = min(1, fl(iou_distance + off)) >= off (the IoU
-distance is at least 0); rounding is monotone, so it is at least
-fl(cos * off), or cos with the spatial factors off: the lower bound that
-`fusion_load` hands `clustering.cluster_batch`.
+wherever its pair is weighed. It is fl(fl(c * t) * fl(lambda_c * lambda_f)),
+c the cosine distance, t, lambda_f >= 1 and lambda_c = min(1, fl(iou_distance
++ off)) >= off (the IoU distance is at least 0); rounding is monotone, so it is
+at least fl(c * off), or c with the spatial factors off, as are the sentinel and +inf.
+
+`fusion_load` hands `clustering.cluster_batch` candidate cells: a cell of Gram
+value g and norms n_i, n_j (fl(sqrt) of the squared norms s_i, s_j) is one
+unless g < fl(fl(beta * n_i) * n_j), beta = fl(1 - L - SLACK), L = l, or l / off
+with the spatial factors on, l = max(limit, 2**-1022). It is one wherever
+d <= limit. With u = 2**-53, P = n_i * n_j and c = clip(fl(1 - q), 0, 2),
+q = fl(g / r), r = fl(sqrt(fl(s_i * s_j))):
+- c <= L * (1 + 4u): with the spatial factors on, fl(c * off) <= d <= l gives
+  c * off <= l * (1 + 2u), and L >= l / off * (1 - u), a normal quotient.
+- Every cell is one if beta <= -1 or a squared norm is outside [2**-500, 2**500].
+  Else L < 2 - SLACK, so fl(1 - q) <= c and q >= 1 - L - 11u; r = P * (1 + e),
+  |e| <= 4u, and fl(g / r) errs by at most u * |g / r| + 2**-1075, so
+  g >= P * (1 - L - 18u), whatever the signs.
+- beta, 0 or a multiple of 2**-54, is within 3u of 1 - L - SLACK, so each product
+  is 0 or normal and the bound is at most P * (1 - L - SLACK + 8u) < P * (1 - L - 18u),
+  as SLACK > 26u. A NaN g is one too, so `pairs` computes it and the clustering rejects it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .appearance import cosine_from_gram
+from .appearance import cosine_cells, squared_norms
 from .core import CANNOT_LINK, DetectionColumns, FcgConfig, _ranges
 from .geometry import box_displacement_array, extrapolate_array, iou_distance_array
+
+SLACK = 2.0**-40  # of `fusion_load`'s candidate test (see the module docstring)
+_CELLS = 1 << 15  # products held at once by the test: 256 KiB
 
 
 def _temporal_factor(delta_t, cfg: FcgConfig):
@@ -48,18 +66,6 @@ def _endpoints(table: DetectionColumns, last, prev, first, cfg: FcgConfig):
     if cfg.use_motion:
         last_box = extrapolate_array(table.box[prev], last_box, np.minimum(gap, cfg.window))
     return gap, last_box, table.box[first]
-
-
-def cosine_blocks(level, lo, n) -> np.ndarray:
-    """Stacked median cosine distances of the tracklets lo[k]..lo[k]+n[k]-1 of a level: block
-    k, at [k, :n[k], :n[k]], equals `cosine_matrix` of those tracklets alone, as each is its
-    own Gram product, normalized with the others in one pass. The padding is nonnegative."""
-    m = int(n.max())
-    dist = np.zeros((len(n), m, m))
-    for k, (a, size) in enumerate(zip(lo.tolist(), n.tolist())):
-        features = np.asarray(level.median[a : a + size], dtype=np.float64)
-        np.matmul(features, features.T, out=dist[k, :size, :size])
-    return cosine_from_gram(dist, n)
 
 
 def weighted_pairs(level, cos: np.ndarray, t: np.ndarray, u: np.ndarray, cfg: FcgConfig):
@@ -109,14 +115,48 @@ def _share_frame(level, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     return shared
 
 
+def _gram_blocks(level, lo, n) -> np.ndarray:
+    """Stacked float64 median Gram matrices of the tracklets lo[k]..lo[k]+n[k]-1 of a level,
+    each its own product at [k, :n[k], :n[k]]; the padding is 0, and 1 on the diagonal."""
+    m = int(n.max())
+    gram = np.zeros((len(n), m, m))
+    gram[:, np.arange(m), np.arange(m)] = 1.0
+    for k, (a, size) in enumerate(zip(lo.tolist(), n.tolist())):
+        features = np.asarray(level.median[a : a + size], dtype=np.float64)
+        np.matmul(features, features.T, out=gram[k, :size, :size])
+    return gram
+
+
+def _not_below(gram: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Ascending, the flat cells (k, i, j) of a (B, m, m) tensor not below row[k, i] * col[k, j],
+    NaN ones too; `einsum` (faster than a broadcast `multiply`) holds `_CELLS` products."""
+    batch, m = gram.shape[:2]
+    rows, step = min(m, max(1, _CELLS // m)), min(batch, max(1, _CELLS // (m * m)))
+    bound, found = np.empty((step, rows, m)), []
+    for k in range(0, batch, step):
+        for start in range(0, m, rows):
+            slab = gram[k : k + step, start : start + rows]
+            block = np.einsum("ki,kj->kij", row[k : k + step, start : start + rows],
+                              col[k : k + step], out=bound[: len(slab), : slab.shape[1]])
+            found.append(np.flatnonzero(~(slab < block)) + (k * m + start) * m)
+    return np.concatenate(found)
+
+
 def fusion_load(level, lo: np.ndarray, n: np.ndarray, cfg: FcgConfig):
-    """`clustering.cluster_batch`'s (bound, pairs) for the fusions of the tracklets
-    lo[k]..lo[k]+n[k]-1 of a level: their `cosine_blocks`, times `off` with the spatial factors
-    on, bound the weighted distances from below, and `pairs(k, i, j)` weighs the tracklet pairs
-    (lo[k] + i, lo[k] + j) by `weighted_pairs`."""
-    cos = cosine_blocks(level, lo, n)
+    """`clustering.cluster_batch`'s (candidates, pairs) for the fusions of the tracklets
+    lo[k]..lo[k]+n[k]-1 of a level (see the module docstring): `pairs(k, i, j)` weighs tracklets
+    lo[k] + i and lo[k] + j by `weighted_pairs`, their cosine `cosine_cells` of their Gram cell."""
+    gram = _gram_blocks(level, lo, n)
+    sq = squared_norms(gram.diagonal(axis1=1, axis2=2))
+    norm = np.sqrt(sq)
+    scaled = 2.0**-500 <= sq.min() and sq.max() <= 2.0**500
+
+    def candidates(limit):
+        beta = 1.0 - max(limit, 2.0**-1022) / (cfg.off if cfg.use_spatial else 1.0) - SLACK
+        return _not_below(gram, norm * (beta if beta > -1.0 and scaled else -np.inf), norm)
 
     def pairs(k, i, j):
-        return weighted_pairs(level, cos[k, i, j], lo[k] + i, lo[k] + j, cfg)
+        cos = cosine_cells(gram[k, i, j], sq[k, i], sq[k, j])
+        return weighted_pairs(level, cos, lo[k] + i, lo[k] + j, cfg)
 
-    return (cos * cfg.off if cfg.use_spatial else cos), pairs
+    return candidates, pairs

@@ -1,13 +1,14 @@
 import math
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fcgtrack import weighting
 from fcgtrack.appearance import cosine_matrix
-from fcgtrack.core import DegenerateFeatureError
-from fcgtrack.weighting import cosine_blocks
+from fcgtrack.core import DegenerateFeatureError, FcgConfig
 from oracles import build_level, cosine_distance, scalar_cosine, tracklet_distance
 
 
@@ -139,12 +140,15 @@ class TestCosineMatrix:
 
 
 class TestCosineBlocks:
-    """`cosine_blocks` stacks one `cosine_matrix` per block, normalized together."""
+    """`fusion_load`'s `pairs` computes each cosine of a block as `cosine_matrix` of the block
+    alone does, from the block's own Gram product."""
 
     @staticmethod
     def blocks(sizes, dim, dtype, seed, spoil=None):
-        """`cosine_blocks` of tracklet runs of the given sizes, apart by a few tracklets,
-        over random medians of one dtype; `spoil` (value, draw) overwrites one real row."""
+        """The cosines that `fusion_load`'s `pairs` hands `weighted_pairs` for every cell of
+        each block, block k at [k, :n[k], :n[k]] of a (B, m, m) tensor, for tracklet runs of
+        the given sizes, apart by a few tracklets, over random medians of one dtype; `spoil`
+        (value, draw) overwrites one real row."""
         rng = np.random.default_rng(seed)
         n = np.array(sizes)
         lo = np.cumsum(n + 3) - n
@@ -154,7 +158,16 @@ class TestCosineBlocks:
             value, draw = spoil
             k = draw.integers(len(n))
             median[lo[k] + draw.integers(n[k])] = value
-        return cosine_blocks(SimpleNamespace(median=median), lo, n), median, lo, n
+        _, pairs = weighting.fusion_load(
+            SimpleNamespace(median=median), lo, n, FcgConfig(feature_dim=dim)
+        )
+        m = int(n.max())
+        pos, size = np.arange(m), n[:, None, None]
+        k, i, j = np.nonzero((pos[:, None] < size) & (pos < size))
+        got = np.full((len(n), m, m), np.nan)
+        with mock.patch.object(weighting, "weighted_pairs", lambda level, cos, *rest: cos):
+            got[k, i, j] = pairs(k, i, j)
+        return got, median, lo, n
 
     def test_blocks_equal_cosine_matrix_bit_for_bit(self):
         pytest.importorskip("hypothesis")
@@ -179,7 +192,6 @@ class TestCosineBlocks:
             for k, (a, size) in enumerate(zip(lo.tolist(), sizes)):
                 alone = cosine_matrix(median[a : a + size].astype(np.float64))
                 assert np.array_equal(got[k, :size, :size], alone)
-            assert (got >= 0.0).all()  # the padding too
 
         check()
 

@@ -2,6 +2,7 @@
 that weighing whole fusions gets (`weighted_blocks` and `overlap_masks`, the dense oracle)."""
 
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_candidate_pairs_equal_the_dense_oracle():
     with mock.patch.object(clustering, "_link", counted_link):
         _check_candidate_pairs_equal_the_dense_oracle()
     # Components that are linked, pairs that share a frame and pairs that interleave without
-    # sharing one were all computed, and pairs were ruled out by the bound.
+    # sharing one were all computed, and pairs were ruled out as candidates.
     assert SEEN["linked"] and SEEN["shared"] and SEEN["interleaved"] and SEEN["ruled_out"]
 
 
@@ -84,7 +85,7 @@ def _check_candidate_pairs_equal_the_dense_oracle(frames, cfg, whole):
 
     def compared(sizes, load, *, threshold):
         def recorded(group):
-            bound, pairs = load(group)
+            candidates, pairs = load(group)
             full = weighted_blocks(level, run_lo[group], run_n[group], cfg)
             mask = overlap_masks(level, run_lo[group], run_n[group])
             asked = np.zeros(full.shape, dtype=bool)
@@ -100,9 +101,16 @@ def _check_candidate_pairs_equal_the_dense_oracle(frames, cfg, whole):
             n = run_n[group]
             pos = np.arange(full.shape[1])
             pair = (pos[:, None] < pos) & (pos < n[:, None, None])
-            assert (np.asarray(bound)[pair] <= full[pair]).all()
+
+            def listed(limit):
+                # Every pair whose distance is at most the limit is a candidate.
+                cells = candidates(limit)
+                reached = pair & (np.where(mask, np.inf, full) <= limit)
+                assert np.isin(np.flatnonzero(reached), cells).all()
+                return cells
+
             loads.append((pair, asked))
-            return bound, checked
+            return listed, checked
 
         roots = batch(sizes, recorded, threshold=threshold)
         assert roots.tolist() == batch(sizes, oracle, threshold=threshold).tolist()
@@ -111,6 +119,119 @@ def _check_candidate_pairs_equal_the_dense_oracle(frames, cfg, whole):
 
     with mock.patch.object(pipeline, "cluster_batch", compared):
         _fuse(level, cuts, clustered, cfg)
+
+
+# Every prior at random, with `off` at either end of its range and between.
+STRESSED_CONFIGS = st.builds(
+    FcgConfig,
+    feature_dim=st.just(DIM),
+    window=st.just(WINDOW),
+    kt=st.integers(0, 12),
+    ct=st.floats(1.0, 8.0),
+    off=st.sampled_from([1e-3, 0.15, 1.0]),
+    use_temporal=st.booleans(),
+    use_spatial=st.booleans(),
+    use_motion=st.booleans(),
+)
+
+
+@st.composite
+def stressed_levels(draw):
+    """A level of 2-8 lifted frames whose medians are near-duplicates of a few directions or
+    of their opposites, moved by 1e-17 to 1e-3 of their length, at norms from 1e-150 to 1e150
+    (a load with one outside about 1e-75 to 1e75 takes every cell)."""
+    frames = draw(lifted_frames(2, 8))
+    assume(sum(map(len, frames)) >= 2)
+    level = build_level(*frames)
+    count = len(level.median)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    directions = rng.normal(size=(draw(st.integers(1, 3)), DIM))
+    median = directions[rng.integers(len(directions), size=count)]
+    median *= rng.choice([-1.0, 1.0], (count, 1))
+    median += median * rng.normal(size=median.shape) * 10.0 ** rng.uniform(-17, -3, (count, 1))
+    low, high = sorted([draw(st.integers(-150, 150)), draw(st.integers(-150, 150))])
+    return replace(level, median=median * 10.0 ** rng.uniform(low, high, (count, 1)))
+
+
+def test_candidates_hold_every_pair_within_the_limit():
+    SEEN.clear()
+    _check_candidates_hold_every_pair_within_the_limit()
+    # Some loads ruled pairs out, some took every cell, and some pairs were within the limit.
+    assert SEEN["pruned"] and SEEN["every"] and SEEN["reached"]
+
+
+@settings(max_examples=300)
+@given(stressed_levels(), STRESSED_CONFIGS, st.booleans(), st.data())
+def _check_candidates_hold_every_pair_within_the_limit(level, cfg, whole, data):
+    # One fusion of every lifted frame, or one level step of pairwise fusions, in one load.
+    cuts = np.array([0, len(level)]) if whole else np.append(
+        np.arange(0, len(level), 2), len(level)
+    )
+    lo, hi = level.bounds[cuts[:-1]], level.bounds[cuts[1:]]
+    lo, n = lo[hi - lo >= 2], (hi - lo)[hi - lo >= 2]
+    assume(len(n))
+    m = int(n.max())
+    pos = np.arange(m)
+    k, i, j = np.nonzero((pos[:, None] < pos) & (pos < n[:, None, None]))
+    with np.errstate(all="ignore"):  # cosines of vectors whose squared norms' product is not normal
+        candidates, pairs = weighting.fusion_load(level, lo, n, cfg)
+        d = pairs(k, i, j)
+        # Limits near 0, at a pair's own distance, near 1, and at 2 or more, on the scale
+        # of the cosines (over `off` with the spatial factors on) or not.
+        scale = data.draw(st.sampled_from([1.0, cfg.off]))
+        finite = d[np.isfinite(d)].tolist()
+        limit = data.draw(st.one_of(
+            st.floats(0.0, 1e-9).map(lambda x: x * scale),
+            st.sampled_from(finite) if finite else st.just(0.5),
+            st.floats(1.0 - 1e-9, 1.0 + 1e-9).map(lambda x: x * scale),
+            st.floats(2.0, 8.0).map(lambda x: x * scale),
+        ))
+        cells = candidates(limit)
+    assert (np.diff(cells) > 0).all()
+    within = np.ravel_multi_index((k, i, j), (len(n), m, m))
+    assert np.isin(within[d <= limit], cells).all()
+    SEEN["reached"] += int((d <= limit).sum())
+    listed = np.isin(within, cells)
+    SEEN["pruned"] += int(not listed.all())
+    SEEN["every"] += int(len(cells) == len(n) * m * m)
+
+
+@pytest.mark.parametrize("limit", [2.0 - 2.0**-40, 2.0, 5.0])
+def test_a_limit_near_two_or_more_takes_every_cell(limit):
+    # Opposite tracklets whose Gram cell is below -n_i * n_j, further than rounding takes a
+    # product of real vectors: from a limit of 2 - SLACK on every cell is a candidate, so a
+    # distance of 2 within the limit is never missed.
+    level = build_level([[(1, [1.0, 0.0])]], [[(7, [-1.0, 0.0])]])
+    gram_blocks = weighting._gram_blocks
+    cfg = FcgConfig(feature_dim=2, use_temporal=False, use_spatial=False)
+
+    def spoiled(*args):
+        gram = gram_blocks(*args)
+        gram[:, 0, 1] = gram[:, 1, 0] = -1.5
+        return gram
+
+    with mock.patch.object(weighting, "_gram_blocks", spoiled):
+        candidates, pairs = weighting.fusion_load(level, np.array([0]), np.array([2]), cfg)
+    assert pairs(np.array([0]), np.array([0]), np.array([1])).tolist() == [2.0]
+    assert candidates(limit).tolist() == [0, 1, 2, 3]
+
+
+def test_a_nan_gram_cell_raises():
+    # Two orthogonal tracklets in adjacent lifted frames, far apart, until their Gram cell is
+    # NaN: a NaN cell is a candidate, so its distance is computed and rejected.
+    level = build_level([[(1, [1.0, 0.0])]], [[(7, [0.0, 1.0])]])
+    gram_blocks = weighting._gram_blocks
+    cfg = FcgConfig(feature_dim=2)
+
+    def spoiled(*args):
+        gram = gram_blocks(*args)
+        gram[:, 0, 1] = gram[:, 1, 0] = np.nan
+        return gram
+
+    assert len(_fuse(level, np.array([0, 2]), np.array([True]), cfg).median) == 2
+    with mock.patch.object(weighting, "_gram_blocks", spoiled):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _fuse(level, np.array([0, 2]), np.array([True]), cfg)
 
 
 @st.composite

@@ -486,9 +486,11 @@ class TestStopAtCut:
             assert cluster_matrix(inf, threshold=threshold) == cut(full, threshold)
             expected = brute_force_partition(n, np.minimum(square, CANNOT_LINK), cannot, threshold)
             assert cluster_matrix(inf, threshold=threshold) == expected
-            # The finite square bounds the +inf one: `cluster_batch` gives the same roots.
+            # The finite square's candidates hold the +inf one's: `cluster_batch` gives the
+            # same roots.
             roots = cluster_batch(
-                [n], lambda _: (square[None], lambda k, i, j: inf[i, j]), threshold=threshold
+                [n], lambda _: (dense(square[None])[0], lambda k, i, j: inf[i, j]),
+                threshold=threshold,
             )
             assert instance_partitions([n], roots) == [expected]
 

@@ -240,6 +240,26 @@ class TestWriteTracks:
         )
         assert write_tracks(ts) == expected.encode()
 
+    def test_three_decimal_boxes_splice_percent_rows_among_array_rows(self):
+        # A value of three decimals ending in 5 is a near-tie at two, such as 2.675: its row
+        # is written with `%` and spliced among the rows built as arrays.
+        rng = np.random.default_rng(74)
+        box = np.round(rng.uniform(-5, 2000, (3000, 4)), 3)
+        score = np.round(rng.uniform(0, 1, 3000), 3)
+        frame = rng.integers(1, 400, 3000)
+        ts = TrackSet(np.arange(1, 3001), frame, box, score)
+        tie = (np.rint(np.abs(box) * 1000) % 10 == 5).any(axis=1)
+        assert 0.1 < tie.mean() < 0.9
+        order = np.lexsort((ts.track_id, ts.frame))
+        expected = "".join(
+            f"{f},{t},{x:.2f},{y:.2f},{w:.2f},{h:.2f},{s:.4f},-1,-1,-1\n"
+            for f, t, (x, y, w, h), s in zip(
+                frame[order].tolist(), ts.track_id[order].tolist(), box[order].tolist(),
+                score[order].tolist(),
+            )
+        )
+        assert write_tracks(ts) == expected.encode()
+
     def test_sorted_by_frame_then_id(self):
         b = Box(0, 0, 1, 1)
         ts = track_set(
