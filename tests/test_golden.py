@@ -6,7 +6,8 @@ refactors; that of `noisy_motion` was taken before stage 2 weighed only the
 pairs its cut can reach, and those of the two `sigma_07` scenes while the
 linkage still had a second, single-instance loop, and that of `sigma_03`
 while `weighting._share_frame` still paired every same-frame row of the
-tracklets it was asked about. A scene whose digest moves
+tracklets it was asked about, and that of `sigma_05` while `pairs` still took
+one index array per axis. A scene whose digest moves
 has changed behaviour, not layout. SciPy's average linkage, the paper's, gives
 the same bytes.
 """
@@ -53,6 +54,11 @@ SIGMA_07 = SynthConfig(
 SIGMA_03 = SynthConfig(
     num_identities=60, num_frames=120, feature_dim=64, feature_noise_sigma=0.03, seed=3,
 )
+# And at sigma = 0.05, where stage 1 leaves singletons that only the overlap
+# factor `off` of the spatial weights joins in stage 2.
+SIGMA_05 = SynthConfig(
+    num_identities=60, num_frames=120, feature_dim=64, feature_noise_sigma=0.05, seed=3,
+)
 
 SCENES = {
     "default": (BUSY, 1, FcgConfig(feature_dim=16)),
@@ -62,6 +68,7 @@ SCENES = {
     "ratio_3": (BUSY, 3, FcgConfig(feature_dim=16)),
     "noisy_motion": (NOISY, 1, FcgConfig(feature_dim=16, use_motion=True)),
     "sigma_03": (SIGMA_03, 1, FcgConfig(feature_dim=64)),
+    "sigma_05": (SIGMA_05, 1, FcgConfig(feature_dim=64)),
     "sigma_07": (SIGMA_07, 1, FcgConfig(feature_dim=64)),
     "sigma_07_motion": (SIGMA_07, 1, FcgConfig(feature_dim=64, use_motion=True)),
 }
@@ -74,6 +81,7 @@ GOLDEN = {
     "ratio_3": "503b38bbe4e01d341c6699e6b6465437f5e14a78fd457f35c3a4097590b35783",
     "noisy_motion": "dbad3a6642c1465f1909d57ff95aba424f28739ab78c64c248c8f827288e5c0c",
     "sigma_03": "40e6426a48d9ecd6f37b7acb72d8253369c43853f1eeffb0380b3453cf8d078e",
+    "sigma_05": "03ec8ec4fe19b6caa212b11ab7d283c228db7561b4819ea518ac76152b68a025",
     "sigma_07": "843f6446c76445d25079c100124b7a814dbd5f166bace9214b174b73facb14df",
     "sigma_07_motion": "e50cc33b1f735647f786e0d8a55eb14764f534aa10e20f076284880d7b0bf613",
 }
