@@ -19,8 +19,10 @@ holds each row's nearest later-created neighbour, or a lower bound on it once
 that neighbour was merged away, and a row is rescanned only when its bound is
 the smallest. Ties on the minimum go to the lexicographically smallest pair
 of creation indices (a, b), a < b: leaves are 0..n-1 and the k-th merge
-creates n+k. The merged cluster reuses the slot of `a`, and slots are
-compared through their creation indices, so slot reuse never moves a tie.
+creates n+k. A merged cluster takes the smaller of its two slots, so each
+slot holds its cluster's smallest leaf, its root. That moves no tie and no
+bit: ties compare creation indices, never slots, the merged row is computed
+before it is placed, and both slots leave the row cache either way.
 The merged row is computed as (|K| * D[K] + |L| * D[L]) / (|K| + |L|),
 elementwise and in that order, and entries between surviving clusters are
 never recomputed, so every height is bit-identical to the same update done
@@ -116,11 +118,11 @@ class Dendrogram:
 def dense(dist):
     """`cluster_batch`'s `load` result for a (B, m, m) distance tensor given in full, +inf at
     its cannot-link cells: the candidates are the cells not above the limit, so every negative
-    or NaN one in a block is read and rejected, and `pairs` takes one index array per axis."""
+    or NaN one in a block is read and rejected, and `pairs` is a flat take."""
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 3 or dist.shape[1] != dist.shape[2]:
         raise ValueError(f"expected a (B, m, m) distance tensor, got shape {dist.shape}")
-    return lambda limit: np.flatnonzero(~(dist > limit)), lambda *cell: dist[cell]
+    return lambda limit: np.flatnonzero(~(dist > limit)), lambda cells: np.take(dist, cells)
 
 
 def _one(dist):
@@ -135,9 +137,9 @@ def _pairs(n: np.ndarray, m: int) -> np.ndarray:
     return (pos[:, None] < pos) & (pos < n[:, None, None])
 
 
-def _exact(pairs: Callable, cells: np.ndarray, shape: tuple) -> np.ndarray:
-    """`pairs` of these flat cells of a `load` tensor of `shape`, checked nonnegative, not NaN."""
-    dist = np.asarray(pairs(*np.unravel_index(cells, shape)), dtype=np.float64)
+def _exact(pairs: Callable, cells: np.ndarray) -> np.ndarray:
+    """`pairs` of these flat cells of a `load` tensor, checked nonnegative, not NaN."""
+    dist = np.asarray(pairs(cells), dtype=np.float64)
     if dist.shape != cells.shape:
         raise ValueError(f"expected {len(cells)} pair distances")
     if not (dist >= 0.0).all():
@@ -145,20 +147,23 @@ def _exact(pairs: Callable, cells: np.ndarray, shape: tuple) -> np.ndarray:
     return dist
 
 
-def _load(d: np.ndarray, n: np.ndarray):
-    """Turn a chunk's stacked distances into its working tensor, in place.
+def _load(n: np.ndarray, upper: np.ndarray):
+    """The working tensor of instances of sizes n and its row cache.
 
-    Reads the strict upper triangle of each instance's block d[k, :n[k],
-    :n[k]], +inf at its cannot-link pairs, and mirrors it, with +inf on the
-    diagonal and outside the blocks. Returns each row's nearest
-    later-created neighbour (the first of equal minima) and its distance.
+    `upper` holds the strict upper triangles of the instances' blocks, +inf
+    at their cannot-link pairs, concatenated row by row. Returns the (B, m, m)
+    tensor that holds each block d[k, :n[k], :n[k]] mirrored, with +inf on the
+    diagonal and outside the blocks, then each row's distance to its nearest
+    later-created neighbour (the first of equal minima) and that neighbour.
     """
+    pair = _pairs(n, int(n.max()))
     # The diagonal and the columns of merged-away clusters hold +inf, so
     # averaged rows stay +inf there and never look like a closer neighbour.
-    d[~_pairs(n, d.shape[1])] = np.inf
+    d = np.full(pair.shape, np.inf)
+    d[pair] = upper
     near, nn = d.min(axis=2), d.argmin(axis=2)
     np.minimum(d, d.transpose(0, 2, 1), out=d)
-    return near, nn
+    return d, near, nn
 
 
 def _link(d, near, nn, n, limit: float):
@@ -168,9 +173,9 @@ def _link(d, near, nn, n, limit: float):
     slice is +inf, and its `near`/`nn` rows are the row cache; all three are
     overwritten. This is the one linkage loop: each step advances every live
     instance by one merge or one row rescan, a single instance alone as well
-    as many, until none is live. Returns the merge count per instance and
-    (B, m-1) arrays of the merged creation indices a < b, the heights and the
-    new sizes.
+    as many, until none is live. Returns the (B, m) root of every leaf, the
+    smallest leaf of its cluster, the merge count per instance and (B, m-1)
+    arrays of the merged creation indices a < b, the heights and the new sizes.
     """
     batch, m = near.shape
     slots = np.arange(m)
@@ -185,6 +190,7 @@ def _link(d, near, nn, n, limit: float):
     merged_b = np.zeros_like(merged_a)
     merged_size = np.zeros_like(merged_a)
     height = np.zeros(merged_a.shape)
+    into = np.tile(slots, (batch, 1))  # the slot that each retired slot merged into
     above = 2 * m  # larger than every creation index
 
     live = np.flatnonzero(n >= 2)
@@ -227,7 +233,9 @@ def _link(d, near, nn, n, limit: float):
         count[at] = step + 1
 
         row = (size_a[:, None] * d[at, i] + size_b[:, None] * d[at, j]) / size_new[:, None]
-        # The new cluster takes slot i; slot j retires.
+        # The new cluster takes the smaller slot, its smallest leaf; the other retires.
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        into[at, j] = i
         d[at, i] = row
         d[at, :, i] = row
         d[at, :, j] = np.inf
@@ -247,7 +255,10 @@ def _link(d, near, nn, n, limit: float):
         near[at] = np.where(closer, row, rows)
         nn[at] = np.where(closer, new[:, None], nn[at])
 
-    return count, merged_a, merged_b, height, merged_size
+    # Pointer jumping: each slot ends at the slot its cluster holds at the end.
+    while not np.array_equal(hop := np.take_along_axis(into, into, axis=1), into):
+        into = hop
+    return into, count, merged_a, merged_b, height, merged_size
 
 
 def _dendrograms(sizes: Sequence[int], load: Callable, limit: float) -> list[Dendrogram]:
@@ -257,10 +268,8 @@ def _dendrograms(sizes: Sequence[int], load: Callable, limit: float) -> list[Den
     linked = [k for k, size in enumerate(sizes) if size >= 2]
     if linked:
         n = np.array([sizes[k] for k in linked], dtype=np.intp)
-        pair = _pairs(n, int(n.max()))
-        d = np.empty(pair.shape)
-        d[pair] = _exact(load(linked)[1], np.flatnonzero(pair), pair.shape)
-        count, *merged = _link(d, *_load(d, n), n, limit)
+        upper = _exact(load(linked)[1], np.flatnonzero(_pairs(n, int(n.max()))))
+        _, count, *merged = _link(*_load(n, upper), n, limit)
         for i, (k, c) in enumerate(zip(linked, count.tolist())):
             merges[k] = tuple(map(Merge, *(x[i, :c].tolist() for x in merged)))
     return [Dendrogram(n=size, merges=m) for size, m in zip(sizes, merges)]
@@ -320,23 +329,6 @@ def _within_budget(sizes: Sequence[int]) -> list[list[int]]:
     return sorted(groups)
 
 
-def _smallest_leaves(count: np.ndarray, merged_a: np.ndarray, merged_b: np.ndarray, n: np.ndarray):
-    """The smallest leaf of each leaf's cluster after the first count[k] merges of instance k.
-
-    Takes `_link`'s merge record and returns a (B, m) array, m the tensor
-    width: the leaves and merged clusters of every instance are the nodes of
-    one graph whose edges join each merged cluster to its two parts.
-    """
-    batch, steps = merged_a.shape
-    width = 2 * steps + 1
-    base = np.arange(batch)[:, None] * width
-    applied = np.arange(steps) < count[:, None]
-    new = (base + n[:, None] + np.arange(steps))[applied]
-    parts = np.concatenate([(base + merged_a)[applied], (base + merged_b)[applied]])
-    label = _connected(batch * width, parts, np.concatenate([new, new]))
-    return label.reshape(batch, width)[:, : steps + 1] - base
-
-
 def _components(n: np.ndarray, start: np.ndarray, candidates, pairs, threshold: float):
     """The threshold-graph components of two or more items of a loaded chunk of instances of
     sizes n, whose items are numbered from start[k] on (see `cluster_batch`).
@@ -347,16 +339,15 @@ def _components(n: np.ndarray, start: np.ndarray, candidates, pairs, threshold: 
     distances of their blocks' strict upper triangles, row by row.
     """
     batch, m = len(n), int(n.max())
-    shape = (batch, m, m)
     cells = np.asarray(candidates(threshold * MARGIN), dtype=np.intp)
     if not (np.diff(cells, prepend=-1, append=batch * m * m) > 0).all():
-        raise ValueError(f"expected ascending cells of a {shape} tensor")
+        raise ValueError(f"expected ascending cells of a {(batch, m, m)} tensor")
     # Node a = k * m + i is item i of instance k, and cell (k, i, j) is flat
     # cell a * m + j, in its block's strict upper triangle when i < j < n[k].
     a, j = np.divmod(cells, m)
-    upper = (j > np.tile(np.arange(m), batch)[a]) & (j < np.repeat(n, m)[a])
+    upper = (j > a % m) & (j < n[a // m])
     a, j = a[upper], j[upper]
-    d = _exact(pairs, a * m + j, shape)
+    d = _exact(pairs, cells[upper])
     edge = d <= threshold * MARGIN
     a, j = a[edge], j[edge]
     strong = d[edge] <= threshold / MARGIN
@@ -377,33 +368,27 @@ def _components(n: np.ndarray, start: np.ndarray, candidates, pairs, threshold: 
     upper = col > row
     return (
         start[settled // m] + settled % m, node[settled] % m, c, start[at // m] + at % m,
-        _exact(pairs, row[upper] * m + col[upper] % m, shape),
+        _exact(pairs, row[upper] * m + col[upper] % m),
     )
 
 
 def _link_components(c: np.ndarray, items: np.ndarray, cells: np.ndarray, threshold: float):
     """Link components as `_components` returns them, stacked within `CHUNK_CELLS`.
 
-    Returns their items and the cluster root (smallest member) of each.
+    Returns the cluster root (smallest member) of each of their items.
     """
     tri = c * (c - 1) // 2
     first, first_cell = np.cumsum(c) - c, np.cumsum(tri) - tri
-    found = [(items[:0], items[:0])]
+    smallest = items.copy()
     # Components share a tensor however few they are: one gather for all of
     # them, and `_link` steps them together until the last one stops.
     for group in _within_budget(c.tolist()):
         size = c[group]
-        m = int(size.max())
-        pair = _pairs(size, m)
-        cd = np.empty(pair.shape)  # `_load` reads only the pairs
-        cd[pair] = cells[_ranges(first_cell[group], tri[group])]
-        count, merged_a, merged_b, _, _ = _link(cd, *_load(cd, size), size, threshold)
-        leaf = _smallest_leaves(count, merged_a, merged_b, size)
-        real = np.arange(m) < size[:, None]
-        at = np.zeros(real.shape, dtype=np.intp)
-        at[real] = items[_ranges(first[group], size)]
-        found.append((at[real], at[np.arange(len(size))[:, None], leaf][real]))
-    return tuple(map(np.concatenate, zip(*found)))
+        upper = cells[_ranges(first_cell[group], tri[group])]
+        leaf = _link(*_load(size, upper), size, threshold)[0]
+        real = np.arange(leaf.shape[1]) < size[:, None]
+        smallest[_ranges(first[group], size)] = items[(first[group][:, None] + leaf)[real]]
+    return smallest
 
 
 def cluster_batch(
@@ -417,9 +402,9 @@ def cluster_batch(
     the flat cells of a (len(group), m, m) tensor, m their largest size, that
     holds each instance's distances top left (as `cluster_matrix` takes them).
     `candidates(limit)` returns ascending cells, among them every cell i < j of
-    a block whose distance is at most `limit`, and `pairs(k, i, j)` the
-    distances of the cells (k[p], i[p], j[p]), +inf where a pair is
-    cannot-link, each nonnegative, not NaN (else ValueError). `pairs` is asked
+    a block whose distance is at most `limit`, and `pairs(cells)` the
+    distances of the given flat cells, +inf where a pair is cannot-link, each
+    nonnegative, not NaN (else ValueError). `pairs` is asked
     only for the candidates in a block at threshold * `MARGIN` and for the
     blocks of linked components; `dense` serves distances given in full. Each
     chunk is split into the components of its threshold graph (`_components`):
@@ -437,8 +422,8 @@ def cluster_batch(
     root = np.arange(len(base)) - base
 
     def link(pool):
-        items, smallest = _link_components(*map(np.concatenate, zip(*pool)), threshold)
-        root[items] = smallest - base[items]
+        c, items, cells = map(np.concatenate, zip(*pool))
+        root[items] = _link_components(c, items, cells, threshold) - base[items]
 
     # The components of successive chunks are linked together, once their
     # blocks reach CHUNK_CELLS cells and at the end.

@@ -12,9 +12,9 @@ c the cosine distance, t, lambda_f >= 1 and lambda_c = min(1, fl(iou_distance
 + off)) >= off (the IoU distance is at least 0); rounding is monotone, so it is
 at least fl(c * off), or c with the spatial factors off, as are the sentinel and +inf.
 
-`fusion_load` hands `clustering.cluster_batch` candidate cells: a cell of Gram
-value g and norms n_i, n_j (fl(sqrt) of the squared norms s_i, s_j) is one
-unless g < fl(fl(beta * n_i) * n_j), beta = fl(1 - L - SLACK), L = l, or l / off
+`fusion_load` hands `clustering.cluster_batch` candidate flat cells, whose distances `pairs`
+computes: a cell of Gram value g and norms n_i, n_j (fl(sqrt) of the squared norms s_i, s_j)
+is one unless g < fl(fl(beta * n_i) * n_j), beta = fl(1 - L - SLACK), L = l, or l / off
 with the spatial factors on, l = max(limit, 2**-1022). It is one wherever
 d <= limit. With u = 2**-53, P = n_i * n_j and c = clip(fl(1 - q), 0, 2),
 q = fl(g / r), r = fl(sqrt(fl(s_i * s_j))):
@@ -144,9 +144,11 @@ def _not_below(gram: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray
 
 def fusion_load(level, lo: np.ndarray, n: np.ndarray, cfg: FcgConfig):
     """`clustering.cluster_batch`'s (candidates, pairs) for the fusions of the tracklets
-    lo[k]..lo[k]+n[k]-1 of a level (see the module docstring): `pairs(k, i, j)` weighs tracklets
-    lo[k] + i and lo[k] + j by `weighted_pairs`, their cosine `cosine_cells` of their Gram cell."""
+    lo[k]..lo[k]+n[k]-1 of a level (see the module docstring): `pairs(cells)` weighs, for flat
+    cell (k, i, j), tracklets lo[k] + i and lo[k] + j by `weighted_pairs`, their cosine
+    `cosine_cells` of their Gram cell."""
     gram = _gram_blocks(level, lo, n)
+    m = gram.shape[1]
     sq = squared_norms(gram.diagonal(axis1=1, axis2=2))
     norm = np.sqrt(sq)
     scaled = 2.0**-500 <= sq.min() and sq.max() <= 2.0**500
@@ -155,8 +157,10 @@ def fusion_load(level, lo: np.ndarray, n: np.ndarray, cfg: FcgConfig):
         beta = 1.0 - max(limit, 2.0**-1022) / (cfg.off if cfg.use_spatial else 1.0) - SLACK
         return _not_below(gram, norm * (beta if beta > -1.0 and scaled else -np.inf), norm)
 
-    def pairs(k, i, j):
-        cos = cosine_cells(gram[k, i, j], sq[k, i], sq[k, j])
+    def pairs(cells):
+        a, j = np.divmod(cells, m)  # row a = k * m + i of the norms
+        k, i = np.divmod(a, m)
+        cos = cosine_cells(np.take(gram, cells), np.take(sq, a), np.take(sq, a - i + j))
         return weighted_pairs(level, cos, lo[k] + i, lo[k] + j, cfg)
 
     return candidates, pairs

@@ -277,7 +277,7 @@ def scipy_cluster_batch(sizes, load, *, threshold):
             continue
         _, pairs = load([k])
         i, j = np.triu_indices(n, 1)
-        dist = np.asarray(pairs(np.zeros_like(i), i, j), dtype=np.float64)
+        dist = np.asarray(pairs(i * n + j), dtype=np.float64)
         z = linkage(np.where(dist == np.inf, threshold * n**2, dist), method="average")
         near = np.abs(z[:, 2] - threshold) <= 1e-9 * threshold
         if near.any():

@@ -163,10 +163,10 @@ class TestCosineBlocks:
         )
         m = int(n.max())
         pos, size = np.arange(m), n[:, None, None]
-        k, i, j = np.nonzero((pos[:, None] < size) & (pos < size))
+        cells = np.flatnonzero((pos[:, None] < size) & (pos < size))
         got = np.full((len(n), m, m), np.nan)
         with mock.patch.object(weighting, "weighted_pairs", lambda level, cos, *rest: cos):
-            got[k, i, j] = pairs(k, i, j)
+            got.flat[cells] = pairs(cells)
         return got, median, lo, n
 
     def test_blocks_equal_cosine_matrix_bit_for_bit(self):

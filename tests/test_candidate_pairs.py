@@ -90,10 +90,10 @@ def _check_candidate_pairs_equal_the_dense_oracle(frames, cfg, whole):
             mask = overlap_masks(level, run_lo[group], run_n[group])
             asked = np.zeros(full.shape, dtype=bool)
 
-            def checked(k, i, j):
-                d = pairs(k, i, j)
-                assert _same_bits(d, np.where(mask[k, i, j], np.inf, full[k, i, j]))
-                asked[k, i, j] = True
+            def checked(cells):
+                d = pairs(cells)
+                assert _same_bits(d, np.where(mask.flat[cells], np.inf, full.flat[cells]))
+                asked.flat[cells] = True
                 SEEN["shared"] += int((d == np.inf).sum())
                 SEEN["interleaved"] += int((d == clustering.CANNOT_LINK).sum())
                 return d
@@ -172,10 +172,10 @@ def _check_candidates_hold_every_pair_within_the_limit(level, cfg, whole, data):
     assume(len(n))
     m = int(n.max())
     pos = np.arange(m)
-    k, i, j = np.nonzero((pos[:, None] < pos) & (pos < n[:, None, None]))
+    within = np.flatnonzero((pos[:, None] < pos) & (pos < n[:, None, None]))
     with np.errstate(all="ignore"):  # cosines of vectors whose squared norms' product is not normal
         candidates, pairs = weighting.fusion_load(level, lo, n, cfg)
-        d = pairs(k, i, j)
+        d = pairs(within)
         # Limits near 0, at a pair's own distance, near 1, and at 2 or more, on the scale
         # of the cosines (over `off` with the spatial factors on) or not.
         scale = data.draw(st.sampled_from([1.0, cfg.off]))
@@ -188,7 +188,6 @@ def _check_candidates_hold_every_pair_within_the_limit(level, cfg, whole, data):
         ))
         cells = candidates(limit)
     assert (np.diff(cells) > 0).all()
-    within = np.ravel_multi_index((k, i, j), (len(n), m, m))
     assert np.isin(within[d <= limit], cells).all()
     SEEN["reached"] += int((d <= limit).sum())
     listed = np.isin(within, cells)
@@ -212,7 +211,7 @@ def test_a_limit_near_two_or_more_takes_every_cell(limit):
 
     with mock.patch.object(weighting, "_gram_blocks", spoiled):
         candidates, pairs = weighting.fusion_load(level, np.array([0]), np.array([2]), cfg)
-    assert pairs(np.array([0]), np.array([0]), np.array([1])).tolist() == [2.0]
+    assert pairs(np.array([1])).tolist() == [2.0]
     assert candidates(limit).tolist() == [0, 1, 2, 3]
 
 

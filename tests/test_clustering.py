@@ -313,17 +313,21 @@ class TestBatched:
         rng = np.random.default_rng(48)
         link = clustering._link
         steps: list[list[int]] = []
+        roots: list[np.ndarray] = []
 
         def recording_link(d, near, nn, n, limit):
             steps.append([])
             _LiveRows.live = steps[-1]
-            return link(d, near.view(_LiveRows), nn, n, limit)
+            result = link(d, near.view(_LiveRows), nn, n, limit)
+            roots.append(result[0])
+            return result
 
         monkeypatch.setattr(clustering, "_link", recording_link)
         for _ in range(40):
             instances = _random_batch(rng)
             sizes = [len(square) for square, _ in instances]
             dendrograms = _dendrograms(sizes, _loader(instances), _BELOW_SENTINEL)
+            linked = iter(roots.pop() if roots else ())  # this call's, if it linked
             for (square, cannot), dendrogram in zip(instances, dendrograms):
                 expected = heap_linkage(square, cannot)
                 assert dendrogram.n == len(square)
@@ -331,6 +335,12 @@ class TestBatched:
                 for merge, (a, b, height, size) in zip(dendrogram.merges, expected):
                     assert (merge.a, merge.b, merge.size) == (a, b, size)
                     assert merge.height == height
+                # The roots `_link` returns, each leaf's smallest fellow member, are the cut's.
+                if dendrogram.n >= 2:
+                    smallest = {i: c[0] for c in cut(dendrogram, _BELOW_SENTINEL) for i in c}
+                    assert next(linked)[: dendrogram.n].tolist() == [
+                        smallest[i] for i in range(dendrogram.n)
+                    ]
         # Most batches start with 8 or more live instances, and the one loop
         # steps the last of them on alone.
         assert sum(live[0] >= 8 and live[-1] == 1 for live in steps) >= 20
@@ -376,7 +386,7 @@ class TestBatched:
     def test_pairs_of_the_wrong_count_are_refused(self):
         def load(group):
             bound, pairs = dense(np.zeros((len(group), 3, 3)))
-            return bound, lambda *cell: pairs(*cell)[:-1]
+            return bound, lambda cells: pairs(cells)[:-1]
 
         with pytest.raises(ValueError, match="^expected 3 pair distances$"):
             cluster_batch([3], load, threshold=0.5)
@@ -489,7 +499,7 @@ class TestStopAtCut:
             # The finite square's candidates hold the +inf one's: `cluster_batch` gives the
             # same roots.
             roots = cluster_batch(
-                [n], lambda _: (dense(square[None])[0], lambda k, i, j: inf[i, j]),
+                [n], lambda _: (dense(square[None])[0], lambda cells: inf.flat[cells]),
                 threshold=threshold,
             )
             assert instance_partitions([n], roots) == [expected]
