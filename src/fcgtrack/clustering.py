@@ -138,7 +138,10 @@ def _pairs(n: np.ndarray, m: int) -> np.ndarray:
 
 
 def _exact(pairs: Callable, cells: np.ndarray) -> np.ndarray:
-    """`pairs` of these flat cells of a `load` tensor, checked nonnegative, not NaN."""
+    """`pairs` of these flat cells of a `load` tensor, checked nonnegative, not NaN; `pairs`
+    is not called for no cells."""
+    if not len(cells):
+        return np.zeros(0)
     dist = np.asarray(pairs(cells), dtype=np.float64)
     if dist.shape != cells.shape:
         raise ValueError(f"expected {len(cells)} pair distances")
@@ -404,10 +407,10 @@ def cluster_batch(
     `candidates(limit)` returns ascending cells, among them every cell i < j of
     a block whose distance is at most `limit`, and `pairs(cells)` the
     distances of the given flat cells, +inf where a pair is cannot-link, each
-    nonnegative, not NaN (else ValueError). `pairs` is asked
-    only for the candidates in a block at threshold * `MARGIN` and for the
-    blocks of linked components; `dense` serves distances given in full. Each
-    chunk is split into the components of its threshold graph (`_components`):
+    nonnegative, not NaN (else ValueError). `pairs` is asked only for the
+    candidates in a block at threshold * `MARGIN` and for the blocks of linked
+    components, never for no cells; `dense` serves distances given in full.
+    Each chunk is split into the components of its threshold graph (`_components`):
     a sub-threshold clique is one cluster at once, and the other components,
     from successive chunks together, are linked (`_link_components`). A load
     is released before the next. The result holds, for instance 0's items,
@@ -435,7 +438,8 @@ def cluster_batch(
                 n[linked], start[linked], *load(linked), threshold
             )
             root[items] = roots
-            pool.append(part)
+            if len(part[0]):
+                pool.append(part)
             if sum(len(part[2]) for part in pool) >= CHUNK_CELLS:
                 link(pool)
                 pool = []

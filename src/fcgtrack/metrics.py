@@ -10,7 +10,7 @@ import numpy as np
 from .core import TrackSet, _connected
 from .geometry import iou_distance_array
 
-# GT entries per array call in `_matches`; bounds the pair arrays in crowds.
+# GT entries per array call in `_matches`; bounds its same-frame pair arrays in crowds.
 _GT_BLOCK = 1024
 
 
@@ -32,13 +32,19 @@ def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):
     """Same-frame box pairs with IoU >= iou_threshold, ascending by frame.
 
     Returns parallel arrays: frame, GT ID rank, predicted ID rank (see
-    `_by_frame`) and IoU. The IoUs are computed by array calls over blocks
-    of GT entries, each paired with every prediction in its frame.
+    `_by_frame`) and IoU. Array calls run over blocks of GT entries, each
+    paired with every prediction in its frame. A pair whose boxes do not
+    overlap along x, by the sums and comparison of `iou_distance_array`, has
+    IoU 0, below every threshold, even for NaN or infinite sides: it is
+    dropped first, and only the others' rows are gathered and scored.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     gt_frame, gt_rank, gt_box = _by_frame(gt)
     pred_frame, pred_rank, pred_box = _by_frame(pred)
+    # Contiguous copies: `np.take` gathers from them faster than from column views.
+    gt_left, pred_left = gt_box[:, 0].copy(), pred_box[:, 0].copy()
+    gt_right, pred_right = gt_left + gt_box[:, 2], pred_left + pred_box[:, 2]
     lo = np.searchsorted(pred_frame, gt_frame, side="left")
     count = np.searchsorted(pred_frame, gt_frame, side="right") - lo
     blocks = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
@@ -46,6 +52,10 @@ def _matches(gt: TrackSet, pred: TrackSet, iou_threshold: float):
         n = count[start : start + _GT_BLOCK]
         g = np.repeat(np.arange(start, start + len(n)), n)
         p = lo[g] + np.arange(len(g)) - np.repeat(np.cumsum(n) - n, n)
+        near = np.minimum(np.take(gt_right, g), np.take(pred_right, p)) > np.maximum(
+            np.take(gt_left, g), np.take(pred_left, p)
+        )
+        g, p = g[near], p[near]
         # `np.take` gathers the 4-float rows several times faster than fancy indexing.
         iou = 1.0 - iou_distance_array(np.take(gt_box, g, axis=0), np.take(pred_box, p, axis=0))
         keep = iou >= iou_threshold

@@ -14,6 +14,7 @@ from fcgtrack.appearance import cosine_matrix
 from fcgtrack.clustering import dense
 from fcgtrack.core import CANNOT_LINK, DetectionColumns, Level, TrackSet, _medians, _ranges
 from fcgtrack.geometry import box_displacement_array, extrapolate_array, iou_distance_array
+from fcgtrack.metrics import _GT_BLOCK, _by_frame
 from fcgtrack.pipeline import _fuse
 from fcgtrack.weighting import _spatial_factors, _temporal_factor, weighted_pairs
 
@@ -549,6 +550,31 @@ def scalar_weighted_distance(level, t, u, cfg, sentinel=SENTINEL):
         lambda_f = 1.0 if scalar_box_displacement(last, first) <= cfg.kf else cfg.cf
         d *= lambda_c * lambda_f
     return d
+
+
+def all_pairs_matches(gt, pred, iou_threshold):
+    """`metrics._matches` with an IoU computed for every same-frame pair.
+
+    The same four arrays: frame, GT ID rank, predicted ID rank and IoU of the
+    pairs with IoU >= iou_threshold, ascending by frame, in blocks of
+    `_GT_BLOCK` GT entries as imported.
+    """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    gt_frame, gt_rank, gt_box = _by_frame(gt)
+    pred_frame, pred_rank, pred_box = _by_frame(pred)
+    lo = np.searchsorted(pred_frame, gt_frame, side="left")
+    count = np.searchsorted(pred_frame, gt_frame, side="right") - lo
+    blocks = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    for start in range(0, len(gt_frame), _GT_BLOCK):
+        n = count[start : start + _GT_BLOCK]
+        g = np.repeat(np.arange(start, start + len(n)), n)
+        p = lo[g] + np.arange(len(g)) - np.repeat(np.cumsum(n) - n, n)
+        iou = 1.0 - iou_distance_array(np.take(gt_box, g, axis=0), np.take(pred_box, p, axis=0))
+        keep = iou >= iou_threshold
+        blocks.append((g[keep], p[keep], iou[keep]))
+    g, p, iou = (np.concatenate(parts) for parts in zip(*blocks))
+    return gt_frame[g], gt_rank[g], pred_rank[p], iou
 
 
 def per_pair_id_switches(gt, pred, iou_threshold=0.5):

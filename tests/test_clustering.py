@@ -581,6 +581,33 @@ class TestLevelMemory:
 class TestComponentSplit:
     """`cluster_batch` links each threshold-graph component apart, never a whole instance."""
 
+    def test_cliques_alone_ask_for_pairs_once(self, monkeypatch):
+        """A load whose components are all sub-threshold cliques is asked for its candidates'
+        distances and nothing more: no empty ask, and no link of an empty pool."""
+        sizes = [5, 1, 4]
+        squares = []
+        for n, groups in ((5, [0, 0, 1, 1, 2]), (4, [0, 1, 1, 0])):
+            g = np.array(groups)
+            squares.append(np.where(g[:, None] == g, 0.05, 0.9) * (1 - np.eye(n)))
+        load = stacked(lambda k: ({0: squares[0], 2: squares[1]}[k], None))
+        calls = []
+
+        def counting(group):
+            candidates, pairs = load(group)
+
+            def counted(cells):
+                calls.append(len(cells))
+                return pairs(cells)
+
+            return candidates, counted
+
+        monkeypatch.setattr(
+            clustering, "_link_components", lambda *args: pytest.fail("nothing to link")
+        )
+        partitions = instance_partitions(sizes, cluster_batch(sizes, counting, threshold=0.1))
+        assert len(calls) == 1
+        assert partitions == [[[0, 1], [2, 3], [4]], [[0]], [[0, 3], [1, 2]]]
+
     def test_links_no_tensor_larger_than_the_largest_blob(self, monkeypatch):
         rng = np.random.default_rng(61)
         blobs = [4, 7, 1, 5]

@@ -12,6 +12,7 @@ from fcgtrack.metrics import evaluate, id_switches, idf1
 from oracles import (
     Box,
     Entry,
+    all_pairs_matches,
     brute_force_assignment,
     brute_force_idf1,
     per_pair_id_switches,
@@ -219,6 +220,93 @@ class TestArrayMatching:
         expected = [(idf1(gt, pred), id_switches(gt, pred)) for gt, pred in cases]
         monkeypatch.setattr(metrics, "_GT_BLOCK", block)
         assert [(idf1(gt, pred), id_switches(gt, pred)) for gt, pred in cases] == expected
+
+
+class TestPrunedMatches:
+    def test_equals_the_all_pairs_table_bit_for_bit(self):
+        """Scoring only the pairs that overlap along x keeps every pair, IoU bit and position
+        of the table that scores every same-frame pair, for any block size."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        special = st.sampled_from([np.nan, np.inf, -np.inf])
+        grid = st.integers(-6, 6).map(lambda k: 5.0 * k)
+        size = st.integers(1, 4).map(lambda k: 5.0 * k)
+
+        def side(draw, frames):
+            # Up to 12 boxes a frame, one per drawn ID, with sides on a 5-pixel grid from
+            # -30 on, so edges touch; about one box in twenty sits at x = 1e16 with w = 1,
+            # where x + w == x, and about one in twenty has a NaN or infinite side.
+            rows = []
+            for f in range(1, frames + 1):
+                for tid in draw(st.lists(st.integers(1, 16), unique=True, max_size=12)):
+                    box = [draw(grid), draw(grid), draw(size), draw(size)]
+                    kind = draw(st.integers(0, 19))
+                    if kind == 0:
+                        box[0], box[2] = 1e16, 1.0
+                    elif kind == 1:
+                        box[draw(st.integers(0, 3))] = draw(special)
+                    rows.append((tid, f, box))
+            rows.sort(key=lambda r: r[:2])
+            return TrackSet(
+                track_id=np.array([r[0] for r in rows], dtype=np.int64),
+                frame=np.array([r[1] for r in rows], dtype=np.int64),
+                box=np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, 4),
+                score=np.ones(len(rows)),
+            )
+
+        @st.composite
+        def scenes(draw):
+            frames = draw(st.integers(1, 3))
+            return side(draw, frames), side(draw, frames)
+
+        @settings(max_examples=300)
+        @given(
+            scenes(),
+            st.sampled_from([1e-12, 0.3, 0.5, 1.0]),
+            st.sampled_from([1, 3, metrics._GT_BLOCK]),
+        )
+        def check(scene, threshold, block):
+            gt, pred = scene
+            # Sums and differences of infinite sides are NaN.
+            with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+                expected = all_pairs_matches(gt, pred, threshold)
+                mp.setattr(metrics, "_GT_BLOCK", block)
+                table = metrics._matches(gt, pred, threshold)
+            for got, want in zip(table, expected, strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        check()
+
+    def test_scores_only_the_pairs_that_overlap_along_x(self, monkeypatch):
+        """40 boxes a frame spread along x: the IoU is computed for exactly the same-frame
+        pairs that overlap along x, under a fifth of all of them."""
+        rng = np.random.default_rng(66)
+
+        def scene():
+            x = rng.uniform(-1000.0, 1000.0, (40, 6))
+            w = rng.uniform(10.0, 60.0, (40, 6))
+            boxes = {
+                tid: track([(f, (x[tid - 1, f], 0.0, w[tid - 1, f], 40.0)) for f in range(6)])
+                for tid in range(1, 41)
+            }
+            return track_set(boxes), x, x + w
+
+        (gt, gl, gr), (pred, pl, pr) = scene(), scene()
+        # Same-frame pairs (GT, prediction, frame) that overlap along x.
+        overlap = np.minimum(gr[:, None], pr[None]) > np.maximum(gl[:, None], pl[None])
+        scored = []
+        iou_distance_array = metrics.iou_distance_array
+
+        def counted(a, b):
+            scored.append(len(a))
+            return iou_distance_array(a, b)
+
+        monkeypatch.setattr(metrics, "iou_distance_array", counted)
+        metrics._matches(gt, pred, 0.5)
+        assert sum(scored) == np.count_nonzero(overlap)
+        assert 5 * sum(scored) < 40 * 40 * 6
 
 
 def relabeled_tracks(rng, empty):
